@@ -84,8 +84,10 @@ fn bench_serving_hot_paths(c: &mut Criterion) {
         let (eval, trace) = serving_fixture(levels);
         g.bench_function(label, |b| {
             b.iter(|| {
-                Cluster::new(&eval, SchedulingPolicy::Continuous)
-                    .run(black_box(&trace), RouterKind::RoundRobin.build().as_mut())
+                Cluster::new(&eval, SchedulingPolicy::Continuous).run(
+                    black_box(&trace),
+                    RouterKind::RoundRobin.build_for(&eval).as_mut(),
+                )
             })
         });
     }
@@ -94,7 +96,7 @@ fn bench_serving_hot_paths(c: &mut Criterion) {
         b.iter(|| {
             Cluster::new(&eval, SchedulingPolicy::Continuous).run(
                 black_box(&trace),
-                RouterKind::JoinShortestQueue.build().as_mut(),
+                RouterKind::JoinShortestQueue.build_for(&eval).as_mut(),
             )
         })
     });

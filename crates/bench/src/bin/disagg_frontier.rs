@@ -96,12 +96,13 @@ fn main() {
     }
     let requests = if args.tiny { 12 } else { 48 };
 
-    // Capacity anchor: the closed-world (wave) run of the colocated
-    // cluster and trace shape. Arrival rates do not matter closed-world.
-    let cap = scenario(requests, 0.05, SchedulingPolicy::Wave, 0, 0)
-        .materialize()
-        .expect("capacity scenario");
-    let (_, capacity_rps) = bench::closed_world_capacity(&cap.evaluator, &cap.trace);
+    // Capacity anchor: the closed-world (wave) round-robin run of the
+    // colocated cluster and trace shape. Arrival rates do not matter
+    // closed-world.
+    let mut cap = scenario(requests, 0.05, SchedulingPolicy::Wave, 0, 0);
+    cap.policies.router = RouterKind::RoundRobin;
+    let cap = cap.materialize().expect("capacity scenario");
+    let capacity_rps = cap.trace.len() as f64 / cap.run().seconds.max(f64::MIN_POSITIVE);
 
     bench::header(&format!(
         "Disaggregation frontier: LLM-7B-32K × {BUDGET}-replica budget (TP=2), \

@@ -3,26 +3,8 @@
 
 use llm_model::LLM_7B_128K_GQA;
 use pim_compiler::ParallelConfig;
-use system::{Evaluator, ModuleConfig, ServingReport, SystemConfig, SystemKind, Techniques};
+use system::{ModuleConfig, SystemConfig, SystemKind, Techniques};
 use workload::{DatasetStats, TraceBuilder};
-
-/// Best-throughput run across feasible (TP, PP) factorizations.
-fn best(sys: SystemConfig, t: Techniques, trace: &workload::Trace) -> ServingReport {
-    let model = LLM_7B_128K_GQA;
-    let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
-    ParallelConfig::factorizations(sys.modules)
-        .into_iter()
-        .filter_map(|p| {
-            let e = Evaluator::new(sys.with_parallel(p), model, t);
-            e.feasible(t_max).then(|| e.run_trace(trace))
-        })
-        .max_by(|a, b| {
-            a.tokens_per_second
-                .partial_cmp(&b.tokens_per_second)
-                .expect("finite")
-        })
-        .unwrap_or_else(|| Evaluator::new(sys, model, t).run_trace(trace))
-}
 
 fn synthetic_trace(ctx: u64, n: usize) -> workload::Trace {
     let stats = DatasetStats {
@@ -55,7 +37,7 @@ fn system(kind: SystemKind, modules: u32) -> SystemConfig {
 }
 
 fn main() {
-    let _model = LLM_7B_128K_GQA;
+    let model = LLM_7B_128K_GQA;
     let mut sink = bench::MetricSink::new("fig17");
     bench::header("Fig. 17(a): throughput vs capacity at 64K context");
     for (kind, mods) in [
@@ -70,8 +52,8 @@ fn main() {
         for m in mods {
             let sys = system(kind, m);
             let trace = synthetic_trace(64 * 1024, 24);
-            let b = best(sys, Techniques::baseline(), &trace);
-            let p = best(sys, Techniques::pimphony(), &trace);
+            let b = bench::best_parallel(sys, model, Techniques::baseline(), &trace);
+            let p = bench::best_parallel(sys, model, Techniques::pimphony(), &trace);
             println!(
                 "{:<10} {:>8}GB {:>14.1} {:>14.1}",
                 m,
@@ -101,8 +83,8 @@ fn main() {
             let ctx = 1u64 << exp;
             let sys = system(kind, modules);
             let trace = synthetic_trace(ctx, 16);
-            let b = best(sys, Techniques::baseline(), &trace);
-            let p = best(sys, Techniques::pimphony(), &trace);
+            let b = bench::best_parallel(sys, model, Techniques::baseline(), &trace);
+            let p = bench::best_parallel(sys, model, Techniques::pimphony(), &trace);
             println!(
                 "{:>8}K {:>14.2} {:>14.2} {:>8.1}x",
                 ctx / 1024,
@@ -122,7 +104,7 @@ fn main() {
     for exp in [12u32, 14, 16, 18, 20] {
         let ctx = 1u64 << exp;
         let sys = system(SystemKind::PimOnly, 32);
-        let r = best(sys, Techniques::pimphony(), &synthetic_trace(ctx, 8));
+        let r = bench::best_parallel(sys, model, Techniques::pimphony(), &synthetic_trace(ctx, 8));
         let tot = (r.attn_seconds + r.fc_seconds).max(1e-12);
         println!(
             "{:>8}K {:>9.1}% {:>9.1}%",

@@ -23,7 +23,7 @@
 //!   prefill capacity on work that cannot meet its deadline.
 //!
 //! The offered rate is anchored on the measured closed-world capacity
-//! of the same cluster and trace shape (`bench::closed_world_capacity`)
+//! of the same cluster and trace shape (its wave run, requests/second)
 //! and swept across under-load (0.8×) and overload (1.2×, 1.6×)
 //! multipliers.
 //!
@@ -138,7 +138,7 @@ fn main() {
         SheddingPolicy::None,
     );
     let cap = cap_scenario.materialize().expect("capacity scenario");
-    let (_, capacity_rps) = bench::closed_world_capacity(&cap.evaluator, &cap.trace);
+    let capacity_rps = cap.trace.len() as f64 / cap.run().seconds.max(f64::MIN_POSITIVE);
 
     bench::header(&format!(
         "Goodput frontier: LLM-7B-32K × {} replicas, 2 tenants × {requests} requests, \

@@ -126,7 +126,7 @@ fn main() {
                 .poisson(rate)
                 .build();
             for kind in ROUTERS {
-                let mut router = kind.build();
+                let mut router = kind.build_for(&eval);
                 let r = Cluster::new(&eval, SchedulingPolicy::Continuous)
                     .with_threads(0)
                     .run(&trace, router.as_mut());

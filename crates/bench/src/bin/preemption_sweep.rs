@@ -166,7 +166,10 @@ fn main() {
                     .with_preemption(policy);
                 let r = Cluster::new(&eval, SchedulingPolicy::Continuous)
                     .with_threads(0)
-                    .run(&trace, RouterKind::JoinShortestQueue.build().as_mut());
+                    .run(
+                        &trace,
+                        RouterKind::JoinShortestQueue.build_for(&eval).as_mut(),
+                    );
                 let hi = class_p99(&r, 1);
                 let lo = class_p99(&r, 0);
                 if policy == PreemptionPolicy::None {

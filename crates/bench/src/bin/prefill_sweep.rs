@@ -115,7 +115,10 @@ fn main() {
         let run = |eval: &Evaluator| {
             Cluster::new(eval, SchedulingPolicy::Continuous)
                 .with_threads(0)
-                .run(&trace, RouterKind::JoinShortestQueue.build().as_mut())
+                .run(
+                    &trace,
+                    RouterKind::JoinShortestQueue.build_for(eval).as_mut(),
+                )
         };
         let decode = run(&eval_decode);
         let e2e = run(&eval_pf);
@@ -160,7 +163,10 @@ fn main() {
         let trace = build_trace(stats, requests, rate);
         let r = Cluster::new(&eval, SchedulingPolicy::Continuous)
             .with_threads(0)
-            .run(&trace, RouterKind::JoinShortestQueue.build().as_mut());
+            .run(
+                &trace,
+                RouterKind::JoinShortestQueue.build_for(&eval).as_mut(),
+            );
         println!(
             "{:>10} {:>9.3} {:>11.3}/{:>10.3} {:>10.3} {:>10.3} {:>10.4} {:>10.4}",
             chunk,

@@ -68,7 +68,7 @@ fn compare(eval: &Evaluator, trace: &Trace) -> Vec<(RouterKind, ServingReport, f
     );
     let mut reports = Vec::new();
     for kind in RouterKind::ALL {
-        let mut router = kind.build();
+        let mut router = kind.build_for(eval);
         // Wall-clock timing of the simulator itself, not sim time.
         #[allow(clippy::disallowed_methods)]
         let t0 = Instant::now();

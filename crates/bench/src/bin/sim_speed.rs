@@ -2,9 +2,10 @@
 //!
 //! Times one large checked-in scenario
 //! (`scenarios/perf/sim_speed_100k.json`: 100k requests over a
-//! 100-replica cluster) end-to-end through the cluster layer and
-//! reports **simulated requests per second** — completed requests
-//! divided by the wall-clock seconds of the simulation. Wall-clock
+//! 100-replica cluster) end-to-end through `Materialized::run`, the
+//! one scenario run path (replica pools included), and reports
+//! **simulated requests per second**: completed requests divided by
+//! the wall-clock seconds of the simulation. Wall-clock
 //! alone would couple the row to the scenario size; simulated-req/s is
 //! the size-independent rate the regression gate can pin.
 //!
@@ -24,7 +25,7 @@
 use bench::cli::{file_stem, BenchArgs};
 use bench::{header, push_row_field, serving_row, write_bench_json};
 use std::time::Instant;
-use system::{Cluster, Scenario, ServingReport};
+use system::Scenario;
 
 const DEFAULT_SCENARIO: &str = "scenarios/perf/sim_speed_100k.json";
 const TINY_DIVISOR: usize = 64;
@@ -49,7 +50,7 @@ fn main() {
     }
     let check_determinism = args.rest.iter().any(|a| a == "--check-determinism");
 
-    let m = scenario.materialize().unwrap_or_else(|e| {
+    let mut m = scenario.materialize().unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
     });
@@ -63,7 +64,7 @@ fn main() {
         m.threads,
     ));
 
-    let (report, wall) = timed_run(&m.evaluator, &m, m.threads);
+    let (report, wall) = wall_clock(|| m.run());
     let completed = report.latency.completed;
     let sim_rps = if wall > 0.0 {
         completed as f64 / wall
@@ -72,21 +73,18 @@ fn main() {
     };
     println!(
         "{completed} requests in {wall:.2}s wall = {sim_rps:.0} simulated req/s \
-         ({:.2} simulated seconds, {:.1} tok/s simulated)",
-        report.seconds, report.tokens_per_second,
+         ({:.2} simulated seconds, {:.1} tok/s simulated, {} KV bytes transferred)",
+        report.seconds, report.tokens_per_second, report.kv_transferred_bytes,
     );
 
     if check_determinism {
-        let (sequential, seq_wall) = timed_run(&m.evaluator, &m, 1);
+        let threads = std::mem::replace(&mut m.threads, 1);
+        let (sequential, seq_wall) = wall_clock(|| m.run());
         assert_eq!(
             sequential, report,
-            "threads=1 and threads={} reports must be byte-identical",
-            m.threads
+            "threads=1 and threads={threads} reports must be byte-identical",
         );
-        println!(
-            "determinism: threads=1 ({seq_wall:.2}s) matches threads={} byte-for-byte",
-            m.threads
-        );
+        println!("determinism: threads=1 ({seq_wall:.2}s) matches threads={threads} byte-for-byte");
     }
 
     if let Some(json_path) = &args.json {
@@ -108,21 +106,15 @@ fn main() {
     }
 }
 
-/// Runs the materialized scenario on `threads` threads, timing only the
-/// simulation (trace generation and evaluator compilation are outside
-/// the clock).
-fn timed_run(
-    eval: &system::Evaluator,
-    m: &system::Materialized,
-    threads: usize,
-) -> (ServingReport, f64) {
-    let mut router = m.router.build();
-    let cluster = Cluster::new(eval, eval.scheduling_policy()).with_threads(threads);
+/// Runs `f`, returning its result and wall-clock seconds. Only
+/// `Materialized::run` is timed: trace generation and evaluator
+/// compilation happen before the clock starts.
+fn wall_clock<T>(f: impl FnOnce() -> T) -> (T, f64) {
     // Wall-clock timing is this binary's whole purpose.
     #[allow(clippy::disallowed_methods)]
     let t0 = Instant::now();
-    let report = cluster.run(&m.trace, router.as_mut());
-    (report, t0.elapsed().as_secs_f64())
+    let out = f();
+    (out, t0.elapsed().as_secs_f64())
 }
 
 /// The integer following `flag` in the leftover arguments, if present.

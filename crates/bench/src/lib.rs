@@ -173,23 +173,32 @@ pub fn ladder(
 ) -> Vec<(&'static str, ServingReport)> {
     Techniques::ladder()
         .into_iter()
-        .map(|t| {
-            let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
-            let best = ParallelConfig::factorizations(system.modules)
-                .into_iter()
-                .filter_map(|p| {
-                    let e = Evaluator::new(system.with_parallel(p), model, t);
-                    e.feasible(t_max).then(|| e.run_trace(trace))
-                })
-                .max_by(|a, b| {
-                    a.tokens_per_second
-                        .partial_cmp(&b.tokens_per_second)
-                        .expect("finite throughput")
-                })
-                .unwrap_or_else(|| Evaluator::new(system, model, t).run_trace(trace));
-            (t.label(), best)
-        })
+        .map(|t| (t.label(), best_parallel(system, model, t, trace)))
         .collect()
+}
+
+/// The highest-throughput run of `trace` across the feasible (TP, PP)
+/// factorizations of `system`'s modules, falling back to `system`'s own
+/// parallelization when none can hold the longest request.
+pub fn best_parallel(
+    system: SystemConfig,
+    model: ModelConfig,
+    techniques: Techniques,
+    trace: &Trace,
+) -> ServingReport {
+    let t_max = trace.iter().map(|r| r.final_len()).max().unwrap_or(0);
+    ParallelConfig::factorizations(system.modules)
+        .into_iter()
+        .filter_map(|p| {
+            let e = Evaluator::new(system.with_parallel(p), model, techniques);
+            e.feasible(t_max).then(|| e.run_trace(trace))
+        })
+        .max_by(|a, b| {
+            a.tokens_per_second
+                .partial_cmp(&b.tokens_per_second)
+                .expect("finite throughput")
+        })
+        .unwrap_or_else(|| Evaluator::new(system, model, techniques).run_trace(trace))
 }
 
 /// Formats a speedup column relative to the first entry.

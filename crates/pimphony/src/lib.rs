@@ -115,8 +115,8 @@ pub use system::scenario::{ClusterSpec, Materialized, PolicySpec, Scenario, Tena
 
 use llm_model::ModelConfig;
 use system::{
-    Cluster, Evaluator, PreemptionPolicy, PrefillConfig, RouterKind, SchedulingPolicy,
-    ServingReport, SystemConfig, Techniques,
+    Evaluator, PreemptionPolicy, PrefillConfig, RouterKind, SchedulingPolicy, ServingReport,
+    SystemConfig, Techniques,
 };
 use workload::Trace;
 
@@ -128,7 +128,10 @@ use workload::Trace;
 /// always serializable and the getters simply read the spec back.
 #[derive(Debug)]
 pub struct Orchestrator {
-    evaluator: Evaluator,
+    /// The materialized cluster (evaluators, pools, routers, threads)
+    /// that [`Orchestrator::serve`] runs; its own trace stays empty
+    /// because `serve` takes the trace as an argument.
+    sim: Materialized,
     scenario: Scenario,
 }
 
@@ -156,8 +159,24 @@ impl Orchestrator {
         scenario.cluster.tp = system.parallel.tp;
         scenario.cluster.pp = system.parallel.pp;
         scenario.policies.scheduling = policy;
+        Self::flat(
+            Evaluator::new(system, model, techniques).with_policy(policy),
+            scenario,
+        )
+    }
+
+    /// An orchestrator serving `scenario`'s flat (pool-free) cluster on
+    /// an explicitly built evaluator.
+    fn flat(evaluator: Evaluator, scenario: Scenario) -> Self {
         Orchestrator {
-            evaluator: Evaluator::new(system, model, techniques).with_policy(policy),
+            sim: Materialized {
+                evaluator,
+                trace: Trace::new(),
+                router: scenario.policies.router,
+                threads: scenario.cluster.threads,
+                tenant_names: Vec::new(),
+                pools: Vec::new(),
+            },
             scenario,
         }
     }
@@ -165,14 +184,18 @@ impl Orchestrator {
     /// Materializes a declarative scenario into an orchestrator plus
     /// the merged multi-tenant trace it describes — `serve(&trace)`
     /// then runs the whole experiment the spec file named.
+    /// `serve` on that trace returns exactly what
+    /// [`Materialized::run`] returns for the spec, replica pools
+    /// included.
     pub fn from_scenario(scenario: &Scenario) -> Result<(Orchestrator, Trace), String> {
-        let m = scenario.materialize()?;
+        let mut sim = scenario.materialize()?;
+        let trace = std::mem::take(&mut sim.trace);
         Ok((
             Orchestrator {
-                evaluator: m.evaluator,
+                sim,
                 scenario: scenario.clone(),
             },
-            m.trace,
+            trace,
         ))
     }
 
@@ -180,22 +203,20 @@ impl Orchestrator {
     /// replicas by the configured load balancer and the replica sims run
     /// on the configured number of threads — returning the
     /// throughput/latency/energy report. Results are independent of the
-    /// thread count.
+    /// thread count. This is [`Materialized::serve`], the scenario run
+    /// path.
     pub fn serve(&self, trace: &Trace) -> ServingReport {
-        let mut router = self.scenario.policies.router.build();
-        Cluster::new(&self.evaluator, self.evaluator.scheduling_policy())
-            .with_threads(self.scenario.cluster.threads)
-            .run(trace, router.as_mut())
+        self.sim.serve(trace)
     }
 
     /// One decode iteration for an explicit `(request id, tokens)` batch.
     pub fn iteration(&self, batch: &[(u64, u64)]) -> system::IterationBreakdown {
-        self.evaluator.iteration(batch)
+        self.sim.evaluator.iteration(batch)
     }
 
-    /// The underlying evaluator.
+    /// The underlying (scenario-level) evaluator.
     pub fn evaluator(&self) -> &Evaluator {
-        &self.evaluator
+        &self.sim.evaluator
     }
 
     /// The declarative spec this orchestrator was built from.
@@ -205,12 +226,12 @@ impl Orchestrator {
 
     /// The active batch-scheduling policy.
     pub fn policy(&self) -> SchedulingPolicy {
-        self.evaluator.scheduling_policy()
+        self.sim.evaluator.scheduling_policy()
     }
 
     /// The active preemption policy.
     pub fn preemption(&self) -> PreemptionPolicy {
-        self.evaluator.preemption_policy()
+        self.sim.evaluator.preemption_policy()
     }
 
     /// The active cross-replica load balancer.
@@ -389,10 +410,7 @@ impl OrchestratorBuilder {
     /// (the spec's evaluator path, shared with `--scenario` files —
     /// there is exactly one place knobs turn into an [`Evaluator`]).
     pub fn build(self) -> Orchestrator {
-        Orchestrator {
-            evaluator: self.scenario.evaluator_for(self.model),
-            scenario: self.scenario,
-        }
+        Orchestrator::flat(self.scenario.evaluator_for(self.model), self.scenario)
     }
 }
 

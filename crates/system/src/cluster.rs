@@ -9,8 +9,8 @@
 //!
 //! * [`RoundRobin`] — ignores load; through the cluster path this is
 //!   bit-exact with the old trace-level partitioning (enforced by the
-//!   wave-oracle tests, which now exercise this path via
-//!   [`crate::Engine`]).
+//!   wave-oracle tests, which exercise this path via
+//!   [`Evaluator::run_trace`]).
 //! * [`JoinShortestQueue`] — fewest in-flight (queued + running)
 //!   requests, the classic JSQ policy that absorbs bursts.
 //! * [`LeastLoaded`] — fewest reserved KV bytes under the active memory
@@ -29,7 +29,7 @@
 //! passed are touched — next-event dispatch instead of polling every
 //! replica per arrival, bit-exact because advancing a replica below its
 //! bound is a state no-op. The drain then runs on [`std::thread::scope`]
-//! threads ([`Cluster::threads`]). Parallel and sequential runs produce
+//! threads ([`Cluster::with_threads`]). Parallel and sequential runs produce
 //! byte-identical [`ServingReport`]s: routing decisions see identical
 //! load snapshots either way, and accounting is replayed from
 //! per-replica event logs in replica-index order, so no
@@ -234,19 +234,6 @@ impl SloAware {
     }
 }
 
-impl Default for SloAware {
-    /// An uncalibrated router (no SLOs, zero prefill rate): every
-    /// arrival takes the memory-spreading arm. [`RouterKind::build`]
-    /// uses this; prefer [`SloAware::for_eval`] to route on real slack.
-    fn default() -> Self {
-        SloAware {
-            slos: Vec::new(),
-            predictor: TtftPredictor::with_rate(0.0),
-            state: Self::SEED,
-        }
-    }
-}
-
 impl Router for SloAware {
     fn label(&self) -> &'static str {
         "slo-aware"
@@ -330,27 +317,16 @@ impl RouterKind {
         }
     }
 
-    /// Instantiates the router (fresh state per run). [`SloAware`]
-    /// comes up uncalibrated here — no SLOs, zero prefill rate; use
-    /// [`Self::build_for`] when an evaluator is at hand.
-    pub fn build(&self) -> Box<dyn Router> {
+    /// Instantiates the router (fresh state per run) for the replicas
+    /// `eval` describes: [`SloAware`] receives the evaluator's tenant
+    /// SLOs and prefill rate; every other kind ignores the evaluator.
+    pub fn build_for(&self, eval: &Evaluator) -> Box<dyn Router> {
         match self {
             RouterKind::RoundRobin => Box::new(RoundRobin::default()),
             RouterKind::JoinShortestQueue => Box::new(JoinShortestQueue),
             RouterKind::LeastLoaded => Box::new(LeastLoaded),
             RouterKind::LeastPrefill => Box::new(LeastPrefill),
-            RouterKind::SloAware => Box::new(SloAware::default()),
-        }
-    }
-
-    /// Instantiates the router calibrated for `eval`: [`SloAware`]
-    /// receives the evaluator's tenant SLOs and prefill rate; every
-    /// other kind is stateless with respect to the evaluator and
-    /// matches [`Self::build`] exactly.
-    pub fn build_for(&self, eval: &Evaluator) -> Box<dyn Router> {
-        match self {
             RouterKind::SloAware => Box::new(SloAware::for_eval(eval)),
-            _ => self.build(),
         }
     }
 }
@@ -460,19 +436,8 @@ impl<'a> Cluster<'a> {
     /// one per available CPU). Thread count never changes results — only
     /// wall-clock time.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        } else {
-            threads
-        };
+        self.threads = threads;
         self
-    }
-
-    /// The configured simulation thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Serves `trace`, dispatching each arrival through `router` and
@@ -512,6 +477,17 @@ pub struct PoolRun<'a> {
     /// The router applied *inside* the pool once the phase-level pick
     /// has selected it.
     pub router: Box<dyn Router>,
+}
+
+/// The drain's worker-thread budget: `threads`, with `0` meaning one
+/// per available CPU.
+fn resolve_threads(threads: usize) -> usize {
+    if threads > 0 {
+        return threads;
+    }
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Serves `trace` over heterogeneous replica pools with phase-aware
@@ -730,6 +706,7 @@ fn run_pools_impl(
 ) -> ServingReport {
     assert_eq!(pools.len(), routers.len(), "one router per pool");
     assert!(!pools.is_empty(), "a cluster needs at least one pool");
+    let threads = resolve_threads(threads);
     let t_max = trace.max_final_len();
     let arrivals = match policy {
         SchedulingPolicy::Wave => trace.requests().to_vec(),
@@ -974,13 +951,14 @@ mod tests {
 
     #[test]
     fn router_kinds_build_matching_labels() {
+        let e = multi_replica_eval();
         for kind in RouterKind::ALL {
-            assert_eq!(kind.build().label(), kind.label());
+            assert_eq!(kind.build_for(&e).label(), kind.label());
             assert_eq!(kind.to_string(), kind.label());
         }
         assert_eq!(RouterKind::default(), RouterKind::RoundRobin);
-        assert!(!RouterKind::RoundRobin.build().inspects_load());
-        assert!(RouterKind::JoinShortestQueue.build().inspects_load());
+        assert!(!RouterKind::RoundRobin.build_for(&e).inspects_load());
+        assert!(RouterKind::JoinShortestQueue.build_for(&e).inspects_load());
     }
 
     #[test]
@@ -1115,8 +1093,10 @@ mod tests {
         assert_eq!(r.route(&req(1), &loads), 1);
         // Tenant 0 has none: smallest reserved KV wins (replica 0).
         assert_eq!(r.route(&req(0), &loads), 0);
-        // An uncalibrated router treats every tenant as batch.
-        assert_eq!(SloAware::default().route(&req(1), &loads), 0);
+        // Calibrated for an evaluator without SLOs, it treats every
+        // tenant as batch.
+        let mut no_slos = SloAware::for_eval(&multi_replica_eval());
+        assert_eq!(no_slos.route(&req(1), &loads), 0);
         // Repeat routes are stable — the RNG is untouched at n == 2.
         assert_eq!(r.route(&req(1), &loads), 1);
     }
@@ -1159,8 +1139,9 @@ mod tests {
 
     #[test]
     fn slo_aware_sample_pairs_are_distinct_in_range_and_deterministic() {
-        let mut a = SloAware::default();
-        let mut b = SloAware::default();
+        let e = multi_replica_eval();
+        let mut a = SloAware::for_eval(&e);
+        let mut b = SloAware::for_eval(&e);
         for _ in 0..256 {
             let (x, y) = a.sample_pair(7);
             assert_ne!(x, y);
@@ -1180,8 +1161,8 @@ mod tests {
             .bursty(6.0, 2.5)
             .build();
         for kind in RouterKind::ALL {
-            let r =
-                Cluster::new(&e, SchedulingPolicy::Continuous).run(&trace, kind.build().as_mut());
+            let r = Cluster::new(&e, SchedulingPolicy::Continuous)
+                .run(&trace, kind.build_for(&e).as_mut());
             assert_eq!(r.tokens, trace.total_decode_tokens(), "{kind}");
             assert_eq!(r.latency.completed, trace.len() as u64, "{kind}");
             assert_eq!(r.per_replica.len(), e.system().replicas() as usize);
@@ -1198,8 +1179,8 @@ mod tests {
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
-        let e = multi_replica_eval();
-        let c = Cluster::new(&e, SchedulingPolicy::Continuous).with_threads(0);
-        assert!(c.threads() >= 1);
+        let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(resolve_threads(0), cpus);
+        assert_eq!(resolve_threads(3), 3);
     }
 }

@@ -11,14 +11,14 @@
 //! * [`stage`] — attention/FC stage composition under TP and PP.
 //! * [`serve`] — the [`Evaluator`]: memory policy, admission primitives,
 //!   and the [`ServingReport`].
-//! * [`engine`] — event-driven serving facade advancing per-replica
-//!   virtual time over admission/step/completion events.
 //! * [`replica`] — the standalone per-replica state machine
-//!   (`ReplicaSim`) behind both the engine and the cluster.
+//!   (`ReplicaSim`) advancing one replica's virtual time over
+//!   admission/step/completion events.
 //! * [`cluster`] — multi-replica serving: globally ordered arrivals
 //!   dispatched through a pluggable [`cluster::Router`] (round-robin /
 //!   join-shortest-queue / least-loaded) with replica sims running on
-//!   scoped threads and a deterministic merge.
+//!   scoped threads and a deterministic merge. [`Evaluator::run_trace`]
+//!   serves a trace on it with round-robin routing.
 //! * [`policy`] — pluggable batch scheduling: closed-world
 //!   [`SchedulingPolicy::Wave`] (paper-figure fidelity, Figs. 13–15 and
 //!   17) and online [`SchedulingPolicy::Continuous`] batching over
@@ -32,7 +32,8 @@
 //!   [`Scenario`] value (model + system + techniques + multi-tenant
 //!   workload + cluster + policies) round-trips through JSON
 //!   (`scenarios/*.json`) and materializes into a runnable
-//!   evaluator/trace pair.
+//!   [`Materialized`] simulation, whose `run` is the one code path
+//!   from a scenario to a [`ServingReport`].
 //! * [`metrics`] — per-request TTFT/TPOT/E2E latency percentiles with a
 //!   queueing-vs-prefill TTFT decomposition, per-replica and per-tenant
 //!   breakdowns (SLO attainment), Jain fairness.
@@ -87,7 +88,6 @@
 pub mod cluster;
 pub mod config;
 pub mod energy;
-pub mod engine;
 pub mod gpu;
 pub mod kernel;
 pub mod metrics;
@@ -103,7 +103,6 @@ pub use cluster::{
 };
 pub use config::{ModuleConfig, SystemConfig, SystemKind, Techniques};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use engine::Engine;
 pub use gpu::GpuSystem;
 pub use kernel::{AttentionKind, KernelModel, KernelStats};
 pub use metrics::{

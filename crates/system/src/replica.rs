@@ -1,7 +1,7 @@
 //! Standalone per-replica serving state machine.
 //!
 //! `ReplicaSim` is the per-replica core extracted from the original
-//! `Engine::run` loops: it owns one replica's pending queue, running
+//! single-node serving loops: it owns one replica's pending queue, running
 //! batch, memory admitter and virtual clock, and advances them over
 //! admission / chunked-decode / completion events. The cluster layer
 //! ([`crate::cluster`]) drives many `ReplicaSim`s — routing each arrival
@@ -1042,7 +1042,7 @@ impl<'a> ReplicaSim<'a> {
     /// is treated as queued at time 0), so TTFT under this policy
     /// measures closed-world queueing, and preemption never applies (an
     /// admitted wave always runs to completion). Extracted verbatim from
-    /// `Engine::run_wave_replica`.
+    /// the original per-replica wave loop.
     fn run_wave(&mut self) {
         let eval = self.eval;
         let stride = eval.stride();

@@ -11,9 +11,9 @@
 //! (`scenarios/*.json`), shared verbatim by tests, benches, and CI.
 //!
 //! ```text
-//! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Evaluator + Trace
-//!                                                        │
-//!                                       Cluster ◀─router─┘──▶ ServingReport
+//! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Materialized
+//!                                                        │ run()
+//!                                    run_pools ◀─routers─┘──▶ ServingReport
 //! ```
 //!
 //! Multi-tenant traffic is first-class: the workload is a list of
@@ -31,7 +31,7 @@
 //! (enforced by `tests/scenario_properties.rs` against the golden
 //! pins): the spec layer adds no arithmetic, only structure.
 
-use crate::cluster::{run_pools, Cluster, PoolRun, RouterKind};
+use crate::cluster::{run_pools, PoolRun, RouterKind};
 use crate::config::{SystemConfig, SystemKind, Techniques};
 use crate::policy::{
     KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
@@ -855,36 +855,40 @@ pub struct MaterializedPool {
 impl Materialized {
     /// Serves the scenario's trace through the cluster layer and
     /// returns the report (with per-tenant latency, SLO attainment and
-    /// goodput in `latency_by_tenant`). Pooled specs run the
-    /// phase-aware two-level path ([`run_pools`]); flat specs keep the
-    /// historical single-pool path — one and the same machinery.
+    /// goodput in `latency_by_tenant`).
     pub fn run(&self) -> ServingReport {
-        if !self.pools.is_empty() {
-            // `build_for`: each pool's router routes on that pool's
-            // calibrated prefill rate and tenant SLOs.
-            let mut runs: Vec<PoolRun<'_>> = self
-                .pools
-                .iter()
-                .map(|p| PoolRun {
-                    name: p.name.clone(),
-                    eval: &p.evaluator,
-                    router: p.router.build_for(&p.evaluator),
-                })
-                .collect();
-            return run_pools(
-                &mut runs,
-                self.evaluator.scheduling_policy(),
-                self.threads,
-                &self.trace,
-            );
+        self.serve(&self.trace)
+    }
+
+    /// Serves `trace` on the scenario's cluster: the phase-aware
+    /// two-level path ([`run_pools`]) over the pools, where a flat spec
+    /// is one anonymous mixed pool (the form [`crate::Cluster::run`]
+    /// takes). Each router is built for its own pool's evaluator, so
+    /// the SLO-aware router sees that pool's tenant SLOs and calibrated
+    /// prefill rate. This is the one place a scenario turns into a
+    /// [`ServingReport`].
+    pub fn serve(&self, trace: &Trace) -> ServingReport {
+        fn pool<'a>(name: &str, eval: &'a Evaluator, kind: RouterKind) -> PoolRun<'a> {
+            PoolRun {
+                name: name.to_string(),
+                eval,
+                router: kind.build_for(eval),
+            }
         }
-        // `build_for`: the SLO-aware router routes on the evaluator's
-        // real tenant SLOs and calibrated prefill rate, not the
-        // uncalibrated `build()` fallback.
-        let mut router = self.router.build_for(&self.evaluator);
-        Cluster::new(&self.evaluator, self.evaluator.scheduling_policy())
-            .with_threads(self.threads)
-            .run(&self.trace, router.as_mut())
+        let mut runs: Vec<PoolRun<'_>> = if self.pools.is_empty() {
+            vec![pool("", &self.evaluator, self.router)]
+        } else {
+            self.pools
+                .iter()
+                .map(|p| pool(&p.name, &p.evaluator, p.router))
+                .collect()
+        };
+        run_pools(
+            &mut runs,
+            self.evaluator.scheduling_policy(),
+            self.threads,
+            trace,
+        )
     }
 
     /// The name of a tenant id (`"tenant-N"` fallback for ids outside

@@ -40,7 +40,7 @@ fn parallel_and_sequential_cluster_runs_are_byte_identical() {
         let run = |threads: usize| {
             Cluster::new(&e, SchedulingPolicy::Continuous)
                 .with_threads(threads)
-                .run(&trace, kind.build().as_mut())
+                .run(&trace, kind.build_for(&e).as_mut())
         };
         let sequential = run(1);
         for threads in [2, 4, 8] {
@@ -64,26 +64,26 @@ fn wave_cluster_is_thread_count_invariant() {
     let run = |threads: usize| {
         Cluster::new(&e, SchedulingPolicy::Wave)
             .with_threads(threads)
-            .run(&trace, RouterKind::RoundRobin.build().as_mut())
+            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut())
     };
     assert_eq!(run(1), run(4));
 }
 
-/// The `Engine` facade and an explicit round-robin cluster are the same
-/// path (the facade delegates), so their reports must be identical for
-/// both policies — a guard against the two ever drifting apart. (True
-/// fidelity oracles live elsewhere: `run_trace_wave_reference` for the
-/// wave policy, and the golden pin below for the continuous one.)
+/// `Evaluator::run_trace` is the single-threaded round-robin cluster,
+/// so its reports must equal an explicit round-robin cluster run on
+/// any thread count, for both policies. (True fidelity oracles live
+/// elsewhere: `run_trace_wave_reference` for the wave policy, and the
+/// golden pin below for the continuous one.)
 #[test]
-fn engine_facade_equals_explicit_round_robin_cluster() {
-    let e = cluster_eval();
+fn run_trace_equals_explicit_round_robin_cluster() {
     for policy in [SchedulingPolicy::Wave, SchedulingPolicy::Continuous] {
+        let e = cluster_eval().with_policy(policy);
         let trace = bursty_trace(7);
-        let engine = pimphony::system::Engine::new(&e, policy).run(&trace);
+        let served = e.run_trace(&trace);
         let cluster = Cluster::new(&e, policy)
             .with_threads(4)
-            .run(&trace, RouterKind::RoundRobin.build().as_mut());
-        assert_eq!(engine, cluster, "{policy}");
+            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut());
+        assert_eq!(served, cluster, "{policy}");
     }
 }
 
@@ -115,13 +115,13 @@ fn wave_round_robin_matches_reference_on_out_of_order_traces() {
     ]
     .into_iter()
     .collect();
-    let engine = pimphony::system::Engine::new(&e, SchedulingPolicy::Wave).run(&trace);
+    let served = e.run_trace(&trace);
     let reference = e.run_trace_wave_reference(&trace);
-    assert_eq!(engine.tokens, reference.tokens);
-    assert_eq!(engine.waves, reference.waves);
-    assert_eq!(engine.seconds, reference.seconds);
-    assert_eq!(engine.mean_batch, reference.mean_batch);
-    assert_eq!(engine.energy, reference.energy);
+    assert_eq!(served.tokens, reference.tokens);
+    assert_eq!(served.waves, reference.waves);
+    assert_eq!(served.seconds, reference.seconds);
+    assert_eq!(served.mean_batch, reference.mean_batch);
+    assert_eq!(served.energy, reference.energy);
 }
 
 /// Golden pin for the continuous path: the wave policy has a live
@@ -137,7 +137,10 @@ fn continuous_round_robin_golden_pin() {
     let e = cluster_eval();
     let r = Cluster::new(&e, SchedulingPolicy::Continuous)
         .with_threads(4)
-        .run(&bursty_trace(2026), RouterKind::RoundRobin.build().as_mut());
+        .run(
+            &bursty_trace(2026),
+            RouterKind::RoundRobin.build_for(&e).as_mut(),
+        );
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.waves, 155);
     let close = |got: f64, want: f64, what: &str| {
@@ -183,7 +186,7 @@ fn jsq_beats_round_robin_p99_ttft_on_bursty_traffic() {
         let run = |kind: RouterKind| {
             Cluster::new(&e, SchedulingPolicy::Continuous)
                 .with_threads(4)
-                .run(&trace, kind.build().as_mut())
+                .run(&trace, kind.build_for(&e).as_mut())
         };
         let rr = run(RouterKind::RoundRobin);
         let jsq = run(RouterKind::JoinShortestQueue);
@@ -216,7 +219,7 @@ fn per_replica_breakdown_exposes_router_skew() {
     let run = |kind: RouterKind| {
         Cluster::new(&e, SchedulingPolicy::Continuous)
             .with_threads(4)
-            .run(&trace, kind.build().as_mut())
+            .run(&trace, kind.build_for(&e).as_mut())
     };
     let rr = run(RouterKind::RoundRobin);
     let jsq = run(RouterKind::JoinShortestQueue);
@@ -263,7 +266,7 @@ fn least_loaded_cluster_serves_all_work_under_static_reservations() {
     let trace = bursty_trace(42);
     let r = Cluster::new(&e, SchedulingPolicy::Continuous)
         .with_threads(2)
-        .run(&trace, RouterKind::LeastLoaded.build().as_mut());
+        .run(&trace, RouterKind::LeastLoaded.build_for(&e).as_mut());
     assert_eq!(r.tokens, trace.total_decode_tokens());
     assert_eq!(r.latency.completed, trace.len() as u64);
     assert!(r.per_replica.iter().all(|b| b.peak_reserved_kv > 0));

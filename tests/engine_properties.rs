@@ -47,6 +47,12 @@ fn wave_policy_reproduces_seed_wave_loop_exactly() {
                     "mean_batch: {label}"
                 );
                 assert_eq!(engine.energy, reference.energy, "energy: {label}");
+                assert_eq!(engine.attn_seconds, reference.attn_seconds, "attn: {label}");
+                assert_eq!(engine.fc_seconds, reference.fc_seconds, "fc: {label}");
+                assert_eq!(
+                    engine.capacity_utilization, reference.capacity_utilization,
+                    "capacity: {label}"
+                );
             }
         }
     }

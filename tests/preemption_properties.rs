@@ -59,7 +59,7 @@ fn priority_trace() -> Trace {
 fn run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
     Cluster::new(eval, SchedulingPolicy::Continuous)
         .with_threads(threads)
-        .run(trace, kind.build().as_mut())
+        .run(trace, kind.build_for(eval).as_mut())
 }
 
 /// PR 3 golden pin, re-run through the fully plumbed preemption path

@@ -44,7 +44,7 @@ fn run(
 ) -> pimphony::system::ServingReport {
     Cluster::new(eval, SchedulingPolicy::Continuous)
         .with_threads(threads)
-        .run(trace, kind.build().as_mut())
+        .run(trace, kind.build_for(eval).as_mut())
 }
 
 /// The headline acceptance property: on the seeded bursty-gamma trace,

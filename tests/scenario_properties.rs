@@ -56,7 +56,7 @@ fn pinned_scenario() -> Scenario {
 fn direct_run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
     Cluster::new(eval, eval.scheduling_policy())
         .with_threads(threads)
-        .run(trace, kind.build().as_mut())
+        .run(trace, kind.build_for(eval).as_mut())
 }
 
 /// One-tenant scenario traces are bit-identical to plain builder
@@ -295,4 +295,48 @@ fn checked_in_scenarios_parse_materialize_and_run() {
         }
     }
     assert!(saw_multi_tenant, "a multi-tenant example spec is required");
+}
+
+/// Every `.json` spec under `dir`, recursively, in path order.
+fn specs_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("readable scenarios directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            out.extend(specs_under(&path));
+        } else if path.extension().is_some_and(|e| e == "json") {
+            out.push(path);
+        }
+    }
+    out.sort();
+    out
+}
+
+/// There is one way to run a scenario: `Orchestrator::from_scenario`
+/// plus `serve` returns exactly `Materialized::run`'s report for every
+/// checked-in spec — replica pools and calibrated SLO-aware routers
+/// included. (`scenarios/perf/` is skipped: its 100k requests belong to
+/// `sim_speed`.) The disaggregated spec must really hand KV off, so a
+/// pooled spec replayed as a flat cluster cannot pass.
+#[test]
+fn orchestrator_and_materialized_run_agree_on_every_checked_in_spec() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let specs: Vec<_> = specs_under(&root)
+        .into_iter()
+        .filter(|p| !p.starts_with(root.join("perf")))
+        .collect();
+    let mut saw_disagg = false;
+    for path in &specs {
+        let name = path.display().to_string();
+        let scenario = Scenario::from_file(&name).unwrap_or_else(|e| panic!("{e}"));
+        let direct = scenario.materialize().expect("materialize").run();
+        let (orchestrator, trace) =
+            pimphony::Orchestrator::from_scenario(&scenario).expect("materialize");
+        assert_eq!(orchestrator.serve(&trace), direct, "{name}");
+        if path.ends_with("disagg/split_2p2d.json") {
+            saw_disagg = true;
+            assert!(direct.kv_transferred_bytes > 0, "{name}: no KV handoff");
+        }
+    }
+    assert!(saw_disagg, "scenarios/disagg/split_2p2d.json is checked in");
 }
