@@ -4,6 +4,7 @@
 use pim_compiler::lower::{dpa_footprint, static_footprint, AttentionLowering};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig10");
     bench::header("Fig. 10(c): per-kernel instruction bytes vs context length");
     let shape = AttentionLowering::aimx_default();

@@ -4,6 +4,7 @@
 use system::SystemConfig;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig13");
     bench::header("Fig. 13: PIM-only (CENT) end-to-end throughput");
     for (model, datasets) in bench::eval_models() {

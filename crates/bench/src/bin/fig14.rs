@@ -4,6 +4,7 @@
 use system::SystemConfig;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig14");
     bench::header("Fig. 14: xPU+PIM (NeuPIMs) end-to-end throughput");
     for (model, datasets) in bench::eval_models() {

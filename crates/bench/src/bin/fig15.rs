@@ -7,6 +7,7 @@ use system::{Evaluator, SystemConfig, Techniques};
 use workload::Dataset;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig15");
     bench::header("Fig. 15: tensor vs pipeline parallelization (CENT, 8 modules)");
     let cases = [

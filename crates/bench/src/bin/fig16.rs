@@ -19,6 +19,7 @@ fn print_energy(label: &str, r: &ServingReport) {
 }
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig16");
     bench::header("Fig. 16: energy breakdown, CENT vs CENT+PIMphony");
     for (model, datasets) in bench::eval_models() {

@@ -37,6 +37,7 @@ fn system(kind: SystemKind, modules: u32) -> SystemConfig {
 }
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let model = LLM_7B_128K_GQA;
     let mut sink = bench::MetricSink::new("fig17");
     bench::header("Fig. 17(a): throughput vs capacity at 64K context");

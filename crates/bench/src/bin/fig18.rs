@@ -21,6 +21,7 @@ fn attn_util(spec: AttentionSpec, kind: SchedulerKind, geom: Geometry, timing: &
 }
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig18");
     bench::header("Fig. 18: compute utilization, ping-pong vs DCS (attention)");
     let timing = Timing::aimx();

@@ -8,6 +8,7 @@ use workload::Dataset;
 const MODULES: u64 = 8;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig19");
     bench::header("Fig. 19: capacity utilization with and without DPA");
     println!(

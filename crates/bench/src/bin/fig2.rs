@@ -4,6 +4,7 @@
 use llm_model::{DecodeAnalytics, LLM_7B_128K_GQA};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig2");
     let a = DecodeAnalytics::new(LLM_7B_128K_GQA);
     bench::header("Fig. 2(a): compute intensity (FLOPs/Byte), LLM-7B w/ GQA, batch 8");

@@ -6,6 +6,7 @@ use system::{GpuSystem, SystemConfig};
 use workload::Dataset;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig20");
     bench::header("Fig. 20: GPU vs PIMphony throughput (memory-matched)");
     let cases = [

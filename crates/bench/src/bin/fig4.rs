@@ -26,6 +26,7 @@ fn varied_batch(ctx: u64, n: u64) -> Vec<(u64, u64)> {
 }
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig4");
     bench::header("Fig. 4: PIM utilization vs context (LLM-7B w/ GQA on CENT)");
     let model = LLM_7B_128K_GQA;

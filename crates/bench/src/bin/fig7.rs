@@ -30,6 +30,7 @@ fn stream() -> CommandStream {
 }
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let s = stream();
     let timing = Timing {
         t_act: 0,

@@ -5,6 +5,7 @@ use pim_sim::kernels::{GemvKernel, GemvSpec};
 use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig8");
     bench::header("Fig. 8: GEMV (d x d) latency breakdown, static scheduling");
     println!(

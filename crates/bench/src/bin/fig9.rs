@@ -6,6 +6,7 @@ use pim_sim::kernels::{AttentionSpec, QktKernel, SvKernel};
 use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("fig9");
     bench::header("Fig. 9: LLM-72B attention breakdown (row-reuse mapping, g=8)");
     let timing = Timing::aimx();

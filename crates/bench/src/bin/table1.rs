@@ -3,6 +3,7 @@
 use llm_model::ModelConfig;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("table1");
     bench::header("Table I: LLM specification and context window");
     println!(

@@ -3,6 +3,7 @@
 use workload::{Dataset, TraceBuilder};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("table2");
     bench::header("Table II: context-length statistics (spec vs 4000 samples)");
     println!(

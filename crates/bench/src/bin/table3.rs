@@ -3,6 +3,7 @@
 use pim_isa::{ChannelMask, PimInstruction};
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("table3");
     bench::header("Table III: PIM instructions for LLM inference");
     println!("{:<8} {:<42} arguments", "inst", "description");

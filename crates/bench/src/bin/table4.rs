@@ -3,6 +3,7 @@
 use system::ModuleConfig;
 
 fn main() {
+    bench::exit_quietly_on_closed_stdout();
     let mut sink = bench::MetricSink::new("table4");
     bench::header("Table IV: PIMphony module configurations");
     let rows = [

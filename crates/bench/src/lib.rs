@@ -14,6 +14,27 @@ use pim_compiler::ParallelConfig;
 use system::{Evaluator, ServingReport, SystemConfig, Techniques};
 use workload::{Dataset, Trace, TraceBuilder};
 
+/// Makes a closed stdout end the process quietly with status 0, as
+/// `fig13 | head -2` expects: `println!` panics with "failed printing
+/// to stdout: Broken pipe" once the reader has gone, and this panic hook
+/// turns exactly that panic into `exit(0)`. Every other panic keeps the
+/// default report. The figure and table binaries call it first thing.
+pub fn exit_quietly_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");

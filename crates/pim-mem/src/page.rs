@@ -121,6 +121,9 @@ pub struct PagePool {
     seqs: BTreeMap<u64, Seq>,
     /// Labels of reclaimed prefix pages, for recompute attribution.
     evicted_labels: BTreeSet<u64>,
+    /// The reclaimable nodes (refcount 0 and childless) keyed
+    /// `(last_use, slot)`: the first entry is the LRU victim.
+    reclaimable: BTreeSet<(u64, usize)>,
 }
 
 impl PagePool {
@@ -144,6 +147,7 @@ impl PagePool {
             roots: BTreeMap::new(),
             seqs: BTreeMap::new(),
             evicted_labels: BTreeSet::new(),
+            reclaimable: BTreeSet::new(),
         }
     }
 
@@ -245,6 +249,7 @@ impl PagePool {
             if node.refcount == 0 {
                 self.cached_pages -= 1;
                 self.referenced_pages += 1;
+                self.reclaimable.remove(&(node.last_use, n));
             }
             node.refcount += 1;
             node.last_use = tick;
@@ -334,6 +339,9 @@ impl PagePool {
                 rel.newly_cached_pages += 1;
                 self.cached_pages += 1;
                 self.referenced_pages -= 1;
+                if node.children.is_empty() {
+                    self.reclaimable.insert((node.last_use, n));
+                }
             }
         }
         self.free_pages += seq.private_pages;
@@ -354,19 +362,15 @@ impl PagePool {
         self.free_pages -= 1;
     }
 
-    /// Reclaims the least-recently-used cached page. Only childless
-    /// zero-refcount nodes are candidates, so a cold chain is consumed
-    /// tail (deepest page) first; ties break on slot index, keeping
-    /// reclamation deterministic.
+    /// Reclaims the least-recently-used cached page in O(log n) from
+    /// the reclaimable index. Only childless zero-refcount nodes are
+    /// candidates, so a cold chain is consumed tail (deepest page)
+    /// first; ties break on slot index, keeping reclamation
+    /// deterministic.
     fn reclaim_lru(&mut self) {
-        let victim = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
-            .filter(|(_, n)| n.refcount == 0 && n.children.is_empty())
-            .min_by_key(|&(i, n)| (n.last_use, i))
-            .map(|(i, _)| i)
+        let (_, victim) = self
+            .reclaimable
+            .pop_first()
             .expect("cached page exists (admit feasibility was checked)");
         let node = self.slots[victim].take().expect("victim is live");
         match node.parent {
@@ -374,11 +378,12 @@ impl PagePool {
                 self.roots.remove(&node.label);
             }
             Some(p) => {
-                self.slots[p]
-                    .as_mut()
-                    .expect("parent outlives child")
-                    .children
-                    .remove(&node.label);
+                let parent = self.slots[p].as_mut().expect("parent outlives child");
+                parent.children.remove(&node.label);
+                // A cold parent whose last child went becomes a leaf.
+                if parent.refcount == 0 && parent.children.is_empty() {
+                    self.reclaimable.insert((parent.last_use, p));
+                }
             }
         }
         self.free_slots.push(victim);
@@ -391,13 +396,25 @@ impl PagePool {
         self.slots[i].as_ref().expect("node index is live")
     }
 
-    /// Conservation invariant (debug builds only).
+    /// Conservation invariant, and the reclaimable index equals the set
+    /// of zero-refcount childless nodes (debug builds only).
     fn debug_check(&self) {
         debug_assert_eq!(
             self.free_pages + self.cached_pages + self.referenced_pages,
             self.total_pages,
             "page conservation violated"
         );
+        if cfg!(debug_assertions) {
+            let leaves: BTreeSet<(u64, usize)> = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
+                .filter(|(_, n)| n.refcount == 0 && n.children.is_empty())
+                .map(|(i, n)| (n.last_use, i))
+                .collect();
+            assert_eq!(self.reclaimable, leaves, "reclaimable index out of sync");
+        }
     }
 }
 
@@ -552,6 +569,77 @@ mod tests {
             p.release(RequestId(9)),
             Err(MemError::UnknownRequest(_))
         ));
+    }
+
+    /// The LRU victim by a linear scan over every slot: the least
+    /// `(last_use, slot)` among zero-refcount childless nodes.
+    fn victim_by_scan(p: &PagePool) -> Option<usize> {
+        p.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
+            .filter(|(_, n)| n.refcount == 0 && n.children.is_empty())
+            .min_by_key(|&(i, n)| (n.last_use, i))
+            .map(|(i, _)| i)
+    }
+
+    #[test]
+    fn indexed_reclaim_picks_the_linear_scan_victim() {
+        // Seeded random admits (branching prefixes, some infeasible),
+        // releases and explicit reclaims on a small pool. Each explicit
+        // reclaim must take exactly the slot the linear scan names;
+        // admissions that reclaim internally are checked by
+        // `debug_check`'s index invariant.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut p = PagePool::new(48 * 1024, 1024);
+        let mut live: Vec<u64> = Vec::new();
+        let (mut explicit_reclaims, mut internal_reclaims) = (0, 0);
+        for id in 0..4000u64 {
+            match draw(8) {
+                0..=3 => {
+                    // Tenant stem of up to 6 pages, then a branch of up
+                    // to 4 pages chosen among 3 variants.
+                    let g = draw(4);
+                    let variant = draw(3);
+                    let mut l = labels(g, 1 + draw(6));
+                    l.extend((0..draw(5)).map(|i| (g << 32) | (variant + 1) << 16 | i));
+                    if let Ok(a) = p.admit(RequestId(id), &l, draw(4)) {
+                        internal_reclaims += a.reclaimed_pages;
+                        live.push(id);
+                    }
+                }
+                4..=6 if !live.is_empty() => {
+                    let i = draw(live.len() as u64) as usize;
+                    p.release(RequestId(live.swap_remove(i))).unwrap();
+                }
+                _ => {
+                    let Some(expect) = victim_by_scan(&p) else {
+                        assert_eq!(p.cached_pages(), 0);
+                        continue;
+                    };
+                    let live_before = p.slots.iter().flatten().count();
+                    p.reclaim_lru();
+                    assert!(p.slots[expect].is_none(), "victim differs from the scan");
+                    assert_eq!(p.slots.iter().flatten().count(), live_before - 1);
+                    explicit_reclaims += 1;
+                    p.debug_check();
+                }
+            }
+        }
+        assert!(
+            explicit_reclaims > 100,
+            "explicit reclaims: {explicit_reclaims}"
+        );
+        assert!(
+            internal_reclaims > 100,
+            "internal reclaims: {internal_reclaims}"
+        );
     }
 
     #[test]

@@ -76,6 +76,20 @@ impl Default for EpuConfig {
     }
 }
 
+impl EpuConfig {
+    /// EPU cycles to softmax a score vector of `tokens` elements (two
+    /// passes: max+exp, then normalize).
+    pub fn softmax_cycles(&self, tokens: u64) -> u64 {
+        2 * tokens.div_ceil(u64::from(self.softmax_lanes))
+    }
+
+    /// EPU cycles for the inter-channel reduction of `channels` partial
+    /// vectors of `dims` elements.
+    pub fn reduce_cycles(&self, channels: u32, dims: u32) -> u64 {
+        u64::from(channels.saturating_sub(1)) * u64::from(dims.div_ceil(self.reduce_lanes))
+    }
+}
+
 /// The HUB's Extra Processing Unit.
 #[derive(Debug, Clone)]
 pub struct Epu {
@@ -116,10 +130,10 @@ impl Epu {
         exps.iter().map(|&e| e / sum).collect()
     }
 
-    /// EPU cycles to softmax a score vector of `tokens` elements (two
-    /// passes: max+exp, then normalize).
+    /// EPU cycles to softmax a score vector of `tokens` elements
+    /// ([`EpuConfig::softmax_cycles`]).
     pub fn softmax_cycles(&self, tokens: u64) -> u64 {
-        2 * tokens.div_ceil(u64::from(self.config.softmax_lanes))
+        self.config.softmax_cycles(tokens)
     }
 
     /// Reduces per-channel `SV` partial outputs gathered in the GPR (TCP's
@@ -142,9 +156,9 @@ impl Epu {
     }
 
     /// EPU cycles for the inter-channel reduction of `channels` partial
-    /// vectors of `dims` elements.
+    /// vectors of `dims` elements ([`EpuConfig::reduce_cycles`]).
     pub fn reduce_cycles(&self, channels: u32, dims: u32) -> u64 {
-        u64::from(channels.saturating_sub(1)) * u64::from(dims.div_ceil(self.config.reduce_lanes))
+        self.config.reduce_cycles(channels, dims)
     }
 }
 

@@ -11,6 +11,7 @@ use crate::config::{SystemConfig, SystemKind, Techniques};
 use crate::kernel::{AttentionKind, KernelModel, KernelStats};
 use llm_model::ModelConfig;
 use pim_compiler::{ModulePartition, Partitioning};
+use pim_sim::epu::EpuConfig;
 use pim_sim::SchedulerKind;
 use serde::Serialize;
 
@@ -117,6 +118,50 @@ impl<'a> StageModel<'a> {
             .max(1)
     }
 
+    /// Visits this module's KV partition of `requests` channel by
+    /// channel and returns `(makespan, active_channels)`: `slice(t)`
+    /// prices one slice of `t` resident keys and returns its cycles, a
+    /// channel's cycles are the sum of its slices, and the makespan is
+    /// the slowest channel.
+    ///
+    /// This is the simulator's innermost loop: one slice per (request,
+    /// head, channel) under TCP, priced at every simulated decode
+    /// iteration and every prefill micro-chunk. The partition is visited
+    /// without materializing it (no per-call `Vec` churn); slices arrive
+    /// in [`ModulePartition::assign`]'s channel and push order, so the
+    /// float accumulation sequence is the one a loop over the
+    /// materialized partition performs and results are bit-exact.
+    fn channel_makespan(
+        &self,
+        requests: &[(u64, u64)],
+        mut slice: impl FnMut(u64) -> f64,
+    ) -> (f64, u32) {
+        let mut makespan: f64 = 0.0;
+        let mut cycles = 0.0;
+        let mut cur_ch = 0u32;
+        let mut channel_has_work = false;
+        let mut active_channels = 0u32;
+        ModulePartition::for_each_slice(
+            self.partitioning(),
+            self.system.module.channels,
+            self.kv_instances_per_module(),
+            requests,
+            |ch, t| {
+                if ch != cur_ch {
+                    makespan = makespan.max(cycles);
+                    cycles = 0.0;
+                    active_channels += u32::from(channel_has_work);
+                    cur_ch = ch;
+                }
+                channel_has_work = true;
+                cycles += slice(t);
+            },
+        );
+        makespan = makespan.max(cycles);
+        active_channels += u32::from(channel_has_work);
+        (makespan, active_channels)
+    }
+
     /// Attention stage for one layer on one module, given the admitted
     /// requests' current token counts.
     pub fn attention_layer(&self, batch_tokens: &[(u64, u64)]) -> AttentionStage {
@@ -128,7 +173,7 @@ impl<'a> StageModel<'a> {
         let buffers = self.techniques.dcs;
         let group = self.effective_group();
         let row_reuse = self.row_reuse();
-        let epu = pim_sim::epu::Epu::default();
+        let epu = EpuConfig::default();
         // Inter-channel SV reduction through the HUB/GPR + EPU (TCP only)
         // — negligible by design (paper §IV-C: <0.2% of attention time).
         let reduction = if self.techniques.tcp {
@@ -137,49 +182,24 @@ impl<'a> StageModel<'a> {
             0.0
         };
 
-        // This is the simulator's innermost loop: one slice per
-        // (request, head, channel) under TCP, priced at every simulated
-        // iteration. The affine fit is resolved once per kernel up
-        // front (no per-slice memo lock) and the partition is visited
-        // without materializing it (no per-call Vec churn); the float
-        // accumulation sequence is identical to looping the
-        // materialized partition, so results are bit-exact.
+        // The affine fit is resolved once per kernel up front (no
+        // per-slice memo lock).
         let qkt_eval =
             self.kernels
                 .attention_eval(AttentionKind::Qkt, sched, buffers, group, row_reuse);
         let sv_eval =
             self.kernels
                 .attention_eval(AttentionKind::Sv, sched, buffers, group, row_reuse);
-        let mut makespan: f64 = 0.0;
         let mut totals = KernelStats::default();
         let mut busy_sum = 0.0;
-        let mut cycles = 0.0;
-        let mut cur_ch = 0u32;
-        let mut channel_has_work = false;
-        let mut active_channels = 0u32;
-        ModulePartition::for_each_slice(
-            self.partitioning(),
-            channels,
-            self.kv_instances_per_module(),
-            batch_tokens,
-            |ch, t| {
-                if ch != cur_ch {
-                    makespan = makespan.max(cycles);
-                    cycles = 0.0;
-                    active_channels += u32::from(channel_has_work);
-                    cur_ch = ch;
-                }
-                channel_has_work = true;
-                let qkt = qkt_eval.stats(t);
-                let sv = sv_eval.stats(t);
-                cycles += qkt.cycles + sv.cycles + reduction;
-                totals.accumulate(&qkt);
-                totals.accumulate(&sv);
-                busy_sum += qkt.mac_busy + sv.mac_busy;
-            },
-        );
-        makespan = makespan.max(cycles);
-        active_channels += u32::from(channel_has_work);
+        let (mut makespan, active_channels) = self.channel_makespan(batch_tokens, |t| {
+            let qkt = qkt_eval.stats(t);
+            let sv = sv_eval.stats(t);
+            totals.accumulate(&qkt);
+            totals.accumulate(&sv);
+            busy_sum += qkt.mac_busy + sv.mac_busy;
+            qkt.cycles + sv.cycles + reduction
+        });
         // Softmax on the EPU between QKT and SV, per (request, head);
         // pipelined with PIM execution, it adds only its serial tail.
         let softmax: f64 = batch_tokens
@@ -216,17 +236,11 @@ impl<'a> StageModel<'a> {
         }
         let total_keys = done + chunk;
         let channels = self.system.module.channels;
-        let partition = ModulePartition::assign(
-            self.partitioning(),
-            channels,
-            self.kv_instances_per_module(),
-            &[(req_id, total_keys)],
-        );
         let sched = self.scheduler();
         let buffers = self.techniques.dcs;
         let group = self.effective_group();
         let row_reuse = self.row_reuse();
-        let epu = pim_sim::epu::Epu::default();
+        let epu = EpuConfig::default();
         // Every query position reduces across channels under TCP.
         let reduction = if self.techniques.tcp {
             epu.reduce_cycles(channels, self.model.head_dim) as f64 * chunk as f64
@@ -252,20 +266,15 @@ impl<'a> StageModel<'a> {
             chunk,
         );
 
-        let mut makespan: f64 = 0.0;
         let mut totals = KernelStats::default();
         let mut busy_sum = 0.0;
-        for ch in partition.channels() {
-            let mut cycles = 0.0;
-            for slice in &ch.slices {
-                let share = slice.tokens() as f64 / total_keys as f64;
-                cycles += (qkt.cycles + sv.cycles) * share + reduction;
-                totals.accumulate(&qkt.scaled(share));
-                totals.accumulate(&sv.scaled(share));
-                busy_sum += (qkt.mac_busy + sv.mac_busy) * share;
-            }
-            makespan = makespan.max(cycles);
-        }
+        let (mut makespan, active_channels) = self.channel_makespan(&[(req_id, total_keys)], |t| {
+            let share = t as f64 / total_keys as f64;
+            totals.accumulate(&qkt.scaled(share));
+            totals.accumulate(&sv.scaled(share));
+            busy_sum += (qkt.mac_busy + sv.mac_busy) * share;
+            (qkt.cycles + sv.cycles) * share + reduction
+        });
         // Softmax per query position over its causal prefix — affine in
         // the prefix length, so the chunk prices at its midpoint
         // position (same EPU distribution as decode).
@@ -284,7 +293,7 @@ impl<'a> StageModel<'a> {
             cycles: makespan,
             utilization,
             totals,
-            active_channels: partition.active_channels(),
+            active_channels,
         }
     }
 
@@ -659,6 +668,158 @@ mod tests {
         let t = tcp.prefill_attention_layer(0, 0, 2048);
         assert!(t.cycles < b.cycles);
         assert_eq!(t.active_channels, 32);
+    }
+
+    /// `prefill_attention_layer` priced by looping over the materialized
+    /// [`ModulePartition::assign`]: the oracle the visitor-based pricing
+    /// must match bit for bit.
+    fn prefill_attention_by_assign(
+        m: &StageModel,
+        req_id: u64,
+        done: u64,
+        chunk: u64,
+    ) -> AttentionStage {
+        if chunk == 0 {
+            return AttentionStage::default();
+        }
+        let total_keys = done + chunk;
+        let channels = m.system.module.channels;
+        let partition = ModulePartition::assign(
+            m.partitioning(),
+            channels,
+            m.kv_instances_per_module(),
+            &[(req_id, total_keys)],
+        );
+        let (sched, buffers) = (m.scheduler(), m.techniques.dcs);
+        let (group, row_reuse) = (m.effective_group(), m.row_reuse());
+        let epu = pim_sim::epu::Epu::default();
+        let reduction = if m.techniques.tcp {
+            epu.reduce_cycles(channels, m.model.head_dim) as f64 * chunk as f64
+        } else {
+            0.0
+        };
+        let price = |kind| {
+            m.kernels
+                .attention_prefill(kind, sched, buffers, group, row_reuse, done, chunk)
+        };
+        let (qkt, sv) = (price(AttentionKind::Qkt), price(AttentionKind::Sv));
+        let mut makespan: f64 = 0.0;
+        let mut totals = KernelStats::default();
+        let mut busy_sum = 0.0;
+        for ch in partition.channels() {
+            let mut cycles = 0.0;
+            for slice in &ch.slices {
+                let share = slice.tokens() as f64 / total_keys as f64;
+                cycles += (qkt.cycles + sv.cycles) * share + reduction;
+                totals.accumulate(&qkt.scaled(share));
+                totals.accumulate(&sv.scaled(share));
+                busy_sum += (qkt.mac_busy + sv.mac_busy) * share;
+            }
+            makespan = makespan.max(cycles);
+        }
+        let mid_keys = done + chunk.div_ceil(2);
+        makespan += chunk as f64
+            * epu.softmax_cycles(mid_keys) as f64
+            * f64::from(m.kv_instances_per_module())
+            / f64::from(channels);
+        let utilization = if makespan > 0.0 {
+            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
+        } else {
+            0.0
+        };
+        AttentionStage {
+            cycles: makespan,
+            utilization,
+            totals,
+            active_channels: partition.active_channels(),
+        }
+    }
+
+    /// `prefill_chunk`'s micro-batch composition over
+    /// [`prefill_attention_by_assign`].
+    fn prefill_chunk_by_assign(
+        m: &StageModel,
+        req_id: u64,
+        done: u64,
+        chunk: u64,
+    ) -> IterationBreakdown {
+        let pp = m.system.parallel.pp as usize;
+        let layers = (m.model.layers as usize).div_ceil(pp) as f64;
+        let micros = chunk.min(pp as u64).max(1);
+        let clock = m.system.module.clock_hz;
+        let mut out = IterationBreakdown::default();
+        let (mut stage_secs_sum, mut util_weighted, mut offset) = (0.0, 0.0, done);
+        for j in 0..micros {
+            let c_j = chunk / micros + u64::from(j < chunk % micros);
+            let attn = prefill_attention_by_assign(m, req_id, offset, c_j);
+            let (fc_secs, fc_flops, fc_stats) = m.fc_layer(c_j as usize);
+            let sync = m.sync_layer(c_j as usize);
+            let attn_secs = attn.cycles / clock;
+            let stage = layers * (attn_secs + fc_secs + sync);
+            stage_secs_sum += stage;
+            out.attn_seconds += layers * attn_secs;
+            out.fc_seconds += layers * fc_secs;
+            out.sync_seconds += layers * sync;
+            out.attn_totals
+                .accumulate(&attn.totals.scaled(layers * pp as f64));
+            out.fc_flops += fc_flops * layers * pp as f64;
+            out.fc_totals
+                .accumulate(&fc_stats.scaled(layers * pp as f64));
+            util_weighted += attn.utilization * stage;
+            offset += c_j;
+        }
+        out.bubble_seconds =
+            (pp.saturating_sub(micros as usize)) as f64 * (stage_secs_sum / micros as f64);
+        out.seconds = stage_secs_sum + out.bubble_seconds;
+        out.attn_utilization = (util_weighted / stage_secs_sum) * (stage_secs_sum / out.seconds);
+        out
+    }
+
+    #[test]
+    fn prefill_pricing_is_bit_exact_with_the_materialized_partition() {
+        // HFP and TCP at 8, 4 and 1 KV instances per module (TP 1, 2, 8
+        // on the g = 4 model), with and without a resident prefix,
+        // chunks below the 32-channel count and key totals that do not
+        // divide evenly across channels or micro-batches.
+        let k = kernels();
+        let model = LLM_7B_128K_GQA;
+        let chunks = [
+            (0, 1),
+            (0, 5),
+            (0, 31),
+            (0, 512),
+            (3, 7),
+            (1000, 333),
+            (4096, 2048),
+        ];
+        for techniques in [
+            Techniques::baseline(),
+            Techniques::tcp_only(),
+            Techniques::pimphony(),
+        ] {
+            for (tp, kv_instances) in [(1, 8), (2, 4), (8, 1)] {
+                for pp in [1, 4] {
+                    let sys =
+                        SystemConfig::cent_for(&model).with_parallel(ParallelConfig::new(tp, pp));
+                    let m = StageModel::new(sys, model, techniques, &k);
+                    assert_eq!(m.kv_instances_per_module(), kv_instances);
+                    for &(done, chunk) in &chunks {
+                        let what =
+                            format!("{techniques:?} tp={tp} pp={pp} done={done} chunk={chunk}");
+                        assert_eq!(
+                            m.prefill_attention_layer(7, done, chunk),
+                            prefill_attention_by_assign(&m, 7, done, chunk),
+                            "{what}"
+                        );
+                        assert_eq!(
+                            m.prefill_chunk(7, done, chunk),
+                            prefill_chunk_by_assign(&m, 7, done, chunk),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
