@@ -57,11 +57,13 @@ impl CommandKind {
     /// Whether this is an I/O transfer (`WR-INP` / `RD-OUT`) as opposed to
     /// a compute (`MAC`) command. DCS routes I/O and compute into separate
     /// queues.
+    #[inline]
     pub fn is_io(&self) -> bool {
         !matches!(self, CommandKind::Mac { .. })
     }
 
     /// The GBuf entry this command reads or writes, if any.
+    #[inline]
     pub fn gbuf_entry(&self) -> Option<u16> {
         match self {
             CommandKind::WrInp { gbuf_idx, .. } => Some(*gbuf_idx),
@@ -71,6 +73,7 @@ impl CommandKind {
     }
 
     /// The output entry this command reads or writes, if any.
+    #[inline]
     pub fn out_entry(&self) -> Option<u16> {
         match self {
             CommandKind::WrInp { .. } => None,
@@ -158,6 +161,14 @@ impl CommandStream {
         Self::default()
     }
 
+    /// Creates an empty stream with room for `capacity` commands, so a
+    /// builder that knows its command count never reallocates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        CommandStream {
+            commands: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a command.
     ///
     /// # Panics
@@ -175,6 +186,7 @@ impl CommandStream {
     }
 
     /// Appends a command with the next sequential id and returns that id.
+    #[inline]
     pub fn push_next(&mut self, kind: CommandKind) -> CommandId {
         let id = CommandId(self.commands.len() as u32);
         self.commands.push(PimCommand { id, kind });
@@ -182,21 +194,25 @@ impl CommandStream {
     }
 
     /// The commands in program order.
+    #[inline]
     pub fn commands(&self) -> &[PimCommand] {
         &self.commands
     }
 
     /// Number of commands.
+    #[inline]
     pub fn len(&self) -> usize {
         self.commands.len()
     }
 
     /// Whether the stream is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.commands.is_empty()
     }
 
     /// Iterates over commands in program order.
+    #[inline]
     pub fn iter(&self) -> std::slice::Iter<'_, PimCommand> {
         self.commands.iter()
     }

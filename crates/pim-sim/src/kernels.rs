@@ -91,6 +91,20 @@ impl GemvKernel {
         }
     }
 
+    /// Commands in [`GemvKernel::stream`]: every input tile written once,
+    /// one `MAC` per weight tile, and one drain per group (per chunk when
+    /// the input does not fit).
+    fn command_count(&self) -> usize {
+        let in_tiles = self.in_tiles() as usize;
+        let n_groups = self.n_groups() as usize;
+        let drains_per_group = if self.input_fits() {
+            1
+        } else {
+            div_ceil_u32(self.in_tiles(), self.geometry.gbuf_entries) as usize
+        };
+        in_tiles + n_groups * (in_tiles + drains_per_group)
+    }
+
     /// Builds the command stream.
     ///
     /// When the input fits in the Global Buffer it is written once and
@@ -103,7 +117,7 @@ impl GemvKernel {
         let g = &self.geometry;
         let in_tiles = self.in_tiles();
         let n_groups = self.n_groups();
-        let mut s = CommandStream::new();
+        let mut s = CommandStream::with_capacity(self.command_count());
 
         if self.input_fits() {
             let block = g.out_entries.min(n_groups).max(1);
@@ -167,6 +181,7 @@ impl GemvKernel {
                 chunk_start = chunk_end;
             }
         }
+        debug_assert_eq!(s.len(), self.command_count());
         s
     }
 
@@ -313,73 +328,87 @@ impl QktKernel {
         div_ceil_u32(self.spec.tokens, self.geometry.banks)
     }
 
+    /// The runs of token groups each query write is swept over, as
+    /// half-open `[start, end)` group ranges.
+    ///
+    /// The row-reuse mapping (g > 1) cuts one run per DRAM row: the
+    /// groups whose first tile shares that row. The head-sequential
+    /// mapping sweeps the whole KV as one run.
+    fn group_runs(&self) -> Vec<(u32, u32)> {
+        let n_groups = self.n_groups();
+        if !self.spec.row_reuse || self.spec.group_size == 1 {
+            return vec![(0, n_groups)];
+        }
+        let in_tiles = u64::from(self.in_tiles());
+        let row_of = |grp: u32| self.geometry.tile_to_row_col(u64::from(grp) * in_tiles).0;
+        let mut runs = Vec::new();
+        let mut grp = 0;
+        while grp < n_groups {
+            let row0 = row_of(grp);
+            let mut grp_end = grp + 1;
+            while grp_end < n_groups && row_of(grp_end) == row0 {
+                grp_end += 1;
+            }
+            runs.push((grp, grp_end));
+            grp = grp_end;
+        }
+        runs
+    }
+
+    /// Commands in [`QktKernel::stream`] when it sweeps `runs` group runs:
+    /// per query, one query write per run and `in_tiles` MACs plus one
+    /// drain per group.
+    fn command_count(&self, runs: usize) -> usize {
+        let in_tiles = self.in_tiles() as usize;
+        let n_groups = self.n_groups() as usize;
+        self.spec.group_size as usize * (runs * in_tiles + n_groups * (in_tiles + 1))
+    }
+
     /// Builds the command stream.
+    ///
+    /// The token groups are cut into runs; each run swaps every query in
+    /// turn into the Global Buffer and scores the run's groups against
+    /// it. The row-reuse mapping cuts one run per DRAM row, finishing
+    /// the row for all queries before moving on; the head-sequential
+    /// mapping is one run, sweeping the whole KV per query (rows
+    /// re-opened per query when g > 1).
     pub fn stream(&self) -> CommandStream {
         let g = &self.geometry;
         let in_tiles = self.in_tiles();
         let n_groups = self.n_groups();
         let queries = self.spec.group_size;
-        let mut s = CommandStream::new();
+        let out_slots = g.out_entries.max(1) as u16;
+        let runs = self.group_runs();
+        let mut s = CommandStream::with_capacity(self.command_count(runs.len()));
         let mut out_slot: u16 = 0;
-        let mut bump = |s: &mut CommandStream, grp: u32, q: u32| {
-            for t in 0..in_tiles {
-                let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
-                let (row, col) = g.tile_to_row_col(tile_idx);
-                s.push_next(CommandKind::Mac {
-                    gbuf_idx: t as u16,
-                    row,
-                    col,
-                    out_idx: out_slot,
-                });
-            }
-            s.push_next(CommandKind::RdOut {
-                out_idx: out_slot,
-                gpr_addr: (q * n_groups + grp) * 32,
-            });
-            out_slot = (out_slot + 1) % g.out_entries.max(1) as u16;
-        };
-        let write_query = |s: &mut CommandStream, q: u32| {
-            for t in 0..in_tiles {
-                s.push_next(CommandKind::WrInp {
-                    gbuf_idx: t as u16,
-                    gpr_addr: (q * in_tiles + t) * 32,
-                });
-            }
-        };
-
-        if self.spec.row_reuse && queries > 1 {
-            // Row-reuse mapping: for each DRAM row, swap each query in and
-            // finish every group resident in that row before moving on.
-            let mut grp = 0;
-            while grp < n_groups {
-                // Groups whose first tile shares this row.
-                let (row0, _) = g.tile_to_row_col(u64::from(grp) * u64::from(in_tiles));
-                let mut grp_end = grp;
-                while grp_end < n_groups {
-                    let (r, _) = g.tile_to_row_col(u64::from(grp_end) * u64::from(in_tiles));
-                    if r != row0 {
-                        break;
-                    }
-                    grp_end += 1;
-                }
-                for q in 0..queries {
-                    write_query(&mut s, q);
-                    for gg in grp..grp_end {
-                        bump(&mut s, gg, q);
-                    }
-                }
-                grp = grp_end;
-            }
-        } else {
-            // Head-sequential mapping: write each query once, then sweep
-            // the whole KV (rows re-opened per query when g > 1).
+        for &(run_start, run_end) in &runs {
             for q in 0..queries {
-                write_query(&mut s, q);
-                for grp in 0..n_groups {
-                    bump(&mut s, grp, q);
+                for t in 0..in_tiles {
+                    s.push_next(CommandKind::WrInp {
+                        gbuf_idx: t as u16,
+                        gpr_addr: (q * in_tiles + t) * 32,
+                    });
+                }
+                for grp in run_start..run_end {
+                    for t in 0..in_tiles {
+                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
+                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        s.push_next(CommandKind::Mac {
+                            gbuf_idx: t as u16,
+                            row,
+                            col,
+                            out_idx: out_slot,
+                        });
+                    }
+                    s.push_next(CommandKind::RdOut {
+                        out_idx: out_slot,
+                        gpr_addr: (q * n_groups + grp) * 32,
+                    });
+                    out_slot = (out_slot + 1) % out_slots;
                 }
             }
         }
+        debug_assert_eq!(s.len(), self.command_count(runs.len()));
         s
     }
 
@@ -487,6 +516,37 @@ impl SvKernel {
         div_ceil_u32(self.spec.head_dim, self.geometry.banks)
     }
 
+    /// Whether the stream runs one GEMV per query (MHA, or GQA without
+    /// the row-reuse mapping).
+    fn query_sequential(&self) -> bool {
+        self.spec.group_size == 1 || !self.spec.row_reuse
+    }
+
+    /// One query's SV as a GEMV: `W[o][i] = V[i][o]`.
+    fn gemv(&self) -> GemvKernel {
+        GemvKernel::new(
+            GemvSpec {
+                dout: self.spec.head_dim,
+                din: self.spec.tokens,
+            },
+            self.geometry,
+        )
+    }
+
+    /// Commands in the row-reuse stream: each (group, query) accumulator
+    /// takes `in_tiles` MACs and one drain, and each OBuf block writes
+    /// every tile of each query it holds. A block of `len` consecutive
+    /// group-major pairs holds `min(len, g)` distinct queries.
+    fn row_reuse_command_count(&self) -> usize {
+        let in_tiles = self.in_tiles() as usize;
+        let queries = self.spec.group_size as usize;
+        let pairs = self.n_groups() as usize * queries;
+        let block = self.geometry.out_entries.max(1) as usize;
+        let tail = pairs % block;
+        let block_queries = (pairs / block) * block.min(queries) + tail.min(queries);
+        in_tiles * block_queries + pairs * (in_tiles + 1)
+    }
+
     /// Builds the command stream.
     ///
     /// For `g == 1` this is a plain chunked GEMV. For GQA with row reuse,
@@ -496,18 +556,15 @@ impl SvKernel {
     pub fn stream(&self) -> CommandStream {
         let g = &self.geometry;
         let queries = self.spec.group_size;
-        if queries == 1 || !self.spec.row_reuse {
-            // Query-sequential: one chunked GEMV per query.
-            let gemv = GemvKernel::new(
-                GemvSpec {
-                    dout: self.spec.head_dim,
-                    din: self.spec.tokens,
-                },
-                self.geometry,
-            );
-            let mut s = CommandStream::new();
+        if self.query_sequential() {
+            // Query-sequential: the same chunked GEMV once per query.
+            let gemv = self.gemv().stream();
+            if queries == 1 {
+                return gemv;
+            }
+            let mut s = CommandStream::with_capacity(gemv.len() * queries as usize);
             for _ in 0..queries {
-                for cmd in gemv.stream().iter() {
+                for cmd in &gemv {
                     s.push_next(cmd.kind);
                 }
             }
@@ -523,14 +580,27 @@ impl SvKernel {
             .flat_map(|grp| (0..queries).map(move |q| (grp, q)))
             .collect();
         let block = g.out_entries.max(1) as usize;
-        let mut s = CommandStream::new();
+        let mut s = CommandStream::with_capacity(self.row_reuse_command_count());
         for pair_block in pairs.chunks(block) {
-            let qs: Vec<u32> = {
-                let mut v: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
+            // The block's queries, ascending: query `qs[qi]` owns GBuf
+            // slots `qi * slots_per_q ..`.
+            let mut qs: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
+            qs.sort_unstable();
+            qs.dedup();
+            // Each accumulator's GBuf slot base (its query's partition).
+            let slot_base: Vec<u32> = pair_block
+                .iter()
+                .map(|&(_, q)| qs.partition_point(|&x| x < q) as u32 * slots_per_q)
+                .collect();
+            // Pairs are group-major, so each group's accumulators are one
+            // contiguous run of OBuf slots, in ascending group order.
+            let mut grp_runs: Vec<(u32, usize, usize)> = Vec::new();
+            for (slot, &(grp, _)) in pair_block.iter().enumerate() {
+                match grp_runs.last_mut() {
+                    Some((g_run, _, end)) if *g_run == grp => *end = slot + 1,
+                    _ => grp_runs.push((grp, slot, slot + 1)),
+                }
+            }
             let mut chunk_start = 0;
             while chunk_start < in_tiles {
                 let chunk_end = (chunk_start + slots_per_q).min(in_tiles);
@@ -545,23 +615,13 @@ impl SvKernel {
                 // Group-outer, tile, then queries: every weight tile is
                 // read once per chunk for all queries sharing it, and rows
                 // advance monotonically (the row-reuse mapping).
-                let grps: Vec<u32> = {
-                    let mut v: Vec<u32> = pair_block.iter().map(|&(grp, _)| grp).collect();
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                };
-                for &grp in &grps {
+                for &(grp, first, end) in &grp_runs {
                     for t in chunk_start..chunk_end {
                         let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
                         let (row, col) = g.tile_to_row_col(tile_idx);
-                        for (slot, &(bg, q)) in pair_block.iter().enumerate() {
-                            if bg != grp {
-                                continue;
-                            }
-                            let qi = qs.iter().position(|&x| x == q).expect("query present") as u32;
+                        for (slot, &base) in (first..end).zip(&slot_base[first..end]) {
                             s.push_next(CommandKind::Mac {
-                                gbuf_idx: (qi * slots_per_q + (t - chunk_start)) as u16,
+                                gbuf_idx: (base + (t - chunk_start)) as u16,
                                 row,
                                 col,
                                 out_idx: slot as u16,
@@ -578,20 +638,13 @@ impl SvKernel {
                 });
             }
         }
+        debug_assert_eq!(s.len(), self.row_reuse_command_count());
         s
     }
 
     /// Loads the value cache: `v(token, d)` is `V[token][d]`.
     pub fn load_values<F: Fn(usize, usize) -> f32>(&self, ch: &mut FunctionalChannel, v: F) {
-        // As a GEMV, W[o][i] = V[i][o].
-        let gemv = GemvKernel::new(
-            GemvSpec {
-                dout: self.spec.head_dim,
-                din: self.spec.tokens,
-            },
-            self.geometry,
-        );
-        gemv.load_weights(ch, |o, i| v(i, o));
+        self.gemv().load_weights(ch, |o, i| v(i, o));
     }
 
     /// Input tiles for every `WR-INP`, in stream order. `scores[q]` is the
@@ -614,22 +667,9 @@ impl SvKernel {
             }
             tile
         };
-        let queries = self.spec.group_size;
-        if queries == 1 || !self.spec.row_reuse {
-            let gemv = GemvKernel::new(
-                GemvSpec {
-                    dout: self.spec.head_dim,
-                    din: self.spec.tokens,
-                },
-                self.geometry,
-            );
-            let mut tiles = Vec::new();
-            for (q, s) in scores.iter().enumerate() {
-                let _ = s;
-                let per_query = gemv.input_tiles(&scores[q]);
-                tiles.extend(per_query);
-            }
-            return tiles;
+        if self.query_sequential() {
+            let gemv = self.gemv();
+            return scores.iter().flat_map(|s| gemv.input_tiles(s)).collect();
         }
         let mut tiles = Vec::new();
         for cmd in self.stream().iter() {
@@ -649,17 +689,11 @@ impl SvKernel {
         let n_groups = self.n_groups();
         let queries = self.spec.group_size as usize;
         let mut out = vec![vec![0.0f32; self.spec.head_dim as usize]; queries];
-        if queries == 1 || !self.spec.row_reuse {
+        if self.query_sequential() {
             // Drains appear query-major; within a query they follow the
             // GEMV drain order (with per-chunk partials when the scores do
             // not fit in GBuf).
-            let gemv = GemvKernel::new(
-                GemvSpec {
-                    dout: self.spec.head_dim,
-                    din: self.spec.tokens,
-                },
-                self.geometry,
-            );
+            let gemv = self.gemv();
             let per_q = ch.drained().len() / queries;
             for (q, out_q) in out.iter_mut().enumerate() {
                 let seg = &ch.drained()[q * per_q..(q + 1) * per_q];
@@ -689,11 +723,51 @@ impl SvKernel {
     }
 }
 
+/// The streams kernel calibration simulates, and their neighbours, on
+/// both geometries: `QKᵀ` and `SV` (d_h = 128) at tokens {1, 17, 512,
+/// 4096} × group {1, 4, 8} × row reuse off/on, plus GEMVs whose input
+/// does and does not fit in the Global Buffer. Each comes with a label.
+#[cfg(test)]
+pub(crate) fn calibration_streams() -> Vec<(String, Geometry, CommandStream)> {
+    let mut out = Vec::new();
+    for geom in [Geometry::baseline(), Geometry::pimphony()] {
+        for tokens in [1, 17, 512, 4096] {
+            for group_size in [1, 4, 8] {
+                for row_reuse in [false, true] {
+                    let spec = AttentionSpec {
+                        tokens,
+                        head_dim: 128,
+                        group_size,
+                        row_reuse,
+                    };
+                    let label = format!("{spec:?} out_entries={}", geom.out_entries);
+                    let qkt = QktKernel::new(spec, geom).stream();
+                    out.push((format!("qkt {label}"), geom, qkt));
+                    out.push((
+                        format!("sv {label}"),
+                        geom,
+                        SvKernel::new(spec, geom).stream(),
+                    ));
+                }
+            }
+        }
+        for (dout, din) in [(17, 33), (4096, 1024), (1024, 1040), (512, 4096)] {
+            let stream = GemvKernel::new(GemvSpec { dout, din }, geom).stream();
+            let label = format!("gemv {dout}x{din} out_entries={}", geom.out_entries);
+            out.push((label, geom, stream));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // index loops mirror the reference math
 mod tests {
     use super::*;
     use crate::functional::FunctionalChannel;
+    use crate::sched::{schedule, SchedulerKind};
+    use crate::Timing;
+    use pim_isa::PimCommand;
 
     fn small_geom() -> Geometry {
         Geometry {
@@ -886,5 +960,258 @@ mod tests {
         let (sw, _, sr) = sv.kind_counts();
         assert!(qr > qw, "QKT drains more than it writes: {qr} vs {qw}");
         assert!(sw > sr, "SV writes more than it drains: {sw} vs {sr}");
+    }
+
+    /// Attention shapes around every boundary the builders branch on:
+    /// partial tiles and groups, GBuf overflow, OBuf blocks that split a
+    /// group's queries, and groups that do or do not divide the GBuf.
+    fn attention_grid() -> Vec<(Geometry, AttentionSpec)> {
+        let mut grid = Vec::new();
+        for geom in [small_geom(), Geometry::baseline(), Geometry::pimphony()] {
+            for tokens in [1, 4, 15, 16, 17, 100, 512] {
+                for head_dim in [4, 8, 32, 128] {
+                    for group_size in [1, 2, 3, 4, 8] {
+                        for row_reuse in [false, true] {
+                            let spec = AttentionSpec {
+                                tokens,
+                                head_dim,
+                                group_size,
+                                row_reuse,
+                            };
+                            grid.push((geom, spec));
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    /// Whether a QKᵀ kernel accepts `spec` (the query must fit in GBuf).
+    fn qkt_fits(geom: &Geometry, spec: &AttentionSpec) -> bool {
+        spec.head_dim.div_ceil(geom.elems_per_tile) <= geom.gbuf_entries
+    }
+
+    /// The QKᵀ builder as it was before streams were pre-sized: one
+    /// `tile_to_row_col` per MAC and separate row-reuse and
+    /// head-sequential loops.
+    fn qkt_reference(spec: AttentionSpec, g: Geometry) -> CommandStream {
+        let k = QktKernel::new(spec, g);
+        let in_tiles = k.in_tiles();
+        let n_groups = k.n_groups();
+        let queries = spec.group_size;
+        let mut s = CommandStream::new();
+        let mut out_slot: u16 = 0;
+        let mut bump = |s: &mut CommandStream, grp: u32, q: u32| {
+            for t in 0..in_tiles {
+                let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
+                let (row, col) = g.tile_to_row_col(tile_idx);
+                s.push_next(CommandKind::Mac {
+                    gbuf_idx: t as u16,
+                    row,
+                    col,
+                    out_idx: out_slot,
+                });
+            }
+            s.push_next(CommandKind::RdOut {
+                out_idx: out_slot,
+                gpr_addr: (q * n_groups + grp) * 32,
+            });
+            out_slot = (out_slot + 1) % g.out_entries.max(1) as u16;
+        };
+        let write_query = |s: &mut CommandStream, q: u32| {
+            for t in 0..in_tiles {
+                s.push_next(CommandKind::WrInp {
+                    gbuf_idx: t as u16,
+                    gpr_addr: (q * in_tiles + t) * 32,
+                });
+            }
+        };
+        if spec.row_reuse && queries > 1 {
+            let mut grp = 0;
+            while grp < n_groups {
+                let (row0, _) = g.tile_to_row_col(u64::from(grp) * u64::from(in_tiles));
+                let mut grp_end = grp;
+                while grp_end < n_groups {
+                    let (r, _) = g.tile_to_row_col(u64::from(grp_end) * u64::from(in_tiles));
+                    if r != row0 {
+                        break;
+                    }
+                    grp_end += 1;
+                }
+                for q in 0..queries {
+                    write_query(&mut s, q);
+                    for gg in grp..grp_end {
+                        bump(&mut s, gg, q);
+                    }
+                }
+                grp = grp_end;
+            }
+        } else {
+            for q in 0..queries {
+                write_query(&mut s, q);
+                for grp in 0..n_groups {
+                    bump(&mut s, grp, q);
+                }
+            }
+        }
+        s
+    }
+
+    /// The row-reuse SV builder as it was before streams were pre-sized:
+    /// it scans the whole pair block per tile and looks up each MAC's
+    /// query position.
+    fn sv_row_reuse_reference(spec: AttentionSpec, g: Geometry) -> CommandStream {
+        let k = SvKernel::new(spec, g);
+        let queries = spec.group_size;
+        let in_tiles = k.in_tiles();
+        let n_groups = k.n_groups();
+        let slots_per_q = (g.gbuf_entries / queries).max(1);
+        let pairs: Vec<(u32, u32)> = (0..n_groups)
+            .flat_map(|grp| (0..queries).map(move |q| (grp, q)))
+            .collect();
+        let block = g.out_entries.max(1) as usize;
+        let mut s = CommandStream::new();
+        for pair_block in pairs.chunks(block) {
+            let mut qs: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
+            qs.sort_unstable();
+            qs.dedup();
+            let mut chunk_start = 0;
+            while chunk_start < in_tiles {
+                let chunk_end = (chunk_start + slots_per_q).min(in_tiles);
+                for (qi, &q) in qs.iter().enumerate() {
+                    for t in chunk_start..chunk_end {
+                        s.push_next(CommandKind::WrInp {
+                            gbuf_idx: (qi as u32 * slots_per_q + (t - chunk_start)) as u16,
+                            gpr_addr: (q * in_tiles + t) * 32,
+                        });
+                    }
+                }
+                let mut grps: Vec<u32> = pair_block.iter().map(|&(grp, _)| grp).collect();
+                grps.sort_unstable();
+                grps.dedup();
+                for &grp in &grps {
+                    for t in chunk_start..chunk_end {
+                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
+                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        for (slot, &(bg, q)) in pair_block.iter().enumerate() {
+                            if bg != grp {
+                                continue;
+                            }
+                            let qi = qs.iter().position(|&x| x == q).expect("query present") as u32;
+                            s.push_next(CommandKind::Mac {
+                                gbuf_idx: (qi * slots_per_q + (t - chunk_start)) as u16,
+                                row,
+                                col,
+                                out_idx: slot as u16,
+                            });
+                        }
+                    }
+                }
+                chunk_start = chunk_end;
+            }
+            for (slot, &(grp, q)) in pair_block.iter().enumerate() {
+                s.push_next(CommandKind::RdOut {
+                    out_idx: slot as u16,
+                    gpr_addr: (q * n_groups + grp) * 32,
+                });
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn qkt_stream_matches_reference_builder() {
+        for (geom, spec) in attention_grid() {
+            if qkt_fits(&geom, &spec) {
+                let got = QktKernel::new(spec, geom).stream();
+                assert_eq!(got, qkt_reference(spec, geom), "{spec:?} {geom:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn sv_query_sequential_repeats_the_gemv_stream() {
+        for (geom, spec) in attention_grid() {
+            let k = SvKernel::new(spec, geom);
+            if !k.query_sequential() {
+                continue;
+            }
+            let gemv = GemvKernel::new(
+                GemvSpec {
+                    dout: spec.head_dim,
+                    din: spec.tokens,
+                },
+                geom,
+            )
+            .stream();
+            let got = k.stream();
+            if spec.group_size == 1 {
+                assert_eq!(got, gemv, "{spec:?} {geom:?}");
+                continue;
+            }
+            let want: CommandStream = (0..spec.group_size)
+                .flat_map(|_| gemv.iter())
+                .enumerate()
+                .map(|(id, cmd)| PimCommand::new(id as u32, cmd.kind))
+                .collect();
+            assert_eq!(got, want, "{spec:?} {geom:?}");
+        }
+    }
+
+    #[test]
+    fn sv_row_reuse_stream_matches_reference_builder() {
+        for (geom, spec) in attention_grid() {
+            let k = SvKernel::new(spec, geom);
+            if !k.query_sequential() {
+                assert_eq!(
+                    k.stream(),
+                    sv_row_reuse_reference(spec, geom),
+                    "{spec:?} {geom:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn builders_fill_exactly_their_reserved_capacity() {
+        for (geom, spec) in attention_grid() {
+            if qkt_fits(&geom, &spec) {
+                let k = QktKernel::new(spec, geom);
+                let runs = k.group_runs().len();
+                assert_eq!(
+                    k.stream().len(),
+                    k.command_count(runs),
+                    "qkt {spec:?} {geom:?}"
+                );
+            }
+            let k = SvKernel::new(spec, geom);
+            let reserved = if k.query_sequential() {
+                k.gemv().command_count() * spec.group_size as usize
+            } else {
+                k.row_reuse_command_count()
+            };
+            assert_eq!(k.stream().len(), reserved, "sv {spec:?} {geom:?}");
+        }
+        for geom in [small_geom(), Geometry::baseline(), Geometry::pimphony()] {
+            for dout in [1, 4, 17, 256, 1000] {
+                for din in [1, 4, 17, 32, 33, 1024, 1025, 4096] {
+                    let k = GemvKernel::new(GemvSpec { dout, din }, geom);
+                    assert_eq!(k.stream().len(), k.command_count(), "gemv {dout}x{din}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_schedules_are_hazard_free() {
+        let timing = Timing::aimx();
+        for (label, geom, stream) in calibration_streams() {
+            for kind in SchedulerKind::ALL {
+                let report = schedule(&stream, kind, &timing, &geom);
+                let violations = crate::checker::check_schedule(&stream, &report);
+                assert!(violations.is_empty(), "{kind} {label}: {violations:?}");
+            }
+        }
     }
 }

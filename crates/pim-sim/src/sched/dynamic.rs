@@ -18,6 +18,17 @@
 //! which reproduces *ping-pong buffering*: overlap is possible only across
 //! halves, and half hand-offs stall until the previous occupant drains
 //! (paper §VIII-C, Fig. 18).
+//!
+//! # Implementation
+//!
+//! One program-order pass plays the D-Table. It packs each command's GBuf
+//! and OBuf dependencies into one `u32` word each: `0` for none, else
+//! `(producer + 1) << 1`, with the low bit selecting the release rule
+//! (producer issue + `t_CCDS`, or producer completion). The same pass
+//! splits the command indices into the I/O and compute queues. The issue
+//! loop then plays the S-Table: a dependency releases at a time read from
+//! the producer's [`CommandTiming`], which holds `u64::MAX` until the
+//! producer issues, so a blocked queue head is simply ready at `u64::MAX`.
 
 use super::RefreshState;
 use crate::geometry::Geometry;
@@ -34,23 +45,26 @@ pub enum Tracking {
     PerHalf,
 }
 
-/// How a dependency's release time derives from its producer's timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DepRule {
-    /// Wait for the producer to fully complete.
-    Completion,
-    /// `is-MAC` fast path / bus pipelining: producer issue + `t_CCDS`.
-    IssuePlusCcds,
+/// Dependency word meaning "no dependency on this buffer".
+const NO_DEP: u32 = 0;
+
+/// Rule bit of a dependency word: release at the producer's issue +
+/// `t_CCDS` (the `is-MAC` fast path, or bus pipelining).
+const ISSUE_PLUS_CCDS: u32 = 1;
+
+/// Rule bit clear: the consumer waits for the producer to complete.
+const COMPLETION: u32 = 0;
+
+/// Timestamp of a command that has not issued yet. A release time
+/// derived from it is also `NOT_ISSUED`, so "blocked" needs no `Option`.
+const NOT_ISSUED: u64 = u64::MAX;
+
+/// Packs a dependency on command `producer` into one word.
+fn dep_word(producer: usize, rule: u32) -> u32 {
+    ((producer as u32 + 1) << 1) | rule
 }
 
-/// A resolved dependency: index of the producing command + release rule.
-#[derive(Debug, Clone, Copy)]
-struct Dep {
-    producer: usize,
-    rule: DepRule,
-}
-
-/// Which buffer was touched, and how (for D-Table threading).
+/// How a command last touched a buffer region (for D-Table threading).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AccessKind {
     Write,
@@ -67,6 +81,16 @@ pub struct DynamicScheduler {
     tracking: Tracking,
 }
 
+/// The dependency words and issue queues of one stream.
+struct Prepared {
+    /// Per command, its `[GBuf, OBuf]` dependency words.
+    deps: Vec<[u32; 2]>,
+    /// Indices of the I/O commands (`WR-INP`, `RD-OUT`), in program order.
+    io: Vec<u32>,
+    /// Indices of the compute commands (`MAC`), in program order.
+    compute: Vec<u32>,
+}
+
 impl DynamicScheduler {
     /// Creates a dynamic scheduler with the given tracking granularity.
     pub fn new(timing: Timing, geometry: Geometry, tracking: Tracking) -> Self {
@@ -77,202 +101,172 @@ impl DynamicScheduler {
         }
     }
 
-    fn gbuf_region(&self, entry: u16) -> usize {
-        match self.tracking {
-            Tracking::PerEntry => entry as usize,
-            Tracking::PerHalf => usize::from(u32::from(entry) >= self.geometry.gbuf_entries / 2),
-        }
-    }
-
-    fn obuf_region(&self, entry: u16) -> usize {
-        match self.tracking {
-            Tracking::PerEntry => entry as usize,
-            Tracking::PerHalf => {
-                usize::from(u32::from(entry) >= (self.geometry.out_entries / 2).max(1))
-            }
-        }
-    }
-
-    /// Walks the stream in program order, assigning each command its GBuf
-    /// and OBuf dependencies exactly as the D-Table would.
-    fn assign_deps(&self, stream: &CommandStream) -> Vec<(Option<Dep>, Option<Dep>)> {
-        let gbuf_regions = match self.tracking {
-            Tracking::PerEntry => self.geometry.gbuf_entries as usize,
+    /// Number of tracked regions in a buffer of `entries` entries, and the
+    /// region of each entry; ping-pong splits the buffer at `half`.
+    fn regions(&self, entries: u32, half: u32) -> (usize, impl Fn(u16) -> usize) {
+        let tracking = self.tracking;
+        let n = match tracking {
+            Tracking::PerEntry => entries as usize,
             Tracking::PerHalf => 2,
         };
-        let obuf_regions = match self.tracking {
-            Tracking::PerEntry => self.geometry.out_entries as usize,
-            Tracking::PerHalf => 2,
+        let region = move |entry: u16| match tracking {
+            Tracking::PerEntry => entry as usize,
+            Tracking::PerHalf => usize::from(u32::from(entry) >= half),
         };
-        let mut gbuf: Vec<Option<(usize, AccessKind)>> = vec![None; gbuf_regions.max(1)];
-        let mut obuf: Vec<Option<(usize, AccessKind)>> = vec![None; obuf_regions.max(1)];
-        let mut deps = Vec::with_capacity(stream.len());
+        (n.max(1), region)
+    }
+
+    /// Walks the stream once in program order: assigns each command its
+    /// GBuf and OBuf dependency words exactly as the D-Table would, and
+    /// splits the commands into the I/O and compute queues.
+    fn prepare(&self, stream: &CommandStream) -> Prepared {
+        assert!(
+            stream.len() < (u32::MAX >> 1) as usize,
+            "dependency words index commands in 31 bits"
+        );
+        let g = &self.geometry;
+        let (gbuf_regions, gbuf_region) = self.regions(g.gbuf_entries, g.gbuf_entries / 2);
+        let (obuf_regions, obuf_region) = self.regions(g.out_entries, (g.out_entries / 2).max(1));
+        let mut gbuf: Vec<Option<(usize, AccessKind)>> = vec![None; gbuf_regions];
+        let mut obuf: Vec<Option<(usize, AccessKind)>> = vec![None; obuf_regions];
+        let mut prep = Prepared {
+            deps: Vec::with_capacity(stream.len()),
+            io: Vec::new(),
+            compute: Vec::new(),
+        };
 
         for (idx, cmd) in stream.iter().enumerate() {
-            let mut g_dep = None;
-            let mut o_dep = None;
+            let mut words = [NO_DEP; 2];
             match cmd.kind {
                 CommandKind::WrInp { gbuf_idx, .. } => {
-                    let r = self.gbuf_region(gbuf_idx);
+                    let r = gbuf_region(gbuf_idx);
                     if let Some((p, kind)) = gbuf[r] {
-                        g_dep = Some(match kind {
+                        words[0] = match kind {
                             // Write-after-write streams over the pipelined
                             // data bus; issue order suffices.
-                            AccessKind::Write => Dep {
-                                producer: p,
-                                rule: DepRule::IssuePlusCcds,
-                            },
+                            AccessKind::Write => dep_word(p, ISSUE_PLUS_CCDS),
                             // WAR after a MAC read: the read must complete
                             // before its input may be overwritten.
-                            _ => Dep {
-                                producer: p,
-                                rule: DepRule::Completion,
-                            },
-                        });
+                            _ => dep_word(p, COMPLETION),
+                        };
                     }
                     gbuf[r] = Some((idx, AccessKind::Write));
+                    prep.io.push(idx as u32);
                 }
                 CommandKind::Mac {
                     gbuf_idx, out_idx, ..
                 } => {
-                    let r = self.gbuf_region(gbuf_idx);
-                    if let Some((p, kind)) = gbuf[r] {
-                        if kind == AccessKind::Write {
-                            // RAW: the input tile must be fully written.
-                            g_dep = Some(Dep {
-                                producer: p,
-                                rule: DepRule::Completion,
-                            });
-                        }
+                    let r = gbuf_region(gbuf_idx);
+                    if let Some((p, AccessKind::Write)) = gbuf[r] {
+                        // RAW: the input tile must be fully written.
+                        words[0] = dep_word(p, COMPLETION);
                     }
                     gbuf[r] = Some((idx, AccessKind::MacRead));
-                    let ro = self.obuf_region(out_idx);
+                    let ro = obuf_region(out_idx);
                     if let Some((p, kind)) = obuf[ro] {
-                        o_dep = Some(match kind {
+                        words[1] = match kind {
                             // is-MAC fast path: accumulator chaining.
-                            AccessKind::MacAcc => Dep {
-                                producer: p,
-                                rule: DepRule::IssuePlusCcds,
-                            },
-                            _ => Dep {
-                                producer: p,
-                                rule: DepRule::Completion,
-                            },
-                        });
+                            AccessKind::MacAcc => dep_word(p, ISSUE_PLUS_CCDS),
+                            _ => dep_word(p, COMPLETION),
+                        };
                     }
                     obuf[ro] = Some((idx, AccessKind::MacAcc));
+                    prep.compute.push(idx as u32);
                 }
                 CommandKind::RdOut { out_idx, .. } => {
-                    let ro = self.obuf_region(out_idx);
+                    let ro = obuf_region(out_idx);
                     if let Some((p, kind)) = obuf[ro] {
-                        o_dep = Some(match kind {
+                        words[1] = match kind {
+                            // Back-to-back drains pipeline on the bus.
+                            AccessKind::Drain => dep_word(p, ISSUE_PLUS_CCDS),
                             // RAW: the accumulation must be complete.
-                            AccessKind::MacAcc => Dep {
-                                producer: p,
-                                rule: DepRule::Completion,
-                            },
-                            AccessKind::Drain => Dep {
-                                producer: p,
-                                rule: DepRule::IssuePlusCcds,
-                            },
-                            _ => Dep {
-                                producer: p,
-                                rule: DepRule::Completion,
-                            },
-                        });
+                            _ => dep_word(p, COMPLETION),
+                        };
                     }
                     obuf[ro] = Some((idx, AccessKind::Drain));
+                    prep.io.push(idx as u32);
                 }
             }
-            deps.push((g_dep, o_dep));
+            prep.deps.push(words);
         }
-        deps
+        prep
     }
 
     /// Schedules the stream.
     pub fn run(&self, stream: &CommandStream) -> ExecutionReport {
         let t = self.timing;
-        let cmds: Vec<_> = stream.iter().collect();
-        let deps = self.assign_deps(stream);
+        let cmds = stream.commands();
+        let Prepared { deps, io, compute } = self.prepare(stream);
 
-        let mut io_q: std::collections::VecDeque<usize> = Default::default();
-        let mut cp_q: std::collections::VecDeque<usize> = Default::default();
-        for (idx, cmd) in cmds.iter().enumerate() {
-            if cmd.kind.is_io() {
-                io_q.push_back(idx);
-            } else {
-                cp_q.push_back(idx);
-            }
-        }
-
-        let mut issue_at: Vec<Option<u64>> = vec![None; cmds.len()];
-        let mut complete_at: Vec<Option<u64>> = vec![None; cmds.len()];
+        // Issue and completion times, `NOT_ISSUED` until scheduled.
+        let mut timings: Vec<CommandTiming> = cmds
+            .iter()
+            .map(|c| CommandTiming {
+                id: c.id,
+                issue: NOT_ISSUED,
+                complete: NOT_ISSUED,
+            })
+            .collect();
+        let (mut io_next, mut cp_next) = (0usize, 0usize);
         let mut refresh = RefreshState::new(&t);
         let mut breakdown = Breakdown::default();
         let mut bus_free: u64 = 0;
         let mut open_row: Option<u32> = None;
         let mut row_ready: u64 = 0;
-        let mut last_mac_complete: u64 = 0;
         let mut makespan: u64 = 0;
         let (mut n_w, mut n_m, mut n_r, mut switches) = (0u64, 0u64, 0u64, 0u64);
 
-        /// Release time of a dependency, or `None` if the producer has not
-        /// issued yet (the consumer must keep waiting).
-        fn release(
-            dep: Option<Dep>,
-            issue_at: &[Option<u64>],
-            complete_at: &[Option<u64>],
-            t_ccds: u64,
-        ) -> Option<u64> {
-            match dep {
-                None => Some(0),
-                Some(d) => match (issue_at[d.producer], complete_at[d.producer]) {
-                    (Some(i), Some(c)) => Some(match d.rule {
-                        DepRule::Completion => c,
-                        DepRule::IssuePlusCcds => i + t_ccds,
-                    }),
-                    _ => None,
-                },
+        /// Release time of a dependency word: `NOT_ISSUED` while its
+        /// producer has not issued (the consumer must keep waiting).
+        #[inline]
+        fn release(word: u32, timings: &[CommandTiming], t_ccds: u64) -> u64 {
+            if word == NO_DEP {
+                return 0;
+            }
+            let p = &timings[(word >> 1) as usize - 1];
+            if word & ISSUE_PLUS_CCDS != 0 {
+                p.issue.saturating_add(t_ccds)
+            } else {
+                p.complete
             }
         }
 
-        while !io_q.is_empty() || !cp_q.is_empty() {
-            // Earliest-issue candidate from each queue head: (ready time,
-            // gbuf release, obuf release). `None` = blocked on an unissued
-            // producer.
-            let eval = |idx: usize| -> Option<(u64, u64, u64, u64)> {
-                let (g_dep, o_dep) = deps[idx];
-                let g = release(g_dep, &issue_at, &complete_at, t.t_ccds)?;
-                let o = release(o_dep, &issue_at, &complete_at, t.t_ccds)?;
+        while io_next < io.len() || cp_next < compute.len() {
+            // Earliest-issue candidate of a queue head: (index, ready time,
+            // gbuf release, obuf release, row release). An empty queue or a
+            // head blocked on an unissued producer is ready at `NOT_ISSUED`.
+            let eval = |queue: &[u32], next: usize| -> (usize, u64, u64, u64, u64) {
+                let Some(&idx) = queue.get(next) else {
+                    return (0, NOT_ISSUED, 0, 0, 0);
+                };
+                let idx = idx as usize;
+                let [g_dep, o_dep] = deps[idx];
+                let g = release(g_dep, &timings, t.t_ccds);
+                let o = release(o_dep, &timings, t.t_ccds);
                 let mut row = 0;
                 if let CommandKind::Mac { row: r, .. } = cmds[idx].kind {
                     if open_row == Some(r) {
                         row = row_ready;
                     }
                 }
-                Some((bus_free.max(g).max(o).max(row), g, o, row))
+                (idx, bus_free.max(g).max(o).max(row), g, o, row)
             };
-
-            let io_head = io_q.front().and_then(|&i| eval(i).map(|e| (i, e)));
-            let cp_head = cp_q.front().and_then(|&i| eval(i).map(|e| (i, e)));
+            let io_head = eval(&io, io_next);
+            let cp_head = eval(&compute, cp_next);
 
             // Pick the queue whose head is ready first; ties go to compute
             // to keep the MAC pipeline fed.
-            let take_compute = match (io_head, cp_head) {
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some((_, (io_t, ..))), Some((_, (cp_t, ..)))) => cp_t <= io_t,
-                (None, None) => {
-                    unreachable!("deadlock: both queue heads blocked on unissued producers")
-                }
-            };
-            let (idx, (ready, g_rel, o_rel, row_rel)) = if take_compute {
-                cp_q.pop_front();
-                cp_head.expect("compute head")
+            let (idx, ready, g_rel, o_rel, row_rel) = if cp_head.1 <= io_head.1 {
+                cp_next += 1;
+                cp_head
             } else {
-                io_q.pop_front();
-                io_head.expect("io head")
+                io_next += 1;
+                io_head
             };
+            assert!(
+                ready != NOT_ISSUED,
+                "deadlock: both queue heads blocked on unissued producers"
+            );
 
             let issue = refresh.adjust(ready);
             breakdown.refresh += issue - ready;
@@ -297,7 +291,7 @@ impl DynamicScheduler {
                 }
                 CommandKind::Mac { row, .. } => {
                     n_m += 1;
-                    let complete = if open_row == Some(row) {
+                    if open_row == Some(row) {
                         issue.max(row_ready) + t.t_mac
                     } else {
                         switches += 1;
@@ -311,9 +305,7 @@ impl DynamicScheduler {
                         breakdown.act_pre += new_ready - issue;
                         row_ready = new_ready;
                         row_ready + t.t_mac
-                    };
-                    last_mac_complete = last_mac_complete.max(complete);
-                    complete
+                    }
                 }
                 CommandKind::RdOut { .. } => {
                     n_r += 1;
@@ -323,19 +315,10 @@ impl DynamicScheduler {
 
             bus_free = issue + t.t_ccds;
             makespan = makespan.max(complete);
-            issue_at[idx] = Some(issue);
-            complete_at[idx] = Some(complete);
+            timings[idx].issue = issue;
+            timings[idx].complete = complete;
         }
 
-        let timings: Vec<CommandTiming> = cmds
-            .iter()
-            .enumerate()
-            .map(|(i, cmd)| CommandTiming {
-                id: cmd.id,
-                issue: issue_at[i].expect("scheduled"),
-                complete: complete_at[i].expect("scheduled"),
-            })
-            .collect();
         breakdown.mac = n_m * t.t_ccds;
         let attributed = breakdown.total();
         breakdown.pipeline += makespan.saturating_sub(attributed);
@@ -357,6 +340,334 @@ impl DynamicScheduler {
 mod tests {
     use super::*;
     use pim_isa::PimCommand;
+
+    /// Differential oracle: the per-command scheduler loop exactly as it
+    /// stood before it was rewritten around packed dependency words.
+    mod oracle {
+        use crate::geometry::Geometry;
+        use crate::report::{Breakdown, CommandTiming, ExecutionReport};
+        use crate::sched::{RefreshState, Tracking};
+        use crate::timing::Timing;
+        use pim_isa::command::{CommandKind, CommandStream};
+
+        /// How a dependency's release time derives from its producer's timing.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum DepRule {
+            /// Wait for the producer to fully complete.
+            Completion,
+            /// `is-MAC` fast path / bus pipelining: producer issue + `t_CCDS`.
+            IssuePlusCcds,
+        }
+
+        /// A resolved dependency: index of the producing command + release rule.
+        #[derive(Debug, Clone, Copy)]
+        struct Dep {
+            producer: usize,
+            rule: DepRule,
+        }
+
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum AccessKind {
+            Write,
+            MacRead,
+            MacAcc,
+            Drain,
+        }
+
+        /// The scheduler as it was before the compact core: `Option`
+        /// dependencies, `VecDeque` queues and `Option` timestamps.
+        pub(super) struct Oracle {
+            timing: Timing,
+            geometry: Geometry,
+            tracking: Tracking,
+        }
+
+        impl Oracle {
+            pub(super) fn new(timing: Timing, geometry: Geometry, tracking: Tracking) -> Self {
+                Oracle {
+                    timing,
+                    geometry,
+                    tracking,
+                }
+            }
+
+            fn gbuf_region(&self, entry: u16) -> usize {
+                match self.tracking {
+                    Tracking::PerEntry => entry as usize,
+                    Tracking::PerHalf => {
+                        usize::from(u32::from(entry) >= self.geometry.gbuf_entries / 2)
+                    }
+                }
+            }
+
+            fn obuf_region(&self, entry: u16) -> usize {
+                match self.tracking {
+                    Tracking::PerEntry => entry as usize,
+                    Tracking::PerHalf => {
+                        usize::from(u32::from(entry) >= (self.geometry.out_entries / 2).max(1))
+                    }
+                }
+            }
+
+            /// Walks the stream in program order, assigning each command its GBuf
+            /// and OBuf dependencies exactly as the D-Table would.
+            fn assign_deps(&self, stream: &CommandStream) -> Vec<(Option<Dep>, Option<Dep>)> {
+                let gbuf_regions = match self.tracking {
+                    Tracking::PerEntry => self.geometry.gbuf_entries as usize,
+                    Tracking::PerHalf => 2,
+                };
+                let obuf_regions = match self.tracking {
+                    Tracking::PerEntry => self.geometry.out_entries as usize,
+                    Tracking::PerHalf => 2,
+                };
+                let mut gbuf: Vec<Option<(usize, AccessKind)>> = vec![None; gbuf_regions.max(1)];
+                let mut obuf: Vec<Option<(usize, AccessKind)>> = vec![None; obuf_regions.max(1)];
+                let mut deps = Vec::with_capacity(stream.len());
+
+                for (idx, cmd) in stream.iter().enumerate() {
+                    let mut g_dep = None;
+                    let mut o_dep = None;
+                    match cmd.kind {
+                        CommandKind::WrInp { gbuf_idx, .. } => {
+                            let r = self.gbuf_region(gbuf_idx);
+                            if let Some((p, kind)) = gbuf[r] {
+                                g_dep = Some(match kind {
+                                    // Write-after-write streams over the pipelined
+                                    // data bus; issue order suffices.
+                                    AccessKind::Write => Dep {
+                                        producer: p,
+                                        rule: DepRule::IssuePlusCcds,
+                                    },
+                                    // WAR after a MAC read: the read must complete
+                                    // before its input may be overwritten.
+                                    _ => Dep {
+                                        producer: p,
+                                        rule: DepRule::Completion,
+                                    },
+                                });
+                            }
+                            gbuf[r] = Some((idx, AccessKind::Write));
+                        }
+                        CommandKind::Mac {
+                            gbuf_idx, out_idx, ..
+                        } => {
+                            let r = self.gbuf_region(gbuf_idx);
+                            if let Some((p, kind)) = gbuf[r] {
+                                if kind == AccessKind::Write {
+                                    // RAW: the input tile must be fully written.
+                                    g_dep = Some(Dep {
+                                        producer: p,
+                                        rule: DepRule::Completion,
+                                    });
+                                }
+                            }
+                            gbuf[r] = Some((idx, AccessKind::MacRead));
+                            let ro = self.obuf_region(out_idx);
+                            if let Some((p, kind)) = obuf[ro] {
+                                o_dep = Some(match kind {
+                                    // is-MAC fast path: accumulator chaining.
+                                    AccessKind::MacAcc => Dep {
+                                        producer: p,
+                                        rule: DepRule::IssuePlusCcds,
+                                    },
+                                    _ => Dep {
+                                        producer: p,
+                                        rule: DepRule::Completion,
+                                    },
+                                });
+                            }
+                            obuf[ro] = Some((idx, AccessKind::MacAcc));
+                        }
+                        CommandKind::RdOut { out_idx, .. } => {
+                            let ro = self.obuf_region(out_idx);
+                            if let Some((p, kind)) = obuf[ro] {
+                                o_dep = Some(match kind {
+                                    // RAW: the accumulation must be complete.
+                                    AccessKind::MacAcc => Dep {
+                                        producer: p,
+                                        rule: DepRule::Completion,
+                                    },
+                                    AccessKind::Drain => Dep {
+                                        producer: p,
+                                        rule: DepRule::IssuePlusCcds,
+                                    },
+                                    _ => Dep {
+                                        producer: p,
+                                        rule: DepRule::Completion,
+                                    },
+                                });
+                            }
+                            obuf[ro] = Some((idx, AccessKind::Drain));
+                        }
+                    }
+                    deps.push((g_dep, o_dep));
+                }
+                deps
+            }
+
+            pub(super) fn run(&self, stream: &CommandStream) -> ExecutionReport {
+                let t = self.timing;
+                let cmds: Vec<_> = stream.iter().collect();
+                let deps = self.assign_deps(stream);
+
+                let mut io_q: std::collections::VecDeque<usize> = Default::default();
+                let mut cp_q: std::collections::VecDeque<usize> = Default::default();
+                for (idx, cmd) in cmds.iter().enumerate() {
+                    if cmd.kind.is_io() {
+                        io_q.push_back(idx);
+                    } else {
+                        cp_q.push_back(idx);
+                    }
+                }
+
+                let mut issue_at: Vec<Option<u64>> = vec![None; cmds.len()];
+                let mut complete_at: Vec<Option<u64>> = vec![None; cmds.len()];
+                let mut refresh = RefreshState::new(&t);
+                let mut breakdown = Breakdown::default();
+                let mut bus_free: u64 = 0;
+                let mut open_row: Option<u32> = None;
+                let mut row_ready: u64 = 0;
+                let mut last_mac_complete: u64 = 0;
+                let mut makespan: u64 = 0;
+                let (mut n_w, mut n_m, mut n_r, mut switches) = (0u64, 0u64, 0u64, 0u64);
+
+                /// Release time of a dependency, or `None` if the producer has not
+                /// issued yet (the consumer must keep waiting).
+                fn release(
+                    dep: Option<Dep>,
+                    issue_at: &[Option<u64>],
+                    complete_at: &[Option<u64>],
+                    t_ccds: u64,
+                ) -> Option<u64> {
+                    match dep {
+                        None => Some(0),
+                        Some(d) => match (issue_at[d.producer], complete_at[d.producer]) {
+                            (Some(i), Some(c)) => Some(match d.rule {
+                                DepRule::Completion => c,
+                                DepRule::IssuePlusCcds => i + t_ccds,
+                            }),
+                            _ => None,
+                        },
+                    }
+                }
+
+                while !io_q.is_empty() || !cp_q.is_empty() {
+                    // Earliest-issue candidate from each queue head: (ready time,
+                    // gbuf release, obuf release). `None` = blocked on an unissued
+                    // producer.
+                    let eval = |idx: usize| -> Option<(u64, u64, u64, u64)> {
+                        let (g_dep, o_dep) = deps[idx];
+                        let g = release(g_dep, &issue_at, &complete_at, t.t_ccds)?;
+                        let o = release(o_dep, &issue_at, &complete_at, t.t_ccds)?;
+                        let mut row = 0;
+                        if let CommandKind::Mac { row: r, .. } = cmds[idx].kind {
+                            if open_row == Some(r) {
+                                row = row_ready;
+                            }
+                        }
+                        Some((bus_free.max(g).max(o).max(row), g, o, row))
+                    };
+
+                    let io_head = io_q.front().and_then(|&i| eval(i).map(|e| (i, e)));
+                    let cp_head = cp_q.front().and_then(|&i| eval(i).map(|e| (i, e)));
+
+                    // Pick the queue whose head is ready first; ties go to compute
+                    // to keep the MAC pipeline fed.
+                    let take_compute = match (io_head, cp_head) {
+                        (None, Some(_)) => true,
+                        (Some(_), None) => false,
+                        (Some((_, (io_t, ..))), Some((_, (cp_t, ..)))) => cp_t <= io_t,
+                        (None, None) => {
+                            unreachable!("deadlock: both queue heads blocked on unissued producers")
+                        }
+                    };
+                    let (idx, (ready, g_rel, o_rel, row_rel)) = if take_compute {
+                        cp_q.pop_front();
+                        cp_head.expect("compute head")
+                    } else {
+                        io_q.pop_front();
+                        io_head.expect("io head")
+                    };
+
+                    let issue = refresh.adjust(ready);
+                    breakdown.refresh += issue - ready;
+
+                    // Attribute stall beyond bus availability to its binding
+                    // constraint.
+                    let stall = ready.saturating_sub(bus_free);
+                    if stall > 0 {
+                        if g_rel >= o_rel && g_rel >= row_rel {
+                            breakdown.dt_gbuf += stall;
+                        } else if o_rel >= row_rel {
+                            breakdown.dt_outreg += stall;
+                        } else {
+                            breakdown.act_pre += stall;
+                        }
+                    }
+
+                    let complete = match cmds[idx].kind {
+                        CommandKind::WrInp { .. } => {
+                            n_w += 1;
+                            issue + t.t_wr_inp
+                        }
+                        CommandKind::Mac { row, .. } => {
+                            n_m += 1;
+                            let complete = if open_row == Some(row) {
+                                issue.max(row_ready) + t.t_mac
+                            } else {
+                                switches += 1;
+                                open_row = Some(row);
+                                // Row opening pipelines behind ongoing reads (bank
+                                // groups prepare the next row while the current one
+                                // streams): back-to-back switches are spaced by the
+                                // row cycle, but a switch after a long MAC run is
+                                // fully hidden.
+                                let new_ready = issue.max(row_ready + t.row_switch());
+                                breakdown.act_pre += new_ready - issue;
+                                row_ready = new_ready;
+                                row_ready + t.t_mac
+                            };
+                            last_mac_complete = last_mac_complete.max(complete);
+                            complete
+                        }
+                        CommandKind::RdOut { .. } => {
+                            n_r += 1;
+                            issue + t.t_rd_out
+                        }
+                    };
+
+                    bus_free = issue + t.t_ccds;
+                    makespan = makespan.max(complete);
+                    issue_at[idx] = Some(issue);
+                    complete_at[idx] = Some(complete);
+                }
+
+                let timings: Vec<CommandTiming> = cmds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, cmd)| CommandTiming {
+                        id: cmd.id,
+                        issue: issue_at[i].expect("scheduled"),
+                        complete: complete_at[i].expect("scheduled"),
+                    })
+                    .collect();
+                breakdown.mac = n_m * t.t_ccds;
+                let attributed = breakdown.total();
+                breakdown.pipeline += makespan.saturating_sub(attributed);
+
+                ExecutionReport {
+                    timings,
+                    cycles: makespan,
+                    breakdown,
+                    mac_count: n_m,
+                    wr_inp_count: n_w,
+                    rd_out_count: n_r,
+                    row_switches: switches,
+                    refresh_events: refresh.events,
+                }
+            }
+        }
+    }
 
     fn dcs() -> DynamicScheduler {
         DynamicScheduler::new(
@@ -543,6 +854,116 @@ mod tests {
         issues.sort_unstable();
         for w in issues.windows(2) {
             assert!(w[1] - w[0] >= t.t_ccds, "bus spacing violated: {:?}", w);
+        }
+    }
+
+    /// SplitMix64: a tiny seeded generator for the random streams.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random legal stream: a WR/MAC/RD mix over a random subset of the
+    /// GBuf and OBuf entries and a few DRAM rows, so that dependencies,
+    /// row hits and ping-pong half hand-offs all occur.
+    fn random_stream(rng: &mut SplitMix, g: &Geometry) -> CommandStream {
+        let len = 1 + rng.below(1500) as u32;
+        let gbuf_used = 1 + rng.below(u64::from(g.gbuf_entries)) as u16;
+        let out_used = 1 + rng.below(u64::from(g.out_entries)) as u16;
+        let rows = 1 + rng.below(6) as u32;
+        // Per-mille weights of WR-INP and RD-OUT; the rest are MACs.
+        let (w_weight, r_weight) = (rng.below(500), rng.below(300));
+        let mut s = CommandStream::with_capacity(len as usize);
+        for _ in 0..len {
+            let pick = rng.below(1000);
+            let kind = if pick < w_weight {
+                CommandKind::WrInp {
+                    gbuf_idx: rng.below(u64::from(gbuf_used)) as u16,
+                    gpr_addr: 0,
+                }
+            } else if pick < w_weight + r_weight {
+                CommandKind::RdOut {
+                    out_idx: rng.below(u64::from(out_used)) as u16,
+                    gpr_addr: 0,
+                }
+            } else {
+                CommandKind::Mac {
+                    gbuf_idx: rng.below(u64::from(gbuf_used)) as u16,
+                    row: rng.below(u64::from(rows)) as u32,
+                    col: rng.below(u64::from(g.row_tiles)) as u16,
+                    out_idx: rng.below(u64::from(out_used)) as u16,
+                }
+            };
+            s.push_next(kind);
+        }
+        s
+    }
+
+    const TRACKINGS: [Tracking; 2] = [Tracking::PerEntry, Tracking::PerHalf];
+
+    #[test]
+    fn matches_oracle_on_random_streams() {
+        let mut rng = SplitMix(0x5EED_2026);
+        // Reports that exercised refresh and each stall attribution.
+        let mut covered = [0u32; 4];
+        for case in 0..120 {
+            // Random constants make release times tie across buffers and
+            // rules (the AiMX ones are all even and mostly equal), and a
+            // short refresh interval lands refresh inside most streams.
+            let refi = 200 + rng.below(2000);
+            let random = Timing {
+                t_ccds: 1 + rng.below(3),
+                t_wr_inp: 1 + rng.below(12),
+                t_mac: 1 + rng.below(12),
+                t_rd_out: 1 + rng.below(12),
+                t_act: rng.below(30),
+                t_pre: rng.below(20),
+                t_refi: refi,
+                t_rfc: 1 + rng.below(refi / 4),
+            };
+            for geom in [Geometry::baseline(), Geometry::pimphony()] {
+                let stream = random_stream(&mut rng, &geom);
+                for timing in [Timing::aimx(), Timing::aimx_no_refresh(), random] {
+                    for tracking in TRACKINGS {
+                        let got = DynamicScheduler::new(timing, geom, tracking).run(&stream);
+                        let want = oracle::Oracle::new(timing, geom, tracking).run(&stream);
+                        assert_eq!(got, want, "case {case} {tracking:?} {timing:?} {geom:?}");
+                        let b = got.breakdown;
+                        for (n, hit) in covered.iter_mut().zip([
+                            got.refresh_events > 0,
+                            b.dt_gbuf > 0,
+                            b.dt_outreg > 0,
+                            b.act_pre > 0,
+                        ]) {
+                            *n += u32::from(hit);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(covered.iter().all(|&n| n >= 10), "coverage {covered:?}");
+    }
+
+    #[test]
+    fn matches_oracle_on_every_calibration_shape() {
+        let timing = Timing::aimx();
+        for (label, geom, stream) in crate::kernels::calibration_streams() {
+            for tracking in TRACKINGS {
+                let got = DynamicScheduler::new(timing, geom, tracking).run(&stream);
+                let want = oracle::Oracle::new(timing, geom, tracking).run(&stream);
+                assert_eq!(got, want, "{tracking:?} {label}");
+            }
         }
     }
 }
