@@ -1,15 +1,20 @@
 //! Criterion benches of the cycle-level simulator itself: command-stream
-//! construction and scheduling throughput per controller, plus the
+//! construction and scheduling throughput per controller, stage-model
+//! prefill pricing, the paged-KV pool under pressure, and the
 //! serving-simulator hot paths (admission sweep and frontier advance)
 //! driven through the public `Cluster` API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
+use pim_mem::{PagePool, RequestId};
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
 use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
 use std::hint::black_box;
-use system::{Cluster, Evaluator, RouterKind, SchedulingPolicy, SystemConfig, Techniques};
+use system::{
+    Cluster, Evaluator, KernelModel, RouterKind, SchedulingPolicy, StageModel, SystemConfig,
+    Techniques,
+};
 use workload::{Dataset, Trace, TraceBuilder};
 
 fn bench_stream_building(c: &mut Criterion) {
@@ -48,6 +53,55 @@ fn bench_schedulers(c: &mut Criterion) {
             |b, &kind| b.iter(|| schedule(black_box(&stream), kind, &timing, &geom)),
         );
     }
+    g.finish();
+}
+
+/// Prefill pricing of one 32K-token prompt in 512-token chunks on a
+/// calibrated stage model (TCP: every chunk prices one slice per
+/// (KV head, channel) pair).
+fn bench_stage(c: &mut Criterion) {
+    let kernels = KernelModel::new(Timing::aimx(), LLM_7B_32K.head_dim);
+    let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
+    let stage = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &kernels);
+    let mut g = c.benchmark_group("stage");
+    g.bench_function("prefill_chunk", |b| {
+        b.iter(|| {
+            (0..64u64)
+                .map(|i| stage.prefill_chunk(0, black_box(i * 512), 512).seconds)
+                .sum::<f64>()
+        })
+    });
+    g.finish();
+}
+
+/// A page pool under pressure from shared-prefix traffic: 8 tenants
+/// with 384-page prompt chains plus private pages, two sequences live at
+/// a time, in a 1,536-page pool — so admissions both hit resident
+/// prefixes and reclaim other tenants' cold chains tail-first.
+fn bench_page_pool(c: &mut Criterion) {
+    let chains: Vec<Vec<u64>> = (0..8u64)
+        .map(|t| (0..384).map(|i| t << 32 | i).collect())
+        .collect();
+    let mut g = c.benchmark_group("serving");
+    g.bench_function("page_pool_admit_release", |b| {
+        b.iter(|| {
+            let mut pool = PagePool::new(1536 * 4096, 4096);
+            let (mut hit, mut reclaimed) = (0, 0);
+            for id in 0..256u64 {
+                let chain = &chains[((id * 7 + id / 5) % 8) as usize];
+                let shared = 128 + (id * 37 % 257) as usize;
+                let a = pool
+                    .admit(RequestId(id), &chain[..shared], 16 + id % 64)
+                    .expect("two sequences fit the pool");
+                hit += a.hit_pages;
+                reclaimed += a.reclaimed_pages;
+                if id >= 1 {
+                    pool.release(RequestId(id - 1)).expect("admitted earlier");
+                }
+            }
+            (hit, reclaimed)
+        })
+    });
     g.finish();
 }
 
@@ -107,6 +161,8 @@ criterion_group!(
     benches,
     bench_stream_building,
     bench_schedulers,
+    bench_stage,
+    bench_page_pool,
     bench_serving_hot_paths
 );
 criterion_main!(benches);

@@ -39,6 +39,91 @@
 use crate::{MemError, RequestId};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// A node's child links. Prompt prefixes form chains, so most nodes
+/// have at most one child: that link is stored inline, and only a true
+/// branch point keeps a map. `Many` always holds two or more entries.
+#[derive(Debug, Clone, Default)]
+enum Children {
+    #[default]
+    None,
+    One(u64, usize),
+    Many(BTreeMap<u64, usize>),
+}
+
+impl Children {
+    fn get(&self, label: u64) -> Option<usize> {
+        match self {
+            Children::None => None,
+            Children::One(l, slot) => (*l == label).then_some(*slot),
+            Children::Many(map) => map.get(&label).copied(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Children::None)
+    }
+
+    /// Links a child under a label the node does not have yet.
+    fn insert(&mut self, label: u64, slot: usize) {
+        match self {
+            Children::None => *self = Children::One(label, slot),
+            Children::One(l, s) => {
+                debug_assert_ne!(*l, label, "child label already linked");
+                *self = Children::Many(BTreeMap::from([(*l, *s), (label, slot)]));
+            }
+            Children::Many(map) => {
+                map.insert(label, slot);
+            }
+        }
+    }
+
+    /// Unlinks the child under `label`; a branch left with one child
+    /// goes back to the inline form.
+    fn remove(&mut self, label: u64) {
+        match self {
+            Children::None => debug_assert!(false, "no child to unlink"),
+            Children::One(l, _) => {
+                debug_assert_eq!(*l, label, "unlinking an unknown child");
+                *self = Children::None;
+            }
+            Children::Many(map) => {
+                map.remove(&label);
+                if map.len() == 1 {
+                    let (&l, &s) = map.first_key_value().expect("one child left");
+                    *self = Children::One(l, s);
+                }
+            }
+        }
+    }
+}
+
+/// A set of labels, stored as 64-bit words keyed by `label >> 6`.
+/// Labels of one prompt chain are usually consecutive, so they share a
+/// handful of words and the map stays ~64× smaller than one entry per
+/// label.
+#[derive(Debug, Clone, Default)]
+struct LabelSet(BTreeMap<u64, u64>);
+
+impl LabelSet {
+    fn insert(&mut self, label: u64) {
+        *self.0.entry(label >> 6).or_insert(0) |= 1 << (label & 63);
+    }
+
+    /// Removes `label`, returning whether it was present.
+    fn remove(&mut self, label: u64) -> bool {
+        let Some(word) = self.0.get_mut(&(label >> 6)) else {
+            return false;
+        };
+        let bit = 1 << (label & 63);
+        let present = *word & bit != 0;
+        *word &= !bit;
+        if *word == 0 {
+            self.0.remove(&(label >> 6));
+        }
+        present
+    }
+}
+
 /// One node of the prefix tree — one shared-prefix page.
 #[derive(Debug, Clone)]
 struct Node {
@@ -48,7 +133,7 @@ struct Node {
     /// conceptual root).
     parent: Option<usize>,
     /// Children keyed by content label.
-    children: BTreeMap<u64, usize>,
+    children: Children,
     /// Live sequences whose prompt maps this page.
     refcount: u64,
     /// Logical timestamp of the last admission that touched this page
@@ -59,8 +144,10 @@ struct Node {
 /// A live sequence's page accounting.
 #[derive(Debug, Clone)]
 struct Seq {
-    /// Prefix-tree nodes on the sequence's path, shallowest first.
-    path: Vec<usize>,
+    /// Deepest prefix-tree node on the sequence's path (`None` without
+    /// a shared prefix). The rest of the path is its parent chain,
+    /// which stays live while the sequence references it.
+    tail: Option<usize>,
     /// Pages owned privately (prompt tail + decode growth), never shared.
     private_pages: u64,
 }
@@ -120,7 +207,7 @@ pub struct PagePool {
     /// Live sequences by request id.
     seqs: BTreeMap<u64, Seq>,
     /// Labels of reclaimed prefix pages, for recompute attribution.
-    evicted_labels: BTreeSet<u64>,
+    evicted_labels: LabelSet,
     /// The reclaimable nodes (refcount 0 and childless) keyed
     /// `(last_use, slot)`: the first entry is the LRU victim.
     reclaimable: BTreeSet<(u64, usize)>,
@@ -146,7 +233,7 @@ impl PagePool {
             free_slots: Vec::new(),
             roots: BTreeMap::new(),
             seqs: BTreeMap::new(),
-            evicted_labels: BTreeSet::new(),
+            evicted_labels: LabelSet::default(),
             reclaimable: BTreeSet::new(),
         }
     }
@@ -185,25 +272,26 @@ impl PagePool {
     /// how many leading pages are resident, and how many of those are
     /// cached (would stop being reclaimable if admitted).
     pub fn lookup(&self, labels: &[u64]) -> PrefixHit {
+        self.walk(labels).0
+    }
+
+    /// [`Self::lookup`], plus the deepest resident node of the prefix.
+    /// Each step follows one child link: inline on a chain, a map
+    /// lookup only at a branch point.
+    fn walk(&self, labels: &[u64]) -> (PrefixHit, Option<usize>) {
         let mut hit = PrefixHit::default();
         let mut cur: Option<usize> = None;
         for &label in labels {
             let next = match cur {
-                None => self.roots.get(&label),
-                Some(i) => self.node(i).children.get(&label),
+                None => self.roots.get(&label).copied(),
+                Some(i) => self.node(i).children.get(label),
             };
-            match next {
-                Some(&n) => {
-                    hit.hit_pages += 1;
-                    if self.node(n).refcount == 0 {
-                        hit.hit_cached_pages += 1;
-                    }
-                    cur = Some(n);
-                }
-                None => break,
-            }
+            let Some(n) = next else { break };
+            hit.hit_pages += 1;
+            hit.hit_cached_pages += u64::from(self.node(n).refcount == 0);
+            cur = Some(n);
         }
-        hit
+        (hit, cur)
     }
 
     /// Admits a sequence: maps the longest resident prefix of `labels`
@@ -225,7 +313,7 @@ impl PagePool {
             return Err(MemError::DuplicateRequest(id));
         }
         // Walk first (read-only) to price the admission atomically.
-        let hit = self.lookup(labels);
+        let (hit, hit_tail) = self.walk(labels);
         let missing = labels.len() as u64 - hit.hit_pages;
         let new_pages = missing + private_pages;
         let available = self.free_pages + self.cached_pages - hit.hit_cached_pages;
@@ -237,14 +325,10 @@ impl PagePool {
         }
         self.tick += 1;
         let tick = self.tick;
-        let mut path = Vec::with_capacity(labels.len());
-        let mut cur: Option<usize> = None;
-        // Re-reference the hit prefix.
-        for &label in &labels[..hit.hit_pages as usize] {
-            let n = match cur {
-                None => self.roots[&label],
-                Some(i) => self.node(i).children[&label],
-            };
+        // Re-reference the hit prefix, deepest page first, up its
+        // parent chain.
+        let mut up = hit_tail;
+        while let Some(n) = up {
             let node = self.slots[n].as_mut().expect("hit node is live");
             if node.refcount == 0 {
                 self.cached_pages -= 1;
@@ -253,24 +337,26 @@ impl PagePool {
             }
             node.refcount += 1;
             node.last_use = tick;
-            path.push(n);
-            cur = Some(n);
+            up = node.parent;
         }
         let mut adm = Admission {
             hit_pages: hit.hit_pages,
             new_pages,
             ..Admission::default()
         };
-        // Allocate and insert the missed prefix pages.
+        // Allocate and insert the missed prefix pages. Each page is
+        // taken before its label is checked, so a label this very
+        // admission reclaims counts as recomputed.
+        let mut cur = hit_tail;
         for &label in &labels[hit.hit_pages as usize..] {
-            self.take_page(&mut adm.reclaimed_pages);
-            if self.evicted_labels.remove(&label) {
+            adm.reclaimed_pages += self.take_pages(1);
+            if self.evicted_labels.remove(label) {
                 adm.recompute_pages += 1;
             }
             let node = Node {
                 label,
                 parent: cur,
-                children: BTreeMap::new(),
+                children: Children::None,
                 refcount: 1,
                 last_use: tick,
             };
@@ -288,27 +374,22 @@ impl PagePool {
                 None => {
                     self.roots.insert(label, slot);
                 }
-                Some(p) => {
-                    self.slots[p]
-                        .as_mut()
-                        .expect("parent is live")
-                        .children
-                        .insert(label, slot);
-                }
+                Some(p) => self.slots[p]
+                    .as_mut()
+                    .expect("parent is live")
+                    .children
+                    .insert(label, slot),
             }
-            self.referenced_pages += 1;
-            path.push(slot);
             cur = Some(slot);
         }
-        // Allocate the private pages.
-        for _ in 0..private_pages {
-            self.take_page(&mut adm.reclaimed_pages);
-            self.referenced_pages += 1;
-        }
+        self.referenced_pages += missing;
+        // Allocate the private pages in one step.
+        adm.reclaimed_pages += self.take_pages(private_pages);
+        self.referenced_pages += private_pages;
         self.seqs.insert(
             id.0,
             Seq {
-                path,
+                tail: cur,
                 private_pages,
             },
         );
@@ -331,19 +412,21 @@ impl PagePool {
             freed_pages: seq.private_pages,
             ..Released::default()
         };
-        for &n in seq.path.iter().rev() {
+        let mut up = seq.tail;
+        while let Some(n) = up {
             let node = self.slots[n].as_mut().expect("path node is live");
             debug_assert!(node.refcount > 0, "page refcount underflow");
             node.refcount -= 1;
             if node.refcount == 0 {
                 rel.newly_cached_pages += 1;
-                self.cached_pages += 1;
-                self.referenced_pages -= 1;
                 if node.children.is_empty() {
                     self.reclaimable.insert((node.last_use, n));
                 }
             }
+            up = node.parent;
         }
+        self.cached_pages += rel.newly_cached_pages;
+        self.referenced_pages -= rel.newly_cached_pages;
         self.free_pages += seq.private_pages;
         self.referenced_pages -= seq.private_pages;
         rel.released_pages = rel.freed_pages + rel.newly_cached_pages;
@@ -351,45 +434,64 @@ impl PagePool {
         Ok(rel)
     }
 
-    /// Consumes one page: from the free list if possible, otherwise by
-    /// reclaiming the LRU cached page (bumping `reclaimed`).
-    fn take_page(&mut self, reclaimed: &mut u64) {
-        if self.free_pages == 0 {
-            self.reclaim_lru();
-            *reclaimed += 1;
+    /// Consumes `n` pages: from the free list as far as it reaches, the
+    /// shortfall by reclaiming LRU cached pages. Returns the number
+    /// reclaimed.
+    fn take_pages(&mut self, n: u64) -> u64 {
+        let shortfall = n.saturating_sub(self.free_pages);
+        if shortfall > 0 {
+            self.reclaim_lru(shortfall);
         }
-        debug_assert!(self.free_pages > 0, "admit feasibility was checked");
-        self.free_pages -= 1;
+        debug_assert!(self.free_pages >= n, "admit feasibility was checked");
+        self.free_pages -= n;
+        shortfall
     }
 
-    /// Reclaims the least-recently-used cached page in O(log n) from
-    /// the reclaimable index. Only childless zero-refcount nodes are
-    /// candidates, so a cold chain is consumed tail (deepest page)
-    /// first; ties break on slot index, keeping reclamation
+    /// Reclaims the `n` least-recently-used cached pages onto the free
+    /// list, in exactly the order `n` successive pops of the
+    /// reclaimable index would take them. Only childless zero-refcount
+    /// nodes are candidates, so a cold chain is consumed tail (deepest
+    /// page) first; ties break on slot index, keeping reclamation
     /// deterministic.
-    fn reclaim_lru(&mut self) {
-        let (_, victim) = self
-            .reclaimable
-            .pop_first()
-            .expect("cached page exists (admit feasibility was checked)");
-        let node = self.slots[victim].take().expect("victim is live");
-        match node.parent {
-            None => {
-                self.roots.remove(&node.label);
-            }
-            Some(p) => {
-                let parent = self.slots[p].as_mut().expect("parent outlives child");
-                parent.children.remove(&node.label);
-                // A cold parent whose last child went becomes a leaf.
-                if parent.refcount == 0 && parent.children.is_empty() {
-                    self.reclaimable.insert((parent.last_use, p));
+    ///
+    /// Reclaiming a chain's tail exposes its parent as a new candidate,
+    /// which is then usually the next victim. While such a parent is
+    /// still below every indexed key it is held outside the index and
+    /// taken directly, saving an insert and a pop per page.
+    fn reclaim_lru(&mut self, n: u64) {
+        let mut held: Option<(u64, usize)> = None;
+        for _ in 0..n {
+            let (_, victim) = held
+                .take()
+                .or_else(|| self.reclaimable.pop_first())
+                .expect("cached page exists (admit feasibility was checked)");
+            let node = self.slots[victim].take().expect("victim is live");
+            match node.parent {
+                None => {
+                    self.roots.remove(&node.label);
+                }
+                Some(p) => {
+                    let parent = self.slots[p].as_mut().expect("parent outlives child");
+                    parent.children.remove(node.label);
+                    // A cold parent whose last child went becomes a leaf.
+                    if parent.refcount == 0 && parent.children.is_empty() {
+                        let key = (parent.last_use, p);
+                        if self.reclaimable.first().map_or(true, |&first| key < first) {
+                            held = Some(key);
+                        } else {
+                            self.reclaimable.insert(key);
+                        }
+                    }
                 }
             }
+            self.free_slots.push(victim);
+            self.evicted_labels.insert(node.label);
         }
-        self.free_slots.push(victim);
-        self.evicted_labels.insert(node.label);
-        self.cached_pages -= 1;
-        self.free_pages += 1;
+        if let Some(key) = held {
+            self.reclaimable.insert(key);
+        }
+        self.cached_pages -= n;
+        self.free_pages += n;
     }
 
     fn node(&self, i: usize) -> &Node {
@@ -624,7 +726,7 @@ mod tests {
                         continue;
                     };
                     let live_before = p.slots.iter().flatten().count();
-                    p.reclaim_lru();
+                    p.reclaim_lru(1);
                     assert!(p.slots[expect].is_none(), "victim differs from the scan");
                     assert_eq!(p.slots.iter().flatten().count(), live_before - 1);
                     explicit_reclaims += 1;
@@ -643,6 +745,23 @@ mod tests {
     }
 
     #[test]
+    fn label_set_tracks_membership_across_words() {
+        let mut set = LabelSet::default();
+        let labels = [0, 1, 63, 64, 1 << 32, (1 << 32) | 63, u64::MAX];
+        for &l in &labels {
+            assert!(!set.remove(l));
+            set.insert(l);
+        }
+        assert_eq!(set.0.len(), 4, "one word per 64-label block");
+        assert!(!set.remove(2), "an absent label in a present word");
+        for &l in labels.iter().rev() {
+            assert!(set.remove(l), "{l}");
+            assert!(!set.remove(l), "{l} removed twice");
+        }
+        assert!(set.0.is_empty(), "emptied words are dropped");
+    }
+
+    #[test]
     fn diverging_prefixes_branch_in_the_tree() {
         let mut p = PagePool::new(16 * 1024, 1024);
         // Two chains sharing the first 2 pages, diverging after.
@@ -658,5 +777,335 @@ mod tests {
         p.release(RequestId(1)).unwrap();
         p.release(RequestId(2)).unwrap();
         assert_eq!(p.cached_pages(), 5);
+    }
+
+    /// The pool as it was before inline child links and batched
+    /// reclaim: `BTreeMap` children, a stored path per sequence, one
+    /// `take_page` per allocated page and one `pop_first` per reclaimed
+    /// page. Kept as the differential oracle for [`PagePool`].
+    mod oracle {
+        use crate::page::{Admission, PrefixHit, Released};
+        use crate::{MemError, RequestId};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        struct Node {
+            label: u64,
+            parent: Option<usize>,
+            children: BTreeMap<u64, usize>,
+            refcount: u64,
+            last_use: u64,
+        }
+
+        pub struct OraclePool {
+            page_bytes: u64,
+            pub free_pages: u64,
+            pub cached_pages: u64,
+            pub referenced_pages: u64,
+            tick: u64,
+            slots: Vec<Option<Node>>,
+            free_slots: Vec<usize>,
+            roots: BTreeMap<u64, usize>,
+            seqs: BTreeMap<u64, (Vec<usize>, u64)>,
+            evicted_labels: BTreeSet<u64>,
+            reclaimable: BTreeSet<(u64, usize)>,
+        }
+
+        impl OraclePool {
+            pub fn new(capacity_bytes: u64, page_bytes: u64) -> Self {
+                OraclePool {
+                    page_bytes,
+                    free_pages: capacity_bytes / page_bytes,
+                    cached_pages: 0,
+                    referenced_pages: 0,
+                    tick: 0,
+                    slots: Vec::new(),
+                    free_slots: Vec::new(),
+                    roots: BTreeMap::new(),
+                    seqs: BTreeMap::new(),
+                    evicted_labels: BTreeSet::new(),
+                    reclaimable: BTreeSet::new(),
+                }
+            }
+
+            fn node(&self, i: usize) -> &Node {
+                self.slots[i].as_ref().unwrap()
+            }
+
+            pub fn lookup(&self, labels: &[u64]) -> PrefixHit {
+                let mut hit = PrefixHit::default();
+                let mut cur: Option<usize> = None;
+                for &label in labels {
+                    let next = match cur {
+                        None => self.roots.get(&label),
+                        Some(i) => self.node(i).children.get(&label),
+                    };
+                    match next {
+                        Some(&n) => {
+                            hit.hit_pages += 1;
+                            if self.node(n).refcount == 0 {
+                                hit.hit_cached_pages += 1;
+                            }
+                            cur = Some(n);
+                        }
+                        None => break,
+                    }
+                }
+                hit
+            }
+
+            pub fn admit(
+                &mut self,
+                id: RequestId,
+                labels: &[u64],
+                private_pages: u64,
+            ) -> Result<Admission, MemError> {
+                if self.seqs.contains_key(&id.0) {
+                    return Err(MemError::DuplicateRequest(id));
+                }
+                let hit = self.lookup(labels);
+                let missing = labels.len() as u64 - hit.hit_pages;
+                let new_pages = missing + private_pages;
+                let available = self.free_pages + self.cached_pages - hit.hit_cached_pages;
+                if new_pages > available {
+                    return Err(MemError::OutOfMemory {
+                        requested: new_pages * self.page_bytes,
+                        available: available * self.page_bytes,
+                    });
+                }
+                self.tick += 1;
+                let tick = self.tick;
+                let mut path = Vec::new();
+                let mut cur: Option<usize> = None;
+                for &label in &labels[..hit.hit_pages as usize] {
+                    let n = match cur {
+                        None => self.roots[&label],
+                        Some(i) => self.node(i).children[&label],
+                    };
+                    let node = self.slots[n].as_mut().unwrap();
+                    if node.refcount == 0 {
+                        self.cached_pages -= 1;
+                        self.referenced_pages += 1;
+                        self.reclaimable.remove(&(node.last_use, n));
+                    }
+                    node.refcount += 1;
+                    node.last_use = tick;
+                    path.push(n);
+                    cur = Some(n);
+                }
+                let mut adm = Admission {
+                    hit_pages: hit.hit_pages,
+                    new_pages,
+                    ..Admission::default()
+                };
+                for &label in &labels[hit.hit_pages as usize..] {
+                    self.take_page(&mut adm.reclaimed_pages);
+                    if self.evicted_labels.remove(&label) {
+                        adm.recompute_pages += 1;
+                    }
+                    let node = Node {
+                        label,
+                        parent: cur,
+                        children: BTreeMap::new(),
+                        refcount: 1,
+                        last_use: tick,
+                    };
+                    let slot = match self.free_slots.pop() {
+                        Some(s) => {
+                            self.slots[s] = Some(node);
+                            s
+                        }
+                        None => {
+                            self.slots.push(Some(node));
+                            self.slots.len() - 1
+                        }
+                    };
+                    match cur {
+                        None => {
+                            self.roots.insert(label, slot);
+                        }
+                        Some(p) => {
+                            self.slots[p].as_mut().unwrap().children.insert(label, slot);
+                        }
+                    }
+                    self.referenced_pages += 1;
+                    path.push(slot);
+                    cur = Some(slot);
+                }
+                for _ in 0..private_pages {
+                    self.take_page(&mut adm.reclaimed_pages);
+                    self.referenced_pages += 1;
+                }
+                self.seqs.insert(id.0, (path, private_pages));
+                Ok(adm)
+            }
+
+            pub fn release(&mut self, id: RequestId) -> Result<Released, MemError> {
+                let (path, private_pages) = self
+                    .seqs
+                    .remove(&id.0)
+                    .ok_or(MemError::UnknownRequest(id))?;
+                let mut rel = Released {
+                    freed_pages: private_pages,
+                    ..Released::default()
+                };
+                for &n in path.iter().rev() {
+                    let node = self.slots[n].as_mut().unwrap();
+                    node.refcount -= 1;
+                    if node.refcount == 0 {
+                        rel.newly_cached_pages += 1;
+                        self.cached_pages += 1;
+                        self.referenced_pages -= 1;
+                        if node.children.is_empty() {
+                            self.reclaimable.insert((node.last_use, n));
+                        }
+                    }
+                }
+                self.free_pages += private_pages;
+                self.referenced_pages -= private_pages;
+                rel.released_pages = rel.freed_pages + rel.newly_cached_pages;
+                Ok(rel)
+            }
+
+            fn take_page(&mut self, reclaimed: &mut u64) {
+                if self.free_pages == 0 {
+                    self.reclaim_lru();
+                    *reclaimed += 1;
+                }
+                self.free_pages -= 1;
+            }
+
+            fn reclaim_lru(&mut self) {
+                let (_, victim) = self.reclaimable.pop_first().unwrap();
+                let node = self.slots[victim].take().unwrap();
+                match node.parent {
+                    None => {
+                        self.roots.remove(&node.label);
+                    }
+                    Some(p) => {
+                        let parent = self.slots[p].as_mut().unwrap();
+                        parent.children.remove(&node.label);
+                        if parent.refcount == 0 && parent.children.is_empty() {
+                            self.reclaimable.insert((parent.last_use, p));
+                        }
+                    }
+                }
+                self.free_slots.push(victim);
+                self.evicted_labels.insert(node.label);
+                self.cached_pages -= 1;
+                self.free_pages += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_oracle_pool_on_random_sequences() {
+        // Seeded random admits, releases and lookups, run side by side
+        // on the pool and the oracle. Label sets are tenant stems with
+        // branches at two depths, so the tree has both chains and
+        // branch points; pools are small enough that most admissions
+        // reclaim, and chains are long enough that one admission
+        // reclaims many pages in a row. Every result and every page
+        // count must match after every operation, and a probe walk of
+        // every label set the workload can draw must hit identically —
+        // which pins the set of resident pages, so any change in the
+        // victim order shows.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // (pool pages, tenants, max stem, max branch, max private)
+        let configs = [
+            (24u64, 4u64, 8u64, 4u64, 4u64),
+            (64, 3, 40, 8, 6),
+            (200, 2, 120, 30, 16),
+        ];
+        let (mut reclaimed, mut multi_reclaims, mut recomputed, mut rejected) = (0, 0, 0, 0);
+        let mut max_branches = 0;
+        for &(pages, tenants, max_stem, max_branch, max_private) in &configs {
+            // Label set: stem of tenant `g`, then an optional branch
+            // `v` (1..=3) forking at stem page `fork`.
+            let set = |g: u64, stem: u64, v: u64, fork: u64, branch: u64| {
+                let mut l = labels(g, stem.min(fork));
+                l.extend((0..branch).map(|i| (g << 32) | (v << 24) | (fork << 16) | i));
+                l
+            };
+            let mut probes = Vec::new();
+            for g in 0..tenants {
+                probes.push(labels(g, max_stem));
+                for v in 1..=3 {
+                    for fork in [max_stem / 2, max_stem] {
+                        probes.push(set(g, max_stem, v, fork, max_branch));
+                    }
+                }
+            }
+            let mut p = PagePool::new(pages * 1024, 1024);
+            let mut o = oracle::OraclePool::new(pages * 1024, 1024);
+            let mut live: Vec<u64> = Vec::new();
+            for id in 0..3000u64 {
+                match draw(20) {
+                    0..=9 => {
+                        let g = draw(tenants);
+                        let stem = 1 + draw(max_stem);
+                        let l = match draw(3) {
+                            0 => labels(g, stem),
+                            v => {
+                                let fork = [max_stem / 2, max_stem][draw(2) as usize];
+                                set(g, stem, v, fork, draw(max_branch + 1))
+                            }
+                        };
+                        let private = draw(max_private + 1);
+                        let got = p.admit(RequestId(id), &l, private);
+                        assert_eq!(got, o.admit(RequestId(id), &l, private), "admit {id}");
+                        match got {
+                            Ok(a) => {
+                                reclaimed += a.reclaimed_pages;
+                                multi_reclaims += u64::from(a.reclaimed_pages > 1);
+                                recomputed += a.recompute_pages;
+                                live.push(id);
+                            }
+                            Err(_) => rejected += 1,
+                        }
+                    }
+                    10..=16 if !live.is_empty() => {
+                        let id = live.swap_remove(draw(live.len() as u64) as usize);
+                        assert_eq!(
+                            p.release(RequestId(id)),
+                            o.release(RequestId(id)),
+                            "release {id}"
+                        );
+                    }
+                    _ => {
+                        let l = &probes[draw(probes.len() as u64) as usize];
+                        assert_eq!(p.lookup(l), o.lookup(l), "lookup at {id}");
+                    }
+                }
+                assert_eq!(
+                    (p.free_pages(), p.cached_pages(), p.referenced_pages()),
+                    (o.free_pages, o.cached_pages, o.referenced_pages),
+                    "page counts after op {id}"
+                );
+                for l in &probes {
+                    assert_eq!(p.lookup(l), o.lookup(l), "probe after op {id}");
+                }
+                let branches = p
+                    .slots
+                    .iter()
+                    .flatten()
+                    .filter(|n| matches!(n.children, Children::Many(_)))
+                    .count();
+                max_branches = max_branches.max(branches);
+            }
+        }
+        assert!(reclaimed > 10_000, "reclaimed pages: {reclaimed}");
+        assert!(
+            multi_reclaims > 1000,
+            "multi-page reclaims: {multi_reclaims}"
+        );
+        assert!(recomputed > 10_000, "recomputed pages: {recomputed}");
+        assert!(rejected > 500, "rejected admissions: {rejected}");
+        assert!(max_branches >= 4, "branch points: {max_branches}");
     }
 }

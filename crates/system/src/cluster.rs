@@ -892,8 +892,13 @@ fn merge_pools(
         0.0
     };
     report.latency = LatencyReport::from_timings(&timings);
-    report.latency_by_priority = LatencyReport::by_priority(&timings);
-    report.latency_by_tenant = LatencyReport::by_tenant(&timings, eval0.tenant_slos());
+    report.latency_by_priority =
+        LatencyReport::by_priority_with_aggregate(&timings, Some(&report.latency));
+    report.latency_by_tenant = LatencyReport::by_tenant_with_aggregate(
+        &timings,
+        eval0.tenant_slos(),
+        Some(&report.latency),
+    );
     report.per_replica = per_replica;
     // The per-pool view exists only when the pool structure is
     // observable; a single mixed pool stays byte-identical with the

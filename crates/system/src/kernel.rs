@@ -117,6 +117,22 @@ impl AttentionEval {
         }
         KernelStats::axpy(&self.affine.intercept, &self.affine.slope, tokens as f64)
     }
+
+    /// Statistics summed over a causal prefill chunk — bit-identical to
+    /// [`KernelModel::attention_prefill`] with the configuration this
+    /// evaluator was resolved for.
+    pub fn prefill(&self, done: u64, chunk: u64) -> KernelStats {
+        if chunk == 0 {
+            return KernelStats::default();
+        }
+        let c = chunk as f64;
+        let token_sum = c * done as f64 + c * (c + 1.0) / 2.0;
+        KernelStats::axpy(
+            &self.affine.intercept.scaled(c),
+            &self.affine.slope,
+            token_sum,
+        )
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -272,20 +288,8 @@ impl KernelModel {
         done: u64,
         chunk: u64,
     ) -> KernelStats {
-        if chunk == 0 {
-            return KernelStats::default();
-        }
-        let key = AttnKey {
-            kind,
-            scheduler,
-            group,
-            row_reuse,
-            pimphony_buffers,
-        };
-        let a = self.affine(key);
-        let c = chunk as f64;
-        let token_sum = c * done as f64 + c * (c + 1.0) / 2.0;
-        KernelStats::axpy(&a.intercept.scaled(c), &a.slope, token_sum)
+        self.attention_eval(kind, scheduler, pimphony_buffers, group, row_reuse)
+            .prefill(done, chunk)
     }
 
     /// Statistics of one dense GEMV on one channel (exact, memoized).
@@ -379,6 +383,56 @@ mod tests {
                     tokens,
                 );
                 assert_eq!(eval.stats(tokens), direct, "tokens {tokens}");
+            }
+        }
+    }
+
+    #[test]
+    fn attention_eval_prefill_is_bit_exact_with_attention_prefill() {
+        // Both must reproduce, bit for bit, the closed form priced
+        // straight from the memoized affine fit.
+        let m = model();
+        // `==` treats 0.0 and -0.0 alike; compare bits.
+        let bits = |s: KernelStats| {
+            [s.cycles, s.mac_busy, s.macs, s.ios, s.row_switches].map(f64::to_bits)
+        };
+        for kind in [AttentionKind::Qkt, AttentionKind::Sv] {
+            for (scheduler, pimphony_buffers, group, row_reuse) in [
+                (SchedulerKind::Static, false, 1, false),
+                (SchedulerKind::Dcs, true, 4, true),
+            ] {
+                let a = m.affine(AttnKey {
+                    kind,
+                    scheduler,
+                    group,
+                    row_reuse,
+                    pimphony_buffers,
+                });
+                let eval = m.attention_eval(kind, scheduler, pimphony_buffers, group, row_reuse);
+                for done in [0u64, 1, 17, 4095, 100_000] {
+                    for chunk in [0u64, 1, 2, 7, 512, 4096] {
+                        let closed = if chunk == 0 {
+                            KernelStats::default()
+                        } else {
+                            let c = chunk as f64;
+                            let token_sum = c * done as f64 + c * (c + 1.0) / 2.0;
+                            KernelStats::axpy(&a.intercept.scaled(c), &a.slope, token_sum)
+                        };
+                        let what = format!("{kind:?} done {done} chunk {chunk}");
+                        let got = eval.prefill(done, chunk);
+                        assert_eq!(bits(got), bits(closed), "{what}");
+                        let direct = m.attention_prefill(
+                            kind,
+                            scheduler,
+                            pimphony_buffers,
+                            group,
+                            row_reuse,
+                            done,
+                            chunk,
+                        );
+                        assert_eq!(bits(direct), bits(closed), "{what}");
+                    }
+                }
             }
         }
     }

@@ -127,8 +127,10 @@ impl LatencySummary {
         // total_cmp, not partial_cmp: floats are not totally ordered, and
         // a NaN must not be able to panic (or reorder) the percentile
         // pipeline — under total_cmp a stray NaN sorts last,
-        // deterministically (the float-key simlint rule).
-        sorted.sort_by(f64::total_cmp);
+        // deterministically (the float-key simlint rule). Samples equal
+        // under total_cmp are bit-identical, so an unstable sort yields
+        // the same sequence as a stable one.
+        sorted.sort_unstable_by(f64::total_cmp);
         let pick = |q: f64| {
             // Nearest-rank percentile (smallest rank k with k/n >= q):
             // monotone in q by construction. The epsilon pins the exact
@@ -283,23 +285,41 @@ impl LatencyReport {
     /// single-class trace yields one entry identical to the aggregate
     /// report.
     pub fn by_priority(timings: &[RequestTiming]) -> Vec<PriorityLatency> {
+        Self::by_priority_with_aggregate(timings, None)
+    }
+
+    /// [`Self::by_priority`], given the aggregate report over `timings`
+    /// if the caller has it: a single class reuses it instead of
+    /// summarizing the same samples again.
+    pub(crate) fn by_priority_with_aggregate(
+        timings: &[RequestTiming],
+        aggregate: Option<&LatencyReport>,
+    ) -> Vec<PriorityLatency> {
         let mut classes: Vec<u8> = timings.iter().map(|t| t.priority).collect();
         classes.sort_unstable_by(|a, b| b.cmp(a));
         classes.dedup();
+        let single = classes.len() == 1;
         classes
             .into_iter()
-            .map(|priority| {
-                let class: Vec<RequestTiming> = timings
-                    .iter()
-                    .filter(|t| t.priority == priority)
-                    .copied()
-                    .collect();
-                PriorityLatency {
-                    priority,
-                    latency: LatencyReport::from_timings(&class),
-                }
+            .map(|priority| PriorityLatency {
+                priority,
+                latency: if single {
+                    Self::whole(timings, aggregate)
+                } else {
+                    let class: Vec<RequestTiming> = timings
+                        .iter()
+                        .filter(|t| t.priority == priority)
+                        .copied()
+                        .collect();
+                    LatencyReport::from_timings(&class)
+                },
             })
             .collect()
+    }
+
+    /// The report over all of `timings`: `aggregate` when given.
+    fn whole(timings: &[RequestTiming], aggregate: Option<&LatencyReport>) -> LatencyReport {
+        aggregate.map_or_else(|| Self::from_timings(timings), Clone::clone)
     }
 
     /// Splits the timings into one [`TenantLatency`] per tenant id
@@ -309,17 +329,35 @@ impl LatencyReport {
     /// met its target. A single-tenant trace yields one entry whose
     /// latency mirrors the aggregate report.
     pub fn by_tenant(timings: &[RequestTiming], slos: &[(u8, f64)]) -> Vec<TenantLatency> {
+        Self::by_tenant_with_aggregate(timings, slos, None)
+    }
+
+    /// [`Self::by_tenant`], given the aggregate report over `timings`
+    /// if the caller has it: a single tenant reuses it instead of
+    /// summarizing the same samples again.
+    pub(crate) fn by_tenant_with_aggregate(
+        timings: &[RequestTiming],
+        slos: &[(u8, f64)],
+        aggregate: Option<&LatencyReport>,
+    ) -> Vec<TenantLatency> {
         let mut tenants: Vec<u8> = timings.iter().map(|t| t.tenant).collect();
         tenants.sort_unstable();
         tenants.dedup();
+        let single = tenants.len() == 1;
         tenants
             .into_iter()
             .map(|tenant| {
-                let class: Vec<RequestTiming> = timings
-                    .iter()
-                    .filter(|t| t.tenant == tenant)
-                    .copied()
-                    .collect();
+                let filtered: Vec<RequestTiming>;
+                let class = if single {
+                    timings
+                } else {
+                    filtered = timings
+                        .iter()
+                        .filter(|t| t.tenant == tenant)
+                        .copied()
+                        .collect();
+                    &filtered
+                };
                 let slo_ttft = slos
                     .iter()
                     .find(|(t, _)| *t == tenant)
@@ -328,7 +366,11 @@ impl LatencyReport {
                 let met = class.iter().filter(|t| t.ttft() <= slo_ttft).count();
                 TenantLatency {
                     tenant,
-                    latency: LatencyReport::from_timings(&class),
+                    latency: if single {
+                        Self::whole(timings, aggregate)
+                    } else {
+                        LatencyReport::from_timings(class)
+                    },
                     tokens: class.iter().map(|t| t.decode_len).sum(),
                     goodput_tokens: class
                         .iter()
@@ -632,6 +674,46 @@ mod tests {
         assert!((tenant_goodput_fairness(&even) - 1.0).abs() < 1e-12);
         let skewed = LatencyReport::by_tenant(&[mk(0, 1.0, 8), mk(1, 1.0, 0)], &[]);
         assert!((tenant_goodput_fairness(&skewed) - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn single_class_splits_reuse_the_aggregate() {
+        let mk = |priority: u8, tenant: u8, first: f64| RequestTiming {
+            priority,
+            tenant,
+            ..timing(0.0, 0.5, first, first + 1.0, 4)
+        };
+        let slos = [(3, 11.0)];
+        let single = [mk(1, 3, 10.0), mk(1, 3, 12.0), mk(1, 3, 10.0)];
+        let aggregate = LatencyReport::from_timings(&single);
+        // Summarizing the class again and reusing the aggregate agree.
+        let by_priority = LatencyReport::by_priority(&single);
+        assert_eq!(by_priority.len(), 1);
+        assert_eq!(by_priority[0].latency, aggregate);
+        assert_eq!(
+            LatencyReport::by_priority_with_aggregate(&single, Some(&aggregate)),
+            by_priority
+        );
+        let by_tenant = LatencyReport::by_tenant(&single, &slos);
+        assert_eq!(by_tenant.len(), 1);
+        assert_eq!(by_tenant[0].latency, aggregate);
+        assert_eq!(by_tenant[0].tokens, 12);
+        assert_eq!(by_tenant[0].goodput_tokens, 8);
+        assert_eq!(
+            LatencyReport::by_tenant_with_aggregate(&single, &slos, Some(&aggregate)),
+            by_tenant
+        );
+        // Several classes never use the aggregate.
+        let mixed = [mk(0, 3, 10.0), mk(1, 4, 12.0), mk(1, 3, 11.0)];
+        let whole = LatencyReport::from_timings(&mixed);
+        assert_eq!(
+            LatencyReport::by_priority_with_aggregate(&mixed, Some(&whole)),
+            LatencyReport::by_priority(&mixed)
+        );
+        assert_eq!(
+            LatencyReport::by_tenant_with_aggregate(&mixed, &slos, Some(&whole)),
+            LatencyReport::by_tenant(&mixed, &slos)
+        );
     }
 
     #[test]

@@ -56,7 +56,8 @@ use crate::policy::{
 };
 use crate::serve::{Evaluator, KvTransferModel, TtftPredictor};
 use crate::stage::{IterationBreakdown, StageModel};
-use pim_mem::{PagePool, RequestId};
+use pim_mem::{PagePool, PrefixHit, RequestId};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use workload::Request;
@@ -490,6 +491,39 @@ struct PagedKv {
     /// the request is re-admitted, the shortfall must be recomputed —
     /// and is billed back to `wasted_prefill_tokens` at re-admission.
     discounted: BTreeMap<u64, u64>,
+    /// Shared-prefix page labels, extended as requests are enqueued.
+    labels: TenantLabels,
+    /// The last prefix lookup, `(tenant, shared pages, hit)`, cleared
+    /// whenever the pool changes. The admission sweep and the chunk
+    /// cut ask about the same queue front many times between pool
+    /// changes; this answers the repeats without walking the tree.
+    last_lookup: Cell<Option<(u8, u64, PrefixHit)>>,
+}
+
+/// Content labels of shared-prefix pages. Requests of one tenant share
+/// one system prompt, so `(tenant, page index)` identifies a page's
+/// content, labelled `tenant << 32 | index`. Each tenant's run is built
+/// once, as far as its longest shared prefix seen so far, and every
+/// lookup or admission borrows a slice of it.
+#[derive(Debug, Default)]
+struct TenantLabels(Vec<Vec<u64>>);
+
+impl TenantLabels {
+    /// Extends `tenant`'s run to at least `pages` labels.
+    fn cover(&mut self, tenant: u8, pages: u64) {
+        let t = usize::from(tenant);
+        if self.0.len() <= t {
+            self.0.resize_with(t + 1, Vec::new);
+        }
+        let run = &mut self.0[t];
+        let high = u64::from(tenant) << 32;
+        run.extend((run.len() as u64..pages).map(|i| high | i));
+    }
+
+    /// The first `pages` labels of `tenant` (covered at enqueue).
+    fn get(&self, tenant: u8, pages: u64) -> &[u64] {
+        &self.0[usize::from(tenant)][..pages as usize]
+    }
 }
 
 impl PagedKv {
@@ -505,12 +539,25 @@ impl PagedKv {
         self.shared_pages(r) * self.page_tokens
     }
 
-    /// Content labels of `r`'s shared-prefix pages: requests of one
-    /// tenant share one system prompt, so `(tenant, page index)`
-    /// identifies the page content.
-    fn labels_for(&self, r: &Request) -> Vec<u64> {
-        let tenant = u64::from(r.tenant) << 32;
-        (0..self.shared_pages(r)).map(|i| tenant | i).collect()
+    /// How much of `r`'s shared prefix is resident ([`PagePool::lookup`]).
+    fn lookup(&self, r: &Request) -> PrefixHit {
+        let pages = self.shared_pages(r);
+        if let Some((tenant, n, hit)) = self.last_lookup.get() {
+            if tenant == r.tenant && n == pages {
+                debug_assert_eq!(hit, self.pool.lookup(self.labels.get(r.tenant, pages)));
+                return hit;
+            }
+        }
+        let hit = self.pool.lookup(self.labels.get(r.tenant, pages));
+        self.last_lookup.set(Some((r.tenant, pages, hit)));
+        hit
+    }
+
+    /// Makes [`TenantLabels::get`] cover `r`: every request passes here
+    /// on its way into the pending queue.
+    fn cover_labels(&mut self, r: &Request) {
+        let pages = self.shared_pages(r);
+        self.labels.cover(r.tenant, pages);
     }
 
     /// Page-rounded footprint of a `len`-token reservation
@@ -567,10 +614,55 @@ impl Active {
     }
 }
 
+/// Recently priced prefill chunks, by `(done, chunk)`.
+///
+/// A chunk's price depends on those two numbers alone (the request id
+/// only names the single request being partitioned), and the requests
+/// of one tenant prefill the same offsets again and again. The table
+/// is direct-mapped over a fixed number of slots, allocated at the
+/// first prefill chunk, so it never grows; a collision only costs a
+/// re-price. A hit returns the stored breakdown, the same value pricing
+/// again would return.
+#[derive(Debug, Default)]
+struct PrefillPrices(Vec<Option<(u64, u64, IterationBreakdown)>>);
+
+impl PrefillPrices {
+    /// log2 of the slot count (1,024 slots of 160 bytes).
+    const SLOT_BITS: u32 = 10;
+
+    /// `stage.prefill_chunk(req_id, done, chunk)`, from the table when
+    /// it holds that chunk.
+    fn price(
+        &mut self,
+        stage: &StageModel,
+        req_id: u64,
+        done: u64,
+        chunk: u64,
+    ) -> IterationBreakdown {
+        if self.0.is_empty() {
+            self.0 = vec![None; 1 << Self::SLOT_BITS];
+        }
+        let hash = (done ^ chunk.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let slot = &mut self.0[(hash >> (64 - Self::SLOT_BITS)) as usize];
+        match *slot {
+            Some((d, c, price)) if d == done && c == chunk => {
+                debug_assert_eq!(price, stage.prefill_chunk(req_id, done, chunk));
+                price
+            }
+            _ => {
+                let price = stage.prefill_chunk(req_id, done, chunk);
+                *slot = Some((done, chunk, price));
+                price
+            }
+        }
+    }
+}
+
 /// Per-replica serving state machine (see the module docs).
 pub(crate) struct ReplicaSim<'a> {
     eval: &'a Evaluator,
     stage: StageModel<'a>,
+    prefill_prices: PrefillPrices,
     policy: SchedulingPolicy,
     preempt: PreemptionPolicy,
     prefill: PrefillConfig,
@@ -651,6 +743,8 @@ impl<'a> ReplicaSim<'a> {
                 page_tokens: eval.page_tokens(),
                 page_bytes: paged_cfg.page_bytes,
                 discounted: BTreeMap::new(),
+                labels: TenantLabels::default(),
+                last_lookup: Cell::new(None),
             });
         let shedding = if policy == SchedulingPolicy::Continuous {
             eval.shedding_policy()
@@ -668,6 +762,7 @@ impl<'a> ReplicaSim<'a> {
         ReplicaSim {
             eval,
             stage: eval.stage_model(),
+            prefill_prices: PrefillPrices::default(),
             policy,
             preempt: eval.preemption_policy(),
             prefill: eval.prefill_config(),
@@ -751,7 +846,7 @@ impl<'a> ReplicaSim<'a> {
     fn admission_need(&self, r: &Request) -> u64 {
         match &self.paged {
             Some(p) => {
-                let hit = p.pool.lookup(&p.labels_for(r));
+                let hit = p.lookup(r);
                 (p.footprint_pages(self.reservation_len(r)) - hit.hit_pages + hit.hit_cached_pages)
                     * p.page_bytes
             }
@@ -787,10 +882,11 @@ impl<'a> ReplicaSim<'a> {
             self.admitter.reserve_bytes(need);
             return (0, need);
         };
-        let labels = p.labels_for(r);
+        let labels = p.labels.get(r.tenant, p.shared_pages(r));
         let private = p.footprint_pages(r_len) - labels.len() as u64;
         let before = p.pool.referenced_pages();
-        let adm = match p.pool.admit(RequestId(r.id), &labels, private) {
+        p.last_lookup.set(None);
+        let adm = match p.pool.admit(RequestId(r.id), labels, private) {
             Ok(a) => a,
             Err(_) => {
                 // Mirror the admitter's empty-batch guarantee (a first
@@ -848,6 +944,7 @@ impl<'a> ReplicaSim<'a> {
         let r_len = self.reservation_len(r);
         match &mut self.paged {
             Some(p) => {
+                p.last_lookup.set(None);
                 let rel = p
                     .pool
                     .release(RequestId(r.id))
@@ -868,6 +965,9 @@ impl<'a> ReplicaSim<'a> {
     /// replica's clock (the cluster routes arrivals in global order and
     /// only advances replicas up to the routing frontier).
     pub(crate) fn enqueue(&mut self, r: Request) {
+        if let Some(p) = &mut self.paged {
+            p.cover_labels(&r);
+        }
         self.pending_reserved = self
             .pending_reserved
             .saturating_add(self.queue_reservation(&r));
@@ -889,6 +989,9 @@ impl<'a> ReplicaSim<'a> {
             self.role.accepts_handoff(),
             "handoffs may only target decode pools"
         );
+        if let Some(p) = &mut self.paged {
+            p.cover_labels(&h.req);
+        }
         self.pending_reserved = self
             .pending_reserved
             .saturating_add(self.queue_reservation(&h.req));
@@ -1075,7 +1178,7 @@ impl<'a> ReplicaSim<'a> {
                     let mut done = 0u64;
                     while done < r.context_len {
                         let c = self.prefill.chunk_tokens.min(r.context_len - done);
-                        let pre = self.stage.prefill_chunk(r.id, done, c);
+                        let pre = self.prefill_prices.price(&self.stage, r.id, done, c);
                         self.events.push(SimEvent::Prefill {
                             pre,
                             chunk: c,
@@ -1695,7 +1798,9 @@ impl<'a> ReplicaSim<'a> {
                     .prefill
                     .chunk_tokens
                     .min(a.prefill_target - a.prefilled);
-                let pre = self.stage.prefill_chunk(a.req.id, a.prefilled, pchunk);
+                let pre = self
+                    .prefill_prices
+                    .price(&self.stage, a.req.id, a.prefilled, pchunk);
                 let mut batch = std::mem::take(&mut self.batch_buf);
                 batch.clear();
                 batch.extend(
@@ -2072,5 +2177,87 @@ mod tests {
             })
             .collect();
         assert_eq!(admits, vec![(pt, 3 * pt)]);
+    }
+
+    #[test]
+    fn prefill_prices_equal_fresh_pricing() {
+        // More chunk sizes per offset, and more offsets per chunk size,
+        // than slots: chunks that share an offset or a size also share
+        // slots, so hits, misses and collisions all occur, and every
+        // answer must equal pricing the chunk afresh.
+        use crate::config::{SystemConfig, Techniques};
+        use llm_model::LLM_7B_32K;
+
+        let eval = Evaluator::new(
+            SystemConfig::cent_for(&LLM_7B_32K),
+            LLM_7B_32K,
+            Techniques::pimphony(),
+        );
+        let stage = eval.stage_model();
+        let mut prices = PrefillPrices::default();
+        let chunks: Vec<(u64, u64)> = [0u64, 500, 4096]
+            .into_iter()
+            .flat_map(|d| (1..=1500u64).map(move |c| (d, c)))
+            .chain((0..1500u64).map(|k| (16 * k, 512)))
+            .collect();
+        const _: () = assert!(1500 > 1 << PrefillPrices::SLOT_BITS);
+        for round in 0..2 {
+            for (i, &(done, chunk)) in chunks.iter().enumerate() {
+                assert_eq!(
+                    prices.price(&stage, i as u64, done, chunk),
+                    stage.prefill_chunk(i as u64, done, chunk),
+                    "round {round}: done {done} chunk {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn admission_need_follows_pool_changes() {
+        // The cached prefix lookup must be dropped whenever the pool
+        // changes: a sharer's admission makes the prefix resident
+        // (need falls), its release leaves the pages cached (need
+        // rises again, as re-referencing cached pages costs them).
+        use crate::config::{SystemConfig, Techniques};
+        use crate::PagedKvConfig;
+        use llm_model::LLM_7B_32K;
+
+        let eval = Evaluator::new(
+            SystemConfig::cent_for(&LLM_7B_32K),
+            LLM_7B_32K,
+            Techniques::pimphony(),
+        )
+        .with_prefix_caching(PagedKvConfig::DEFAULT_PAGE_BYTES);
+        let pt = eval.page_tokens();
+        let shared = |id: u64| Request {
+            id,
+            context_len: 6 * pt,
+            decode_len: pt,
+            arrival_us: 0,
+            priority: 0,
+            tenant: 3,
+            shared_prefix: 4 * pt,
+        };
+        let (a, b) = (shared(0), shared(1));
+        let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, 7 * pt);
+        sim.enqueue(a);
+        sim.enqueue(b);
+        let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
+        let fresh = |sim: &ReplicaSim| {
+            let p = sim.paged.as_ref().expect("paged KV is on");
+            let hit = p.pool.lookup(p.labels.get(b.tenant, p.shared_pages(&b)));
+            (7 - hit.hit_pages + hit.hit_cached_pages) * page_bytes
+        };
+        let cold = sim.admission_need(&b);
+        assert_eq!(cold, 7 * page_bytes);
+        assert_eq!(sim.admission_need(&b), cold, "a repeat answers the same");
+        sim.admit_memory(&a);
+        let resident = sim.admission_need(&b);
+        assert_eq!(resident, fresh(&sim));
+        assert_eq!(resident, 3 * page_bytes, "the 4 shared pages are resident");
+        sim.release_memory(&a);
+        let cached = sim.admission_need(&b);
+        assert_eq!(cached, fresh(&sim));
+        assert_eq!(cached, cold, "re-referencing cached pages costs them");
     }
 }

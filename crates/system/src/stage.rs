@@ -8,12 +8,13 @@
 //! depth — the CENT collapse of paper Fig. 17(b)).
 
 use crate::config::{SystemConfig, SystemKind, Techniques};
-use crate::kernel::{AttentionKind, KernelModel, KernelStats};
+use crate::kernel::{AttentionEval, AttentionKind, KernelModel, KernelStats};
 use llm_model::ModelConfig;
 use pim_compiler::{ModulePartition, Partitioning};
 use pim_sim::epu::EpuConfig;
 use pim_sim::SchedulerKind;
 use serde::Serialize;
+use std::cell::OnceCell;
 
 /// Latency and activity of one attention stage execution on one module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
@@ -58,6 +59,22 @@ pub struct StageModel<'a> {
     model: ModelConfig,
     techniques: Techniques,
     kernels: &'a KernelModel,
+    /// The kernel costs every pricing call uses, looked up in the
+    /// shared memo once, at the first pricing call (so a fresh
+    /// evaluator's calibration still happens inside its first priced
+    /// step).
+    costs: OnceCell<KernelCosts>,
+}
+
+/// One stage model's kernel costs: its configuration's attention
+/// kernels and, on PIM-only systems, the per-channel statistics of its
+/// FC GEMVs ([`StageModel::fc_ops`] order).
+#[derive(Debug, Clone, Copy)]
+struct KernelCosts {
+    qkt: AttentionEval,
+    sv: AttentionEval,
+    /// `None` on xPU+PIM systems, whose FC never runs on PIM.
+    fc_gemvs: Option<[KernelStats; 7]>,
 }
 
 impl<'a> StageModel<'a> {
@@ -73,7 +90,39 @@ impl<'a> StageModel<'a> {
             model,
             techniques,
             kernels,
+            costs: OnceCell::new(),
         }
+    }
+
+    /// The kernel costs, resolved from the memo (and calibrated there
+    /// if new) on first use.
+    fn costs(&self) -> &KernelCosts {
+        self.costs.get_or_init(|| self.resolve_costs())
+    }
+
+    /// Looks the kernel costs up in the memo. Kept out of line: inlined
+    /// into each pricing method, this once-per-model path pushed the
+    /// per-slice pricing closure out of the inlining budget.
+    #[cold]
+    #[inline(never)]
+    fn resolve_costs(&self) -> KernelCosts {
+        let sched = self.scheduler();
+        let buffers = self.techniques.dcs;
+        let group = self.effective_group();
+        let row_reuse = self.row_reuse();
+        let attention = |kind| {
+            self.kernels
+                .attention_eval(kind, sched, buffers, group, row_reuse)
+        };
+        let (qkt, sv) = (attention(AttentionKind::Qkt), attention(AttentionKind::Sv));
+        let fc_gemvs = (self.system.kind == SystemKind::PimOnly).then(|| {
+            let per_channel = self.system.parallel.tp * self.system.module.channels;
+            self.fc_ops().map(|(dout, din)| {
+                self.kernels
+                    .gemv(sched, buffers, dout.div_ceil(per_channel).max(1), din)
+            })
+        });
+        KernelCosts { qkt, sv, fc_gemvs }
     }
 
     /// The command scheduler implied by the technique set.
@@ -169,10 +218,6 @@ impl<'a> StageModel<'a> {
             return AttentionStage::default();
         }
         let channels = self.system.module.channels;
-        let sched = self.scheduler();
-        let buffers = self.techniques.dcs;
-        let group = self.effective_group();
-        let row_reuse = self.row_reuse();
         let epu = EpuConfig::default();
         // Inter-channel SV reduction through the HUB/GPR + EPU (TCP only)
         // — negligible by design (paper §IV-C: <0.2% of attention time).
@@ -182,14 +227,12 @@ impl<'a> StageModel<'a> {
             0.0
         };
 
-        // The affine fit is resolved once per kernel up front (no
-        // per-slice memo lock).
-        let qkt_eval =
-            self.kernels
-                .attention_eval(AttentionKind::Qkt, sched, buffers, group, row_reuse);
-        let sv_eval =
-            self.kernels
-                .attention_eval(AttentionKind::Sv, sched, buffers, group, row_reuse);
+        // The affine fits come resolved (no per-slice memo lock).
+        let KernelCosts {
+            qkt: qkt_eval,
+            sv: sv_eval,
+            ..
+        } = *self.costs();
         let mut totals = KernelStats::default();
         let mut busy_sum = 0.0;
         let (mut makespan, active_channels) = self.channel_makespan(batch_tokens, |t| {
@@ -230,16 +273,14 @@ impl<'a> StageModel<'a> {
     /// the same KV partitioning as decode (HFP: channel-resident pairs,
     /// TCP: token slices across all channels), distributing the causal
     /// total proportionally to each channel's resident-key share.
+    /// `req_id` only names the request: the price depends on `done` and
+    /// `chunk` alone.
     pub fn prefill_attention_layer(&self, req_id: u64, done: u64, chunk: u64) -> AttentionStage {
         if chunk == 0 {
             return AttentionStage::default();
         }
         let total_keys = done + chunk;
         let channels = self.system.module.channels;
-        let sched = self.scheduler();
-        let buffers = self.techniques.dcs;
-        let group = self.effective_group();
-        let row_reuse = self.row_reuse();
         let epu = EpuConfig::default();
         // Every query position reduces across channels under TCP.
         let reduction = if self.techniques.tcp {
@@ -247,24 +288,9 @@ impl<'a> StageModel<'a> {
         } else {
             0.0
         };
-        let qkt = self.kernels.attention_prefill(
-            AttentionKind::Qkt,
-            sched,
-            buffers,
-            group,
-            row_reuse,
-            done,
-            chunk,
-        );
-        let sv = self.kernels.attention_prefill(
-            AttentionKind::Sv,
-            sched,
-            buffers,
-            group,
-            row_reuse,
-            done,
-            chunk,
-        );
+        let costs = self.costs();
+        let qkt = costs.qkt.prefill(done, chunk);
+        let sv = costs.sv.prefill(done, chunk);
 
         let mut totals = KernelStats::default();
         let mut busy_sum = 0.0;
@@ -389,14 +415,15 @@ impl<'a> StageModel<'a> {
             SystemKind::PimOnly => {
                 // FC runs on PIM: every channel owns a dout shard; the
                 // batch streams through as `batch` GEMV passes.
-                let sched = self.scheduler();
-                let buffers = self.techniques.dcs;
+                let gemvs = self
+                    .costs()
+                    .fc_gemvs
+                    .as_ref()
+                    .expect("PIM-only costs hold the GEMVs");
                 let channels = self.system.module.channels;
                 let mut cycles = 0.0;
                 let mut totals = KernelStats::default();
-                for &(dout, din) in &ops {
-                    let dout_pc = dout.div_ceil(tp * channels).max(1);
-                    let g = self.kernels.gemv(sched, buffers, dout_pc, din);
+                for g in gemvs {
                     cycles += batch as f64 * g.cycles;
                     totals.accumulate(&g.scaled(batch as f64 * f64::from(channels)));
                 }
@@ -736,7 +763,7 @@ mod tests {
     }
 
     /// `prefill_chunk`'s micro-batch composition over
-    /// [`prefill_attention_by_assign`].
+    /// [`prefill_attention_by_assign`] and [`fc_layer_per_call`].
     fn prefill_chunk_by_assign(
         m: &StageModel,
         req_id: u64,
@@ -752,7 +779,7 @@ mod tests {
         for j in 0..micros {
             let c_j = chunk / micros + u64::from(j < chunk % micros);
             let attn = prefill_attention_by_assign(m, req_id, offset, c_j);
-            let (fc_secs, fc_flops, fc_stats) = m.fc_layer(c_j as usize);
+            let (fc_secs, fc_flops, fc_stats) = fc_layer_per_call(m, c_j as usize);
             let sync = m.sync_layer(c_j as usize);
             let attn_secs = attn.cycles / clock;
             let stage = layers * (attn_secs + fc_secs + sync);
@@ -816,6 +843,218 @@ mod tests {
                             prefill_chunk_by_assign(&m, 7, done, chunk),
                             "{what}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `attention_layer` priced over the materialized partition, with
+    /// its kernel evaluators looked up in the memo on every call.
+    fn attention_layer_per_call(m: &StageModel, batch: &[(u64, u64)]) -> AttentionStage {
+        if batch.is_empty() {
+            return AttentionStage::default();
+        }
+        let channels = m.system.module.channels;
+        let partition = ModulePartition::assign(
+            m.partitioning(),
+            channels,
+            m.kv_instances_per_module(),
+            batch,
+        );
+        let (sched, buffers) = (m.scheduler(), m.techniques.dcs);
+        let (group, row_reuse) = (m.effective_group(), m.row_reuse());
+        let epu = EpuConfig::default();
+        let reduction = if m.techniques.tcp {
+            epu.reduce_cycles(channels, m.model.head_dim) as f64
+        } else {
+            0.0
+        };
+        let eval = |kind| {
+            m.kernels
+                .attention_eval(kind, sched, buffers, group, row_reuse)
+        };
+        let (qkt_eval, sv_eval) = (eval(AttentionKind::Qkt), eval(AttentionKind::Sv));
+        let mut makespan: f64 = 0.0;
+        let mut totals = KernelStats::default();
+        let mut busy_sum = 0.0;
+        for ch in partition.channels() {
+            let mut cycles = 0.0;
+            for slice in &ch.slices {
+                let (qkt, sv) = (
+                    qkt_eval.stats(slice.tokens()),
+                    sv_eval.stats(slice.tokens()),
+                );
+                totals.accumulate(&qkt);
+                totals.accumulate(&sv);
+                busy_sum += qkt.mac_busy + sv.mac_busy;
+                cycles += qkt.cycles + sv.cycles + reduction;
+            }
+            makespan = makespan.max(cycles);
+        }
+        makespan += batch
+            .iter()
+            .map(|&(_, t)| epu.softmax_cycles(t) as f64)
+            .sum::<f64>()
+            * f64::from(m.kv_instances_per_module())
+            / f64::from(channels);
+        let utilization = if makespan > 0.0 {
+            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
+        } else {
+            0.0
+        };
+        AttentionStage {
+            cycles: makespan,
+            utilization,
+            totals,
+            active_channels: partition.active_channels(),
+        }
+    }
+
+    /// `fc_layer` with every GEMV looked up in the memo on every call.
+    fn fc_layer_per_call(m: &StageModel, batch: usize) -> (f64, f64, KernelStats) {
+        if batch == 0 {
+            return (0.0, 0.0, KernelStats::default());
+        }
+        let tp = m.system.parallel.tp;
+        let ops = m.fc_ops();
+        let weights: f64 = ops.iter().map(|&(o, i)| f64::from(o) * f64::from(i)).sum();
+        let flops = 2.0 * batch as f64 * weights / f64::from(tp);
+        match m.system.kind {
+            SystemKind::PimOnly => {
+                let channels = m.system.module.channels;
+                let mut cycles = 0.0;
+                let mut totals = KernelStats::default();
+                for &(dout, din) in &ops {
+                    let dout_pc = dout.div_ceil(tp * channels).max(1);
+                    let g = m
+                        .kernels
+                        .gemv(m.scheduler(), m.techniques.dcs, dout_pc, din);
+                    cycles += batch as f64 * g.cycles;
+                    totals.accumulate(&g.scaled(batch as f64 * f64::from(channels)));
+                }
+                (cycles / m.system.module.clock_hz, flops, totals)
+            }
+            SystemKind::XpuPim => {
+                let weight_bytes = weights * f64::from(m.model.dtype_bytes) / f64::from(tp);
+                let compute = flops / m.system.module.xpu_flops;
+                let memory = weight_bytes / m.system.module.xpu_mem_bw;
+                (compute.max(memory), flops, KernelStats::default())
+            }
+        }
+    }
+
+    /// `iteration`'s micro-batch composition over
+    /// [`attention_layer_per_call`] and [`fc_layer_per_call`].
+    fn iteration_per_call(m: &StageModel, batch: &[(u64, u64)]) -> IterationBreakdown {
+        if batch.is_empty() {
+            return IterationBreakdown::default();
+        }
+        let pp = m.system.parallel.pp as usize;
+        let layers = (m.model.layers as usize).div_ceil(pp) as f64;
+        let micros = batch.len().min(pp);
+        let clock = m.system.module.clock_hz;
+        let mut out = IterationBreakdown::default();
+        let (mut stage_secs_sum, mut util_weighted) = (0.0, 0.0);
+        for j in 0..micros {
+            let micro: Vec<(u64, u64)> = batch.iter().copied().skip(j).step_by(micros).collect();
+            let attn = attention_layer_per_call(m, &micro);
+            let (fc_secs, fc_flops, fc_stats) = fc_layer_per_call(m, micro.len());
+            let sync = m.sync_layer(micro.len());
+            let attn_secs = attn.cycles / clock;
+            let stage = layers * (attn_secs + fc_secs + sync);
+            stage_secs_sum += stage;
+            out.attn_seconds += layers * attn_secs;
+            out.fc_seconds += layers * fc_secs;
+            out.sync_seconds += layers * sync;
+            out.attn_totals
+                .accumulate(&attn.totals.scaled(layers * pp as f64));
+            out.fc_flops += fc_flops * layers * pp as f64;
+            out.fc_totals
+                .accumulate(&fc_stats.scaled(layers * pp as f64));
+            util_weighted += attn.utilization * stage;
+        }
+        out.bubble_seconds = (pp - micros) as f64 * (stage_secs_sum / micros as f64);
+        out.seconds = stage_secs_sum + out.bubble_seconds;
+        out.attn_utilization = if stage_secs_sum > 0.0 {
+            (util_weighted / stage_secs_sum) * (stage_secs_sum / out.seconds)
+        } else {
+            0.0
+        };
+        out
+    }
+
+    #[test]
+    fn pricing_is_bit_exact_with_per_call_kernel_lookups() {
+        // Kernel costs resolved once per stage model must price exactly
+        // as looking them up in the memo on every call: HFP/TCP ×
+        // DCS/static × PIM-only/xPU+PIM × TP {1, 2, 8} × PP {1, 4}, on
+        // a fresh stage model (and fresh memo) per configuration so the
+        // first call also resolves the costs. The MHA model prices with
+        // group 1 and no row reuse, the GQA model with group 4 and row
+        // reuse under DCS.
+        let batches: [&[(u64, u64)]; 5] = [
+            &[(0, 1)],
+            &[(0, 4096)],
+            &[(0, 17), (1, 0), (2, 333)],
+            &[(0, 9000), (1, 5), (2, 700), (3, 64), (4, 2)],
+            &[
+                (0, 100),
+                (1, 200),
+                (2, 300),
+                (3, 400),
+                (4, 500),
+                (5, 600),
+                (6, 700),
+                (7, 800),
+                (8, 900),
+            ],
+        ];
+        let chunks = [(0, 1), (0, 3), (0, 512), (1000, 333), (4096, 2048)];
+        let systems = [LLM_7B_32K, LLM_7B_128K_GQA].map(|model| {
+            [
+                (model, SystemConfig::cent_for(&model)),
+                (model, SystemConfig::neupims_for(&model)),
+            ]
+        });
+        for (model, system) in systems.into_iter().flatten() {
+            for (tcp, dcs) in [(false, false), (false, true), (true, false), (true, true)] {
+                let techniques = Techniques {
+                    tcp,
+                    dcs,
+                    dpa: false,
+                };
+                for tp in [1, 2, 8] {
+                    for pp in [1, 4] {
+                        let sys = system.with_parallel(ParallelConfig::new(tp, pp));
+                        let what = format!(
+                            "{} {:?} {techniques:?} tp={tp} pp={pp}",
+                            model.name, sys.kind
+                        );
+                        let k = kernels();
+                        let m = StageModel::new(sys, model, techniques, &k);
+                        for &batch in &batches {
+                            assert_eq!(
+                                m.iteration(batch),
+                                iteration_per_call(&m, batch),
+                                "{what} {batch:?}"
+                            );
+                            assert_eq!(
+                                m.attention_layer(batch),
+                                attention_layer_per_call(&m, batch),
+                                "{what} {batch:?}"
+                            );
+                        }
+                        for &(done, chunk) in &chunks {
+                            assert_eq!(
+                                m.prefill_chunk(7, done, chunk),
+                                prefill_chunk_by_assign(&m, 7, done, chunk),
+                                "{what} done={done} chunk={chunk}"
+                            );
+                        }
+                        for batch in [0, 1, 5, 512] {
+                            assert_eq!(m.fc_layer(batch), fc_layer_per_call(&m, batch), "{what}");
+                        }
                     }
                 }
             }
