@@ -5,13 +5,18 @@
 //!
 //! * `check_regression --snapshot BENCH_serving.json fresh1.json ...`
 //!   — compares freshly produced `--json` bench files against the
-//!   checked-in snapshot. Exits nonzero if any bench's throughput
-//!   dropped more than 5% or its p99 TTFT rose more than 5%, or if
-//!   rows were silently added/renamed/dropped (regenerate the snapshot
-//!   in that case).
+//!   checked-in snapshot. Every field of every row must be identical,
+//!   except the wall-clock fields: `wall_seconds` is not compared and
+//!   `sim_requests_per_second` may drop by less than 30%. Prints one
+//!   `bench/row.field: <snapshot> -> <fresh>` line per difference and
+//!   exits nonzero, ending with the command that accepts the fresh
+//!   rows.
 //! * `check_regression --write-snapshot BENCH_serving.json fresh1.json ...`
-//!   — merges per-bin bench files into a new snapshot.
+//!   — merges per-bin bench files into a new snapshot. This is the only
+//!   accept step.
 //!
+//! Malformed input (a document without a `bench` name, a row without a
+//! `name`, a duplicate `bench/name` row) is an error in both modes.
 //! CI runs the `--tiny` serving benches with `--json` and gates on the
 //! snapshot; the same two commands reproduce the gate locally with no
 //! network or services.
@@ -24,53 +29,55 @@ fn read_doc(path: &str) -> Json {
     Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
+/// Runs the gate, exiting with status 2 on malformed input.
+fn compare(snapshot: &Json, fresh: &[Json]) -> (usize, Vec<String>) {
+    regression::compare(snapshot, fresh).unwrap_or_else(|e| {
+        eprintln!("check_regression: malformed bench file: {e}");
+        std::process::exit(2)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first() {
         Some((mode, rest)) if mode == "--write-snapshot" && rest.len() >= 2 => {
             let (out, inputs) = rest.split_first().expect("output path then inputs");
             let benches: Vec<Json> = inputs.iter().map(|p| read_doc(p)).collect();
-            let names: Vec<&str> = benches
-                .iter()
-                .filter_map(|b| b.get("bench").and_then(Json::as_str))
-                .collect();
-            std::fs::write(out, regression::merge_snapshot(benches.clone()).to_pretty())
+            let snapshot = regression::merge_snapshot(benches.clone());
+            let (rows, _) = compare(&snapshot, &benches);
+            std::fs::write(out, snapshot.to_pretty())
                 .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
             println!(
-                "wrote snapshot {out} ({} benches: {})",
-                names.len(),
-                names.join(", ")
+                "wrote snapshot {out} ({} benches, {rows} rows)",
+                benches.len()
             );
         }
         Some((mode, rest)) if mode == "--snapshot" && rest.len() >= 2 => {
             let (snap_path, inputs) = rest.split_first().expect("snapshot path then inputs");
-            let snapshot = read_doc(snap_path);
             let fresh: Vec<Json> = inputs.iter().map(|p| read_doc(p)).collect();
-            let (deltas, violations) = regression::compare(&snapshot, &fresh);
-            println!(
-                "{:<44} {:>12} {:>12} {:>10} {:>10}",
-                "bench/row", "tok/s snap", "tok/s now", "p99 snap", "p99 now"
+            let (rows, diffs) = compare(&read_doc(snap_path), &fresh);
+            if diffs.is_empty() {
+                println!(
+                    "OK: {rows} rows identical to {snap_path} (wall_seconds not compared, \
+                     sim_requests_per_second drop < {:.0}%)",
+                    regression::MAX_SIM_SPEED_DROP * 100.0
+                );
+                return;
+            }
+            eprintln!(
+                "REGRESSION GATE FAILED: {} differences from {snap_path}",
+                diffs.len()
             );
-            for d in &deltas {
-                println!(
-                    "{:<44} {:>12.3} {:>12.3} {:>10.4} {:>10.4}",
-                    d.key, d.tokens_per_second.0, d.tokens_per_second.1, d.ttft_p99.0, d.ttft_p99.1,
-                );
+            for d in &diffs {
+                eprintln!("  {d}");
             }
-            if violations.is_empty() {
-                println!(
-                    "\nOK: {} rows within tolerance (throughput drop < {:.0}%, p99 TTFT rise < {:.0}%)",
-                    deltas.len(),
-                    regression::MAX_THROUGHPUT_DROP * 100.0,
-                    regression::MAX_TTFT_RISE * 100.0,
-                );
-            } else {
-                eprintln!("\nREGRESSION GATE FAILED:");
-                for v in &violations {
-                    eprintln!("  - {v}");
-                }
-                std::process::exit(1);
-            }
+            eprintln!(
+                "\nIf every difference is intended, accept the fresh rows (the snapshot is \
+                 rewritten from exactly these files):\n  \
+                 cargo run --release -p bench --bin check_regression -- --write-snapshot {snap_path} {}",
+                inputs.join(" ")
+            );
+            std::process::exit(1);
         }
         _ => {
             eprintln!(

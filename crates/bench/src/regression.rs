@@ -1,49 +1,29 @@
 //! Bench-trajectory regression gate: compares freshly produced
 //! `--json` bench files against the checked-in `BENCH_serving.json`
-//! snapshot and reports violations.
+//! snapshot, field by field.
 //!
-//! The simulator is deterministic, so on unchanged code the fresh
-//! numbers reproduce the snapshot exactly and the gate is trivially
-//! green; the tolerances exist to ride out cross-platform libm
-//! differences in the trace generator's transcendentals while still
-//! catching real scheduling or pricing regressions. The logic lives in
-//! the library (unit-tested) and the `check_regression` binary is a
-//! thin CLI over it, so the gate also runs offline.
+//! The simulator is deterministic, so the gate has one rule: every
+//! field of every row must equal the snapshot. A one-ULP or one-count
+//! change fails it, and so does a row that was added, renamed or
+//! dropped. Wall-clock is the only exception. `wall_seconds` is not
+//! compared, and `sim_requests_per_second` only has to stay within
+//! [`MAX_SIM_SPEED_DROP`] of the snapshot. An intended change is
+//! accepted by regenerating the snapshot with
+//! `check_regression --write-snapshot`. The logic lives in the library
+//! (unit-tested) and the `check_regression` binary is a thin CLI over
+//! it, so the gate also runs offline.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::Json;
 
-/// Relative throughput drop that fails the gate (5%).
-pub const MAX_THROUGHPUT_DROP: f64 = 0.05;
-/// Relative p99-TTFT rise that fails the gate (5%).
-pub const MAX_TTFT_RISE: f64 = 0.05;
 /// Relative simulated-requests-per-second drop that fails the gate
-/// (30%). Deliberately generous where the simulated metrics above are
-/// tight: `sim_requests_per_second` measures *wall-clock* simulator
+/// (30%). `sim_requests_per_second` measures *wall-clock* simulator
 /// speed (see `bench --bin sim_speed`), which breathes with CI hardware
-/// and load — the gate only catches a hot path growing dramatically
-/// slower, not machine-to-machine jitter.
+/// and load, so it is the one field not gated exactly: the floor only
+/// catches a hot path growing dramatically slower, not
+/// machine-to-machine jitter.
 pub const MAX_SIM_SPEED_DROP: f64 = 0.30;
-/// Relative prefix-cache hit-token drop that fails the gate (5%). The
-/// simulator is deterministic, so like throughput this only moves when
-/// the paged-KV/prefix-tree logic itself changes — a shrinking hit rate
-/// means admissions stopped mapping pages they used to share.
-pub const MAX_PREFIX_HIT_DROP: f64 = 0.05;
-/// Absolute SLO-attainment drop that fails the gate (5 percentage
-/// points). Attainment is a fraction in `[0, 1]`, so the gate is
-/// absolute rather than relative: a relative tolerance would let an
-/// already-degraded row (say 10% attainment) halve again unnoticed
-/// while flagging a 0.999 → 0.94 move twice as hard as it deserves.
-pub const MAX_ATTAINMENT_DROP: f64 = 0.05;
-/// Relative goodput (in-SLO tokens/second) drop that fails the gate
-/// (5%) — same tightness as throughput, since goodput is just
-/// throughput restricted to tokens that met their tenant's TTFT SLO.
-pub const MAX_GOODPUT_DROP: f64 = 0.05;
-/// Relative KV-transfer-byte deviation that fails the gate (5%), in
-/// *either* direction: the disaggregated handoff pipeline prices each
-/// prompt deterministically, so transferred bytes only move when the
-/// transfer model or the handoff routing itself changes — fewer bytes
-/// means handoffs silently stopped, more means double-shipping.
-pub const MAX_TRANSFER_DEVIATION: f64 = 0.05;
 
 /// Merges per-bin bench documents into one snapshot document
 /// (`{"benches": [...]}`), the on-disk format of `BENCH_serving.json`.
@@ -51,465 +31,326 @@ pub fn merge_snapshot(benches: Vec<Json>) -> Json {
     Json::obj([("benches", Json::Arr(benches))])
 }
 
-/// One row comparison: the metrics the gate guards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowDelta {
-    /// `bench/name` identifier of the row.
-    pub key: String,
-    /// Snapshot vs fresh throughput (tokens/second).
-    pub tokens_per_second: (f64, f64),
-    /// Snapshot vs fresh p99 TTFT seconds.
-    pub ttft_p99: (f64, f64),
-    /// Snapshot vs fresh simulated requests per wall-clock second —
-    /// only gated when *both* rows carry the field (it exists on
-    /// `sim_speed` rows alone, and an older snapshot without it must
-    /// not trip on the comparison).
-    pub sim_requests_per_second: Option<(f64, f64)>,
-    /// Snapshot vs fresh prefix-cache hit tokens — only gated when both
-    /// rows carry the field (prefix-caching benches and scenarios).
-    pub prefix_hit_tokens: Option<(f64, f64)>,
-    /// Snapshot vs fresh SLO attainment — only gated when both rows
-    /// carry the field (per-tenant scenario rows with a TTFT SLO, and
-    /// the goodput-frontier sweep).
-    pub slo_attainment: Option<(f64, f64)>,
-    /// Snapshot vs fresh goodput (in-SLO tokens/second) — only gated
-    /// when both rows carry the field.
-    pub goodput: Option<(f64, f64)>,
-    /// Snapshot vs fresh KV bytes shipped across pools — only gated
-    /// when both rows carry the field (disaggregated scenario and
-    /// `disagg_frontier` rows).
-    pub kv_transferred_bytes: Option<(f64, f64)>,
-}
+/// A row's fields, keyed by `(bench, row name)`.
+type Rows<'a> = BTreeMap<(&'a str, &'a str), &'a [(String, Json)]>;
 
-impl RowDelta {
-    /// The violation this row trips, if any.
-    pub fn violation(&self) -> Option<String> {
-        let (tput_snap, tput_fresh) = self.tokens_per_second;
-        if tput_snap > 0.0 && tput_fresh < tput_snap * (1.0 - MAX_THROUGHPUT_DROP) {
-            return Some(format!(
-                "{}: throughput dropped {:.1}% ({tput_snap:.3} -> {tput_fresh:.3} tok/s)",
-                self.key,
-                (1.0 - tput_fresh / tput_snap) * 100.0
-            ));
-        }
-        let (ttft_snap, ttft_fresh) = self.ttft_p99;
-        if ttft_snap > 0.0 && ttft_fresh > ttft_snap * (1.0 + MAX_TTFT_RISE) {
-            return Some(format!(
-                "{}: p99 TTFT rose {:.1}% ({ttft_snap:.4}s -> {ttft_fresh:.4}s)",
-                self.key,
-                (ttft_fresh / ttft_snap - 1.0) * 100.0
-            ));
-        }
-        if let Some((speed_snap, speed_fresh)) = self.sim_requests_per_second {
-            if speed_snap > 0.0 && speed_fresh < speed_snap * (1.0 - MAX_SIM_SPEED_DROP) {
-                return Some(format!(
-                    "{}: simulator speed dropped {:.1}% \
-                     ({speed_snap:.0} -> {speed_fresh:.0} simulated req/s)",
-                    self.key,
-                    (1.0 - speed_fresh / speed_snap) * 100.0
-                ));
+/// Keys every row of `benches`. A document without a `bench` name or a
+/// `rows` array, a row that is not an object or has no `name`, and two
+/// rows with the same key are all errors: each would otherwise gate a
+/// row against the wrong snapshot row, or against none.
+fn keyed(benches: &[Json]) -> Result<Rows<'_>, String> {
+    let mut keyed = Rows::new();
+    for doc in benches {
+        let bench = doc
+            .get("bench")
+            .and_then(Json::as_str)
+            .ok_or("bench document without a \"bench\" name")?;
+        let rows = doc
+            .get("rows")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("{bench}: no \"rows\" array"))?;
+        for row in rows {
+            let (Json::Obj(fields), Some(name)) = (row, row.get("name").and_then(Json::as_str))
+            else {
+                return Err(format!("{bench}: row without a \"name\""));
+            };
+            if keyed.insert((bench, name), fields).is_some() {
+                return Err(format!("{bench}/{name}: duplicate row"));
             }
         }
-        if let Some((hit_snap, hit_fresh)) = self.prefix_hit_tokens {
-            if hit_snap > 0.0 && hit_fresh < hit_snap * (1.0 - MAX_PREFIX_HIT_DROP) {
-                return Some(format!(
-                    "{}: prefix-cache hit tokens dropped {:.1}% ({hit_snap:.0} -> {hit_fresh:.0})",
-                    self.key,
-                    (1.0 - hit_fresh / hit_snap) * 100.0
-                ));
-            }
-        }
-        if let Some((att_snap, att_fresh)) = self.slo_attainment {
-            if att_fresh < att_snap - MAX_ATTAINMENT_DROP {
-                return Some(format!(
-                    "{}: SLO attainment dropped {:.1} points ({att_snap:.3} -> {att_fresh:.3})",
-                    self.key,
-                    (att_snap - att_fresh) * 100.0
-                ));
-            }
-        }
-        if let Some((good_snap, good_fresh)) = self.goodput {
-            if good_snap > 0.0 && good_fresh < good_snap * (1.0 - MAX_GOODPUT_DROP) {
-                return Some(format!(
-                    "{}: goodput dropped {:.1}% ({good_snap:.3} -> {good_fresh:.3} in-SLO tok/s)",
-                    self.key,
-                    (1.0 - good_fresh / good_snap) * 100.0
-                ));
-            }
-        }
-        if let Some((kv_snap, kv_fresh)) = self.kv_transferred_bytes {
-            if kv_snap > 0.0 && (kv_fresh - kv_snap).abs() > kv_snap * MAX_TRANSFER_DEVIATION {
-                return Some(format!(
-                    "{}: KV transfer bytes deviated {:.1}% ({kv_snap:.0} -> {kv_fresh:.0})",
-                    self.key,
-                    (kv_fresh / kv_snap - 1.0) * 100.0
-                ));
-            }
-        }
-        None
     }
+    Ok(keyed)
 }
 
-fn rows_of(bench: &Json) -> Vec<(String, &Json)> {
-    let name = bench.get("bench").and_then(Json::as_str).unwrap_or("?");
-    bench
-        .get("rows")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(|row| {
-            let row_name = row.get("name").and_then(Json::as_str).unwrap_or("?");
-            (format!("{name}/{row_name}"), row)
-        })
-        .collect()
+/// The value of `key` in a row's fields.
+fn field<'a>(row: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
+    row.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn metric(row: &Json, key: &str) -> f64 {
-    row.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+/// A field value as it appears in the JSON files.
+fn render(value: Option<&Json>) -> String {
+    value.map_or("(missing)".into(), |v| v.to_pretty().trim_end().into())
 }
 
 /// Compares fresh bench documents against a snapshot document. Returns
-/// the per-row deltas and the list of violations (empty = gate green).
-/// A fresh row missing from the snapshot — or vice versa — is a
-/// violation too: a silently renamed or dropped row would otherwise
-/// disable its gate.
-pub fn compare(snapshot: &Json, fresh: &[Json]) -> (Vec<RowDelta>, Vec<String>) {
-    let snap_rows: Vec<(String, &Json)> = snapshot
-        .get("benches")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .flat_map(rows_of)
-        .collect();
-    let fresh_rows: Vec<(String, &Json)> = fresh.iter().flat_map(rows_of).collect();
-
-    let mut deltas = Vec::new();
-    let mut violations = Vec::new();
-    for (key, fresh_row) in &fresh_rows {
-        let Some((_, snap_row)) = snap_rows.iter().find(|(k, _)| k == key) else {
-            violations.push(format!(
-                "{key}: not in snapshot — regenerate BENCH_serving.json \
-                 (check_regression --write-snapshot)"
-            ));
+/// the number of fresh rows compared and one `bench/row.field: <snapshot>
+/// -> <fresh>` line per difference (none = gate green), or an error for
+/// malformed input. A snapshot row is reported missing only when its
+/// bench was re-run at all, so one fresh bin can be gated on its own.
+pub fn compare(snapshot: &Json, fresh: &[Json]) -> Result<(usize, Vec<String>), String> {
+    let snap = keyed(
+        snapshot
+            .get("benches")
+            .and_then(Json::as_arr)
+            .ok_or("snapshot without a \"benches\" array")?,
+    )?;
+    let fresh = keyed(fresh)?;
+    let mut diffs = Vec::new();
+    for (&(bench, name), &now) in &fresh {
+        let Some(&was) = snap.get(&(bench, name)) else {
+            diffs.push(format!("{bench}/{name}: not in snapshot"));
             continue;
         };
-        let delta = RowDelta {
-            key: key.clone(),
-            tokens_per_second: (
-                metric(snap_row, "tokens_per_second"),
-                metric(fresh_row, "tokens_per_second"),
-            ),
-            ttft_p99: (metric(snap_row, "ttft_p99"), metric(fresh_row, "ttft_p99")),
-            sim_requests_per_second: match (
-                snap_row
-                    .get("sim_requests_per_second")
-                    .and_then(Json::as_f64),
-                fresh_row
-                    .get("sim_requests_per_second")
-                    .and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            prefix_hit_tokens: match (
-                snap_row.get("prefix_hit_tokens").and_then(Json::as_f64),
-                fresh_row.get("prefix_hit_tokens").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            slo_attainment: match (
-                snap_row.get("slo_attainment").and_then(Json::as_f64),
-                fresh_row.get("slo_attainment").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            goodput: match (
-                snap_row.get("goodput").and_then(Json::as_f64),
-                fresh_row.get("goodput").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-            kv_transferred_bytes: match (
-                snap_row.get("kv_transferred_bytes").and_then(Json::as_f64),
-                fresh_row.get("kv_transferred_bytes").and_then(Json::as_f64),
-            ) {
-                (Some(snap), Some(fresh)) => Some((snap, fresh)),
-                _ => None,
-            },
-        };
-        if let Some(v) = delta.violation() {
-            violations.push(v);
-        }
-        deltas.push(delta);
-    }
-    for (key, _) in &snap_rows {
-        // Only flag a dropped row when its bench was re-run at all —
-        // comparing a single fresh bin against the full snapshot is a
-        // supported offline workflow.
-        let bench = key.split('/').next().unwrap_or("");
-        let bench_present = fresh_rows
-            .iter()
-            .any(|(k, _)| k.split('/').next().unwrap_or("") == bench);
-        if bench_present && !fresh_rows.iter().any(|(k, _)| k == key) {
-            violations.push(format!("{key}: in snapshot but missing from fresh run"));
+        let keys: BTreeSet<&str> = was.iter().chain(now).map(|(k, _)| k.as_str()).collect();
+        for key in keys {
+            let (was, now) = (field(was, key), field(now, key));
+            let same = match (key, was, now) {
+                ("wall_seconds", _, _) => true,
+                ("sim_requests_per_second", Some(Json::Num(was)), Some(Json::Num(now))) => {
+                    *now >= was * (1.0 - MAX_SIM_SPEED_DROP)
+                }
+                _ => was == now,
+            };
+            if !same {
+                diffs.push(format!(
+                    "{bench}/{name}.{key}: {} -> {}",
+                    render(was),
+                    render(now)
+                ));
+            }
         }
     }
-    (deltas, violations)
+    let rerun: BTreeSet<&str> = fresh.keys().map(|&(bench, _)| bench).collect();
+    for &(bench, name) in snap.keys() {
+        if rerun.contains(bench) && !fresh.contains_key(&(bench, name)) {
+            diffs.push(format!(
+                "{bench}/{name}: in snapshot but missing from fresh run"
+            ));
+        }
+    }
+    Ok((fresh.len(), diffs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn bench_doc(bench: &str, rows: &[(&str, f64, f64)]) -> Json {
+    /// A serving row shaped like the real ones: float, count, string
+    /// and null fields.
+    fn row(name: &str) -> Json {
         Json::obj([
-            ("bench", Json::str(bench)),
-            (
-                "rows",
-                Json::Arr(
-                    rows.iter()
-                        .map(|(name, tput, ttft)| {
-                            Json::obj([
-                                ("name", Json::str(*name)),
-                                ("tokens_per_second", Json::num(*tput)),
-                                ("ttft_p99", Json::num(*ttft)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("name", Json::str(name)),
+            ("tokens_per_second", Json::num(100.0)),
+            ("ttft_p99", Json::num(0.5)),
+            ("tpot_p99", Json::num(0.012345)),
+            ("evictions", Json::num(0.0)),
+            ("prefix_hit_tokens", Json::num(10_000.0)),
+            ("slo_attainment", Json::num(0.98)),
+            ("goodput", Json::num(90.0)),
+            ("kv_transferred_bytes", Json::num(1.5e9)),
+            ("role", Json::str("decode")),
+            ("slo_ttft_p99", Json::Null),
         ])
+    }
+
+    fn doc(bench: &str, rows: Vec<Json>) -> Json {
+        Json::obj([("bench", Json::str(bench)), ("rows", Json::Arr(rows))])
+    }
+
+    /// `row` with `key` set to `value` (appended if absent).
+    fn with(mut row: Json, key: &str, value: Json) -> Json {
+        let Json::Obj(fields) = &mut row else {
+            unreachable!("rows are objects")
+        };
+        match fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => fields.push((key.to_string(), value)),
+        }
+        row
+    }
+
+    /// `row` without `key`.
+    fn without(mut row: Json, key: &str) -> Json {
+        if let Json::Obj(fields) = &mut row {
+            fields.retain(|(k, _)| k != key);
+        }
+        row
+    }
+
+    fn one_ulp_up(v: f64) -> f64 {
+        f64::from_bits(v.to_bits() + 1)
+    }
+
+    /// The gate's output for one fresh row against one snapshot row.
+    fn gate(snap: Json, fresh: Json) -> Vec<String> {
+        let snap = merge_snapshot(vec![doc("lc", vec![snap])]);
+        let (rows, diffs) = compare(&snap, &[doc("lc", vec![fresh])]).expect("well-formed");
+        assert_eq!(rows, 1);
+        diffs
     }
 
     #[test]
     fn identical_runs_pass() {
-        let doc = bench_doc("lc", &[("a", 100.0, 0.5), ("b", 50.0, 1.0)]);
-        let snap = merge_snapshot(vec![doc.clone()]);
-        let (deltas, violations) = compare(&snap, &[doc]);
-        assert_eq!(deltas.len(), 2);
-        assert!(violations.is_empty(), "{violations:?}");
+        let fresh = doc("lc", vec![row("a"), row("b")]);
+        let snap = merge_snapshot(vec![fresh.clone()]);
+        assert_eq!(compare(&snap, &[fresh]), Ok((2, vec![])));
     }
 
     #[test]
-    fn small_drift_within_tolerance_passes() {
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("a", 96.0, 0.52)]);
-        let (_, violations) = compare(&snap, &[fresh]);
-        assert!(violations.is_empty(), "{violations:?}");
+    fn one_ulp_drift_fails() {
+        let diffs = gate(
+            row("a"),
+            with(row("a"), "ttft_p99", Json::num(one_ulp_up(0.5))),
+        );
+        assert_eq!(diffs, ["lc/a.ttft_p99: 0.5 -> 0.5000000000000001"]);
+    }
+
+    #[test]
+    fn every_deterministic_field_is_gated_exactly() {
+        let changes = [
+            ("tokens_per_second", Json::num(one_ulp_up(100.0))),
+            ("tpot_p99", Json::num(one_ulp_up(0.012345))),
+            ("evictions", Json::num(1.0)),
+            ("prefix_hit_tokens", Json::num(10_001.0)),
+            ("slo_attainment", Json::num(one_ulp_up(0.98))),
+            ("goodput", Json::num(one_ulp_up(90.0))),
+            ("kv_transferred_bytes", Json::num(1.5e9 + 1.0)),
+            ("role", Json::str("prefill")),
+            ("slo_ttft_p99", Json::num(0.5)),
+        ];
+        for (key, value) in changes {
+            let diffs = gate(row("a"), with(row("a"), key, value));
+            assert_eq!(diffs.len(), 1, "{key}: {diffs:?}");
+            assert!(diffs[0].starts_with(&format!("lc/a.{key}: ")), "{diffs:?}");
+        }
+        assert_eq!(
+            gate(row("a"), with(row("a"), "role", Json::str("prefill"))),
+            ["lc/a.role: \"decode\" -> \"prefill\""]
+        );
     }
 
     #[test]
     fn throughput_drop_fails() {
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("a", 94.0, 0.5)]);
-        let (_, violations) = compare(&snap, &[fresh]);
-        assert_eq!(violations.len(), 1);
-        assert!(
-            violations[0].contains("throughput dropped"),
-            "{violations:?}"
+        let diffs = gate(
+            row("a"),
+            with(row("a"), "tokens_per_second", Json::num(94.0)),
         );
+        assert_eq!(diffs, ["lc/a.tokens_per_second: 100 -> 94"]);
     }
 
     #[test]
     fn ttft_rise_fails() {
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("a", 100.0, 0.53)]);
-        let (_, violations) = compare(&snap, &[fresh]);
-        assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("p99 TTFT rose"), "{violations:?}");
+        let diffs = gate(row("a"), with(row("a"), "ttft_p99", Json::num(0.53)));
+        assert_eq!(diffs, ["lc/a.ttft_p99: 0.5 -> 0.53"]);
+    }
+
+    #[test]
+    fn improvement_fails_until_accepted() {
+        let better = doc(
+            "lc",
+            vec![with(row("a"), "tokens_per_second", Json::num(150.0))],
+        );
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a")])]);
+        let (_, diffs) = compare(&snap, std::slice::from_ref(&better)).expect("well-formed");
+        assert_eq!(diffs, ["lc/a.tokens_per_second: 100 -> 150"]);
+        // `--write-snapshot` of the fresh files is the accept step.
+        let accepted = merge_snapshot(vec![better.clone()]);
+        assert_eq!(compare(&accepted, &[better]), Ok((1, vec![])));
     }
 
     #[test]
     fn renamed_and_dropped_rows_are_flagged() {
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("renamed", 100.0, 0.5)]);
-        let (_, violations) = compare(&snap, &[fresh]);
-        assert_eq!(violations.len(), 2, "{violations:?}");
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a"), row("b")])]);
+        let (_, diffs) = compare(&snap, &[doc("lc", vec![row("renamed"), row("b")])]).unwrap();
+        assert_eq!(
+            diffs,
+            [
+                "lc/renamed: not in snapshot",
+                "lc/a: in snapshot but missing from fresh run"
+            ]
+        );
+        let (_, added) = compare(&snap, &[doc("lc", vec![row("a"), row("b"), row("c")])]).unwrap();
+        assert_eq!(added, ["lc/c: not in snapshot"]);
         // A bench absent from the fresh set entirely is fine (offline
         // single-bin comparisons are supported).
-        let (_, quiet) = compare(&snap, &[bench_doc("other", &[])]);
-        assert!(quiet.iter().all(|v| !v.contains("missing from fresh")));
-    }
-
-    fn sim_speed_doc(bench: &str, rows: &[(&str, f64)]) -> Json {
-        Json::obj([
-            ("bench", Json::str(bench)),
-            (
-                "rows",
-                Json::Arr(
-                    rows.iter()
-                        .map(|(name, speed)| {
-                            Json::obj([
-                                ("name", Json::str(*name)),
-                                ("tokens_per_second", Json::num(100.0)),
-                                ("ttft_p99", Json::num(0.5)),
-                                ("sim_requests_per_second", Json::num(*speed)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        assert_eq!(compare(&snap, &[doc("other", vec![])]), Ok((0, vec![])));
     }
 
     #[test]
     fn sim_speed_gate_is_generous_but_real() {
-        let snap = merge_snapshot(vec![sim_speed_doc("sim_speed", &[("big", 100_000.0)])]);
+        let speed = |rps: f64, wall: f64| {
+            with(
+                with(row("big"), "sim_requests_per_second", Json::num(rps)),
+                "wall_seconds",
+                Json::num(wall),
+            )
+        };
+        let snap = speed(100_000.0, 1.0);
         // A 25% slowdown rides inside the 30% allowance (CI jitter)...
-        let (_, ok) = compare(&snap, &[sim_speed_doc("sim_speed", &[("big", 75_000.0)])]);
-        assert!(ok.is_empty(), "{ok:?}");
-        // ...a 40% slowdown does not.
-        let (deltas, bad) = compare(&snap, &[sim_speed_doc("sim_speed", &[("big", 60_000.0)])]);
         assert_eq!(
-            deltas[0].sim_requests_per_second,
-            Some((100_000.0, 60_000.0))
+            gate(snap.clone(), speed(75_000.0, 1.3)),
+            Vec::<String>::new()
         );
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("simulator speed dropped"), "{bad:?}");
-        // Speedups always pass.
-        let (_, up) = compare(&snap, &[sim_speed_doc("sim_speed", &[("big", 500_000.0)])]);
-        assert!(up.is_empty(), "{up:?}");
+        // ...a 40% slowdown does not.
+        assert_eq!(
+            gate(snap.clone(), speed(60_000.0, 1.7)),
+            ["lc/big.sim_requests_per_second: 100000 -> 60000"]
+        );
+        // Speedups always pass, and no wall_seconds value is compared,
+        // not even a missing one.
+        assert!(gate(snap.clone(), speed(500_000.0, 0.2)).is_empty());
+        assert!(gate(snap.clone(), speed(100_000.0, 1e9)).is_empty());
+        assert!(gate(snap, without(speed(100_000.0, 1.0), "wall_seconds")).is_empty());
     }
 
     #[test]
     fn rows_without_sim_speed_field_are_not_gated_on_it() {
-        // Neither side carries the field (every non-sim_speed bench).
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("a", 100.0, 0.5)]);
-        let (deltas, violations) = compare(&snap, &[fresh]);
-        assert_eq!(deltas[0].sim_requests_per_second, None);
-        assert!(violations.is_empty(), "{violations:?}");
-        // Field on one side only (snapshot predates the metric): the
-        // comparison must not invent a 100% drop.
-        let snap = merge_snapshot(vec![bench_doc("sim_speed", &[("big", 100.0, 0.5)])]);
-        let fresh = sim_speed_doc("sim_speed", &[("big", 100_000.0)]);
-        let (deltas, violations) = compare(&snap, &[fresh]);
-        assert_eq!(deltas[0].sim_requests_per_second, None);
-        assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    fn prefix_doc(bench: &str, rows: &[(&str, f64)]) -> Json {
-        Json::obj([
-            ("bench", Json::str(bench)),
-            (
-                "rows",
-                Json::Arr(
-                    rows.iter()
-                        .map(|(name, hits)| {
-                            Json::obj([
-                                ("name", Json::str(*name)),
-                                ("tokens_per_second", Json::num(100.0)),
-                                ("ttft_p99", Json::num(0.5)),
-                                ("prefix_hit_tokens", Json::num(*hits)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    #[test]
-    fn prefix_hit_gate_trips_on_real_drops_only() {
-        let snap = merge_snapshot(vec![prefix_doc("pc", &[("on", 10_000.0)])]);
-        // Within tolerance and improvements pass.
-        let (_, ok) = compare(&snap, &[prefix_doc("pc", &[("on", 9_600.0)])]);
-        assert!(ok.is_empty(), "{ok:?}");
-        let (_, up) = compare(&snap, &[prefix_doc("pc", &[("on", 20_000.0)])]);
-        assert!(up.is_empty(), "{up:?}");
-        // A real drop fails.
-        let (deltas, bad) = compare(&snap, &[prefix_doc("pc", &[("on", 8_000.0)])]);
-        assert_eq!(deltas[0].prefix_hit_tokens, Some((10_000.0, 8_000.0)));
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("prefix-cache hit tokens"), "{bad:?}");
-        // Field on one side only (older snapshot) is not gated.
-        let old = merge_snapshot(vec![bench_doc("pc", &[("on", 100.0, 0.5)])]);
-        let (deltas, quiet) = compare(&old, &[prefix_doc("pc", &[("on", 10_000.0)])]);
-        assert_eq!(deltas[0].prefix_hit_tokens, None);
-        assert!(quiet.is_empty(), "{quiet:?}");
-    }
-
-    fn slo_doc(bench: &str, rows: &[(&str, f64, f64)]) -> Json {
-        Json::obj([
-            ("bench", Json::str(bench)),
-            (
-                "rows",
-                Json::Arr(
-                    rows.iter()
-                        .map(|(name, attainment, goodput)| {
-                            Json::obj([
-                                ("name", Json::str(*name)),
-                                ("tokens_per_second", Json::num(100.0)),
-                                ("ttft_p99", Json::num(0.5)),
-                                ("slo_attainment", Json::num(*attainment)),
-                                ("goodput", Json::num(*goodput)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    #[test]
-    fn attainment_gate_is_absolute_and_trips_on_real_drops_only() {
-        let snap = merge_snapshot(vec![slo_doc("sc", &[("t", 0.98, 90.0)])]);
-        // 3 points down rides inside the 5-point allowance.
-        let (_, ok) = compare(&snap, &[slo_doc("sc", &[("t", 0.95, 90.0)])]);
-        assert!(ok.is_empty(), "{ok:?}");
-        // 8 points down does not — even though relatively it is < 10%.
-        let (deltas, bad) = compare(&snap, &[slo_doc("sc", &[("t", 0.90, 90.0)])]);
-        assert_eq!(deltas[0].slo_attainment, Some((0.98, 0.90)));
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("SLO attainment dropped"), "{bad:?}");
-        // The absolute gate also guards already-degraded rows, where a
-        // relative 5% of a small base would wave anything through.
-        let low = merge_snapshot(vec![slo_doc("sc", &[("t", 0.10, 90.0)])]);
-        let (_, bad) = compare(&low, &[slo_doc("sc", &[("t", 0.02, 90.0)])]);
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        // Improvements pass.
-        let (_, up) = compare(&snap, &[slo_doc("sc", &[("t", 1.0, 90.0)])]);
-        assert!(up.is_empty(), "{up:?}");
-    }
-
-    #[test]
-    fn goodput_gate_trips_on_real_drops_only() {
-        let snap = merge_snapshot(vec![slo_doc("sc", &[("t", 1.0, 100.0)])]);
-        let (_, ok) = compare(&snap, &[slo_doc("sc", &[("t", 1.0, 96.0)])]);
-        assert!(ok.is_empty(), "{ok:?}");
-        let (deltas, bad) = compare(&snap, &[slo_doc("sc", &[("t", 1.0, 90.0)])]);
-        assert_eq!(deltas[0].goodput, Some((100.0, 90.0)));
-        assert_eq!(bad.len(), 1, "{bad:?}");
-        assert!(bad[0].contains("goodput dropped"), "{bad:?}");
-        let (_, up) = compare(&snap, &[slo_doc("sc", &[("t", 1.0, 200.0)])]);
-        assert!(up.is_empty(), "{up:?}");
+        assert!(gate(row("a"), row("a")).is_empty());
+        // The field on one side only is a schema change, gated like any
+        // other field.
+        let fast = with(row("a"), "sim_requests_per_second", Json::num(1e5));
+        assert_eq!(
+            gate(row("a"), fast),
+            ["lc/a.sim_requests_per_second: (missing) -> 100000"]
+        );
     }
 
     #[test]
     fn rows_without_slo_fields_are_not_gated_on_them() {
-        // Neither side carries the fields (single-tenant benches).
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let (deltas, violations) = compare(&snap, &[bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        assert_eq!(deltas[0].slo_attainment, None);
-        assert_eq!(deltas[0].goodput, None);
-        assert!(violations.is_empty(), "{violations:?}");
-        // Field on one side only (snapshot predates the metric): the
-        // comparison must not invent a drop.
-        let old = merge_snapshot(vec![bench_doc("sc", &[("t", 100.0, 0.5)])]);
-        let (deltas, quiet) = compare(&old, &[slo_doc("sc", &[("t", 1.0, 100.0)])]);
-        assert_eq!(deltas[0].slo_attainment, None);
-        assert_eq!(deltas[0].goodput, None);
-        assert!(quiet.is_empty(), "{quiet:?}");
+        let plain = || without(without(row("a"), "slo_attainment"), "goodput");
+        assert!(gate(plain(), plain()).is_empty());
+        assert_eq!(
+            gate(row("a"), plain()),
+            [
+                "lc/a.goodput: 90 -> (missing)",
+                "lc/a.slo_attainment: 0.98 -> (missing)"
+            ]
+        );
     }
 
     #[test]
-    fn improvement_passes() {
-        let snap = merge_snapshot(vec![bench_doc("lc", &[("a", 100.0, 0.5)])]);
-        let fresh = bench_doc("lc", &[("a", 150.0, 0.1)]);
-        let (_, violations) = compare(&snap, &[fresh]);
-        assert!(violations.is_empty(), "{violations:?}");
+    fn document_without_bench_name_is_rejected() {
+        let nameless = Json::obj([("rows", Json::Arr(vec![row("a")]))]);
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a")])]);
+        let err = compare(&snap, std::slice::from_ref(&nameless)).unwrap_err();
+        assert!(err.contains("\"bench\""), "{err}");
+        assert!(compare(&merge_snapshot(vec![nameless]), &[]).is_err());
+    }
+
+    #[test]
+    fn row_without_name_is_rejected() {
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a")])]);
+        let err = compare(&snap, &[doc("lc", vec![without(row("a"), "name")])]).unwrap_err();
+        assert_eq!(err, "lc: row without a \"name\"");
+    }
+
+    #[test]
+    fn duplicate_row_key_is_rejected() {
+        let twice = doc(
+            "lc",
+            vec![row("a"), with(row("a"), "evictions", Json::num(3.0))],
+        );
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a")])]);
+        assert_eq!(
+            compare(&snap, std::slice::from_ref(&twice)),
+            Err("lc/a: duplicate row".into())
+        );
+        assert_eq!(
+            compare(&merge_snapshot(vec![twice]), &[]),
+            Err("lc/a: duplicate row".into())
+        );
+        // The same row name under two benches is two rows.
+        let snap = merge_snapshot(vec![doc("lc", vec![row("a")]), doc("rc", vec![row("a")])]);
+        assert!(compare(&snap, &[]).is_ok());
     }
 }

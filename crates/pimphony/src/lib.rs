@@ -539,6 +539,25 @@ mod tests {
     }
 
     #[test]
+    fn recorded_preset_scenarios_validate() {
+        // The spec `with_policy` records for a preset system passes
+        // `Scenario::validate`, whole-node partitioning included.
+        for model in llm_model::ModelConfig::table1() {
+            for system in [
+                SystemConfig::cent_for(&model),
+                SystemConfig::neupims_for(&model),
+            ] {
+                let o = Orchestrator::new(system, model, Techniques::pimphony());
+                let spec = o
+                    .scenario()
+                    .clone()
+                    .tenant(TenantSpec::new("t", Dataset::QmSum));
+                assert_eq!(spec.validate(), Ok(()), "{}", model.name);
+            }
+        }
+    }
+
+    #[test]
     fn iteration_is_exposed() {
         let o = OrchestratorBuilder::new(llm_model::LLM_7B_32K).build();
         let it = o.iteration(&[(0, 8192), (1, 4096)]);

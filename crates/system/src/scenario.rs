@@ -270,6 +270,12 @@ impl PoolSpec {
                 self.name
             ));
         }
+        if self.pp == 0 {
+            return Err(format!(
+                "cluster.pools[{idx}] ({}): pp must be >= 1",
+                self.name
+            ));
+        }
         Ok(())
     }
 }
@@ -431,7 +437,7 @@ impl Scenario {
             sys.modules = self.cluster.modules;
         }
         if self.cluster.tp > 0 {
-            sys.with_parallel(ParallelConfig::new(self.cluster.tp, self.cluster.pp.max(1)))
+            sys.with_parallel(ParallelConfig::new(self.cluster.tp, self.cluster.pp))
         } else {
             sys
         }
@@ -446,7 +452,7 @@ impl Scenario {
             SystemKind::XpuPim => SystemConfig::neupims_for(model),
         };
         if pool.tp > 0 {
-            sys = sys.with_parallel(ParallelConfig::new(pool.tp, pool.pp.max(1)));
+            sys = sys.with_parallel(ParallelConfig::new(pool.tp, pool.pp));
         }
         sys.modules = sys.parallel.modules() * pool.replicas;
         sys
@@ -492,11 +498,12 @@ impl Scenario {
     }
 
     /// Validates the whole spec without building anything: model name,
-    /// tenant list (nonempty, ≤ 256, each tenant's fields), and policy
-    /// knobs. Shared by [`Self::materialize`] and [`Self::from_json`],
-    /// so a spec file that cannot materialize does not parse either.
+    /// tenant list (nonempty, ≤ 256, each tenant's fields), cluster
+    /// sizing, and policy knobs. Shared by [`Self::materialize`] and
+    /// [`Self::from_json`], so a spec file that cannot materialize does
+    /// not parse either.
     pub fn validate(&self) -> Result<(), String> {
-        self.resolve_model()?;
+        let model = self.resolve_model()?;
         if self.workload.is_empty() {
             return Err("workload must name at least one tenant".to_string());
         }
@@ -513,6 +520,9 @@ impl Scenario {
         if self.policies.paged_kv.page_bytes == 0 {
             return Err("policies.page_bytes must be > 0".to_string());
         }
+        if self.policies.stride == 0 {
+            return Err("policies.stride must be >= 1".to_string());
+        }
         let kt = self.policies.kv_transfer;
         if !(kt.page_latency_us >= 0.0 && kt.page_latency_us.is_finite()) {
             return Err(
@@ -522,7 +532,29 @@ impl Scenario {
         if !(kt.gbps > 0.0 && kt.gbps.is_finite()) {
             return Err("policies.kv_transfer_gbps must be positive and finite".to_string());
         }
+        self.validate_cluster(&model)?;
         self.validate_pools()
+    }
+
+    /// Validates the flat cluster sizing: `pp` is at least 1, and one
+    /// replica's `tp * pp` modules fit in the node (`cluster.modules`,
+    /// or the system preset's count when that is 0). Pooled specs size
+    /// the node from each pool's replicas, so only `pp` applies to them.
+    fn validate_cluster(&self, model: &ModelConfig) -> Result<(), String> {
+        if self.cluster.pp == 0 {
+            return Err("cluster.pp must be >= 1".to_string());
+        }
+        let sys = self.system_config_for(model);
+        let per_replica = u64::from(sys.parallel.tp) * u64::from(sys.parallel.pp);
+        if self.cluster.pools.is_empty() && per_replica > u64::from(sys.modules) {
+            return Err(format!(
+                "cluster.tp * cluster.pp = {per_replica} modules per replica exceeds the \
+                 node's {} modules (cluster.modules, or the {} preset's count when 0)",
+                sys.modules,
+                sys.kind.name()
+            ));
+        }
+        Ok(())
     }
 
     /// Validates the disaggregated pool topology: unique nonempty
@@ -1376,5 +1408,63 @@ mod tests {
         let back = Scenario::parse(&big.to_pretty()).expect("parse back");
         assert_eq!(back.cluster.modules, 200);
         assert_eq!(back, big);
+    }
+
+    #[test]
+    fn validate_rejects_zero_stride_and_pp() {
+        let mut s = two_tenant_scenario();
+        s.policies.stride = 0;
+        assert_eq!(
+            s.validate(),
+            Err("policies.stride must be >= 1".to_string())
+        );
+        let err = Scenario::parse(&s.to_pretty()).unwrap_err();
+        assert!(err.contains("policies.stride"), "{err}");
+        let mut s = two_tenant_scenario();
+        s.cluster.pp = 0;
+        assert_eq!(s.validate(), Err("cluster.pp must be >= 1".to_string()));
+        let mut s = two_tenant_scenario();
+        s.policies.prefill = PrefillConfig::chunked(512);
+        s.cluster.pools = vec![
+            PoolSpec::new("prefill", PoolRole::Prefill, 2).parallel(2, 1),
+            PoolSpec::new("decode", PoolRole::Decode, 2).parallel(2, 1),
+        ];
+        assert_eq!(s.validate(), Ok(()));
+        s.cluster.pools[1].pp = 0;
+        assert_eq!(
+            s.validate(),
+            Err("cluster.pools[1] (decode): pp must be >= 1".to_string())
+        );
+    }
+
+    #[test]
+    fn validate_rejects_replicas_larger_than_the_node() {
+        // LLM-7B-32K on the PIM-only preset has 8 modules; `tp: 1024`
+        // used to floor to one replica and run with 5.94 s TTFT p50.
+        let mut s = two_tenant_scenario();
+        for t in &mut s.workload {
+            t.requests = 4;
+        }
+        let model = s.resolve_model().unwrap();
+        assert_eq!(s.system_config_for(&model).modules, 8);
+        s.cluster.tp = 1024;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("cluster.tp * cluster.pp = 1024"), "{err}");
+        assert!(err.contains("8 modules"), "{err}");
+        assert!(s.materialize().is_err());
+        // Exact fits validate, and so does the whole-node sentinel.
+        for (tp, pp) in [(8, 1), (2, 4), (0, 1)] {
+            s.cluster.tp = tp;
+            s.cluster.pp = pp;
+            assert_eq!(s.validate(), Ok(()), "tp {tp} pp {pp}");
+        }
+        s.cluster.pp = 16;
+        s.cluster.tp = 1;
+        assert!(s.validate().unwrap_err().contains("= 16"));
+        // `cluster.modules` overrides the preset's count.
+        s.cluster.modules = 16;
+        assert_eq!(s.validate(), Ok(()));
+        s.cluster.modules = 15;
+        assert!(s.validate().unwrap_err().contains("15 modules"));
     }
 }

@@ -554,9 +554,11 @@ impl Evaluator {
     /// chunks are priced at their midpoint step, throughput is
     /// stride-invariant up to the kernel model's affine approximation —
     /// `stride = 1` is exact per-step pricing, larger strides are the
-    /// fast path (enforced by `tests/engine_properties.rs`).
+    /// fast path (enforced by `tests/engine_properties.rs`). Panics on
+    /// 0; a scenario's `policies.stride: 0` is a validation error.
     pub fn with_stride(mut self, stride: u64) -> Self {
-        self.stride = stride.max(1);
+        assert!(stride >= 1, "stride must be >= 1");
+        self.stride = stride;
         self
     }
 

@@ -127,11 +127,10 @@ fn wave_round_robin_matches_reference_on_out_of_order_traces() {
 /// Golden pin for the continuous path: the wave policy has a live
 /// oracle (`run_trace_wave_reference`), the continuous extraction does
 /// not, so this pins a seeded run's numbers against silent behavioral
-/// drift. Tolerances are tight enough to catch any scheduling change
-/// (one decode iteration is ~2 ms) while riding out libm differences in
-/// the trace generator's transcendentals. (Values re-pinned when chunk
-/// pricing moved to exact per-step midpoint pricing; the prefill-enabled
-/// pin lives in `tests/prefill_properties.rs`.)
+/// drift. The simulator is deterministic, so the pins are bit-exact:
+/// any scheduling or pricing change moves them. (Values re-pinned when
+/// chunk pricing moved to exact per-step midpoint pricing; the
+/// prefill-enabled pin lives in `tests/prefill_properties.rs`.)
 #[test]
 fn continuous_round_robin_golden_pin() {
     let e = cluster_eval();
@@ -143,27 +142,19 @@ fn continuous_round_robin_golden_pin() {
         );
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.waves, 155);
-    let close = |got: f64, want: f64, what: &str| {
-        assert!(
-            (got - want).abs() <= want.abs() * 1e-9,
-            "{what}: {got} vs pinned {want}"
-        );
-    };
-    close(r.seconds, 1.0708592565142856e1, "seconds");
-    close(
-        r.tokens_per_second,
-        8.431546858351828e2,
-        "tokens_per_second",
+    assert_eq!(r.seconds, 1.0708592565142856e1, "seconds");
+    assert_eq!(
+        r.tokens_per_second, 8.431546858351828e2,
+        "tokens_per_second"
     );
-    close(r.mean_batch, 1.2955947768689913e0, "mean_batch");
-    close(r.busy_seconds, 1.5860865308000003e1, "busy_seconds");
-    close(r.latency.ttft.p50, 2.2197971428568053e-3, "ttft p50");
-    close(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
-    close(r.latency.e2e.p95, 3.8047524914285713e-1, "e2e p95");
-    close(
-        r.capacity_utilization,
-        9.998594854973665e-1,
-        "capacity_utilization",
+    assert_eq!(r.mean_batch, 1.2955947768689913e0, "mean_batch");
+    assert_eq!(r.busy_seconds, 1.5860865308000003e1, "busy_seconds");
+    assert_eq!(r.latency.ttft.p50, 2.2197971428568053e-3, "ttft p50");
+    assert_eq!(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
+    assert_eq!(r.latency.e2e.p95, 3.8047524914285713e-1, "e2e p95");
+    assert_eq!(
+        r.capacity_utilization, 9.998594854973665e-1,
+        "capacity_utilization"
     );
     // Prefill is off by default, so the decode-only pin carries no
     // prompt-processing work.

@@ -106,7 +106,7 @@ fn orchestrator_matches_raw_evaluator() {
     let a = o.serve(&t);
     let b = e.run_trace(&t);
     assert_eq!(a.tokens, b.tokens);
-    assert!((a.tokens_per_second - b.tokens_per_second).abs() < 1e-9);
+    assert_eq!(a.tokens_per_second, b.tokens_per_second);
 }
 
 #[test]

@@ -83,20 +83,13 @@ fn none_policy_is_bit_exact_with_pr3_golden_pin() {
     assert_eq!(r.evictions, 0);
     assert_eq!(r.wasted_prefill_tokens, 0);
     assert_eq!(r.restart_seconds, 0.0);
-    let close = |got: f64, want: f64, what: &str| {
-        assert!(
-            (got - want).abs() <= want.abs() * 1e-9,
-            "{what}: {got} vs pinned {want}"
-        );
-    };
-    close(r.seconds, 1.0708592565142856e1, "seconds");
-    close(
-        r.tokens_per_second,
-        8.431546858351828e2,
-        "tokens_per_second",
+    assert_eq!(r.seconds, 1.0708592565142856e1, "seconds");
+    assert_eq!(
+        r.tokens_per_second, 8.431546858351828e2,
+        "tokens_per_second"
     );
-    close(r.latency.ttft.p50, 2.2197971428568053e-3, "ttft p50");
-    close(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
+    assert_eq!(r.latency.ttft.p50, 2.2197971428568053e-3, "ttft p50");
+    assert_eq!(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
     // The single-class breakdown mirrors the aggregate report.
     assert_eq!(r.latency_by_priority.len(), 1);
     assert_eq!(r.latency_by_priority[0].priority, 0);

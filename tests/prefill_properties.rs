@@ -208,8 +208,7 @@ fn parallel_and_sequential_runs_are_byte_identical_with_prefill() {
 /// Golden pin of the corrected (prefill-inclusive) router-comparison
 /// numbers on the seeded bursty-gamma trace — the continuous+prefill
 /// path has no live oracle, so this guards against silent behavioral
-/// drift. Tolerances ride out libm differences in the trace generator's
-/// transcendentals only.
+/// drift. The pins are bit-exact.
 #[test]
 fn prefill_router_comparison_golden_pin() {
     let r = run(
@@ -221,17 +220,11 @@ fn prefill_router_comparison_golden_pin() {
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.prefill_tokens, 2_267_996);
     assert_eq!(r.waves, 126);
-    let close = |got: f64, want: f64, what: &str| {
-        assert!(
-            (got - want).abs() <= want.abs() * 1e-9,
-            "{what}: {got} vs pinned {want}"
-        );
-    };
-    close(r.seconds, 9.43426016223212e2, "seconds");
-    close(r.prefill_seconds, 3.4628426859967562e3, "prefill_seconds");
-    close(r.latency.ttft.p50, 4.347299316554882e2, "ttft p50");
-    close(r.latency.ttft.p99, 9.051567532731457e2, "ttft p99");
-    close(r.latency.queueing.p99, 8.869406916652177e2, "queueing p99");
-    close(r.latency.prefill.p50, 2.9055406365194273e1, "prefill p50");
-    close(r.latency.e2e.p95, 8.372588159728963e2, "e2e p95");
+    assert_eq!(r.seconds, 9.43426016223212e2, "seconds");
+    assert_eq!(r.prefill_seconds, 3.4628426859967562e3, "prefill_seconds");
+    assert_eq!(r.latency.ttft.p50, 4.347299316554882e2, "ttft p50");
+    assert_eq!(r.latency.ttft.p99, 9.051567532731457e2, "ttft p99");
+    assert_eq!(r.latency.queueing.p99, 8.869406916652177e2, "queueing p99");
+    assert_eq!(r.latency.prefill.p50, 2.9055406365194273e1, "prefill p50");
+    assert_eq!(r.latency.e2e.p95, 8.372588159728963e2, "e2e p95");
 }

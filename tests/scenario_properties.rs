@@ -86,18 +86,11 @@ fn continuous_golden_pin_through_scenario() {
     // The PR 4 pinned values, re-asserted through the spec path.
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.waves, 155);
-    let close = |got: f64, want: f64, what: &str| {
-        assert!(
-            (got - want).abs() <= want.abs() * 1e-9,
-            "{what}: {got} vs pinned {want}"
-        );
-    };
-    close(
-        r.tokens_per_second,
-        8.431546858351828e2,
-        "tokens_per_second",
+    assert_eq!(
+        r.tokens_per_second, 8.431546858351828e2,
+        "tokens_per_second"
     );
-    close(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
+    assert_eq!(r.latency.ttft.p99, 2.8818125257142846e-1, "ttft p99");
     // The single-tenant breakdown mirrors the aggregate.
     assert_eq!(r.latency_by_tenant.len(), 1);
     assert_eq!(r.latency_by_tenant[0].tenant, 0);
