@@ -219,6 +219,63 @@ mod tests {
         );
     }
 
+    /// Noise in ungated fields never trips a field; a change to the
+    /// field itself always does, however small. A drop the old 5%
+    /// tolerance forgave (one token) is a real drop now.
+    #[test]
+    fn prefix_hit_gate_trips_on_real_drops_only() {
+        let noisy = with(row("a"), "wall_seconds", Json::num(3.0));
+        assert!(gate(with(row("a"), "wall_seconds", Json::num(1.0)), noisy).is_empty());
+        assert_eq!(
+            gate(
+                row("a"),
+                with(row("a"), "prefix_hit_tokens", Json::num(9_000.0))
+            ),
+            ["lc/a.prefix_hit_tokens: 10000 -> 9000"]
+        );
+        assert_eq!(
+            gate(
+                row("a"),
+                with(row("a"), "prefix_hit_tokens", Json::num(9_999.0))
+            ),
+            ["lc/a.prefix_hit_tokens: 10000 -> 9999"]
+        );
+    }
+
+    /// Attainment is compared as an absolute value: a zero snapshot
+    /// value is gated like any other, and a drop inside the old
+    /// 5-point tolerance trips.
+    #[test]
+    fn attainment_gate_is_absolute_and_trips_on_real_drops_only() {
+        let at = |v: f64| with(row("a"), "slo_attainment", Json::num(v));
+        assert!(gate(at(0.0), at(0.0)).is_empty());
+        assert_eq!(gate(at(0.0), at(0.01)), ["lc/a.slo_attainment: 0 -> 0.01"]);
+        assert_eq!(
+            gate(at(0.98), at(0.9)),
+            ["lc/a.slo_attainment: 0.98 -> 0.9"]
+        );
+        assert_eq!(
+            gate(at(0.98), at(0.97)),
+            ["lc/a.slo_attainment: 0.98 -> 0.97"]
+        );
+    }
+
+    /// A goodput drop trips whatever its size, the old 5% included;
+    /// an unchanged goodput with noisy wall time does not.
+    #[test]
+    fn goodput_gate_trips_on_real_drops_only() {
+        let noisy = with(row("a"), "wall_seconds", Json::num(2.0));
+        assert!(gate(row("a"), noisy).is_empty());
+        assert_eq!(
+            gate(row("a"), with(row("a"), "goodput", Json::num(80.0))),
+            ["lc/a.goodput: 90 -> 80"]
+        );
+        assert_eq!(
+            gate(row("a"), with(row("a"), "goodput", Json::num(88.0))),
+            ["lc/a.goodput: 90 -> 88"]
+        );
+    }
+
     #[test]
     fn throughput_drop_fails() {
         let diffs = gate(
