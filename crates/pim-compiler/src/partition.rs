@@ -193,6 +193,13 @@ impl ModulePartition {
     ///
     /// # Panics
     /// Panics if `channels` or `kv_heads` is zero.
+    // `#[inline]` gives every codegen unit that calls the visitor its own
+    // copy, so the per-slice closure inlines into the caller's loop no
+    // matter how the calling crate is partitioned. Without it, whether
+    // it inlines depends on where the instance lands: when it lands in
+    // another unit than the stage model's attention pricing, the stage
+    // model's iteration cost doubles.
+    #[inline]
     pub fn for_each_slice(
         scheme: Partitioning,
         channels: u32,

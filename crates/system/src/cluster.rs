@@ -32,14 +32,13 @@
 //! threads ([`Cluster::with_threads`]). Parallel and sequential runs produce
 //! byte-identical [`ServingReport`]s: routing decisions see identical
 //! load snapshots either way, and accounting is replayed from
-//! per-replica event logs in replica-index order, so no
+//! per-replica ledgers in replica-index order, so no
 //! float-accumulation order depends on thread scheduling.
 
 use crate::metrics::{LatencyReport, PoolBreakdown, ReplicaBreakdown, RequestTiming};
 use crate::policy::{PoolRole, SchedulingPolicy};
-use crate::replica::{HandoffOut, ReplicaSim, SimEvent};
+use crate::replica::{HandoffOut, Ledger, ReplicaSim, StepSeconds};
 use crate::serve::{Evaluator, ServingReport, TtftPredictor};
-use crate::stage::IterationBreakdown;
 use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -337,9 +336,10 @@ impl std::fmt::Display for RouterKind {
     }
 }
 
-/// Mutable run-wide accumulators, filled by replaying per-replica event
-/// logs in replica-index order. Field-by-field identical to the original
-/// single-threaded loops' accumulation.
+/// Mutable run-wide accumulators, filled by replaying per-replica
+/// ledgers in replica-index order. Field-by-field identical to the
+/// original single-threaded loops' accumulation: every float field is
+/// fed by one ledger stream, in that stream's emission order.
 #[derive(Default)]
 struct Accum {
     report: ServingReport,
@@ -353,63 +353,48 @@ struct Accum {
 }
 
 impl Accum {
-    /// Accounts one decode chunk: `batch_len` requests advanced by
-    /// `chunk` tokens each in `secs` seconds.
-    fn chunk(
-        &mut self,
-        eval: &Evaluator,
-        it: &IterationBreakdown,
-        batch_len: usize,
-        chunk: u64,
-        secs: f64,
-    ) {
-        self.report.tokens += batch_len as u64 * chunk;
-        self.report.attn_seconds += it.attn_seconds * chunk as f64;
-        self.report.fc_seconds += it.fc_seconds * chunk as f64;
-        self.util_weighted += it.attn_utilization * secs;
-        eval.energy_model().accumulate(
-            &mut self.report.energy,
-            it,
-            chunk as f64,
-            eval.system().parallel.modules(),
-            eval.system().module.channels,
-        );
-        self.steps += chunk;
-    }
-
-    /// Accounts one executed prefill chunk (`pre` holds the chunk's
-    /// totals): prompt tokens, prefill wall-clock, utilization weight,
-    /// and energy; `restart` seconds of the chunk were post-eviction
-    /// re-work. Prefill executes no decode steps, so `mean_batch`
-    /// and the decode-phase attn/fc second split are untouched.
-    fn prefill(&mut self, eval: &Evaluator, pre: &IterationBreakdown, chunk: u64, restart: f64) {
-        self.report.prefill_tokens += chunk;
-        self.report.prefill_seconds += pre.seconds;
-        self.report.restart_seconds += restart;
-        self.util_weighted += pre.attn_utilization * pre.seconds;
-        eval.energy_model().accumulate(
-            &mut self.report.energy,
-            pre,
-            1.0,
-            eval.system().parallel.modules(),
-            eval.system().module.channels,
-        );
-    }
-
-    /// Accounts one eviction: the discarded work is recorded here; the
-    /// re-work itself is billed by the `Prefill`/`Chunk` events that
-    /// redo it.
-    fn evict(&mut self, reprefill: u64, redecode: u64) {
-        self.report.evictions += 1;
-        self.report.wasted_prefill_tokens += reprefill;
-        self.report.wasted_decode_tokens += redecode;
-    }
-
-    /// Accounts a finished request's KV footprint under the memory
-    /// policy (for `capacity_utilization`).
-    fn retire(&mut self, eval: &Evaluator, final_len: u64, t_max: u64) {
-        self.used_kv += eval.model().kv_bytes(final_len) as f64;
-        self.reserved_kv += eval.kv_reservation(final_len, t_max) as f64;
+    /// Replays one replica's ledger, priced by its pool's `eval`.
+    fn replay(&mut self, eval: &Evaluator, ledger: &Ledger, t_max: u64) {
+        let r = &mut self.report;
+        for step in &ledger.steps {
+            match step.seconds {
+                StepSeconds::Decode { attn, fc } => {
+                    r.attn_seconds += attn;
+                    r.fc_seconds += fc;
+                }
+                StepSeconds::Prefill { secs, restart } => {
+                    r.prefill_seconds += secs;
+                    r.restart_seconds += restart;
+                }
+            }
+            self.util_weighted += step.util_weight;
+            r.energy.add(&step.energy);
+        }
+        for &len in &ledger.retired {
+            self.used_kv += eval.model().kv_bytes(len) as f64;
+            self.reserved_kv += eval.kv_reservation(len, t_max) as f64;
+        }
+        for &batch in &ledger.wave_admits {
+            self.batch_sum += batch;
+        }
+        for &secs in &ledger.handoff_secs {
+            r.transfer_seconds += secs;
+        }
+        self.steps += ledger.decode_steps;
+        r.tokens += ledger.tokens;
+        r.prefill_tokens += ledger.prefill_tokens;
+        r.waves += ledger.waves;
+        r.evictions += ledger.evictions;
+        // Pages reclaimed out of the prefix cache before re-use force a
+        // partial re-prefill: recomputed work, billed as waste
+        // alongside evictions.
+        r.wasted_prefill_tokens += ledger.reprefill_tokens + ledger.recompute_tokens;
+        r.wasted_decode_tokens += ledger.redecode_tokens;
+        r.shed += ledger.shed;
+        r.prefix_cache_hits += ledger.prefix_cache_hits;
+        r.prefix_hit_tokens += ledger.prefix_hit_tokens;
+        r.pages_evicted += ledger.pages_evicted;
+        r.kv_transferred_bytes += ledger.kv_transferred_bytes;
     }
 }
 
@@ -762,17 +747,18 @@ fn run_pools_impl(
         finish_all(claim_members(&mut pool_sims, &p2), threads);
     }
 
-    merge_pools(pools, &pool_sims, policy, t_max, arrivals.len())
+    merge_pools(pools, pool_sims, policy, t_max, arrivals.len())
 }
 
-/// Replays the per-replica event logs into one accumulator — pool by
-/// pool in declaration order, replica-index order within a pool, each
-/// pool priced by its own evaluator — and finalizes the report: the
-/// exact float operation sequence of the original sequential loops,
-/// independent of thread scheduling.
+/// Replays the per-replica ledgers into one accumulator — pool by pool
+/// in declaration order, replica-index order within a pool, each pool
+/// priced by its own evaluator — and finalizes the report: the exact
+/// float operation sequence of the original sequential loops,
+/// independent of thread scheduling. Consumes the sims, so each
+/// replica's timings move into the report instead of being copied.
 fn merge_pools(
     pools: &[(&str, &Evaluator)],
-    pool_sims: &[Vec<ReplicaSim<'_>>],
+    pool_sims: Vec<Vec<ReplicaSim<'_>>>,
     policy: SchedulingPolicy,
     t_max: u64,
     requests: usize,
@@ -790,54 +776,14 @@ fn merge_pools(
             replicas: sims.len() as u32,
             ..PoolBreakdown::default()
         };
-        for sim in sims {
-            for ev in &sim.events {
-                match *ev {
-                    SimEvent::Admit { batch } => {
-                        acc.report.waves += 1;
-                        acc.batch_sum += batch;
-                    }
-                    SimEvent::Chunk {
-                        ref it,
-                        batch_len,
-                        chunk,
-                        secs,
-                    } => acc.chunk(eval, it, batch_len, chunk, secs),
-                    SimEvent::Prefill {
-                        ref pre,
-                        chunk,
-                        restart,
-                    } => acc.prefill(eval, pre, chunk, restart),
-                    SimEvent::Evict {
-                        reprefill,
-                        redecode,
-                    } => acc.evict(reprefill, redecode),
-                    SimEvent::Retire { final_len } => acc.retire(eval, final_len, t_max),
-                    SimEvent::PrefixAdmit {
-                        hit_tokens,
-                        recompute_tokens,
-                    } => {
-                        if hit_tokens > 0 {
-                            acc.report.prefix_cache_hits += 1;
-                            acc.report.prefix_hit_tokens += hit_tokens;
-                        }
-                        // Pages reclaimed out of the prefix cache before
-                        // re-use force a partial re-prefill: recomputed
-                        // work, billed as waste alongside evictions.
-                        acc.report.wasted_prefill_tokens += recompute_tokens;
-                    }
-                    SimEvent::PageReclaim { pages } => acc.report.pages_evicted += pages,
-                    SimEvent::Shed => acc.report.shed += 1,
-                    SimEvent::Handoff { bytes, secs } => {
-                        acc.report.kv_transferred_bytes += bytes;
-                        acc.report.transfer_seconds += secs;
-                        pb.handoffs += 1;
-                        pb.kv_transferred_bytes += bytes;
-                        pb.transfer_seconds += secs;
-                    }
-                }
+        for mut sim in sims {
+            acc.replay(eval, &sim.ledger, t_max);
+            pb.handoffs += sim.ledger.handoff_secs.len() as u64;
+            pb.kv_transferred_bytes += sim.ledger.kv_transferred_bytes;
+            for &secs in &sim.ledger.handoff_secs {
+                pb.transfer_seconds += secs;
             }
-            timings.extend_from_slice(&sim.timings);
+            timings.append(&mut sim.timings);
             end_max = end_max.max(sim.end_time());
             busy_total += sim.busy_seconds();
             let rb = sim.breakdown();
@@ -917,7 +863,7 @@ fn merge_pools(
 /// instead of receiving a fixed slice, and a thread stuck on a heavy
 /// replica cannot strand the rest of a pre-chunked share. Each sim is
 /// still touched by exactly one thread — and accounting is replayed
-/// from the per-replica logs in replica-index order afterwards — so
+/// from the per-replica ledgers in replica-index order afterwards — so
 /// results cannot depend on the interleaving.
 fn finish_all(sims: Vec<&mut ReplicaSim<'_>>, threads: usize) {
     let workers = threads.min(sims.len()).max(1);

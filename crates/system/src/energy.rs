@@ -66,6 +66,17 @@ pub struct EnergyBreakdown {
 }
 
 impl EnergyBreakdown {
+    /// Adds `terms` field by field (one float add per field, so a run
+    /// total depends only on the order of the terms it is fed).
+    pub fn add(&mut self, terms: &EnergyBreakdown) {
+        self.mac += terms.mac;
+        self.io += terms.io;
+        self.background += terms.background;
+        self.else_ += terms.else_;
+        self.attention += terms.attention;
+        self.fc += terms.fc;
+    }
+
     /// Total joules.
     pub fn total(&self) -> f64 {
         self.mac + self.io + self.background + self.else_
@@ -90,27 +101,21 @@ impl EnergyModel {
         (mac, io, row)
     }
 
-    /// Accumulates the energy of `steps` decode iterations described by
-    /// `it` into `acc`, for a replica of `modules` modules with `channels`
-    /// channels each.
-    pub fn accumulate(
+    /// The energy of `steps` decode iterations described by `it`, for a
+    /// replica of `modules` modules with `channels` channels each: the
+    /// per-field addends [`EnergyBreakdown::add`] sums into a run total.
+    pub fn terms(
         &self,
-        acc: &mut EnergyBreakdown,
         it: &IterationBreakdown,
         steps: f64,
         modules: u32,
         channels: u32,
-    ) {
+    ) -> EnergyBreakdown {
         let (a_mac, a_io, a_row) = self.kernel_energy(&it.attn_totals);
         let (f_mac, f_io, f_row) = self.kernel_energy(&it.fc_totals);
         let fc_xpu = it.fc_flops * self.fc_pj_per_flop * 1e-12;
         let bg_power = self.background_w_per_channel * f64::from(modules) * f64::from(channels);
         let bg = bg_power * it.seconds;
-
-        acc.mac += steps * (a_mac + f_mac);
-        acc.io += steps * (a_io + f_io);
-        acc.background += steps * bg;
-        acc.else_ += steps * (a_row + f_row + fc_xpu);
 
         // Attribute stage shares: background splits by stage time.
         let attn_bg = if it.seconds > 0.0 {
@@ -123,8 +128,14 @@ impl EnergyModel {
         } else {
             0.0
         };
-        acc.attention += steps * (a_mac + a_io + a_row + attn_bg);
-        acc.fc += steps * (f_mac + f_io + f_row + fc_xpu + fc_bg);
+        EnergyBreakdown {
+            mac: steps * (a_mac + f_mac),
+            io: steps * (a_io + f_io),
+            background: steps * bg,
+            else_: steps * (a_row + f_row + fc_xpu),
+            attention: steps * (a_mac + a_io + a_row + attn_bg),
+            fc: steps * (f_mac + f_io + f_row + fc_xpu + fc_bg),
+        }
     }
 }
 
@@ -156,8 +167,8 @@ mod tests {
         let slow = iteration(5e-3, 1e6, 5e5);
         let mut ef = EnergyBreakdown::default();
         let mut es = EnergyBreakdown::default();
-        m.accumulate(&mut ef, &fast, 1.0, 8, 32);
-        m.accumulate(&mut es, &slow, 1.0, 8, 32);
+        ef.add(&m.terms(&fast, 1.0, 8, 32));
+        es.add(&m.terms(&slow, 1.0, 8, 32));
         assert!(es.background_fraction() > ef.background_fraction());
         assert!(es.total() > ef.total());
         assert!((es.mac - ef.mac).abs() < 1e-12, "work energy unchanged");
@@ -167,7 +178,7 @@ mod tests {
     fn totals_are_consistent() {
         let m = EnergyModel::aimx();
         let mut e = EnergyBreakdown::default();
-        m.accumulate(&mut e, &iteration(2e-3, 2e6, 1e6), 3.0, 8, 32);
+        e.add(&m.terms(&iteration(2e-3, 2e6, 1e6), 3.0, 8, 32));
         let sum = e.mac + e.io + e.background + e.else_;
         assert!((e.total() - sum).abs() < 1e-15);
         // Stage attribution covers (almost) the whole total.
@@ -180,8 +191,8 @@ mod tests {
         let it = iteration(1e-3, 1e6, 1e6);
         let mut one = EnergyBreakdown::default();
         let mut ten = EnergyBreakdown::default();
-        m.accumulate(&mut one, &it, 1.0, 8, 32);
-        m.accumulate(&mut ten, &it, 10.0, 8, 32);
+        one.add(&m.terms(&it, 1.0, 8, 32));
+        ten.add(&m.terms(&it, 10.0, 8, 32));
         assert!((ten.total() / one.total() - 10.0).abs() < 1e-9);
     }
 }

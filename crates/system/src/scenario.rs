@@ -37,7 +37,7 @@ use crate::policy::{
     KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
     SheddingPolicy, VictimOrder,
 };
-use crate::serve::{Evaluator, ServingReport};
+use crate::serve::{token_kv_bytes, Evaluator, ServingReport};
 use jsonio::Json;
 use llm_model::ModelConfig;
 use pim_compiler::ParallelConfig;
@@ -533,7 +533,44 @@ impl Scenario {
             return Err("policies.kv_transfer_gbps must be positive and finite".to_string());
         }
         self.validate_cluster(&model)?;
-        self.validate_pools()
+        self.validate_pools()?;
+        self.validate_page_bytes(&model)
+    }
+
+    /// Validates the KV page size under prefix caching: a page must
+    /// hold at least one token of KV on every replica that pages,
+    /// including the KV-head replication of that replica's own TP
+    /// degree (each pool's, or the flat cluster's).
+    fn validate_page_bytes(&self, model: &ModelConfig) -> Result<(), String> {
+        let page_bytes = self.policies.paged_kv.page_bytes;
+        if !self.policies.paged_kv.prefix_caching {
+            return Ok(());
+        }
+        let tps: Vec<(String, u32)> = if self.cluster.pools.is_empty() {
+            let tp = self.system_config_for(model).parallel.tp;
+            vec![("cluster".to_string(), tp)]
+        } else {
+            self.cluster
+                .pools
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let tp = self.pool_system_config(p, model).parallel.tp;
+                    (format!("cluster.pools[{i}] ({})", p.name), tp)
+                })
+                .collect()
+        };
+        for (place, tp) in tps {
+            let per_token = token_kv_bytes(model, tp);
+            if page_bytes < per_token {
+                return Err(format!(
+                    "policies.page_bytes = {page_bytes} is below one token's KV on a {place} \
+                     replica ({per_token} bytes at tp {tp}); a prefix-caching page must hold \
+                     at least one token"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Validates the flat cluster sizing: `pp` is at least 1, and one
@@ -1435,6 +1472,54 @@ mod tests {
             s.validate(),
             Err("cluster.pools[1] (decode): pp must be >= 1".to_string())
         );
+    }
+
+    #[test]
+    fn validate_rejects_sub_token_pages_under_prefix_caching() {
+        // The probe: the checked-in shared-prefix spec with a 1-byte
+        // page used to run, every page silently clamped to one token
+        // (TTFT p99 63.5 s and 68.4 s).
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/cache/shared_prefix.json"
+        );
+        let mut s = Scenario::from_file(path).expect("checked-in spec");
+        assert!(s.policies.paged_kv.prefix_caching);
+        assert_eq!(s.validate(), Ok(()));
+        s.policies.paged_kv.page_bytes = 1;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("policies.page_bytes = 1"), "{err}");
+        assert!(err.contains("cluster replica"), "{err}");
+        assert!(s.materialize().is_err());
+        assert!(Scenario::parse(&s.to_pretty()).is_err());
+        // Exactly one token validates; one byte less does not. (TP 2 on
+        // 32 KV heads replicates nothing.)
+        let model = s.resolve_model().unwrap();
+        let per_token = model.kv_bytes(1);
+        assert_eq!(token_kv_bytes(&model, 2), per_token);
+        s.policies.paged_kv.page_bytes = per_token;
+        assert_eq!(s.validate(), Ok(()));
+        s.policies.paged_kv.page_bytes = per_token - 1;
+        assert!(s.validate().is_err());
+        // Without prefix caching the page size is never used.
+        s.policies.paged_kv.prefix_caching = false;
+        assert_eq!(s.validate(), Ok(()));
+
+        // Each pool is checked at its own TP: on the 8-KV-head GQA model,
+        // TP 16 replicates every KV head twice, so a one-token page of
+        // the TP-2 pool is half a token in the TP-16 pool.
+        let mut s = two_tenant_scenario();
+        s.model = "LLM-7B-128K-GQA".to_string();
+        s.policies.paged_kv = PagedKvConfig::paged(llm_model::LLM_7B_128K_GQA.kv_bytes(1));
+        s.cluster.pools = vec![
+            PoolSpec::new("prefill", PoolRole::Prefill, 2).parallel(2, 1),
+            PoolSpec::new("decode", PoolRole::Decode, 1).parallel(16, 1),
+        ];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("cluster.pools[1] (decode)"), "{err}");
+        assert!(err.contains("at tp 16"), "{err}");
+        s.policies.paged_kv.page_bytes *= 2;
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -541,12 +541,18 @@ impl Evaluator {
     }
 
     /// Prompt/decode tokens one KV page holds under the active paged-KV
-    /// configuration (≥ 1): `page_bytes` over the per-token KV footprint
-    /// including any TP-driven KV-head replication.
+    /// configuration: `page_bytes` over one token's KV, including any
+    /// TP-driven KV-head replication. Panics on a page smaller than one
+    /// token; a scenario with prefix caching on rejects such a
+    /// `page_bytes` in validation.
     pub fn page_tokens(&self) -> u64 {
-        let replication = u64::from((self.system.parallel.tp / self.model.kv_heads()).max(1));
-        let per_token = (replication * self.model.kv_bytes(1)).max(1);
-        (self.paged_kv.page_bytes / per_token).max(1)
+        let per_token = token_kv_bytes(&self.model, self.system.parallel.tp);
+        assert!(
+            self.paged_kv.page_bytes >= per_token,
+            "a {}-byte KV page cannot hold one {per_token}-byte token",
+            self.paged_kv.page_bytes
+        );
+        self.paged_kv.page_bytes / per_token
     }
 
     /// Returns this evaluator with a different chunk-pricing stride
@@ -772,13 +778,12 @@ impl Evaluator {
                     report.attn_seconds += it.attn_seconds * chunk as f64;
                     report.fc_seconds += it.fc_seconds * chunk as f64;
                     util_weighted += it.attn_utilization * secs;
-                    self.energy.accumulate(
-                        &mut report.energy,
+                    report.energy.add(&self.energy.terms(
                         &it,
                         chunk as f64,
                         self.system.parallel.modules(),
                         self.system.module.channels,
-                    );
+                    ));
                     step += chunk;
                 }
 
@@ -813,6 +818,13 @@ impl Evaluator {
         };
         report
     }
+}
+
+/// KV bytes one token occupies on a replica at tensor-parallel degree
+/// `tp`: the model's per-token KV, times the KV-head replication a TP
+/// degree beyond the KV-head count forces (≥ 1 for any real model).
+pub(crate) fn token_kv_bytes(model: &ModelConfig, tp: u32) -> u64 {
+    (u64::from((tp / model.kv_heads()).max(1)) * model.kv_bytes(1)).max(1)
 }
 
 #[cfg(test)]

@@ -170,7 +170,7 @@ fn evicted_requests_still_complete_with_conserved_work() {
 
 /// Reserved KV never exceeds the admission capacity at any instant.
 /// `peak_reserved_kv` is sampled after every reservation, so it bounds
-/// the whole event log. (The one sanctioned exception, inherited from
+/// the whole run. (The one sanctioned exception, inherited from
 /// the wave loop: an empty batch admits its first request even if that
 /// single request exceeds capacity.)
 #[test]
