@@ -1,8 +1,8 @@
 //! Criterion benches of the cycle-level simulator itself: command-stream
 //! construction and scheduling throughput per controller, stage-model
 //! prefill pricing, the paged-KV pool under pressure, and the
-//! serving-simulator hot paths (admission sweep and frontier advance)
-//! driven through the public `Cluster` API.
+//! serving-simulator hot paths (admission sweep, frontier advance and
+//! the chunked-prefill ledger) driven through the public `Cluster` API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::LLM_7B_32K;
@@ -157,12 +157,34 @@ fn bench_serving_hot_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// Chunked-prefill serving end to end: 512-token prompt chunks make up
+/// most of the step stream, so the run exercises the replicas' interned
+/// prefill-price tables (one pricing per distinct `(done, chunk)`) and
+/// the merge's replay of the 16-byte prefill records in step order with
+/// the decode records.
+fn bench_prefill_ledger(c: &mut Criterion) {
+    let (eval, trace) = serving_fixture(1);
+    let eval = eval.with_chunked_prefill(512);
+    let mut g = c.benchmark_group("serving");
+    g.sample_size(10);
+    g.bench_function("prefill_ledger", |b| {
+        b.iter(|| {
+            Cluster::new(&eval, SchedulingPolicy::Continuous).run(
+                black_box(&trace),
+                RouterKind::RoundRobin.build_for(&eval).as_mut(),
+            )
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_stream_building,
     bench_schedulers,
     bench_stage,
     bench_page_pool,
-    bench_serving_hot_paths
+    bench_serving_hot_paths,
+    bench_prefill_ledger
 );
 criterion_main!(benches);

@@ -37,9 +37,10 @@
 
 use crate::metrics::{LatencyReport, PoolBreakdown, ReplicaBreakdown, RequestTiming};
 use crate::policy::{PoolRole, SchedulingPolicy};
-use crate::replica::{HandoffOut, Ledger, ReplicaSim, StepSeconds};
+use crate::replica::{HandoffOut, Ledger, ReplicaSim};
 use crate::serve::{Evaluator, ServingReport, TtftPredictor};
 use serde::Serialize;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use workload::{Request, Trace};
@@ -338,8 +339,11 @@ impl std::fmt::Display for RouterKind {
 
 /// Mutable run-wide accumulators, filled by replaying per-replica
 /// ledgers in replica-index order. Field-by-field identical to the
-/// original single-threaded loops' accumulation: every float field is
-/// fed by one ledger stream, in that stream's emission order.
+/// original single-threaded loops' accumulation: every float field
+/// receives its operands in their emission order — the order of its
+/// one ledger stream, or, for `util_weighted` and the energy sum, which
+/// both step streams feed, the execution order the prefill records'
+/// `after_decodes` counts restore.
 #[derive(Default)]
 struct Accum {
     report: ServingReport,
@@ -356,19 +360,25 @@ impl Accum {
     /// Replays one replica's ledger, priced by its pool's `eval`.
     fn replay(&mut self, eval: &Evaluator, ledger: &Ledger, t_max: u64) {
         let r = &mut self.report;
-        for step in &ledger.steps {
-            match step.seconds {
-                StepSeconds::Decode { attn, fc } => {
-                    r.attn_seconds += attn;
-                    r.fc_seconds += fc;
-                }
-                StepSeconds::Prefill { secs, restart } => {
-                    r.prefill_seconds += secs;
-                    r.restart_seconds += restart;
-                }
+        // Each prefill record is preceded by the decode records emitted
+        // before it; `None` stands for the decode tail after the last.
+        let mut replayed = 0;
+        for pre in ledger.prefills.iter().map(Some).chain([None]) {
+            let upto = pre.map_or(ledger.decodes.len(), |p| p.after_decodes as usize);
+            for d in &ledger.decodes[replayed..upto] {
+                r.attn_seconds += d.attn;
+                r.fc_seconds += d.fc;
+                self.util_weighted += d.util_weight;
+                r.energy.add(&d.energy);
             }
-            self.util_weighted += step.util_weight;
-            r.energy.add(&step.energy);
+            replayed = upto;
+            if let Some(p) = pre {
+                let price = &ledger.prefill_prices[p.price];
+                r.prefill_seconds += price.secs;
+                r.restart_seconds += p.restart;
+                self.util_weighted += price.util_weight;
+                r.energy.add(&price.energy);
+            }
         }
         for &len in &ledger.retired {
             self.used_kv += eval.model().kv_bytes(len) as f64;
@@ -693,8 +703,10 @@ fn run_pools_impl(
     assert!(!pools.is_empty(), "a cluster needs at least one pool");
     let threads = resolve_threads(threads);
     let t_max = trace.max_final_len();
+    // Routed in place: a builder trace is already in arrival order, so
+    // neither policy copies it.
     let arrivals = match policy {
-        SchedulingPolicy::Wave => trace.requests().to_vec(),
+        SchedulingPolicy::Wave => Cow::Borrowed(trace.requests()),
         SchedulingPolicy::Continuous => trace.arrival_ordered(),
     };
     let role_of = |eval: &Evaluator| -> PoolRole {
@@ -891,6 +903,7 @@ fn finish_all(sims: Vec<&mut ReplicaSim<'_>>, threads: usize) {
 mod tests {
     use super::*;
     use crate::config::{SystemConfig, Techniques};
+    use crate::policy::PreemptionPolicy;
     use llm_model::LLM_7B_32K;
     use pim_compiler::ParallelConfig;
     use workload::{Dataset, TraceBuilder};
@@ -1133,5 +1146,169 @@ mod tests {
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         assert_eq!(resolve_threads(0), cpus);
         assert_eq!(resolve_threads(3), 3);
+    }
+
+    /// The accounting the ledger replaced, kept as the replay's oracle:
+    /// one 80-byte record per executed chunk, in execution order, each
+    /// prefill chunk carrying its own fresh products.
+    enum OldSeconds {
+        Decode { attn: f64, fc: f64 },
+        Prefill { secs: f64, restart: f64 },
+    }
+
+    struct OldRecord {
+        seconds: OldSeconds,
+        util_weight: f64,
+        energy: crate::energy::EnergyBreakdown,
+    }
+
+    /// Rebuilds the old records from the ledger's test-only emission
+    /// log, pricing every prefill chunk afresh from its `(done, chunk)`.
+    fn old_records(eval: &Evaluator, ledger: &Ledger) -> Vec<OldRecord> {
+        let stage = eval.stage_model();
+        let keys = ledger.prefill_prices.keys();
+        let (mut decodes, mut prefills) = (ledger.decodes.iter(), ledger.prefills.iter());
+        let records = ledger
+            .emitted
+            .iter()
+            .map(|&prefill| {
+                if prefill {
+                    let p = prefills.next().expect("a prefill record per emission");
+                    let (done, chunk) = keys[p.price as usize];
+                    let pre = stage.prefill_chunk(0, done, chunk);
+                    OldRecord {
+                        seconds: OldSeconds::Prefill {
+                            secs: pre.seconds,
+                            restart: p.restart,
+                        },
+                        util_weight: pre.attn_utilization * pre.seconds,
+                        energy: crate::replica::energy_terms(eval, &pre, 1.0),
+                    }
+                } else {
+                    let d = decodes.next().expect("a decode record per emission");
+                    OldRecord {
+                        seconds: OldSeconds::Decode {
+                            attn: d.attn,
+                            fc: d.fc,
+                        },
+                        util_weight: d.util_weight,
+                        energy: d.energy,
+                    }
+                }
+            })
+            .collect();
+        assert!(decodes.next().is_none() && prefills.next().is_none());
+        records
+    }
+
+    /// The bits of every float accumulator the step records feed.
+    fn step_sums(r: &ServingReport, util_weighted: f64) -> Vec<u64> {
+        let e = &r.energy;
+        [
+            r.attn_seconds,
+            r.fc_seconds,
+            r.prefill_seconds,
+            r.restart_seconds,
+            util_weighted,
+            e.mac,
+            e.io,
+            e.background,
+            e.else_,
+            e.attention,
+            e.fc,
+        ]
+        .map(f64::to_bits)
+        .to_vec()
+    }
+
+    /// Runs one replica over `trace`, then checks that replaying its
+    /// ledger equals, bit for bit, the old record-by-record replay;
+    /// returns the ledger for case-specific checks.
+    fn assert_replay_matches_old_records(
+        eval: &Evaluator,
+        policy: SchedulingPolicy,
+        trace: &Trace,
+    ) -> Ledger {
+        let t_max = trace.max_final_len();
+        let mut sim = ReplicaSim::new(eval, policy, t_max);
+        for r in trace.arrival_ordered().iter() {
+            sim.enqueue(*r);
+        }
+        sim.finish();
+        let mut acc = Accum::default();
+        acc.replay(eval, &sim.ledger, t_max);
+        let mut old = Accum::default();
+        for rec in old_records(eval, &sim.ledger) {
+            let r = &mut old.report;
+            match rec.seconds {
+                OldSeconds::Decode { attn, fc } => {
+                    r.attn_seconds += attn;
+                    r.fc_seconds += fc;
+                }
+                OldSeconds::Prefill { secs, restart } => {
+                    r.prefill_seconds += secs;
+                    r.restart_seconds += restart;
+                }
+            }
+            old.util_weighted += rec.util_weight;
+            r.energy.add(&rec.energy);
+        }
+        assert_eq!(
+            step_sums(&acc.report, acc.util_weighted),
+            step_sums(&old.report, old.util_weighted),
+            "{policy:?}"
+        );
+        std::mem::take(&mut sim.ledger)
+    }
+
+    /// Whether a prefill chunk was executed after a decode chunk.
+    fn interleaves(ledger: &Ledger) -> bool {
+        ledger.emitted.windows(2).any(|w| !w[0] && w[1])
+    }
+
+    #[test]
+    fn ledger_replay_matches_the_old_step_record_replay() {
+        // One TP=2 replica of a multi-replica node.
+        let base = || multi_replica_eval().with_chunked_prefill(512);
+
+        // Continuous: a bursty two-class trace arriving about as fast as
+        // the replica serves it, so high-priority arrivals evict running
+        // requests, whose re-prefill bills nonzero restart seconds, and
+        // mixed steps interleave prompt chunks with decode iterations.
+        let eval = base().with_preemption(PreemptionPolicy::EvictRestart);
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(2026)
+            .requests(24)
+            .decode_range(16, 96)
+            .bursty(0.1, 2.5)
+            .priority_levels(2)
+            .build();
+        let ledger = assert_replay_matches_old_records(&eval, SchedulingPolicy::Continuous, &trace);
+        assert!(ledger.evictions > 0, "the pressure evicts");
+        assert!(
+            ledger.prefills.iter().any(|p| p.restart > 0.0),
+            "restart billed"
+        );
+        assert!(
+            ledger.prefills.len() > ledger.prefill_prices.len(),
+            "keys repeat"
+        );
+        assert!(interleaves(&ledger));
+
+        // Wave: the replica's pool splits the trace into several waves,
+        // each prefilling after the previous one decoded.
+        let eval = base();
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(2026)
+            .requests(24)
+            .decode_len(32)
+            .build();
+        let ledger = assert_replay_matches_old_records(&eval, SchedulingPolicy::Wave, &trace);
+        assert!(ledger.waves > 1, "several waves");
+        assert!(
+            ledger.prefills.len() > ledger.prefill_prices.len(),
+            "keys repeat"
+        );
+        assert!(interleaves(&ledger));
     }
 }

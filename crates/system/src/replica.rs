@@ -44,8 +44,13 @@
 //!   directly (the merge order would then depend on thread scheduling).
 //!   Instead each replica records the operands itself, and the cluster
 //!   replays them into one accumulator in replica-index order:
-//!   - one `StepRecord` per executed decode or prefill chunk, in
-//!     execution order;
+//!   - one `DecodeRecord` per executed decode chunk and one 16-byte
+//!     `PrefillRecord` per executed prefill chunk, each stream in
+//!     execution order. A prefill record references its interned
+//!     `PrefillPrice` (a chunk's price depends only on where it starts
+//!     and how long it is) and carries the count of decode records
+//!     emitted before it, so the merge can replay the accumulators
+//!     both kinds feed in the one execution order;
 //!   - short typed streams for the other float accumulators: retired
 //!     KV lengths, wave-admit batch sizes and handoff wire seconds;
 //!   - plain integer counters for everything else (tokens, steps,
@@ -53,10 +58,12 @@
 //!     reclaims, sheds, handoff bytes), whose sums do not depend on
 //!     order.
 //!
-//!   Every float accumulator is fed by exactly one stream, so it
-//!   receives the same operands in the same pool → replica → emission
-//!   order as the original single-threaded loops — and the result is
-//!   bit-exact. Only the interleaving *between* accumulators is not
+//!   Every float accumulator receives the same operands in the same
+//!   pool → replica → emission order as the original single-threaded
+//!   loops — and the result is bit-exact. Most are fed by one stream;
+//!   the utilization weight and energy sums, fed by both step streams,
+//!   are replayed in the interleaving `PrefillRecord::after_decodes`
+//!   records. Only the interleaving *between* accumulators is not
 //!   kept, and no accumulator can observe it. Evictions happen inside
 //!   one replica's admission sweep at a fixed virtual-time instant, so
 //!   thread count still cannot change results.
@@ -93,48 +100,124 @@ enum PlannedStep {
     /// A mixed prefill step: one prompt chunk plus (if anyone is
     /// decoding) one decode iteration.
     Mixed {
-        pre: IterationBreakdown,
+        /// The prompt chunk's interned price ([`PrefillPrices`]).
+        price: u32,
         pchunk: u64,
         it: Option<IterationBreakdown>,
         batch_len: usize,
     },
 }
 
-/// The float operands one executed step adds to the run-wide
+/// The float operands one executed decode chunk adds to the run-wide
 /// accumulators, recorded in execution order (see the module docs on
 /// replayable accounting). It holds the products the merge adds — not
-/// the [`IterationBreakdown`] they came from — so a record is 80 bytes
+/// the [`IterationBreakdown`] they came from — so a record is 72 bytes
 /// where the breakdown alone is 136.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StepRecord {
-    /// The step's seconds, split the way its kind reports them.
-    pub(crate) seconds: StepSeconds,
-    /// `attn_utilization × seconds`: the step's weight in the busy-time
-    /// utilization average.
+pub(crate) struct DecodeRecord {
+    /// Attention seconds of the chunk (`chunk ×` the iteration's).
+    pub(crate) attn: f64,
+    /// FC seconds of the chunk (`chunk ×` the iteration's).
+    pub(crate) fc: f64,
+    /// `attn_utilization × seconds`: the chunk's weight in the
+    /// busy-time utilization average.
     pub(crate) util_weight: f64,
-    /// The step's energy addends ([`crate::energy::EnergyModel::terms`]).
+    /// The chunk's energy addends ([`crate::energy::EnergyModel::terms`]).
     pub(crate) energy: EnergyBreakdown,
 }
 
-/// The kind-specific seconds of a [`StepRecord`].
+/// One executed prefill chunk, in execution order: a reference to its
+/// interned [`PrefillPrice`] plus the one operand that is its own.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum StepSeconds {
-    /// A decode chunk: `chunk ×` the iteration's attention and FC
-    /// seconds.
-    Decode {
-        /// Attention seconds of the chunk.
-        attn: f64,
-        /// FC seconds of the chunk.
-        fc: f64,
-    },
-    /// A prefill chunk.
-    Prefill {
-        /// Wall-clock seconds of the chunk.
-        secs: f64,
-        /// The share of `secs` spent *re*-processing tokens a previous
-        /// eviction discarded (0 on first-pass prefill).
-        restart: f64,
-    },
+pub(crate) struct PrefillRecord {
+    /// The chunk's price, an index into [`Ledger::prefill_prices`].
+    pub(crate) price: u32,
+    /// How many decode records the replica had emitted before this
+    /// chunk: its place in the one execution order that the
+    /// accumulators both kinds feed (utilization weight, energy) must
+    /// be replayed in.
+    pub(crate) after_decodes: u32,
+    /// The share of the chunk's seconds spent *re*-processing tokens a
+    /// previous eviction discarded (0 on first-pass prefill).
+    pub(crate) restart: f64,
+}
+
+/// The float operands every prefill chunk of one `(done, chunk)` adds
+/// to the run-wide accumulators.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PrefillPrice {
+    /// Wall-clock seconds of the chunk.
+    pub(crate) secs: f64,
+    /// `attn_utilization × secs`.
+    pub(crate) util_weight: f64,
+    /// The chunk's energy addends ([`crate::energy::EnergyModel::terms`]).
+    pub(crate) energy: EnergyBreakdown,
+}
+
+/// A replica's prefill prices, interned by `(done, chunk)`: the exact
+/// prefill-price memo, and the table [`PrefillRecord`]s point into.
+///
+/// A chunk's price depends on those two numbers alone (the request id
+/// only names the single request being partitioned), and the requests
+/// of one tenant prefill the same offsets again and again — at seed
+/// 2026 the memory-pressure perfbench workload executes ~57K prefill
+/// chunks per pass and prices ~3.9K of them. Each distinct chunk is
+/// priced, and its energy terms computed, exactly once per replica.
+#[derive(Debug, Default)]
+pub(crate) struct PrefillPrices {
+    // simlint: allow(nondet-iter): get/insert only, never iterated, so map order cannot reach a simulated quantity
+    index: std::collections::HashMap<(u64, u64), u32>,
+    prices: Vec<PrefillPrice>,
+}
+
+impl PrefillPrices {
+    /// The index of the price of `chunk` prompt tokens after `done`,
+    /// pricing it (`stage.prefill_chunk` plus its energy terms) the
+    /// first time it is asked for.
+    fn intern(
+        &mut self,
+        eval: &Evaluator,
+        stage: &StageModel,
+        req_id: u64,
+        done: u64,
+        chunk: u64,
+    ) -> u32 {
+        let prices = &mut self.prices;
+        *self.index.entry((done, chunk)).or_insert_with(|| {
+            let pre = stage.prefill_chunk(req_id, done, chunk);
+            let idx = u32::try_from(prices.len()).expect("fewer than 2^32 distinct prefill prices");
+            prices.push(PrefillPrice {
+                secs: pre.seconds,
+                util_weight: pre.attn_utilization * pre.seconds,
+                energy: energy_terms(eval, &pre, 1.0),
+            });
+            idx
+        })
+    }
+
+    /// Distinct prices interned so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.prices.len()
+    }
+
+    /// Each interned price's `(done, chunk)`, by index.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> Vec<(u64, u64)> {
+        let mut keys = vec![(0, 0); self.prices.len()];
+        for (&key, &idx) in &self.index {
+            keys[idx as usize] = key;
+        }
+        keys
+    }
+}
+
+impl std::ops::Index<u32> for PrefillPrices {
+    type Output = PrefillPrice;
+
+    fn index(&self, idx: u32) -> &PrefillPrice {
+        &self.prices[idx as usize]
+    }
 }
 
 /// A replica's accounting, read by the cluster merge (see the module
@@ -142,8 +225,17 @@ pub(crate) enum StepSeconds {
 /// and the integer counters.
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    /// One record per executed decode or prefill chunk.
-    pub(crate) steps: Vec<StepRecord>,
+    /// One record per executed decode chunk.
+    pub(crate) decodes: Vec<DecodeRecord>,
+    /// One record per executed prefill chunk.
+    pub(crate) prefills: Vec<PrefillRecord>,
+    /// The prices `prefills` point into.
+    pub(crate) prefill_prices: PrefillPrices,
+    /// Test-only emission log: whether each record, in execution
+    /// order, went to `prefills` (`true`) or `decodes` (`false`). The
+    /// replay oracle checks `PrefillRecord::after_decodes` against it.
+    #[cfg(test)]
+    pub(crate) emitted: Vec<bool>,
     /// The KV length of each finished request, for capacity
     /// utilization: context + decode length, or the prompt alone on a
     /// `Prefill`-role replica (its resident KV at handoff).
@@ -201,34 +293,38 @@ impl Ledger {
     ) {
         self.tokens += batch_len as u64 * chunk;
         self.decode_steps += chunk;
-        self.steps.push(StepRecord {
-            seconds: StepSeconds::Decode {
-                attn: it.attn_seconds * chunk as f64,
-                fc: it.fc_seconds * chunk as f64,
-            },
+        self.decodes.push(DecodeRecord {
+            attn: it.attn_seconds * chunk as f64,
+            fc: it.fc_seconds * chunk as f64,
             util_weight: it.attn_utilization * secs,
             energy: energy_terms(eval, it, chunk as f64),
         });
+        #[cfg(test)]
+        self.emitted.push(false);
     }
 
-    /// Records one executed prefill chunk of `chunk` prompt tokens
-    /// (`pre` holds the chunk's totals), `restart` seconds of which were
+    /// Records one executed prefill chunk of `chunk` prompt tokens,
+    /// priced by the interned `price`, `restart` seconds of which were
     /// post-eviction re-work.
-    fn prefill(&mut self, eval: &Evaluator, pre: &IterationBreakdown, chunk: u64, restart: f64) {
+    fn prefill(&mut self, price: u32, chunk: u64, restart: f64) {
         self.prefill_tokens += chunk;
-        self.steps.push(StepRecord {
-            seconds: StepSeconds::Prefill {
-                secs: pre.seconds,
-                restart,
-            },
-            util_weight: pre.attn_utilization * pre.seconds,
-            energy: energy_terms(eval, pre, 1.0),
+        self.prefills.push(PrefillRecord {
+            price,
+            after_decodes: u32::try_from(self.decodes.len())
+                .expect("fewer than 2^32 decode records per replica"),
+            restart,
         });
+        #[cfg(test)]
+        self.emitted.push(true);
     }
 }
 
 /// The energy of `steps` iterations of `it` on one of `eval`'s replicas.
-fn energy_terms(eval: &Evaluator, it: &IterationBreakdown, steps: f64) -> EnergyBreakdown {
+pub(crate) fn energy_terms(
+    eval: &Evaluator,
+    it: &IterationBreakdown,
+    steps: f64,
+) -> EnergyBreakdown {
     let sys = eval.system();
     eval.energy_model()
         .terms(it, steps, sys.parallel.modules(), sys.module.channels)
@@ -669,55 +765,10 @@ impl Active {
     }
 }
 
-/// Recently priced prefill chunks, by `(done, chunk)`.
-///
-/// A chunk's price depends on those two numbers alone (the request id
-/// only names the single request being partitioned), and the requests
-/// of one tenant prefill the same offsets again and again. The table
-/// is direct-mapped over a fixed number of slots, allocated at the
-/// first prefill chunk, so it never grows; a collision only costs a
-/// re-price. A hit returns the stored breakdown, the same value pricing
-/// again would return.
-#[derive(Debug, Default)]
-struct PrefillPrices(Vec<Option<(u64, u64, IterationBreakdown)>>);
-
-impl PrefillPrices {
-    /// log2 of the slot count (1,024 slots of 160 bytes).
-    const SLOT_BITS: u32 = 10;
-
-    /// `stage.prefill_chunk(req_id, done, chunk)`, from the table when
-    /// it holds that chunk.
-    fn price(
-        &mut self,
-        stage: &StageModel,
-        req_id: u64,
-        done: u64,
-        chunk: u64,
-    ) -> IterationBreakdown {
-        if self.0.is_empty() {
-            self.0 = vec![None; 1 << Self::SLOT_BITS];
-        }
-        let hash = (done ^ chunk.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let slot = &mut self.0[(hash >> (64 - Self::SLOT_BITS)) as usize];
-        match *slot {
-            Some((d, c, price)) if d == done && c == chunk => {
-                debug_assert_eq!(price, stage.prefill_chunk(req_id, done, chunk));
-                price
-            }
-            _ => {
-                let price = stage.prefill_chunk(req_id, done, chunk);
-                *slot = Some((done, chunk, price));
-                price
-            }
-        }
-    }
-}
-
 /// Per-replica serving state machine (see the module docs).
 pub(crate) struct ReplicaSim<'a> {
     eval: &'a Evaluator,
     stage: StageModel<'a>,
-    prefill_prices: PrefillPrices,
     policy: SchedulingPolicy,
     preempt: PreemptionPolicy,
     prefill: PrefillConfig,
@@ -811,7 +862,6 @@ impl<'a> ReplicaSim<'a> {
         ReplicaSim {
             eval,
             stage: eval.stage_model(),
-            prefill_prices: PrefillPrices::default(),
             policy,
             preempt: eval.preemption_policy(),
             prefill: eval.prefill_config(),
@@ -1210,10 +1260,14 @@ impl<'a> ReplicaSim<'a> {
                     let mut done = 0u64;
                     while done < r.context_len {
                         let c = self.prefill.chunk_tokens.min(r.context_len - done);
-                        let pre = self.prefill_prices.price(&self.stage, r.id, done, c);
-                        self.ledger.prefill(eval, &pre, c, 0.0);
-                        self.t += pre.seconds;
-                        self.busy += pre.seconds;
+                        let price =
+                            self.ledger
+                                .prefill_prices
+                                .intern(eval, &self.stage, r.id, done, c);
+                        self.ledger.prefill(price, c, 0.0);
+                        let secs = self.ledger.prefill_prices[price].secs;
+                        self.t += secs;
+                        self.busy += secs;
                         self.prefill_backlog = self.prefill_backlog.saturating_sub(c);
                         done += c;
                     }
@@ -1794,25 +1848,29 @@ impl<'a> ReplicaSim<'a> {
             .min_by_key(|(_, a)| (Reverse(a.req.priority), a.req.arrival_us, a.req.id))
             .map(|(i, _)| i)
             .expect("a prefilling request exists");
-        let (pre, pchunk, it, batch_len) = match self.cached_step {
+        let (price, pchunk, it, batch_len) = match self.cached_step {
             Some((
                 v,
                 PlannedStep::Mixed {
-                    pre,
+                    price,
                     pchunk,
                     it,
                     batch_len,
                 },
-            )) if v == self.batch_version => (pre, pchunk, it, batch_len),
+            )) if v == self.batch_version => (price, pchunk, it, batch_len),
             _ => {
                 let a = &self.running[pi];
                 let pchunk = self
                     .prefill
                     .chunk_tokens
                     .min(a.prefill_target - a.prefilled);
-                let pre = self
-                    .prefill_prices
-                    .price(&self.stage, a.req.id, a.prefilled, pchunk);
+                let price = self.ledger.prefill_prices.intern(
+                    self.eval,
+                    &self.stage,
+                    a.req.id,
+                    a.prefilled,
+                    pchunk,
+                );
                 let mut batch = std::mem::take(&mut self.batch_buf);
                 batch.clear();
                 batch.extend(
@@ -1831,16 +1889,17 @@ impl<'a> ReplicaSim<'a> {
                 self.cached_step = Some((
                     self.batch_version,
                     PlannedStep::Mixed {
-                        pre,
+                        price,
                         pchunk,
                         it,
                         batch_len,
                     },
                 ));
-                (pre, pchunk, it, batch_len)
+                (price, pchunk, it, batch_len)
             }
         };
-        let secs = pre.seconds + it.map_or(0.0, |it| it.seconds);
+        let pre_secs = self.ledger.prefill_prices[price].secs;
+        let secs = pre_secs + it.map_or(0.0, |it| it.seconds);
         if self.t + secs > limit {
             return Err(self.t + secs);
         }
@@ -1850,11 +1909,11 @@ impl<'a> ReplicaSim<'a> {
         // bucket so the first-pass prefill story stays honest.
         let owed_used = pchunk.min(self.running[pi].owed);
         let restart = if owed_used > 0 {
-            pre.seconds * owed_used as f64 / pchunk as f64
+            pre_secs * owed_used as f64 / pchunk as f64
         } else {
             0.0
         };
-        self.ledger.prefill(self.eval, &pre, pchunk, restart);
+        self.ledger.prefill(price, pchunk, restart);
         self.prefill_backlog = self.prefill_backlog.saturating_sub(pchunk);
         if let Some(it) = it {
             self.ledger.decode(self.eval, &it, batch_len, 1, it.seconds);
@@ -1872,7 +1931,7 @@ impl<'a> ReplicaSim<'a> {
         a.owed -= owed_used;
         a.restart_secs += restart;
         if a.prompt_ready() && a.prefill_end.is_none() {
-            a.prefill_end = Some(step_start + pre.seconds);
+            a.prefill_end = Some(step_start + pre_secs);
         }
         self.t += secs;
         self.busy += secs;
@@ -2157,24 +2216,28 @@ mod tests {
         assert_eq!((l.prefix_cache_hits, l.prefix_hit_tokens), (1, pt));
     }
 
-    /// The ledger holds one step record per executed chunk, so its size
-    /// is the accounting's memory per simulated step. It must stay well
-    /// below the 136-byte `IterationBreakdown` the record is derived
-    /// from: embedding the breakdown would more than double it.
+    /// The ledger holds one record per executed chunk, so the record
+    /// sizes are the accounting's memory per simulated step. A decode
+    /// record must stay well below the 136-byte `IterationBreakdown` it
+    /// is derived from (embedding the breakdown would more than double
+    /// it); a prefill record is a reference to its interned price.
     #[test]
     fn step_record_stays_compact() {
-        let bytes = std::mem::size_of::<StepRecord>();
-        assert!(bytes <= 80, "StepRecord grew to {bytes} bytes");
+        let decode = std::mem::size_of::<DecodeRecord>();
+        assert!(decode <= 80, "DecodeRecord grew to {decode} bytes");
+        let prefill = std::mem::size_of::<PrefillRecord>();
+        assert!(prefill <= 16, "PrefillRecord grew to {prefill} bytes");
     }
 
     #[test]
     fn prefill_prices_equal_fresh_pricing() {
-        // More chunk sizes per offset, and more offsets per chunk size,
-        // than slots: chunks that share an offset or a size also share
-        // slots, so hits, misses and collisions all occur, and every
-        // answer must equal pricing the chunk afresh.
+        // Chunks that share an offset or a size, each asked for twice
+        // under different request ids: every distinct chunk is priced
+        // once, a repeat returns the first answer's index, and every
+        // interned product equals pricing the chunk afresh.
         use crate::config::{SystemConfig, Techniques};
         use llm_model::LLM_7B_32K;
+        use std::collections::BTreeSet;
 
         let eval = Evaluator::new(
             SystemConfig::cent_for(&LLM_7B_32K),
@@ -2185,19 +2248,89 @@ mod tests {
         let mut prices = PrefillPrices::default();
         let chunks: Vec<(u64, u64)> = [0u64, 500, 4096]
             .into_iter()
-            .flat_map(|d| (1..=1500u64).map(move |c| (d, c)))
-            .chain((0..1500u64).map(|k| (16 * k, 512)))
+            .flat_map(|d| (1..=300u64).map(move |c| (d, c)))
+            .chain((0..300u64).map(|k| (16 * k, 512)))
             .collect();
-        const _: () = assert!(1500 > 1 << PrefillPrices::SLOT_BITS);
-        for round in 0..2 {
-            for (i, &(done, chunk)) in chunks.iter().enumerate() {
-                assert_eq!(
-                    prices.price(&stage, i as u64, done, chunk),
-                    stage.prefill_chunk(i as u64, done, chunk),
-                    "round {round}: done {done} chunk {chunk}"
-                );
-            }
+        let distinct: BTreeSet<(u64, u64)> = chunks.iter().copied().collect();
+        let first: Vec<u32> = chunks
+            .iter()
+            .enumerate()
+            .map(|(i, &(done, chunk))| prices.intern(&eval, &stage, i as u64, done, chunk))
+            .collect();
+        assert_eq!(
+            prices.len(),
+            distinct.len(),
+            "one pricing per distinct chunk"
+        );
+        for (i, &(done, chunk)) in chunks.iter().enumerate() {
+            let idx = prices.intern(&eval, &stage, i as u64 + 7, done, chunk);
+            assert_eq!(idx, first[i], "done {done} chunk {chunk}");
+            assert_eq!(prices.keys()[idx as usize], (done, chunk));
+            let pre = stage.prefill_chunk(i as u64, done, chunk);
+            let fresh = PrefillPrice {
+                secs: pre.seconds,
+                util_weight: pre.attn_utilization * pre.seconds,
+                energy: energy_terms(&eval, &pre, 1.0),
+            };
+            assert_eq!(prices[idx], fresh, "done {done} chunk {chunk}");
         }
+        assert_eq!(prices.len(), distinct.len(), "repeats price nothing");
+    }
+
+    /// A request whose KV footprint exceeds the whole page pool cannot
+    /// be admitted as is. The admitter's empty-batch guarantee still
+    /// admits it alone, and `admit_memory` clamps its footprint to the
+    /// pool instead of deadlocking — the `Err` branch, whose
+    /// `debug_assert` (checked in debug builds) is that the batch is
+    /// empty. Two such requests queue behind each other and both run.
+    #[test]
+    fn oversize_request_is_clamped_to_an_empty_pool() {
+        use crate::config::{SystemConfig, Techniques};
+        use crate::PagedKvConfig;
+        use llm_model::LLM_7B_32K;
+
+        let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
+        let base = Evaluator::new(
+            SystemConfig::cent_for(&LLM_7B_32K),
+            LLM_7B_32K,
+            Techniques::pimphony(),
+        );
+        // A 4-page pool.
+        let factor = 4.5 * page_bytes as f64 / base.replica_kv_capacity() as f64;
+        let eval = base
+            .with_chunked_prefill(512)
+            .with_prefix_caching(page_bytes)
+            .with_kv_capacity_factor(factor);
+        let pt = eval.page_tokens();
+        let oversize = |id: u64| Request {
+            id,
+            context_len: 10 * pt,
+            decode_len: 4,
+            arrival_us: 0,
+            priority: 0,
+            tenant: 0,
+            shared_prefix: 6 * pt,
+        };
+        let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, 10 * pt + 4);
+        sim.enqueue(oversize(0));
+        sim.enqueue(oversize(1));
+        sim.finish();
+        let pool_pages = sim
+            .paged
+            .as_ref()
+            .expect("paged KV is on")
+            .pool
+            .total_pages();
+        assert_eq!(pool_pages, 4);
+        assert_eq!(sim.served, 2, "both oversize requests run");
+        assert_eq!(sim.ledger.tokens, 8);
+        assert_eq!(
+            sim.peak_reserved,
+            pool_pages * page_bytes,
+            "the footprint is clamped to the whole pool"
+        );
+        // The second request finds the first one's shared pages cached.
+        assert_eq!(sim.ledger.prefix_cache_hits, 1);
     }
 
     #[test]

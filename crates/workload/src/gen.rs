@@ -18,6 +18,7 @@ use crate::dataset::{Dataset, DatasetStats};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// One inference request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -164,11 +165,16 @@ impl Trace {
 
     /// The requests in global arrival order (`(arrival_us, id)`,
     /// stable), the stream a cluster front-end consumes. Builder traces
-    /// already arrive in this order, so for them this is the identity.
-    pub fn arrival_ordered(&self) -> Vec<Request> {
+    /// already arrive in this order, so for them this borrows the trace;
+    /// only an out-of-order trace is copied and sorted.
+    pub fn arrival_ordered(&self) -> Cow<'_, [Request]> {
+        let key = |r: &Request| (r.arrival_us, r.id);
+        if self.requests.windows(2).all(|w| key(&w[0]) <= key(&w[1])) {
+            return Cow::Borrowed(&self.requests);
+        }
         let mut ordered = self.requests.clone();
-        ordered.sort_by_key(|r| (r.arrival_us, r.id));
-        ordered
+        ordered.sort_by_key(key);
+        Cow::Owned(ordered)
     }
 
     /// Last arrival time in seconds (0 for batch traces and empty traces).
@@ -695,13 +701,14 @@ mod tests {
             .collect();
         let ids: Vec<u64> = t.arrival_ordered().iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![3, 1, 2, 0]);
-        // Builder traces are already in arrival order.
+        assert!(matches!(t.arrival_ordered(), Cow::Owned(_)));
+        // Builder traces are already in arrival order, and borrowed.
         let built = TraceBuilder::new(Dataset::QmSum)
             .seed(6)
             .requests(32)
             .poisson(4.0)
             .build();
-        assert_eq!(built.arrival_ordered(), built.requests());
+        assert!(matches!(built.arrival_ordered(), Cow::Borrowed(r) if r == built.requests()));
         assert_eq!(
             built.max_final_len(),
             built.iter().map(|r| r.final_len()).max().unwrap()

@@ -10,7 +10,7 @@
 //! `perf/sim_speed_100k.json` is left to perfbench's `fleet_jsq`
 //! digest.
 
-use pimphony::system::Scenario;
+use pimphony::system::{PrefillConfig, Scenario};
 use std::path::{Path, PathBuf};
 
 /// `(spec path under scenarios/, digest of its report's Debug text)`.
@@ -33,6 +33,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
+fn scenarios_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios")
+}
+
 /// Every `.json` spec under `dir`, recursively, in path order.
 fn specs_under(dir: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
@@ -50,7 +54,7 @@ fn specs_under(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn every_checked_in_spec_reproduces_its_pinned_report() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let root = scenarios_dir();
     let mut found = Vec::new();
     for path in specs_under(&root) {
         let rel = path
@@ -80,4 +84,27 @@ fn every_checked_in_spec_reproduces_its_pinned_report() {
         "report digests changed; fresh pins:\n{}",
         rendered.join("\n")
     );
+}
+
+/// No checked-in spec runs the wave policy with chunked prefill
+/// (`wave_closed_world.json` has `prefill_chunk: 0`), so the wave loop's
+/// prefill path is pinned on a programmatic variant: the same spec with
+/// 512-token prefill chunks on a quarter of the KV capacity, so the
+/// prompts run as several waves that prefill the same chunk offsets
+/// again and again.
+#[test]
+fn wave_policy_with_chunked_prefill_reproduces_its_pinned_report() {
+    let path = scenarios_dir().join("wave_closed_world.json");
+    let mut scenario =
+        Scenario::from_file(&path.display().to_string()).unwrap_or_else(|e| panic!("{e}"));
+    scenario.policies.prefill = PrefillConfig::chunked(512);
+    scenario.policies.kv_capacity_factor = 0.25;
+    let report = scenario
+        .materialize()
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run();
+    assert!(report.prefill_tokens > 0, "the variant prefills");
+    assert!(report.waves > 1, "the variant runs several waves");
+    let digest = fnv1a64(format!("{report:?}").as_bytes());
+    assert_eq!(digest, 0xd32092b57c2aead4, "fresh pin: {digest:#018x}");
 }
