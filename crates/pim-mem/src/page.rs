@@ -14,9 +14,19 @@
 //! When a sequence releases its pages, shared-prefix pages whose
 //! refcount drops to zero are **not** freed: they stay in the tree as
 //! *cached* pages, reclaimable page-by-page in LRU order (childless
-//! nodes first, so a chain is consumed tail-first) only when a later
+//! pages first, so a chain is consumed tail-first) only when a later
 //! admission needs room. This replaces all-or-nothing per-request
 //! eviction with page-granular reclamation.
+//!
+//! A tree node is a **run**, not a page (the compressed edges of
+//! SGLang's RadixAttention): a maximal chain of pages with consecutive
+//! labels (`first`, `first + 1`, …) that share one refcount and one
+//! last use, stored as `(first, len)`. A tenant's shared prompt is one
+//! run until admissions that end inside it split it; a run merges back
+//! into its only child once they share a refcount and a last use again.
+//! Walking, re-referencing, releasing and reclaiming then cost per run,
+//! not per page. Page states, the LRU victim order and every returned
+//! count are still exactly page-granular.
 //!
 //! Page states and the conservation invariant:
 //!
@@ -39,9 +49,10 @@
 use crate::{MemError, RequestId};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A node's child links. Prompt prefixes form chains, so most nodes
-/// have at most one child: that link is stored inline, and only a true
-/// branch point keeps a map. `Many` always holds two or more entries.
+/// A node's child links, keyed by each child run's first label. Prompt
+/// prefixes form chains, so most runs have at most one child: that link
+/// is stored inline, and only a true branch point keeps a map. `Many`
+/// always holds two or more entries.
 #[derive(Debug, Clone, Default)]
 enum Children {
     #[default]
@@ -77,6 +88,21 @@ impl Children {
         }
     }
 
+    /// Points the existing link under `label` at another slot.
+    fn relink(&mut self, label: u64, slot: usize) {
+        match self {
+            Children::None => debug_assert!(false, "no child to relink"),
+            Children::One(l, s) => {
+                debug_assert_eq!(*l, label, "relinking an unknown child");
+                *s = slot;
+            }
+            Children::Many(map) => {
+                let old = map.insert(label, slot);
+                debug_assert!(old.is_some(), "relinking an unknown child");
+            }
+        }
+    }
+
     /// Unlinks the child under `label`; a branch left with one child
     /// goes back to the inline form.
     fn remove(&mut self, label: u64) {
@@ -98,55 +124,129 @@ impl Children {
 }
 
 /// A set of labels, stored as 64-bit words keyed by `label >> 6`.
-/// Labels of one prompt chain are usually consecutive, so they share a
-/// handful of words and the map stays ~64× smaller than one entry per
-/// label.
+/// Labels of one prompt chain are consecutive, so they share a handful
+/// of words, the map stays ~64× smaller than one entry per label, and a
+/// run of labels is added or removed a word at a time.
 #[derive(Debug, Clone, Default)]
 struct LabelSet(BTreeMap<u64, u64>);
 
 impl LabelSet {
-    fn insert(&mut self, label: u64) {
-        *self.0.entry(label >> 6).or_insert(0) |= 1 << (label & 63);
+    /// The words labels `first..=last` touch, each with the mask of
+    /// their bits in it.
+    fn words(first: u64, last: u64) -> impl Iterator<Item = (u64, u64)> {
+        (first >> 6..=last >> 6).map(move |w| {
+            let lo = if w == first >> 6 { first & 63 } else { 0 };
+            let hi = if w == last >> 6 { last & 63 } else { 63 };
+            (w, (u64::MAX >> (63 - hi)) & (u64::MAX << lo))
+        })
     }
 
-    /// Removes `label`, returning whether it was present.
-    fn remove(&mut self, label: u64) -> bool {
-        let Some(word) = self.0.get_mut(&(label >> 6)) else {
-            return false;
-        };
-        let bit = 1 << (label & 63);
-        let present = *word & bit != 0;
-        *word &= !bit;
-        if *word == 0 {
-            self.0.remove(&(label >> 6));
+    /// Adds labels `first..=last`.
+    fn insert(&mut self, first: u64, last: u64) {
+        for (w, mask) in Self::words(first, last) {
+            *self.0.entry(w).or_insert(0) |= mask;
+        }
+    }
+
+    /// Removes labels `first..=last`, returning how many were present.
+    fn remove(&mut self, first: u64, last: u64) -> u64 {
+        let mut present = 0;
+        for (w, mask) in Self::words(first, last) {
+            let Some(word) = self.0.get_mut(&w) else {
+                continue;
+            };
+            present += u64::from((*word & mask).count_ones());
+            *word &= !mask;
+            if *word == 0 {
+                self.0.remove(&w);
+            }
+        }
+        present
+    }
+
+    /// Removes every label of `labels` in order, returning how many were
+    /// present; each maximal run of consecutive labels goes by words.
+    fn remove_all(&mut self, labels: &[u64]) -> u64 {
+        let mut present = 0;
+        let mut rest = labels;
+        while let Some(&first) = rest.first() {
+            let len = run_len(rest);
+            present += self.remove(first, first + (len - 1));
+            rest = &rest[len as usize..];
         }
         present
     }
 }
 
-/// One node of the prefix tree — one shared-prefix page.
+/// Length of the run of consecutive labels `labels` starts with (≥ 1 on
+/// a nonempty slice).
+fn run_len(labels: &[u64]) -> u64 {
+    let first = labels[0];
+    labels
+        .iter()
+        .zip(0u64..)
+        .take_while(|&(&l, i)| first.checked_add(i) == Some(l))
+        .count() as u64
+}
+
+/// One node of the prefix tree: a run of `len` shared-prefix pages with
+/// labels `first..first + len` that share one refcount and one last use.
 #[derive(Debug, Clone)]
 struct Node {
-    /// Caller-supplied content label (identifies the page's tokens).
-    label: u64,
-    /// Parent node slot (`None` for first-page nodes hanging off the
-    /// conceptual root).
+    /// Label of the run's first page; page `i` of the run carries
+    /// `first + i` (the caller's content label for that page's tokens).
+    first: u64,
+    /// Pages in the run (≥ 1).
+    len: u64,
+    /// Parent run's slot (`None` for runs hanging off the conceptual
+    /// root).
     parent: Option<usize>,
-    /// Children keyed by content label.
+    /// Child runs keyed by their first label.
     children: Children,
-    /// Live sequences whose prompt maps this page.
+    /// Live sequences whose prompt maps this run's pages.
     refcount: u64,
-    /// Logical timestamp of the last admission that touched this page
+    /// Logical timestamp of the last admission that touched this run
     /// (monotonic counter, not wall clock — keeps runs deterministic).
     last_use: u64,
+}
+
+impl Node {
+    /// Label of the run's last page.
+    fn last(&self) -> u64 {
+        self.first + (self.len - 1)
+    }
+
+    /// How many leading labels of `labels` match this run's pages: a
+    /// sequential scan against `first`, `first + 1`, …, eight labels
+    /// per step so the compare vectorizes.
+    fn matched(&self, labels: &[u64]) -> u64 {
+        let span = &labels[..labels.len().min(self.len as usize)];
+        let mut i = 0;
+        for chunk in span.chunks_exact(8) {
+            let base = self.first.wrapping_add(i as u64);
+            let mut ok = true;
+            for (j, &l) in (0u64..).zip(chunk) {
+                ok &= l == base.wrapping_add(j);
+            }
+            if !ok {
+                break;
+            }
+            i += 8;
+        }
+        while i < span.len() && span[i].wrapping_sub(self.first) == i as u64 {
+            i += 1;
+        }
+        i as u64
+    }
 }
 
 /// A live sequence's page accounting.
 #[derive(Debug, Clone)]
 struct Seq {
-    /// Deepest prefix-tree node on the sequence's path (`None` without
-    /// a shared prefix). The rest of the path is its parent chain,
-    /// which stays live while the sequence references it.
+    /// Deepest run on the sequence's path (`None` without a shared
+    /// prefix); the path ends at that run's last page, since a run's
+    /// pages share one refcount. The rest of the path is its parent
+    /// chain, which stays live while the sequence references it.
     tail: Option<usize>,
     /// Pages owned privately (prompt tail + decode growth), never shared.
     private_pages: u64,
@@ -199,17 +299,23 @@ pub struct PagePool {
     referenced_pages: u64,
     /// Monotonic logical clock, bumped once per admission.
     tick: u64,
-    /// Slab of tree nodes; freed slots are reused via `free_slots`.
+    /// Slab of tree runs; freed slots are reused via `free_slots`. A
+    /// slot names the deep end of a run: a split gives the upper part a
+    /// new slot and a merge frees the upper one, so sequence tails,
+    /// reclaimable keys and parent links never move.
     slots: Vec<Option<Node>>,
     free_slots: Vec<usize>,
-    /// First-page nodes (children of the conceptual root), by label.
-    roots: BTreeMap<u64, usize>,
+    /// First runs of each prefix (children of the conceptual root).
+    roots: Children,
     /// Live sequences by request id.
     seqs: BTreeMap<u64, Seq>,
     /// Labels of reclaimed prefix pages, for recompute attribution.
     evicted_labels: LabelSet,
-    /// The reclaimable nodes (refcount 0 and childless) keyed
-    /// `(last_use, slot)`: the first entry is the LRU victim.
+    /// The reclaimable runs (refcount 0 and childless) keyed
+    /// `(last_use, slot)`: the first entry's last page is the LRU
+    /// victim. One admission stamps a single root-to-tail path, so no
+    /// two reclaimable runs share a last use and the slot never breaks
+    /// a tie; the victim order is the page-granular one.
     reclaimable: BTreeSet<(u64, usize)>,
 }
 
@@ -231,7 +337,7 @@ impl PagePool {
             tick: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
-            roots: BTreeMap::new(),
+            roots: Children::None,
             seqs: BTreeMap::new(),
             evicted_labels: LabelSet::default(),
             reclaimable: BTreeSet::new(),
@@ -275,23 +381,29 @@ impl PagePool {
         self.walk(labels).0
     }
 
-    /// [`Self::lookup`], plus the deepest resident node of the prefix.
-    /// Each step follows one child link: inline on a chain, a map
-    /// lookup only at a branch point.
-    fn walk(&self, labels: &[u64]) -> (PrefixHit, Option<usize>) {
+    /// [`Self::lookup`], plus where the resident prefix ends: the
+    /// deepest run it reaches and how many of that run's pages it
+    /// covers. Each run costs one child link and a label scan.
+    fn walk(&self, labels: &[u64]) -> (PrefixHit, Option<(usize, u64)>) {
         let mut hit = PrefixHit::default();
-        let mut cur: Option<usize> = None;
-        for &label in labels {
-            let next = match cur {
-                None => self.roots.get(&label).copied(),
-                Some(i) => self.node(i).children.get(label),
-            };
-            let Some(n) = next else { break };
-            hit.hit_pages += 1;
-            hit.hit_cached_pages += u64::from(self.node(n).refcount == 0);
-            cur = Some(n);
+        let mut end = None;
+        let mut children = &self.roots;
+        let mut rest = labels;
+        while let Some(n) = rest.first().and_then(|&label| children.get(label)) {
+            let node = self.node(n);
+            let k = node.matched(rest);
+            hit.hit_pages += k;
+            if node.refcount == 0 {
+                hit.hit_cached_pages += k;
+            }
+            end = Some((n, k));
+            if k < node.len {
+                break;
+            }
+            rest = &rest[k as usize..];
+            children = &node.children;
         }
-        (hit, cur)
+        (hit, end)
     }
 
     /// Admits a sequence: maps the longest resident prefix of `labels`
@@ -313,7 +425,7 @@ impl PagePool {
             return Err(MemError::DuplicateRequest(id));
         }
         // Walk first (read-only) to price the admission atomically.
-        let (hit, hit_tail) = self.walk(labels);
+        let (hit, end) = self.walk(labels);
         let missing = labels.len() as u64 - hit.hit_pages;
         let new_pages = missing + private_pages;
         let available = self.free_pages + self.cached_pages - hit.hit_cached_pages;
@@ -324,72 +436,40 @@ impl PagePool {
             });
         }
         self.tick += 1;
-        let tick = self.tick;
-        // Re-reference the hit prefix, deepest page first, up its
-        // parent chain.
-        let mut up = hit_tail;
-        while let Some(n) = up {
-            let node = self.slots[n].as_mut().expect("hit node is live");
-            if node.refcount == 0 {
-                self.cached_pages -= 1;
-                self.referenced_pages += 1;
-                self.reclaimable.remove(&(node.last_use, n));
+        // A hit that ends inside a run splits it there: the unmatched
+        // pages keep their refcount and last use.
+        let mut tail = end.map(|(n, k)| {
+            if k < self.node(n).len {
+                self.split(n, k)
+            } else {
+                n
             }
-            node.refcount += 1;
-            node.last_use = tick;
-            up = node.parent;
+        });
+        if let Some(t) = tail {
+            self.reference_path(t);
         }
-        let mut adm = Admission {
-            hit_pages: hit.hit_pages,
-            new_pages,
-            ..Admission::default()
-        };
-        // Allocate and insert the missed prefix pages. Each page is
-        // taken before its label is checked, so a label this very
-        // admission reclaims counts as recomputed.
-        let mut cur = hit_tail;
-        for &label in &labels[hit.hit_pages as usize..] {
-            adm.reclaimed_pages += self.take_pages(1);
-            if self.evicted_labels.remove(label) {
-                adm.recompute_pages += 1;
-            }
-            let node = Node {
-                label,
-                parent: cur,
-                children: Children::None,
-                refcount: 1,
-                last_use: tick,
-            };
-            let slot = match self.free_slots.pop() {
-                Some(s) => {
-                    self.slots[s] = Some(node);
-                    s
-                }
-                None => {
-                    self.slots.push(Some(node));
-                    self.slots.len() - 1
-                }
-            };
-            match cur {
-                None => {
-                    self.roots.insert(label, slot);
-                }
-                Some(p) => self.slots[p]
-                    .as_mut()
-                    .expect("parent is live")
-                    .children
-                    .insert(label, slot),
-            }
-            cur = Some(slot);
+        // The missed prefix pages hang below the hit as new runs, one
+        // per stretch of consecutive labels.
+        let missed = &labels[hit.hit_pages as usize..];
+        let mut rest = missed;
+        while let Some(&first) = rest.first() {
+            let len = run_len(rest);
+            tail = Some(self.attach(tail, first, len));
+            rest = &rest[len as usize..];
         }
         self.referenced_pages += missing;
-        // Allocate the private pages in one step.
-        adm.reclaimed_pages += self.take_pages(private_pages);
+        let (reclaimed, recompute) = self.take_prefix_pages(missed);
+        let adm = Admission {
+            hit_pages: hit.hit_pages,
+            new_pages,
+            reclaimed_pages: reclaimed + self.take_pages(private_pages),
+            recompute_pages: recompute,
+        };
         self.referenced_pages += private_pages;
         self.seqs.insert(
             id.0,
             Seq {
-                tail: cur,
+                tail,
                 private_pages,
             },
         );
@@ -414,16 +494,21 @@ impl PagePool {
         };
         let mut up = seq.tail;
         while let Some(n) = up {
-            let node = self.slots[n].as_mut().expect("path node is live");
+            let node = self.slots[n].as_mut().expect("path run is live");
             debug_assert!(node.refcount > 0, "page refcount underflow");
             node.refcount -= 1;
             if node.refcount == 0 {
-                rel.newly_cached_pages += 1;
+                rel.newly_cached_pages += node.len;
                 if node.children.is_empty() {
                     self.reclaimable.insert((node.last_use, n));
                 }
             }
             up = node.parent;
+        }
+        // Every run on the path dropped by one, so only the tail can
+        // newly match its only child.
+        if let Some(t) = seq.tail {
+            self.merge_down(t);
         }
         self.cached_pages += rel.newly_cached_pages;
         self.referenced_pages -= rel.newly_cached_pages;
@@ -432,6 +517,133 @@ impl PagePool {
         rel.released_pages = rel.freed_pages + rel.newly_cached_pages;
         self.debug_check();
         Ok(rel)
+    }
+
+    /// Re-references the path ending at run `tail` for the admission at
+    /// `self.tick`: refcount +1 and last use = tick on every run up to
+    /// the root, once per run. Runs on the path now share the last use,
+    /// so each one merges into its child where the refcounts agree.
+    fn reference_path(&mut self, tail: usize) {
+        let mut up = Some(tail);
+        while let Some(n) = up {
+            let node = self.slots[n].as_mut().expect("path run is live");
+            if node.refcount == 0 {
+                self.cached_pages -= node.len;
+                self.referenced_pages += node.len;
+                if node.children.is_empty() {
+                    self.reclaimable.remove(&(node.last_use, n));
+                }
+            }
+            node.refcount += 1;
+            node.last_use = self.tick;
+            up = node.parent;
+            self.merge_down(n);
+        }
+    }
+
+    /// Links a new run of `len` missed pages from label `first` below
+    /// `parent`, referenced once by the admission at `self.tick`, and
+    /// returns its slot (the parent may merge into it).
+    fn attach(&mut self, parent: Option<usize>, first: u64, len: u64) -> usize {
+        let n = self.alloc(Node {
+            first,
+            len,
+            parent,
+            children: Children::None,
+            refcount: 1,
+            last_use: self.tick,
+        });
+        self.children_mut(parent).insert(first, n);
+        if let Some(p) = parent {
+            self.merge_down(p);
+        }
+        n
+    }
+
+    /// Splits run `n` after its first `k` pages. The upper `k` pages
+    /// move to a new slot (returned); `n` keeps the rest, so every
+    /// handle to `n` stays valid.
+    fn split(&mut self, n: usize, k: u64) -> usize {
+        let node = self.node(n);
+        let (first, parent) = (node.first, node.parent);
+        let upper = Node {
+            first,
+            len: k,
+            parent,
+            children: Children::One(first + k, n),
+            refcount: node.refcount,
+            last_use: node.last_use,
+        };
+        let u = self.alloc(upper);
+        self.children_mut(parent).relink(first, u);
+        let node = self.node_mut(n);
+        node.first += k;
+        node.len -= k;
+        node.parent = Some(u);
+        u
+    }
+
+    /// Whether run `c`, a child of run `p`, continues it: consecutive
+    /// labels, the same refcount and the same last use.
+    fn continues(&self, p: usize, c: usize) -> bool {
+        let (parent, child) = (self.node(p), self.node(c));
+        parent.refcount == child.refcount
+            && parent.last_use == child.last_use
+            && parent.last().checked_add(1) == Some(child.first)
+    }
+
+    /// Merges run `p` into its only child when the child continues it,
+    /// keeping the child's slot. No live sequence can end at such a
+    /// parent: its refcount would then exceed the child's.
+    fn merge_down(&mut self, p: usize) {
+        let Children::One(_, c) = self.node(p).children else {
+            return;
+        };
+        if !self.continues(p, c) {
+            return;
+        }
+        let parent = self.slots[p].take().expect("merged run is live");
+        self.free_slots.push(p);
+        let child = self.node_mut(c);
+        child.first = parent.first;
+        child.len += parent.len;
+        child.parent = parent.parent;
+        self.children_mut(parent.parent).relink(parent.first, c);
+    }
+
+    /// Takes one page per missed prefix label and checks each label
+    /// against the reclaimed set, with the outcome of doing it page by
+    /// page: page `i` is taken — reclaiming one LRU page once the free
+    /// list is empty — before label `i` is checked, so a label this
+    /// admission reclaims counts as recomputed when a later page
+    /// carries it. Returns `(reclaimed, recomputed)` pages.
+    fn take_prefix_pages(&mut self, missed: &[u64]) -> (u64, u64) {
+        let from_free = self.free_pages.min(missed.len() as u64);
+        self.free_pages -= from_free;
+        let (direct, mut rest) = missed.split_at(from_free as usize);
+        let mut recompute = self.evicted_labels.remove_all(direct);
+        let mut reclaimed = 0;
+        while !rest.is_empty() {
+            // The free list is empty, so each page reclaims one: a batch
+            // at a time from the victim run's tail, labels `top` down.
+            let (top, k) = self.reclaim_tail(rest.len() as u64);
+            let (batch, after) = rest.split_at(k as usize);
+            let low = top - (k - 1);
+            if batch.iter().all(|&l| l < low || l > top) {
+                // No page of the batch carries a victim's label, so the
+                // victims' labels can all go in first.
+                self.evicted_labels.insert(low, top);
+                recompute += self.evicted_labels.remove_all(batch);
+            } else {
+                for (&l, victim) in batch.iter().zip((low..=top).rev()) {
+                    self.evicted_labels.insert(victim, victim);
+                    recompute += self.evicted_labels.remove(l, l);
+                }
+            }
+            reclaimed += k;
+            rest = after;
+        }
+        (reclaimed, recompute)
     }
 
     /// Consumes `n` pages: from the free list as far as it reaches, the
@@ -448,58 +660,89 @@ impl PagePool {
     }
 
     /// Reclaims the `n` least-recently-used cached pages onto the free
-    /// list, in exactly the order `n` successive pops of the
-    /// reclaimable index would take them. Only childless zero-refcount
-    /// nodes are candidates, so a cold chain is consumed tail (deepest
-    /// page) first; ties break on slot index, keeping reclamation
-    /// deterministic.
-    ///
-    /// Reclaiming a chain's tail exposes its parent as a new candidate,
-    /// which is then usually the next victim. While such a parent is
-    /// still below every indexed key it is held outside the index and
-    /// taken directly, saving an insert and a pop per page.
-    fn reclaim_lru(&mut self, n: u64) {
-        let mut held: Option<(u64, usize)> = None;
-        for _ in 0..n {
-            let (_, victim) = held
-                .take()
-                .or_else(|| self.reclaimable.pop_first())
-                .expect("cached page exists (admit feasibility was checked)");
+    /// list, in exactly the order `n` page-by-page LRU pops would take
+    /// them, a run's tail at a time.
+    fn reclaim_lru(&mut self, mut n: u64) {
+        self.free_pages += n;
+        while n > 0 {
+            let (top, k) = self.reclaim_tail(n);
+            self.evicted_labels.insert(top - (k - 1), top);
+            n -= k;
+        }
+    }
+
+    /// Reclaims up to `max` pages from the tail of the LRU victim run —
+    /// the least `(last_use, slot)` zero-refcount childless run — and
+    /// returns the label of the first page taken (the run's last) and
+    /// the count. The pages left keep the run's key, which stays the
+    /// least: no other reclaimable run shares its last use. A used-up
+    /// run leaves the tree; its parent may then become a victim or merge
+    /// into its remaining child. The caller records the victims' labels.
+    fn reclaim_tail(&mut self, max: u64) -> (u64, u64) {
+        let &(_, victim) = self
+            .reclaimable
+            .first()
+            .expect("cached page exists (admit feasibility was checked)");
+        let node = self.node_mut(victim);
+        let top = node.last();
+        let k = max.min(node.len);
+        node.len -= k;
+        let used_up = node.len == 0;
+        self.cached_pages -= k;
+        if used_up {
+            self.reclaimable.pop_first();
             let node = self.slots[victim].take().expect("victim is live");
-            match node.parent {
-                None => {
-                    self.roots.remove(&node.label);
-                }
-                Some(p) => {
-                    let parent = self.slots[p].as_mut().expect("parent outlives child");
-                    parent.children.remove(node.label);
+            self.free_slots.push(victim);
+            self.children_mut(node.parent).remove(node.first);
+            if let Some(p) = node.parent {
+                let parent = self.node(p);
+                if parent.children.is_empty() {
                     // A cold parent whose last child went becomes a leaf.
-                    if parent.refcount == 0 && parent.children.is_empty() {
-                        let key = (parent.last_use, p);
-                        if self.reclaimable.first().map_or(true, |&first| key < first) {
-                            held = Some(key);
-                        } else {
-                            self.reclaimable.insert(key);
-                        }
+                    if parent.refcount == 0 {
+                        self.reclaimable.insert((parent.last_use, p));
                     }
+                } else {
+                    self.merge_down(p);
                 }
             }
-            self.free_slots.push(victim);
-            self.evicted_labels.insert(node.label);
         }
-        if let Some(key) = held {
-            self.reclaimable.insert(key);
+        (top, k)
+    }
+
+    fn alloc(&mut self, node: Node) -> usize {
+        match self.free_slots.pop() {
+            Some(s) => {
+                self.slots[s] = Some(node);
+                s
+            }
+            None => {
+                self.slots.push(Some(node));
+                self.slots.len() - 1
+            }
         }
-        self.cached_pages -= n;
-        self.free_pages += n;
     }
 
     fn node(&self, i: usize) -> &Node {
         self.slots[i].as_ref().expect("node index is live")
     }
 
-    /// Conservation invariant, and the reclaimable index equals the set
-    /// of zero-refcount childless nodes (debug builds only).
+    fn node_mut(&mut self, i: usize) -> &mut Node {
+        self.slots[i].as_mut().expect("node index is live")
+    }
+
+    /// The child links of run `parent`, or of the conceptual root.
+    fn children_mut(&mut self, parent: Option<usize>) -> &mut Children {
+        match parent {
+            None => &mut self.roots,
+            Some(p) => &mut self.node_mut(p).children,
+        }
+    }
+
+    /// Conservation invariants (debug builds only): pages sum to the
+    /// total, and run lengths to the cached and the referenced prefix
+    /// pages; links agree both ways; runs are maximal (no run continues
+    /// into its only child); the reclaimable index equals the set of
+    /// zero-refcount childless runs, with distinct last uses.
     fn debug_check(&self) {
         debug_assert_eq!(
             self.free_pages + self.cached_pages + self.referenced_pages,
@@ -507,15 +750,42 @@ impl PagePool {
             "page conservation violated"
         );
         if cfg!(debug_assertions) {
-            let leaves: BTreeSet<(u64, usize)> = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
-                .filter(|(_, n)| n.refcount == 0 && n.children.is_empty())
-                .map(|(i, n)| (n.last_use, i))
-                .collect();
+            let (mut cached, mut shared) = (0, 0);
+            let mut leaves = BTreeSet::new();
+            for (i, n) in self.slots.iter().enumerate() {
+                let Some(n) = n else { continue };
+                assert!(n.len > 0 && n.first.checked_add(n.len - 1).is_some());
+                let siblings = match n.parent {
+                    None => &self.roots,
+                    Some(p) => &self.node(p).children,
+                };
+                assert_eq!(siblings.get(n.first), Some(i), "parent link out of sync");
+                if let Children::One(_, c) = n.children {
+                    assert!(!self.continues(i, c), "run {i} continues into its child");
+                }
+                if n.refcount == 0 {
+                    cached += n.len;
+                    if n.children.is_empty() {
+                        leaves.insert((n.last_use, i));
+                    }
+                } else {
+                    shared += n.len;
+                }
+            }
+            let private: u64 = self.seqs.values().map(|s| s.private_pages).sum();
+            assert_eq!(cached, self.cached_pages, "cached run lengths");
+            assert_eq!(
+                shared + private,
+                self.referenced_pages,
+                "referenced run lengths"
+            );
             assert_eq!(self.reclaimable, leaves, "reclaimable index out of sync");
+            let uses: BTreeSet<u64> = leaves.iter().map(|&(u, _)| u).collect();
+            assert_eq!(
+                uses.len(),
+                leaves.len(),
+                "reclaimable runs share a last use"
+            );
         }
     }
 }
@@ -673,23 +943,35 @@ mod tests {
         ));
     }
 
-    /// The LRU victim by a linear scan over every slot: the least
-    /// `(last_use, slot)` among zero-refcount childless nodes.
-    fn victim_by_scan(p: &PagePool) -> Option<usize> {
+    /// The LRU victim by a linear scan over every run: the least
+    /// `(last_use, slot)` among zero-refcount childless runs, with its
+    /// length.
+    fn victim_by_scan(p: &PagePool) -> Option<(usize, u64)> {
         p.slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|n| (i, n)))
             .filter(|(_, n)| n.refcount == 0 && n.children.is_empty())
             .min_by_key(|&(i, n)| (n.last_use, i))
-            .map(|(i, _)| i)
+            .map(|(i, n)| (i, n.len))
+    }
+
+    /// Pages stored in the tree's runs.
+    fn tree_pages(p: &PagePool) -> u64 {
+        p.slots.iter().flatten().map(|n| n.len).sum()
+    }
+
+    /// Runs (nodes) in the tree.
+    fn runs(p: &PagePool) -> usize {
+        p.slots.iter().flatten().count()
     }
 
     #[test]
     fn indexed_reclaim_picks_the_linear_scan_victim() {
         // Seeded random admits (branching prefixes, some infeasible),
         // releases and explicit reclaims on a small pool. Each explicit
-        // reclaim must take exactly the slot the linear scan names;
+        // reclaim must take the last page of exactly the run the linear
+        // scan names;
         // admissions that reclaim internally are checked by
         // `debug_check`'s index invariant.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -721,14 +1003,21 @@ mod tests {
                     p.release(RequestId(live.swap_remove(i))).unwrap();
                 }
                 _ => {
-                    let Some(expect) = victim_by_scan(&p) else {
+                    let Some((victim, len)) = victim_by_scan(&p) else {
                         assert_eq!(p.cached_pages(), 0);
                         continue;
                     };
-                    let live_before = p.slots.iter().flatten().count();
+                    let label = p.node(victim).last();
+                    let pages_before = tree_pages(&p);
                     p.reclaim_lru(1);
-                    assert!(p.slots[expect].is_none(), "victim differs from the scan");
-                    assert_eq!(p.slots.iter().flatten().count(), live_before - 1);
+                    // The scan's run lost its last page (and left the
+                    // tree if that was its only one).
+                    let left = p.slots[victim].as_ref().map_or(0, |n| n.len);
+                    assert_eq!(left, len - 1, "victim differs from the scan");
+                    assert_eq!(tree_pages(&p), pages_before - 1);
+                    let recorded = p.evicted_labels.remove(label, label);
+                    assert_eq!(recorded, 1, "victim label not recorded");
+                    p.evicted_labels.insert(label, label);
                     explicit_reclaims += 1;
                     p.debug_check();
                 }
@@ -749,16 +1038,25 @@ mod tests {
         let mut set = LabelSet::default();
         let labels = [0, 1, 63, 64, 1 << 32, (1 << 32) | 63, u64::MAX];
         for &l in &labels {
-            assert!(!set.remove(l));
-            set.insert(l);
+            assert_eq!(set.remove(l, l), 0);
+            set.insert(l, l);
         }
         assert_eq!(set.0.len(), 4, "one word per 64-label block");
-        assert!(!set.remove(2), "an absent label in a present word");
+        assert_eq!(set.remove(2, 2), 0, "an absent label in a present word");
         for &l in labels.iter().rev() {
-            assert!(set.remove(l), "{l}");
-            assert!(!set.remove(l), "{l} removed twice");
+            assert_eq!(set.remove(l, l), 1, "{l}");
+            assert_eq!(set.remove(l, l), 0, "{l} removed twice");
         }
         assert!(set.0.is_empty(), "emptied words are dropped");
+        // Ranges go a word at a time, across word boundaries.
+        set.insert(60, 200);
+        assert_eq!(set.0.len(), 4);
+        assert_eq!(set.remove(0, 63), 4);
+        assert_eq!(set.remove_all(&[64, 66, 65, 67, 300, 190, 191]), 6);
+        assert_eq!(set.remove(0, 255), 200 - 68 + 1 - 2);
+        assert!(set.0.is_empty());
+        set.insert(u64::MAX - 70, u64::MAX);
+        assert_eq!(set.remove_all(&[u64::MAX - 1, u64::MAX, 0]), 2);
     }
 
     #[test]
@@ -779,10 +1077,11 @@ mod tests {
         assert_eq!(p.cached_pages(), 5);
     }
 
-    /// The pool as it was before inline child links and batched
-    /// reclaim: `BTreeMap` children, a stored path per sequence, one
-    /// `take_page` per allocated page and one `pop_first` per reclaimed
-    /// page. Kept as the differential oracle for [`PagePool`].
+    /// The pool as it was before run nodes, inline child links and
+    /// batched reclaim: one node per page with `BTreeMap` children, a
+    /// stored path per sequence, one `take_page` per allocated page and
+    /// one `pop_first` per reclaimed page. Kept as the page-granular
+    /// differential oracle for [`PagePool`].
     mod oracle {
         use crate::page::{Admission, PrefixHit, Released};
         use crate::{MemError, RequestId};
@@ -1004,11 +1303,15 @@ mod tests {
         // branches at two depths, so the tree has both chains and
         // branch points; pools are small enough that most admissions
         // reclaim, and chains are long enough that one admission
-        // reclaims many pages in a row. Every result and every page
-        // count must match after every operation, and a probe walk of
-        // every label set the workload can draw must hit identically —
-        // which pins the set of resident pages, so any change in the
-        // victim order shows.
+        // reclaims many pages in a row. The last config stores long
+        // chains as runs: stems of up to 400 pages (most over 300),
+        // hits that end inside a run, reclaims that take part of a
+        // run's tail, releases that merge runs back, and label sets
+        // whose first half is not consecutive (one page per run). Every
+        // result and every page count must match after every operation,
+        // and a probe walk of every label set the workload can draw
+        // must hit identically — which pins the set of resident pages,
+        // so any change in the victim order shows.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut draw = |n: u64| {
             state ^= state << 13;
@@ -1016,21 +1319,32 @@ mod tests {
             state ^= state << 17;
             state % n
         };
-        // (pool pages, tenants, max stem, max branch, max private)
+        // (pool pages, tenants, min stem, max stem, max branch, max
+        // private, label-set kinds: 3 without and 4 with sparse sets)
         let configs = [
-            (24u64, 4u64, 8u64, 4u64, 4u64),
-            (64, 3, 40, 8, 6),
-            (200, 2, 120, 30, 16),
+            (24u64, 4u64, 1u64, 8u64, 4u64, 4u64, 3u64),
+            (64, 3, 1, 40, 8, 6, 3),
+            (200, 2, 1, 120, 30, 16, 3),
+            (1000, 3, 150, 400, 40, 24, 4),
         ];
         let (mut reclaimed, mut multi_reclaims, mut recomputed, mut rejected) = (0, 0, 0, 0);
-        let mut max_branches = 0;
-        for &(pages, tenants, max_stem, max_branch, max_private) in &configs {
+        let (mut max_branches, mut mid_run_hits, mut partial_tails, mut merges) = (0, 0, 0, 0);
+        let (mut long_stems, mut sparse_runs) = (0, 0);
+        for &(pages, tenants, min_stem, max_stem, max_branch, max_private, kinds) in &configs {
             // Label set: stem of tenant `g`, then an optional branch
             // `v` (1..=3) forking at stem page `fork`.
             let set = |g: u64, stem: u64, v: u64, fork: u64, branch: u64| {
                 let mut l = labels(g, stem.min(fork));
                 l.extend((0..branch).map(|i| (g << 32) | (v << 24) | (fork << 16) | i));
                 l
+            };
+            // A sparse set: `n / 2` labels two apart, then consecutive.
+            let sparse = |g: u64, n: u64| -> Vec<u64> {
+                let high = (g << 32) | (1 << 31);
+                (0..n / 2)
+                    .map(|i| high | (2 * i))
+                    .chain((n / 2..n).map(|i| high | (1 << 30) | i))
+                    .collect()
             };
             let mut probes = Vec::new();
             for g in 0..tenants {
@@ -1040,6 +1354,9 @@ mod tests {
                         probes.push(set(g, max_stem, v, fork, max_branch));
                     }
                 }
+                if kinds == 4 {
+                    probes.push(sparse(g, max_stem));
+                }
             }
             let mut p = PagePool::new(pages * 1024, 1024);
             let mut o = oracle::OraclePool::new(pages * 1024, 1024);
@@ -1048,15 +1365,21 @@ mod tests {
                 match draw(20) {
                     0..=9 => {
                         let g = draw(tenants);
-                        let stem = 1 + draw(max_stem);
-                        let l = match draw(3) {
+                        let stem = min_stem + draw(max_stem - min_stem + 1);
+                        let l = match draw(kinds) {
                             0 => labels(g, stem),
+                            3 => sparse(g, stem),
                             v => {
                                 let fork = [max_stem / 2, max_stem][draw(2) as usize];
                                 set(g, stem, v, fork, draw(max_branch + 1))
                             }
                         };
+                        long_stems += u64::from(stem >= 300);
                         let private = draw(max_private + 1);
+                        if let (_, Some((n, k))) = p.walk(&l) {
+                            mid_run_hits += u64::from(k < p.node(n).len);
+                        }
+                        let lru_run = p.reclaimable.first().map(|&(_, s)| p.node(s).len);
                         let got = p.admit(RequestId(id), &l, private);
                         assert_eq!(got, o.admit(RequestId(id), &l, private), "admit {id}");
                         match got {
@@ -1064,6 +1387,10 @@ mod tests {
                                 reclaimed += a.reclaimed_pages;
                                 multi_reclaims += u64::from(a.reclaimed_pages > 1);
                                 recomputed += a.recompute_pages;
+                                partial_tails += u64::from(
+                                    a.reclaimed_pages > 0
+                                        && lru_run.is_some_and(|len| a.reclaimed_pages < len),
+                                );
                                 live.push(id);
                             }
                             Err(_) => rejected += 1,
@@ -1071,11 +1398,13 @@ mod tests {
                     }
                     10..=16 if !live.is_empty() => {
                         let id = live.swap_remove(draw(live.len() as u64) as usize);
+                        let runs_before = runs(&p);
                         assert_eq!(
                             p.release(RequestId(id)),
                             o.release(RequestId(id)),
                             "release {id}"
                         );
+                        merges += u64::from(runs(&p) < runs_before);
                     }
                     _ => {
                         let l = &probes[draw(probes.len() as u64) as usize];
@@ -1090,12 +1419,15 @@ mod tests {
                 for l in &probes {
                     assert_eq!(p.lookup(l), o.lookup(l), "probe after op {id}");
                 }
-                let branches = p
-                    .slots
-                    .iter()
-                    .flatten()
-                    .filter(|n| matches!(n.children, Children::Many(_)))
-                    .count();
+                let mut branches = 0;
+                for n in p.slots.iter().flatten() {
+                    branches += usize::from(matches!(n.children, Children::Many(_)));
+                    // Labels two apart never share a run.
+                    if n.first & (3 << 30) == 1 << 31 {
+                        assert_eq!(n.len, 1, "a sparse label's run");
+                        sparse_runs += 1;
+                    }
+                }
                 max_branches = max_branches.max(branches);
             }
         }
@@ -1107,5 +1439,90 @@ mod tests {
         assert!(recomputed > 10_000, "recomputed pages: {recomputed}");
         assert!(rejected > 500, "rejected admissions: {rejected}");
         assert!(max_branches >= 4, "branch points: {max_branches}");
+        assert!(long_stems > 300, "stems of 300+ pages: {long_stems}");
+        assert!(
+            mid_run_hits > 1000,
+            "hits ending inside a run: {mid_run_hits}"
+        );
+        assert!(
+            partial_tails > 500,
+            "partial tail reclaims: {partial_tails}"
+        );
+        assert!(merges > 200, "merges on release: {merges}");
+        assert!(
+            sparse_runs > 10_000,
+            "sparse single-page runs: {sparse_runs}"
+        );
+    }
+
+    #[test]
+    fn a_shared_chain_is_stored_as_one_run() {
+        // No memory pressure: overlapping admissions and releases of
+        // tenant 0's 384-page chain share one refcount and one last
+        // use, so the chain stays a single run throughout.
+        let chain = labels(0, 384);
+        let mut p = PagePool::new(8192 * 1024, 1024);
+        let mut state = 0x6A09_E667_F3BC_C909u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut live: Vec<u64> = Vec::new();
+        for id in 0..2000u64 {
+            if live.is_empty() || (live.len() < 8 && draw(2) == 0) {
+                p.admit(RequestId(id), &chain, draw(32)).unwrap();
+                live.push(id);
+            } else {
+                let id = live.swap_remove(draw(live.len() as u64) as usize);
+                p.release(RequestId(id)).unwrap();
+            }
+            assert_eq!(runs(&p), 1, "after op {id}");
+        }
+        for id in live.drain(..) {
+            p.release(RequestId(id)).unwrap();
+        }
+        // Sharers of shorter prefixes split the run where they end;
+        // once a full-chain admission restamps it and they leave, it
+        // merges back.
+        for (id, n) in [(5000, 100), (5001, 250), (5002, 384)] {
+            p.admit(RequestId(id), &chain[..n], 0).unwrap();
+        }
+        assert_eq!(runs(&p), 3);
+        for id in 5000..5003 {
+            p.release(RequestId(id)).unwrap();
+        }
+        assert_eq!(runs(&p), 1);
+        assert_eq!(p.cached_pages(), 384);
+        assert_eq!(p.lookup(&chain).hit_cached_pages, 384);
+    }
+
+    #[test]
+    fn run_count_stays_bounded_under_reclaim_pressure() {
+        // The page-pool bench's traffic: 8 tenants' 384-page chains,
+        // shared prefixes of 128..=384 pages plus private pages, two
+        // sequences live, in a 1,536-page pool — so admissions split
+        // runs where a hit ends and reclaim cold chains tail-first.
+        // Runs only break where a live sequence ends or an admission's
+        // stamp stops, so the tree never holds more than 10 runs (7 at
+        // most here) for up to 1,536 tree pages.
+        let chains: Vec<Vec<u64>> = (0..8).map(|t| labels(t, 384)).collect();
+        let mut p = PagePool::new(1536 * 1024, 1024);
+        let (mut max_runs, mut reclaimed) = (0, 0);
+        for id in 0..4096u64 {
+            let chain = &chains[((id * 7 + id / 5) % 8) as usize];
+            let shared = 128 + (id * 37 % 257) as usize;
+            let a = p
+                .admit(RequestId(id), &chain[..shared], 16 + id % 64)
+                .unwrap();
+            reclaimed += a.reclaimed_pages;
+            if id >= 1 {
+                p.release(RequestId(id - 1)).unwrap();
+            }
+            max_runs = max_runs.max(runs(&p));
+        }
+        assert!(reclaimed > 100_000, "reclaimed pages: {reclaimed}");
+        assert!(max_runs <= 10, "runs: {max_runs}");
     }
 }

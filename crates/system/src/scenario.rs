@@ -37,7 +37,7 @@ use crate::policy::{
     KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
     SheddingPolicy, VictimOrder,
 };
-use crate::serve::{token_kv_bytes, Evaluator, ServingReport};
+use crate::serve::{replica_kv_bytes, token_kv_bytes, Evaluator, ServingReport};
 use jsonio::Json;
 use llm_model::ModelConfig;
 use pim_compiler::ParallelConfig;
@@ -534,39 +534,50 @@ impl Scenario {
         }
         self.validate_cluster(&model)?;
         self.validate_pools()?;
-        self.validate_page_bytes(&model)
+        self.validate_paging(&model)
     }
 
-    /// Validates the KV page size under prefix caching: a page must
-    /// hold at least one token of KV on every replica that pages,
-    /// including the KV-head replication of that replica's own TP
-    /// degree (each pool's, or the flat cluster's).
-    fn validate_page_bytes(&self, model: &ModelConfig) -> Result<(), String> {
-        let page_bytes = self.policies.paged_kv.page_bytes;
-        if !self.policies.paged_kv.prefix_caching {
+    /// Validates the KV pages under prefix caching, on every replica
+    /// that pages (each pool's, or the flat cluster's), at that
+    /// replica's own TP/PP: a page must hold at least one token of KV,
+    /// including the KV-head replication of the replica's TP degree, and
+    /// the replica's KV pool (capacity minus weights, scaled by
+    /// `kv_capacity_factor`) must hold at least one page.
+    fn validate_paging(&self, model: &ModelConfig) -> Result<(), String> {
+        let p = &self.policies;
+        if !p.paged_kv.prefix_caching {
             return Ok(());
         }
-        let tps: Vec<(String, u32)> = if self.cluster.pools.is_empty() {
-            let tp = self.system_config_for(model).parallel.tp;
-            vec![("cluster".to_string(), tp)]
+        let page_bytes = p.paged_kv.page_bytes;
+        let replicas: Vec<(String, SystemConfig)> = if self.cluster.pools.is_empty() {
+            vec![("cluster".to_string(), self.system_config_for(model))]
         } else {
             self.cluster
                 .pools
                 .iter()
                 .enumerate()
-                .map(|(i, p)| {
-                    let tp = self.pool_system_config(p, model).parallel.tp;
-                    (format!("cluster.pools[{i}] ({})", p.name), tp)
+                .map(|(i, pool)| {
+                    let place = format!("cluster.pools[{i}] ({})", pool.name);
+                    (place, self.pool_system_config(pool, model))
                 })
                 .collect()
         };
-        for (place, tp) in tps {
+        for (place, sys) in replicas {
+            let tp = sys.parallel.tp;
             let per_token = token_kv_bytes(model, tp);
             if page_bytes < per_token {
                 return Err(format!(
                     "policies.page_bytes = {page_bytes} is below one token's KV on a {place} \
                      replica ({per_token} bytes at tp {tp}); a prefix-caching page must hold \
                      at least one token"
+                ));
+            }
+            let pool = replica_kv_bytes(&sys, model, p.kv_capacity_factor);
+            if pool < page_bytes {
+                return Err(format!(
+                    "policies.kv_capacity_factor = {} leaves a {place} replica a {pool}-byte KV \
+                     pool, which holds no {page_bytes}-byte page",
+                    p.kv_capacity_factor
                 ));
             }
         }

@@ -634,13 +634,7 @@ impl Evaluator {
     /// KV bytes available to one replica (capacity minus weights,
     /// scaled by [`Self::with_kv_capacity_factor`]).
     pub fn replica_kv_capacity(&self) -> u64 {
-        let total = u64::from(self.system.parallel.modules()) * self.system.module.capacity_bytes;
-        let cap = total.saturating_sub(self.model.weight_bytes());
-        if self.kv_capacity_factor == 1.0 {
-            cap // bit-exact fast path for the unscaled default
-        } else {
-            (cap as f64 * self.kv_capacity_factor) as u64
-        }
+        replica_kv_bytes(&self.system, &self.model, self.kv_capacity_factor)
     }
 
     /// Per-request KV reservation under the active memory policy, for a
@@ -825,6 +819,18 @@ impl Evaluator {
 /// degree beyond the KV-head count forces (≥ 1 for any real model).
 pub(crate) fn token_kv_bytes(model: &ModelConfig, tp: u32) -> u64 {
     (u64::from((tp / model.kv_heads()).max(1)) * model.kv_bytes(1)).max(1)
+}
+
+/// KV bytes available to one replica of `sys`: its modules' capacity
+/// minus the model weights, scaled by the KV capacity factor `factor`.
+pub(crate) fn replica_kv_bytes(sys: &SystemConfig, model: &ModelConfig, factor: f64) -> u64 {
+    let total = u64::from(sys.parallel.modules()) * sys.module.capacity_bytes;
+    let cap = total.saturating_sub(model.weight_bytes());
+    if factor == 1.0 {
+        cap // bit-exact fast path for the unscaled default
+    } else {
+        (cap as f64 * factor) as u64
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PreemptionPolicy, RouterKind, Scenario, SchedulingPolicy, ServingReport,
-    SystemConfig, Techniques, TenantSpec,
+    Cluster, Evaluator, PagedKvConfig, PreemptionPolicy, RouterKind, Scenario, SchedulingPolicy,
+    ServingReport, SystemConfig, Techniques, TenantSpec,
 };
 use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec, Trace, TraceBuilder};
 
@@ -332,4 +332,71 @@ fn orchestrator_and_materialized_run_agree_on_every_checked_in_spec() {
         }
     }
     assert!(saw_disagg, "scenarios/disagg/split_2p2d.json is checked in");
+}
+
+/// With prefix caching on, `validate` rejects a `kv_capacity_factor`
+/// that leaves any paging replica's KV pool without a single page. Such
+/// a pool would admit every request alone, with zero pages, through the
+/// replica's oversize clamp. The check agrees with the pool the
+/// evaluator builds (`replica_kv_capacity` over `page_bytes`) at each
+/// pool's own TP/PP, up to the exact factor where the pool holds its
+/// first page.
+#[test]
+fn validate_rejects_a_kv_pool_that_holds_no_page() {
+    // The probe: the shared-prefix spec at a millionth of its KV.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/cache/shared_prefix.json"
+    );
+    let mut s = Scenario::from_file(path).expect("checked-in spec");
+    assert!(s.policies.paged_kv.prefix_caching);
+    assert_eq!(s.validate(), Ok(()));
+    s.policies.kv_capacity_factor = 1e-6;
+    let err = s.validate().unwrap_err();
+    assert!(err.contains("policies.kv_capacity_factor"), "{err}");
+    assert!(err.contains("cluster replica"), "{err}");
+    assert!(s.materialize().is_err());
+    // Without prefix caching no replica pages.
+    s.policies.paged_kv.prefix_caching = false;
+    assert_eq!(s.validate(), Ok(()));
+
+    // Pools at different TP have different pools: around each pool's
+    // one-page factor, validation flips exactly where that pool's
+    // evaluator gains its first page, and the error names the pool.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/disagg/split_2p2d.json"
+    );
+    let mut s = Scenario::from_file(path).expect("checked-in spec");
+    s.policies.paged_kv = PagedKvConfig::paged(PagedKvConfig::DEFAULT_PAGE_BYTES);
+    s.cluster.pools[1].tp = 4;
+    let model = s.resolve_model().expect("known model");
+    let page = s.policies.paged_kv.page_bytes;
+    let pools = |s: &Scenario| -> Vec<u64> {
+        s.cluster
+            .pools
+            .iter()
+            .map(|p| s.pool_evaluator_for(p, model).replica_kv_capacity())
+            .collect()
+    };
+    assert_eq!(s.policies.kv_capacity_factor, 1.0);
+    let unscaled = pools(&s);
+    assert!(unscaled[0] < unscaled[1], "{unscaled:?}");
+    let (mut accepted, mut rejected) = (0, 0);
+    for &cap in &unscaled {
+        let edge = page as f64 / cap as f64;
+        for factor in [edge * (1.0 - 1e-9), edge, edge * (1.0 + 1e-9)] {
+            s.policies.kv_capacity_factor = factor;
+            let short = pools(&s).iter().position(|&bytes| bytes < page);
+            match (s.validate(), short) {
+                (Ok(()), None) => accepted += 1,
+                (Err(e), Some(i)) => {
+                    assert!(e.contains(&format!("cluster.pools[{i}]")), "{e}");
+                    rejected += 1;
+                }
+                (got, short) => panic!("factor {factor}: {got:?}, short pool {short:?}"),
+            }
+        }
+    }
+    assert!(accepted >= 2 && rejected >= 3, "{accepted} {rejected}");
 }
