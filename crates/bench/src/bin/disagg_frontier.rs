@@ -91,9 +91,6 @@ fn scenario(
 
 fn main() {
     let args = BenchArgs::parse();
-    if cli::maybe_run_scenario("disagg_frontier", &args) {
-        return;
-    }
     let requests = if args.tiny { 12 } else { 48 };
 
     // Capacity anchor: the closed-world (wave) round-robin run of the

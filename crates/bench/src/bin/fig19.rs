@@ -27,8 +27,8 @@ fn main() {
         let reservation = model.kv_bytes(model.context_window);
         let mut stat = StaticAllocator::new(capacity, reservation);
         let mut dpa = ChunkAllocator::with_default_chunks(capacity);
-        // The dispatcher allocates one chunk stream per (module, layer,
-        // K/V) — each stream fragments independently in its last chunk.
+        // DPA allocates one chunk stream per (module, layer, K/V) — each
+        // stream fragments independently in its last chunk.
         let streams = MODULES * u64::from(model.layers) * 2;
         for r in trace.iter() {
             let used = model.kv_bytes(r.final_len());

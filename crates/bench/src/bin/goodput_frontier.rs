@@ -121,9 +121,6 @@ fn interactive(r: &ServingReport) -> &system::TenantLatency {
 
 fn main() {
     let args = BenchArgs::parse();
-    if cli::maybe_run_scenario("goodput_frontier", &args) {
-        return;
-    }
     let requests = if args.tiny { 12 } else { 48 };
 
     // Capacity anchor: the closed-world (wave) run of the same cluster

@@ -7,9 +7,7 @@
 //! TTFT is measured **end-to-end**: arrival → first emitted token,
 //! including queueing delay and chunked prompt processing
 //! (`system::policy::PrefillConfig`). The table decomposes it into its
-//! queueing and prefill shares. Pass `--decode-only` for the historical
-//! decode-only convention (prefill excluded — systematically optimistic,
-//! kept for comparison).
+//! queueing and prefill shares.
 //!
 //! Requests are served by a 4-replica cluster (TP=2 over 8 modules) and
 //! each load point is run under both round-robin and join-shortest-queue
@@ -22,8 +20,7 @@
 //! the same cost model as the sweep — sets its saturation request rate,
 //! and the sweep offers fixed fractions of that capacity. Run with:
 //! `cargo run --release -p bench --bin latency_curve` (`-- --tiny` for
-//! the CI smoke configuration, `-- --scenario <file.json>` to run a
-//! declarative scenario spec instead of the built-in sweep).
+//! the CI smoke configuration).
 
 use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
@@ -43,11 +40,7 @@ const ROUTERS: [RouterKind; 2] = [RouterKind::RoundRobin, RouterKind::JoinShorte
 
 fn main() {
     let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("latency_curve", &args) {
-        return;
-    }
     let tiny = args.tiny;
-    let decode_only = args.decode_only;
     let json_path = args.json;
     let mut rows = Vec::new();
     let model = LLM_7B_32K;
@@ -66,25 +59,15 @@ fn main() {
     };
 
     bench::header(&format!(
-        "Throughput–latency sweep: {} × {} replicas on {dataset}, {requests} Poisson requests, decode U[{DECODE_LO},{DECODE_HI}], {}",
+        "Throughput–latency sweep: {} × {} replicas on {dataset}, {requests} Poisson requests, decode U[{DECODE_LO},{DECODE_HI}], end-to-end TTFT (chunked prefill, {PREFILL_CHUNK} tok/chunk)",
         model.name,
         sys.replicas(),
-        if decode_only {
-            "decode-only TTFT (historical)".to_string()
-        } else {
-            format!("end-to-end TTFT (chunked prefill, {PREFILL_CHUNK} tok/chunk)")
-        },
     ));
 
     for tech in ladder {
         // Closed-world capacity anchors this rung's rate axis: requests
-        // per second the cluster can serve (prefill included unless
-        // --decode-only).
-        let eval = if decode_only {
-            Evaluator::new(sys, model, tech)
-        } else {
-            Evaluator::new(sys, model, tech).with_chunked_prefill(PREFILL_CHUNK)
-        };
+        // per second the cluster can serve, prefill included.
+        let eval = Evaluator::new(sys, model, tech).with_chunked_prefill(PREFILL_CHUNK);
         let closed_trace = TraceBuilder::new(dataset)
             .seed(SEED)
             .requests(requests)
@@ -93,15 +76,10 @@ fn main() {
         let (closed, capacity_rps) = bench::closed_world_capacity(&eval, &closed_trace);
 
         println!(
-            "\n{} — closed-world {:.1} tok/s (≈{:.2} req/s {} capacity)",
+            "\n{} — closed-world {:.1} tok/s (≈{:.2} req/s end-to-end capacity)",
             tech.label(),
             closed.tokens_per_second,
             capacity_rps,
-            if decode_only {
-                "decode-only"
-            } else {
-                "end-to-end"
-            },
         );
         println!(
             "{:>6} {:>9} {:>13} {:>11} {:>9} {:>24} {:>10} {:>10} {:>11} {:>9}",
@@ -146,13 +124,8 @@ fn main() {
                     l.tpot.p50,
                     l.e2e.p95,
                 );
-                // Row names must distinguish metric semantics: the
-                // snapshot pins end-to-end rows, so a --decode-only run
-                // gets its own prefix instead of silently comparing
-                // decode-only TTFT against e2e baselines in the gate.
-                let mode = if decode_only { "decode-only/" } else { "" };
                 rows.push(bench::serving_row(
-                    &format!("{mode}{}/{frac:.2}x/{}", tech.label(), kind.label()),
+                    &format!("{}/{frac:.2}x/{}", tech.label(), kind.label()),
                     rate,
                     &r,
                 ));

@@ -24,8 +24,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin preemption_sweep`
 //! (`-- --tiny` for the CI smoke configuration, `--json <path>` for
-//! machine-readable results, `--scenario <file.json>` to run a
-//! declarative scenario spec instead).
+//! machine-readable results).
 
 use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
@@ -108,9 +107,6 @@ fn class_p99(r: &ServingReport, priority: u8) -> f64 {
 
 fn main() {
     let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("preemption_sweep", &args) {
-        return;
-    }
     let tiny = args.tiny;
     let json_path = args.json;
     let model = LLM_7B_32K;

@@ -24,8 +24,7 @@
 //!
 //! Run with: `cargo run --release -p bench --bin prefix_cache`
 //! (`-- --tiny` for the CI smoke configuration, `--json <path>` for
-//! machine-readable results, `--scenario <file.json>` to run a
-//! declarative scenario spec instead).
+//! machine-readable results).
 
 use bench::cli::{tenant_row, BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use bench::json::Json;
@@ -100,9 +99,6 @@ fn shared_ttft(r: &ServingReport) -> f64 {
 
 fn main() {
     let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("prefix_cache", &args) {
-        return;
-    }
     let tiny = args.tiny;
     let requests = if tiny { 24 } else { 60 };
     let factors: &[f64] = if tiny { &[0.35] } else { &[1.0, 0.5, 0.35] };

@@ -28,8 +28,7 @@
 //! below warns if that regresses).
 //!
 //! Run with: `cargo run --release -p bench --bin router_compare`
-//! (`-- --tiny` for the CI smoke configuration, `-- --scenario
-//! <file.json>` to run a declarative scenario spec instead).
+//! (`-- --tiny` for the CI smoke configuration).
 
 use bench::cli::{BenchArgs, DECODE_HI, DECODE_LO, SEED};
 use llm_model::LLM_7B_32K;
@@ -171,9 +170,6 @@ fn wall_clock_smoke(reports: &[(RouterKind, ServingReport, f64)]) {
 
 fn main() {
     let args = BenchArgs::parse();
-    if bench::cli::maybe_run_scenario("router_compare", &args) {
-        return;
-    }
     let tiny = args.tiny;
     let json_path = args.json;
     let model = LLM_7B_32K;

@@ -1,15 +1,12 @@
 //! Shared command-line conventions of the serving bench binaries.
 //!
-//! Every serving bin (`latency_curve`, `router_compare`,
-//! `prefill_sweep`, `preemption_sweep`) historically re-implemented the
-//! same argument scanning: `--tiny` for the CI smoke configuration,
-//! `--json <path>` for machine-readable rows, `--decode-only` for the
-//! historical TTFT convention. [`BenchArgs::parse`] centralizes that,
-//! and adds the `--scenario <file.json>` switch: instead of the bin's
-//! built-in sweep, load a declarative [`Scenario`] spec
-//! (`system::scenario`, checked-in examples under `scenarios/`), run it
-//! end-to-end, and report per-tenant latency, SLO attainment, and Jain
-//! tenant fairness ([`run_scenario_file`]).
+//! [`BenchArgs::parse`] scans the switches the serving bins share:
+//! `--tiny` for the CI smoke configuration and `--json <path>` for
+//! machine-readable rows, plus `sim_speed`'s `--scenario <file.json>`.
+//! A declarative [`Scenario`] spec (`system::scenario`, checked-in
+//! examples under `scenarios/`) runs through `scenario_check`, which
+//! calls [`run_scenario_file`] to run it end-to-end and report
+//! per-tenant latency, SLO attainment, and Jain tenant fairness.
 //!
 //! The standard sweep shape (seed, decode range) shared by the serving
 //! bins also lives here so their load axes stay comparable.
@@ -32,12 +29,10 @@ pub const DECODE_HI: u64 = 96;
 pub struct BenchArgs {
     /// `--tiny`: the CI smoke configuration (small request counts).
     pub tiny: bool,
-    /// `--decode-only`: the historical decode-only TTFT convention.
-    pub decode_only: bool,
     /// `--json <path>`: write machine-readable result rows.
     pub json: Option<String>,
-    /// `--scenario <file.json>`: run a declarative scenario spec
-    /// instead of the bin's built-in sweep.
+    /// `--scenario <file.json>`: the spec `sim_speed` times instead of
+    /// its default. The sweep bins do not read it.
     pub scenario: Option<String>,
     /// Positional arguments (e.g. `scenario_check`'s spec files).
     pub rest: Vec<String>,
@@ -51,7 +46,6 @@ impl BenchArgs {
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--tiny" => out.tiny = true,
-                "--decode-only" => out.decode_only = true,
                 "--json" => out.json = Some(args.next().expect("--json requires a path")),
                 "--scenario" => {
                     out.scenario = Some(args.next().expect("--scenario requires a path"))
@@ -60,29 +54,6 @@ impl BenchArgs {
             }
         }
         out
-    }
-}
-
-/// If `--scenario <file>` was passed, runs the spec end-to-end —
-/// printing the per-tenant report and writing `--json` rows — and
-/// returns `true` so the bin can skip its built-in sweep. Exits the
-/// process with an error message on an invalid spec.
-pub fn maybe_run_scenario(bench: &'static str, args: &BenchArgs) -> bool {
-    let Some(path) = &args.scenario else {
-        return false;
-    };
-    match run_scenario_file(path) {
-        Ok((m, report)) => {
-            if let Some(json_path) = &args.json {
-                let stem = file_stem(path);
-                crate::write_bench_json(json_path, bench, scenario_rows(&stem, &m, &report));
-            }
-            true
-        }
-        Err(e) => {
-            eprintln!("--scenario {path}: {e}");
-            std::process::exit(1);
-        }
     }
 }
 

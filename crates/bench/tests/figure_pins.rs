@@ -3,7 +3,12 @@
 //!
 //! Every number these binaries print comes from `pim-sim` command
 //! streams and schedules, directly or through kernel calibration, so a
-//! byte-identical stdout pins the simulator's cycles end to end. After
+//! byte-identical stdout pins the simulator's cycles end to end.
+//!
+//! Fig. 10, Table III and Fig. 19 are pinned too. They print the
+//! attention-lowering footprints (`pim-compiler`), the instruction
+//! encodings (`pim-isa`) and the chunk/static allocator utilization
+//! (`pim-mem`), which no simulated cycle depends on. After
 //! an intended change to the model, regenerate a pin with
 //! `cargo run --release -p bench --bin figN > crates/bench/tests/golden/figN.txt`.
 
@@ -77,5 +82,29 @@ fn fig17_stdout_is_pinned() {
     assert_stdout_pinned(
         env!("CARGO_BIN_EXE_fig17"),
         include_str!("golden/fig17.txt"),
+    );
+}
+
+#[test]
+fn fig10_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_fig10"),
+        include_str!("golden/fig10.txt"),
+    );
+}
+
+#[test]
+fn table3_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_table3"),
+        include_str!("golden/table3.txt"),
+    );
+}
+
+#[test]
+fn fig19_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_fig19"),
+        include_str!("golden/fig19.txt"),
     );
 }

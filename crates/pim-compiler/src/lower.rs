@@ -2,11 +2,16 @@
 //!
 //! Two encodings are produced for the same kernel (paper Fig. 10):
 //!
-//! * **Static** — fully expanded for a worst-case `T_max`; physical row
+//! * **Static** — fully expanded for a worst-case `T_max`; operand
 //!   addresses are baked in, so the stream grows linearly with context.
 //! * **DPA** — a compact [`DpaProgram`] using `Dyn-Loop` over the token
-//!   axis and `Dyn-Modi` row advancement; virtual rows are resolved by the
-//!   on-module dispatcher at decode time.
+//!   axis and `Dyn-Modi` column advancement, expanded against the
+//!   request's current token length at decode time.
+//!
+//! Only the instruction footprint and count are modelled (Fig. 10(c)).
+//! The lowered MAC row and output slot stay at 0: no simulated cycle
+//! comes from these streams. `pim-sim`'s kernel builders fold tiles into
+//! rows and rotate output slots instead.
 
 use pim_isa::dpa::{DpaInstruction, DpaProgram, DynLoop, DynModi, LoopBound, OperandField};
 use pim_isa::size_model::{DYN_LOOP_BYTES, DYN_MODI_BYTES, PLAIN_INSTRUCTION_BYTES};
@@ -58,8 +63,8 @@ pub struct LoweredFootprint {
 }
 
 /// Lowers one `QKᵀ` kernel to a DPA program: write the query once, then a
-/// `Dyn-Loop` over token groups with `Dyn-Modi` advancing the virtual
-/// row/column and output address.
+/// `Dyn-Loop` over token groups with `Dyn-Modi` advancing the MAC column
+/// and the drain's GPR address.
 pub fn lower_attention_dpa(shape: &AttentionLowering) -> DpaProgram {
     let mask = ChannelMask::first(shape.channels);
     let in_tiles = shape.in_tiles();
@@ -79,8 +84,7 @@ pub fn lower_attention_dpa(shape: &AttentionLowering) -> DpaProgram {
         },
         body,
         modifiers: vec![
-            // Advance the MAC's virtual column by the group's tile span;
-            // the dispatcher folds overflow into the virtual row.
+            // Advance the MAC's column by the group's tile span.
             DynModi::new(0, OperandField::Col, i64::from(in_tiles)),
             // Stagger the drain target across iterations.
             DynModi::new(1, OperandField::GprAddr, 32),
@@ -192,124 +196,5 @@ mod tests {
     fn tokens_per_iteration_matches_geometry() {
         let shape = AttentionLowering::aimx_default();
         assert_eq!(shape.tokens_per_iteration(), 256);
-    }
-}
-
-/// Lowers one `SV` kernel to a DPA program: the token axis is the *input*
-/// here, so the loop streams score tiles (`WR-INP`) and accumulates, with
-/// periodic partial drains (`RD-OUT`) folded in by the dispatcher.
-pub fn lower_sv_dpa(shape: &AttentionLowering) -> DpaProgram {
-    let mask = ChannelMask::first(shape.channels);
-    let out_groups = shape.head_dim.div_ceil(shape.banks).max(1);
-    let mut program = DpaProgram::new();
-    // One iteration per 16-token score tile: write the tile, then one MAC
-    // per output-feature group, advancing the virtual column.
-    let mut body = Vec::with_capacity(2 + out_groups as usize);
-    body.push(DpaInstruction::Plain(PimInstruction::wr_inp(mask, 1, 0, 0)));
-    body.push(DpaInstruction::Plain(PimInstruction::mac(
-        mask, out_groups, 0, 0, 0, 0,
-    )));
-    program.push(DpaInstruction::Loop(DynLoop {
-        bound: LoopBound::TokensDiv {
-            divisor: shape.elems_per_tile * u32::from(shape.channels),
-        },
-        body,
-        modifiers: vec![
-            DynModi::new(0, OperandField::GprAddr, 32),
-            DynModi::new(1, OperandField::Col, i64::from(out_groups)),
-        ],
-    }));
-    // Final drains of the accumulated output features.
-    program.push(DpaInstruction::Plain(PimInstruction::rd_out(
-        mask, out_groups, 0, 0,
-    )));
-    program
-}
-
-/// DPA programs for every PIM-amenable kernel of a decoder layer: one
-/// `QKᵀ` and one `SV` program per KV-head instance (context-dependent),
-/// plus statically compiled FC GEMVs (context-independent).
-#[derive(Debug, Clone, Serialize)]
-pub struct CompiledLayer {
-    /// The dynamic QKT program.
-    pub qkt: DpaProgram,
-    /// The dynamic SV program.
-    pub sv: DpaProgram,
-    /// Static instruction counts per FC op (dout, din, instructions).
-    pub fc: Vec<(u32, u32, u64)>,
-}
-
-/// Compiles a decoder layer's matched patterns (see
-/// [`crate::pattern`]) into PIM programs.
-pub fn compile_layer(graph: &crate::ir::DecoderGraph, shape: &AttentionLowering) -> CompiledLayer {
-    let attention = crate::pattern::match_attention(graph);
-    assert!(
-        !attention.is_empty(),
-        "decoder layer has no attention pattern"
-    );
-    let fc = crate::pattern::match_fc(graph)
-        .into_iter()
-        .map(|m| {
-            // One WR-INP pass + one MAC per (group, tile) + drains.
-            let tiles = u64::from(m.din.div_ceil(shape.elems_per_tile));
-            let groups = u64::from(m.dout.div_ceil(shape.banks));
-            (m.dout, m.din, tiles + groups * tiles + groups)
-        })
-        .collect();
-    CompiledLayer {
-        qkt: lower_attention_dpa(shape),
-        sv: lower_sv_dpa(shape),
-        fc,
-    }
-}
-
-#[cfg(test)]
-mod layer_tests {
-    use super::*;
-    use crate::ir::DecoderGraph;
-    use llm_model::LLM_7B_32K;
-
-    #[test]
-    fn sv_program_scales_with_tokens() {
-        let shape = AttentionLowering::aimx_default();
-        let p = lower_sv_dpa(&shape);
-        let short = p.expand(4096).len();
-        let long = p.expand(65536).len();
-        assert!(long > 10 * short, "{short} -> {long}");
-    }
-
-    #[test]
-    fn sv_program_is_compact() {
-        let shape = AttentionLowering::aimx_default();
-        assert!(lower_sv_dpa(&shape).stored_len() < 10);
-    }
-
-    #[test]
-    fn compile_layer_covers_all_kernels() {
-        let g = DecoderGraph::decoder_layer(&LLM_7B_32K);
-        let shape = AttentionLowering::aimx_default();
-        let layer = compile_layer(&g, &shape);
-        assert_eq!(layer.fc.len(), 7);
-        assert!(layer.qkt.expand(4096).len() > 1);
-        assert!(layer.sv.expand(4096).len() > 1);
-        // FC instruction counts grow with the op size.
-        let ffn = layer
-            .fc
-            .iter()
-            .find(|&&(o, _, _)| o == 12288)
-            .expect("ffn up");
-        let proj = layer
-            .fc
-            .iter()
-            .find(|&&(o, i, _)| o == 4096 && i == 4096)
-            .expect("q proj");
-        assert!(ffn.2 > proj.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no attention pattern")]
-    fn compile_rejects_attention_free_graphs() {
-        let g = DecoderGraph::new();
-        compile_layer(&g, &AttentionLowering::aimx_default());
     }
 }

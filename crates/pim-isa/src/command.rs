@@ -1,9 +1,11 @@
 //! Channel-level PIM commands.
 //!
-//! The Multicast Interconnect decodes each [`PimInstruction`](crate::PimInstruction)
-//! into per-channel [`PimCommand`]s. These commands are what the PIM
-//! controller schedules; the Dynamic Command Scheduler in `pim-sim` attaches
-//! dependency IDs to them (paper Fig. 7(c)).
+//! In the paper's hardware, the Multicast Interconnect decodes each
+//! [`PimInstruction`](crate::PimInstruction) into per-channel
+//! [`PimCommand`]s. Here `pim-sim`'s kernel builders emit the commands
+//! directly. These commands are what the PIM controller schedules; the
+//! Dynamic Command Scheduler in `pim-sim` attaches dependency IDs to them
+//! (paper Fig. 7(c)).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

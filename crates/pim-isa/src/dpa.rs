@@ -7,12 +7,14 @@
 //! * [`DynLoop`] — a loop whose repetition count is derived from the
 //!   request's *actual* token length at decode time.
 //! * [`DynModi`] — per-iteration operand adjustment (e.g. advancing a `MAC`
-//!   row/column by a stride), generating *virtual* addresses that the
-//!   on-module dispatcher translates through its VA2PA table.
+//!   row/column by a stride). In the paper these are *virtual* addresses
+//!   that an on-module dispatcher translates through a VA2PA table.
 //!
 //! A [`DpaProgram`] is expanded against the current token length `T_cur`
-//! into a concrete [`PimInstruction`] sequence whose `row` fields are
-//! virtual rows (translation happens in `pim-mem`'s dispatcher).
+//! into a concrete [`PimInstruction`] sequence. The model keeps the
+//! expanded addresses as they are: DPA's capacity effect is modelled by
+//! lazy chunk allocation (`pim-mem`'s `ChunkAllocator`), and its
+//! instruction-buffer effect by the program's stored size.
 
 use crate::instruction::PimInstruction;
 use serde::{Deserialize, Serialize};
@@ -49,7 +51,7 @@ impl LoopBound {
 /// Which operand field of a body instruction a [`DynModi`] adjusts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum OperandField {
-    /// The DRAM row address (virtual; translated by the dispatcher).
+    /// The DRAM row address.
     Row,
     /// The column (tile) address within a row.
     Col,

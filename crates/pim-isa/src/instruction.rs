@@ -106,10 +106,10 @@ impl fmt::Display for InstructionKind {
 
 /// A host-visible PIM instruction with the argument set of Table III.
 ///
-/// `op_size` is the repetition count the Instruction Sequencer unrolls;
-/// each repetition advances the relevant addresses (GPR address, GBuf index,
-/// column, or output index) by one unit so the expanded commands access
-/// consecutive locations.
+/// `op_size` is the repetition count the PIM HUB's instruction sequencer
+/// unrolls (paper §II-B); each repetition advances the relevant addresses
+/// (GPR address, GBuf index, column, or output index) by one unit so the
+/// expanded commands access consecutive locations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PimInstruction {
     /// Target channels.

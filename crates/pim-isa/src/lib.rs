@@ -6,28 +6,26 @@
 //! * [`PimInstruction`] — the three host-visible primitives `WR-INP`, `MAC`
 //!   and `RD-OUT`, each carrying the argument set of Table III
 //!   (`Ch-mask`, `Op-size`, `GPR-addr`, `GBuf-Idx`, `Out-Idx`, `Row/Col`).
-//! * [`PimCommand`] — the channel-level commands the Multicast Interconnect
-//!   decodes instructions into; these are what the per-channel controller
-//!   (in `pim-sim`) actually schedules.
+//! * [`PimCommand`] — the channel-level commands the per-channel
+//!   controller (in `pim-sim`) schedules. `pim-sim`'s kernel builders
+//!   emit them directly.
 //! * [`dpa`] — the Dynamic PIM Access extension (paper §VI): `Dyn-Loop` and
 //!   `Dyn-Modi` instructions that make loop bounds and operand addresses
-//!   token-length-dependent, so the instruction stream stays compact and the
-//!   KV cache can live at virtual addresses.
+//!   token-length-dependent, so the instruction stream stays compact.
 //! * [`size_model`] — the instruction-footprint model behind Fig. 10(c):
 //!   static streams grow linearly with context length, DPA streams stay
 //!   nearly constant.
-//! * [`sequencer`] — the Instruction Sequencer that unrolls `Op-size`
-//!   repetitions into per-channel command streams.
 //!
 //! # Example
 //!
 //! ```
-//! use pim_isa::{ChannelMask, PimInstruction, sequencer::Sequencer};
+//! use pim_isa::{ChannelMask, InstructionKind, PimInstruction};
 //!
 //! // Broadcast a 4-tile input write to channels 0..4, starting at GBuf 0.
 //! let inst = PimInstruction::wr_inp(ChannelMask::first(4), 4, 0x100, 0);
-//! let commands = Sequencer::new(16).expand(&inst);
-//! assert_eq!(commands.len(), 4 * 4); // 4 channels x 4 repetitions
+//! assert_eq!(inst.kind, InstructionKind::WrInp);
+//! assert_eq!(inst.ch_mask.count(), 4);
+//! assert_eq!(inst.to_string(), "WR-INP ch[0x0000000f] x4 gpr=0x100 gbuf=0");
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,7 +34,6 @@
 pub mod command;
 pub mod dpa;
 pub mod instruction;
-pub mod sequencer;
 pub mod size_model;
 
 pub use command::{CommandId, CommandKind, PimCommand};

@@ -92,7 +92,8 @@ impl ChunkAllocator {
 
     /// Grows `id`'s KV cache to `used_bytes`, lazily allocating chunks and
     /// returning the newly mapped `(virtual_chunk, physical_chunk)` pairs
-    /// for the host to install in the module's VA2PA table.
+    /// (in the paper, the entries the host installs in the module's VA2PA
+    /// table).
     ///
     /// # Errors
     /// [`MemError::UnknownRequest`] if not registered;

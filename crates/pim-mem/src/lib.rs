@@ -5,36 +5,30 @@
 //! wasting most of memory when actual contexts are shorter (average 36.2%
 //! capacity utilization). PIMphony's **Dynamic PIM Access (DPA)** adds a
 //! VA2PA table and an on-module dispatcher so the KV cache can be allocated
-//! *lazily* in 1 MB chunks, paged-attention-style, inside PIM.
+//! *lazily* in 1 MB chunks, paged-attention-style, inside PIM. The model
+//! keeps DPA's capacity effect, lazy chunk allocation, and leaves out the
+//! address translation, which no simulated cycle depends on.
 //!
 //! * [`static_alloc`] — the baseline `T_max` reservation scheme.
 //! * [`chunk`] — the chunked physical allocator with a free list.
 //! * [`page`] — refcounted fixed-size KV pages with a prefix tree over
 //!   shared prompt pages and page-granular LRU reclamation.
-//! * [`va2pa`] — per-request virtual→physical chunk translation.
-//! * [`dispatcher`] — the on-module dispatcher that expands DPA-encoded
-//!   instruction streams against per-request state (`T_cur`) and resolves
-//!   virtual rows through the VA2PA table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chunk;
-pub mod dispatcher;
 pub mod page;
 pub mod static_alloc;
-pub mod va2pa;
 
 pub use chunk::{ChunkAllocator, ChunkId, DEFAULT_CHUNK_BYTES};
-pub use dispatcher::{Dispatcher, RequestContext};
 pub use page::{Admission, PagePool, PrefixHit, Released};
 pub use static_alloc::StaticAllocator;
-pub use va2pa::Va2PaTable;
 
 use serde::{Deserialize, Serialize};
 
-/// Identifier of an inference request, as carried in the dispatcher's
-/// configuration buffer.
+/// Identifier of an inference request. The allocators and the page pool
+/// key their per-request state by it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
 
@@ -44,7 +38,7 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// Errors returned by the allocators and the dispatcher.
+/// Errors returned by the allocators and the page pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MemError {
     /// The module has no free capacity for the requested allocation.
@@ -56,13 +50,6 @@ pub enum MemError {
     },
     /// The request is not registered.
     UnknownRequest(RequestId),
-    /// A virtual address had no VA2PA mapping.
-    Unmapped {
-        /// Offending request.
-        request: RequestId,
-        /// Unmapped virtual chunk index.
-        virtual_chunk: u64,
-    },
     /// The request is already registered.
     DuplicateRequest(RequestId),
 }
@@ -80,15 +67,6 @@ impl std::fmt::Display for MemError {
                 )
             }
             MemError::UnknownRequest(id) => write!(f, "unknown request {id}"),
-            MemError::Unmapped {
-                request,
-                virtual_chunk,
-            } => {
-                write!(
-                    f,
-                    "{request} has no mapping for virtual chunk {virtual_chunk}"
-                )
-            }
             MemError::DuplicateRequest(id) => write!(f, "request {id} already registered"),
         }
     }

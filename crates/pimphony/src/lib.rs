@@ -10,9 +10,10 @@
 //! * **DCS** — Dynamic PIM Command Scheduling: a dependency-aware PIM
 //!   controller that overlaps I/O with MAC execution
 //!   ([`pim_sim::sched`]).
-//! * **DPA** — Dynamic PIM Access: on-module virtual-to-physical address
-//!   translation enabling lazy, chunked KV-cache allocation
-//!   ([`pim_mem`]).
+//! * **DPA** — Dynamic PIM Access: lazy, chunked KV-cache allocation
+//!   ([`pim_mem`]) plus the compact `Dyn-Loop` program footprint
+//!   ([`pim_isa::dpa`]). The paper's on-module VA→PA translation is not
+//!   modelled: no simulated cycle depends on it.
 //!
 //! The [`Orchestrator`] is the top-level entry point: configure a system
 //! (CENT-like PIM-only or NeuPIMs-like xPU+PIM), a model from Table I, a

@@ -1,10 +1,10 @@
-//! End-to-end DPA lifecycle: a request decodes token by token while the
-//! host lazily allocates chunks, extends the VA2PA mapping, and the
-//! on-module dispatcher expands DPA programs against the growing T_cur —
-//! with no per-step host communication (paper §VI-C).
+//! The DPA lifecycle (paper §VI-C): the host allocates a request's KV
+//! chunks lazily as decode grows its context, and the DPA-encoded
+//! attention program follows the current token length without being
+//! recompiled. Module-level TCP attention stays correct as the KV grows.
 
 use pimphony::pim_compiler::lower::{lower_attention_dpa, AttentionLowering};
-use pimphony::pim_mem::{ChunkAllocator, Dispatcher, RequestId, Va2PaTable};
+use pimphony::pim_mem::{ChunkAllocator, RequestId};
 use pimphony::pim_sim::epu::Epu;
 use pimphony::pim_sim::module::PimModule;
 use pimphony::pim_sim::Geometry;
@@ -13,61 +13,54 @@ use pimphony::pim_sim::Geometry;
 const ROWS_PER_CHUNK: u64 = 8;
 /// Tokens covered per DRAM row (channel-tile granularity for the test).
 const TOKENS_PER_ROW: u64 = 256;
+const CHUNK_BYTES: u64 = 1 << 20;
 
-fn kv_rows(tokens: u64) -> u64 {
-    tokens.div_ceil(TOKENS_PER_ROW)
+fn kv_bytes(tokens: u64) -> u64 {
+    tokens.div_ceil(TOKENS_PER_ROW) * CHUNK_BYTES / ROWS_PER_CHUNK
 }
 
 #[test]
 fn decode_grows_lazily_without_host_chatter() {
-    let shape = AttentionLowering::aimx_default();
-    let program = lower_attention_dpa(&shape);
-    let mut dispatcher = Dispatcher::new(program, ROWS_PER_CHUNK);
-    let mut allocator = ChunkAllocator::new(64 << 20, 1 << 20);
+    let program = lower_attention_dpa(&AttentionLowering::aimx_default());
+    let stored = program.stored_len();
+    let mut allocator = ChunkAllocator::new(64 * CHUNK_BYTES, CHUNK_BYTES);
 
-    // Admission: register and map the prompt's chunks.
+    // Admission: register the request and map the prompt's chunks.
     let id = RequestId(7);
     let prompt = 10_000u64;
     allocator.register(id).expect("fresh request");
-    let rows = kv_rows(prompt);
-    let maps = allocator
-        .grow(id, rows * (1 << 20) / ROWS_PER_CHUNK)
-        .expect("fits");
-    let table: Va2PaTable = maps.into_iter().collect();
-    dispatcher
-        .register(id, prompt, table)
-        .expect("fresh request");
-    let msgs_after_admission = dispatcher.host_messages();
+    let maps = allocator.grow(id, kv_bytes(prompt)).expect("fits");
+    assert_eq!(maps.len() as u64, kv_bytes(prompt).div_ceil(CHUNK_BYTES));
 
-    // Decode 2048 tokens: each step advances T_cur locally; the host only
-    // intervenes when a new chunk boundary is crossed.
-    let mut extra_host_msgs = 0;
-    for _ in 0..2048 {
-        let t = dispatcher.advance_token(id).expect("registered");
-        let needed_rows = kv_rows(t);
-        let needed_bytes = needed_rows * (1 << 20) / ROWS_PER_CHUNK;
-        let new_maps = allocator.grow(id, needed_bytes).expect("capacity");
-        if !new_maps.is_empty() {
-            dispatcher.extend_mapping(id, new_maps).expect("registered");
-            extra_host_msgs += 1;
+    // Decode 2048 tokens: the host maps new chunks only when a chunk
+    // boundary is crossed, never per step.
+    let mut host_msgs = 0u64;
+    let mut prev_len = program.expand(prompt).len();
+    for t in prompt + 1..=prompt + 2048 {
+        let have = allocator.chunks_of(id).expect("registered").len() as u64;
+        let needed = kv_bytes(t).div_ceil(CHUNK_BYTES);
+        let new_maps = allocator.grow(id, kv_bytes(t)).expect("capacity");
+        assert_eq!(new_maps.len() as u64, needed - have, "t={t}");
+        // Virtual indices continue where the mapping left off.
+        for (k, &(vc, _)) in new_maps.iter().enumerate() {
+            assert_eq!(vc, have + k as u64);
         }
-        // The decode must always succeed against the current mapping.
-        let decoded = dispatcher.decode(id).expect("fully mapped");
-        assert!(!decoded.is_empty());
+        host_msgs += u64::from(!new_maps.is_empty());
+        // The stored program is fixed; its expansion tracks T_cur.
+        let len = program.expand(t).len();
+        assert!(len >= prev_len, "t={t}");
+        prev_len = len;
+        assert_eq!(program.stored_len(), stored);
     }
+    let crossed = kv_bytes(prompt + 2048).div_ceil(CHUNK_BYTES) - maps.len() as u64;
+    assert_eq!(host_msgs, crossed);
+    assert!(host_msgs < 8, "host chatter too high: {host_msgs}");
+    assert!(prev_len > program.expand(prompt).len());
 
-    // Host messages: one per crossed chunk boundary, nothing per step.
-    let total_msgs = dispatcher.host_messages() - msgs_after_admission;
-    assert_eq!(total_msgs, extra_host_msgs);
-    assert!(total_msgs <= kv_rows(prompt + 2048).div_ceil(ROWS_PER_CHUNK) + 1);
-    assert!(total_msgs < 8, "host chatter too high: {total_msgs}");
-
-    // Expansion tracks T_cur: more tokens, more instructions.
-    let long = dispatcher.decode(id).expect("mapped").len();
-    assert!(long > 0);
-    dispatcher.release(id).expect("registered");
+    // Release returns every chunk.
     allocator.release(id).expect("registered");
     assert_eq!(allocator.free_chunks(), allocator.total_chunks());
+    assert_eq!(allocator.registered(), 0);
 }
 
 #[test]

@@ -1,12 +1,12 @@
-//! Property-based tests for the DPA memory-management substrate.
+//! Property-based tests for the DPA memory-management substrate: the
+//! chunk and static allocators, DPA program expansion and the page pool.
 
 use pimphony::pim_isa::dpa::{
     DpaInstruction, DpaProgram, DynLoop, DynModi, LoopBound, OperandField,
 };
 use pimphony::pim_isa::{ChannelMask, PimInstruction};
 use pimphony::pim_mem::{
-    ChunkAllocator, Dispatcher, MemError, PagePool, PrefixHit, RequestId, StaticAllocator,
-    Va2PaTable,
+    ChunkAllocator, MemError, PagePool, PrefixHit, RequestId, StaticAllocator,
 };
 use proptest::prelude::*;
 
@@ -64,39 +64,31 @@ proptest! {
         prop_assert!((util - expect).abs() < 1e-12);
     }
 
-    /// VA2PA row translation is injective across distinct virtual rows
-    /// when the physical chunks are distinct.
+    /// A DPA program's expansion has one body per iteration of its
+    /// resolved bound, `ceil(T_cur / divisor)`, checked on both sides of
+    /// a loop boundary.
     #[test]
-    fn va2pa_translation_is_injective(n_chunks in 1u64..16, rows_per_chunk in 1u64..64) {
-        let table: Va2PaTable =
-            (0..n_chunks).map(|vc| (vc, pimphony::pim_mem::ChunkId(100 + vc * 3))).collect();
-        let mut seen = std::collections::HashSet::new();
-        for vrow in 0..n_chunks * rows_per_chunk {
-            let prow = table.translate_row(vrow, rows_per_chunk).expect("mapped");
-            prop_assert!(seen.insert(prow), "physical row {prow} aliased");
-        }
-    }
-
-    /// Dispatcher decode length equals the DPA program's expansion for the
-    /// request's token length, independent of the VA2PA layout.
-    #[test]
-    fn dispatcher_expansion_matches_program(t_cur in 1u64..100_000, divisor in 1u32..512) {
+    fn dpa_expansion_follows_resolved_bound(groups in 1u64..400, divisor in 1u32..512) {
         let mac = PimInstruction::mac(ChannelMask::first(16), 1, 0, 0, 0, 0);
+        let rd = PimInstruction::rd_out(ChannelMask::first(16), 1, 0, 0);
         let mut p = DpaProgram::new();
+        p.push(DpaInstruction::Plain(mac));
         p.push(DpaInstruction::Loop(DynLoop {
             bound: LoopBound::TokensDiv { divisor },
-            body: vec![DpaInstruction::Plain(mac)],
+            body: vec![DpaInstruction::Plain(mac), DpaInstruction::Plain(rd)],
             modifiers: vec![DynModi::new(0, OperandField::Row, 1)],
         }));
-        let expect = p.expand(t_cur).len();
-        let rows_per_chunk = 4u64;
-        let needed_chunks = (expect as u64).div_ceil(rows_per_chunk).max(1);
-        let table: Va2PaTable =
-            (0..needed_chunks).map(|vc| (vc, pimphony::pim_mem::ChunkId(vc * 7))).collect();
-        let mut d = Dispatcher::new(p, rows_per_chunk);
-        d.register(RequestId(1), t_cur, table).expect("fresh");
-        let decoded = d.decode(RequestId(1)).expect("mapped");
-        prop_assert_eq!(decoded.len(), expect);
+        let edge = groups * u64::from(divisor);
+        let cases = [
+            (edge - 1, groups - u64::from(divisor == 1)),
+            (edge, groups),
+            (edge + 1, groups + 1),
+        ];
+        for (t_cur, iterations) in cases {
+            let len = p.expand(t_cur).len() as u64;
+            prop_assert_eq!(len, 1 + 2 * iterations, "t_cur={}", t_cur);
+        }
+        prop_assert_eq!(p.stored_len(), 5);
     }
 }
 
