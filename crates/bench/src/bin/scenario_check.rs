@@ -17,24 +17,25 @@
 //! adding a `PolicySpec` knob so the checked-in files pick up the new
 //! key.
 
-use bench::cli::{self, BenchArgs};
+use bench::cli::{self, Usage};
 use system::Scenario;
 
+const USAGE: Usage = Usage {
+    bin: "scenario_check",
+    switches: &["--json <path>", "--canonicalize"],
+    positionals: "<scenario.json>...",
+};
+
 fn main() {
-    let args = BenchArgs::parse();
-    let canonicalize = args.rest.iter().any(|a| a == "--canonicalize");
-    let files: Vec<&String> = args
-        .rest
-        .iter()
-        .filter(|a| *a != "--canonicalize")
-        .collect();
+    let args = USAGE.parse();
+    let canonicalize = args.flag("--canonicalize");
+    let files = &args.rest;
     if files.is_empty() {
-        eprintln!("usage: scenario_check [--canonicalize] <scenario.json>... [--json <out.json>]");
-        std::process::exit(2);
+        USAGE.exit("no scenario file given");
     }
     let mut rows = Vec::new();
     let mut failures = 0usize;
-    for path in &files {
+    for path in files {
         if canonicalize {
             match Scenario::from_file(path) {
                 Ok(s) => {
@@ -50,9 +51,7 @@ fn main() {
             }
         }
         match cli::run_scenario_file(path) {
-            Ok((m, report)) => {
-                rows.extend(cli::scenario_rows(&cli::file_stem(path), &m, &report));
-            }
+            Ok(file_rows) => rows.extend(file_rows),
             Err(e) => {
                 eprintln!("\nFAIL {path}: {e}");
                 failures += 1;
@@ -60,7 +59,7 @@ fn main() {
         }
     }
     println!("\n{} scenario(s) checked, {failures} failed", files.len());
-    if let Some(path) = &args.json {
+    if let Some(path) = args.value("--json") {
         bench::write_bench_json(path, "scenarios", rows);
     }
     if failures > 0 {

@@ -9,8 +9,9 @@
 //! alone would couple the row to the scenario size; simulated-req/s is
 //! the size-independent rate the regression gate can pin.
 //!
-//! Switches beyond the shared set (`--tiny`, `--json`, `--scenario`):
+//! Switches besides `--tiny` and `--json <path>`:
 //!
+//! * `--scenario <file.json>` — time this spec instead of the default.
 //! * `--threads N` — override the spec's simulation thread count
 //!   (results are byte-identical whatever the count; only the wall
 //!   clock moves).
@@ -22,7 +23,7 @@
 //! sizing) and suffixes the row name with `/tiny`, so the full-size
 //! row and the CI row never collide in `BENCH_serving.json`.
 
-use bench::cli::{file_stem, BenchArgs};
+use bench::cli::{file_stem, Usage};
 use bench::{header, push_row_field, serving_row, write_bench_json};
 use std::time::Instant;
 use system::Scenario;
@@ -30,25 +31,39 @@ use system::Scenario;
 const DEFAULT_SCENARIO: &str = "scenarios/perf/sim_speed_100k.json";
 const TINY_DIVISOR: usize = 64;
 
+const USAGE: Usage = Usage {
+    bin: "sim_speed",
+    switches: &[
+        "--tiny",
+        "--json <path>",
+        "--scenario <file.json>",
+        "--threads <n>",
+        "--check-determinism",
+    ],
+    positionals: "",
+};
+
 fn main() {
-    let args = BenchArgs::parse();
+    let args = USAGE.parse();
     let path = args
-        .scenario
-        .clone()
-        .unwrap_or_else(|| DEFAULT_SCENARIO.to_string());
+        .value("--scenario")
+        .unwrap_or(DEFAULT_SCENARIO)
+        .to_string();
     let mut scenario = Scenario::from_file(&path).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    if args.tiny {
+    if args.flag("--tiny") {
         for t in &mut scenario.workload {
             t.requests = (t.requests / TINY_DIVISOR).max(1);
         }
     }
-    if let Some(n) = flag_value(&args.rest, "--threads") {
-        scenario.cluster.threads = n;
+    if let Some(n) = args.value("--threads") {
+        scenario.cluster.threads = n
+            .parse()
+            .unwrap_or_else(|_| USAGE.exit(&format!("--threads: {n:?} is not a count")));
     }
-    let check_determinism = args.rest.iter().any(|a| a == "--check-determinism");
+    let check_determinism = args.flag("--check-determinism");
 
     let mut m = scenario.materialize().unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
@@ -87,9 +102,9 @@ fn main() {
         println!("determinism: threads=1 ({seq_wall:.2}s) matches threads={threads} byte-for-byte");
     }
 
-    if let Some(json_path) = &args.json {
+    if let Some(json_path) = args.value("--json") {
         let stem = file_stem(&path);
-        let name = if args.tiny {
+        let name = if args.flag("--tiny") {
             format!("{stem}/tiny")
         } else {
             stem
@@ -115,12 +130,4 @@ fn wall_clock<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let t0 = Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())
-}
-
-/// The integer following `flag` in the leftover arguments, if present.
-fn flag_value(rest: &[String], flag: &str) -> Option<usize> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -1,65 +1,129 @@
-//! Shared command-line conventions of the serving bench binaries.
+//! Shared command-line conventions of the bench binaries.
 //!
-//! [`BenchArgs::parse`] scans the switches the serving bins share:
-//! `--tiny` for the CI smoke configuration and `--json <path>` for
-//! machine-readable rows, plus `sim_speed`'s `--scenario <file.json>`.
+//! Each bench binary declares the switches it reads and whether it takes
+//! positionals in its [`Usage`]: `--json <path>` (machine-readable rows)
+//! for all but `study`, which writes one document per study, `--tiny`
+//! (the CI smoke configuration) for `study` and `sim_speed`.
+//! [`Usage::parse`] rejects everything else with the usage line and
+//! exit status 2, so a misspelled switch cannot run silently.
+//!
 //! A declarative [`Scenario`] spec (`system::scenario`, checked-in
 //! examples under `scenarios/`) runs through `scenario_check`, which
 //! calls [`run_scenario_file`] to run it end-to-end and report
-//! per-tenant latency, SLO attainment, and Jain tenant fairness.
-//!
-//! The standard sweep shape (seed, decode range) shared by the serving
-//! bins also lives here so their load axes stay comparable.
+//! per-tenant latency, SLO attainment, and Jain tenant fairness. Its
+//! rows, and every row of the `study` runner, come from
+//! [`scenario_rows`].
 
 use crate::json::Json;
-use crate::serving_row;
-use system::{
-    Materialized, RouterKind, Scenario, ServingReport, SheddingPolicy, TenantLatency, VictimOrder,
-};
+use crate::{push_row_field, serving_row};
+use system::{RouterKind, Scenario, ServingReport, SheddingPolicy, TenantLatency, VictimOrder};
 
-/// The shared RNG seed of the serving sweeps.
-pub const SEED: u64 = 2026;
-/// The shared decode-budget lower bound of the serving sweeps.
-pub const DECODE_LO: u64 = 16;
-/// The shared decode-budget upper bound of the serving sweeps.
-pub const DECODE_HI: u64 = 96;
-
-/// The switches shared by the serving bench binaries.
-#[derive(Debug, Clone, Default)]
+/// The parsed arguments of one bench binary.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchArgs {
-    /// `--tiny`: the CI smoke configuration (small request counts).
-    pub tiny: bool,
-    /// `--json <path>`: write machine-readable result rows.
-    pub json: Option<String>,
-    /// `--scenario <file.json>`: the spec `sim_speed` times instead of
-    /// its default. The sweep bins do not read it.
-    pub scenario: Option<String>,
+    /// The declared switches that were given, each with its value
+    /// (`None` for a flag), in command-line order.
+    pub switches: Vec<(&'static str, Option<String>)>,
     /// Positional arguments (e.g. `scenario_check`'s spec files).
     pub rest: Vec<String>,
 }
 
 impl BenchArgs {
-    /// Parses the process arguments.
-    pub fn parse() -> Self {
+    /// Whether the flag `name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.switches.iter().any(|(s, _)| *s == name)
+    }
+
+    /// The value of the last `name <value>` switch given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.switches
+            .iter()
+            .rev()
+            .find(|(s, _)| *s == name)
+            .and_then(|(_, v)| v.as_deref())
+    }
+}
+
+/// What one binary accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Usage {
+    /// The binary's name.
+    pub bin: &'static str,
+    /// The binary's switches; one written `"--name <value>"` takes a
+    /// value, one written `"--name"` is a flag.
+    pub switches: &'static [&'static str],
+    /// The positionals as shown in the usage line (e.g.
+    /// `"<scenario.json>..."`); empty if the binary takes none.
+    pub positionals: &'static str,
+}
+
+impl Usage {
+    /// The usage line.
+    pub fn line(&self) -> String {
+        let mut line = format!("usage: {}", self.bin);
+        for s in self.switches {
+            line.push_str(&format!(" [{s}]"));
+        }
+        if !self.positionals.is_empty() {
+            line.push_str(&format!(" {}", self.positionals));
+        }
+        line
+    }
+
+    /// Parses `args` (without the program name), naming the first
+    /// argument this binary does not accept.
+    pub fn parse_from(&self, args: impl IntoIterator<Item = String>) -> Result<BenchArgs, String> {
         let mut out = BenchArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
-            match a.as_str() {
-                "--tiny" => out.tiny = true,
-                "--json" => out.json = Some(args.next().expect("--json requires a path")),
-                "--scenario" => {
-                    out.scenario = Some(args.next().expect("--scenario requires a path"))
-                }
-                _ => out.rest.push(a),
+            let mut value = |name: &str| {
+                args.next()
+                    .ok_or_else(|| format!("{name} requires a value"))
+            };
+            if let Some(spec) = self
+                .switches
+                .iter()
+                .find(|s| s.split(' ').next() == Some(a.as_str()))
+            {
+                let (name, takes_value) = match spec.split_once(' ') {
+                    Some((name, _)) => (name, true),
+                    None => (*spec, false),
+                };
+                let v = if takes_value {
+                    Some(value(name)?)
+                } else {
+                    None
+                };
+                out.switches.push((name, v));
+            } else if a.starts_with('-') || self.positionals.is_empty() {
+                return Err(format!("unknown argument {a:?}"));
+            } else {
+                out.rest.push(a);
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// Parses the process arguments; on an argument this binary does
+    /// not accept, prints the error and the usage line and exits with
+    /// status 2.
+    pub fn parse(&self) -> BenchArgs {
+        self.parse_from(std::env::args().skip(1))
+            .unwrap_or_else(|e| self.exit(&e))
+    }
+
+    /// Prints `error` and the usage line, then exits with status 2.
+    pub fn exit(&self, error: &str) -> ! {
+        eprintln!("{}: {error}\n{}", self.bin, self.line());
+        std::process::exit(2)
     }
 }
 
 /// Loads, materializes and runs one scenario spec file, printing the
-/// configuration and the per-tenant report.
-pub fn run_scenario_file(path: &str) -> Result<(Materialized, ServingReport), String> {
+/// configuration and the per-tenant report, and returns its rows (see
+/// [`scenario_rows`]) named after the file stem at the trace's offered
+/// rate.
+pub fn run_scenario_file(path: &str) -> Result<Vec<Json>, String> {
     let scenario = Scenario::from_file(path)?;
     let m = scenario.materialize()?;
     crate::header(&format!(
@@ -71,12 +135,13 @@ pub fn run_scenario_file(path: &str) -> Result<(Materialized, ServingReport), St
         m.trace.len(),
     ));
     let report = m.run();
-    print_scenario_report(&m, &report);
-    Ok((m, report))
+    print_scenario_report(&scenario, &report);
+    let rate = m.trace.offered_rate().unwrap_or(0.0);
+    Ok(scenario_rows(&file_stem(path), rate, &scenario, &report))
 }
 
 /// Prints the aggregate and per-tenant result tables of a scenario run.
-pub fn print_scenario_report(m: &Materialized, r: &ServingReport) {
+fn print_scenario_report(s: &Scenario, r: &ServingReport) {
     println!(
         "\n{:.1} tok/s over {:.2}s (goodput {:.1}) | TTFT p50/p99 {:.3}/{:.3}s | \
          E2E p99 {:.3}s | evictions {} | shed {} | router {} | tenant fairness {:.3}",
@@ -88,7 +153,7 @@ pub fn print_scenario_report(m: &Materialized, r: &ServingReport) {
         r.latency.e2e.p99,
         r.evictions,
         r.shed,
-        m.router.label(),
+        s.policies.router.label(),
         r.tenant_fairness(),
     );
     println!(
@@ -108,7 +173,7 @@ pub fn print_scenario_report(m: &Materialized, r: &ServingReport) {
         };
         println!(
             "{:<16} {:>9} {:>12.3} {:>12.3} {:>12.3} {:>10} {:>10} {:>11}",
-            m.tenant_name(t.tenant),
+            s.workload[usize::from(t.tenant)].name,
             t.latency.completed,
             t.latency.ttft.p50,
             t.latency.ttft.p99,
@@ -120,68 +185,70 @@ pub fn print_scenario_report(m: &Materialized, r: &ServingReport) {
     }
 }
 
-/// Machine-readable rows of a scenario run: one aggregate
-/// [`serving_row`] named `stem`, plus one tenant row per tenant named
-/// `stem/tenant-name` (TTFT percentiles, goodput tokens, SLO
-/// attainment) — the rows the regression gate pins.
-pub fn scenario_rows(stem: &str, m: &Materialized, r: &ServingReport) -> Vec<Json> {
-    let rate = m.trace.offered_rate().unwrap_or(0.0);
+/// Machine-readable rows of a scenario run at the nominal offered
+/// `rate`: one aggregate [`serving_row`] named `stem`, one tenant row
+/// per tenant named `stem/tenant-name` (TTFT percentiles, goodput
+/// tokens, SLO attainment) and one pool row per pool of a disaggregated
+/// run named `stem/pool/pool-name`: the rows the regression gate pins.
+///
+/// A group of fields rides along only when the run exercises it, so
+/// rows of runs that do not keep their historical layout:
+/// * more than one priority class: `kv_capacity_factor` and each
+///   class's TTFT p99 (`ttft_p99_high`, `ttft_p99_low`);
+/// * a shared prompt prefix or prefix-cache activity: the hit counters,
+///   `prefix_hit_rate` and `pages_evicted`;
+/// * a tenant SLO or an SLO-native policy: `goodput` and `shed`, and
+///   each tenant row's `goodput`;
+/// * replica pools: the KV-transfer totals.
+pub fn scenario_rows(stem: &str, rate: f64, s: &Scenario, r: &ServingReport) -> Vec<Json> {
     let mut aggregate = serving_row(stem, rate, r);
-    // Prefix-cache counters ride along only when the scenario exercises
-    // them, so rows of cache-less scenarios stay byte-identical to the
-    // pre-paged-KV snapshot.
-    if r.prefix_cache_hits > 0 || r.pages_evicted > 0 {
-        crate::push_row_field(
-            &mut aggregate,
-            "prefix_cache_hits",
-            Json::num(r.prefix_cache_hits as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "prefix_hit_tokens",
-            Json::num(r.prefix_hit_tokens as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "pages_evicted",
-            Json::num(r.pages_evicted as f64),
-        );
+    let mut push = |key: &str, value: f64| push_row_field(&mut aggregate, key, Json::num(value));
+    if let [high, .., low] = r.latency_by_priority.as_slice() {
+        push("kv_capacity_factor", s.policies.kv_capacity_factor);
+        push("ttft_p99_high", high.latency.ttft.p99);
+        push("ttft_p99_low", low.latency.ttft.p99);
     }
-    // Goodput and shed counters ride along only when an SLO-native
-    // policy is armed, so rows of pre-SLO scenarios stay byte-identical
-    // to the historical snapshot.
-    let slo_native = m.router == RouterKind::SloAware
-        || m.evaluator.shedding_policy() != SheddingPolicy::None
-        || m.evaluator.victim_order() != VictimOrder::RecentFirst;
+    if r.prefix_cache_hits > 0
+        || r.pages_evicted > 0
+        || s.workload.iter().any(|t| t.shared_prefix > 0)
+    {
+        let offered = r.prefill_tokens + r.prefix_hit_tokens;
+        push("prefix_cache_hits", r.prefix_cache_hits as f64);
+        push("prefix_hit_tokens", r.prefix_hit_tokens as f64);
+        push(
+            "prefix_hit_rate",
+            if offered == 0 {
+                0.0
+            } else {
+                r.prefix_hit_tokens as f64 / offered as f64
+            },
+        );
+        push("pages_evicted", r.pages_evicted as f64);
+    }
+    let p = &s.policies;
+    let slo_native = p.router == RouterKind::SloAware
+        || p.shedding != SheddingPolicy::None
+        || p.victim_order != VictimOrder::RecentFirst
+        || s.workload.iter().any(|t| t.slo_ttft_p99.is_some());
     if slo_native {
-        crate::push_row_field(&mut aggregate, "goodput", Json::num(r.goodput()));
-        crate::push_row_field(&mut aggregate, "shed", Json::num(r.shed as f64));
+        push("goodput", r.goodput());
+        push("shed", r.shed as f64);
     }
-    // KV-transfer counters ride along only when the pool structure is
-    // observable (`per_pool` nonempty), so rows of colocated scenarios
-    // stay byte-identical to the pre-disaggregation snapshot.
     if !r.per_pool.is_empty() {
-        crate::push_row_field(
-            &mut aggregate,
-            "kv_transferred_bytes",
-            Json::num(r.kv_transferred_bytes as f64),
-        );
-        crate::push_row_field(
-            &mut aggregate,
-            "transfer_seconds",
-            Json::num(r.transfer_seconds),
-        );
+        push("kv_transferred_bytes", r.kv_transferred_bytes as f64);
+        push("transfer_seconds", r.transfer_seconds);
     }
     let mut rows = vec![aggregate];
     for t in &r.latency_by_tenant {
-        let mut row = tenant_row(&format!("{stem}/{}", m.tenant_name(t.tenant)), t);
+        let name = &s.workload[usize::from(t.tenant)].name;
+        let mut row = tenant_row(&format!("{stem}/{name}"), t);
         if slo_native {
             let goodput = if r.seconds > 0.0 {
                 t.goodput_tokens as f64 / r.seconds
             } else {
                 0.0
             };
-            crate::push_row_field(&mut row, "goodput", Json::num(goodput));
+            push_row_field(&mut row, "goodput", Json::num(goodput));
         }
         rows.push(row);
     }
@@ -192,7 +259,7 @@ pub fn scenario_rows(stem: &str, m: &Materialized, r: &ServingReport) -> Vec<Jso
 }
 
 /// One machine-readable row for a pool's share of a disaggregated run.
-pub fn pool_row(name: &str, p: &system::PoolBreakdown) -> Json {
+fn pool_row(name: &str, p: &system::PoolBreakdown) -> Json {
     Json::obj([
         ("name", Json::str(name)),
         ("role", Json::str(p.role.label())),
@@ -213,7 +280,7 @@ pub fn pool_row(name: &str, p: &system::PoolBreakdown) -> Json {
 }
 
 /// One machine-readable row for a tenant's share of a scenario run.
-pub fn tenant_row(name: &str, t: &TenantLatency) -> Json {
+fn tenant_row(name: &str, t: &TenantLatency) -> Json {
     Json::obj([
         ("name", Json::str(name)),
         ("completed", Json::num(t.latency.completed as f64)),
@@ -246,6 +313,74 @@ pub fn file_stem(path: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const USAGE: Usage = Usage {
+        bin: "probe",
+        switches: &[
+            "--tiny",
+            "--json <path>",
+            "--threads <n>",
+            "--check-determinism",
+        ],
+        positionals: "<spec.json>...",
+    };
+
+    fn parse(usage: &Usage, args: &[&str]) -> Result<BenchArgs, String> {
+        usage.parse_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parse_reads_shared_and_declared_switches_and_positionals() {
+        let args = parse(
+            &USAGE,
+            &[
+                "a.json",
+                "--tiny",
+                "--threads",
+                "4",
+                "--json",
+                "out.json",
+                "b.json",
+            ],
+        )
+        .expect("valid arguments");
+        assert!(args.flag("--tiny"));
+        assert_eq!(args.value("--json"), Some("out.json"));
+        assert_eq!(args.value("--threads"), Some("4"));
+        assert!(!args.flag("--check-determinism"));
+        assert_eq!(args.rest, ["a.json", "b.json"]);
+        assert!(parse(&USAGE, &["--check-determinism"])
+            .unwrap()
+            .flag("--check-determinism"));
+    }
+
+    #[test]
+    fn parse_rejects_what_the_binary_does_not_declare() {
+        let err = parse(&USAGE, &["--tiny", "--bogus"]).unwrap_err();
+        assert_eq!(err, "unknown argument \"--bogus\"");
+        assert!(parse(&USAGE, &["--threads"])
+            .unwrap_err()
+            .contains("requires a value"));
+        assert!(parse(&USAGE, &["--json"])
+            .unwrap_err()
+            .contains("requires a value"));
+        // A binary without positionals rejects them too, and one
+        // binary's switch is unknown to another.
+        let fig = Usage {
+            bin: "fig10",
+            switches: &["--json <path>"],
+            positionals: "",
+        };
+        assert!(parse(&fig, &["stray"]).is_err());
+        assert!(parse(&fig, &["--tiny"]).is_err());
+        assert!(parse(&fig, &["--threads", "2"]).is_err());
+        assert_eq!(parse(&fig, &[]), Ok(BenchArgs::default()));
+        assert_eq!(
+            USAGE.line(),
+            "usage: probe [--tiny] [--json <path>] [--threads <n>] [--check-determinism] \
+             <spec.json>..."
+        );
+    }
 
     #[test]
     fn file_stem_strips_directories_and_extension() {

@@ -1,12 +1,16 @@
 //! Shared helpers for the experiment binaries (`src/bin/fig*.rs`,
 //! `src/bin/table*.rs`) and Criterion benches that regenerate every table
-//! and figure of the PIMphony paper. See `EXPERIMENTS.md` for the index
-//! and paper-vs-measured record.
+//! and figure of the PIMphony paper, and for the serving binaries:
+//! [`study`] runs the serving sweeps from checked-in `studies/*.json`,
+//! [`cli`] holds the argument parsing and the scenario rows every
+//! serving run emits, and [`regression`] gates those rows against
+//! `BENCH_serving.json`.
 
 pub use jsonio as json;
 
 pub mod cli;
 pub mod regression;
+pub mod study;
 
 use json::Json;
 use llm_model::ModelConfig;
@@ -38,13 +42,6 @@ pub fn exit_quietly_on_closed_stdout() {
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// The path following a `--json` flag in the process arguments, if any
-/// (the shared machine-readable output switch of the bench binaries;
-/// serving bins parse the full switch set with [`cli::BenchArgs`]).
-pub fn json_arg() -> Option<String> {
-    cli::BenchArgs::parse().json
 }
 
 /// One machine-readable result row for a serving run: the identifying
@@ -94,7 +91,8 @@ pub fn push_row_field(row: &mut Json, key: &str, value: Json) {
 /// Row collector giving any bench binary a `--json <path>` mode.
 ///
 /// Figure/table binaries record each printed number as a named scalar
-/// (`metric`) and serving binaries record full [`serving_row`]s (`row`);
+/// (`metric`) and the ladder figures record full [`serving_row`]s
+/// (`ladder`);
 /// on [`MetricSink::finish`] the rows are written as the standard
 /// `{"bench": ..., "rows": [...]}` document if `--json` was passed, and
 /// discarded otherwise — so instrumenting a binary costs nothing when
@@ -107,12 +105,18 @@ pub struct MetricSink {
 }
 
 impl MetricSink {
-    /// Creates a sink for `bench`, reading `--json` from the process
-    /// arguments.
+    /// Creates a sink for the binary `bench`, reading `--json` from
+    /// the process arguments; any other argument exits with the usage
+    /// line (see [`cli::Usage`]).
     pub fn new(bench: &'static str) -> Self {
+        let usage = cli::Usage {
+            bin: bench,
+            switches: &["--json <path>"],
+            positionals: "",
+        };
         MetricSink {
             bench,
-            path: json_arg(),
+            path: usage.parse().value("--json").map(str::to_string),
             rows: Vec::new(),
         }
     }
@@ -123,11 +127,6 @@ impl MetricSink {
             ("name".to_string(), Json::Str(name.into())),
             ("value".to_string(), Json::num(value)),
         ]));
-    }
-
-    /// Records a full serving-report row (see [`serving_row`]).
-    pub fn row(&mut self, row: Json) {
-        self.rows.push(row);
     }
 
     /// Records every rung of a technique ladder as serving rows named
@@ -159,19 +158,6 @@ pub fn write_bench_json(path: &str, bench: &str, rows: Vec<Json>) {
     }
     std::fs::write(path, doc.to_pretty()).expect("write --json output");
     println!("\nwrote {bench} results to {path}");
-}
-
-/// End-to-end serving capacity of a cluster: the closed-world (wave)
-/// run of `trace` through `eval` — prefill included whenever the
-/// evaluator has it enabled, so online sweeps anchored on this rate use
-/// the same cost model they measure. Returns the closed-world report
-/// together with the capacity in requests/second. Shared by the serving
-/// binaries (`latency_curve`, `router_compare`, `prefill_sweep`) so
-/// their load axes stay comparable.
-pub fn closed_world_capacity(eval: &Evaluator, trace: &Trace) -> (ServingReport, f64) {
-    let closed = eval.run_trace(trace);
-    let rps = trace.len() as f64 / closed.seconds.max(f64::MIN_POSITIVE);
-    (closed, rps)
 }
 
 /// The standard evaluation trace for a dataset (small but representative;

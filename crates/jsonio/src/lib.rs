@@ -83,6 +83,29 @@ impl Json {
         }
     }
 
+    /// Checks that this is an object whose keys are all in `known`,
+    /// so a misspelled key is an error instead of a silently applied
+    /// default. `place` is the object's dotted path ("" at the top);
+    /// the error names the offending key's full path.
+    pub fn check_keys(&self, place: &str, known: &[&str]) -> Result<(), String> {
+        let path = |key: &str| match place {
+            "" => key.to_string(),
+            _ => format!("{place}.{key}"),
+        };
+        let Json::Obj(pairs) = self else {
+            let place = if place.is_empty() { "document" } else { place };
+            return Err(format!("{place}: expected an object"));
+        };
+        match pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((key, _)) => Err(format!(
+                "{}: unknown key (expected one of: {})",
+                path(key),
+                known.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Serializes with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -396,5 +419,23 @@ mod tests {
         assert!(Json::parse("01x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn check_keys_names_the_unknown_key_by_path() {
+        let doc = Json::parse(r#"{"a": 1, "b": 2}"#).unwrap();
+        assert_eq!(doc.check_keys("", &["a", "b"]), Ok(()));
+        assert_eq!(
+            doc.check_keys("policies", &["a"]),
+            Err("policies.b: unknown key (expected one of: a)".to_string())
+        );
+        assert_eq!(
+            doc.check_keys("", &["b"]),
+            Err("a: unknown key (expected one of: b)".to_string())
+        );
+        assert_eq!(
+            Json::num(1.0).check_keys("cluster", &[]),
+            Err("cluster: expected an object".to_string())
+        );
     }
 }

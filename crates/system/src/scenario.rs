@@ -41,7 +41,7 @@ use crate::serve::{replica_kv_bytes, token_kv_bytes, Evaluator, ServingReport};
 use jsonio::Json;
 use llm_model::ModelConfig;
 use pim_compiler::ParallelConfig;
-use workload::{ArrivalProcess, Dataset, DecodeSpec, Trace, TraceBuilder};
+use workload::{ArrivalProcess, Dataset, DatasetStats, DecodeSpec, Trace, TraceBuilder};
 
 /// One tenant's traffic in a scenario: its own dataset, volume, decode
 /// spec, arrival process, priority class, and optional TTFT SLO.
@@ -72,6 +72,17 @@ pub struct TenantSpec {
     /// `policies.prefix_caching` on, shared tokens hit the page-level
     /// prefix cache after the tenant's first admission.
     pub shared_prefix: u64,
+    /// Priority classes drawn per request, uniformly from
+    /// `0..priority_levels`. The default 1 leaves every request at the
+    /// fixed `priority`; above 1 it replaces `priority`, which must
+    /// then stay 0.
+    pub priority_levels: u8,
+    /// Scale of the dataset's context-length distribution: mean, std
+    /// and bounds are multiplied by it (the minimum floored at 64
+    /// tokens, the maximum capped so a prompt plus the tenant's longest
+    /// decode fits the model's context window). The default 1.0 draws
+    /// from the dataset's own statistics.
+    pub context_scale: f64,
 }
 
 impl TenantSpec {
@@ -89,6 +100,8 @@ impl TenantSpec {
             priority: 0,
             slo_ttft_p99: None,
             shared_prefix: 0,
+            priority_levels: 1,
+            context_scale: 1.0,
         }
     }
 
@@ -134,21 +147,46 @@ impl TenantSpec {
         self
     }
 
-    /// Builds this tenant's trace, tagged with `tenant`.
-    fn build_trace(&self, tenant: u8) -> Trace {
-        TraceBuilder::new(self.dataset)
+    /// Builds this tenant's trace for a model with `context_window`
+    /// tokens, tagged with `tenant`.
+    fn build_trace(&self, tenant: u8, context_window: u64) -> Trace {
+        let builder = TraceBuilder::from_stats(self.context_stats(context_window))
             .seed(self.seed)
             .requests(self.requests)
             .decode(self.decode)
             .arrivals(self.arrivals)
-            .priority(self.priority)
             .tenant(tenant)
-            .shared_prefix(self.shared_prefix)
-            .build()
+            .shared_prefix(self.shared_prefix);
+        if self.priority_levels > 1 {
+            builder.priority_levels(self.priority_levels).build()
+        } else {
+            builder.priority(self.priority).build()
+        }
     }
 
-    /// Validates the spec, naming the offending field.
-    fn validate(&self, idx: usize) -> Result<(), String> {
+    /// The context-length statistics this tenant draws from (see
+    /// [`Self::context_scale`]).
+    pub fn context_stats(&self, context_window: u64) -> DatasetStats {
+        let base = self.dataset.stats();
+        let f = self.context_scale;
+        if f == 1.0 {
+            return base;
+        }
+        let longest_decode = match self.decode {
+            DecodeSpec::Fixed(n) | DecodeSpec::Uniform(_, n) => n,
+        };
+        DatasetStats {
+            mean: base.mean * f,
+            std: base.std * f,
+            min: ((base.min as f64 * f) as u64).max(64),
+            max: ((base.max as f64 * f) as u64).min(context_window.saturating_sub(longest_decode)),
+            ..base
+        }
+    }
+
+    /// Validates the spec for a model with `context_window` tokens,
+    /// naming the offending field.
+    fn validate(&self, idx: usize, context_window: u64) -> Result<(), String> {
         if self.requests == 0 {
             return Err(format!(
                 "workload[{idx}] ({}): requests must be > 0",
@@ -193,6 +231,21 @@ impl TenantSpec {
                     self.name
                 ));
             }
+        }
+        if self.priority_levels == 0 || (self.priority_levels > 1 && self.priority != 0) {
+            return Err(format!(
+                "workload[{idx}] ({}): priority_levels must be >= 1, and with more than one \
+                 level priority must stay 0",
+                self.name
+            ));
+        }
+        let stats = self.context_stats(context_window);
+        if !(self.context_scale > 0.0 && self.context_scale.is_finite()) || stats.min > stats.max {
+            return Err(format!(
+                "workload[{idx}] ({}): context_scale {} must be positive and leave a context \
+                 length range (got {}..={} tokens)",
+                self.name, self.context_scale, stats.min, stats.max
+            ));
         }
         Ok(())
     }
@@ -511,7 +564,7 @@ impl Scenario {
             return Err("at most 256 tenants are supported (tenant ids are u8)".to_string());
         }
         for (i, t) in self.workload.iter().enumerate() {
-            t.validate(i)?;
+            t.validate(i, model.context_window)?;
         }
         if !(self.policies.kv_capacity_factor > 0.0 && self.policies.kv_capacity_factor.is_finite())
         {
@@ -671,7 +724,7 @@ impl Scenario {
             self.workload
                 .iter()
                 .enumerate()
-                .map(|(i, t)| t.build_trace(i as u8)),
+                .map(|(i, t)| t.build_trace(i as u8, model.context_window)),
         );
         let pools = self
             .cluster
@@ -792,6 +845,26 @@ impl Scenario {
     /// state what they change; `model` and a nonempty `workload` are
     /// required.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
+        doc.check_keys(
+            "",
+            &[
+                "model",
+                "system",
+                "techniques",
+                "cluster",
+                "policies",
+                "workload",
+            ],
+        )?;
+        for (place, known) in [
+            ("techniques", &["tcp", "dcs", "dpa"][..]),
+            ("cluster", &["tp", "pp", "modules", "threads", "pools"]),
+            ("policies", POLICY_KEYS),
+        ] {
+            if let Some(section) = doc.get(place) {
+                section.check_keys(place, known)?;
+            }
+        }
         let model = req_str(doc, "model")?.to_string();
         let system = match doc.get("system").and_then(Json::as_str) {
             None | Some("pim-only") => SystemKind::PimOnly,
@@ -1005,6 +1078,10 @@ fn pool_to_json(p: &PoolSpec) -> Json {
 }
 
 fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
+    p.check_keys(
+        "",
+        &["name", "role", "replicas", "tp", "pp", "system", "router"],
+    )?;
     let name = req_str(p, "name")?.to_string();
     let role = parse_pool_role(get_str(p, "role", PoolRole::Mixed.label())?)?;
     let system = match p.get("system").and_then(Json::as_str) {
@@ -1063,7 +1140,7 @@ fn tenant_to_json(t: &TenantSpec) -> Json {
             ("cv", Json::num(cv)),
         ]),
     };
-    Json::obj([
+    let mut fields = vec![
         ("name", Json::str(t.name.clone())),
         ("dataset", Json::str(t.dataset.name())),
         ("requests", Json::num(t.requests as f64)),
@@ -1076,10 +1153,19 @@ fn tenant_to_json(t: &TenantSpec) -> Json {
             t.slo_ttft_p99.map(Json::num).unwrap_or(Json::Null),
         ),
         ("shared_prefix", Json::num(t.shared_prefix as f64)),
-    ])
+    ];
+    // Emitted only off-default, so existing spec files stay canonical.
+    if t.priority_levels != 1 {
+        fields.push(("priority_levels", Json::num(t.priority_levels as f64)));
+    }
+    if t.context_scale != 1.0 {
+        fields.push(("context_scale", Json::num(t.context_scale)));
+    }
+    Json::obj(fields)
 }
 
 fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
+    t.check_keys("", TENANT_KEYS)?;
     let name = req_str(t, "name")?.to_string();
     let dataset_name = req_str(t, "dataset")?;
     let dataset = Dataset::ALL
@@ -1096,8 +1182,10 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
         None => DecodeSpec::Fixed(256),
         Some(d) => {
             if d.get("fixed").is_some() {
+                d.check_keys("decode", &["fixed"])?;
                 DecodeSpec::Fixed(get_u64(d, "fixed", 0)?)
             } else if d.get("lo").is_some() || d.get("hi").is_some() {
+                d.check_keys("decode", &["lo", "hi"])?;
                 DecodeSpec::Uniform(get_u64(d, "lo", 0)?, get_u64(d, "hi", 0)?)
             } else {
                 return Err("decode: expected {\"fixed\": n} or {\"lo\": n, \"hi\": n}".to_string());
@@ -1127,6 +1215,14 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
             other => return Err(format!("arrivals: unknown process {other:?}")),
         },
     };
+    if let Some(a) = t.get("arrivals") {
+        let known: &[&str] = match arrivals {
+            ArrivalProcess::Batch => &["process"],
+            ArrivalProcess::Poisson { .. } => &["process", "rate"],
+            ArrivalProcess::Bursty { .. } => &["process", "rate", "cv"],
+        };
+        a.check_keys("arrivals", known)?;
+    }
     let slo = match t.get("slo_ttft_p99") {
         None | Some(Json::Null) => None,
         Some(v) => Some(
@@ -1144,8 +1240,42 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
         priority: get_u64(t, "priority", 0)? as u8,
         slo_ttft_p99: slo,
         shared_prefix: get_u64(t, "shared_prefix", 0)?,
+        priority_levels: u8::try_from(get_u64(t, "priority_levels", 1)?)
+            .map_err(|_| "priority_levels: at most 255 classes".to_string())?,
+        context_scale: get_f64(t, "context_scale", 1.0)?,
     })
 }
+
+/// The keys of the `policies` block.
+const POLICY_KEYS: &[&str] = &[
+    "scheduling",
+    "router",
+    "preemption",
+    "prefill_chunk",
+    "kv_capacity_factor",
+    "stride",
+    "prefix_caching",
+    "page_bytes",
+    "shedding",
+    "victim_order",
+    "kv_transfer_page_latency_us",
+    "kv_transfer_gbps",
+];
+
+/// The keys of a workload entry.
+const TENANT_KEYS: &[&str] = &[
+    "name",
+    "dataset",
+    "requests",
+    "seed",
+    "decode",
+    "arrivals",
+    "priority",
+    "slo_ttft_p99",
+    "shared_prefix",
+    "priority_levels",
+    "context_scale",
+];
 
 fn parse_router(label: &str) -> Result<RouterKind, String> {
     RouterKind::ALL
@@ -1322,6 +1452,148 @@ mod tests {
         assert!(bad_router.contains("unknown router"), "{bad_router}");
         let empty = Scenario::parse(r#"{"model": "LLM-7B-32K", "workload": []}"#).unwrap_err();
         assert!(empty.contains("at least one tenant"), "{empty}");
+    }
+
+    /// A valid spec with a marker at every object level; `bogus_at`
+    /// puts an unknown key at one marker and removes the others.
+    const EVERY_LEVEL: &str = r#"{"model": "LLM-7B-32K", @top
+        "techniques": {@techniques "tcp": true},
+        "cluster": {@cluster "tp": 2, "pools": [
+            {@pool "name": "prefill", "role": "prefill", "replicas": 2, "tp": 2},
+            {"name": "decode", "role": "decode", "replicas": 2, "tp": 2}]},
+        "policies": {@policies "scheduling": "continuous", "prefill_chunk": 512},
+        "workload": [{@tenant "name": "t", "dataset": "QMSum",
+            "decode": {@decode "lo": 16, "hi": 96},
+            "arrivals": {@arrivals "process": "poisson", "rate": 1}}]}"#;
+
+    fn bogus_at(level: &str) -> Result<Scenario, String> {
+        let mut text = EVERY_LEVEL.replace(&format!("@{level}"), "\"bogus\": 1,");
+        for marker in [
+            "top",
+            "techniques",
+            "cluster",
+            "pool",
+            "policies",
+            "tenant",
+            "decode",
+            "arrivals",
+        ] {
+            text = text.replace(&format!("@{marker}"), "");
+        }
+        Scenario::parse(&text)
+    }
+
+    #[test]
+    fn every_level_parses_without_an_unknown_key() {
+        assert!(bogus_at("none").is_ok(), "{:?}", bogus_at("none"));
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_top_level_key() {
+        let err = bogus_at("top").unwrap_err();
+        assert!(err.starts_with("bogus: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_techniques_key() {
+        let err = bogus_at("techniques").unwrap_err();
+        assert!(err.starts_with("techniques.bogus: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_cluster_key() {
+        let err = bogus_at("cluster").unwrap_err();
+        assert!(err.starts_with("cluster.bogus: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_pool_key() {
+        let err = bogus_at("pool").unwrap_err();
+        assert!(
+            err.starts_with("cluster.pools[0]: bogus: unknown key"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_policies_key() {
+        let err = bogus_at("policies").unwrap_err();
+        assert!(err.starts_with("policies.bogus: unknown key"), "{err}");
+        // The misspelling that used to run silently at the default 1.0.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/two_tenant_slo.json"
+        );
+        let text = std::fs::read_to_string(path).expect("checked-in spec");
+        let typo = text.replacen(
+            "\"policies\": {",
+            "\"policies\": {\"kv_capactiy_factor\": 0.1, ",
+            1,
+        );
+        let err = Scenario::parse(&typo).unwrap_err();
+        assert!(
+            err.starts_with("policies.kv_capactiy_factor: unknown key"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_workload_key() {
+        let err = bogus_at("tenant").unwrap_err();
+        assert!(err.starts_with("workload[0]: bogus: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_decode_key() {
+        let err = bogus_at("decode").unwrap_err();
+        assert!(
+            err.starts_with("workload[0]: decode.bogus: unknown key"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_unknown_arrivals_key() {
+        let err = bogus_at("arrivals").unwrap_err();
+        assert!(
+            err.starts_with("workload[0]: arrivals.bogus: unknown key"),
+            "{err}"
+        );
+        // A key of another process is unknown too: poisson has no cv.
+        let err = Scenario::parse(
+            &bogus_at("none")
+                .unwrap()
+                .to_pretty()
+                .replace("\"rate\": 1", "\"rate\": 1, \"cv\": 2"),
+        )
+        .unwrap_err();
+        assert!(err.contains("arrivals.cv: unknown key"), "{err}");
+    }
+
+    #[test]
+    fn priority_levels_and_context_scale_serialize_only_off_default() {
+        let mut s = two_tenant_scenario();
+        assert!(!s.to_pretty().contains("priority_levels"));
+        assert!(!s.to_pretty().contains("context_scale"));
+        s.workload[1].priority_levels = 3;
+        s.workload[1].context_scale = 0.5;
+        let back = Scenario::parse(&s.to_pretty()).expect("parse back");
+        assert_eq!(back, s);
+        let m = back.materialize().expect("materialize");
+        let batch: Vec<_> = m.trace.iter().filter(|r| r.tenant == 1).collect();
+        assert!(batch.iter().any(|r| r.priority > 0), "priorities are drawn");
+        assert!(batch.iter().all(|r| r.priority < 3));
+        let half = Dataset::Musique.stats();
+        assert!(batch
+            .iter()
+            .all(|r| r.context_len <= half.max / 2 && r.context_len >= half.min / 2));
+        // A fixed priority cannot ride along with drawn ones, and a scale
+        // must leave a context range.
+        s.workload[1].priority = 1;
+        assert!(s.validate().unwrap_err().contains("priority_levels"));
+        s.workload[1].priority = 0;
+        s.workload[1].context_scale = 1e-4;
+        assert!(s.validate().unwrap_err().contains("context_scale"));
     }
 
     #[test]

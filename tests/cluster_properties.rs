@@ -16,8 +16,9 @@ fn cluster_eval() -> Evaluator {
     Evaluator::new(sys, pimphony::llm_model::LLM_7B_32K, Techniques::pimphony())
 }
 
-/// The bursty-gamma trace of the `router_compare` experiment: offered
-/// load just past the 4-replica capacity, so bursts genuinely queue.
+/// The bursty-gamma trace of the `router_compare` study's decode-only
+/// sweep (`studies/router_compare.json`): offered load just past the
+/// 4-replica capacity, so bursts genuinely queue.
 fn bursty_trace(seed: u64) -> Trace {
     TraceBuilder::new(Dataset::QmSum)
         .seed(seed)

@@ -27,8 +27,9 @@ fn base_eval() -> Evaluator {
     Evaluator::new(sys, pimphony::llm_model::LLM_7B_32K, Techniques::pimphony())
 }
 
-/// The `preemption_sweep` configuration: chunked prefill, scaled KV
-/// pool, one of the preemption policies.
+/// The `preemption_sweep` study's configuration
+/// (`studies/preemption_sweep.json`): chunked prefill, scaled KV pool,
+/// one of the preemption policies.
 fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
     base_eval()
         .with_chunked_prefill(PREFILL_CHUNK)
@@ -36,8 +37,8 @@ fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
         .with_preemption(policy)
 }
 
-/// The seeded two-class bursty trace of the `preemption_sweep`
-/// experiment: interactive (1) vs batch (0) traffic at 0.8× the
+/// The seeded two-class bursty trace of the `preemption_sweep` study:
+/// interactive (1) vs batch (0) traffic at 0.8× the
 /// full-capacity prefill-inclusive anchor rate.
 fn priority_trace() -> Trace {
     let eval = base_eval().with_chunked_prefill(PREFILL_CHUNK);
@@ -342,8 +343,8 @@ fn indexed_queues_match_linear_scan_reference_on_randomized_traces() {
 /// buys the interactive class a much better p99 TTFT than `None` —
 /// measured ≈−33% at this configuration; the 15% floor leaves room for
 /// cross-platform libm drift in the trace generator only. The price is
-/// wasted prompt work and a worse batch-class tail, which the sweep
-/// (`bench --bin preemption_sweep`) quantifies.
+/// wasted prompt work and a worse batch-class tail, which the
+/// `preemption_sweep` study quantifies.
 #[test]
 fn eviction_improves_high_priority_p99_ttft_under_pressure() {
     let trace = priority_trace();

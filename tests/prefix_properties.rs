@@ -18,7 +18,7 @@ use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec};
 
 const SHARED_PREFIX: u64 = 6144;
 
-/// The `prefix_cache` bench's tiny operating point: a shared-system-
+/// The `prefix_cache` study's tiny operating point: a shared-system-
 /// prompt `assistant` tenant (priority 0) preempted by bursty
 /// `interactive` traffic (priority 1) under a scaled KV pool.
 fn shared_prefix_scenario(factor: f64, caching: bool) -> Scenario {
