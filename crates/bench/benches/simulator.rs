@@ -1,5 +1,6 @@
 //! Criterion benches of the cycle-level simulator itself: command-stream
-//! construction and scheduling throughput per controller, stage-model
+//! construction and scheduling throughput per controller (per-command
+//! timings and totals only), kernel calibration, stage-model
 //! prefill pricing, the paged-KV pool under pressure, and the
 //! serving-simulator hot paths (admission sweep, frontier advance and
 //! the chunked-prefill ledger) driven through the public `Cluster` API.
@@ -9,11 +10,11 @@ use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
 use pim_mem::{PagePool, RequestId};
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{schedule, summarize, Geometry, SchedulerKind, Timing};
 use std::hint::black_box;
 use system::{
-    Cluster, Evaluator, KernelModel, RouterKind, SchedulingPolicy, StageModel, SystemConfig,
-    Techniques,
+    AttentionKind, Cluster, Evaluator, KernelModel, RouterKind, SchedulingPolicy, StageModel,
+    SystemConfig, Techniques,
 };
 use workload::{Dataset, Trace, TraceBuilder};
 
@@ -53,6 +54,33 @@ fn bench_schedulers(c: &mut Criterion) {
             |b, &kind| b.iter(|| schedule(black_box(&stream), kind, &timing, &geom)),
         );
     }
+    g.finish();
+    // The totals path on the same kernel: commands go straight from the
+    // builder into the issue loop, with no stream and no timings.
+    let kernel = QktKernel::new(AttentionSpec::mha(4096, 128), geom);
+    let mut g = c.benchmark_group("summarize_qkt_4k");
+    for kind in SchedulerKind::ALL {
+        g.bench_with_input(
+            BenchmarkId::from_parameter(kind.name()),
+            &kind,
+            |b, &kind| b.iter(|| summarize(black_box(&kernel), kind, &timing, &geom)),
+        );
+    }
+    g.finish();
+}
+
+/// Calibration of a fresh kernel model for a PIMphony GQA attention
+/// configuration (DCS, PIMphony buffers, group 8 with row reuse): both
+/// attention kernels simulated at the fit's two token counts.
+fn bench_calibration(c: &mut Criterion) {
+    let mut g = c.benchmark_group("kernel");
+    g.bench_function("calibrate_gqa8_dcs", |b| {
+        b.iter(|| {
+            let model = KernelModel::new(Timing::aimx(), 128);
+            [AttentionKind::Qkt, AttentionKind::Sv]
+                .map(|kind| model.attention_eval(kind, SchedulerKind::Dcs, true, 8, true))
+        })
+    });
     g.finish();
 }
 
@@ -182,6 +210,7 @@ criterion_group!(
     benches,
     bench_stream_building,
     bench_schedulers,
+    bench_calibration,
     bench_stage,
     bench_page_pool,
     bench_serving_hot_paths,

@@ -12,13 +12,32 @@
 //! kernels: all inputs (queries/scores) that share row-resident KV data are
 //! processed before switching DRAM rows, trading extra `WR-INP` traffic for
 //! ACT/PRE savings — the exact trade-off DCS unlocks (Fig. 9).
+//!
+//! Each builder is a [`CommandSource`]: its `emit` produces the commands
+//! one at a time, and `stream()` collects them into a [`CommandStream`].
+//! [`crate::summarize`] consumes `emit` directly, so calibration never
+//! stores a stream.
 
 use crate::functional::FunctionalChannel;
 use crate::geometry::Geometry;
+use crate::sched::CommandSource;
 use pim_isa::command::{CommandKind, CommandStream};
 
 fn div_ceil_u32(a: u32, b: u32) -> u32 {
     a.div_ceil(b)
+}
+
+/// Collects the `count` commands `kernel` emits into a stream.
+fn collect(kernel: &impl CommandSource, count: usize) -> CommandStream {
+    let mut s = CommandStream::with_capacity(count);
+    kernel.emit(
+        #[inline(always)]
+        |kind| {
+            s.push_next(kind);
+        },
+    );
+    debug_assert_eq!(s.len(), count);
+    s
 }
 
 /// Shape of a dense GEMV.
@@ -105,84 +124,9 @@ impl GemvKernel {
         in_tiles + n_groups * (in_tiles + drains_per_group)
     }
 
-    /// Builds the command stream.
-    ///
-    /// When the input fits in the Global Buffer it is written once and
-    /// output groups proceed in blocks of `out_entries` accumulators.
-    /// Otherwise the input streams through in GBuf-sized chunks exactly
-    /// once; every group produces a *partial* sum per chunk that is
-    /// drained to the GPR and accumulated by the EPU — trading extra
-    /// `RD-OUT`s for input reuse.
+    /// Builds the command stream (see [`GemvKernel::emit`]).
     pub fn stream(&self) -> CommandStream {
-        let g = &self.geometry;
-        let in_tiles = self.in_tiles();
-        let n_groups = self.n_groups();
-        let mut s = CommandStream::with_capacity(self.command_count());
-
-        if self.input_fits() {
-            let block = g.out_entries.min(n_groups).max(1);
-            for t in 0..in_tiles {
-                s.push_next(CommandKind::WrInp {
-                    gbuf_idx: t as u16,
-                    gpr_addr: t * 32,
-                });
-            }
-            let mut gb_start = 0;
-            while gb_start < n_groups {
-                let gb_end = (gb_start + block).min(n_groups);
-                for grp in gb_start..gb_end {
-                    for t in 0..in_tiles {
-                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
-                        s.push_next(CommandKind::Mac {
-                            gbuf_idx: t as u16,
-                            row,
-                            col,
-                            out_idx: (grp - gb_start) as u16,
-                        });
-                    }
-                }
-                for grp in gb_start..gb_end {
-                    s.push_next(CommandKind::RdOut {
-                        out_idx: (grp - gb_start) as u16,
-                        gpr_addr: grp * 32,
-                    });
-                }
-                gb_start = gb_end;
-            }
-        } else {
-            let chunk_cap = g.gbuf_entries;
-            let out_slots = g.out_entries.max(1) as u16;
-            let mut slot: u16 = 0;
-            let mut chunk_start = 0;
-            while chunk_start < in_tiles {
-                let chunk_end = (chunk_start + chunk_cap).min(in_tiles);
-                for t in chunk_start..chunk_end {
-                    s.push_next(CommandKind::WrInp {
-                        gbuf_idx: (t - chunk_start) as u16,
-                        gpr_addr: t * 32,
-                    });
-                }
-                for grp in 0..n_groups {
-                    for t in chunk_start..chunk_end {
-                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
-                        s.push_next(CommandKind::Mac {
-                            gbuf_idx: (t - chunk_start) as u16,
-                            row,
-                            col,
-                            out_idx: slot,
-                        });
-                    }
-                    s.push_next(CommandKind::RdOut {
-                        out_idx: slot,
-                        gpr_addr: grp * 32,
-                    });
-                    slot = (slot + 1) % out_slots;
-                }
-                chunk_start = chunk_end;
-            }
-        }
-        debug_assert_eq!(s.len(), self.command_count());
-        s
+        collect(self, self.command_count())
     }
 
     /// Loads weights into a functional channel: `w(o, i)` is `W[o][i]`.
@@ -253,6 +197,85 @@ impl GemvKernel {
             }
         }
         out
+    }
+}
+
+impl CommandSource for GemvKernel {
+    /// Emits the command stream.
+    ///
+    /// When the input fits in the Global Buffer it is written once and
+    /// output groups proceed in blocks of `out_entries` accumulators.
+    /// Otherwise the input streams through in GBuf-sized chunks exactly
+    /// once; every group produces a *partial* sum per chunk that is
+    /// drained to the GPR and accumulated by the EPU — trading extra
+    /// `RD-OUT`s for input reuse.
+    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+        let g = &self.geometry;
+        let in_tiles = self.in_tiles();
+        let n_groups = self.n_groups();
+
+        if self.input_fits() {
+            let block = g.out_entries.min(n_groups).max(1);
+            for t in 0..in_tiles {
+                f(CommandKind::WrInp {
+                    gbuf_idx: t as u16,
+                    gpr_addr: t * 32,
+                });
+            }
+            let mut gb_start = 0;
+            while gb_start < n_groups {
+                let gb_end = (gb_start + block).min(n_groups);
+                for grp in gb_start..gb_end {
+                    for t in 0..in_tiles {
+                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
+                        f(CommandKind::Mac {
+                            gbuf_idx: t as u16,
+                            row,
+                            col,
+                            out_idx: (grp - gb_start) as u16,
+                        });
+                    }
+                }
+                for grp in gb_start..gb_end {
+                    f(CommandKind::RdOut {
+                        out_idx: (grp - gb_start) as u16,
+                        gpr_addr: grp * 32,
+                    });
+                }
+                gb_start = gb_end;
+            }
+        } else {
+            let chunk_cap = g.gbuf_entries;
+            let out_slots = g.out_entries.max(1) as u16;
+            let mut slot: u16 = 0;
+            let mut chunk_start = 0;
+            while chunk_start < in_tiles {
+                let chunk_end = (chunk_start + chunk_cap).min(in_tiles);
+                for t in chunk_start..chunk_end {
+                    f(CommandKind::WrInp {
+                        gbuf_idx: (t - chunk_start) as u16,
+                        gpr_addr: t * 32,
+                    });
+                }
+                for grp in 0..n_groups {
+                    for t in chunk_start..chunk_end {
+                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
+                        f(CommandKind::Mac {
+                            gbuf_idx: (t - chunk_start) as u16,
+                            row,
+                            col,
+                            out_idx: slot,
+                        });
+                    }
+                    f(CommandKind::RdOut {
+                        out_idx: slot,
+                        gpr_addr: grp * 32,
+                    });
+                    slot = (slot + 1) % out_slots;
+                }
+                chunk_start = chunk_end;
+            }
+        }
     }
 }
 
@@ -364,52 +387,9 @@ impl QktKernel {
         self.spec.group_size as usize * (runs * in_tiles + n_groups * (in_tiles + 1))
     }
 
-    /// Builds the command stream.
-    ///
-    /// The token groups are cut into runs; each run swaps every query in
-    /// turn into the Global Buffer and scores the run's groups against
-    /// it. The row-reuse mapping cuts one run per DRAM row, finishing
-    /// the row for all queries before moving on; the head-sequential
-    /// mapping is one run, sweeping the whole KV per query (rows
-    /// re-opened per query when g > 1).
+    /// Builds the command stream (see [`QktKernel::emit`]).
     pub fn stream(&self) -> CommandStream {
-        let g = &self.geometry;
-        let in_tiles = self.in_tiles();
-        let n_groups = self.n_groups();
-        let queries = self.spec.group_size;
-        let out_slots = g.out_entries.max(1) as u16;
-        let runs = self.group_runs();
-        let mut s = CommandStream::with_capacity(self.command_count(runs.len()));
-        let mut out_slot: u16 = 0;
-        for &(run_start, run_end) in &runs {
-            for q in 0..queries {
-                for t in 0..in_tiles {
-                    s.push_next(CommandKind::WrInp {
-                        gbuf_idx: t as u16,
-                        gpr_addr: (q * in_tiles + t) * 32,
-                    });
-                }
-                for grp in run_start..run_end {
-                    for t in 0..in_tiles {
-                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
-                        let (row, col) = g.tile_to_row_col(tile_idx);
-                        s.push_next(CommandKind::Mac {
-                            gbuf_idx: t as u16,
-                            row,
-                            col,
-                            out_idx: out_slot,
-                        });
-                    }
-                    s.push_next(CommandKind::RdOut {
-                        out_idx: out_slot,
-                        gpr_addr: (q * n_groups + grp) * 32,
-                    });
-                    out_slot = (out_slot + 1) % out_slots;
-                }
-            }
-        }
-        debug_assert_eq!(s.len(), self.command_count(runs.len()));
-        s
+        collect(self, self.command_count(self.group_runs().len()))
     }
 
     /// Loads the key cache: `k(token, d)` is `K[token][d]`.
@@ -481,6 +461,52 @@ impl QktKernel {
     }
 }
 
+impl CommandSource for QktKernel {
+    /// Emits the command stream.
+    ///
+    /// The token groups are cut into runs; each run swaps every query in
+    /// turn into the Global Buffer and scores the run's groups against
+    /// it. The row-reuse mapping cuts one run per DRAM row, finishing
+    /// the row for all queries before moving on; the head-sequential
+    /// mapping is one run, sweeping the whole KV per query (rows
+    /// re-opened per query when g > 1).
+    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+        let g = &self.geometry;
+        let in_tiles = self.in_tiles();
+        let n_groups = self.n_groups();
+        let queries = self.spec.group_size;
+        let out_slots = g.out_entries.max(1) as u16;
+        let mut out_slot: u16 = 0;
+        for (run_start, run_end) in self.group_runs() {
+            for q in 0..queries {
+                for t in 0..in_tiles {
+                    f(CommandKind::WrInp {
+                        gbuf_idx: t as u16,
+                        gpr_addr: (q * in_tiles + t) * 32,
+                    });
+                }
+                for grp in run_start..run_end {
+                    for t in 0..in_tiles {
+                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
+                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        f(CommandKind::Mac {
+                            gbuf_idx: t as u16,
+                            row,
+                            col,
+                            out_idx: out_slot,
+                        });
+                    }
+                    f(CommandKind::RdOut {
+                        out_idx: out_slot,
+                        gpr_addr: (q * n_groups + grp) * 32,
+                    });
+                    out_slot = (out_slot + 1) % out_slots;
+                }
+            }
+        }
+    }
+}
+
 /// `SV` value kernel for one channel's token slice.
 ///
 /// Each channel reduces over its assigned tokens; the per-channel partial
@@ -547,98 +573,29 @@ impl SvKernel {
         in_tiles * block_queries + pairs * (in_tiles + 1)
     }
 
-    /// Builds the command stream.
-    ///
-    /// For `g == 1` this is a plain chunked GEMV. For GQA with row reuse,
-    /// the Global Buffer is split among the `g` queries so that every DRAM
-    /// row of the value cache is visited once while all queries' score
-    /// chunks are multiplied against it.
-    pub fn stream(&self) -> CommandStream {
-        let g = &self.geometry;
-        let queries = self.spec.group_size;
+    /// Commands in [`SvKernel::stream`].
+    fn command_count(&self) -> usize {
         if self.query_sequential() {
-            // Query-sequential: the same chunked GEMV once per query.
-            let gemv = self.gemv().stream();
-            if queries == 1 {
-                return gemv;
-            }
-            let mut s = CommandStream::with_capacity(gemv.len() * queries as usize);
-            for _ in 0..queries {
-                for cmd in &gemv {
-                    s.push_next(cmd.kind);
-                }
-            }
-            return s;
+            self.gemv().command_count() * self.spec.group_size as usize
+        } else {
+            self.row_reuse_command_count()
         }
+    }
 
-        // Row-reuse mapping with GBuf partitioned among queries.
-        let in_tiles = self.in_tiles();
-        let n_groups = self.n_groups();
-        let slots_per_q = (g.gbuf_entries / queries).max(1);
-        // Accumulators: one per (query, group) pair, blocked by OBuf size.
-        let pairs: Vec<(u32, u32)> = (0..n_groups)
-            .flat_map(|grp| (0..queries).map(move |q| (grp, q)))
-            .collect();
-        let block = g.out_entries.max(1) as usize;
-        let mut s = CommandStream::with_capacity(self.row_reuse_command_count());
-        for pair_block in pairs.chunks(block) {
-            // The block's queries, ascending: query `qs[qi]` owns GBuf
-            // slots `qi * slots_per_q ..`.
-            let mut qs: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
-            qs.sort_unstable();
-            qs.dedup();
-            // Each accumulator's GBuf slot base (its query's partition).
-            let slot_base: Vec<u32> = pair_block
-                .iter()
-                .map(|&(_, q)| qs.partition_point(|&x| x < q) as u32 * slots_per_q)
-                .collect();
-            // Pairs are group-major, so each group's accumulators are one
-            // contiguous run of OBuf slots, in ascending group order.
-            let mut grp_runs: Vec<(u32, usize, usize)> = Vec::new();
-            for (slot, &(grp, _)) in pair_block.iter().enumerate() {
-                match grp_runs.last_mut() {
-                    Some((g_run, _, end)) if *g_run == grp => *end = slot + 1,
-                    _ => grp_runs.push((grp, slot, slot + 1)),
-                }
-            }
-            let mut chunk_start = 0;
-            while chunk_start < in_tiles {
-                let chunk_end = (chunk_start + slots_per_q).min(in_tiles);
-                for (qi, &q) in qs.iter().enumerate() {
-                    for t in chunk_start..chunk_end {
-                        s.push_next(CommandKind::WrInp {
-                            gbuf_idx: (qi as u32 * slots_per_q + (t - chunk_start)) as u16,
-                            gpr_addr: (q * in_tiles + t) * 32,
-                        });
-                    }
-                }
-                // Group-outer, tile, then queries: every weight tile is
-                // read once per chunk for all queries sharing it, and rows
-                // advance monotonically (the row-reuse mapping).
-                for &(grp, first, end) in &grp_runs {
-                    for t in chunk_start..chunk_end {
-                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
-                        let (row, col) = g.tile_to_row_col(tile_idx);
-                        for (slot, &base) in (first..end).zip(&slot_base[first..end]) {
-                            s.push_next(CommandKind::Mac {
-                                gbuf_idx: (base + (t - chunk_start)) as u16,
-                                row,
-                                col,
-                                out_idx: slot as u16,
-                            });
-                        }
-                    }
-                }
-                chunk_start = chunk_end;
-            }
-            for (slot, &(grp, q)) in pair_block.iter().enumerate() {
-                s.push_next(CommandKind::RdOut {
-                    out_idx: slot as u16,
-                    gpr_addr: (q * n_groups + grp) * 32,
-                });
+    /// Builds the command stream (see [`SvKernel::emit`]). A
+    /// query-sequential stream over several queries builds its GEMV once
+    /// and repeats it.
+    pub fn stream(&self) -> CommandStream {
+        if !self.query_sequential() || self.spec.group_size == 1 {
+            return collect(self, self.command_count());
+        }
+        let gemv = self.gemv().stream();
+        let mut s = CommandStream::with_capacity(self.command_count());
+        for _ in 0..self.spec.group_size {
+            for cmd in &gemv {
+                s.push_next(cmd.kind);
             }
         }
-        debug_assert_eq!(s.len(), self.row_reuse_command_count());
         s
     }
 
@@ -723,12 +680,130 @@ impl SvKernel {
     }
 }
 
-/// The streams kernel calibration simulates, and their neighbours, on
-/// both geometries: `QKᵀ` and `SV` (d_h = 128) at tokens {1, 17, 512,
-/// 4096} × group {1, 4, 8} × row reuse off/on, plus GEMVs whose input
-/// does and does not fit in the Global Buffer. Each comes with a label.
+impl CommandSource for SvKernel {
+    /// Emits the command stream.
+    ///
+    /// For `g == 1` this is a plain chunked GEMV. For GQA with row reuse,
+    /// the Global Buffer is split among the `g` queries so that every DRAM
+    /// row of the value cache is visited once while all queries' score
+    /// chunks are multiplied against it.
+    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+        let g = &self.geometry;
+        let queries = self.spec.group_size;
+        if self.query_sequential() {
+            // Query-sequential: the same chunked GEMV once per query.
+            let gemv = self.gemv();
+            for _ in 0..queries {
+                gemv.emit(&mut f);
+            }
+            return;
+        }
+
+        // Row-reuse mapping with GBuf partitioned among queries.
+        let in_tiles = self.in_tiles();
+        let n_groups = self.n_groups();
+        let slots_per_q = (g.gbuf_entries / queries).max(1);
+        // Accumulators: one per (query, group) pair, blocked by OBuf size.
+        let pairs: Vec<(u32, u32)> = (0..n_groups)
+            .flat_map(|grp| (0..queries).map(move |q| (grp, q)))
+            .collect();
+        let block = g.out_entries.max(1) as usize;
+        for pair_block in pairs.chunks(block) {
+            // The block's queries, ascending: query `qs[qi]` owns GBuf
+            // slots `qi * slots_per_q ..`.
+            let mut qs: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
+            qs.sort_unstable();
+            qs.dedup();
+            // Each accumulator's GBuf slot base (its query's partition).
+            let slot_base: Vec<u32> = pair_block
+                .iter()
+                .map(|&(_, q)| qs.partition_point(|&x| x < q) as u32 * slots_per_q)
+                .collect();
+            // Pairs are group-major, so each group's accumulators are one
+            // contiguous run of OBuf slots, in ascending group order.
+            let mut grp_runs: Vec<(u32, usize, usize)> = Vec::new();
+            for (slot, &(grp, _)) in pair_block.iter().enumerate() {
+                match grp_runs.last_mut() {
+                    Some((g_run, _, end)) if *g_run == grp => *end = slot + 1,
+                    _ => grp_runs.push((grp, slot, slot + 1)),
+                }
+            }
+            let mut chunk_start = 0;
+            while chunk_start < in_tiles {
+                let chunk_end = (chunk_start + slots_per_q).min(in_tiles);
+                for (qi, &q) in qs.iter().enumerate() {
+                    for t in chunk_start..chunk_end {
+                        f(CommandKind::WrInp {
+                            gbuf_idx: (qi as u32 * slots_per_q + (t - chunk_start)) as u16,
+                            gpr_addr: (q * in_tiles + t) * 32,
+                        });
+                    }
+                }
+                // Group-outer, tile, then queries: every weight tile is
+                // read once per chunk for all queries sharing it, and rows
+                // advance monotonically (the row-reuse mapping).
+                for &(grp, first, end) in &grp_runs {
+                    for t in chunk_start..chunk_end {
+                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
+                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        for (slot, &base) in (first..end).zip(&slot_base[first..end]) {
+                            f(CommandKind::Mac {
+                                gbuf_idx: (base + (t - chunk_start)) as u16,
+                                row,
+                                col,
+                                out_idx: slot as u16,
+                            });
+                        }
+                    }
+                }
+                chunk_start = chunk_end;
+            }
+            for (slot, &(grp, q)) in pair_block.iter().enumerate() {
+                f(CommandKind::RdOut {
+                    out_idx: slot as u16,
+                    gpr_addr: (q * n_groups + grp) * 32,
+                });
+            }
+        }
+    }
+}
+
+/// One of the three kernel builders, for tests that sweep all of them.
 #[cfg(test)]
-pub(crate) fn calibration_streams() -> Vec<(String, Geometry, CommandStream)> {
+pub(crate) enum AnyKernel {
+    Qkt(QktKernel),
+    Sv(SvKernel),
+    Gemv(GemvKernel),
+}
+
+#[cfg(test)]
+impl AnyKernel {
+    pub(crate) fn stream(&self) -> CommandStream {
+        match self {
+            AnyKernel::Qkt(k) => k.stream(),
+            AnyKernel::Sv(k) => k.stream(),
+            AnyKernel::Gemv(k) => k.stream(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl CommandSource for AnyKernel {
+    fn emit(&self, f: impl FnMut(CommandKind)) {
+        match self {
+            AnyKernel::Qkt(k) => k.emit(f),
+            AnyKernel::Sv(k) => k.emit(f),
+            AnyKernel::Gemv(k) => k.emit(f),
+        }
+    }
+}
+
+/// The kernels calibration simulates, and their neighbours, on both
+/// geometries: `QKᵀ` and `SV` (d_h = 128) at tokens {1, 17, 512, 4096} ×
+/// group {1, 4, 8} × row reuse off/on, plus GEMVs whose input does and
+/// does not fit in the Global Buffer. Each comes with a label.
+#[cfg(test)]
+pub(crate) fn calibration_kernels() -> Vec<(String, Geometry, AnyKernel)> {
     let mut out = Vec::new();
     for geom in [Geometry::baseline(), Geometry::pimphony()] {
         for tokens in [1, 17, 512, 4096] {
@@ -741,23 +816,29 @@ pub(crate) fn calibration_streams() -> Vec<(String, Geometry, CommandStream)> {
                         row_reuse,
                     };
                     let label = format!("{spec:?} out_entries={}", geom.out_entries);
-                    let qkt = QktKernel::new(spec, geom).stream();
+                    let qkt = AnyKernel::Qkt(QktKernel::new(spec, geom));
                     out.push((format!("qkt {label}"), geom, qkt));
-                    out.push((
-                        format!("sv {label}"),
-                        geom,
-                        SvKernel::new(spec, geom).stream(),
-                    ));
+                    let sv = AnyKernel::Sv(SvKernel::new(spec, geom));
+                    out.push((format!("sv {label}"), geom, sv));
                 }
             }
         }
         for (dout, din) in [(17, 33), (4096, 1024), (1024, 1040), (512, 4096)] {
-            let stream = GemvKernel::new(GemvSpec { dout, din }, geom).stream();
+            let gemv = AnyKernel::Gemv(GemvKernel::new(GemvSpec { dout, din }, geom));
             let label = format!("gemv {dout}x{din} out_entries={}", geom.out_entries);
-            out.push((label, geom, stream));
+            out.push((label, geom, gemv));
         }
     }
     out
+}
+
+/// The streams of [`calibration_kernels`], with their labels.
+#[cfg(test)]
+pub(crate) fn calibration_streams() -> Vec<(String, Geometry, CommandStream)> {
+    calibration_kernels()
+        .into_iter()
+        .map(|(label, geom, kernel)| (label, geom, kernel.stream()))
+        .collect()
 }
 
 #[cfg(test)]

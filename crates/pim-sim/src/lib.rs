@@ -7,8 +7,17 @@
 //! * [`sched`] — the three controller policies the paper compares:
 //!   conventional *static* in-order scheduling, *ping-pong* double
 //!   buffering, and PIMphony's *Dynamic Command Scheduling* (DCS).
+//!   Each has two entry points over one issue loop: [`schedule`] returns
+//!   an [`ExecutionReport`] with every command's issue and completion
+//!   cycle (for the Fig. 7 timelines and the hazard [`checker`]), and
+//!   [`summarize`] returns only the [`ScheduleSummary`] totals (makespan,
+//!   counts, stall breakdown, refresh events), reading the commands
+//!   straight from a kernel builder without storing a stream. Kernel
+//!   calibration uses [`summarize`].
 //! * [`kernels`] — command-stream builders for GEMV, `QKᵀ` and `SV`,
-//!   including the GQA row-reuse mapping.
+//!   including the GQA row-reuse mapping. Each is a [`CommandSource`]
+//!   whose `emit` produces its commands one at a time; `stream()`
+//!   collects them.
 //! * [`functional`] — value-level execution proving kernels compute
 //!   correct results independent of the scheduler.
 //! * [`checker`] — a hazard replay checker proving schedules are safe.
@@ -17,7 +26,7 @@
 //!
 //! ```
 //! use pim_sim::kernels::{GemvKernel, GemvSpec};
-//! use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+//! use pim_sim::{schedule, summarize, Geometry, SchedulerKind, Timing};
 //!
 //! let geom = Geometry::pimphony();
 //! let stream = GemvKernel::new(GemvSpec { dout: 256, din: 128 }, geom).stream();
@@ -25,6 +34,10 @@
 //! let s = schedule(&stream, SchedulerKind::Static, &timing, &geom);
 //! let d = schedule(&stream, SchedulerKind::Dcs, &timing, &geom);
 //! assert!(d.cycles <= s.cycles);
+//!
+//! // The totals alone, without building the stream.
+//! let kernel = GemvKernel::new(GemvSpec { dout: 256, din: 128 }, geom);
+//! assert_eq!(summarize(&kernel, SchedulerKind::Dcs, &timing, &geom), d.summary());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,6 +54,6 @@ pub mod sched;
 pub mod timing;
 
 pub use geometry::Geometry;
-pub use report::{Breakdown, CommandTiming, ExecutionReport};
-pub use sched::{schedule, SchedulerKind};
+pub use report::{Breakdown, CommandTiming, ExecutionReport, ScheduleSummary};
+pub use sched::{schedule, summarize, CommandSource, SchedulerKind};
 pub use timing::Timing;

@@ -38,6 +38,27 @@ impl Breakdown {
     }
 }
 
+/// The scalar results of scheduling one command stream: everything an
+/// [`ExecutionReport`] holds except the per-command timings. This is
+/// what [`crate::summarize`] returns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct ScheduleSummary {
+    /// Makespan: completion cycle of the last command.
+    pub cycles: u64,
+    /// Stall attribution.
+    pub breakdown: Breakdown,
+    /// Number of `MAC` commands executed.
+    pub mac_count: u64,
+    /// Number of `WR-INP` commands executed.
+    pub wr_inp_count: u64,
+    /// Number of `RD-OUT` commands executed.
+    pub rd_out_count: u64,
+    /// Number of DRAM row switches (ACT/PRE events).
+    pub row_switches: u64,
+    /// Number of refresh windows crossed.
+    pub refresh_events: u64,
+}
+
 /// Result of scheduling one command stream on one channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionReport {
@@ -60,6 +81,33 @@ pub struct ExecutionReport {
 }
 
 impl ExecutionReport {
+    /// A report of `timings` with the scalar results of `summary`.
+    pub(crate) fn new(timings: Vec<CommandTiming>, summary: ScheduleSummary) -> Self {
+        ExecutionReport {
+            timings,
+            cycles: summary.cycles,
+            breakdown: summary.breakdown,
+            mac_count: summary.mac_count,
+            wr_inp_count: summary.wr_inp_count,
+            rd_out_count: summary.rd_out_count,
+            row_switches: summary.row_switches,
+            refresh_events: summary.refresh_events,
+        }
+    }
+
+    /// The scalar results, without the per-command timings.
+    pub fn summary(&self) -> ScheduleSummary {
+        ScheduleSummary {
+            cycles: self.cycles,
+            breakdown: self.breakdown,
+            mac_count: self.mac_count,
+            wr_inp_count: self.wr_inp_count,
+            rd_out_count: self.rd_out_count,
+            row_switches: self.row_switches,
+            refresh_events: self.refresh_events,
+        }
+    }
+
     /// MAC-pipeline utilization in `[0, 1]`: the fraction of the makespan
     /// during which the MAC units were fed at peak issue rate.
     pub fn mac_utilization(&self) -> f64 {

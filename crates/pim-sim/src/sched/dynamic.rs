@@ -24,17 +24,32 @@
 //! One program-order pass plays the D-Table. It packs each command's GBuf
 //! and OBuf dependencies into one `u32` word each: `0` for none, else
 //! `(producer + 1) << 1`, with the low bit selecting the release rule
-//! (producer issue + `t_CCDS`, or producer completion). The same pass
-//! splits the command indices into the I/O and compute queues. The issue
-//! loop then plays the S-Table: a dependency releases at a time read from
-//! the producer's [`CommandTiming`], which holds `u64::MAX` until the
-//! producer issues, so a blocked queue head is simply ready at `u64::MAX`.
+//! (producer issue + `t_CCDS`, or producer completion). Each tracked
+//! region holds the word each kind of consumer takes from its last
+//! access, so the pass never branches on how a region was used. The same
+//! pass writes the I/O and compute queues as compact entries that carry
+//! all the issue loop reads, so the loop never looks at the commands
+//! again.
+//!
+//! The issue loop then plays the S-Table. Each command owns one row of a
+//! release table, `[complete, issue + t_CCDS]`, so a dependency word *is*
+//! the index of its release time; row 0 stays `[0, 0]` for "no
+//! dependency". Rows hold `u64::MAX` until their command issues, so a
+//! queue head blocked on an unissued producer is simply ready at
+//! `u64::MAX`. [`DynamicScheduler::run`] reads the per-command timings
+//! back out of the table; [`DynamicScheduler::summarize`] drops it.
+//!
+//! The queues and the table live in one per-thread scratch that every run
+//! on the thread reuses, never in the scheduler: kernel calibration
+//! makes thousands of runs, and per-run buffers would be allocated and
+//! faulted in afresh each time.
 
-use super::RefreshState;
+use super::{CommandSource, Issuer};
 use crate::geometry::Geometry;
-use crate::report::{Breakdown, CommandTiming, ExecutionReport};
+use crate::report::{CommandTiming, ExecutionReport, ScheduleSummary};
 use crate::timing::Timing;
 use pim_isa::command::{CommandKind, CommandStream};
+use std::cell::Cell;
 
 /// Dependency-tracking granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,18 +74,43 @@ const COMPLETION: u32 = 0;
 /// derived from it is also `NOT_ISSUED`, so "blocked" needs no `Option`.
 const NOT_ISSUED: u64 = u64::MAX;
 
+/// Commands a stream may hold: a dependency word stores its producer's
+/// index plus one in 31 bits.
+const MAX_COMMANDS: usize = (u32::MAX >> 1) as usize - 1;
+
 /// Packs a dependency on command `producer` into one word.
-fn dep_word(producer: usize, rule: u32) -> u32 {
-    ((producer as u32 + 1) << 1) | rule
+fn dep_word(producer: u32, rule: u32) -> u32 {
+    ((producer + 1) << 1) | rule
 }
 
-/// How a command last touched a buffer region (for D-Table threading).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AccessKind {
-    Write,
-    MacRead,
-    MacAcc,
-    Drain,
+/// An I/O queue entry: the command's one dependency word (GBuf for a
+/// `WR-INP`, OBuf for an `RD-OUT`) and `index << 1 | is_rd_out`.
+#[derive(Debug, Clone, Copy)]
+struct IoEntry {
+    dep: u32,
+    tag: u32,
+}
+
+/// A compute queue entry: the `MAC`'s `[GBuf, OBuf]` dependency words,
+/// its DRAM row and its command index.
+#[derive(Debug, Clone, Copy)]
+struct MacEntry {
+    deps: [u32; 2],
+    row: u32,
+    index: u32,
+}
+
+/// The queues and release table of one run, reused across runs.
+#[derive(Debug, Default)]
+struct Scratch {
+    io: Vec<IoEntry>,
+    compute: Vec<MacEntry>,
+    /// Row `i + 1` is command `i`'s `[complete, issue + t_CCDS]`.
+    release: Vec<u64>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 /// Out-of-order (across queues) dependency-aware scheduler.
@@ -81,16 +121,6 @@ pub struct DynamicScheduler {
     tracking: Tracking,
 }
 
-/// The dependency words and issue queues of one stream.
-struct Prepared {
-    /// Per command, its `[GBuf, OBuf]` dependency words.
-    deps: Vec<[u32; 2]>,
-    /// Indices of the I/O commands (`WR-INP`, `RD-OUT`), in program order.
-    io: Vec<u32>,
-    /// Indices of the compute commands (`MAC`), in program order.
-    compute: Vec<u32>,
-}
-
 impl DynamicScheduler {
     /// Creates a dynamic scheduler with the given tracking granularity.
     pub fn new(timing: Timing, geometry: Geometry, tracking: Tracking) -> Self {
@@ -99,6 +129,44 @@ impl DynamicScheduler {
             geometry,
             tracking,
         }
+    }
+
+    /// Schedules the stream.
+    pub fn run(&self, stream: &CommandStream) -> ExecutionReport {
+        let t_ccds = self.timing.t_ccds;
+        let (summary, timings) = self.with_scratch(stream, |release| {
+            stream
+                .iter()
+                .zip(release[2..].chunks_exact(2))
+                .map(|(cmd, row)| CommandTiming {
+                    id: cmd.id,
+                    issue: row[1] - t_ccds,
+                    complete: row[0],
+                })
+                .collect()
+        });
+        ExecutionReport::new(timings, summary)
+    }
+
+    /// Schedules the commands `source` emits, keeping only the scalar
+    /// results.
+    pub fn summarize(&self, source: &(impl CommandSource + ?Sized)) -> ScheduleSummary {
+        self.with_scratch(source, |_| ()).0
+    }
+
+    /// Runs `source` on this thread's scratch and hands the filled
+    /// release table to `read`.
+    fn with_scratch<R>(
+        &self,
+        source: &(impl CommandSource + ?Sized),
+        read: impl FnOnce(&[u64]) -> R,
+    ) -> (ScheduleSummary, R) {
+        let mut scratch = SCRATCH.take();
+        self.prepare(source, &mut scratch);
+        let summary = self.issue(&mut scratch);
+        let out = read(&scratch.release);
+        SCRATCH.set(scratch);
+        (summary, out)
     }
 
     /// Number of tracked regions in a buffer of `entries` entries, and the
@@ -116,223 +184,157 @@ impl DynamicScheduler {
         (n.max(1), region)
     }
 
-    /// Walks the stream once in program order: assigns each command its
-    /// GBuf and OBuf dependency words exactly as the D-Table would, and
-    /// splits the commands into the I/O and compute queues.
-    fn prepare(&self, stream: &CommandStream) -> Prepared {
-        assert!(
-            stream.len() < (u32::MAX >> 1) as usize,
-            "dependency words index commands in 31 bits"
-        );
+    /// Walks the commands once in program order: assigns each its GBuf
+    /// and OBuf dependency words exactly as the D-Table would, and
+    /// writes it to the I/O or compute queue.
+    fn prepare(&self, source: &(impl CommandSource + ?Sized), scratch: &mut Scratch) {
         let g = &self.geometry;
         let (gbuf_regions, gbuf_region) = self.regions(g.gbuf_entries, g.gbuf_entries / 2);
         let (obuf_regions, obuf_region) = self.regions(g.out_entries, (g.out_entries / 2).max(1));
-        let mut gbuf: Vec<Option<(usize, AccessKind)>> = vec![None; gbuf_regions];
-        let mut obuf: Vec<Option<(usize, AccessKind)>> = vec![None; obuf_regions];
-        let mut prep = Prepared {
-            deps: Vec::with_capacity(stream.len()),
-            io: Vec::new(),
-            compute: Vec::new(),
-        };
+        // The D-Table: per tracked region, the word each kind of consumer
+        // takes from the region's last access, `[WR-INP, MAC]` for the
+        // GBuf and `[MAC, RD-OUT]` for the OBuf.
+        let mut gbuf = vec![[NO_DEP; 2]; gbuf_regions];
+        let mut obuf = vec![[NO_DEP; 2]; obuf_regions];
+        let Scratch { io, compute, .. } = scratch;
+        io.clear();
+        compute.clear();
+        let mut n = 0usize;
 
-        for (idx, cmd) in stream.iter().enumerate() {
-            let mut words = [NO_DEP; 2];
-            match cmd.kind {
-                CommandKind::WrInp { gbuf_idx, .. } => {
-                    let r = gbuf_region(gbuf_idx);
-                    if let Some((p, kind)) = gbuf[r] {
-                        words[0] = match kind {
-                            // Write-after-write streams over the pipelined
-                            // data bus; issue order suffices.
-                            AccessKind::Write => dep_word(p, ISSUE_PLUS_CCDS),
-                            // WAR after a MAC read: the read must complete
-                            // before its input may be overwritten.
-                            _ => dep_word(p, COMPLETION),
-                        };
+        source.emit(
+            #[inline(always)]
+            |kind| {
+                assert!(
+                    n < MAX_COMMANDS,
+                    "dependency words index commands in 31 bits"
+                );
+                let idx = n as u32;
+                n += 1;
+                let completion = dep_word(idx, COMPLETION);
+                let pipelined = dep_word(idx, ISSUE_PLUS_CCDS);
+                match kind {
+                    CommandKind::WrInp { gbuf_idx, .. } => {
+                        let r = gbuf_region(gbuf_idx);
+                        io.push(IoEntry {
+                            dep: gbuf[r][0],
+                            tag: idx << 1,
+                        });
+                        // Write-after-write streams over the pipelined
+                        // data bus; a MAC reading the tile (RAW) waits
+                        // until it is fully written.
+                        gbuf[r] = [pipelined, completion];
                     }
-                    gbuf[r] = Some((idx, AccessKind::Write));
-                    prep.io.push(idx as u32);
+                    CommandKind::Mac {
+                        gbuf_idx,
+                        row,
+                        out_idx,
+                        ..
+                    } => {
+                        let (r, ro) = (gbuf_region(gbuf_idx), obuf_region(out_idx));
+                        compute.push(MacEntry {
+                            deps: [gbuf[r][1], obuf[ro][0]],
+                            row,
+                            index: idx,
+                        });
+                        // A write to the tile (WAR) waits for this read to
+                        // complete; a later read needs nothing.
+                        gbuf[r] = [completion, NO_DEP];
+                        // The next MAC on the accumulator chains at
+                        // `t_CCDS` (the is-MAC fast path); a drain (RAW)
+                        // waits for the accumulation to complete.
+                        obuf[ro] = [pipelined, completion];
+                    }
+                    CommandKind::RdOut { out_idx, .. } => {
+                        let ro = obuf_region(out_idx);
+                        io.push(IoEntry {
+                            dep: obuf[ro][1],
+                            tag: idx << 1 | 1,
+                        });
+                        // Re-accumulating waits for the drain to complete;
+                        // back-to-back drains pipeline on the bus.
+                        obuf[ro] = [completion, pipelined];
+                    }
                 }
-                CommandKind::Mac {
-                    gbuf_idx, out_idx, ..
-                } => {
-                    let r = gbuf_region(gbuf_idx);
-                    if let Some((p, AccessKind::Write)) = gbuf[r] {
-                        // RAW: the input tile must be fully written.
-                        words[0] = dep_word(p, COMPLETION);
-                    }
-                    gbuf[r] = Some((idx, AccessKind::MacRead));
-                    let ro = obuf_region(out_idx);
-                    if let Some((p, kind)) = obuf[ro] {
-                        words[1] = match kind {
-                            // is-MAC fast path: accumulator chaining.
-                            AccessKind::MacAcc => dep_word(p, ISSUE_PLUS_CCDS),
-                            _ => dep_word(p, COMPLETION),
-                        };
-                    }
-                    obuf[ro] = Some((idx, AccessKind::MacAcc));
-                    prep.compute.push(idx as u32);
-                }
-                CommandKind::RdOut { out_idx, .. } => {
-                    let ro = obuf_region(out_idx);
-                    if let Some((p, kind)) = obuf[ro] {
-                        words[1] = match kind {
-                            // Back-to-back drains pipeline on the bus.
-                            AccessKind::Drain => dep_word(p, ISSUE_PLUS_CCDS),
-                            // RAW: the accumulation must be complete.
-                            _ => dep_word(p, COMPLETION),
-                        };
-                    }
-                    obuf[ro] = Some((idx, AccessKind::Drain));
-                    prep.io.push(idx as u32);
-                }
-            }
-            prep.deps.push(words);
-        }
-        prep
+            },
+        );
+
+        scratch.release.clear();
+        scratch.release.resize(2 * (n + 1), NOT_ISSUED);
+        scratch.release[..2].fill(0);
     }
 
-    /// Schedules the stream.
-    pub fn run(&self, stream: &CommandStream) -> ExecutionReport {
+    /// The issue loop over the prepared queues; fills the release table.
+    fn issue(&self, scratch: &mut Scratch) -> ScheduleSummary {
         let t = self.timing;
-        let cmds = stream.commands();
-        let Prepared { deps, io, compute } = self.prepare(stream);
-
-        // Issue and completion times, `NOT_ISSUED` until scheduled.
-        let mut timings: Vec<CommandTiming> = cmds
-            .iter()
-            .map(|c| CommandTiming {
-                id: c.id,
-                issue: NOT_ISSUED,
-                complete: NOT_ISSUED,
-            })
-            .collect();
+        let Scratch {
+            io,
+            compute,
+            release,
+        } = scratch;
         let (mut io_next, mut cp_next) = (0usize, 0usize);
-        let mut refresh = RefreshState::new(&t);
-        let mut breakdown = Breakdown::default();
+        let mut core = Issuer::new(&t);
         let mut bus_free: u64 = 0;
-        let mut open_row: Option<u32> = None;
-        let mut row_ready: u64 = 0;
-        let mut makespan: u64 = 0;
-        let (mut n_w, mut n_m, mut n_r, mut switches) = (0u64, 0u64, 0u64, 0u64);
-
-        /// Release time of a dependency word: `NOT_ISSUED` while its
-        /// producer has not issued (the consumer must keep waiting).
-        #[inline]
-        fn release(word: u32, timings: &[CommandTiming], t_ccds: u64) -> u64 {
-            if word == NO_DEP {
-                return 0;
-            }
-            let p = &timings[(word >> 1) as usize - 1];
-            if word & ISSUE_PLUS_CCDS != 0 {
-                p.issue.saturating_add(t_ccds)
-            } else {
-                p.complete
-            }
-        }
 
         while io_next < io.len() || cp_next < compute.len() {
-            // Earliest-issue candidate of a queue head: (index, ready time,
-            // gbuf release, obuf release, row release). An empty queue or a
-            // head blocked on an unissued producer is ready at `NOT_ISSUED`.
-            let eval = |queue: &[u32], next: usize| -> (usize, u64, u64, u64, u64) {
-                let Some(&idx) = queue.get(next) else {
-                    return (0, NOT_ISSUED, 0, 0, 0);
-                };
-                let idx = idx as usize;
-                let [g_dep, o_dep] = deps[idx];
-                let g = release(g_dep, &timings, t.t_ccds);
-                let o = release(o_dep, &timings, t.t_ccds);
-                let mut row = 0;
-                if let CommandKind::Mac { row: r, .. } = cmds[idx].kind {
-                    if open_row == Some(r) {
-                        row = row_ready;
-                    }
+            // Earliest issue of each queue head, with the compute head's
+            // gbuf, obuf and row releases. An empty queue or a head
+            // blocked on an unissued producer is ready at `NOT_ISSUED`.
+            let io_ready = io
+                .get(io_next)
+                .map_or(NOT_ISSUED, |e| bus_free.max(release[e.dep as usize]));
+            let (cp_ready, g_rel, o_rel, row_rel) = match compute.get(cp_next) {
+                None => (NOT_ISSUED, 0, 0, 0),
+                Some(e) => {
+                    let g = release[e.deps[0] as usize];
+                    let o = release[e.deps[1] as usize];
+                    let row = core.row_release(e.row);
+                    (bus_free.max(g).max(o).max(row), g, o, row)
                 }
-                (idx, bus_free.max(g).max(o).max(row), g, o, row)
             };
-            let io_head = eval(&io, io_next);
-            let cp_head = eval(&compute, cp_next);
 
             // Pick the queue whose head is ready first; ties go to compute
-            // to keep the MAC pipeline fed.
-            let (idx, ready, g_rel, o_rel, row_rel) = if cp_head.1 <= io_head.1 {
+            // to keep the MAC pipeline fed. A stall beyond bus
+            // availability is attributed to its binding constraint.
+            let (idx, issue, complete) = if cp_ready <= io_ready {
+                assert!(
+                    cp_ready != NOT_ISSUED,
+                    "deadlock: both queue heads blocked on unissued producers"
+                );
+                let e = compute[cp_next];
                 cp_next += 1;
-                cp_head
-            } else {
-                io_next += 1;
-                io_head
-            };
-            assert!(
-                ready != NOT_ISSUED,
-                "deadlock: both queue heads blocked on unissued producers"
-            );
-
-            let issue = refresh.adjust(ready);
-            breakdown.refresh += issue - ready;
-
-            // Attribute stall beyond bus availability to its binding
-            // constraint.
-            let stall = ready.saturating_sub(bus_free);
-            if stall > 0 {
-                if g_rel >= o_rel && g_rel >= row_rel {
-                    breakdown.dt_gbuf += stall;
-                } else if o_rel >= row_rel {
-                    breakdown.dt_outreg += stall;
-                } else {
-                    breakdown.act_pre += stall;
-                }
-            }
-
-            let complete = match cmds[idx].kind {
-                CommandKind::WrInp { .. } => {
-                    n_w += 1;
-                    issue + t.t_wr_inp
-                }
-                CommandKind::Mac { row, .. } => {
-                    n_m += 1;
-                    if open_row == Some(row) {
-                        issue.max(row_ready) + t.t_mac
+                let issue = core.issue_at(cp_ready);
+                let stall = cp_ready.saturating_sub(bus_free);
+                if stall > 0 {
+                    if g_rel >= o_rel && g_rel >= row_rel {
+                        core.breakdown.dt_gbuf += stall;
+                    } else if o_rel >= row_rel {
+                        core.breakdown.dt_outreg += stall;
                     } else {
-                        switches += 1;
-                        open_row = Some(row);
-                        // Row opening pipelines behind ongoing reads (bank
-                        // groups prepare the next row while the current one
-                        // streams): back-to-back switches are spaced by the
-                        // row cycle, but a switch after a long MAC run is
-                        // fully hidden.
-                        let new_ready = issue.max(row_ready + t.row_switch());
-                        breakdown.act_pre += new_ready - issue;
-                        row_ready = new_ready;
-                        row_ready + t.t_mac
+                        core.breakdown.act_pre += stall;
                     }
                 }
-                CommandKind::RdOut { .. } => {
-                    n_r += 1;
-                    issue + t.t_rd_out
-                }
+                (e.index, issue, core.mac(e.row, issue).1)
+            } else {
+                let e = io[io_next];
+                io_next += 1;
+                let issue = core.issue_at(io_ready);
+                let stall = io_ready.saturating_sub(bus_free);
+                let complete = if e.tag & 1 == 0 {
+                    core.breakdown.dt_gbuf += stall;
+                    core.wr_inp(issue)
+                } else {
+                    core.breakdown.dt_outreg += stall;
+                    core.rd_out(issue)
+                };
+                (e.tag >> 1, issue, complete)
             };
 
             bus_free = issue + t.t_ccds;
-            makespan = makespan.max(complete);
-            timings[idx].issue = issue;
-            timings[idx].complete = complete;
+            let row = 2 * (idx as usize + 1);
+            release[row] = complete;
+            release[row + 1] = bus_free;
         }
-
-        breakdown.mac = n_m * t.t_ccds;
-        let attributed = breakdown.total();
-        breakdown.pipeline += makespan.saturating_sub(attributed);
-
-        ExecutionReport {
-            timings,
-            cycles: makespan,
-            breakdown,
-            mac_count: n_m,
-            wr_inp_count: n_w,
-            rd_out_count: n_r,
-            row_switches: switches,
-            refresh_events: refresh.events,
-        }
+        core.finish()
     }
 }
 
@@ -953,6 +955,42 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&n| n >= 10), "coverage {covered:?}");
+    }
+
+    /// Random timing constants as `matches_oracle_on_random_streams`
+    /// draws them: ties across buffers and rules, and refresh landing
+    /// inside most streams.
+    fn random_timing(rng: &mut SplitMix) -> Timing {
+        let refi = 200 + rng.below(2000);
+        Timing {
+            t_ccds: 1 + rng.below(3),
+            t_wr_inp: 1 + rng.below(12),
+            t_mac: 1 + rng.below(12),
+            t_rd_out: 1 + rng.below(12),
+            t_act: rng.below(30),
+            t_pre: rng.below(20),
+            t_refi: refi,
+            t_rfc: 1 + rng.below(refi / 4),
+        }
+    }
+
+    #[test]
+    fn summarize_matches_schedule_on_random_streams() {
+        // The oracle test's seed and draw order: the same streams.
+        let mut rng = SplitMix(0x5EED_2026);
+        for case in 0..120 {
+            let random = random_timing(&mut rng);
+            for geom in [Geometry::baseline(), Geometry::pimphony()] {
+                let stream = random_stream(&mut rng, &geom);
+                for timing in [Timing::aimx(), Timing::aimx_no_refresh(), random] {
+                    for kind in crate::SchedulerKind::ALL {
+                        let want = crate::schedule(&stream, kind, &timing, &geom).summary();
+                        let got = crate::summarize(&stream, kind, &timing, &geom);
+                        assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * Same-type neighbours pipeline at `t_CCDS` (the hardware supports
 //!   back-to-back same-type streaming).
 
-use super::RefreshState;
+use super::{CommandSource, Issuer};
 use crate::geometry::Geometry;
-use crate::report::{Breakdown, CommandTiming, ExecutionReport};
+use crate::report::{CommandTiming, ExecutionReport, ScheduleSummary};
 use crate::timing::Timing;
 use pim_isa::command::{CommandKind, CommandStream};
 
@@ -31,120 +31,116 @@ impl StaticScheduler {
         StaticScheduler { timing, geometry }
     }
 
-    /// Minimum issue gap after `prev` before `cur` may issue.
-    fn gap(&self, prev: &CommandKind, cur: &CommandKind) -> u64 {
-        let t = &self.timing;
-        match (prev, cur) {
-            (CommandKind::WrInp { .. }, CommandKind::Mac { .. }) => t.t_wr_inp,
-            (CommandKind::Mac { .. }, CommandKind::RdOut { .. }) => t.t_mac,
-            (CommandKind::Mac { .. }, CommandKind::WrInp { .. }) => t.t_mac,
-            (CommandKind::RdOut { .. }, CommandKind::Mac { .. }) => t.t_rd_out,
-            (CommandKind::RdOut { .. }, CommandKind::WrInp { .. }) => t.t_rd_out,
-            _ => t.t_ccds,
-        }
-    }
-
     /// Schedules the stream, returning timings and a stall breakdown.
     pub fn run(&self, stream: &CommandStream) -> ExecutionReport {
-        let t = self.timing;
-        let mut refresh = RefreshState::new(&t);
+        let mut pass = Pass::new(self.timing);
         let mut timings = Vec::with_capacity(stream.len());
-        let mut breakdown = Breakdown::default();
-        let mut prev_kind: Option<CommandKind> = None;
-        let mut prev_issue: u64 = 0;
-        let mut open_row: Option<u32> = None;
-        let mut row_ready: u64 = 0;
-        let mut makespan = 0;
-        let (mut n_w, mut n_m, mut n_r, mut switches) = (0u64, 0u64, 0u64, 0u64);
-
-        for cmd in stream.iter() {
-            let min_issue = match prev_kind {
-                None => 0,
-                Some(prev) => prev_issue + self.gap(&prev, &cmd.kind),
-            };
-            let mut issue = min_issue;
-            // Row management applies to MACs only.
-            let mut switched = false;
-            if let CommandKind::Mac { row, .. } = cmd.kind {
-                if open_row != Some(row) {
-                    switched = true;
-                } else {
-                    issue = issue.max(row_ready);
-                }
-            }
-            let issue_before_refresh = issue;
-            issue = refresh.adjust(issue);
-            let refresh_stall = issue - issue_before_refresh;
-
-            // Attribute the gap beyond the pipelined minimum to the
-            // predecessor's type.
-            if let Some(prev) = prev_kind {
-                let base = prev_issue + t.t_ccds;
-                if issue_before_refresh > base {
-                    let stall = issue_before_refresh - base;
-                    match prev {
-                        CommandKind::WrInp { .. } => breakdown.dt_gbuf += stall,
-                        CommandKind::Mac { .. } => breakdown.pipeline += stall,
-                        CommandKind::RdOut { .. } => breakdown.dt_outreg += stall,
-                    }
-                }
-            }
-            breakdown.refresh += refresh_stall;
-
-            // For subsequent gap computation, a row-switching MAC behaves
-            // as if issued once its row finished opening (the static
-            // controller waits out the full ACT/PRE window).
-            let mut effective_issue = issue;
-            let complete = match cmd.kind {
-                CommandKind::WrInp { .. } => {
-                    n_w += 1;
-                    issue + t.t_wr_inp
-                }
-                CommandKind::Mac { row, .. } => {
-                    n_m += 1;
-                    if switched {
-                        switches += 1;
-                        open_row = Some(row);
-                        // Pipelined row opening (see the dynamic engine):
-                        // a switch following a long same-row run is hidden.
-                        let new_ready = issue.max(row_ready + t.row_switch());
-                        breakdown.act_pre += new_ready - issue;
-                        row_ready = new_ready;
-                        effective_issue = row_ready;
-                        row_ready + t.t_mac
-                    } else {
-                        issue + t.t_mac
-                    }
-                }
-                CommandKind::RdOut { .. } => {
-                    n_r += 1;
-                    issue + t.t_rd_out
-                }
-            };
-            makespan = makespan.max(complete);
+        for cmd in stream {
+            let (issue, complete) = pass.step(cmd.kind);
             timings.push(CommandTiming {
                 id: cmd.id,
                 issue,
                 complete,
             });
-            prev_kind = Some(cmd.kind);
-            prev_issue = effective_issue;
         }
+        ExecutionReport::new(timings, pass.finish())
+    }
 
-        breakdown.mac = n_m * t.t_ccds;
-        let attributed = breakdown.total();
-        breakdown.pipeline += makespan.saturating_sub(attributed);
+    /// Schedules the commands `source` emits, keeping only the scalar
+    /// results.
+    pub fn summarize(&self, source: &(impl CommandSource + ?Sized)) -> ScheduleSummary {
+        let mut pass = Pass::new(self.timing);
+        source.emit(
+            #[inline(always)]
+            |kind| {
+                pass.step(kind);
+            },
+        );
+        pass.finish()
+    }
+}
 
-        ExecutionReport {
-            timings,
-            cycles: makespan,
-            breakdown,
-            mac_count: n_m,
-            wr_inp_count: n_w,
-            rd_out_count: n_r,
-            row_switches: switches,
-            refresh_events: refresh.events,
+/// Command classes, indexing [`Pass`]'s gap and stall tables; `START`
+/// stands for "no predecessor".
+const WR_INP: usize = 0;
+const MAC: usize = 1;
+const RD_OUT: usize = 2;
+const START: usize = 3;
+
+fn class(kind: &CommandKind) -> usize {
+    match kind {
+        CommandKind::WrInp { .. } => WR_INP,
+        CommandKind::Mac { .. } => MAC,
+        CommandKind::RdOut { .. } => RD_OUT,
+    }
+}
+
+/// The in-order issue loop's state: it stores nothing per command.
+struct Pass {
+    /// `gap[prev][cur]`: the minimum issue distance from a `prev`-class
+    /// command to a `cur`-class successor (the module docs' rules).
+    gap: [[u64; 3]; 4],
+    t_ccds: u64,
+    core: Issuer,
+    /// Stall beyond the pipelined minimum, by the predecessor's class:
+    /// `DT-GBuf`, pipeline and `DT-OutReg` (`START` collects none).
+    stall: [u64; 4],
+    prev: usize,
+    prev_issue: u64,
+}
+
+impl Pass {
+    fn new(t: Timing) -> Self {
+        let c = t.t_ccds;
+        Pass {
+            gap: [
+                [c, t.t_wr_inp, c],
+                [t.t_mac, c, t.t_mac],
+                [t.t_rd_out, t.t_rd_out, c],
+                [0, 0, 0],
+            ],
+            t_ccds: c,
+            core: Issuer::new(&t),
+            stall: [0; 4],
+            prev: START,
+            prev_issue: 0,
         }
+    }
+
+    /// Issues the next command in program order; returns its issue and
+    /// completion cycles.
+    #[inline(always)]
+    fn step(&mut self, kind: CommandKind) -> (u64, u64) {
+        let core = &mut self.core;
+        let cur = class(&kind);
+        let mut ready = self.prev_issue + self.gap[self.prev][cur];
+        // A MAC on the open row also waits for the row to finish opening;
+        // a row switch is charged as it issues.
+        if let CommandKind::Mac { row, .. } = kind {
+            ready = ready.max(core.row_release(row));
+        }
+        let issue = core.issue_at(ready);
+        self.stall[self.prev] += ready.saturating_sub(self.prev_issue + self.t_ccds);
+
+        // For subsequent gaps, a row-switching MAC behaves as if issued
+        // once its row finished opening (the static controller waits out
+        // the full ACT/PRE window).
+        let (start, complete) = match kind {
+            CommandKind::WrInp { .. } => (issue, core.wr_inp(issue)),
+            CommandKind::Mac { row, .. } => core.mac(row, issue),
+            CommandKind::RdOut { .. } => (issue, core.rd_out(issue)),
+        };
+        self.prev = cur;
+        self.prev_issue = start;
+        (issue, complete)
+    }
+
+    fn finish(mut self) -> ScheduleSummary {
+        let b = &mut self.core.breakdown;
+        b.dt_gbuf += self.stall[WR_INP];
+        b.pipeline += self.stall[MAC];
+        b.dt_outreg += self.stall[RD_OUT];
+        self.core.finish()
     }
 }
 

@@ -5,11 +5,13 @@
 //! row-reuse) configuration *exactly* at two calibration sizes with the
 //! cycle-level `pim-sim` engine, fit `cycles = a + b·tokens`, and evaluate
 //! the fit everywhere else. FC GEMVs have few distinct shapes, so they are
-//! simulated exactly and memoized per shape.
+//! simulated exactly and memoized per shape. Calibration reads only
+//! totals, so it runs `pim_sim::summarize` straight on the kernel
+//! builders: no command stream and no per-command timing is built.
 
 use parking_lot::Mutex;
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{summarize, Geometry, ScheduleSummary, SchedulerKind, Timing};
 use serde::Serialize;
 use std::collections::HashMap;
 
@@ -29,7 +31,7 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    fn from_report(r: &pim_sim::ExecutionReport, timing: &Timing) -> Self {
+    fn from_summary(r: &ScheduleSummary, timing: &Timing) -> Self {
         KernelStats {
             cycles: r.cycles as f64,
             mac_busy: (r.mac_count * timing.t_ccds) as f64,
@@ -188,12 +190,21 @@ impl KernelModel {
             group_size: key.group,
             row_reuse: key.row_reuse,
         };
-        let stream = match key.kind {
-            AttentionKind::Qkt => QktKernel::new(spec, geom).stream(),
-            AttentionKind::Sv => SvKernel::new(spec, geom).stream(),
+        let summary = match key.kind {
+            AttentionKind::Qkt => summarize(
+                &QktKernel::new(spec, geom),
+                key.scheduler,
+                &self.timing,
+                &geom,
+            ),
+            AttentionKind::Sv => summarize(
+                &SvKernel::new(spec, geom),
+                key.scheduler,
+                &self.timing,
+                &geom,
+            ),
         };
-        let report = schedule(&stream, key.scheduler, &self.timing, &geom);
-        KernelStats::from_report(&report, &self.timing)
+        KernelStats::from_summary(&summary, &self.timing)
     }
 
     fn affine(&self, key: AttnKey) -> Affine {
@@ -313,9 +324,9 @@ impl KernelModel {
             return *s;
         }
         let geom = self.geometry(pimphony_buffers);
-        let stream = GemvKernel::new(GemvSpec { dout, din }, geom).stream();
-        let report = schedule(&stream, scheduler, &self.timing, &geom);
-        let stats = KernelStats::from_report(&report, &self.timing);
+        let kernel = GemvKernel::new(GemvSpec { dout, din }, geom);
+        let summary = summarize(&kernel, scheduler, &self.timing, &geom);
+        let stats = KernelStats::from_summary(&summary, &self.timing);
         self.gemv_cache.lock().insert(key, stats);
         stats
     }
@@ -345,6 +356,53 @@ mod tests {
         // Refresh windows and row-boundary effects add mild curvature;
         // a 10% envelope is tight enough for throughput composition.
         assert!(err < 0.10, "fit error {:.2}%", err * 100.0);
+    }
+
+    /// Exact cycles against the affine fit for every attention key the
+    /// ladder calibrates: {QKᵀ, SV} × {static on baseline buffers, DCS on
+    /// PIMphony buffers} × group {1, 4, 8}, with row reuse as
+    /// `StageModel::row_reuse` picks it (group > 1 under DCS), over slices
+    /// of 16 to 16K tokens. The fit is exact at its two calibration sizes
+    /// (512 and 4096 tokens).
+    #[test]
+    fn affine_residuals_are_pinned() {
+        let m = model();
+        let mut out = String::from("kernel scheduler group reuse tokens exact fitted residual\n");
+        for kind in [AttentionKind::Qkt, AttentionKind::Sv] {
+            for (scheduler, pimphony_buffers) in
+                [(SchedulerKind::Static, false), (SchedulerKind::Dcs, true)]
+            {
+                for group in [1, 4, 8] {
+                    let row_reuse = group > 1 && pimphony_buffers;
+                    let key = AttnKey {
+                        kind,
+                        scheduler,
+                        group,
+                        row_reuse,
+                        pimphony_buffers,
+                    };
+                    for tokens in [16, 64, 256, 512, 1024, 2048, 4096, 8192, 16384] {
+                        let exact = m.simulate_attn(key, tokens).cycles;
+                        let fitted = m
+                            .attention(
+                                kind,
+                                scheduler,
+                                pimphony_buffers,
+                                group,
+                                row_reuse,
+                                u64::from(tokens),
+                            )
+                            .cycles;
+                        let residual = (fitted - exact) / exact * 100.0;
+                        out += &format!(
+                            "{kind:?} {scheduler} {group} {row_reuse} {tokens} {exact} {fitted} \
+                             {residual:+.3}%\n"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(out, include_str!("../tests/golden/affine_residuals.txt"));
     }
 
     #[test]

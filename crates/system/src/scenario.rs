@@ -887,9 +887,10 @@ impl Scenario {
         let cluster = match doc.get("cluster") {
             None => defaults,
             Some(c) => ClusterSpec {
-                tp: get_u64(c, "tp", defaults.tp as u64)? as u32,
-                pp: get_u64(c, "pp", defaults.pp as u64)? as u32,
-                modules: get_u64(c, "modules", defaults.modules as u64)? as u32,
+                tp: get_int(c, "tp", defaults.tp.into()).map_err(|e| format!("cluster.{e}"))?,
+                pp: get_int(c, "pp", defaults.pp.into()).map_err(|e| format!("cluster.{e}"))?,
+                modules: get_int(c, "modules", defaults.modules.into())
+                    .map_err(|e| format!("cluster.{e}"))?,
                 threads: get_u64(c, "threads", defaults.threads as u64)? as usize,
                 pools: match c.get("pools") {
                     None => Vec::new(),
@@ -1101,9 +1102,9 @@ fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
     Ok(PoolSpec {
         name,
         role,
-        replicas: get_u64(p, "replicas", 1)? as u32,
-        tp: get_u64(p, "tp", 0)? as u32,
-        pp: get_u64(p, "pp", 1)? as u32,
+        replicas: get_int(p, "replicas", 1)?,
+        tp: get_int(p, "tp", 0)?,
+        pp: get_int(p, "pp", 1)?,
         system,
         router,
     })
@@ -1237,7 +1238,7 @@ fn tenant_from_json(t: &Json) -> Result<TenantSpec, String> {
         seed: get_u64(t, "seed", 0)?,
         decode,
         arrivals,
-        priority: get_u64(t, "priority", 0)? as u8,
+        priority: get_int(t, "priority", 0)?,
         slo_ttft_p99: slo,
         shared_prefix: get_u64(t, "shared_prefix", 0)?,
         priority_levels: u8::try_from(get_u64(t, "priority_levels", 1)?)
@@ -1369,6 +1370,18 @@ fn get_u64(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
     Ok(v as u64)
 }
 
+/// Reads a nonnegative integer into a narrower type, failing instead of
+/// wrapping when it does not fit.
+fn get_int<T: TryFrom<u64>>(obj: &Json, key: &str, default: u64) -> Result<T, String> {
+    let v = get_u64(obj, key, default)?;
+    T::try_from(v).map_err(|_| {
+        format!(
+            "{key}: {v} is out of range for {}",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1467,7 +1480,13 @@ mod tests {
             "arrivals": {@arrivals "process": "poisson", "rate": 1}}]}"#;
 
     fn bogus_at(level: &str) -> Result<Scenario, String> {
-        let mut text = EVERY_LEVEL.replace(&format!("@{level}"), "\"bogus\": 1,");
+        every_level_with(&format!("@{level}"), "\"bogus\": 1,")
+    }
+
+    /// Parses `EVERY_LEVEL` with its first `from` replaced by `to` and
+    /// the markers removed.
+    fn every_level_with(from: &str, to: &str) -> Result<Scenario, String> {
+        let mut text = EVERY_LEVEL.replacen(from, to, 1);
         for marker in [
             "top",
             "techniques",
@@ -1568,6 +1587,76 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("arrivals.cv: unknown key"), "{err}");
+    }
+
+    /// Parses `EVERY_LEVEL` edited as `from` → `to` and checks that the
+    /// parse fails with an error that starts with `want`.
+    fn assert_rejected(from: &str, to: &str, want: &str) {
+        let err = every_level_with(from, to).unwrap_err();
+        assert!(err.starts_with(want), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_cluster_tp() {
+        assert_rejected(
+            "\"tp\": 2, \"pools\"",
+            "\"tp\": 4294967298, \"pools\"",
+            "cluster.tp: 4294967298 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_cluster_pp() {
+        assert_rejected(
+            "@cluster",
+            "\"pp\": 4294967297,",
+            "cluster.pp: 4294967297 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_cluster_modules() {
+        assert_rejected(
+            "@cluster",
+            "\"modules\": 4294967297,",
+            "cluster.modules: 4294967297 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_pool_replicas() {
+        assert_rejected(
+            "\"replicas\": 2,",
+            "\"replicas\": 4294967298,",
+            "cluster.pools[0]: replicas: 4294967298 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_pool_tp() {
+        assert_rejected(
+            "\"replicas\": 2, \"tp\": 2",
+            "\"replicas\": 2, \"tp\": 4294967298",
+            "cluster.pools[0]: tp: 4294967298 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_pool_pp() {
+        assert_rejected(
+            "@pool",
+            "\"pp\": 4294967297,",
+            "cluster.pools[0]: pp: 4294967297 is out of range for u32",
+        );
+    }
+
+    #[test]
+    fn parse_rejects_an_out_of_range_tenant_priority() {
+        assert_rejected(
+            "@tenant",
+            "\"priority\": 300,",
+            "workload[0]: priority: 300 is out of range for u8",
+        );
     }
 
     #[test]
