@@ -1,16 +1,17 @@
 //! Criterion benches of the cycle-level simulator itself: command-stream
 //! construction and scheduling throughput per controller (per-command
-//! timings and totals only), kernel calibration, stage-model
-//! prefill pricing, the paged-KV pool under pressure, and the
-//! serving-simulator hot paths (admission sweep, frontier advance and
-//! the chunked-prefill ledger) driven through the public `Cluster` API.
+//! timings, and totals only for each kernel builder), kernel
+//! calibration, stage-model prefill pricing, the paged-KV pool under
+//! pressure, and the serving-simulator hot paths (admission sweep,
+//! frontier advance and the chunked-prefill ledger) driven through the
+//! public `Cluster` API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::LLM_7B_32K;
 use pim_compiler::ParallelConfig;
 use pim_mem::{PagePool, RequestId};
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
-use pim_sim::{schedule, summarize, Geometry, SchedulerKind, Timing};
+use pim_sim::{schedule, summarize, CommandSource, Geometry, SchedulerKind, Timing};
 use std::hint::black_box;
 use system::{
     AttentionKind, Cluster, Evaluator, KernelModel, RouterKind, SchedulingPolicy, StageModel,
@@ -58,12 +59,42 @@ fn bench_schedulers(c: &mut Criterion) {
     // The totals path on the same kernel: commands go straight from the
     // builder into the issue loop, with no stream and no timings.
     let kernel = QktKernel::new(AttentionSpec::mha(4096, 128), geom);
-    let mut g = c.benchmark_group("summarize_qkt_4k");
-    for kind in SchedulerKind::ALL {
+    bench_summarize(c, "summarize_qkt_4k", &kernel, &SchedulerKind::ALL);
+    // SV at 4K tokens (MHA) is a query-sequential GEMV whose 256 input
+    // tiles stream through the Global Buffer in four chunks.
+    let sv = SvKernel::new(AttentionSpec::mha(4096, 128), geom);
+    // One channel's slice of LLM-7B's FFN up-projection on the CENT
+    // preset (dout sharded over TP x channels), as a PIM-only system
+    // calibrates it: a chunked GEMV.
+    let sys = SystemConfig::cent_for(&LLM_7B_32K);
+    let per_channel = sys.parallel.tp * sys.module.channels;
+    let fc = GemvKernel::new(
+        GemvSpec {
+            dout: LLM_7B_32K.ffn_dim.div_ceil(per_channel),
+            din: LLM_7B_32K.hidden_dim,
+        },
+        geom,
+    );
+    let kinds = [SchedulerKind::Static, SchedulerKind::Dcs];
+    bench_summarize(c, "summarize_sv_4k", &sv, &kinds);
+    bench_summarize(c, "summarize_fc_7b", &fc, &kinds);
+}
+
+/// One bench group timing `summarize` on `source` per scheduler in
+/// `kinds` (AiMX timing, PIMphony geometry).
+fn bench_summarize(
+    c: &mut Criterion,
+    group: &str,
+    source: &impl CommandSource,
+    kinds: &[SchedulerKind],
+) {
+    let (timing, geom) = (Timing::aimx(), Geometry::pimphony());
+    let mut g = c.benchmark_group(group);
+    for &kind in kinds {
         g.bench_with_input(
             BenchmarkId::from_parameter(kind.name()),
             &kind,
-            |b, &kind| b.iter(|| summarize(black_box(&kernel), kind, &timing, &geom)),
+            |b, &kind| b.iter(|| summarize(black_box(source), kind, &timing, &geom)),
         );
     }
     g.finish();

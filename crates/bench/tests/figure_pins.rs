@@ -1,5 +1,6 @@
-//! The scheduler figures (7, 8, 9, 18) and the calibration-heavy ladder
-//! figures (13, 14, 17) must print exactly their pinned output.
+//! The scheduler figures (7, 8, 9, 18), the calibration-heavy ladder
+//! figures (13, 14, 17) and the other figures that price through kernel
+//! calibration (4, 15, 16, 20) must print exactly their pinned output.
 //!
 //! Every number these binaries print comes from `pim-sim` command
 //! streams and schedules, directly or through kernel calibration, so a
@@ -106,5 +107,34 @@ fn fig19_stdout_is_pinned() {
     assert_stdout_pinned(
         env!("CARGO_BIN_EXE_fig19"),
         include_str!("golden/fig19.txt"),
+    );
+}
+
+#[test]
+fn fig4_stdout_is_pinned() {
+    assert_stdout_pinned(env!("CARGO_BIN_EXE_fig4"), include_str!("golden/fig4.txt"));
+}
+
+#[test]
+fn fig15_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_fig15"),
+        include_str!("golden/fig15.txt"),
+    );
+}
+
+#[test]
+fn fig16_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_fig16"),
+        include_str!("golden/fig16.txt"),
+    );
+}
+
+#[test]
+fn fig20_stdout_is_pinned() {
+    assert_stdout_pinned(
+        env!("CARGO_BIN_EXE_fig20"),
+        include_str!("golden/fig20.txt"),
     );
 }

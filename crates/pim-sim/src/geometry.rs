@@ -51,9 +51,51 @@ impl Geometry {
 
     /// Maps a linear per-bank tile index to `(row, col)`.
     pub fn tile_to_row_col(&self, tile_index: u64) -> (u32, u16) {
+        self.tile_cursor(tile_index).row_col()
+    }
+
+    /// A cursor at `tile_index` that walks the following tile indices
+    /// without dividing (see [`TileCursor`]).
+    pub(crate) fn tile_cursor(&self, tile_index: u64) -> TileCursor {
         let row = (tile_index / u64::from(self.row_tiles)) as u32;
-        let col = (tile_index % u64::from(self.row_tiles)) as u16;
-        (row, col)
+        let col = (tile_index % u64::from(self.row_tiles)) as u32;
+        TileCursor {
+            row,
+            col,
+            row_tiles: self.row_tiles,
+        }
+    }
+}
+
+/// The `(row, col)` of a linear tile index, stepped one index at a time.
+///
+/// The kernel builders walk runs of consecutive tiles; a cursor seeded
+/// once per run with [`Geometry::tile_cursor`] yields exactly what
+/// [`Geometry::tile_to_row_col`] gives for each index of the run, with
+/// an increment and a compare per step instead of a 64-bit divide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileCursor {
+    row: u32,
+    col: u32,
+    row_tiles: u32,
+}
+
+impl TileCursor {
+    /// The current `(row, col)`.
+    #[inline(always)]
+    pub(crate) fn row_col(&self) -> (u32, u16) {
+        (self.row, self.col as u16)
+    }
+
+    /// Moves to the next tile index: the next column, or the first column
+    /// of the next row. The row wraps as `tile_to_row_col`'s cast does.
+    #[inline(always)]
+    pub(crate) fn advance(&mut self) {
+        self.col += 1;
+        if self.col == self.row_tiles {
+            self.col = 0;
+            self.row = self.row.wrapping_add(1);
+        }
     }
 }
 
@@ -92,6 +134,23 @@ mod tests {
         assert_eq!(g.tile_to_row_col(31), (0, 31));
         assert_eq!(g.tile_to_row_col(32), (1, 0));
         assert_eq!(g.tile_to_row_col(100), (3, 4));
+    }
+
+    #[test]
+    fn cursor_walks_like_tile_to_row_col() {
+        for row_tiles in [1, 6, 32] {
+            let g = Geometry {
+                row_tiles,
+                ..Geometry::baseline()
+            };
+            for seed in [0, 5, 31, 32, 95] {
+                let mut cursor = g.tile_cursor(seed);
+                for i in seed..seed + 200 {
+                    assert_eq!(cursor.row_col(), g.tile_to_row_col(i), "{row_tiles} {i}");
+                    cursor.advance();
+                }
+            }
+        }
     }
 
     #[test]

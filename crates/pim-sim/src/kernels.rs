@@ -16,7 +16,10 @@
 //! Each builder is a [`CommandSource`]: its `emit` produces the commands
 //! one at a time, and `stream()` collects them into a [`CommandStream`].
 //! [`crate::summarize`] consumes `emit` directly, so calibration never
-//! stores a stream.
+//! stores a stream. Every `MAC` run an `emit` walks (a group block, a
+//! chunk, a run of token groups) covers consecutive weight tiles, so
+//! each run seeds one tile cursor and steps it per `MAC` instead of
+//! dividing its tile index.
 
 use crate::functional::FunctionalChannel;
 use crate::geometry::Geometry;
@@ -225,9 +228,12 @@ impl CommandSource for GemvKernel {
             let mut gb_start = 0;
             while gb_start < n_groups {
                 let gb_end = (gb_start + block).min(n_groups);
+                // The block's groups are laid out back to back.
+                let mut tile = g.tile_cursor(self.tile_index(gb_start, 0));
                 for grp in gb_start..gb_end {
                     for t in 0..in_tiles {
-                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
+                        let (row, col) = tile.row_col();
+                        tile.advance();
                         f(CommandKind::Mac {
                             gbuf_idx: t as u16,
                             row,
@@ -257,9 +263,12 @@ impl CommandSource for GemvKernel {
                         gpr_addr: t * 32,
                     });
                 }
+                // The chunk's tiles are blocked group by group.
+                let mut tile = g.tile_cursor(self.tile_index(0, chunk_start));
                 for grp in 0..n_groups {
                     for t in chunk_start..chunk_end {
-                        let (row, col) = g.tile_to_row_col(self.tile_index(grp, t));
+                        let (row, col) = tile.row_col();
+                        tile.advance();
                         f(CommandKind::Mac {
                             gbuf_idx: (t - chunk_start) as u16,
                             row,
@@ -271,7 +280,10 @@ impl CommandSource for GemvKernel {
                         out_idx: slot,
                         gpr_addr: grp * 32,
                     });
-                    slot = (slot + 1) % out_slots;
+                    slot += 1;
+                    if slot == out_slots {
+                        slot = 0;
+                    }
                 }
                 chunk_start = chunk_end;
             }
@@ -485,10 +497,13 @@ impl CommandSource for QktKernel {
                         gpr_addr: (q * in_tiles + t) * 32,
                     });
                 }
+                // Group `grp`'s keys are tiles `grp * in_tiles ..`, so a
+                // run's tiles are consecutive.
+                let mut tile = g.tile_cursor(u64::from(run_start) * u64::from(in_tiles));
                 for grp in run_start..run_end {
                     for t in 0..in_tiles {
-                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
-                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        let (row, col) = tile.row_col();
+                        tile.advance();
                         f(CommandKind::Mac {
                             gbuf_idx: t as u16,
                             row,
@@ -500,7 +515,10 @@ impl CommandSource for QktKernel {
                         out_idx: out_slot,
                         gpr_addr: (q * n_groups + grp) * 32,
                     });
-                    out_slot = (out_slot + 1) % out_slots;
+                    out_slot += 1;
+                    if out_slot == out_slots {
+                        out_slot = 0;
+                    }
                 }
             }
         }
@@ -743,9 +761,11 @@ impl CommandSource for SvKernel {
                 // read once per chunk for all queries sharing it, and rows
                 // advance monotonically (the row-reuse mapping).
                 for &(grp, first, end) in &grp_runs {
+                    let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(chunk_start);
+                    let mut tile = g.tile_cursor(tile_idx);
                     for t in chunk_start..chunk_end {
-                        let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(t);
-                        let (row, col) = g.tile_to_row_col(tile_idx);
+                        let (row, col) = tile.row_col();
+                        tile.advance();
                         for (slot, &base) in (first..end).zip(&slot_base[first..end]) {
                             f(CommandKind::Mac {
                                 gbuf_idx: (base + (t - chunk_start)) as u16,
@@ -856,6 +876,20 @@ mod tests {
             gbuf_entries: 8,
             out_entries: 2,
             row_tiles: 8,
+            elems_per_tile: 4,
+        }
+    }
+
+    /// A geometry whose rows (6 tiles) and Global Buffer (10 entries)
+    /// do not divide each other, and whose OBuf (3 entries) is not a power
+    /// of two, so row wraps land inside groups and chunks and output
+    /// slots wrap mid-sweep.
+    fn odd_geom() -> Geometry {
+        Geometry {
+            banks: 4,
+            gbuf_entries: 10,
+            out_entries: 3,
+            row_tiles: 6,
             elems_per_tile: 4,
         }
     }
@@ -1048,7 +1082,12 @@ mod tests {
     /// group's queries, and groups that do or do not divide the GBuf.
     fn attention_grid() -> Vec<(Geometry, AttentionSpec)> {
         let mut grid = Vec::new();
-        for geom in [small_geom(), Geometry::baseline(), Geometry::pimphony()] {
+        for geom in [
+            small_geom(),
+            odd_geom(),
+            Geometry::baseline(),
+            Geometry::pimphony(),
+        ] {
             for tokens in [1, 4, 15, 16, 17, 100, 512] {
                 for head_dim in [4, 8, 32, 128] {
                     for group_size in [1, 2, 3, 4, 8] {
@@ -1068,9 +1107,93 @@ mod tests {
         grid
     }
 
+    /// GEMV shapes on both sides of the Global Buffer: inputs that fit,
+    /// fill it exactly, or overflow it into a partial last chunk.
+    fn gemv_grid() -> Vec<(Geometry, GemvSpec)> {
+        let mut grid = Vec::new();
+        for geom in [
+            small_geom(),
+            odd_geom(),
+            Geometry::baseline(),
+            Geometry::pimphony(),
+        ] {
+            for dout in [1, 4, 17, 256, 1000] {
+                for din in [1, 4, 17, 32, 33, 40, 41, 1024, 1025, 4096] {
+                    grid.push((geom, GemvSpec { dout, din }));
+                }
+            }
+        }
+        grid
+    }
+
     /// Whether a QKᵀ kernel accepts `spec` (the query must fit in GBuf).
     fn qkt_fits(geom: &Geometry, spec: &AttentionSpec) -> bool {
         spec.head_dim.div_ceil(geom.elems_per_tile) <= geom.gbuf_entries
+    }
+
+    /// The GEMV builder with no shared addressing: one `tile_to_row_col`
+    /// per MAC at the weight layout's `tile_index` (the layout
+    /// `load_weights` stores), and the output slot advanced by `%`.
+    fn gemv_reference(spec: GemvSpec, g: Geometry) -> CommandStream {
+        let k = GemvKernel::new(spec, g);
+        let in_tiles = k.in_tiles();
+        let n_groups = k.n_groups();
+        let mut s = CommandStream::new();
+        let mac = |s: &mut CommandStream, grp: u32, t: u32, gbuf_idx: u32, out_idx: u32| {
+            let (row, col) = g.tile_to_row_col(k.tile_index(grp, t));
+            s.push_next(CommandKind::Mac {
+                gbuf_idx: gbuf_idx as u16,
+                row,
+                col,
+                out_idx: out_idx as u16,
+            });
+        };
+        let write = |s: &mut CommandStream, gbuf_idx: u32, t: u32| {
+            s.push_next(CommandKind::WrInp {
+                gbuf_idx: gbuf_idx as u16,
+                gpr_addr: t * 32,
+            });
+        };
+        let drain = |s: &mut CommandStream, out_idx: u32, grp: u32| {
+            s.push_next(CommandKind::RdOut {
+                out_idx: out_idx as u16,
+                gpr_addr: grp * 32,
+            });
+        };
+        if k.input_fits() {
+            for t in 0..in_tiles {
+                write(&mut s, t, t);
+            }
+            let block = g.out_entries.min(n_groups).max(1);
+            for gb_start in (0..n_groups).step_by(block as usize) {
+                let gb_end = (gb_start + block).min(n_groups);
+                for grp in gb_start..gb_end {
+                    for t in 0..in_tiles {
+                        mac(&mut s, grp, t, t, grp - gb_start);
+                    }
+                }
+                for grp in gb_start..gb_end {
+                    drain(&mut s, grp - gb_start, grp);
+                }
+            }
+        } else {
+            let cap = g.gbuf_entries;
+            let mut slot = 0;
+            for cs in (0..in_tiles).step_by(cap as usize) {
+                let ce = (cs + cap).min(in_tiles);
+                for t in cs..ce {
+                    write(&mut s, t - cs, t);
+                }
+                for grp in 0..n_groups {
+                    for t in cs..ce {
+                        mac(&mut s, grp, t, t - cs, slot);
+                    }
+                    drain(&mut s, slot, grp);
+                    slot = (slot + 1) % g.out_entries.max(1);
+                }
+            }
+        }
+        s
     }
 
     /// The QKᵀ builder as it was before streams were pre-sized: one
@@ -1202,6 +1325,21 @@ mod tests {
     }
 
     #[test]
+    fn gemv_stream_matches_reference_builder() {
+        let (mut fits, mut chunked) = (0, 0);
+        for (geom, spec) in gemv_grid() {
+            let k = GemvKernel::new(spec, geom);
+            if k.input_fits() {
+                fits += 1;
+            } else {
+                chunked += 1;
+            }
+            assert_eq!(k.stream(), gemv_reference(spec, geom), "{spec:?} {geom:?}");
+        }
+        assert!(fits > 0 && chunked > 0, "fits {fits}, chunked {chunked}");
+    }
+
+    #[test]
     fn qkt_stream_matches_reference_builder() {
         for (geom, spec) in attention_grid() {
             if qkt_fits(&geom, &spec) {
@@ -1274,13 +1412,13 @@ mod tests {
             };
             assert_eq!(k.stream().len(), reserved, "sv {spec:?} {geom:?}");
         }
-        for geom in [small_geom(), Geometry::baseline(), Geometry::pimphony()] {
-            for dout in [1, 4, 17, 256, 1000] {
-                for din in [1, 4, 17, 32, 33, 1024, 1025, 4096] {
-                    let k = GemvKernel::new(GemvSpec { dout, din }, geom);
-                    assert_eq!(k.stream().len(), k.command_count(), "gemv {dout}x{din}");
-                }
-            }
+        for (geom, spec) in gemv_grid() {
+            let k = GemvKernel::new(spec, geom);
+            assert_eq!(
+                k.stream().len(),
+                k.command_count(),
+                "gemv {spec:?} {geom:?}"
+            );
         }
     }
 

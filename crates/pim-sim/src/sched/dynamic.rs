@@ -26,10 +26,11 @@
 //! `(producer + 1) << 1`, with the low bit selecting the release rule
 //! (producer issue + `t_CCDS`, or producer completion). Each tracked
 //! region holds the word each kind of consumer takes from its last
-//! access, so the pass never branches on how a region was used. The same
-//! pass writes the I/O and compute queues as compact entries that carry
-//! all the issue loop reads, so the loop never looks at the commands
-//! again.
+//! access, so the pass never branches on how a region was used. The pass
+//! is compiled once per [`Tracking`], each with its own D-Table type, so
+//! it never branches on the granularity either. The same pass writes the
+//! I/O and compute queues as compact entries that carry all the issue
+//! loop reads, so the loop never looks at the commands again.
 //!
 //! The issue loop then plays the S-Table. Each command owns one row of a
 //! release table, `[complete, issue + t_CCDS]`, so a dependency word *is*
@@ -169,98 +170,16 @@ impl DynamicScheduler {
         (summary, out)
     }
 
-    /// Number of tracked regions in a buffer of `entries` entries, and the
-    /// region of each entry; ping-pong splits the buffer at `half`.
-    fn regions(&self, entries: u32, half: u32) -> (usize, impl Fn(u16) -> usize) {
-        let tracking = self.tracking;
-        let n = match tracking {
-            Tracking::PerEntry => entries as usize,
-            Tracking::PerHalf => 2,
-        };
-        let region = move |entry: u16| match tracking {
-            Tracking::PerEntry => entry as usize,
-            Tracking::PerHalf => usize::from(u32::from(entry) >= half),
-        };
-        (n.max(1), region)
-    }
-
     /// Walks the commands once in program order: assigns each its GBuf
     /// and OBuf dependency words exactly as the D-Table would, and
-    /// writes it to the I/O or compute queue.
+    /// writes it to the I/O or compute queue. The tracking granularity
+    /// picks the D-Table's type here, once per run.
     fn prepare(&self, source: &(impl CommandSource + ?Sized), scratch: &mut Scratch) {
         let g = &self.geometry;
-        let (gbuf_regions, gbuf_region) = self.regions(g.gbuf_entries, g.gbuf_entries / 2);
-        let (obuf_regions, obuf_region) = self.regions(g.out_entries, (g.out_entries / 2).max(1));
-        // The D-Table: per tracked region, the word each kind of consumer
-        // takes from the region's last access, `[WR-INP, MAC]` for the
-        // GBuf and `[MAC, RD-OUT]` for the OBuf.
-        let mut gbuf = vec![[NO_DEP; 2]; gbuf_regions];
-        let mut obuf = vec![[NO_DEP; 2]; obuf_regions];
-        let Scratch { io, compute, .. } = scratch;
-        io.clear();
-        compute.clear();
-        let mut n = 0usize;
-
-        source.emit(
-            #[inline(always)]
-            |kind| {
-                assert!(
-                    n < MAX_COMMANDS,
-                    "dependency words index commands in 31 bits"
-                );
-                let idx = n as u32;
-                n += 1;
-                let completion = dep_word(idx, COMPLETION);
-                let pipelined = dep_word(idx, ISSUE_PLUS_CCDS);
-                match kind {
-                    CommandKind::WrInp { gbuf_idx, .. } => {
-                        let r = gbuf_region(gbuf_idx);
-                        io.push(IoEntry {
-                            dep: gbuf[r][0],
-                            tag: idx << 1,
-                        });
-                        // Write-after-write streams over the pipelined
-                        // data bus; a MAC reading the tile (RAW) waits
-                        // until it is fully written.
-                        gbuf[r] = [pipelined, completion];
-                    }
-                    CommandKind::Mac {
-                        gbuf_idx,
-                        row,
-                        out_idx,
-                        ..
-                    } => {
-                        let (r, ro) = (gbuf_region(gbuf_idx), obuf_region(out_idx));
-                        compute.push(MacEntry {
-                            deps: [gbuf[r][1], obuf[ro][0]],
-                            row,
-                            index: idx,
-                        });
-                        // A write to the tile (WAR) waits for this read to
-                        // complete; a later read needs nothing.
-                        gbuf[r] = [completion, NO_DEP];
-                        // The next MAC on the accumulator chains at
-                        // `t_CCDS` (the is-MAC fast path); a drain (RAW)
-                        // waits for the accumulation to complete.
-                        obuf[ro] = [pipelined, completion];
-                    }
-                    CommandKind::RdOut { out_idx, .. } => {
-                        let ro = obuf_region(out_idx);
-                        io.push(IoEntry {
-                            dep: obuf[ro][1],
-                            tag: idx << 1 | 1,
-                        });
-                        // Re-accumulating waits for the drain to complete;
-                        // back-to-back drains pipeline on the bus.
-                        obuf[ro] = [completion, pipelined];
-                    }
-                }
-            },
-        );
-
-        scratch.release.clear();
-        scratch.release.resize(2 * (n + 1), NOT_ISSUED);
-        scratch.release[..2].fill(0);
+        match self.tracking {
+            Tracking::PerEntry => walk(source, scratch, PerEntryTable::new(g)),
+            Tracking::PerHalf => walk(source, scratch, PerHalfTable::new(g)),
+        }
     }
 
     /// The issue loop over the prepared queues; fills the release table.
@@ -336,6 +255,148 @@ impl DynamicScheduler {
         }
         core.finish()
     }
+}
+
+/// The D-Table: per tracked region, the word each kind of consumer takes
+/// from the region's last access, `[WR-INP, MAC]` for the GBuf and
+/// `[MAC, RD-OUT]` for the OBuf. One implementation per [`Tracking`], so
+/// [`walk`] maps a buffer entry to its region without a runtime match.
+trait DTable {
+    /// The GBuf region holding `entry`.
+    fn gbuf(&mut self, entry: u16) -> &mut [u32; 2];
+    /// The OBuf region holding `entry`.
+    fn obuf(&mut self, entry: u16) -> &mut [u32; 2];
+}
+
+/// [`Tracking::PerEntry`]: one region per buffer entry.
+struct PerEntryTable {
+    gbuf: Vec<[u32; 2]>,
+    obuf: Vec<[u32; 2]>,
+}
+
+impl PerEntryTable {
+    fn new(g: &Geometry) -> Self {
+        let regions = |entries: u32| vec![[NO_DEP; 2]; (entries as usize).max(1)];
+        PerEntryTable {
+            gbuf: regions(g.gbuf_entries),
+            obuf: regions(g.out_entries),
+        }
+    }
+}
+
+impl DTable for PerEntryTable {
+    #[inline(always)]
+    fn gbuf(&mut self, entry: u16) -> &mut [u32; 2] {
+        &mut self.gbuf[usize::from(entry)]
+    }
+
+    #[inline(always)]
+    fn obuf(&mut self, entry: u16) -> &mut [u32; 2] {
+        &mut self.obuf[usize::from(entry)]
+    }
+}
+
+/// [`Tracking::PerHalf`]: two regions per buffer, split at its half
+/// (ping-pong).
+struct PerHalfTable {
+    gbuf: [[u32; 2]; 2],
+    obuf: [[u32; 2]; 2],
+    gbuf_half: u32,
+    obuf_half: u32,
+}
+
+impl PerHalfTable {
+    fn new(g: &Geometry) -> Self {
+        PerHalfTable {
+            gbuf: [[NO_DEP; 2]; 2],
+            obuf: [[NO_DEP; 2]; 2],
+            gbuf_half: g.gbuf_entries / 2,
+            obuf_half: (g.out_entries / 2).max(1),
+        }
+    }
+}
+
+impl DTable for PerHalfTable {
+    #[inline(always)]
+    fn gbuf(&mut self, entry: u16) -> &mut [u32; 2] {
+        &mut self.gbuf[usize::from(u32::from(entry) >= self.gbuf_half)]
+    }
+
+    #[inline(always)]
+    fn obuf(&mut self, entry: u16) -> &mut [u32; 2] {
+        &mut self.obuf[usize::from(u32::from(entry) >= self.obuf_half)]
+    }
+}
+
+/// [`DynamicScheduler::prepare`]'s walk over one D-Table type.
+fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table: impl DTable) {
+    let Scratch { io, compute, .. } = scratch;
+    io.clear();
+    compute.clear();
+    let mut n = 0usize;
+
+    source.emit(
+        #[inline(always)]
+        |kind| {
+            assert!(
+                n < MAX_COMMANDS,
+                "dependency words index commands in 31 bits"
+            );
+            let idx = n as u32;
+            n += 1;
+            let completion = dep_word(idx, COMPLETION);
+            let pipelined = dep_word(idx, ISSUE_PLUS_CCDS);
+            match kind {
+                CommandKind::WrInp { gbuf_idx, .. } => {
+                    let region = table.gbuf(gbuf_idx);
+                    io.push(IoEntry {
+                        dep: region[0],
+                        tag: idx << 1,
+                    });
+                    // Write-after-write streams over the pipelined
+                    // data bus; a MAC reading the tile (RAW) waits
+                    // until it is fully written.
+                    *region = [pipelined, completion];
+                }
+                CommandKind::Mac {
+                    gbuf_idx,
+                    row,
+                    out_idx,
+                    ..
+                } => {
+                    let gbuf = table.gbuf(gbuf_idx);
+                    let gbuf_dep = gbuf[1];
+                    // A write to the tile (WAR) waits for this read to
+                    // complete; a later read needs nothing.
+                    *gbuf = [completion, NO_DEP];
+                    let obuf = table.obuf(out_idx);
+                    compute.push(MacEntry {
+                        deps: [gbuf_dep, obuf[0]],
+                        row,
+                        index: idx,
+                    });
+                    // The next MAC on the accumulator chains at
+                    // `t_CCDS` (the is-MAC fast path); a drain (RAW)
+                    // waits for the accumulation to complete.
+                    *obuf = [pipelined, completion];
+                }
+                CommandKind::RdOut { out_idx, .. } => {
+                    let region = table.obuf(out_idx);
+                    io.push(IoEntry {
+                        dep: region[1],
+                        tag: idx << 1 | 1,
+                    });
+                    // Re-accumulating waits for the drain to complete;
+                    // back-to-back drains pipeline on the bus.
+                    *region = [completion, pipelined];
+                }
+            }
+        },
+    );
+
+    scratch.release.clear();
+    scratch.release.resize(2 * (n + 1), NOT_ISSUED);
+    scratch.release[..2].fill(0);
 }
 
 #[cfg(test)]

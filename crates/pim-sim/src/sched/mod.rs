@@ -276,7 +276,6 @@ pub(crate) struct RefreshState {
     interval: u64,
     duration: u64,
     pub events: u64,
-    pub cycles: u64,
 }
 
 impl RefreshState {
@@ -290,17 +289,16 @@ impl RefreshState {
             interval: timing.t_refi.max(1),
             duration: timing.t_rfc,
             events: 0,
-            cycles: 0,
         }
     }
 
     /// Pushes a candidate issue time past any refresh windows it collides
-    /// with, accounting the stall.
+    /// with, counting every window crossed. The caller accounts the stall
+    /// (the returned time minus `t`).
     pub(crate) fn adjust(&mut self, mut t: u64) -> u64 {
         while t >= self.next {
             let window_end = self.next + self.duration;
             if t < window_end {
-                self.cycles += window_end - t;
                 t = window_end;
             }
             self.next += self.interval;
@@ -366,7 +364,6 @@ mod tests {
         assert_eq!(r.adjust(50), 50);
         assert_eq!(r.adjust(100), 110);
         assert_eq!(r.events, 1);
-        assert_eq!(r.cycles, 10);
         // Next window at 200.
         assert_eq!(r.adjust(150), 150);
         assert_eq!(r.adjust(205), 210);
