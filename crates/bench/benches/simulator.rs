@@ -4,7 +4,7 @@
 //! calibration, stage-model prefill pricing, the paged-KV pool under
 //! pressure, and the serving-simulator hot paths (admission sweep,
 //! frontier advance and the chunked-prefill ledger) driven through the
-//! public `Cluster` API.
+//! public `run_pools` API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use llm_model::LLM_7B_32K;
@@ -14,8 +14,8 @@ use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel}
 use pim_sim::{schedule, summarize, CommandSource, Geometry, SchedulerKind, Timing};
 use std::hint::black_box;
 use system::{
-    AttentionKind, Cluster, Evaluator, KernelModel, RouterKind, SchedulingPolicy, StageModel,
-    SystemConfig, Techniques,
+    run_pools, AttentionKind, Evaluator, KernelModel, PolicySpec, PoolRun, PrefillConfig,
+    RouterKind, SchedulingPolicy, ServingReport, StageModel, SystemConfig, Techniques,
 };
 use workload::{Dataset, Trace, TraceBuilder};
 
@@ -180,8 +180,19 @@ fn serving_fixture(priority_levels: u8) -> (Evaluator, Trace) {
     (eval, trace)
 }
 
+/// Serves `trace` continuously on `eval` as one mixed pool routed by
+/// `kind`, on one thread.
+fn serve(eval: &Evaluator, kind: RouterKind, trace: &Trace) -> ServingReport {
+    let mut pool = [PoolRun {
+        name: String::new(),
+        eval,
+        router: kind.build_for(eval),
+    }];
+    run_pools(&mut pool, SchedulingPolicy::Continuous, 1, trace)
+}
+
 /// The serving simulator's two hot paths, end to end through the public
-/// `Cluster` API (the per-replica structures are crate-private):
+/// `run_pools` API (the per-replica structures are crate-private):
 ///
 /// * **admission sweep** — uniform- vs multi-priority traces exercise
 ///   the FCFS fast path and the priority-lane candidate scan that
@@ -196,22 +207,12 @@ fn bench_serving_hot_paths(c: &mut Criterion) {
     for (label, levels) in [("admission_fcfs", 1), ("admission_priority", 4)] {
         let (eval, trace) = serving_fixture(levels);
         g.bench_function(label, |b| {
-            b.iter(|| {
-                Cluster::new(&eval, SchedulingPolicy::Continuous).run(
-                    black_box(&trace),
-                    RouterKind::RoundRobin.build_for(&eval).as_mut(),
-                )
-            })
+            b.iter(|| serve(&eval, RouterKind::RoundRobin, black_box(&trace)))
         });
     }
     let (eval, trace) = serving_fixture(1);
     g.bench_function("frontier_advance_jsq", |b| {
-        b.iter(|| {
-            Cluster::new(&eval, SchedulingPolicy::Continuous).run(
-                black_box(&trace),
-                RouterKind::JoinShortestQueue.build_for(&eval).as_mut(),
-            )
-        })
+        b.iter(|| serve(&eval, RouterKind::JoinShortestQueue, black_box(&trace)))
     });
     g.finish();
 }
@@ -223,16 +224,14 @@ fn bench_serving_hot_paths(c: &mut Criterion) {
 /// the decode records.
 fn bench_prefill_ledger(c: &mut Criterion) {
     let (eval, trace) = serving_fixture(1);
-    let eval = eval.with_chunked_prefill(512);
+    let eval = eval.with_policies(PolicySpec {
+        prefill: PrefillConfig::chunked(512),
+        ..PolicySpec::default()
+    });
     let mut g = c.benchmark_group("serving");
     g.sample_size(10);
     g.bench_function("prefill_ledger", |b| {
-        b.iter(|| {
-            Cluster::new(&eval, SchedulingPolicy::Continuous).run(
-                black_box(&trace),
-                RouterKind::RoundRobin.build_for(&eval).as_mut(),
-            )
-        })
+        b.iter(|| serve(&eval, RouterKind::RoundRobin, black_box(&trace)))
     });
     g.finish();
 }

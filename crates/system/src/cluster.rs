@@ -2,7 +2,7 @@
 //!
 //! The original engine partitioned a trace round-robin *before*
 //! simulation started, so replicas never interacted and online load
-//! imbalance was invisible. The [`Cluster`] instead consumes the
+//! imbalance was invisible. [`run_pools`] instead consumes the
 //! globally ordered arrival stream and dispatches each request through a
 //! pluggable [`Router`] at its arrival instant, based on the replicas'
 //! live load ([`ReplicaLoad`]):
@@ -29,7 +29,7 @@
 //! passed are touched — next-event dispatch instead of polling every
 //! replica per arrival, bit-exact because advancing a replica below its
 //! bound is a state no-op. The drain then runs on [`std::thread::scope`]
-//! threads ([`Cluster::with_threads`]). Parallel and sequential runs produce
+//! threads (`run_pools`' `threads`). Parallel and sequential runs produce
 //! byte-identical [`ServingReport`]s: routing decisions see identical
 //! load snapshots either way, and accounting is replayed from
 //! per-replica ledgers in replica-index order, so no
@@ -408,58 +408,6 @@ impl Accum {
     }
 }
 
-/// A multi-replica serving simulation with routed arrivals.
-#[derive(Debug)]
-pub struct Cluster<'a> {
-    eval: &'a Evaluator,
-    policy: SchedulingPolicy,
-    threads: usize,
-}
-
-impl<'a> Cluster<'a> {
-    /// Creates a cluster over an evaluator with the given scheduling
-    /// policy, simulating replicas on one thread.
-    pub fn new(eval: &'a Evaluator, policy: SchedulingPolicy) -> Self {
-        Cluster {
-            eval,
-            policy,
-            threads: 1,
-        }
-    }
-
-    /// Simulates replicas on up to `threads` scoped threads (`0` means
-    /// one per available CPU). Thread count never changes results — only
-    /// wall-clock time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Serves `trace`, dispatching each arrival through `router` and
-    /// advancing the replica sims to completion.
-    ///
-    /// The wave policy ignores arrival times, so its requests are routed
-    /// in trace order — with the round-robin router this reproduces the
-    /// historical trace-index partitioning exactly on *any* trace. The
-    /// continuous policy consumes the stream in global arrival order,
-    /// the order an online front-end actually sees.
-    ///
-    /// Internally this is the one-pool special case of the
-    /// disaggregated machinery ([`run_pools`]): a single anonymous
-    /// mixed pool, which the pooled path reduces to operation-for-
-    /// operation — so every historical pin also verifies the
-    /// generalized loop.
-    pub fn run(&self, trace: &Trace, router: &mut dyn Router) -> ServingReport {
-        run_pools_impl(
-            &[("", self.eval)],
-            &mut [router],
-            self.policy,
-            self.threads,
-            trace,
-        )
-    }
-}
-
 /// One pool of a disaggregated cluster, paired with its per-pool
 /// router. The evaluator carries everything pool-specific: hardware
 /// (`Evaluator::system`, whose `replicas()` is the pool size), serving
@@ -485,10 +433,21 @@ fn resolve_threads(threads: usize) -> usize {
         .unwrap_or(1)
 }
 
-/// Serves `trace` over heterogeneous replica pools with phase-aware
-/// two-level routing — the disaggregated generalization of
-/// [`Cluster::run`] (which is exactly this with one anonymous mixed
-/// pool).
+/// Serves `trace` over replica pools with phase-aware two-level
+/// routing, simulating the replicas on up to `threads` scoped threads
+/// (`0` means one per available CPU; the thread count never changes
+/// results, only wall-clock time).
+///
+/// The wave policy ignores arrival times, so its requests are routed
+/// in trace order — with the round-robin router this reproduces the
+/// historical trace-index partitioning exactly on *any* trace. The
+/// continuous policy consumes the stream in global arrival order, the
+/// order an online front-end actually sees.
+///
+/// A colocated cluster is one anonymous mixed pool
+/// ([`Evaluator::run_trace`], `Materialized::serve` on a flat spec),
+/// which the pooled path below reduces to operation-for-operation —
+/// so every historical pin also verifies the generalized loop.
 ///
 /// **Phase 1 (prefill):** fresh arrivals are routed over the pools
 /// whose role serves prefill (`prefill` and `mixed`). With several
@@ -691,7 +650,7 @@ fn claim_members<'s, 'a>(
         .collect()
 }
 
-/// The shared implementation behind [`Cluster::run`] and [`run_pools`].
+/// The body of [`run_pools`] over borrowed pool metadata and routers.
 fn run_pools_impl(
     pools: &[(&str, &Evaluator)],
     routers: &mut [&mut dyn Router],
@@ -903,7 +862,8 @@ fn finish_all(sims: Vec<&mut ReplicaSim<'_>>, threads: usize) {
 mod tests {
     use super::*;
     use crate::config::{SystemConfig, Techniques};
-    use crate::policy::PreemptionPolicy;
+    use crate::policy::{PreemptionPolicy, PrefillConfig};
+    use crate::scenario::PolicySpec;
     use llm_model::LLM_7B_32K;
     use pim_compiler::ParallelConfig;
     use workload::{Dataset, TraceBuilder};
@@ -1125,8 +1085,12 @@ mod tests {
             .bursty(6.0, 2.5)
             .build();
         for kind in RouterKind::ALL {
-            let r = Cluster::new(&e, SchedulingPolicy::Continuous)
-                .run(&trace, kind.build_for(&e).as_mut());
+            let mut pool = [PoolRun {
+                name: String::new(),
+                eval: &e,
+                router: kind.build_for(&e),
+            }];
+            let r = run_pools(&mut pool, SchedulingPolicy::Continuous, 1, &trace);
             assert_eq!(r.tokens, trace.total_decode_tokens(), "{kind}");
             assert_eq!(r.latency.completed, trace.len() as u64, "{kind}");
             assert_eq!(r.per_replica.len(), e.system().replicas() as usize);
@@ -1269,13 +1233,20 @@ mod tests {
     #[test]
     fn ledger_replay_matches_the_old_step_record_replay() {
         // One TP=2 replica of a multi-replica node.
-        let base = || multi_replica_eval().with_chunked_prefill(512);
+        let chunked = PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            ..PolicySpec::default()
+        };
+        let base = || multi_replica_eval().with_policies(chunked);
 
         // Continuous: a bursty two-class trace arriving about as fast as
         // the replica serves it, so high-priority arrivals evict running
         // requests, whose re-prefill bills nonzero restart seconds, and
         // mixed steps interleave prompt chunks with decode iterations.
-        let eval = base().with_preemption(PreemptionPolicy::EvictRestart);
+        let eval = multi_replica_eval().with_policies(PolicySpec {
+            preemption: PreemptionPolicy::EvictRestart,
+            ..chunked
+        });
         let trace = TraceBuilder::new(Dataset::QmSum)
             .seed(2026)
             .requests(24)

@@ -16,9 +16,11 @@
 //!   admission/step/completion events.
 //! * [`cluster`] — multi-replica serving: globally ordered arrivals
 //!   dispatched through a pluggable [`cluster::Router`] (round-robin /
-//!   join-shortest-queue / least-loaded) with replica sims running on
-//!   scoped threads and a deterministic merge. [`Evaluator::run_trace`]
-//!   serves a trace on it with round-robin routing.
+//!   join-shortest-queue / least-loaded / least-prefill / SLO-aware)
+//!   over one or more replica pools ([`run_pools`]), with replica sims
+//!   running on scoped threads and a deterministic merge.
+//!   [`Evaluator::run_trace`] serves a trace as one round-robin pool on
+//!   one thread.
 //! * [`policy`] — pluggable batch scheduling: closed-world
 //!   [`SchedulingPolicy::Wave`] (paper-figure fidelity, Figs. 13–15 and
 //!   17) and online [`SchedulingPolicy::Continuous`] batching over
@@ -62,7 +64,7 @@
 //!
 //! ```no_run
 //! use llm_model::LLM_7B_32K;
-//! use system::{Evaluator, SchedulingPolicy, SystemConfig, Techniques};
+//! use system::{Evaluator, PolicySpec, SchedulingPolicy, SystemConfig, Techniques};
 //! use workload::{Dataset, TraceBuilder};
 //!
 //! let trace = TraceBuilder::new(Dataset::QmSum)
@@ -74,7 +76,11 @@
 //!     SystemConfig::cent_for(&LLM_7B_32K),
 //!     LLM_7B_32K,
 //!     Techniques::pimphony(),
-//! ).with_policy(SchedulingPolicy::Continuous);
+//! )
+//! .with_policies(PolicySpec {
+//!     scheduling: SchedulingPolicy::Continuous,
+//!     ..PolicySpec::default()
+//! });
 //! let report = eval.run_trace(&trace);
 //! println!(
 //!     "{:.1} tok/s, TTFT p99 {:.3}s, TPOT p50 {:.4}s",
@@ -98,7 +104,7 @@ pub mod serve;
 pub mod stage;
 
 pub use cluster::{
-    run_pools, Cluster, JoinShortestQueue, LeastLoaded, LeastPrefill, PoolRun, RoundRobin, Router,
+    run_pools, JoinShortestQueue, LeastLoaded, LeastPrefill, PoolRun, RoundRobin, Router,
     RouterKind, SloAware,
 };
 pub use config::{ModuleConfig, SystemConfig, SystemKind, Techniques};

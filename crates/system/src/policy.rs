@@ -338,10 +338,16 @@ impl PrefillConfig {
     }
 
     /// Chunked prefill with `chunk_tokens` prompt tokens per chunk.
+    /// Panics on 0: a scenario's `prefill_chunk: 0` means
+    /// [`Self::disabled`] and never reaches here.
     pub fn chunked(chunk_tokens: u64) -> Self {
+        assert!(
+            chunk_tokens >= 1,
+            "a prefill chunk holds at least one token"
+        );
         PrefillConfig {
             enabled: true,
-            chunk_tokens: chunk_tokens.max(1),
+            chunk_tokens,
         }
     }
 }
@@ -391,10 +397,12 @@ impl PagedKvConfig {
     }
 
     /// Paged KV with prefix caching at `page_bytes` granularity.
+    /// Panics on 0, which [`crate::Scenario::validate`] rejects.
     pub fn paged(page_bytes: u64) -> Self {
+        assert!(page_bytes >= 1, "a KV page holds at least one byte");
         PagedKvConfig {
             prefix_caching: true,
-            page_bytes: page_bytes.max(1),
+            page_bytes,
         }
     }
 }
@@ -429,6 +437,7 @@ pub(crate) fn wave_greedy_admit(eval: &Evaluator, pending: &[Request], t_max: u6
             break;
         }
     }
+    // semantic: a request that fits nowhere still runs, alone.
     n.max(1)
 }
 
@@ -600,29 +609,31 @@ mod tests {
     }
 
     #[test]
-    fn prefill_config_defaults_and_clamps() {
+    fn prefill_config_defaults_and_zero_chunk_panics() {
         assert_eq!(PrefillConfig::default(), PrefillConfig::disabled());
         assert!(!PrefillConfig::default().enabled);
-        let c = PrefillConfig::chunked(0);
+        let c = PrefillConfig::chunked(1);
         assert!(c.enabled);
-        assert_eq!(c.chunk_tokens, 1, "chunk clamps to >= 1");
+        assert_eq!(c.chunk_tokens, 1);
         assert_eq!(
             PrefillConfig::chunked(PrefillConfig::DEFAULT_CHUNK).chunk_tokens,
             512
         );
+        assert!(std::panic::catch_unwind(|| PrefillConfig::chunked(0)).is_err());
     }
 
     #[test]
-    fn paged_kv_config_defaults_and_clamps() {
+    fn paged_kv_config_defaults_and_zero_page_panics() {
         assert_eq!(PagedKvConfig::default(), PagedKvConfig::disabled());
         assert!(!PagedKvConfig::default().prefix_caching);
-        let c = PagedKvConfig::paged(0);
+        let c = PagedKvConfig::paged(1);
         assert!(c.prefix_caching);
-        assert_eq!(c.page_bytes, 1, "page size clamps to >= 1");
+        assert_eq!(c.page_bytes, 1);
         assert_eq!(
             PagedKvConfig::paged(PagedKvConfig::DEFAULT_PAGE_BYTES).page_bytes,
             8 << 20
         );
+        assert!(std::panic::catch_unwind(|| PagedKvConfig::paged(0)).is_err());
     }
 
     #[test]

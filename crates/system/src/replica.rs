@@ -833,7 +833,7 @@ pub(crate) struct ReplicaSim<'a> {
 impl<'a> ReplicaSim<'a> {
     /// Creates an idle replica for a run compiled for worst case `t_max`.
     pub(crate) fn new(eval: &'a Evaluator, policy: SchedulingPolicy, t_max: u64) -> Self {
-        let paged_cfg = eval.paged_kv_config();
+        let paged_cfg = eval.policies().paged_kv;
         // Paged KV is a continuous-policy feature: the closed-world wave
         // loop admits and retires whole waves, so there is nothing for a
         // page cache to share across admissions.
@@ -847,7 +847,7 @@ impl<'a> ReplicaSim<'a> {
                 last_lookup: Cell::new(None),
             });
         let shedding = if policy == SchedulingPolicy::Continuous {
-            eval.shedding_policy()
+            eval.policies().shedding
         } else {
             SheddingPolicy::None // closed-world waves have no deadlines
         };
@@ -863,10 +863,10 @@ impl<'a> ReplicaSim<'a> {
             eval,
             stage: eval.stage_model(),
             policy,
-            preempt: eval.preemption_policy(),
-            prefill: eval.prefill_config(),
+            preempt: eval.policies().preemption,
+            prefill: eval.policies().prefill,
             shedding,
-            victim_order: eval.victim_order(),
+            victim_order: eval.policies().victim_order,
             predictor: if shedding.sheds() {
                 eval.ttft_predictor()
             } else {
@@ -1231,7 +1231,7 @@ impl<'a> ReplicaSim<'a> {
     /// the original per-replica wave loop.
     fn run_wave(&mut self) {
         let eval = self.eval;
-        let stride = eval.stride();
+        let stride = eval.policies().stride;
         let queue: Vec<Request> = self
             .pending
             .drain_fifo()
@@ -1948,7 +1948,7 @@ impl<'a> ReplicaSim<'a> {
     /// cached for the revisit).
     fn decode_chunk(&mut self, limit: f64) -> Result<(), f64> {
         let eval = self.eval;
-        let stride = eval.stride();
+        let stride = eval.policies().stride;
         let min_remaining = self
             .running
             .iter()
@@ -2142,7 +2142,7 @@ mod tests {
     #[test]
     fn reclaimed_prefix_pages_bill_recompute_on_readmission() {
         use crate::config::{SystemConfig, Techniques};
-        use crate::PagedKvConfig;
+        use crate::{PagedKvConfig, PolicySpec};
         use llm_model::LLM_7B_32K;
 
         let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
@@ -2155,11 +2155,13 @@ mod tests {
         // both evict the worker (8 pages) and then reclaim 3 of its 4
         // cached prefix pages to fit.
         let factor = 12.5 * page_bytes as f64 / base.replica_kv_capacity() as f64;
-        let eval = base
-            .with_chunked_prefill(512)
-            .with_preemption(PreemptionPolicy::EvictRestart)
-            .with_prefix_caching(page_bytes)
-            .with_kv_capacity_factor(factor);
+        let eval = base.with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            preemption: PreemptionPolicy::EvictRestart,
+            paged_kv: PagedKvConfig::paged(page_bytes),
+            kv_capacity_factor: factor,
+            ..Default::default()
+        });
         let pt = eval.page_tokens();
         let worker = |arrival_us: u64| Request {
             id: 0,
@@ -2286,7 +2288,7 @@ mod tests {
     #[test]
     fn oversize_request_is_clamped_to_an_empty_pool() {
         use crate::config::{SystemConfig, Techniques};
-        use crate::PagedKvConfig;
+        use crate::{PagedKvConfig, PolicySpec};
         use llm_model::LLM_7B_32K;
 
         let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
@@ -2297,10 +2299,12 @@ mod tests {
         );
         // A 4-page pool.
         let factor = 4.5 * page_bytes as f64 / base.replica_kv_capacity() as f64;
-        let eval = base
-            .with_chunked_prefill(512)
-            .with_prefix_caching(page_bytes)
-            .with_kv_capacity_factor(factor);
+        let eval = base.with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            paged_kv: PagedKvConfig::paged(page_bytes),
+            kv_capacity_factor: factor,
+            ..Default::default()
+        });
         let pt = eval.page_tokens();
         let oversize = |id: u64| Request {
             id,
@@ -2340,7 +2344,7 @@ mod tests {
         // (need falls), its release leaves the pages cached (need
         // rises again, as re-referencing cached pages costs them).
         use crate::config::{SystemConfig, Techniques};
-        use crate::PagedKvConfig;
+        use crate::{PagedKvConfig, PolicySpec};
         use llm_model::LLM_7B_32K;
 
         let eval = Evaluator::new(
@@ -2348,7 +2352,10 @@ mod tests {
             LLM_7B_32K,
             Techniques::pimphony(),
         )
-        .with_prefix_caching(PagedKvConfig::DEFAULT_PAGE_BYTES);
+        .with_policies(PolicySpec {
+            paged_kv: PagedKvConfig::paged(PagedKvConfig::DEFAULT_PAGE_BYTES),
+            ..Default::default()
+        });
         let pt = eval.page_tokens();
         let shared = |id: u64| Request {
             id,

@@ -2,13 +2,12 @@
 //! describes workload + cluster + policy and materializes into a
 //! runnable simulation.
 //!
-//! The configuration surface of this repository grew organically across
-//! four layers — `Evaluator::with_*`, the `pimphony` builder, the
-//! `workload` trace builder, and twenty bench binaries each hand-rolling
-//! its own argument parsing — so every new knob had to be plumbed
-//! through all of them. A `Scenario` collapses that: experiments are
+//! A `Scenario` is the one configuration surface: experiments are
 //! *data*, round-tripping through the dependency-free [`jsonio`] layer
-//! (`scenarios/*.json`), shared verbatim by tests, benches, and CI.
+//! (`scenarios/*.json`), shared verbatim by tests, benches, and CI. Its
+//! [`PolicySpec`] is stored as-is by every [`Evaluator`]
+//! ([`Evaluator::with_policies`]), so a serving knob is declared once,
+//! as a `PolicySpec` field.
 //!
 //! ```text
 //! scenarios/*.json ──parse──▶ Scenario ──materialize──▶ Materialized
@@ -374,8 +373,10 @@ impl Default for ClusterSpec {
     }
 }
 
-/// Scheduling/memory policy bundle of a scenario — every serving knob
-/// that used to be plumbed through three builders, in one place.
+/// Scheduling/memory policy bundle of a scenario — every serving knob,
+/// in one place. An [`Evaluator`] stores it whole
+/// ([`Evaluator::with_policies`]); each default is bit-exact with the
+/// historical behavior.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySpec {
     /// Batch scheduling policy.
@@ -386,9 +387,15 @@ pub struct PolicySpec {
     pub preemption: PreemptionPolicy,
     /// Prompt-processing configuration.
     pub prefill: PrefillConfig,
-    /// KV-pool scale factor (1.0 = hardware capacity).
+    /// KV-pool scale factor (1.0 = hardware capacity; positive and
+    /// finite). Fractions below one model KV memory pressure without
+    /// re-sizing modules or models.
     pub kv_capacity_factor: f64,
-    /// Decode chunk-pricing stride.
+    /// Decode chunk-pricing stride: decode steps between iteration-cost
+    /// recomputes (≥ 1). Chunks are priced at their midpoint step, so
+    /// throughput is stride-invariant up to the kernel model's affine
+    /// approximation — `1` is exact per-step pricing, larger strides are
+    /// the fast path (enforced by `tests/engine_properties.rs`).
     pub stride: u64,
     /// Paged KV cache with prefix caching and page-granular eviction
     /// (continuous scheduling only; off is bit-exact with whole-request
@@ -512,8 +519,8 @@ impl Scenario {
     }
 
     /// Builds the fully configured evaluator for an explicit (possibly
-    /// non-Table-I) model config — the path the `pimphony` builder
-    /// uses, since it accepts arbitrary `ModelConfig` values.
+    /// non-Table-I) model config, so custom `ModelConfig` values get the
+    /// same policies, sizing and tenant SLOs as a named model.
     pub fn evaluator_for(&self, model: ModelConfig) -> Evaluator {
         let sys = self.system_config_for(&model);
         self.evaluator_with(sys, model)
@@ -530,7 +537,6 @@ impl Scenario {
     /// config — the single place every policy knob is applied, so flat
     /// and pooled evaluators cannot drift apart.
     fn evaluator_with(&self, sys: SystemConfig, model: ModelConfig) -> Evaluator {
-        let p = &self.policies;
         let slos: Vec<(u8, f64)> = self
             .workload
             .iter()
@@ -538,15 +544,7 @@ impl Scenario {
             .filter_map(|(i, t)| t.slo_ttft_p99.map(|s| (i as u8, s)))
             .collect();
         Evaluator::new(sys, model, self.techniques)
-            .with_policy(p.scheduling)
-            .with_preemption(p.preemption)
-            .with_prefill(p.prefill)
-            .with_kv_capacity_factor(p.kv_capacity_factor)
-            .with_stride(p.stride)
-            .with_paged_kv(p.paged_kv)
-            .with_shedding(p.shedding)
-            .with_victim_order(p.victim_order)
-            .with_kv_transfer(p.kv_transfer)
+            .with_policies(self.policies)
             .with_tenant_slos(slos)
     }
 
@@ -1016,8 +1014,7 @@ impl Materialized {
 
     /// Serves `trace` on the scenario's cluster: the phase-aware
     /// two-level path ([`run_pools`]) over the pools, where a flat spec
-    /// is one anonymous mixed pool (the form [`crate::Cluster::run`]
-    /// takes). Each router is built for its own pool's evaluator, so
+    /// is one anonymous mixed pool. Each router is built for its own pool's evaluator, so
     /// the SLO-aware router sees that pool's tenant SLOs and calibrated
     /// prefill rate. This is the one place a scenario turns into a
     /// [`ServingReport`].

@@ -3,20 +3,18 @@
 //! The [`Evaluator`] owns one (system, model, techniques) configuration
 //! and its memory policy — static `T_max` reservations vs DPA's lazy
 //! actual-size allocation. Serving itself runs on the event-driven
-//! [`crate::cluster::Cluster`] under a [`SchedulingPolicy`]: the default
+//! cluster layer ([`run_pools`]) under a [`SchedulingPolicy`]: the default
 //! [`SchedulingPolicy::Wave`] reproduces the paper's closed-world decode
 //! throughput (Figs. 13–15/17), while [`SchedulingPolicy::Continuous`]
 //! serves open-loop arrival traces with per-request latency metrics.
 
-use crate::cluster::{Cluster, RoundRobin};
+use crate::cluster::{run_pools, PoolRun, RoundRobin};
 use crate::config::{SystemConfig, Techniques};
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::kernel::KernelModel;
 use crate::metrics::{self, LatencyReport, ReplicaBreakdown};
-use crate::policy::{
-    self, KvTransferConfig, PagedKvConfig, PoolRole, PreemptionPolicy, PrefillConfig,
-    SchedulingPolicy, SheddingPolicy, VictimOrder,
-};
+use crate::policy::{self, KvTransferConfig, PoolRole, PrefillConfig, SchedulingPolicy};
+use crate::scenario::PolicySpec;
 use crate::stage::{IterationBreakdown, StageModel};
 use llm_model::ModelConfig;
 use pim_mem::DEFAULT_CHUNK_BYTES;
@@ -246,11 +244,17 @@ pub struct KvTransferModel {
 
 impl KvTransferModel {
     /// A model with explicit geometry (tests and custom pools;
-    /// [`Evaluator::kv_transfer_model`] derives the real one).
+    /// [`Evaluator::kv_transfer_model`] derives the real one). Panics on
+    /// a zero-byte token or page, which no model or validated scenario
+    /// has ([`crate::Scenario::validate`] rejects `page_bytes: 0`).
     pub fn new(bytes_per_token: u64, page_bytes: u64, config: KvTransferConfig) -> Self {
+        assert!(
+            bytes_per_token >= 1 && page_bytes >= 1,
+            "KV transfer needs nonzero token and page sizes"
+        );
         KvTransferModel {
-            bytes_per_token: bytes_per_token.max(1),
-            page_bytes: page_bytes.max(1),
+            bytes_per_token,
+            page_bytes,
             config,
         }
     }
@@ -276,25 +280,18 @@ pub struct Evaluator {
     system: SystemConfig,
     model: ModelConfig,
     techniques: Techniques,
-    policy: SchedulingPolicy,
-    preemption: PreemptionPolicy,
-    prefill: PrefillConfig,
-    paged_kv: PagedKvConfig,
-    /// Scales the replica's KV pool (1.0 = the hardware capacity);
-    /// fractions below one model memory pressure without re-sizing the
-    /// system, the knob preemption studies sweep.
-    kv_capacity_factor: f64,
+    /// Every serving knob (scheduling, preemption, prefill, paged KV,
+    /// KV-pool scale, shedding, victim order, KV transfer, pricing
+    /// stride) — the scenario's own bundle, stored as given.
+    policies: PolicySpec,
     /// Per-tenant TTFT SLO targets in seconds, as `(tenant id, target)`
     /// pairs — reporting metadata consumed by the cluster merge
     /// (attainment in `ServingReport::latency_by_tenant`), and the
-    /// deadline source for the opt-in SLO-aware policies
-    /// ([`Self::with_shedding`], [`Self::with_victim_order`],
-    /// `RouterKind::SloAware`). With those knobs off — the default —
-    /// it never touches scheduling. Normally set by `system::scenario`
-    /// specs.
+    /// deadline source for the opt-in SLO-aware policies (shedding,
+    /// SLO-ordered victims, `RouterKind::SloAware`). With those knobs
+    /// off — the default — it never touches scheduling. Normally set by
+    /// `system::scenario` specs.
     tenant_slos: Vec<(u8, f64)>,
-    shedding: SheddingPolicy,
-    victim_order: VictimOrder,
     /// The serving phase this evaluator's replicas own. `Mixed` (the
     /// default) is the historical full-lifecycle behavior, bit-exact
     /// with every pool-free run; `Prefill` replicas retire requests at
@@ -302,81 +299,59 @@ pub struct Evaluator {
     /// handoffs with prefill credited. Set per pool by
     /// `system::scenario`/`system::cluster`.
     pool_role: PoolRole,
-    /// Cross-pool KV-transfer cost terms — only priced when
-    /// `pool_role` is `Prefill` (a mixed-only cluster never transfers).
-    kv_transfer: KvTransferConfig,
     kernels: KernelModel,
     energy: EnergyModel,
-    /// Recompute the iteration time every `stride` decode steps (the
-    /// chunk is priced at its midpoint step, making the chunked sum
-    /// per-step exact under the affine kernel model).
-    stride: u64,
 }
 
 impl Evaluator {
     /// Creates an evaluator with AiMX timing, the default energy model,
-    /// and the closed-world wave scheduling policy.
+    /// and the default policies ([`PolicySpec::default`]: closed-world
+    /// wave scheduling, no preemption, prefill or paging, hardware KV
+    /// capacity, stride 64).
     pub fn new(system: SystemConfig, model: ModelConfig, techniques: Techniques) -> Self {
         Evaluator {
             system,
             model,
             techniques,
-            policy: SchedulingPolicy::Wave,
-            preemption: PreemptionPolicy::None,
-            prefill: PrefillConfig::disabled(),
-            paged_kv: PagedKvConfig::disabled(),
-            kv_capacity_factor: 1.0,
+            policies: PolicySpec::default(),
             tenant_slos: Vec::new(),
-            shedding: SheddingPolicy::None,
-            victim_order: VictimOrder::RecentFirst,
             pool_role: PoolRole::Mixed,
-            kv_transfer: KvTransferConfig::default(),
             kernels: KernelModel::new(pim_sim::Timing::aimx(), model.head_dim),
             energy: EnergyModel::aimx(),
-            stride: 64,
         }
     }
 
-    /// Returns this evaluator with a different scheduling policy.
-    pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Returns this evaluator with a preemption policy: what the
-    /// continuous scheduler may do when an arrived request cannot be
-    /// admitted for lack of KV memory (see
-    /// [`PreemptionPolicy`]). The default `None` reproduces the
-    /// historical admitted-runs-to-completion behavior bit-exactly; the
-    /// wave policy ignores this knob.
-    pub fn with_preemption(mut self, preemption: PreemptionPolicy) -> Self {
-        self.preemption = preemption;
-        self
-    }
-
-    /// The active preemption policy.
-    pub fn preemption_policy(&self) -> PreemptionPolicy {
-        self.preemption
-    }
-
-    /// Returns this evaluator with the replica KV pool scaled by
-    /// `factor` (must be positive; 1.0 — the default — is the hardware
-    /// capacity, bit-exact with historical behavior). Fractions below
-    /// one model KV memory pressure — the regime where admission
-    /// blocks, head-of-line queueing explodes, and preemption policies
-    /// start to matter — without re-sizing modules or models.
-    pub fn with_kv_capacity_factor(mut self, factor: f64) -> Self {
+    /// Returns this evaluator serving under `policies`. Each default is
+    /// bit-exact with the historical behavior, and most knobs only act
+    /// under continuous scheduling (see [`PolicySpec`]'s fields).
+    ///
+    /// `policies.router` is carried but no simulation code reads it:
+    /// routers come from `Materialized` or [`crate::PoolRun`].
+    ///
+    /// Panics on a KV capacity factor that is not positive and finite,
+    /// on a stride of 0, on an enabled prefill with 0-token chunks, and
+    /// on 0-byte KV pages; [`crate::Scenario::validate`] rejects each.
+    pub fn with_policies(mut self, policies: PolicySpec) -> Self {
         assert!(
-            factor > 0.0 && factor.is_finite(),
+            policies.kv_capacity_factor > 0.0 && policies.kv_capacity_factor.is_finite(),
             "KV capacity factor must be positive"
         );
-        self.kv_capacity_factor = factor;
+        assert!(policies.stride >= 1, "stride must be >= 1");
+        assert!(
+            !policies.prefill.enabled || policies.prefill.chunk_tokens >= 1,
+            "an enabled prefill needs chunks of at least one token"
+        );
+        assert!(
+            policies.paged_kv.page_bytes >= 1,
+            "KV pages must be at least one byte"
+        );
+        self.policies = policies;
         self
     }
 
-    /// The configured KV-pool scale factor.
-    pub fn kv_capacity_factor(&self) -> f64 {
-        self.kv_capacity_factor
+    /// The serving policies this evaluator runs under.
+    pub fn policies(&self) -> &PolicySpec {
+        &self.policies
     }
 
     /// Returns this evaluator with per-tenant TTFT SLO targets, as
@@ -405,34 +380,6 @@ impl Evaluator {
             .map_or(f64::INFINITY, |(_, slo)| *slo)
     }
 
-    /// Returns this evaluator with a deadline-aware admission-control
-    /// policy (see [`SheddingPolicy`]). The default `None` admits
-    /// everything, bit-exact with every historical run; the wave policy
-    /// ignores this knob.
-    pub fn with_shedding(mut self, shedding: SheddingPolicy) -> Self {
-        self.shedding = shedding;
-        self
-    }
-
-    /// The active shedding policy.
-    pub fn shedding_policy(&self) -> SheddingPolicy {
-        self.shedding
-    }
-
-    /// Returns this evaluator with a victim-selection order for
-    /// preemption (see [`VictimOrder`]). The default `RecentFirst` is
-    /// bit-exact with every historical run; the knob only matters when
-    /// a [`PreemptionPolicy`] is armed.
-    pub fn with_victim_order(mut self, order: VictimOrder) -> Self {
-        self.victim_order = order;
-        self
-    }
-
-    /// The active victim-selection order.
-    pub fn victim_order(&self) -> VictimOrder {
-        self.victim_order
-    }
-
     /// Returns this evaluator with a serving phase assignment for its
     /// replicas (see [`PoolRole`]). The default `Mixed` runs the full
     /// request lifecycle exactly as every historical run did; `Prefill`
@@ -450,20 +397,6 @@ impl Evaluator {
         self.pool_role
     }
 
-    /// Returns this evaluator with explicit KV-transfer cost terms for
-    /// cross-pool handoffs (see [`KvTransferConfig`]). Only priced when
-    /// the pool role is `Prefill`, so the default is bit-exact for
-    /// every colocated run.
-    pub fn with_kv_transfer(mut self, kv_transfer: KvTransferConfig) -> Self {
-        self.kv_transfer = kv_transfer;
-        self
-    }
-
-    /// The active KV-transfer cost terms.
-    pub fn kv_transfer_config(&self) -> KvTransferConfig {
-        self.kv_transfer
-    }
-
     /// The KV-transfer pricing model for this configuration: per-token
     /// KV bytes include any TP-driven KV-head replication (the same
     /// footprint admission reserves), and page count is taken at the
@@ -471,11 +404,10 @@ impl Evaluator {
     /// paged pool itself is off, since the transfer engine ships
     /// page-sized chunks regardless of how the source tracked them.
     pub fn kv_transfer_model(&self) -> KvTransferModel {
-        let replication = u64::from((self.system.parallel.tp / self.model.kv_heads()).max(1));
         KvTransferModel::new(
-            replication * self.model.kv_bytes(1),
-            self.paged_kv.page_bytes,
-            self.kv_transfer,
+            kv_replication(&self.model, self.system.parallel.tp) * self.model.kv_bytes(1),
+            self.policies.paged_kv.page_bytes,
+            self.policies.kv_transfer,
         )
     }
 
@@ -492,52 +424,19 @@ impl Evaluator {
     /// prefill is not modeled (TTFT is then dominated by queueing,
     /// which the predictor's `waited` argument carries).
     pub fn ttft_predictor(&self) -> TtftPredictor {
-        if !self.prefill.enabled {
+        let prefill = self.policies.prefill;
+        if !prefill.enabled {
             return TtftPredictor::with_rate(0.0);
         }
-        let chunk = self.prefill.chunk_tokens.max(1);
+        // `with_policies` rejects an enabled prefill with 0-token chunks.
+        let chunk = prefill.chunk_tokens;
         let secs = self.stage_model().prefill_chunk(0, 0, chunk).seconds;
         TtftPredictor::with_rate(secs / chunk as f64)
     }
 
-    /// Returns this evaluator with an explicit prefill configuration.
-    pub fn with_prefill(mut self, prefill: PrefillConfig) -> Self {
-        self.prefill = prefill;
-        self
-    }
-
-    /// Returns this evaluator with chunked prefill enabled: prompts are
-    /// processed `chunk_tokens` at a time before decoding, and TTFT
-    /// covers arrival → first token end-to-end.
-    pub fn with_chunked_prefill(self, chunk_tokens: u64) -> Self {
-        self.with_prefill(PrefillConfig::chunked(chunk_tokens))
-    }
-
     /// The active prefill configuration.
     pub fn prefill_config(&self) -> PrefillConfig {
-        self.prefill
-    }
-
-    /// Returns this evaluator with an explicit paged-KV configuration
-    /// (see [`PagedKvConfig`]). The default `disabled()` keeps the
-    /// historical whole-request reservations bit-exactly; enabling it
-    /// gives each replica a refcounted page pool with prefix caching
-    /// and page-granular reclamation (continuous policy only — the
-    /// closed-world wave policy ignores this knob).
-    pub fn with_paged_kv(mut self, paged_kv: PagedKvConfig) -> Self {
-        self.paged_kv = paged_kv;
-        self
-    }
-
-    /// Returns this evaluator with paged KV + prefix caching enabled at
-    /// `page_bytes` granularity.
-    pub fn with_prefix_caching(self, page_bytes: u64) -> Self {
-        self.with_paged_kv(PagedKvConfig::paged(page_bytes))
-    }
-
-    /// The active paged-KV configuration.
-    pub fn paged_kv_config(&self) -> PagedKvConfig {
-        self.paged_kv
+        self.policies.prefill
     }
 
     /// Prompt/decode tokens one KV page holds under the active paged-KV
@@ -547,25 +446,12 @@ impl Evaluator {
     /// `page_bytes` in validation.
     pub fn page_tokens(&self) -> u64 {
         let per_token = token_kv_bytes(&self.model, self.system.parallel.tp);
+        let page_bytes = self.policies.paged_kv.page_bytes;
         assert!(
-            self.paged_kv.page_bytes >= per_token,
-            "a {}-byte KV page cannot hold one {per_token}-byte token",
-            self.paged_kv.page_bytes
+            page_bytes >= per_token,
+            "a {page_bytes}-byte KV page cannot hold one {per_token}-byte token"
         );
-        self.paged_kv.page_bytes / per_token
-    }
-
-    /// Returns this evaluator with a different chunk-pricing stride
-    /// (decode steps between iteration-cost recomputes; ≥ 1). Since
-    /// chunks are priced at their midpoint step, throughput is
-    /// stride-invariant up to the kernel model's affine approximation —
-    /// `stride = 1` is exact per-step pricing, larger strides are the
-    /// fast path (enforced by `tests/engine_properties.rs`). Panics on
-    /// 0; a scenario's `policies.stride: 0` is a validation error.
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        assert!(stride >= 1, "stride must be >= 1");
-        self.stride = stride;
-        self
+        page_bytes / per_token
     }
 
     /// The system configuration.
@@ -585,7 +471,7 @@ impl Evaluator {
 
     /// The active scheduling policy.
     pub fn scheduling_policy(&self) -> SchedulingPolicy {
-        self.policy
+        self.policies.scheduling
     }
 
     pub(crate) fn stage_model(&self) -> StageModel<'_> {
@@ -594,10 +480,6 @@ impl Evaluator {
 
     pub(crate) fn energy_model(&self) -> &EnergyModel {
         &self.energy
-    }
-
-    pub(crate) fn stride(&self) -> u64 {
-        self.stride
     }
 
     /// One decode iteration for an explicit batch (ids and token counts).
@@ -617,14 +499,15 @@ impl Evaluator {
     /// latency any request with that prompt can experience. 0 when
     /// prefill is disabled.
     pub fn prefill_time(&self, prompt: u64) -> f64 {
-        if !self.prefill.enabled {
+        let prefill = self.policies.prefill;
+        if !prefill.enabled {
             return 0.0;
         }
         let stage = self.stage_model();
         let mut secs = 0.0;
         let mut done = 0u64;
         while done < prompt {
-            let c = self.prefill.chunk_tokens.min(prompt - done);
+            let c = prefill.chunk_tokens.min(prompt - done);
             secs += stage.prefill_chunk(0, done, c).seconds;
             done += c;
         }
@@ -632,9 +515,9 @@ impl Evaluator {
     }
 
     /// KV bytes available to one replica (capacity minus weights,
-    /// scaled by [`Self::with_kv_capacity_factor`]).
+    /// scaled by the policies' `kv_capacity_factor`).
     pub fn replica_kv_capacity(&self) -> u64 {
-        replica_kv_bytes(&self.system, &self.model, self.kv_capacity_factor)
+        replica_kv_bytes(&self.system, &self.model, self.policies.kv_capacity_factor)
     }
 
     /// Per-request KV reservation under the active memory policy, for a
@@ -645,9 +528,7 @@ impl Evaluator {
     /// worst case, so every request reserves `kv_bytes(t_max)`; DPA
     /// reserves the actual footprint plus one partial chunk per module.
     pub fn kv_reservation(&self, final_len: u64, t_max: u64) -> u64 {
-        // When TP exceeds the KV-head count, KV heads are replicated
-        // across modules and the footprint grows accordingly.
-        let replication = u64::from((self.system.parallel.tp / self.model.kv_heads()).max(1));
+        let replication = kv_replication(&self.model, self.system.parallel.tp);
         if self.techniques.dpa {
             // Lazy allocation: actual KV plus one partial chunk per module.
             replication * self.model.kv_bytes(final_len)
@@ -678,13 +559,18 @@ impl Evaluator {
         let pair_kv = (self.model.kv_bytes(t_max.min(self.model.context_window))
             / u64::from(self.model.kv_heads())
             / u64::from(p.pp))
+        // semantic: a zero-token worst case (an empty trace) still takes a slot.
         .max(1);
         let slots_per_channel = channel_cap / pair_kv;
-        // Pairs are (request, KV-head instance) on each module.
-        let q_heads = self.model.heads.div_ceil(p.tp).max(1);
-        let g_eff = self.model.gqa_group.min(q_heads).max(1);
-        let kv_instances = q_heads.div_ceil(g_eff).max(1);
+        // Pairs are (request, KV-head instance) on each module. The
+        // division by `kv_heads()` above means heads ≥ gqa_group ≥ 1, so
+        // every count below is at least one.
+        let q_heads = self.model.heads.div_ceil(p.tp);
+        let g_eff = self.model.gqa_group.min(q_heads);
+        let kv_instances = q_heads.div_ceil(g_eff);
         (u64::from(self.system.module.channels) * slots_per_channel / u64::from(kv_instances))
+            // semantic: an oversize request is admitted alone, as in
+            // `policy::wave_greedy_admit`.
             .max(1)
     }
 
@@ -694,11 +580,16 @@ impl Evaluator {
         self.replica_kv_capacity() >= self.kv_reservation(t_max, t_max)
     }
 
-    /// Serves `trace` under the active scheduling policy on a
-    /// single-threaded cluster whose round-robin router reproduces the
-    /// historical trace-level partitioning bit-exactly.
+    /// Serves `trace` under the active scheduling policy as one mixed
+    /// pool on one thread ([`run_pools`]), whose round-robin router
+    /// reproduces the historical trace-level partitioning bit-exactly.
     pub fn run_trace(&self, trace: &Trace) -> ServingReport {
-        Cluster::new(self, self.policy).run(trace, &mut RoundRobin::default())
+        let mut pool = [PoolRun {
+            name: String::new(),
+            eval: self,
+            router: Box::new(RoundRobin::default()),
+        }];
+        run_pools(&mut pool, self.policies.scheduling, 1, trace)
     }
 
     /// The original monolithic wave loop, kept as the fidelity oracle
@@ -751,7 +642,7 @@ impl Evaluator {
                 let decode_len = wave.iter().map(|r| r.decode_len).max().unwrap_or(0);
                 let mut step = 0u64;
                 while step < decode_len {
-                    let chunk = self.stride.min(decode_len - step);
+                    let chunk = self.policies.stride.min(decode_len - step);
                     // Exact per-step pricing: the affine kernel model
                     // makes Σₛ it(T+s) equal chunk·it(T + (chunk-1)/2),
                     // so the chunk is priced at its midpoint step (the
@@ -814,11 +705,19 @@ impl Evaluator {
     }
 }
 
+/// How many copies of each KV head a replica at tensor-parallel degree
+/// `tp` stores: when TP exceeds the KV-head count, KV heads are
+/// replicated across modules and the footprint grows accordingly.
+pub(crate) fn kv_replication(model: &ModelConfig, tp: u32) -> u64 {
+    // semantic: at or below the KV-head count, TP shards heads without copies.
+    u64::from((tp / model.kv_heads()).max(1))
+}
+
 /// KV bytes one token occupies on a replica at tensor-parallel degree
-/// `tp`: the model's per-token KV, times the KV-head replication a TP
-/// degree beyond the KV-head count forces (≥ 1 for any real model).
+/// `tp`: the model's per-token KV times its [`kv_replication`] (≥ 1 for
+/// any real model).
 pub(crate) fn token_kv_bytes(model: &ModelConfig, tp: u32) -> u64 {
-    (u64::from((tp / model.kv_heads()).max(1)) * model.kv_bytes(1)).max(1)
+    (kv_replication(model, tp) * model.kv_bytes(1)).max(1)
 }
 
 /// KV bytes available to one replica of `sys`: its modules' capacity
@@ -1008,13 +907,74 @@ mod tests {
         assert!(fixed.busy_seconds < fixed.seconds * e.system().replicas() as f64);
     }
 
-    fn cent_pimphony(policy: SchedulingPolicy) -> Evaluator {
+    fn cent_pimphony(scheduling: SchedulingPolicy) -> Evaluator {
         Evaluator::new(
             SystemConfig::cent_for(&LLM_7B_32K),
             LLM_7B_32K,
             Techniques::pimphony(),
         )
-        .with_policy(policy)
+        .with_policies(PolicySpec {
+            scheduling,
+            ..PolicySpec::default()
+        })
+    }
+
+    #[test]
+    fn with_policies_round_trips_every_knob() {
+        use crate::cluster::RouterKind;
+        use crate::policy::{
+            KvTransferConfig, PagedKvConfig, PreemptionPolicy, SheddingPolicy, VictimOrder,
+        };
+        let fresh = cent_pimphony(SchedulingPolicy::Wave);
+        assert_eq!(fresh.policies(), &PolicySpec::default());
+        assert_eq!(fresh.policies().stride, 64);
+        let policies = PolicySpec {
+            scheduling: SchedulingPolicy::Continuous,
+            router: RouterKind::JoinShortestQueue,
+            preemption: PreemptionPolicy::EvictPause,
+            prefill: PrefillConfig::chunked(256),
+            kv_capacity_factor: 0.5,
+            stride: 8,
+            paged_kv: PagedKvConfig::paged(16 << 20),
+            shedding: SheddingPolicy::Reject,
+            victim_order: VictimOrder::SlackFirst,
+            kv_transfer: KvTransferConfig {
+                page_latency_us: 5.0,
+                gbps: 32.0,
+            },
+        };
+        let e = fresh.with_policies(policies);
+        assert_eq!(e.policies(), &policies);
+        assert_eq!(e.scheduling_policy(), SchedulingPolicy::Continuous);
+        assert_eq!(e.prefill_config().chunk_tokens, 256);
+        assert_eq!(e.replica_kv_capacity(), {
+            let full = cent_pimphony(SchedulingPolicy::Wave).replica_kv_capacity();
+            (full as f64 * 0.5) as u64
+        });
+        // The scenario path stores its bundle unchanged.
+        let mut s = crate::Scenario::new("LLM-7B-32K");
+        s.policies = policies;
+        assert_eq!(s.evaluator_for(LLM_7B_32K).policies(), &policies);
+        // The asserts `Scenario::validate` mirrors.
+        for bad in [
+            PolicySpec {
+                kv_capacity_factor: 0.0,
+                ..policies
+            },
+            PolicySpec {
+                kv_capacity_factor: f64::NAN,
+                ..policies
+            },
+            PolicySpec {
+                stride: 0,
+                ..policies
+            },
+        ] {
+            let run = std::panic::catch_unwind(|| {
+                cent_pimphony(SchedulingPolicy::Wave).with_policies(bad)
+            });
+            assert!(run.is_err(), "{bad:?}");
+        }
     }
 
     #[test]

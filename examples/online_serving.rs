@@ -7,9 +7,12 @@
 //!
 //! Run with: `cargo run --example online_serving`
 
-use pimphony::system::{RouterKind, SchedulingPolicy};
+use pimphony::pim_compiler::ParallelConfig;
+use pimphony::system::{
+    run_pools, Evaluator, PolicySpec, PoolRun, RouterKind, SchedulingPolicy, SystemConfig,
+    Techniques,
+};
 use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
 
 fn main() {
     let model = pimphony::llm_model::LLM_7B_32K;
@@ -32,18 +35,22 @@ fn main() {
         "\n{:<22} {:>9} {:>8} {:>26} {:>10}",
         "configuration", "tok/s", "batch", "TTFT p50/p95/p99 (s)", "TPOT p50"
     );
-    for (name, policy, full) in [
+    for (name, scheduling, full) in [
         ("wave (closed-world)", SchedulingPolicy::Wave, true),
         ("continuous, baseline", SchedulingPolicy::Continuous, false),
         ("continuous, PIMphony", SchedulingPolicy::Continuous, true),
     ] {
-        let mut builder = OrchestratorBuilder::new(model).pim_only().policy(policy);
-        builder = if full {
-            builder.full_pimphony()
+        let techniques = if full {
+            Techniques::pimphony()
         } else {
-            builder.baseline()
+            Techniques::baseline()
         };
-        let r = builder.build().serve(&trace);
+        let r = Evaluator::new(SystemConfig::cent_for(&model), model, techniques)
+            .with_policies(PolicySpec {
+                scheduling,
+                ..PolicySpec::default()
+            })
+            .run_trace(&trace);
         let l = &r.latency;
         println!(
             "{:<22} {:>9.1} {:>8.1} {:>10.3}/{:>6.3}/{:>6.3} {:>10.4}",
@@ -72,16 +79,24 @@ fn main() {
         "\n{:<22} {:>9} {:>26} {:>10}",
         "4-replica cluster", "tok/s", "TTFT p50/p95/p99 (s)", "fairness"
     );
+    let continuous = PolicySpec {
+        scheduling: SchedulingPolicy::Continuous,
+        ..PolicySpec::default()
+    };
+    let cluster = Evaluator::new(
+        SystemConfig::cent_for(&model).with_parallel(ParallelConfig::new(2, 1)),
+        model,
+        Techniques::pimphony(),
+    )
+    .with_policies(continuous);
     for router in RouterKind::ALL {
-        let r = OrchestratorBuilder::new(model)
-            .pim_only()
-            .parallel(2, 1)
-            .full_pimphony()
-            .continuous_batching()
-            .router(router)
-            .threads(0) // one thread per CPU; results are identical anyway
-            .build()
-            .serve(&cluster_trace);
+        let mut pool = [PoolRun {
+            name: String::new(),
+            eval: &cluster,
+            router: router.build_for(&cluster),
+        }];
+        // threads 0: one per CPU; results are identical anyway.
+        let r = run_pools(&mut pool, continuous.scheduling, 0, &cluster_trace);
         let l = &r.latency;
         println!(
             "{:<22} {:>9.1} {:>10.3}/{:>6.3}/{:>6.3} {:>10.3}",

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use pimphony::system::{Evaluator, SystemConfig, Techniques};
 use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
 
 fn main() {
     // A QMSum-like workload: 32 requests, 64 generated tokens each.
@@ -19,17 +19,14 @@ fn main() {
         trace.mean_context()
     );
 
-    let baseline = OrchestratorBuilder::new(pimphony::llm_model::LLM_7B_32K)
-        .pim_only()
-        .baseline()
-        .build();
-    let phony = OrchestratorBuilder::new(pimphony::llm_model::LLM_7B_32K)
-        .pim_only()
-        .full_pimphony()
-        .build();
-
-    let rb = baseline.serve(&trace);
-    let rp = phony.serve(&trace);
+    // The CENT-like PIM-only system sized for the model (Table IV),
+    // under the default closed-world wave scheduling.
+    let model = pimphony::llm_model::LLM_7B_32K;
+    let serve = |techniques| {
+        Evaluator::new(SystemConfig::cent_for(&model), model, techniques).run_trace(&trace)
+    };
+    let rb = serve(Techniques::baseline());
+    let rp = serve(Techniques::pimphony());
     println!(
         "\n{:<12} {:>12} {:>10} {:>10}",
         "config", "tokens/s", "MAC util", "capacity"

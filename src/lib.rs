@@ -1,7 +1,7 @@
 //! Workspace-root helper crate.
 //!
 //! Hosts the repository's runnable examples (`examples/`) and cross-crate
-//! integration tests (`tests/`); re-exports the facade crate for
+//! integration tests (`tests/`); re-exports the umbrella crate for
 //! convenience.
 
 #![forbid(unsafe_code)]

@@ -5,7 +5,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
+    run_pools, Evaluator, PolicySpec, PoolRun, RouterKind, SchedulingPolicy, ServingReport,
+    SystemConfig, Techniques,
 };
 use pimphony::workload::{Dataset, Trace, TraceBuilder};
 
@@ -14,6 +15,23 @@ fn cluster_eval() -> Evaluator {
     let sys = SystemConfig::cent_for(&pimphony::llm_model::LLM_7B_32K)
         .with_parallel(ParallelConfig::new(2, 1));
     Evaluator::new(sys, pimphony::llm_model::LLM_7B_32K, Techniques::pimphony())
+}
+
+/// Serves `trace` on `e` as one anonymous mixed pool under `policy`,
+/// routed by `kind`, on `threads` threads — a colocated cluster.
+fn run_routed(
+    e: &Evaluator,
+    policy: SchedulingPolicy,
+    kind: RouterKind,
+    threads: usize,
+    trace: &Trace,
+) -> ServingReport {
+    let mut pool = [PoolRun {
+        name: String::new(),
+        eval: e,
+        router: kind.build_for(e),
+    }];
+    run_pools(&mut pool, policy, threads, trace)
 }
 
 /// The bursty-gamma trace of the `router_compare` study's decode-only
@@ -38,11 +56,8 @@ fn parallel_and_sequential_cluster_runs_are_byte_identical() {
     assert!(e.system().replicas() >= 4);
     let trace = bursty_trace(2026);
     for kind in RouterKind::ALL {
-        let run = |threads: usize| {
-            Cluster::new(&e, SchedulingPolicy::Continuous)
-                .with_threads(threads)
-                .run(&trace, kind.build_for(&e).as_mut())
-        };
+        let run =
+            |threads: usize| run_routed(&e, SchedulingPolicy::Continuous, kind, threads, &trace);
         let sequential = run(1);
         for threads in [2, 4, 8] {
             let parallel = run(threads);
@@ -63,27 +78,32 @@ fn wave_cluster_is_thread_count_invariant() {
         .decode_len(16)
         .build();
     let run = |threads: usize| {
-        Cluster::new(&e, SchedulingPolicy::Wave)
-            .with_threads(threads)
-            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut())
+        run_routed(
+            &e,
+            SchedulingPolicy::Wave,
+            RouterKind::RoundRobin,
+            threads,
+            &trace,
+        )
     };
     assert_eq!(run(1), run(4));
 }
 
-/// `Evaluator::run_trace` is the single-threaded round-robin cluster,
-/// so its reports must equal an explicit round-robin cluster run on
-/// any thread count, for both policies. (True fidelity oracles live
+/// `Evaluator::run_trace` is the single-threaded round-robin pool, so
+/// its reports must equal an explicit round-robin pool run on any
+/// thread count, for both policies. (True fidelity oracles live
 /// elsewhere: `run_trace_wave_reference` for the wave policy, and the
 /// golden pin below for the continuous one.)
 #[test]
 fn run_trace_equals_explicit_round_robin_cluster() {
     for policy in [SchedulingPolicy::Wave, SchedulingPolicy::Continuous] {
-        let e = cluster_eval().with_policy(policy);
+        let e = cluster_eval().with_policies(PolicySpec {
+            scheduling: policy,
+            ..PolicySpec::default()
+        });
         let trace = bursty_trace(7);
         let served = e.run_trace(&trace);
-        let cluster = Cluster::new(&e, policy)
-            .with_threads(4)
-            .run(&trace, RouterKind::RoundRobin.build_for(&e).as_mut());
+        let cluster = run_routed(&e, policy, RouterKind::RoundRobin, 4, &trace);
         assert_eq!(served, cluster, "{policy}");
     }
 }
@@ -135,12 +155,13 @@ fn wave_round_robin_matches_reference_on_out_of_order_traces() {
 #[test]
 fn continuous_round_robin_golden_pin() {
     let e = cluster_eval();
-    let r = Cluster::new(&e, SchedulingPolicy::Continuous)
-        .with_threads(4)
-        .run(
-            &bursty_trace(2026),
-            RouterKind::RoundRobin.build_for(&e).as_mut(),
-        );
+    let r = run_routed(
+        &e,
+        SchedulingPolicy::Continuous,
+        RouterKind::RoundRobin,
+        4,
+        &bursty_trace(2026),
+    );
     assert_eq!(r.tokens, 9029);
     assert_eq!(r.waves, 155);
     assert_eq!(r.seconds, 1.0708592565142856e1, "seconds");
@@ -175,11 +196,7 @@ fn jsq_beats_round_robin_p99_ttft_on_bursty_traffic() {
     let mut jsq_sum = 0.0;
     for seed in [1u64, 7, 2026] {
         let trace = bursty_trace(seed);
-        let run = |kind: RouterKind| {
-            Cluster::new(&e, SchedulingPolicy::Continuous)
-                .with_threads(4)
-                .run(&trace, kind.build_for(&e).as_mut())
-        };
+        let run = |kind: RouterKind| run_routed(&e, SchedulingPolicy::Continuous, kind, 4, &trace);
         let rr = run(RouterKind::RoundRobin);
         let jsq = run(RouterKind::JoinShortestQueue);
         // Same work either way; the win is purely in the tail.
@@ -208,11 +225,7 @@ fn per_replica_breakdown_exposes_router_skew() {
     let e = cluster_eval();
     let replicas = e.system().replicas() as usize;
     let trace = bursty_trace(2026);
-    let run = |kind: RouterKind| {
-        Cluster::new(&e, SchedulingPolicy::Continuous)
-            .with_threads(4)
-            .run(&trace, kind.build_for(&e).as_mut())
-    };
+    let run = |kind: RouterKind| run_routed(&e, SchedulingPolicy::Continuous, kind, 4, &trace);
     let rr = run(RouterKind::RoundRobin);
     let jsq = run(RouterKind::JoinShortestQueue);
 
@@ -256,9 +269,13 @@ fn least_loaded_cluster_serves_all_work_under_static_reservations() {
         Techniques::tcp_dcs(), // static worst-case reservations
     );
     let trace = bursty_trace(42);
-    let r = Cluster::new(&e, SchedulingPolicy::Continuous)
-        .with_threads(2)
-        .run(&trace, RouterKind::LeastLoaded.build_for(&e).as_mut());
+    let r = run_routed(
+        &e,
+        SchedulingPolicy::Continuous,
+        RouterKind::LeastLoaded,
+        2,
+        &trace,
+    );
     assert_eq!(r.tokens, trace.total_decode_tokens());
     assert_eq!(r.latency.completed, trace.len() as u64);
     assert!(r.per_replica.iter().all(|b| b.peak_reserved_kv > 0));

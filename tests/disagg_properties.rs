@@ -207,6 +207,10 @@ fn checked_in_disagg_scenarios_are_canonical_and_exercise_the_pools() {
         .collect();
     paths.sort();
     assert_eq!(paths.len(), 2, "expected the colocated/split pair");
+    assert!(
+        paths.iter().any(|p| p.ends_with("split_2p2d.json")),
+        "scenarios/disagg/split_2p2d.json is checked in"
+    );
     for path in paths {
         let text = std::fs::read_to_string(&path).expect("readable spec");
         let scenario = Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
@@ -217,6 +221,13 @@ fn checked_in_disagg_scenarios_are_canonical_and_exercise_the_pools() {
             path.display()
         );
         let split = !scenario.cluster.pools.is_empty();
+        // A pooled spec replayed as a flat cluster would hand nothing off.
+        assert_eq!(
+            split,
+            path.ends_with("split_2p2d.json"),
+            "{}",
+            path.display()
+        );
         let r = scenario
             .materialize()
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()))

@@ -5,7 +5,6 @@ use pimphony::llm_model::{LLM_72B_128K_GQA, LLM_7B_128K_GQA, LLM_7B_32K};
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{Evaluator, GpuSystem, SystemConfig, Techniques};
 use pimphony::workload::{Dataset, TraceBuilder};
-use pimphony::OrchestratorBuilder;
 
 fn trace(d: Dataset, n: usize) -> pimphony::workload::Trace {
     TraceBuilder::new(d)
@@ -89,24 +88,6 @@ fn every_factorization_serves_all_tokens() {
         assert_eq!(r.tokens, t.total_decode_tokens(), "{p}");
         assert!(r.tokens_per_second > 0.0, "{p}");
     }
-}
-
-#[test]
-fn orchestrator_matches_raw_evaluator() {
-    let t = trace(Dataset::QmSum, 6);
-    let o = OrchestratorBuilder::new(LLM_7B_32K)
-        .pim_only()
-        .full_pimphony()
-        .build();
-    let e = Evaluator::new(
-        SystemConfig::cent_for(&LLM_7B_32K),
-        LLM_7B_32K,
-        Techniques::pimphony(),
-    );
-    let a = o.serve(&t);
-    let b = e.run_trace(&t);
-    assert_eq!(a.tokens, b.tokens);
-    assert_eq!(a.tokens_per_second, b.tokens_per_second);
 }
 
 #[test]

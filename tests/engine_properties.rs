@@ -2,7 +2,7 @@
 //! against the original monolithic loop, continuous-batching dominance
 //! under steady load, and latency-percentile sanity.
 
-use pimphony::system::{Evaluator, SchedulingPolicy, SystemConfig, Techniques};
+use pimphony::system::{Evaluator, PolicySpec, SchedulingPolicy, SystemConfig, Techniques};
 use pimphony::workload::{Dataset, TraceBuilder};
 use proptest::prelude::*;
 
@@ -12,6 +12,15 @@ fn cent_eval(techniques: Techniques) -> Evaluator {
         pimphony::llm_model::LLM_7B_32K,
         techniques,
     )
+}
+
+/// [`cent_eval`] under an explicit scheduling policy and pricing stride.
+fn cent_eval_with(techniques: Techniques, scheduling: SchedulingPolicy, stride: u64) -> Evaluator {
+    cent_eval(techniques).with_policies(PolicySpec {
+        scheduling,
+        stride,
+        ..PolicySpec::default()
+    })
 }
 
 /// The engine's wave policy must reproduce the original wave loop's
@@ -78,7 +87,7 @@ fn zero_emission_requests_produce_no_latency_sample() {
         .into_iter()
         .collect();
     for policy in [SchedulingPolicy::Wave, SchedulingPolicy::Continuous] {
-        let e = cent_eval(Techniques::pimphony()).with_policy(policy);
+        let e = cent_eval_with(Techniques::pimphony(), policy, 64);
         let r = e.run_trace(&trace);
         // All three requests are served end-to-end...
         let served: u64 = r.per_replica.iter().map(|b| b.served).sum();
@@ -124,9 +133,7 @@ proptest! {
             .poisson(2000.0)
             .build();
         let wave = cent_eval(tech).run_trace(&trace);
-        let cont = cent_eval(tech)
-            .with_policy(SchedulingPolicy::Continuous)
-            .run_trace(&trace);
+        let cont = cent_eval_with(tech, SchedulingPolicy::Continuous, 64).run_trace(&trace);
         prop_assert_eq!(cont.tokens, wave.tokens);
         prop_assert!(
             cont.tokens_per_second >= wave.tokens_per_second * 0.995,
@@ -157,14 +164,8 @@ proptest! {
             .poisson(2000.0)
             .build();
         let policy = if cont == 1 { SchedulingPolicy::Continuous } else { SchedulingPolicy::Wave };
-        let coarse = cent_eval(Techniques::pimphony())
-            .with_policy(policy)
-            .with_stride(64)
-            .run_trace(&trace);
-        let exact = cent_eval(Techniques::pimphony())
-            .with_policy(policy)
-            .with_stride(1)
-            .run_trace(&trace);
+        let coarse = cent_eval_with(Techniques::pimphony(), policy, 64).run_trace(&trace);
+        let exact = cent_eval_with(Techniques::pimphony(), policy, 1).run_trace(&trace);
         prop_assert_eq!(coarse.tokens, exact.tokens);
         let skew = (coarse.tokens_per_second / exact.tokens_per_second - 1.0).abs();
         prop_assert!(
@@ -193,8 +194,7 @@ proptest! {
         } else {
             builder.poisson(rate).build()
         };
-        let r = cent_eval(Techniques::pimphony())
-            .with_policy(SchedulingPolicy::Continuous)
+        let r = cent_eval_with(Techniques::pimphony(), SchedulingPolicy::Continuous, 64)
             .run_trace(&trace);
         prop_assert_eq!(r.latency.completed, trace.len() as u64);
         for (name, s) in
@@ -223,7 +223,7 @@ proptest! {
             .poisson(5.0)
             .build();
         let policy = if cont == 1 { SchedulingPolicy::Continuous } else { SchedulingPolicy::Wave };
-        let r = cent_eval(Techniques::pimphony()).with_policy(policy).run_trace(&trace);
+        let r = cent_eval_with(Techniques::pimphony(), policy, 64).run_trace(&trace);
         prop_assert_eq!(r.tokens, trace.total_decode_tokens());
         prop_assert_eq!(r.latency.completed, trace.len() as u64);
     }

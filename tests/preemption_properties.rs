@@ -11,8 +11,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PreemptionPolicy, RouterKind, SchedulingPolicy, ServingReport,
-    SystemConfig, Techniques,
+    run_pools, Evaluator, PolicySpec, PoolRun, PreemptionPolicy, PrefillConfig, RouterKind,
+    SchedulingPolicy, ServingReport, SystemConfig, Techniques,
 };
 use pimphony::workload::{Dataset, Trace, TraceBuilder};
 
@@ -31,17 +31,22 @@ fn base_eval() -> Evaluator {
 /// (`studies/preemption_sweep.json`): chunked prefill, scaled KV pool,
 /// one of the preemption policies.
 fn pressure_eval(policy: PreemptionPolicy, factor: f64) -> Evaluator {
-    base_eval()
-        .with_chunked_prefill(PREFILL_CHUNK)
-        .with_kv_capacity_factor(factor)
-        .with_preemption(policy)
+    base_eval().with_policies(PolicySpec {
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        kv_capacity_factor: factor,
+        preemption: policy,
+        ..PolicySpec::default()
+    })
 }
 
 /// The seeded two-class bursty trace of the `preemption_sweep` study:
 /// interactive (1) vs batch (0) traffic at 0.8× the
 /// full-capacity prefill-inclusive anchor rate.
 fn priority_trace() -> Trace {
-    let eval = base_eval().with_chunked_prefill(PREFILL_CHUNK);
+    let eval = base_eval().with_policies(PolicySpec {
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        ..PolicySpec::default()
+    });
     let closed = TraceBuilder::new(Dataset::QmSum)
         .seed(2026)
         .requests(96)
@@ -58,9 +63,12 @@ fn priority_trace() -> Trace {
 }
 
 fn run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
-    Cluster::new(eval, SchedulingPolicy::Continuous)
-        .with_threads(threads)
-        .run(trace, kind.build_for(eval).as_mut())
+    let mut pool = [PoolRun {
+        name: String::new(),
+        eval,
+        router: kind.build_for(eval),
+    }];
+    run_pools(&mut pool, SchedulingPolicy::Continuous, threads, trace)
 }
 
 /// PR 3 golden pin, re-run through the fully plumbed preemption path
@@ -69,9 +77,11 @@ fn run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> Ser
 /// eviction machinery must be invisible until asked for.
 #[test]
 fn none_policy_is_bit_exact_with_pr3_golden_pin() {
-    let e = base_eval()
-        .with_preemption(PreemptionPolicy::None)
-        .with_kv_capacity_factor(1.0);
+    let e = base_eval().with_policies(PolicySpec {
+        preemption: PreemptionPolicy::None,
+        kv_capacity_factor: 1.0,
+        ..PolicySpec::default()
+    });
     let trace = TraceBuilder::new(Dataset::QmSum)
         .seed(2026)
         .requests(160)

@@ -7,7 +7,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PrefillConfig, RouterKind, SchedulingPolicy, SystemConfig, Techniques,
+    run_pools, Evaluator, PolicySpec, PoolRun, PrefillConfig, RouterKind, SchedulingPolicy,
+    SystemConfig, Techniques,
 };
 use pimphony::workload::{Dataset, Trace, TraceBuilder};
 
@@ -16,7 +17,16 @@ const PREFILL_CHUNK: u64 = PrefillConfig::DEFAULT_CHUNK;
 /// 4 replicas behind one cluster front-end (TP=2 over 8 modules), with
 /// chunked prefill enabled.
 fn prefill_eval() -> Evaluator {
-    decode_eval().with_chunked_prefill(PREFILL_CHUNK)
+    prefill_eval_with(SchedulingPolicy::Wave)
+}
+
+/// [`prefill_eval`] under an explicit scheduling policy.
+fn prefill_eval_with(scheduling: SchedulingPolicy) -> Evaluator {
+    decode_eval().with_policies(PolicySpec {
+        scheduling,
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        ..PolicySpec::default()
+    })
 }
 
 /// The same cluster without prefill (the historical decode-only model).
@@ -42,9 +52,12 @@ fn run(
     kind: RouterKind,
     threads: usize,
 ) -> pimphony::system::ServingReport {
-    Cluster::new(eval, SchedulingPolicy::Continuous)
-        .with_threads(threads)
-        .run(trace, kind.build_for(eval).as_mut())
+    let mut pool = [PoolRun {
+        name: String::new(),
+        eval,
+        router: kind.build_for(eval),
+    }];
+    run_pools(&mut pool, SchedulingPolicy::Continuous, threads, trace)
 }
 
 /// The headline acceptance property: on the seeded bursty-gamma trace,
@@ -155,7 +168,7 @@ fn prefill_conserves_prompt_and_decode_work() {
         .build();
     let total_prompt = trace.total_prompt_tokens();
     for policy in [SchedulingPolicy::Wave, SchedulingPolicy::Continuous] {
-        let eval = prefill_eval().with_policy(policy);
+        let eval = prefill_eval_with(policy);
         let r = eval.run_trace(&trace);
         assert_eq!(r.prefill_tokens, total_prompt, "{policy}");
         assert_eq!(r.tokens, trace.total_decode_tokens(), "{policy}");

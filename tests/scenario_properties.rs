@@ -9,8 +9,8 @@
 
 use pimphony::pim_compiler::ParallelConfig;
 use pimphony::system::{
-    Cluster, Evaluator, PagedKvConfig, PreemptionPolicy, RouterKind, Scenario, SchedulingPolicy,
-    ServingReport, SystemConfig, Techniques, TenantSpec,
+    run_pools, Evaluator, PagedKvConfig, PolicySpec, PoolRun, PreemptionPolicy, PrefillConfig,
+    RouterKind, Scenario, SchedulingPolicy, ServingReport, SystemConfig, Techniques, TenantSpec,
 };
 use pimphony::workload::{ArrivalProcess, Dataset, DecodeSpec, Trace, TraceBuilder};
 
@@ -54,9 +54,12 @@ fn pinned_scenario() -> Scenario {
 }
 
 fn direct_run(eval: &Evaluator, trace: &Trace, kind: RouterKind, threads: usize) -> ServingReport {
-    Cluster::new(eval, eval.scheduling_policy())
-        .with_threads(threads)
-        .run(trace, kind.build_for(eval).as_mut())
+    let mut pool = [PoolRun {
+        name: String::new(),
+        eval,
+        router: kind.build_for(eval),
+    }];
+    run_pools(&mut pool, eval.scheduling_policy(), threads, trace)
 }
 
 /// One-tenant scenario traces are bit-identical to plain builder
@@ -77,7 +80,10 @@ fn continuous_golden_pin_through_scenario() {
     let m = pinned_scenario().materialize().expect("materialize");
     let r = m.run();
     let direct = direct_run(
-        &base_eval().with_policy(SchedulingPolicy::Continuous),
+        &base_eval().with_policies(PolicySpec {
+            scheduling: SchedulingPolicy::Continuous,
+            ..PolicySpec::default()
+        }),
         &pinned_trace(),
         RouterKind::RoundRobin,
         4,
@@ -125,11 +131,11 @@ fn wave_golden_pin_through_scenario() {
 }
 
 /// Prefill golden configuration: chunked prefill through the spec path
-/// equals the hand-assembled `with_chunked_prefill` path byte-for-byte.
+/// equals the hand-assembled evaluator path byte-for-byte.
 #[test]
 fn prefill_configuration_through_scenario() {
     let mut s = pinned_scenario();
-    s.policies.prefill = pimphony::system::PrefillConfig::chunked(PREFILL_CHUNK);
+    s.policies.prefill = PrefillConfig::chunked(PREFILL_CHUNK);
     s.policies.router = RouterKind::LeastPrefill;
     s.workload[0].requests = 32;
     let r = s.materialize().expect("materialize").run();
@@ -139,9 +145,11 @@ fn prefill_configuration_through_scenario() {
         .decode_range(16, 96)
         .bursty(16.0, 2.5)
         .build();
-    let eval = base_eval()
-        .with_policy(SchedulingPolicy::Continuous)
-        .with_chunked_prefill(PREFILL_CHUNK);
+    let eval = base_eval().with_policies(PolicySpec {
+        scheduling: SchedulingPolicy::Continuous,
+        prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+        ..PolicySpec::default()
+    });
     let direct = direct_run(&eval, &trace, RouterKind::LeastPrefill, 4);
     assert_eq!(r, direct);
     assert!(r.prefill_tokens > 0);
@@ -157,7 +165,7 @@ fn preemption_configuration_through_scenario_never_evicts_single_tenant() {
     let mut s = pinned_scenario();
     s.policies.preemption = PreemptionPolicy::EvictPause;
     s.policies.kv_capacity_factor = 0.5;
-    s.policies.prefill = pimphony::system::PrefillConfig::chunked(PREFILL_CHUNK);
+    s.policies.prefill = PrefillConfig::chunked(PREFILL_CHUNK);
     s.policies.router = RouterKind::JoinShortestQueue;
     s.workload[0].requests = 48;
     s.workload[0].arrivals = ArrivalProcess::Bursty { rate: 1.0, cv: 2.5 };
@@ -169,12 +177,14 @@ fn preemption_configuration_through_scenario_never_evicts_single_tenant() {
         .decode_range(16, 96)
         .bursty(1.0, 2.5)
         .build();
-    let mk = |policy| {
-        base_eval()
-            .with_policy(SchedulingPolicy::Continuous)
-            .with_chunked_prefill(PREFILL_CHUNK)
-            .with_kv_capacity_factor(0.5)
-            .with_preemption(policy)
+    let mk = |preemption| {
+        base_eval().with_policies(PolicySpec {
+            scheduling: SchedulingPolicy::Continuous,
+            prefill: PrefillConfig::chunked(PREFILL_CHUNK),
+            kv_capacity_factor: 0.5,
+            preemption,
+            ..PolicySpec::default()
+        })
     };
     let direct = direct_run(
         &mk(PreemptionPolicy::EvictPause),
@@ -288,50 +298,6 @@ fn checked_in_scenarios_parse_materialize_and_run() {
         }
     }
     assert!(saw_multi_tenant, "a multi-tenant example spec is required");
-}
-
-/// Every `.json` spec under `dir`, recursively, in path order.
-fn specs_under(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(dir).expect("readable scenarios directory") {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            out.extend(specs_under(&path));
-        } else if path.extension().is_some_and(|e| e == "json") {
-            out.push(path);
-        }
-    }
-    out.sort();
-    out
-}
-
-/// There is one way to run a scenario: `Orchestrator::from_scenario`
-/// plus `serve` returns exactly `Materialized::run`'s report for every
-/// checked-in spec — replica pools and calibrated SLO-aware routers
-/// included. (`scenarios/perf/` is skipped: its 100k requests belong to
-/// `sim_speed`.) The disaggregated spec must really hand KV off, so a
-/// pooled spec replayed as a flat cluster cannot pass.
-#[test]
-fn orchestrator_and_materialized_run_agree_on_every_checked_in_spec() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
-    let specs: Vec<_> = specs_under(&root)
-        .into_iter()
-        .filter(|p| !p.starts_with(root.join("perf")))
-        .collect();
-    let mut saw_disagg = false;
-    for path in &specs {
-        let name = path.display().to_string();
-        let scenario = Scenario::from_file(&name).unwrap_or_else(|e| panic!("{e}"));
-        let direct = scenario.materialize().expect("materialize").run();
-        let (orchestrator, trace) =
-            pimphony::Orchestrator::from_scenario(&scenario).expect("materialize");
-        assert_eq!(orchestrator.serve(&trace), direct, "{name}");
-        if path.ends_with("disagg/split_2p2d.json") {
-            saw_disagg = true;
-            assert!(direct.kv_transferred_bytes > 0, "{name}: no KV handoff");
-        }
-    }
-    assert!(saw_disagg, "scenarios/disagg/split_2p2d.json is checked in");
 }
 
 /// With prefix caching on, `validate` rejects a `kv_capacity_factor`
