@@ -78,6 +78,11 @@ fn bench_schedulers(c: &mut Criterion) {
     let kinds = [SchedulerKind::Static, SchedulerKind::Dcs];
     bench_summarize(c, "summarize_sv_4k", &sv, &kinds);
     bench_summarize(c, "summarize_fc_7b", &fc, &kinds);
+    // SV at 4K tokens for GQA group 8 with the row-reuse mapping, as DCS
+    // on PIMphony buffers calibrates it: every weight tile fans out over
+    // the accumulators of the queries sharing it.
+    let sv_gqa8 = SvKernel::new(AttentionSpec::gqa(4096, 128, 8), geom);
+    bench_summarize(c, "summarize_sv_4k_gqa8", &sv_gqa8, &[SchedulerKind::Dcs]);
 }
 
 /// One bench group timing `summarize` on `source` per scheduler in

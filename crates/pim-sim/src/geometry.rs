@@ -97,6 +97,22 @@ impl TileCursor {
             self.row = self.row.wrapping_add(1);
         }
     }
+
+    /// Takes the next tiles up to `n`, stopping at the end of the current
+    /// row: returns the first one's `(row, col)` and how many were taken,
+    /// and moves past them. The segment is what `advance` would walk
+    /// through before the row changes.
+    #[inline(always)]
+    pub(crate) fn take_in_row(&mut self, n: u32) -> (u32, u16, u32) {
+        let len = n.min(self.row_tiles - self.col);
+        let (row, col) = self.row_col();
+        self.col += len;
+        if self.col == self.row_tiles {
+            self.col = 0;
+            self.row = self.row.wrapping_add(1);
+        }
+        (row, col, len)
+    }
 }
 
 impl Default for Geometry {
@@ -148,6 +164,32 @@ mod tests {
                 for i in seed..seed + 200 {
                     assert_eq!(cursor.row_col(), g.tile_to_row_col(i), "{row_tiles} {i}");
                     cursor.advance();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_segments_walk_like_the_cursor() {
+        for row_tiles in [1, 6, 32] {
+            let g = Geometry {
+                row_tiles,
+                ..Geometry::baseline()
+            };
+            for seed in [0, 5, 31, 32, 95] {
+                for take in [1, 5, 6, 7, 32, 40] {
+                    let (mut segments, mut cursor) = (g.tile_cursor(seed), g.tile_cursor(seed));
+                    let mut left = 200;
+                    while left > 0 {
+                        let (row, col, len) = segments.take_in_row(take.min(left));
+                        assert!(len > 0 && u32::from(col) + len <= row_tiles);
+                        for i in 0..len as u16 {
+                            assert_eq!(cursor.row_col(), (row, col + i), "{row_tiles} {seed}");
+                            cursor.advance();
+                        }
+                        assert_eq!(segments, cursor);
+                        left -= len;
+                    }
                 }
             }
         }

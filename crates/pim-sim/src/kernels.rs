@@ -13,17 +13,20 @@
 //! processed before switching DRAM rows, trading extra `WR-INP` traffic for
 //! ACT/PRE savings — the exact trade-off DCS unlocks (Fig. 9).
 //!
-//! Each builder is a [`CommandSource`]: its `emit` produces the commands
-//! one at a time, and `stream()` collects them into a [`CommandStream`].
-//! [`crate::summarize`] consumes `emit` directly, so calibration never
-//! stores a stream. Every `MAC` run an `emit` walks (a group block, a
-//! chunk, a run of token groups) covers consecutive weight tiles, so
-//! each run seeds one tile cursor and steps it per `MAC` instead of
-//! dividing its tile index.
+//! Each builder is a [`CommandSource`]: its `emit` produces `WR-INP`s,
+//! `RD-OUT`s and [`MacRun`]s, and `stream()` collects them into a
+//! [`CommandStream`], one command per `MAC`. [`crate::summarize`]
+//! consumes `emit` directly, so calibration never stores a stream. Every
+//! `MAC` sequence an `emit` walks (a group, a chunk, or one tile shared
+//! by a group's queries) is one run per DRAM row it touches: the
+//! consecutive tiles of a group or chunk into one accumulator, cut where
+//! a tile cursor's row ends, or one tile fanned out over consecutive
+//! accumulators. The schedulers then issue a run's later `MAC`s without
+//! a general issue step.
 
 use crate::functional::FunctionalChannel;
-use crate::geometry::Geometry;
-use crate::sched::CommandSource;
+use crate::geometry::{Geometry, TileCursor};
+use crate::sched::{CommandSource, MacRun, SourceItem};
 use pim_isa::command::{CommandKind, CommandStream};
 
 fn div_ceil_u32(a: u32, b: u32) -> u32 {
@@ -35,12 +38,35 @@ fn collect(kernel: &impl CommandSource, count: usize) -> CommandStream {
     let mut s = CommandStream::with_capacity(count);
     kernel.emit(
         #[inline(always)]
-        |kind| {
-            s.push_next(kind);
+        |item| {
+            item.for_each_command(|kind| {
+                s.push_next(kind);
+            })
         },
     );
     debug_assert_eq!(s.len(), count);
     s
+}
+
+/// Emits `n` `MAC`s over the consecutive tiles from `tile` into
+/// accumulator `out_idx`, reading GBuf entries `gbuf_idx..`: one
+/// [`MacRun::accumulate`] per DRAM row the tiles touch.
+#[inline(always)]
+fn accumulate(
+    f: &mut impl FnMut(SourceItem),
+    tile: &mut TileCursor,
+    mut gbuf_idx: u16,
+    out_idx: u16,
+    mut n: u32,
+) {
+    while n > 0 {
+        let (row, col, len) = tile.take_in_row(n);
+        f(SourceItem::Macs(MacRun::accumulate(
+            gbuf_idx, row, col, out_idx, len,
+        )));
+        gbuf_idx = gbuf_idx.wrapping_add(len as u16);
+        n -= len;
+    }
 }
 
 /// Shape of a dense GEMV.
@@ -212,7 +238,7 @@ impl CommandSource for GemvKernel {
     /// once; every group produces a *partial* sum per chunk that is
     /// drained to the GPR and accumulated by the EPU — trading extra
     /// `RD-OUT`s for input reuse.
-    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+    fn emit(&self, mut f: impl FnMut(SourceItem)) {
         let g = &self.geometry;
         let in_tiles = self.in_tiles();
         let n_groups = self.n_groups();
@@ -220,7 +246,7 @@ impl CommandSource for GemvKernel {
         if self.input_fits() {
             let block = g.out_entries.min(n_groups).max(1);
             for t in 0..in_tiles {
-                f(CommandKind::WrInp {
+                f(SourceItem::WrInp {
                     gbuf_idx: t as u16,
                     gpr_addr: t * 32,
                 });
@@ -231,19 +257,10 @@ impl CommandSource for GemvKernel {
                 // The block's groups are laid out back to back.
                 let mut tile = g.tile_cursor(self.tile_index(gb_start, 0));
                 for grp in gb_start..gb_end {
-                    for t in 0..in_tiles {
-                        let (row, col) = tile.row_col();
-                        tile.advance();
-                        f(CommandKind::Mac {
-                            gbuf_idx: t as u16,
-                            row,
-                            col,
-                            out_idx: (grp - gb_start) as u16,
-                        });
-                    }
+                    accumulate(&mut f, &mut tile, 0, (grp - gb_start) as u16, in_tiles);
                 }
                 for grp in gb_start..gb_end {
-                    f(CommandKind::RdOut {
+                    f(SourceItem::RdOut {
                         out_idx: (grp - gb_start) as u16,
                         gpr_addr: grp * 32,
                     });
@@ -258,7 +275,7 @@ impl CommandSource for GemvKernel {
             while chunk_start < in_tiles {
                 let chunk_end = (chunk_start + chunk_cap).min(in_tiles);
                 for t in chunk_start..chunk_end {
-                    f(CommandKind::WrInp {
+                    f(SourceItem::WrInp {
                         gbuf_idx: (t - chunk_start) as u16,
                         gpr_addr: t * 32,
                     });
@@ -266,17 +283,8 @@ impl CommandSource for GemvKernel {
                 // The chunk's tiles are blocked group by group.
                 let mut tile = g.tile_cursor(self.tile_index(0, chunk_start));
                 for grp in 0..n_groups {
-                    for t in chunk_start..chunk_end {
-                        let (row, col) = tile.row_col();
-                        tile.advance();
-                        f(CommandKind::Mac {
-                            gbuf_idx: (t - chunk_start) as u16,
-                            row,
-                            col,
-                            out_idx: slot,
-                        });
-                    }
-                    f(CommandKind::RdOut {
+                    accumulate(&mut f, &mut tile, 0, slot, chunk_end - chunk_start);
+                    f(SourceItem::RdOut {
                         out_idx: slot,
                         gpr_addr: grp * 32,
                     });
@@ -482,7 +490,7 @@ impl CommandSource for QktKernel {
     /// the row for all queries before moving on; the head-sequential
     /// mapping is one run, sweeping the whole KV per query (rows
     /// re-opened per query when g > 1).
-    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+    fn emit(&self, mut f: impl FnMut(SourceItem)) {
         let g = &self.geometry;
         let in_tiles = self.in_tiles();
         let n_groups = self.n_groups();
@@ -492,7 +500,7 @@ impl CommandSource for QktKernel {
         for (run_start, run_end) in self.group_runs() {
             for q in 0..queries {
                 for t in 0..in_tiles {
-                    f(CommandKind::WrInp {
+                    f(SourceItem::WrInp {
                         gbuf_idx: t as u16,
                         gpr_addr: (q * in_tiles + t) * 32,
                     });
@@ -501,17 +509,8 @@ impl CommandSource for QktKernel {
                 // run's tiles are consecutive.
                 let mut tile = g.tile_cursor(u64::from(run_start) * u64::from(in_tiles));
                 for grp in run_start..run_end {
-                    for t in 0..in_tiles {
-                        let (row, col) = tile.row_col();
-                        tile.advance();
-                        f(CommandKind::Mac {
-                            gbuf_idx: t as u16,
-                            row,
-                            col,
-                            out_idx: out_slot,
-                        });
-                    }
-                    f(CommandKind::RdOut {
+                    accumulate(&mut f, &mut tile, 0, out_slot, in_tiles);
+                    f(SourceItem::RdOut {
                         out_idx: out_slot,
                         gpr_addr: (q * n_groups + grp) * 32,
                     });
@@ -705,7 +704,7 @@ impl CommandSource for SvKernel {
     /// the Global Buffer is split among the `g` queries so that every DRAM
     /// row of the value cache is visited once while all queries' score
     /// chunks are multiplied against it.
-    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+    fn emit(&self, mut f: impl FnMut(SourceItem)) {
         let g = &self.geometry;
         let queries = self.spec.group_size;
         if self.query_sequential() {
@@ -732,18 +731,19 @@ impl CommandSource for SvKernel {
             let mut qs: Vec<u32> = pair_block.iter().map(|&(_, q)| q).collect();
             qs.sort_unstable();
             qs.dedup();
-            // Each accumulator's GBuf slot base (its query's partition).
-            let slot_base: Vec<u32> = pair_block
-                .iter()
-                .map(|&(_, q)| qs.partition_point(|&x| x < q) as u32 * slots_per_q)
-                .collect();
             // Pairs are group-major, so each group's accumulators are one
-            // contiguous run of OBuf slots, in ascending group order.
-            let mut grp_runs: Vec<(u32, usize, usize)> = Vec::new();
-            for (slot, &(grp, _)) in pair_block.iter().enumerate() {
+            // contiguous run of OBuf slots, in ascending group order, and
+            // hold consecutive queries, whose GBuf partitions are
+            // consecutive too: `(grp, first slot, slots, first
+            // partition's base)`.
+            let mut grp_runs: Vec<(u32, u16, u32, u32)> = Vec::new();
+            for (slot, &(grp, q)) in pair_block.iter().enumerate() {
                 match grp_runs.last_mut() {
-                    Some((g_run, _, end)) if *g_run == grp => *end = slot + 1,
-                    _ => grp_runs.push((grp, slot, slot + 1)),
+                    Some((g_run, _, len, _)) if *g_run == grp => *len += 1,
+                    _ => {
+                        let base = qs.partition_point(|&x| x < q) as u32 * slots_per_q;
+                        grp_runs.push((grp, slot as u16, 1, base));
+                    }
                 }
             }
             let mut chunk_start = 0;
@@ -751,7 +751,7 @@ impl CommandSource for SvKernel {
                 let chunk_end = (chunk_start + slots_per_q).min(in_tiles);
                 for (qi, &q) in qs.iter().enumerate() {
                     for t in chunk_start..chunk_end {
-                        f(CommandKind::WrInp {
+                        f(SourceItem::WrInp {
                             gbuf_idx: (qi as u32 * slots_per_q + (t - chunk_start)) as u16,
                             gpr_addr: (q * in_tiles + t) * 32,
                         });
@@ -760,26 +760,26 @@ impl CommandSource for SvKernel {
                 // Group-outer, tile, then queries: every weight tile is
                 // read once per chunk for all queries sharing it, and rows
                 // advance monotonically (the row-reuse mapping).
-                for &(grp, first, end) in &grp_runs {
+                for &(grp, first, len, base) in &grp_runs {
                     let tile_idx = u64::from(grp) * u64::from(in_tiles) + u64::from(chunk_start);
                     let mut tile = g.tile_cursor(tile_idx);
                     for t in chunk_start..chunk_end {
                         let (row, col) = tile.row_col();
                         tile.advance();
-                        for (slot, &base) in (first..end).zip(&slot_base[first..end]) {
-                            f(CommandKind::Mac {
-                                gbuf_idx: (base + (t - chunk_start)) as u16,
-                                row,
-                                col,
-                                out_idx: slot as u16,
-                            });
-                        }
+                        f(SourceItem::Macs(MacRun::fan_out(
+                            (base + (t - chunk_start)) as u16,
+                            slots_per_q as u16,
+                            row,
+                            col,
+                            first,
+                            len,
+                        )));
                     }
                 }
                 chunk_start = chunk_end;
             }
             for (slot, &(grp, q)) in pair_block.iter().enumerate() {
-                f(CommandKind::RdOut {
+                f(SourceItem::RdOut {
                     out_idx: slot as u16,
                     gpr_addr: (q * n_groups + grp) * 32,
                 });
@@ -809,7 +809,7 @@ impl AnyKernel {
 
 #[cfg(test)]
 impl CommandSource for AnyKernel {
-    fn emit(&self, f: impl FnMut(CommandKind)) {
+    fn emit(&self, f: impl FnMut(SourceItem)) {
         match self {
             AnyKernel::Qkt(k) => k.emit(f),
             AnyKernel::Sv(k) => k.emit(f),
@@ -1417,6 +1417,58 @@ mod tests {
             assert_eq!(
                 k.stream().len(),
                 k.command_count(),
+                "gemv {spec:?} {geom:?}"
+            );
+        }
+    }
+
+    /// Expands what `kernel` emits into commands, checking that every
+    /// run holds at least one `MAC`, stays inside one row of `g`, and
+    /// has one of the two shapes: consecutive tiles into one
+    /// accumulator, or one tile over consecutive accumulators.
+    fn expand_checked(kernel: &impl CommandSource, g: &Geometry) -> CommandStream {
+        let mut s = CommandStream::new();
+        kernel.emit(|item| {
+            if let SourceItem::Macs(run) = item {
+                let steps = (run.gbuf_step, run.col_step, run.out_step);
+                assert!(run.len >= 1, "{run:?}");
+                assert!(
+                    steps == (1, 1, 0) || steps.1 == 0 && steps.2 == 1,
+                    "{run:?}"
+                );
+                let last_col = u32::from(run.col) + (run.len - 1) * u32::from(run.col_step);
+                assert!(last_col < g.row_tiles, "{run:?} {g:?}");
+            }
+            item.for_each_command(|kind| {
+                s.push_next(kind);
+            });
+        });
+        s
+    }
+
+    #[test]
+    fn emitted_runs_expand_to_the_stream() {
+        for (geom, spec) in attention_grid() {
+            if qkt_fits(&geom, &spec) {
+                let k = QktKernel::new(spec, geom);
+                assert_eq!(
+                    expand_checked(&k, &geom),
+                    k.stream(),
+                    "qkt {spec:?} {geom:?}"
+                );
+            }
+            let k = SvKernel::new(spec, geom);
+            assert_eq!(
+                expand_checked(&k, &geom),
+                k.stream(),
+                "sv {spec:?} {geom:?}"
+            );
+        }
+        for (geom, spec) in gemv_grid() {
+            let k = GemvKernel::new(spec, geom);
+            assert_eq!(
+                expand_checked(&k, &geom),
+                k.stream(),
                 "gemv {spec:?} {geom:?}"
             );
         }

@@ -16,8 +16,10 @@
 //!   calibration uses [`summarize`].
 //! * [`kernels`] — command-stream builders for GEMV, `QKᵀ` and `SV`,
 //!   including the GQA row-reuse mapping. Each is a [`CommandSource`]
-//!   whose `emit` produces its commands one at a time; `stream()`
-//!   collects them.
+//!   whose `emit` produces `WR-INP`s, `RD-OUT`s and [`MacRun`]s, runs
+//!   of back-to-back `MAC`s on one DRAM row, which the schedulers
+//!   advance without a general issue step per `MAC`; `stream()`
+//!   collects them one command per `MAC`.
 //! * [`functional`] — value-level execution proving kernels compute
 //!   correct results independent of the scheduler.
 //! * [`checker`] — a hazard replay checker proving schedules are safe.
@@ -55,5 +57,5 @@ pub mod timing;
 
 pub use geometry::Geometry;
 pub use report::{Breakdown, CommandTiming, ExecutionReport, ScheduleSummary};
-pub use sched::{schedule, summarize, CommandSource, SchedulerKind};
+pub use sched::{schedule, summarize, CommandSource, MacRun, SchedulerKind, SourceItem};
 pub use timing::Timing;

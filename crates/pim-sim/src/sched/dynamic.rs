@@ -29,8 +29,20 @@
 //! access, so the pass never branches on how a region was used. The pass
 //! is compiled once per [`Tracking`], each with its own D-Table type, so
 //! it never branches on the granularity either. The same pass writes the
-//! I/O and compute queues as compact entries that carry all the issue
-//! loop reads, so the loop never looks at the commands again.
+//! I/O queue as compact entries and the compute queue as one entry per
+//! [`MacRun`](super::MacRun), which carry all the issue loop reads, so
+//! the loop never looks at the commands again. A run's entry holds its
+//! first `MAC`'s words. A later `MAC`'s words are stored, in a side list
+//! in program order, only if one of them can hold it past the cycle the
+//! bus frees: a GBuf word (a `WR-INP`'s completion) or an OBuf word that
+//! is a drain's completion. An OBuf word pipelined on a `MAC` (the
+//! previous one of the run, or one an earlier run left on the
+//! accumulator) is dropped. That `MAC` issued earlier from the same
+//! in-order queue, so its release, issue + `t_CCDS`, is never past the
+//! cycle the bus frees. When the `MAC` does stall, its GBuf word or its
+//! row binds, and the attribution picks the same category for any OBuf
+//! release at or before that cycle, so dropping the word changes no
+//! timing and no stall.
 //!
 //! The issue loop then plays the S-Table. Each command owns one row of a
 //! release table, `[complete, issue + t_CCDS]`, so a dependency word *is*
@@ -40,16 +52,26 @@
 //! `u64::MAX`. [`DynamicScheduler::run`] reads the per-command timings
 //! back out of the table; [`DynamicScheduler::summarize`] drops it.
 //!
+//! A run's first `MAC` issues through the general step, which weighs both
+//! queue heads. Each later `MAC` whose row and stored words are released
+//! by the time the bus frees is ready exactly then. It wins the pick
+//! without the I/O head being weighed, because ties go to compute and the
+//! I/O head is never ready before the bus frees. So the loop issues it at
+//! once, past refresh, with no stall to attribute, and moves on to the
+//! next. The first `MAC` that must wait becomes the compute queue's head,
+//! its entry rewritten in place to start there with its own words, and
+//! goes back to the general step.
+//!
 //! The queues and the table live in one per-thread scratch that every run
 //! on the thread reuses, never in the scheduler: kernel calibration
 //! makes thousands of runs, and per-run buffers would be allocated and
 //! faulted in afresh each time.
 
-use super::{CommandSource, Issuer};
+use super::{CommandSource, Issuer, SourceItem};
 use crate::geometry::Geometry;
 use crate::report::{CommandTiming, ExecutionReport, ScheduleSummary};
 use crate::timing::Timing;
-use pim_isa::command::{CommandKind, CommandStream};
+use pim_isa::command::CommandStream;
 use std::cell::Cell;
 
 /// Dependency-tracking granularity.
@@ -84,6 +106,10 @@ fn dep_word(producer: u32, rule: u32) -> u32 {
     ((producer + 1) << 1) | rule
 }
 
+/// The `[GBuf, OBuf]` words the issue loop uses for a run's later `MAC`
+/// when none are stored: nothing to wait for but the bus (module docs).
+const IMPLIED: [u32; 2] = [NO_DEP; 2];
+
 /// An I/O queue entry: the command's one dependency word (GBuf for a
 /// `WR-INP`, OBuf for an `RD-OUT`) and `index << 1 | is_rd_out`.
 #[derive(Debug, Clone, Copy)]
@@ -92,20 +118,31 @@ struct IoEntry {
     tag: u32,
 }
 
-/// A compute queue entry: the `MAC`'s `[GBuf, OBuf]` dependency words,
-/// its DRAM row and its command index.
+/// A compute queue entry for one [`MacRun`](super::MacRun): its first
+/// `MAC`'s `[GBuf, OBuf]` dependency words, its DRAM row, its first
+/// command index and its length.
 #[derive(Debug, Clone, Copy)]
-struct MacEntry {
+struct RunEntry {
     deps: [u32; 2],
     row: u32,
     index: u32,
+    len: u32,
+}
+
+/// The dependency words of a run's later `MAC` that are not implied.
+#[derive(Debug, Clone, Copy)]
+struct MacDeps {
+    index: u32,
+    deps: [u32; 2],
 }
 
 /// The queues and release table of one run, reused across runs.
 #[derive(Debug, Default)]
 struct Scratch {
     io: Vec<IoEntry>,
-    compute: Vec<MacEntry>,
+    compute: Vec<RunEntry>,
+    /// Stored words of runs' later `MAC`s, in program order.
+    explicit: Vec<MacDeps>,
     /// Row `i + 1` is command `i`'s `[complete, issue + t_CCDS]`.
     release: Vec<u64>,
 }
@@ -188,13 +225,16 @@ impl DynamicScheduler {
         let Scratch {
             io,
             compute,
+            explicit,
             release,
         } = scratch;
-        let (mut io_next, mut cp_next) = (0usize, 0usize);
+        // `ex_next` is the first stored word pair not yet read.
+        let (mut io_next, mut cp_next, mut ex_next) = (0usize, 0usize, 0usize);
         let mut core = Issuer::new(&t);
         let mut bus_free: u64 = 0;
 
         while io_next < io.len() || cp_next < compute.len() {
+            core.count_step();
             // Earliest issue of each queue head, with the compute head's
             // gbuf, obuf and row releases. An empty queue or a head
             // blocked on an unissued producer is ready at `NOT_ISSUED`.
@@ -214,13 +254,12 @@ impl DynamicScheduler {
             // Pick the queue whose head is ready first; ties go to compute
             // to keep the MAC pipeline fed. A stall beyond bus
             // availability is attributed to its binding constraint.
-            let (idx, issue, complete) = if cp_ready <= io_ready {
+            if cp_ready <= io_ready {
                 assert!(
                     cp_ready != NOT_ISSUED,
                     "deadlock: both queue heads blocked on unissued producers"
                 );
-                let e = compute[cp_next];
-                cp_next += 1;
+                let run = compute[cp_next];
                 let issue = core.issue_at(cp_ready);
                 let stall = cp_ready.saturating_sub(bus_free);
                 if stall > 0 {
@@ -232,7 +271,50 @@ impl DynamicScheduler {
                         core.breakdown.act_pre += stall;
                     }
                 }
-                (e.index, issue, core.mac(e.row, issue).1)
+                let complete = core.mac(run.row, issue).1;
+                bus_free = issue + t.t_ccds;
+                retire(release, run.index, complete, bus_free);
+                if run.len == 1 {
+                    cp_next += 1;
+                    continue;
+                }
+
+                // The run's later MACs: each issues when the bus frees if
+                // its row and stored words are released by then (module
+                // docs); the first that is not becomes the queue head.
+                let end = run.index + run.len;
+                let mut index = run.index + 1;
+                let row_open = core.row_release(run.row) <= bus_free;
+                loop {
+                    // The MACs before the next stored pair wait for
+                    // nothing but the bus.
+                    let stored = explicit.get(ex_next).map_or(end, |e| e.index.min(end));
+                    if row_open && stored > index {
+                        bus_free = burst(&mut core, &t, release, bus_free, &mut index, stored);
+                    }
+                    if index == end {
+                        cp_next += 1;
+                        break;
+                    }
+                    let deps = if stored == index {
+                        ex_next += 1;
+                        explicit[ex_next - 1].deps
+                    } else {
+                        IMPLIED
+                    };
+                    let [g, o] = deps.map(|d| release[d as usize]);
+                    if !row_open || g.max(o) > bus_free {
+                        compute[cp_next] = RunEntry {
+                            deps,
+                            row: run.row,
+                            index,
+                            len: end - index,
+                        };
+                        break;
+                    }
+                    let stop = index + 1;
+                    bus_free = burst(&mut core, &t, release, bus_free, &mut index, stop);
+                }
             } else {
                 let e = io[io_next];
                 io_next += 1;
@@ -245,16 +327,42 @@ impl DynamicScheduler {
                     core.breakdown.dt_outreg += stall;
                     core.rd_out(issue)
                 };
-                (e.tag >> 1, issue, complete)
-            };
-
-            bus_free = issue + t.t_ccds;
-            let row = 2 * (idx as usize + 1);
-            release[row] = complete;
-            release[row + 1] = bus_free;
+                bus_free = issue + t.t_ccds;
+                retire(release, e.tag >> 1, complete, bus_free);
+            }
         }
         core.finish()
     }
+}
+
+/// Issues `MAC`s `*index..stop` of a run on its open row, the first when
+/// the bus frees at `bus_free` and each later one when it frees again,
+/// writing their release rows and advancing `*index` to `stop`; returns
+/// when the bus frees after the last.
+#[inline(always)]
+fn burst(
+    core: &mut Issuer,
+    t: &Timing,
+    release: &mut [u64],
+    bus_free: u64,
+    index: &mut u32,
+    stop: u32,
+) -> u64 {
+    let Timing { t_ccds, t_mac, .. } = *t;
+    let last = core.mac_burst(bus_free, stop - *index, |issue| {
+        retire(release, *index, issue + t_mac, issue + t_ccds);
+        *index += 1;
+    });
+    last + t_ccds
+}
+
+/// Writes command `index`'s release row: its completion and the cycle
+/// the bus frees after its issue.
+#[inline(always)]
+fn retire(release: &mut [u64], index: u32, complete: u64, bus_free: u64) {
+    let row = 2 * (index as usize + 1);
+    release[row] = complete;
+    release[row + 1] = bus_free;
 }
 
 /// The D-Table: per tracked region, the word each kind of consumer takes
@@ -266,6 +374,31 @@ trait DTable {
     fn gbuf(&mut self, entry: u16) -> &mut [u32; 2];
     /// The OBuf region holding `entry`.
     fn obuf(&mut self, entry: u16) -> &mut [u32; 2];
+
+    /// Records `MAC` `idx` reading GBuf entry `gbuf_idx`; returns its
+    /// GBuf dependency word.
+    #[inline(always)]
+    fn mac_gbuf(&mut self, idx: u32, gbuf_idx: u16) -> u32 {
+        let gbuf = self.gbuf(gbuf_idx);
+        let dep = gbuf[1];
+        // A write to the tile (WAR) waits for this read to complete; a
+        // later read needs nothing.
+        *gbuf = [dep_word(idx, COMPLETION), NO_DEP];
+        dep
+    }
+
+    /// Records `MAC` `idx` accumulating into output entry `out_idx`;
+    /// returns its OBuf dependency word.
+    #[inline(always)]
+    fn mac_obuf(&mut self, idx: u32, out_idx: u16) -> u32 {
+        let obuf = self.obuf(out_idx);
+        let dep = obuf[0];
+        // The next MAC on the accumulator chains at `t_CCDS` (the is-MAC
+        // fast path); a drain (RAW) waits for the accumulation to
+        // complete.
+        *obuf = [dep_word(idx, ISSUE_PLUS_CCDS), dep_word(idx, COMPLETION)];
+        dep
+    }
 }
 
 /// [`Tracking::PerEntry`]: one region per buffer entry.
@@ -330,66 +463,83 @@ impl DTable for PerHalfTable {
 
 /// [`DynamicScheduler::prepare`]'s walk over one D-Table type.
 fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table: impl DTable) {
-    let Scratch { io, compute, .. } = scratch;
+    let Scratch {
+        io,
+        compute,
+        explicit,
+        ..
+    } = scratch;
     io.clear();
     compute.clear();
+    explicit.clear();
     let mut n = 0usize;
+    // The index of the next command, with room for `count` commands.
+    let mut take = |count: u32| {
+        assert!(
+            n + count as usize <= MAX_COMMANDS,
+            "dependency words index commands in 31 bits"
+        );
+        let idx = n as u32;
+        n += count as usize;
+        idx
+    };
 
     source.emit(
         #[inline(always)]
-        |kind| {
-            assert!(
-                n < MAX_COMMANDS,
-                "dependency words index commands in 31 bits"
-            );
-            let idx = n as u32;
-            n += 1;
-            let completion = dep_word(idx, COMPLETION);
-            let pipelined = dep_word(idx, ISSUE_PLUS_CCDS);
-            match kind {
-                CommandKind::WrInp { gbuf_idx, .. } => {
-                    let region = table.gbuf(gbuf_idx);
-                    io.push(IoEntry {
-                        dep: region[0],
-                        tag: idx << 1,
-                    });
-                    // Write-after-write streams over the pipelined
-                    // data bus; a MAC reading the tile (RAW) waits
-                    // until it is fully written.
-                    *region = [pipelined, completion];
+        |item| match item {
+            SourceItem::WrInp { gbuf_idx, .. } => {
+                let idx = take(1);
+                let region = table.gbuf(gbuf_idx);
+                io.push(IoEntry {
+                    dep: region[0],
+                    tag: idx << 1,
+                });
+                // Write-after-write streams over the pipelined data bus;
+                // a MAC reading the tile (RAW) waits until it is fully
+                // written.
+                *region = [dep_word(idx, ISSUE_PLUS_CCDS), dep_word(idx, COMPLETION)];
+            }
+            SourceItem::Macs(run) => {
+                if run.len == 0 {
+                    return;
                 }
-                CommandKind::Mac {
-                    gbuf_idx,
-                    row,
-                    out_idx,
-                    ..
-                } => {
-                    let gbuf = table.gbuf(gbuf_idx);
-                    let gbuf_dep = gbuf[1];
-                    // A write to the tile (WAR) waits for this read to
-                    // complete; a later read needs nothing.
-                    *gbuf = [completion, NO_DEP];
-                    let obuf = table.obuf(out_idx);
-                    compute.push(MacEntry {
-                        deps: [gbuf_dep, obuf[0]],
-                        row,
-                        index: idx,
-                    });
-                    // The next MAC on the accumulator chains at
-                    // `t_CCDS` (the is-MAC fast path); a drain (RAW)
-                    // waits for the accumulation to complete.
-                    *obuf = [pipelined, completion];
+                let first = take(run.len);
+                let (mut g, mut o) = (run.gbuf_idx, run.out_idx);
+                compute.push(RunEntry {
+                    deps: [table.mac_gbuf(first, g), table.mac_obuf(first, o)],
+                    row: run.row,
+                    index: first,
+                    len: run.len,
+                });
+                // A later MAC's words are stored only if it may wait for
+                // more than the bus. An OBuf word pipelined on a MAC is
+                // released by then (module docs), so it counts as none.
+                for idx in first + 1..first + run.len {
+                    g = g.wrapping_add(run.gbuf_step);
+                    o = o.wrapping_add(run.out_step);
+                    let g_dep = table.mac_gbuf(idx, g);
+                    let o_dep = match table.mac_obuf(idx, o) {
+                        chained if chained & ISSUE_PLUS_CCDS != 0 => NO_DEP,
+                        dep => dep,
+                    };
+                    if [g_dep, o_dep] != IMPLIED {
+                        explicit.push(MacDeps {
+                            index: idx,
+                            deps: [g_dep, o_dep],
+                        });
+                    }
                 }
-                CommandKind::RdOut { out_idx, .. } => {
-                    let region = table.obuf(out_idx);
-                    io.push(IoEntry {
-                        dep: region[1],
-                        tag: idx << 1 | 1,
-                    });
-                    // Re-accumulating waits for the drain to complete;
-                    // back-to-back drains pipeline on the bus.
-                    *region = [completion, pipelined];
-                }
+            }
+            SourceItem::RdOut { out_idx, .. } => {
+                let idx = take(1);
+                let region = table.obuf(out_idx);
+                io.push(IoEntry {
+                    dep: region[1],
+                    tag: idx << 1 | 1,
+                });
+                // Re-accumulating waits for the drain to complete;
+                // back-to-back drains pipeline on the bus.
+                *region = [dep_word(idx, COMPLETION), dep_word(idx, ISSUE_PLUS_CCDS)];
             }
         },
     );
@@ -402,6 +552,8 @@ fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::MacRun;
+    use pim_isa::command::CommandKind;
     use pim_isa::PimCommand;
 
     /// Differential oracle: the per-command scheduler loop exactly as it
@@ -821,7 +973,7 @@ mod tests {
             ..Timing::aimx_no_refresh()
         };
         let g = Geometry::pimphony();
-        let stat = crate::sched::StaticScheduler::new(t, g).run(&s);
+        let stat = crate::sched::StaticScheduler::new(t).run(&s);
         let dyn_ = DynamicScheduler::new(t, g, Tracking::PerEntry).run(&s);
         assert!(
             dyn_.cycles < stat.cycles,
@@ -851,7 +1003,7 @@ mod tests {
                 id += 1;
             }
         }
-        let stat = crate::sched::StaticScheduler::new(t, g).run(&s);
+        let stat = crate::sched::StaticScheduler::new(t).run(&s);
         let pp = DynamicScheduler::new(t, g, Tracking::PerHalf).run(&s);
         let dcs = DynamicScheduler::new(t, g, Tracking::PerEntry).run(&s);
         assert!(
@@ -1052,6 +1204,149 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A test source of random items: `MAC` runs of both shapes, from one
+    /// `MAC` to more than a row's tiles, that change rows, and `WR-INP`s
+    /// and `RD-OUT`s between runs that often touch the entries the last
+    /// run used.
+    struct RandomRuns(Vec<SourceItem>);
+
+    impl CommandSource for RandomRuns {
+        fn emit(&self, mut f: impl FnMut(SourceItem)) {
+            self.0.iter().for_each(|&item| f(item));
+        }
+    }
+
+    impl RandomRuns {
+        fn new(rng: &mut SplitMix, g: &Geometry) -> Self {
+            let (gbuf, out) = (u64::from(g.gbuf_entries), u64::from(g.out_entries));
+            let rows = 1 + rng.below(5) as u32;
+            let mut tile = g.tile_cursor(0);
+            let mut items = Vec::new();
+            // The last run's first and last GBuf and OBuf entries.
+            let mut touched = [0u16; 4];
+            for _ in 0..1 + rng.below(300) {
+                let pick = rng.below(10);
+                let entry = |rng: &mut SplitMix, n: u64, near: [u16; 2]| match rng.below(3) {
+                    0 => rng.below(n) as u16,
+                    i => near[i as usize - 1],
+                };
+                if pick < 2 {
+                    let gbuf_idx = entry(rng, gbuf, [touched[0], touched[1]]);
+                    items.push(SourceItem::WrInp {
+                        gbuf_idx,
+                        gpr_addr: 0,
+                    });
+                } else if pick < 4 {
+                    let out_idx = entry(rng, out, [touched[2], touched[3]]);
+                    items.push(SourceItem::RdOut {
+                        out_idx,
+                        gpr_addr: 0,
+                    });
+                } else {
+                    if rng.below(4) == 0 {
+                        let row = rng.below(u64::from(rows));
+                        let col = rng.below(u64::from(g.row_tiles));
+                        tile = g.tile_cursor(row * u64::from(g.row_tiles) + col);
+                    }
+                    let (run_gbuf, run_out) = if pick < 7 {
+                        // Consecutive tiles into one accumulator, cut where
+                        // the row ends, as the builders cut them.
+                        let n = 1 + rng.below(gbuf.min(u64::from(g.row_tiles) * 3 / 2 + 2));
+                        let g0 = rng.below(gbuf - n + 1) as u16;
+                        let o = rng.below(out) as u16;
+                        let mut left = n as u32;
+                        while left > 0 {
+                            let (row, col, len) = tile.take_in_row(left);
+                            let g = g0 + (n as u32 - left) as u16;
+                            items.push(SourceItem::Macs(MacRun::accumulate(g, row, col, o, len)));
+                            left -= len;
+                        }
+                        ((g0, g0 + n as u16 - 1), (o, o))
+                    } else {
+                        // One tile over consecutive accumulators.
+                        let n = 1 + rng.below(out);
+                        let o0 = rng.below(out - n + 1) as u16;
+                        // Every entry `g0 + k·stride` stays inside the GBuf.
+                        let stride = rng.below((gbuf - 1) / (n - 1).max(1) + 1);
+                        let g0 = rng.below(gbuf - stride * (n - 1)) as u16;
+                        let (row, col) = tile.row_col();
+                        tile.advance();
+                        let run = MacRun::fan_out(g0, stride as u16, row, col, o0, n as u32);
+                        items.push(SourceItem::Macs(run));
+                        let g_last = g0 + (stride * (n - 1)) as u16;
+                        ((g0, g_last), (o0, o0 + n as u16 - 1))
+                    };
+                    touched = [run_gbuf.0, run_gbuf.1, run_out.0, run_out.1];
+                }
+            }
+            RandomRuns(items)
+        }
+
+        /// The commands the items stand for, one per `MAC`.
+        fn stream(&self) -> CommandStream {
+            let mut s = CommandStream::new();
+            self.emit(|item| {
+                item.for_each_command(|kind| {
+                    s.push_next(kind);
+                })
+            });
+            s
+        }
+    }
+
+    #[test]
+    fn runs_schedule_exactly_as_their_commands() {
+        let mut rng = SplitMix(0x5EED_0025);
+        let wide = Geometry {
+            row_tiles: 4,
+            ..Geometry::pimphony()
+        };
+        let odd = Geometry {
+            banks: 4,
+            gbuf_entries: 10,
+            out_entries: 3,
+            row_tiles: 6,
+            elems_per_tile: 4,
+        };
+        // Schedules in which runs advanced without a general step, and in
+        // which they also crossed refresh windows.
+        let (mut in_runs, mut refreshed) = (0u32, 0u32);
+        for case in 0..150 {
+            // A refresh interval of a few cycles lands windows inside
+            // runs; `t_CCDS = 0` issues a whole run at once.
+            let refi = 3 + rng.below(40);
+            let tiny = Timing {
+                t_ccds: rng.below(4),
+                t_refi: refi,
+                t_rfc: 1 + rng.below(refi - 1),
+                ..random_timing(&mut rng)
+            };
+            let random = random_timing(&mut rng);
+            for geom in [Geometry::baseline(), Geometry::pimphony(), wide, odd] {
+                let source = RandomRuns::new(&mut rng, &geom);
+                let stream = source.stream();
+                for timing in [Timing::aimx(), random, tiny] {
+                    for kind in crate::SchedulerKind::ALL {
+                        let got = crate::summarize(&source, kind, &timing, &geom);
+                        let work = crate::sched::WORK.get();
+                        let want = crate::schedule(&stream, kind, &timing, &geom).summary();
+                        assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
+                        let tracking = match kind {
+                            crate::SchedulerKind::Static => continue,
+                            crate::SchedulerKind::PingPong => Tracking::PerHalf,
+                            crate::SchedulerKind::Dcs => Tracking::PerEntry,
+                        };
+                        let oracle = oracle::Oracle::new(timing, geom, tracking).run(&stream);
+                        assert_eq!(got, oracle.summary(), "oracle: case {case} {kind}");
+                        in_runs += u32::from(work.run_macs > 0);
+                        refreshed += u32::from(work.run_macs > 0 && got.refresh_events > 0);
+                    }
+                }
+            }
+        }
+        assert!(in_runs >= 500 && refreshed >= 300, "{in_runs} {refreshed}");
     }
 
     #[test]

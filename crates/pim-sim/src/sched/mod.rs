@@ -23,6 +23,18 @@
 //! [`summarize`] keeps only the scalar results and takes its commands
 //! from any [`CommandSource`], so a kernel builder can feed it without
 //! materializing a [`CommandStream`].
+//!
+//! A source emits `WR-INP`s, `RD-OUT`s and [`MacRun`]s: `MAC`s on one
+//! DRAM row that issue back to back in program order. A run's first
+//! `MAC` takes the loop's general issue step. A later one follows a
+//! `MAC` on its open row, so the static controller issues it `t_CCDS`
+//! after the previous one's start, delayed only by refresh, and advances
+//! the whole run from one refresh window to the next in closed form. DCS
+//! and ping-pong issue it when the bus frees, without weighing the I/O
+//! queue, as long as nothing else holds it. A [`CommandStream`] emits
+//! each `MAC` as a run of one, so [`schedule`] takes the general step for
+//! every command, and per-command timings and the stall attribution are
+//! the same on both entry points.
 
 mod dynamic;
 mod static_sched;
@@ -93,7 +105,7 @@ pub fn schedule(
     geometry: &Geometry,
 ) -> ExecutionReport {
     match kind {
-        SchedulerKind::Static => StaticScheduler::new(*timing, *geometry).run(stream),
+        SchedulerKind::Static => StaticScheduler::new(*timing).run(stream),
         SchedulerKind::PingPong => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerHalf).run(stream)
         }
@@ -127,7 +139,7 @@ pub fn summarize(
     geometry: &Geometry,
 ) -> ScheduleSummary {
     match kind {
-        SchedulerKind::Static => StaticScheduler::new(*timing, *geometry).summarize(source),
+        SchedulerKind::Static => StaticScheduler::new(*timing).summarize(source),
         SchedulerKind::PingPong => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerHalf).summarize(source)
         }
@@ -141,14 +153,169 @@ pub fn summarize(
 /// [`CommandStream`], or a kernel builder that emits its commands
 /// without storing them.
 pub trait CommandSource {
-    /// Calls `f` with the kind of each command, in program order.
-    fn emit(&self, f: impl FnMut(CommandKind));
+    /// Calls `f` with each item in program order: a `WR-INP`, an
+    /// `RD-OUT`, or a [`MacRun`] of back-to-back `MAC`s.
+    fn emit(&self, f: impl FnMut(SourceItem));
 }
 
 impl CommandSource for CommandStream {
-    fn emit(&self, mut f: impl FnMut(CommandKind)) {
+    /// Emits each command on its own; a `MAC` is a run of one.
+    fn emit(&self, mut f: impl FnMut(SourceItem)) {
         for cmd in self {
-            f(cmd.kind);
+            f(SourceItem::from(cmd.kind));
+        }
+    }
+}
+
+/// One item of a [`CommandSource`]: an I/O command, or a run of `MAC`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SourceItem {
+    /// Write one input tile into GBuf entry `gbuf_idx`.
+    WrInp {
+        /// Destination Global Buffer entry.
+        gbuf_idx: u16,
+        /// Source GPR address.
+        gpr_addr: u32,
+    },
+    /// Drain output entry `out_idx`.
+    RdOut {
+        /// Source output register/buffer entry.
+        out_idx: u16,
+        /// Destination GPR address.
+        gpr_addr: u32,
+    },
+    /// `MAC`s that issue back to back in program order on one row.
+    Macs(MacRun),
+}
+
+impl SourceItem {
+    /// Calls `f` with each command this item stands for, in program
+    /// order.
+    #[inline(always)]
+    pub fn for_each_command(self, mut f: impl FnMut(CommandKind)) {
+        match self {
+            SourceItem::WrInp { gbuf_idx, gpr_addr } => {
+                f(CommandKind::WrInp { gbuf_idx, gpr_addr })
+            }
+            SourceItem::RdOut { out_idx, gpr_addr } => f(CommandKind::RdOut { out_idx, gpr_addr }),
+            SourceItem::Macs(run) => run.for_each_command(f),
+        }
+    }
+}
+
+impl From<CommandKind> for SourceItem {
+    /// The item of one command; a `MAC` becomes a run of one.
+    #[inline(always)]
+    fn from(kind: CommandKind) -> Self {
+        match kind {
+            CommandKind::WrInp { gbuf_idx, gpr_addr } => SourceItem::WrInp { gbuf_idx, gpr_addr },
+            CommandKind::RdOut { out_idx, gpr_addr } => SourceItem::RdOut { out_idx, gpr_addr },
+            CommandKind::Mac {
+                gbuf_idx,
+                row,
+                col,
+                out_idx,
+            } => SourceItem::Macs(MacRun::accumulate(gbuf_idx, row, col, out_idx, 1)),
+        }
+    }
+}
+
+/// `len` `MAC`s on DRAM row `row` that issue back to back in program
+/// order. The first reads GBuf entry `gbuf_idx` and column `col` into
+/// output entry `out_idx`; each later one steps the three by
+/// `gbuf_step`, `col_step` and `out_step`.
+///
+/// The kernel builders emit two shapes, each cut at row boundaries:
+/// consecutive tiles into one accumulator ([`MacRun::accumulate`]) and
+/// one tile fanned out over consecutive accumulators
+/// ([`MacRun::fan_out`]). The schedulers issue a run's later `MAC`s
+/// without a general issue step while nothing but the bus holds them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacRun {
+    /// The first `MAC`'s GBuf entry.
+    pub gbuf_idx: u16,
+    /// The run's DRAM row.
+    pub row: u32,
+    /// The first `MAC`'s column.
+    pub col: u16,
+    /// The first `MAC`'s output entry.
+    pub out_idx: u16,
+    /// `MAC`s in the run; an empty run stands for no command.
+    pub len: u32,
+    /// GBuf entry step from one `MAC` to the next.
+    pub gbuf_step: u16,
+    /// Column step from one `MAC` to the next.
+    pub col_step: u16,
+    /// Output entry step from one `MAC` to the next.
+    pub out_step: u16,
+}
+
+impl MacRun {
+    /// `len` consecutive tiles from `(row, col)`, reading consecutive
+    /// GBuf entries from `gbuf_idx`, into the one accumulator `out_idx`.
+    #[inline(always)]
+    pub fn accumulate(gbuf_idx: u16, row: u32, col: u16, out_idx: u16, len: u32) -> Self {
+        MacRun {
+            gbuf_idx,
+            row,
+            col,
+            out_idx,
+            len,
+            gbuf_step: 1,
+            col_step: 1,
+            out_step: 0,
+        }
+    }
+
+    /// The one tile `(row, col)` into `len` consecutive accumulators
+    /// from `out_idx`, the GBuf entry stepping by `gbuf_stride` from
+    /// `gbuf_idx`.
+    #[inline(always)]
+    pub fn fan_out(
+        gbuf_idx: u16,
+        gbuf_stride: u16,
+        row: u32,
+        col: u16,
+        out_idx: u16,
+        len: u32,
+    ) -> Self {
+        MacRun {
+            gbuf_idx,
+            row,
+            col,
+            out_idx,
+            len,
+            gbuf_step: gbuf_stride,
+            col_step: 0,
+            out_step: 1,
+        }
+    }
+
+    /// The run's first `MAC`.
+    #[inline(always)]
+    pub fn first(&self) -> CommandKind {
+        CommandKind::Mac {
+            gbuf_idx: self.gbuf_idx,
+            row: self.row,
+            col: self.col,
+            out_idx: self.out_idx,
+        }
+    }
+
+    /// Calls `f` with each of the run's `MAC`s, in program order.
+    #[inline(always)]
+    pub fn for_each_command(&self, mut f: impl FnMut(CommandKind)) {
+        let (mut gbuf_idx, mut col, mut out_idx) = (self.gbuf_idx, self.col, self.out_idx);
+        for _ in 0..self.len {
+            f(CommandKind::Mac {
+                gbuf_idx,
+                row: self.row,
+                col,
+                out_idx,
+            });
+            gbuf_idx = gbuf_idx.wrapping_add(self.gbuf_step);
+            col = col.wrapping_add(self.col_step);
+            out_idx = out_idx.wrapping_add(self.out_step);
         }
     }
 }
@@ -167,6 +334,8 @@ pub(crate) struct Issuer {
     mac_count: u64,
     rd_out_count: u64,
     row_switches: u64,
+    #[cfg(test)]
+    work: Work,
 }
 
 impl Issuer {
@@ -182,7 +351,29 @@ impl Issuer {
             mac_count: 0,
             rd_out_count: 0,
             row_switches: 0,
+            #[cfg(test)]
+            work: Work::default(),
         }
+    }
+
+    /// Counts one general issue step (test builds only).
+    #[inline(always)]
+    pub(crate) fn count_step(&mut self) {
+        #[cfg(test)]
+        {
+            self.work.steps += 1;
+        }
+    }
+
+    /// Counts `n` `MAC`s advanced inside a run without a general issue
+    /// step (test builds only).
+    #[inline(always)]
+    pub(crate) fn count_run_macs(&mut self, n: u64) {
+        #[cfg(test)]
+        {
+            self.work.run_macs += n;
+        }
+        let _ = n;
     }
 
     /// Earliest issue a `MAC` on `row` may take for the row's sake: when
@@ -244,6 +435,41 @@ impl Issuer {
         (start, self.retire(start + t.t_mac))
     }
 
+    /// Issues `m` more `MAC`s on the open row after one that started at
+    /// `start`, each `t_CCDS` after the previous one's issue and pushed
+    /// only past refresh windows (the static controller's same-type
+    /// pipelining); returns the last one's issue, or `start` when `m`
+    /// is 0. The row must have finished opening by `start`.
+    #[inline]
+    pub(crate) fn mac_train(&mut self, start: u64, m: u64) -> u64 {
+        let (last, stall) = self.refresh.adjust_pipelined(start, self.timing.t_ccds, m);
+        self.breakdown.refresh += stall;
+        self.mac_count += m;
+        self.count_run_macs(m);
+        self.retire(last + self.timing.t_mac);
+        last
+    }
+
+    /// Issues `m` `MAC`s on the open row, the first ready at `ready` and
+    /// each later one when the bus frees after the previous one's issue,
+    /// every one pushed only past refresh windows; calls `each` with
+    /// each issue in turn and returns the last. The row must have
+    /// finished opening by `ready`, and `m` must be at least 1.
+    #[inline(always)]
+    pub(crate) fn mac_burst(&mut self, mut ready: u64, m: u32, mut each: impl FnMut(u64)) -> u64 {
+        debug_assert!(m > 0 && self.row_ready <= ready);
+        let mut issue = ready;
+        for _ in 0..m {
+            issue = self.issue_at(ready);
+            each(issue);
+            ready = issue + self.timing.t_ccds;
+        }
+        self.mac_count += u64::from(m);
+        self.count_run_macs(u64::from(m));
+        self.retire(issue + self.timing.t_mac);
+        issue
+    }
+
     #[inline]
     fn retire(&mut self, complete: u64) -> u64 {
         self.makespan = self.makespan.max(complete);
@@ -253,6 +479,8 @@ impl Issuer {
     /// The scalar results: busy MAC time is `n_mac * t_CCDS`, and the
     /// makespan not attributed to any stall is residual pipeline time.
     pub(crate) fn finish(self) -> ScheduleSummary {
+        #[cfg(test)]
+        WORK.with(|w| w.set(self.work));
         let mut breakdown = self.breakdown;
         breakdown.mac = self.mac_count * self.timing.t_ccds;
         let attributed = breakdown.total();
@@ -306,6 +534,49 @@ impl RefreshState {
         }
         t
     }
+
+    /// Issues `m` commands at `t + c`, then each `c` after the previous
+    /// one's issue, every one pushed past the refresh windows it meets:
+    /// exactly `m` calls of [`RefreshState::adjust`], but the commands
+    /// between two windows advance in one step. Returns the last issue
+    /// (`t` when `m` is 0) and the summed refresh stall.
+    pub(crate) fn adjust_pipelined(&mut self, mut t: u64, c: u64, mut m: u64) -> (u64, u64) {
+        let mut stall = 0;
+        while m > 0 {
+            // The commands that issue before the next window: those with
+            // `t + k·c < next`.
+            let clear = if t < self.next {
+                (self.next - t - 1).checked_div(c).map_or(m, |k| k.min(m))
+            } else {
+                0
+            };
+            t += clear * c;
+            m -= clear;
+            if m == 0 {
+                break;
+            }
+            let ready = t + c;
+            t = self.adjust(ready);
+            stall += t - ready;
+            m -= 1;
+        }
+        (t, stall)
+    }
+}
+
+/// Issue work of one schedule, counted in test builds only: general
+/// issue steps, and `MAC`s advanced inside a run without one.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Work {
+    pub steps: u64,
+    pub run_macs: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The [`Work`] of the last schedule finished on this thread.
+    pub(crate) static WORK: std::cell::Cell<Work> = std::cell::Cell::default();
 }
 
 #[cfg(test)]
@@ -337,7 +608,7 @@ mod tests {
             for (label, geom, kernel) in crate::kernels::calibration_kernels() {
                 let stream = kernel.stream();
                 let mut emitted = Vec::new();
-                kernel.emit(|kind| emitted.push(kind));
+                kernel.emit(|item| item.for_each_command(|kind| emitted.push(kind)));
                 assert!(
                     emitted.iter().eq(stream.iter().map(|c| &c.kind)),
                     "emit vs stream: {label}"
@@ -351,6 +622,104 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The general issue steps each scheduler takes, against the `MAC`s
+    /// it advances inside runs, on every kernel shape the `paper_ladder`
+    /// benchmark calibrates: both attention kernels (d_h = 128) at 512
+    /// and 4,096 tokens for groups 1/2/4/8, static on baseline buffers
+    /// without row reuse and DCS on PIMphony buffers with it, and the FC
+    /// GEMVs of its PIM-only cells under both. The counts do not depend
+    /// on the machine, so the work removed from the issue loops is
+    /// pinned exactly.
+    #[test]
+    fn issue_work_is_pinned() {
+        use crate::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
+        const GEMVS: [(u32, u32); 35] = [
+            (1, 8192),
+            (2, 8192),
+            (4, 4096),
+            (4, 8192),
+            (8, 4096),
+            (8, 8192),
+            (8, 24576),
+            (16, 4096),
+            (16, 8192),
+            (16, 12288),
+            (16, 24576),
+            (24, 8192),
+            (32, 4096),
+            (32, 8192),
+            (32, 12288),
+            (32, 24576),
+            (48, 4096),
+            (48, 8192),
+            (64, 4096),
+            (64, 8192),
+            (64, 12288),
+            (64, 24576),
+            (96, 4096),
+            (96, 8192),
+            (128, 4096),
+            (128, 8192),
+            (128, 12288),
+            (128, 24576),
+            (192, 4096),
+            (192, 8192),
+            (256, 8192),
+            (256, 24576),
+            (384, 4096),
+            (384, 8192),
+            (768, 8192),
+        ];
+        let timing = Timing::aimx();
+        let designs = [
+            (SchedulerKind::Static, Geometry::baseline()),
+            (SchedulerKind::Dcs, Geometry::pimphony()),
+        ];
+        let mut out = String::from("kernel scheduler commands steps run_macs\n");
+        let mut total = [0u64; 3];
+        let mut row =
+            |label: String, source: &dyn Fn(SchedulerKind, Geometry) -> ScheduleSummary| {
+                for (kind, geom) in designs {
+                    let summary = source(kind, geom);
+                    let work = WORK.get();
+                    let commands = summary.mac_count + summary.wr_inp_count + summary.rd_out_count;
+                    assert_eq!(work.steps + work.run_macs, commands, "{label} {kind}");
+                    for (sum, n) in total.iter_mut().zip([commands, work.steps, work.run_macs]) {
+                        *sum += n;
+                    }
+                    out += &format!(
+                        "{label} {kind} {commands} {} {}\n",
+                        work.steps, work.run_macs
+                    );
+                }
+            };
+        for tokens in [512, 4096] {
+            for group_size in [1, 2, 4, 8] {
+                let spec = |kind| AttentionSpec {
+                    tokens,
+                    head_dim: 128,
+                    group_size,
+                    row_reuse: kind == SchedulerKind::Dcs && group_size > 1,
+                };
+                row(format!("qkt/{tokens}/g{group_size}"), &|kind, geom| {
+                    summarize(&QktKernel::new(spec(kind), geom), kind, &timing, &geom)
+                });
+                row(format!("sv/{tokens}/g{group_size}"), &|kind, geom| {
+                    summarize(&SvKernel::new(spec(kind), geom), kind, &timing, &geom)
+                });
+            }
+        }
+        for (dout, din) in GEMVS {
+            row(format!("gemv/{dout}x{din}"), &|kind, geom| {
+                let kernel = GemvKernel::new(GemvSpec { dout, din }, geom);
+                summarize(&kernel, kind, &timing, &geom)
+            });
+        }
+        let [commands, steps, run_macs] = total;
+        out += &format!("total {commands} {steps} {run_macs}\n");
+        assert_eq!(out, include_str!("../../tests/golden/issue_work.txt"));
     }
 
     #[test]

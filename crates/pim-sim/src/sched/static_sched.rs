@@ -10,9 +10,13 @@
 //! * `RD-OUT → MAC`: wait `t_RD-OUT`.
 //! * Same-type neighbours pipeline at `t_CCDS` (the hardware supports
 //!   back-to-back same-type streaming).
+//!
+//! A [`MacRun`](super::MacRun)'s first `MAC` takes the general issue
+//! step. Each later one issues `t_CCDS` after the previous one's start,
+//! delayed only by refresh windows, so the run advances from one window
+//! to the next in closed form.
 
-use super::{CommandSource, Issuer};
-use crate::geometry::Geometry;
+use super::{CommandSource, Issuer, SourceItem};
 use crate::report::{CommandTiming, ExecutionReport, ScheduleSummary};
 use crate::timing::Timing;
 use pim_isa::command::{CommandKind, CommandStream};
@@ -21,14 +25,13 @@ use pim_isa::command::{CommandKind, CommandStream};
 #[derive(Debug, Clone)]
 pub struct StaticScheduler {
     timing: Timing,
-    #[allow(dead_code)]
-    geometry: Geometry,
 }
 
 impl StaticScheduler {
-    /// Creates a static scheduler for a channel.
-    pub fn new(timing: Timing, geometry: Geometry) -> Self {
-        StaticScheduler { timing, geometry }
+    /// Creates a static scheduler for a channel. It tracks no buffer
+    /// entries, so the channel's geometry does not enter.
+    pub fn new(timing: Timing) -> Self {
+        StaticScheduler { timing }
     }
 
     /// Schedules the stream, returning timings and a stall breakdown.
@@ -52,8 +55,17 @@ impl StaticScheduler {
         let mut pass = Pass::new(self.timing);
         source.emit(
             #[inline(always)]
-            |kind| {
-                pass.step(kind);
+            |item| match item {
+                SourceItem::Macs(run) if run.len > 0 => {
+                    pass.step(run.first());
+                    pass.mac_tail(u64::from(run.len - 1));
+                }
+                io => io.for_each_command(
+                    #[inline(always)]
+                    |kind| {
+                        pass.step(kind);
+                    },
+                ),
             },
         );
         pass.finish()
@@ -112,6 +124,7 @@ impl Pass {
     #[inline(always)]
     fn step(&mut self, kind: CommandKind) -> (u64, u64) {
         let core = &mut self.core;
+        core.count_step();
         let cur = class(&kind);
         let mut ready = self.prev_issue + self.gap[self.prev][cur];
         // A MAC on the open row also waits for the row to finish opening;
@@ -135,6 +148,14 @@ impl Pass {
         (issue, complete)
     }
 
+    /// Issues `m` more `MAC`s of the run the last step started: each
+    /// follows a `MAC` on its open row, so it issues `t_CCDS` after the
+    /// previous one's start with no stall but refresh.
+    #[inline(always)]
+    fn mac_tail(&mut self, m: u64) {
+        self.prev_issue = self.core.mac_train(self.prev_issue, m);
+    }
+
     fn finish(mut self) -> ScheduleSummary {
         let b = &mut self.core.breakdown;
         b.dt_gbuf += self.stall[WR_INP];
@@ -150,7 +171,7 @@ mod tests {
     use pim_isa::PimCommand;
 
     fn sched() -> StaticScheduler {
-        StaticScheduler::new(Timing::aimx_no_refresh(), Geometry::baseline())
+        StaticScheduler::new(Timing::aimx_no_refresh())
     }
 
     #[test]
@@ -207,7 +228,7 @@ mod tests {
             t_rfc: 5,
             ..Timing::aimx()
         };
-        let sched = StaticScheduler::new(t, Geometry::baseline());
+        let sched = StaticScheduler::new(t);
         let mut s = CommandStream::new();
         for i in 0..40 {
             s.push(PimCommand::wr_inp(i, (i % 8) as u16, 0));
