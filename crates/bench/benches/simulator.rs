@@ -120,9 +120,12 @@ fn bench_calibration(c: &mut Criterion) {
     g.finish();
 }
 
-/// Prefill pricing of one 32K-token prompt in 512-token chunks on a
-/// calibrated stage model (TCP: every chunk prices one slice per
-/// (KV head, channel) pair).
+/// Stage-model pricing on a calibrated LLM-7B-32K, TP 2, PIMphony stage
+/// model (32 channels, 16 KV instances per module under TCP): prefill
+/// of one 32K-token prompt in 512-token chunks, and one decode
+/// attention layer over ~4K-token requests at batch 2 (about
+/// `fleet_jsq`'s mean batch) and 16. Each TCP request adds one slice per
+/// (KV head, channel) pair.
 fn bench_stage(c: &mut Criterion) {
     let kernels = KernelModel::new(Timing::aimx(), LLM_7B_32K.head_dim);
     let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
@@ -135,6 +138,14 @@ fn bench_stage(c: &mut Criterion) {
                 .sum::<f64>()
         })
     });
+    for batch in [2u64, 16] {
+        let requests: Vec<(u64, u64)> = (0..batch).map(|i| (i, 4000 + 97 * i)).collect();
+        g.bench_with_input(
+            BenchmarkId::new("attention_layer_tcp", batch),
+            &requests,
+            |b, requests| b.iter(|| stage.attention_layer(black_box(requests)).cycles),
+        );
+    }
     g.finish();
 }
 

@@ -180,71 +180,6 @@ impl ModulePartition {
         }
     }
 
-    /// Visits every slice of the partition [`Self::assign`] would build
-    /// for the same inputs, **without materializing it**: `f` is called
-    /// with `(channel, slice_tokens)` once per slice, channels in
-    /// ascending order and slices within a channel in `assign`'s push
-    /// order. Hot callers (the stage model prices a partition per
-    /// simulated iteration) only need the token counts, and the
-    /// materialized form allocates one `Vec` per channel plus up to
-    /// `requests × kv_heads × channels` slice records per call — this
-    /// visitor replaces that with index arithmetic. Equivalence with
-    /// `assign` is pinned by a unit test.
-    ///
-    /// # Panics
-    /// Panics if `channels` or `kv_heads` is zero.
-    // `#[inline]` gives every codegen unit that calls the visitor its own
-    // copy, so the per-slice closure inlines into the caller's loop no
-    // matter how the calling crate is partitioned. Without it, whether
-    // it inlines depends on where the instance lands: when it lands in
-    // another unit than the stage model's attention pricing, the stage
-    // model's iteration cost doubles.
-    #[inline]
-    pub fn for_each_slice(
-        scheme: Partitioning,
-        channels: u32,
-        kv_heads: u32,
-        requests: &[(u64, u64)],
-        mut f: impl FnMut(u32, u64),
-    ) {
-        assert!(channels > 0, "channels must be nonzero");
-        assert!(kv_heads > 0, "kv_heads must be nonzero");
-        match scheme {
-            Partitioning::HeadFirst => {
-                // assign places flat (request, head) pair `i` on channel
-                // `i % channels`, so channel `c` holds pairs c, c +
-                // channels, ... in that order (zero-token pairs
-                // included, exactly as assign pushes them).
-                let total = requests.len() * kv_heads as usize;
-                for c in 0..channels {
-                    let mut idx = c as usize;
-                    while idx < total {
-                        f(c, requests[idx / kv_heads as usize].1);
-                        idx += channels as usize;
-                    }
-                }
-            }
-            Partitioning::TokenCentric => {
-                // assign gives channel `c` the c-th `ceil(tokens /
-                // channels)`-sized range of every (request, head) pair,
-                // pushed in request-major, head-minor order per channel;
-                // empty ranges are skipped.
-                for c in 0..channels {
-                    for &(_, tokens) in requests {
-                        let per = tokens.div_ceil(u64::from(channels));
-                        let start = (u64::from(c) * per).min(tokens);
-                        let end = ((u64::from(c) + 1) * per).min(tokens);
-                        if start < end {
-                            for _ in 0..kv_heads {
-                                f(c, end - start);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// The scheme used.
     pub fn scheme(&self) -> Partitioning {
         self.scheme
@@ -369,41 +304,6 @@ mod tests {
         let f = ParallelConfig::factorizations(8);
         assert_eq!(f.len(), 4);
         assert!(f.iter().all(|c| c.modules() == 8));
-    }
-
-    #[test]
-    fn for_each_slice_matches_assign_exactly() {
-        // The visitor must reproduce assign's (channel, tokens)
-        // sequence in channel-major order for both schemes, including
-        // the edge cases: zero-token requests (HFP keeps their empty
-        // slices, TCP drops them), tokens below the channel count, and
-        // non-dividing token counts.
-        let cases: &[&[(u64, u64)]] = &[
-            &[(0, 64_000)],
-            &[(0, 10_000), (1, 20_000), (2, 5_000)],
-            &[(7, 10_001)],
-            &[(0, 5)],
-            &[(0, 0), (1, 33), (2, 0)],
-            &[(0, 1), (1, 16), (2, 17)],
-        ];
-        for &reqs in cases {
-            for scheme in [Partitioning::HeadFirst, Partitioning::TokenCentric] {
-                for (channels, kv_heads) in [(16u32, 1u32), (16, 4), (3, 2), (1, 1)] {
-                    let assigned = ModulePartition::assign(scheme, channels, kv_heads, reqs);
-                    let mut expect: Vec<(u32, u64)> = Vec::new();
-                    for (c, w) in assigned.channels().iter().enumerate() {
-                        for s in &w.slices {
-                            expect.push((c as u32, s.tokens()));
-                        }
-                    }
-                    let mut got: Vec<(u32, u64)> = Vec::new();
-                    ModulePartition::for_each_slice(scheme, channels, kv_heads, reqs, |c, t| {
-                        got.push((c, t))
-                    });
-                    assert_eq!(got, expect, "{scheme:?} ch={channels} heads={kv_heads}");
-                }
-            }
-        }
     }
 
     #[test]

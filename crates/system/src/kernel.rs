@@ -114,6 +114,7 @@ impl AttentionEval {
     /// [`KernelModel::attention`] with the configuration this evaluator
     /// was resolved for.
     pub fn stats(&self, tokens: u64) -> KernelStats {
+        count_eval();
         if tokens == 0 {
             return KernelStats::default();
         }
@@ -124,6 +125,7 @@ impl AttentionEval {
     /// [`KernelModel::attention_prefill`] with the configuration this
     /// evaluator was resolved for.
     pub fn prefill(&self, done: u64, chunk: u64) -> KernelStats {
+        count_eval();
         if chunk == 0 {
             return KernelStats::default();
         }
@@ -135,6 +137,20 @@ impl AttentionEval {
             token_sum,
         )
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Affine evaluations made through an [`AttentionEval`] on this
+    /// thread (test builds only).
+    pub(crate) static EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one [`AttentionEval`] evaluation (test builds only).
+#[inline(always)]
+fn count_eval() {
+    #[cfg(test)]
+    EVALS.with(|n| n.set(n.get() + 1));
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

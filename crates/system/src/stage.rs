@@ -10,7 +10,7 @@
 use crate::config::{SystemConfig, SystemKind, Techniques};
 use crate::kernel::{AttentionEval, AttentionKind, KernelModel, KernelStats};
 use llm_model::ModelConfig;
-use pim_compiler::{ModulePartition, Partitioning};
+use pim_compiler::Partitioning;
 use pim_sim::epu::EpuConfig;
 use pim_sim::SchedulerKind;
 use serde::Serialize;
@@ -77,6 +77,59 @@ struct KernelCosts {
     fc_gemvs: Option<[KernelStats; 7]>,
 }
 
+/// What one KV slice adds to its attention stage: both kernels'
+/// statistics (added to the totals in that order), their MAC-busy
+/// cycles, and the slice's cycles on its channel.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlicePrice {
+    qkt: KernelStats,
+    sv: KernelStats,
+    busy: f64,
+    cycles: f64,
+}
+
+/// One request's slices under TCP, per KV head: a `per`-token slice on
+/// each of channels `0..full`, and the remainder on channel `full` when
+/// `rem` is set.
+#[derive(Debug, Clone, Copy)]
+struct TcpSlices {
+    full: u32,
+    per: SlicePrice,
+    rem: Option<SlicePrice>,
+}
+
+impl TcpSlices {
+    /// The slices [`pim_compiler::ModulePartition::assign`] cuts from
+    /// `tokens` over `channels`, each size priced once.
+    fn new(tokens: u64, channels: u32, price: impl Fn(u64) -> SlicePrice) -> Self {
+        let per = tokens.div_ceil(u64::from(channels));
+        if per == 0 {
+            return TcpSlices {
+                full: 0,
+                per: SlicePrice::default(),
+                rem: None,
+            };
+        }
+        let rem = tokens % per;
+        TcpSlices {
+            full: u32::try_from(tokens / per).expect("per · channels ≥ tokens"),
+            per: price(per),
+            rem: (rem > 0).then(|| price(rem)),
+        }
+    }
+
+    /// The price of this request's slice on `channel`, if it has one.
+    fn at(&self, channel: u32) -> Option<&SlicePrice> {
+        if channel < self.full {
+            Some(&self.per)
+        } else if channel == self.full {
+            self.rem.as_ref()
+        } else {
+            None
+        }
+    }
+}
+
 impl<'a> StageModel<'a> {
     /// Creates a stage model.
     pub fn new(
@@ -100,9 +153,10 @@ impl<'a> StageModel<'a> {
         self.costs.get_or_init(|| self.resolve_costs())
     }
 
-    /// Looks the kernel costs up in the memo. Kept out of line: inlined
-    /// into each pricing method, this once-per-model path pushed the
-    /// per-slice pricing closure out of the inlining budget.
+    /// Looks the kernel costs up in the memo. Kept out of line: this
+    /// once-per-model path has no business in the inlining budget of
+    /// the pricing methods, whose slice pricing and replay loop
+    /// ([`Self::price_partition`]) should inline into them.
     #[cold]
     #[inline(never)]
     fn resolve_costs(&self) -> KernelCosts {
@@ -167,48 +221,88 @@ impl<'a> StageModel<'a> {
             .max(1)
     }
 
-    /// Visits this module's KV partition of `requests` channel by
-    /// channel and returns `(makespan, active_channels)`: `slice(t)`
-    /// prices one slice of `t` resident keys and returns its cycles, a
-    /// channel's cycles are the sum of its slices, and the makespan is
-    /// the slowest channel.
+    /// Prices this module's KV partition of `requests` into one
+    /// attention stage. `price(t)` gives what one slice of `t` resident
+    /// keys adds to the stage; `softmax` is the EPU's serial tail, added
+    /// to the makespan.
     ///
-    /// This is the simulator's innermost loop: one slice per (request,
-    /// head, channel) under TCP, priced at every simulated decode
-    /// iteration and every prefill micro-chunk. The partition is visited
-    /// without materializing it (no per-call `Vec` churn); slices arrive
-    /// in [`ModulePartition::assign`]'s channel and push order, so the
-    /// float accumulation sequence is the one a loop over the
-    /// materialized partition performs and results are bit-exact.
-    fn channel_makespan(
+    /// This is the simulator's innermost loop, run at every priced
+    /// decode step and prefill micro-chunk. A request's slices come in
+    /// at most two sizes (HFP: one whole-context slice per KV head; TCP:
+    /// `ceil(t / channels)` tokens on each of the leading channels and
+    /// one remainder), so `price` is asked once per size per request.
+    /// The adds are then replayed in the order a loop over
+    /// [`pim_compiler::ModulePartition::assign`]'s channels and their
+    /// slices performs (channel-major, then request, then KV head):
+    /// every float accumulator takes the same operands in the same
+    /// order, so the stage is bit-exact with pricing each slice where it
+    /// lies.
+    fn price_partition(
         &self,
         requests: &[(u64, u64)],
-        mut slice: impl FnMut(u64) -> f64,
-    ) -> (f64, u32) {
+        softmax: f64,
+        price: impl Fn(u64) -> SlicePrice,
+    ) -> AttentionStage {
+        let channels = self.system.module.channels;
+        let kv_heads = self.kv_instances_per_module() as usize;
+        let mut totals = KernelStats::default();
+        let mut busy_sum = 0.0;
         let mut makespan: f64 = 0.0;
-        let mut cycles = 0.0;
-        let mut cur_ch = 0u32;
-        let mut channel_has_work = false;
-        let mut active_channels = 0u32;
-        ModulePartition::for_each_slice(
-            self.partitioning(),
-            self.system.module.channels,
-            self.kv_instances_per_module(),
-            requests,
-            |ch, t| {
-                if ch != cur_ch {
+        let mut add = |p: &SlicePrice, cycles: &mut f64| {
+            totals.accumulate(&p.qkt);
+            totals.accumulate(&p.sv);
+            busy_sum += p.busy;
+            *cycles += p.cycles;
+        };
+        let active_channels = match self.partitioning() {
+            Partitioning::HeadFirst => {
+                // assign places flat (request, head) pair `i` wholly on
+                // channel `i % channels`, zero-token pairs included.
+                let prices: Vec<SlicePrice> = requests.iter().map(|&(_, t)| price(t)).collect();
+                let pairs = prices.len() * kv_heads;
+                for c in 0..channels as usize {
+                    let mut cycles = 0.0;
+                    for pair in (c..pairs).step_by(channels as usize) {
+                        add(&prices[pair / kv_heads], &mut cycles);
+                    }
                     makespan = makespan.max(cycles);
-                    cycles = 0.0;
-                    active_channels += u32::from(channel_has_work);
-                    cur_ch = ch;
                 }
-                channel_has_work = true;
-                cycles += slice(t);
-            },
-        );
-        makespan = makespan.max(cycles);
-        active_channels += u32::from(channel_has_work);
-        (makespan, active_channels)
+                pairs.min(channels as usize) as u32
+            }
+            Partitioning::TokenCentric => {
+                let slices: Vec<TcpSlices> = requests
+                    .iter()
+                    .map(|&(_, t)| TcpSlices::new(t, channels, &price))
+                    .collect();
+                let mut active = 0;
+                for c in 0..channels {
+                    let mut cycles = 0.0;
+                    let mut has_work = false;
+                    for r in &slices {
+                        let Some(p) = r.at(c) else { continue };
+                        has_work = true;
+                        for _ in 0..kv_heads {
+                            add(p, &mut cycles);
+                        }
+                    }
+                    makespan = makespan.max(cycles);
+                    active += u32::from(has_work);
+                }
+                active
+            }
+        };
+        makespan += softmax;
+        let utilization = if makespan > 0.0 {
+            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
+        } else {
+            0.0
+        };
+        AttentionStage {
+            cycles: makespan,
+            utilization,
+            totals,
+            active_channels,
+        }
     }
 
     /// Attention stage for one layer on one module, given the admitted
@@ -226,23 +320,6 @@ impl<'a> StageModel<'a> {
         } else {
             0.0
         };
-
-        // The affine fits come resolved (no per-slice memo lock).
-        let KernelCosts {
-            qkt: qkt_eval,
-            sv: sv_eval,
-            ..
-        } = *self.costs();
-        let mut totals = KernelStats::default();
-        let mut busy_sum = 0.0;
-        let (mut makespan, active_channels) = self.channel_makespan(batch_tokens, |t| {
-            let qkt = qkt_eval.stats(t);
-            let sv = sv_eval.stats(t);
-            totals.accumulate(&qkt);
-            totals.accumulate(&sv);
-            busy_sum += qkt.mac_busy + sv.mac_busy;
-            qkt.cycles + sv.cycles + reduction
-        });
         // Softmax on the EPU between QKT and SV, per (request, head);
         // pipelined with PIM execution, it adds only its serial tail.
         let softmax: f64 = batch_tokens
@@ -251,18 +328,17 @@ impl<'a> StageModel<'a> {
             .sum::<f64>()
             * f64::from(self.kv_instances_per_module())
             / f64::from(channels);
-        makespan += softmax;
-        let utilization = if makespan > 0.0 {
-            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
-        } else {
-            0.0
-        };
-        AttentionStage {
-            cycles: makespan,
-            utilization,
-            totals,
-            active_channels,
-        }
+        // The affine fits come resolved (no per-slice memo lock).
+        let KernelCosts { qkt, sv, .. } = *self.costs();
+        self.price_partition(batch_tokens, softmax, |t| {
+            let (qkt, sv) = (qkt.stats(t), sv.stats(t));
+            SlicePrice {
+                qkt,
+                sv,
+                busy: qkt.mac_busy + sv.mac_busy,
+                cycles: qkt.cycles + sv.cycles + reduction,
+            }
+        })
     }
 
     /// Attention stage of one *prefill* step on one module: `chunk`
@@ -291,16 +367,6 @@ impl<'a> StageModel<'a> {
         let costs = self.costs();
         let qkt = costs.qkt.prefill(done, chunk);
         let sv = costs.sv.prefill(done, chunk);
-
-        let mut totals = KernelStats::default();
-        let mut busy_sum = 0.0;
-        let (mut makespan, active_channels) = self.channel_makespan(&[(req_id, total_keys)], |t| {
-            let share = t as f64 / total_keys as f64;
-            totals.accumulate(&qkt.scaled(share));
-            totals.accumulate(&sv.scaled(share));
-            busy_sum += (qkt.mac_busy + sv.mac_busy) * share;
-            (qkt.cycles + sv.cycles) * share + reduction
-        });
         // Softmax per query position over its causal prefix — affine in
         // the prefix length, so the chunk prices at its midpoint
         // position (same EPU distribution as decode).
@@ -309,18 +375,15 @@ impl<'a> StageModel<'a> {
             * epu.softmax_cycles(mid_keys) as f64
             * f64::from(self.kv_instances_per_module())
             / f64::from(channels);
-        makespan += softmax;
-        let utilization = if makespan > 0.0 {
-            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
-        } else {
-            0.0
-        };
-        AttentionStage {
-            cycles: makespan,
-            utilization,
-            totals,
-            active_channels,
-        }
+        self.price_partition(&[(req_id, total_keys)], softmax, |t| {
+            let share = t as f64 / total_keys as f64;
+            SlicePrice {
+                qkt: qkt.scaled(share),
+                sv: sv.scaled(share),
+                busy: (qkt.mac_busy + sv.mac_busy) * share,
+                cycles: (qkt.cycles + sv.cycles) * share + reduction,
+            }
+        })
     }
 
     /// One prefill step processing `chunk` prompt tokens of one request
@@ -517,7 +580,7 @@ impl<'a> StageModel<'a> {
 mod tests {
     use super::*;
     use llm_model::{LLM_7B_128K_GQA, LLM_7B_32K};
-    use pim_compiler::ParallelConfig;
+    use pim_compiler::{ModulePartition, ParallelConfig};
     use pim_sim::Timing;
 
     fn kernels() -> KernelModel {
@@ -698,7 +761,7 @@ mod tests {
     }
 
     /// `prefill_attention_layer` priced by looping over the materialized
-    /// [`ModulePartition::assign`]: the oracle the visitor-based pricing
+    /// [`ModulePartition::assign`]: the oracle the per-request pricing
     /// must match bit for bit.
     fn prefill_attention_by_assign(
         m: &StageModel,
@@ -1059,6 +1122,152 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seeded SplitMix64 stream: the random oracle tests draw their
+    /// batches from it, so every run checks the same cases.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next() % (hi - lo + 1)
+        }
+
+        /// A token count from the shapes that cut a TCP partition
+        /// differently: zero, fewer than `channels`, an exact multiple
+        /// of `channels`, one past a multiple (33 on 32 channels leaves
+        /// 15 trailing channels empty), or anything up to a 32K context.
+        fn tokens(&mut self, channels: u64) -> u64 {
+            match self.next() % 5 {
+                0 => 0,
+                1 => self.range(1, channels - 1),
+                2 => channels * self.range(1, 1024),
+                3 => channels * self.range(1, 1024) + 1,
+                _ => self.range(1, 32_768),
+            }
+        }
+    }
+
+    #[test]
+    fn random_batches_price_bit_exact_with_assign() {
+        // Per-request pricing with a replayed channel-major add order
+        // must price exactly as a loop over the materialized partition:
+        // HFP and TCP × DCS/static × KV instances {16, 8, 4, 1} per
+        // module, on seeded random batches of 1 to 64 requests and
+        // prefill chunks, plus fixed edge batches.
+        let k = kernels();
+        let shapes = [
+            (LLM_7B_32K, 2, 16),
+            (LLM_7B_32K, 4, 8),
+            (LLM_7B_128K_GQA, 2, 4),
+            (LLM_7B_128K_GQA, 8, 1),
+        ];
+        let edges: [&[(u64, u64)]; 6] = [
+            &[(0, 0)],
+            &[(0, 0), (1, 5), (2, 0)],
+            &[(0, 31)],
+            &[(0, 32), (1, 64)],
+            &[(0, 33)],
+            &[(0, 4096), (1, 33), (2, 0), (3, 4097), (4, 1)],
+        ];
+        let mut rng = SplitMix(2026);
+        for (model, tp, kv_instances) in shapes {
+            let sys = SystemConfig::cent_for(&model).with_parallel(ParallelConfig::new(tp, 1));
+            let channels = u64::from(sys.module.channels);
+            for (tcp, dcs) in [(false, false), (false, true), (true, false), (true, true)] {
+                let techniques = Techniques {
+                    tcp,
+                    dcs,
+                    dpa: false,
+                };
+                let m = StageModel::new(sys, model, techniques, &k);
+                assert_eq!(m.kv_instances_per_module(), kv_instances);
+                let what = format!("{} tp={tp} {techniques:?}", model.name);
+                let random: Vec<Vec<(u64, u64)>> = (0..12)
+                    .map(|_| {
+                        let len = rng.range(1, 64);
+                        (0..len).map(|id| (id, rng.tokens(channels))).collect()
+                    })
+                    .collect();
+                for batch in edges
+                    .iter()
+                    .copied()
+                    .chain(random.iter().map(Vec::as_slice))
+                {
+                    assert_eq!(
+                        m.attention_layer(batch),
+                        attention_layer_per_call(&m, batch),
+                        "{what} {batch:?}"
+                    );
+                }
+                if tcp {
+                    assert_eq!(m.attention_layer(&[(0, 33)]).active_channels, 17);
+                }
+                for _ in 0..24 {
+                    let req_id = rng.next();
+                    let done = if rng.next() % 2 == 0 {
+                        0
+                    } else {
+                        rng.tokens(channels)
+                    };
+                    let chunk = rng.tokens(channels).min(4096);
+                    assert_eq!(
+                        m.prefill_attention_layer(req_id, done, chunk),
+                        prefill_attention_by_assign(&m, req_id, done, chunk),
+                        "{what} done={done} chunk={chunk}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Affine evaluations one `attention_layer` call makes on `m`.
+    fn evals_per_layer(m: &StageModel, batch: &[(u64, u64)]) -> u64 {
+        crate::kernel::EVALS.set(0);
+        m.attention_layer(batch);
+        crate::kernel::EVALS.get()
+    }
+
+    #[test]
+    fn attention_layer_prices_each_slice_size_once() {
+        // On `fleet_jsq`'s shape (LLM-7B-32K, TP 2: 32 channels, 16 KV
+        // instances per module) a TCP layer evaluates each kernel's fit
+        // at most twice per request — the full slice and the remainder —
+        // where pricing every slice evaluates it once per (channel, KV
+        // head): 512 times per request.
+        let k = kernels();
+        let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
+        let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
+        assert_eq!(m.kv_instances_per_module(), 16);
+        let batch: Vec<(u64, u64)> = (0..16).map(|i| (i, 4000 + 97 * i)).collect();
+        // The first call resolves the kernel costs.
+        m.attention_layer(&batch);
+        for len in [1, 2, 16] {
+            let evals = evals_per_layer(&m, &batch[..len]);
+            assert!(
+                evals <= 2 * 2 * len as u64,
+                "{evals} evaluations at batch {len}"
+            );
+        }
+        // A remainder-free request (4096 = 32 · 128) prices one size.
+        assert_eq!(evals_per_layer(&m, &[(0, 4096)]), 2);
+        assert_eq!(evals_per_layer(&m, &[(0, 0)]), 0);
+        crate::kernel::EVALS.set(0);
+        attention_layer_per_call(&m, &batch[..2]);
+        assert_eq!(crate::kernel::EVALS.get(), 2 * 2 * 32 * 16);
+        // HFP prices one whole-context slice per request.
+        let hfp = StageModel::new(sys, LLM_7B_32K, Techniques::baseline(), &k);
+        hfp.attention_layer(&batch);
+        assert_eq!(evals_per_layer(&hfp, &batch), 2 * 16);
     }
 
     #[test]
