@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use llm_model::{DecodeAnalytics, LLM_7B_128K_GQA, LLM_7B_32K};
 use pim_compiler::lower::{dpa_footprint, static_footprint, AttentionLowering};
-use pim_isa::size_model::{compression_ratio, AttentionShape};
 use pim_mem::{ChunkAllocator, RequestId, StaticAllocator};
 use pim_sim::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel};
 use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
@@ -65,15 +64,10 @@ fn fig8_breakdown(c: &mut Criterion) {
     });
 }
 
-fn fig10_size_model(c: &mut Criterion) {
-    let shape = AttentionShape::aimx_default();
+fn fig10_footprints(c: &mut Criterion) {
     let lowering = AttentionLowering::aimx_default();
     c.bench_function("fig10_instruction_footprints", |b| {
-        b.iter(|| {
-            let r = compression_ratio(&shape, 1 << 20);
-            let s = static_footprint(&lowering, 1 << 16).bytes + dpa_footprint(&lowering).bytes;
-            (r, s)
-        })
+        b.iter(|| static_footprint(&lowering, 1 << 16).bytes + dpa_footprint(&lowering).bytes)
     });
 }
 
@@ -104,7 +98,7 @@ fn fig18_scheduler_comparison(c: &mut Criterion) {
         b.iter(|| {
             let pp = schedule(&stream, SchedulerKind::PingPong, &timing, &geom);
             let dc = schedule(&stream, SchedulerKind::Dcs, &timing, &geom);
-            (pp.cycles, dc.cycles)
+            (pp.summary.cycles, dc.summary.cycles)
         })
     });
 }
@@ -146,7 +140,7 @@ criterion_group!(
     fig2_analytics,
     fig4_utilization,
     fig8_breakdown,
-    fig10_size_model,
+    fig10_footprints,
     fig13_ladder,
     fig18_scheduler_comparison,
     fig19_allocators,

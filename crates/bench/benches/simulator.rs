@@ -134,7 +134,7 @@ fn bench_stage(c: &mut Criterion) {
     g.bench_function("prefill_chunk", |b| {
         b.iter(|| {
             (0..64u64)
-                .map(|i| stage.prefill_chunk(0, black_box(i * 512), 512).seconds)
+                .map(|i| stage.prefill_chunk(black_box(i * 512), 512).seconds)
                 .sum::<f64>()
         })
     });

@@ -1,19 +1,17 @@
 //! Fig. 18: compute utilization — DCS vs ping-pong buffering, across MHA
 //! and GQA group sizes (both use the row-reuse mapping under GQA).
 
-use pim_isa::command::CommandStream;
 use pim_sim::kernels::{AttentionSpec, QktKernel, SvKernel};
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{summarize, Geometry, SchedulerKind, Timing};
 
 fn attn_util(spec: AttentionSpec, kind: SchedulerKind, geom: Geometry, timing: &Timing) -> f64 {
-    let streams: [CommandStream; 2] = [
-        QktKernel::new(spec, geom).stream(),
-        SvKernel::new(spec, geom).stream(),
+    let summaries = [
+        summarize(&QktKernel::new(spec, geom), kind, timing, &geom),
+        summarize(&SvKernel::new(spec, geom), kind, timing, &geom),
     ];
     let mut busy = 0.0;
     let mut total = 0.0;
-    for s in &streams {
-        let r = schedule(s, kind, timing, &geom);
+    for r in &summaries {
         busy += (r.mac_count * timing.t_ccds) as f64;
         total += r.cycles as f64;
     }

@@ -6,7 +6,7 @@
 
 use pim_isa::command::CommandStream;
 use pim_isa::PimCommand;
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{schedule, summarize, Geometry, SchedulerKind, Timing};
 
 fn stream() -> CommandStream {
     let mut s = CommandStream::new();
@@ -41,15 +41,15 @@ fn main() {
     bench::header("Fig. 7: GEMV command stack, static vs DCS issue schedule");
     for kind in [SchedulerKind::Static, SchedulerKind::Dcs] {
         let r = schedule(&s, kind, &timing, &geom);
-        println!("\n{kind} schedule ({} cycles):", r.cycles);
+        println!("\n{kind} schedule ({} cycles):", r.summary.cycles);
         print!("  issue@: ");
         for (cmd, t) in s.iter().zip(&r.timings) {
             print!("{}={} ", cmd, t.issue);
         }
         println!();
     }
-    let st = schedule(&s, SchedulerKind::Static, &timing, &geom);
-    let dc = schedule(&s, SchedulerKind::Dcs, &timing, &geom);
+    let st = summarize(&s, SchedulerKind::Static, &timing, &geom);
+    let dc = summarize(&s, SchedulerKind::Dcs, &timing, &geom);
     println!(
         "\nlatency reduction: {} -> {} cycles ({:.0}%; paper: 34 -> 22, 35%)",
         st.cycles,

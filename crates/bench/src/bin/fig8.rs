@@ -2,7 +2,7 @@
 //! scheduling — small (attention-like) dims drown in I/O and stalls.
 
 use pim_sim::kernels::{GemvKernel, GemvSpec};
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{summarize, Geometry, SchedulerKind, Timing};
 
 fn main() {
     bench::exit_quietly_on_closed_stdout();
@@ -15,8 +15,8 @@ fn main() {
     let geom = Geometry::baseline();
     let timing = Timing::aimx();
     for d in [128u32, 256, 512, 1024, 2048, 4096, 8192] {
-        let stream = GemvKernel::new(GemvSpec { dout: d, din: d }, geom).stream();
-        let r = schedule(&stream, SchedulerKind::Static, &timing, &geom);
+        let kernel = GemvKernel::new(GemvSpec { dout: d, din: d }, geom);
+        let r = summarize(&kernel, SchedulerKind::Static, &timing, &geom);
         let b = &r.breakdown;
         let tot = r.cycles.max(1) as f64;
         println!(

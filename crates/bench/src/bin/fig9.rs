@@ -1,9 +1,8 @@
 //! Fig. 9: QKT / SV latency breakdown for LLM-72B attention, without and
 //! with DCS. Both sides use the GQA row-reuse mapping.
 
-use pim_isa::command::CommandStream;
 use pim_sim::kernels::{AttentionSpec, QktKernel, SvKernel};
-use pim_sim::{schedule, Geometry, SchedulerKind, Timing};
+use pim_sim::{summarize, Geometry, ScheduleSummary, SchedulerKind, Timing};
 
 fn main() {
     bench::exit_quietly_on_closed_stdout();
@@ -16,22 +15,23 @@ fn main() {
         group_size: 8,
         row_reuse: true,
     };
-    type StreamOf = fn(AttentionSpec, Geometry) -> CommandStream;
-    let kernels: [(&str, StreamOf); 2] = [
-        ("QKT", |s, g| QktKernel::new(s, g).stream()),
-        ("SV", |s, g| SvKernel::new(s, g).stream()),
+    type SummaryOf = fn(AttentionSpec, SchedulerKind, &Timing, Geometry) -> ScheduleSummary;
+    let kernels: [(&str, SummaryOf); 2] = [
+        ("QKT", |s, k, t, g| {
+            summarize(&QktKernel::new(s, g), k, t, &g)
+        }),
+        ("SV", |s, k, t, g| summarize(&SvKernel::new(s, g), k, t, &g)),
     ];
     println!(
         "{:>5} {:>10} {:>9} {:>7} {:>8} {:>8} {:>8} {:>9}",
         "krnl", "sched", "cycles", "MAC%", "DTgbuf%", "DTout%", "actpre%", "stall%"
     );
-    for (name, stream_of) in kernels {
+    for (name, summary_of) in kernels {
         for (label, kind, geom) in [
             ("static", SchedulerKind::Static, Geometry::baseline()),
             ("dcs", SchedulerKind::Dcs, Geometry::pimphony()),
         ] {
-            let stream = stream_of(spec, geom);
-            let r = schedule(&stream, kind, &timing, &geom);
+            let r = summary_of(spec, kind, &timing, geom);
             let tot = r.cycles.max(1) as f64;
             let b = &r.breakdown;
             println!(

@@ -12,9 +12,8 @@
 //! * [`dpa`] — the Dynamic PIM Access extension (paper §VI): `Dyn-Loop` and
 //!   `Dyn-Modi` instructions that make loop bounds and operand addresses
 //!   token-length-dependent, so the instruction stream stays compact.
-//! * [`size_model`] — the instruction-footprint model behind Fig. 10(c):
-//!   static streams grow linearly with context length, DPA streams stay
-//!   nearly constant.
+//! * [`size_model`] — the encoded instruction sizes that price the
+//!   static and DPA stream footprints of Fig. 10(c).
 //!
 //! # Example
 //!

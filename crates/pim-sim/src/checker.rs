@@ -210,20 +210,17 @@ pub fn check_schedule(stream: &CommandStream, report: &ExecutionReport) -> Vec<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Breakdown, CommandTiming};
+    use crate::report::{CommandTiming, ScheduleSummary};
     use pim_isa::PimCommand;
 
     fn report_from(timings: Vec<CommandTiming>) -> ExecutionReport {
         let cycles = timings.iter().map(|t| t.complete).max().unwrap_or(0);
         ExecutionReport {
             timings,
-            cycles,
-            breakdown: Breakdown::default(),
-            mac_count: 0,
-            wr_inp_count: 0,
-            rd_out_count: 0,
-            row_switches: 0,
-            refresh_events: 0,
+            summary: ScheduleSummary {
+                cycles,
+                ..Default::default()
+            },
         }
     }
 

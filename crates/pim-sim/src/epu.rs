@@ -130,12 +130,6 @@ impl Epu {
         exps.iter().map(|&e| e / sum).collect()
     }
 
-    /// EPU cycles to softmax a score vector of `tokens` elements
-    /// ([`EpuConfig::softmax_cycles`]).
-    pub fn softmax_cycles(&self, tokens: u64) -> u64 {
-        self.config.softmax_cycles(tokens)
-    }
-
     /// Reduces per-channel `SV` partial outputs gathered in the GPR (TCP's
     /// inter-channel reduction, paper §IV-C): element-wise sum.
     ///
@@ -153,12 +147,6 @@ impl Epu {
             }
         }
         out
-    }
-
-    /// EPU cycles for the inter-channel reduction of `channels` partial
-    /// vectors of `dims` elements ([`EpuConfig::reduce_cycles`]).
-    pub fn reduce_cycles(&self, channels: u32, dims: u32) -> u64 {
-        self.config.reduce_cycles(channels, dims)
     }
 }
 
@@ -229,7 +217,7 @@ mod tests {
 
     #[test]
     fn cycle_models_scale_sanely() {
-        let epu = Epu::default();
+        let epu = EpuConfig::default();
         assert_eq!(epu.softmax_cycles(16), 2);
         assert!(epu.softmax_cycles(1 << 20) > epu.softmax_cycles(1 << 10));
         // 16 channels reducing a 128-dim head: 15 adds of 8 beats.

@@ -7,13 +7,14 @@
 //! * [`sched`] — the three controller policies the paper compares:
 //!   conventional *static* in-order scheduling, *ping-pong* double
 //!   buffering, and PIMphony's *Dynamic Command Scheduling* (DCS).
-//!   Each has two entry points over one issue loop: [`schedule`] returns
-//!   an [`ExecutionReport`] with every command's issue and completion
-//!   cycle (for the Fig. 7 timelines and the hazard [`checker`]), and
-//!   [`summarize`] returns only the [`ScheduleSummary`] totals (makespan,
-//!   counts, stall breakdown, refresh events), reading the commands
-//!   straight from a kernel builder without storing a stream. Kernel
-//!   calibration uses [`summarize`].
+//!   Each has two entry points over one issue loop: [`summarize`]
+//!   returns the [`ScheduleSummary`] totals (makespan, counts, stall
+//!   breakdown, refresh events), reading the commands straight from a
+//!   kernel builder without storing a stream, and [`schedule`] returns
+//!   an [`ExecutionReport`]: the same summary beside every command's
+//!   issue and completion cycle (for the Fig. 7 timelines and the
+//!   hazard [`checker`]). Kernel calibration and the Fig. 8, 9 and 18
+//!   breakdowns use [`summarize`].
 //! * [`kernels`] — command-stream builders for GEMV, `QKᵀ` and `SV`,
 //!   including the GQA row-reuse mapping. Each is a [`CommandSource`]
 //!   whose `emit` produces `WR-INP`s, `RD-OUT`s and [`MacRun`]s, runs
@@ -35,11 +36,11 @@
 //! let timing = Timing::aimx_no_refresh();
 //! let s = schedule(&stream, SchedulerKind::Static, &timing, &geom);
 //! let d = schedule(&stream, SchedulerKind::Dcs, &timing, &geom);
-//! assert!(d.cycles <= s.cycles);
+//! assert!(d.summary.cycles <= s.summary.cycles);
 //!
 //! // The totals alone, without building the stream.
 //! let kernel = GemvKernel::new(GemvSpec { dout: 256, din: 128 }, geom);
-//! assert_eq!(summarize(&kernel, SchedulerKind::Dcs, &timing, &geom), d.summary());
+//! assert_eq!(summarize(&kernel, SchedulerKind::Dcs, &timing, &geom), d.summary);
 //! ```
 
 #![forbid(unsafe_code)]

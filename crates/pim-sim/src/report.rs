@@ -38,9 +38,9 @@ impl Breakdown {
     }
 }
 
-/// The scalar results of scheduling one command stream: everything an
-/// [`ExecutionReport`] holds except the per-command timings. This is
-/// what [`crate::summarize`] returns.
+/// The scalar results of scheduling one command stream. This is what
+/// [`crate::summarize`] returns, and what an [`ExecutionReport`] holds
+/// beside its per-command timings.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScheduleSummary {
     /// Makespan: completion cycle of the last command.
@@ -59,55 +59,7 @@ pub struct ScheduleSummary {
     pub refresh_events: u64,
 }
 
-/// Result of scheduling one command stream on one channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExecutionReport {
-    /// Per-command timings, in program order.
-    pub timings: Vec<CommandTiming>,
-    /// Makespan: completion cycle of the last command.
-    pub cycles: u64,
-    /// Stall attribution.
-    pub breakdown: Breakdown,
-    /// Number of `MAC` commands executed.
-    pub mac_count: u64,
-    /// Number of `WR-INP` commands executed.
-    pub wr_inp_count: u64,
-    /// Number of `RD-OUT` commands executed.
-    pub rd_out_count: u64,
-    /// Number of DRAM row switches (ACT/PRE events).
-    pub row_switches: u64,
-    /// Number of refresh windows crossed.
-    pub refresh_events: u64,
-}
-
-impl ExecutionReport {
-    /// A report of `timings` with the scalar results of `summary`.
-    pub(crate) fn new(timings: Vec<CommandTiming>, summary: ScheduleSummary) -> Self {
-        ExecutionReport {
-            timings,
-            cycles: summary.cycles,
-            breakdown: summary.breakdown,
-            mac_count: summary.mac_count,
-            wr_inp_count: summary.wr_inp_count,
-            rd_out_count: summary.rd_out_count,
-            row_switches: summary.row_switches,
-            refresh_events: summary.refresh_events,
-        }
-    }
-
-    /// The scalar results, without the per-command timings.
-    pub fn summary(&self) -> ScheduleSummary {
-        ScheduleSummary {
-            cycles: self.cycles,
-            breakdown: self.breakdown,
-            mac_count: self.mac_count,
-            wr_inp_count: self.wr_inp_count,
-            rd_out_count: self.rd_out_count,
-            row_switches: self.row_switches,
-            refresh_events: self.refresh_events,
-        }
-    }
-
+impl ScheduleSummary {
     /// MAC-pipeline utilization in `[0, 1]`: the fraction of the makespan
     /// during which the MAC units were fed at peak issue rate.
     pub fn mac_utilization(&self) -> f64 {
@@ -115,11 +67,6 @@ impl ExecutionReport {
             return 0.0;
         }
         (self.breakdown.mac as f64 / self.cycles as f64).min(1.0)
-    }
-
-    /// Issue cycle of the command with `id`, if present.
-    pub fn issue_of(&self, id: CommandId) -> Option<u64> {
-        self.timings.iter().find(|t| t.id == id).map(|t| t.issue)
     }
 
     /// Effective MAC throughput in multiply-accumulate lane-operations per
@@ -132,40 +79,36 @@ impl ExecutionReport {
     }
 }
 
+/// Result of scheduling one command stream on one channel.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ExecutionReport {
+    /// Per-command timings, in program order.
+    pub timings: Vec<CommandTiming>,
+    /// The scalar results.
+    pub summary: ScheduleSummary,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn utilization_bounds() {
-        let r = ExecutionReport {
-            timings: vec![],
+        let r = ScheduleSummary {
             cycles: 100,
             breakdown: Breakdown {
                 mac: 40,
                 ..Default::default()
             },
             mac_count: 20,
-            wr_inp_count: 0,
-            rd_out_count: 0,
-            row_switches: 0,
-            refresh_events: 0,
+            ..Default::default()
         };
         assert!((r.mac_utilization() - 0.4).abs() < 1e-12);
     }
 
     #[test]
     fn empty_report_zero_utilization() {
-        let r = ExecutionReport {
-            timings: vec![],
-            cycles: 0,
-            breakdown: Breakdown::default(),
-            mac_count: 0,
-            wr_inp_count: 0,
-            rd_out_count: 0,
-            row_switches: 0,
-            refresh_events: 0,
-        };
+        let r = ScheduleSummary::default();
         assert_eq!(r.mac_utilization(), 0.0);
         assert_eq!(r.mac_ops_per_cycle(256), 0.0);
     }

@@ -183,7 +183,7 @@ impl DynamicScheduler {
                 })
                 .collect()
         });
-        ExecutionReport::new(timings, summary)
+        ExecutionReport { timings, summary }
     }
 
     /// Schedules the commands `source` emits, keeping only the scalar
@@ -560,7 +560,7 @@ mod tests {
     /// stood before it was rewritten around packed dependency words.
     mod oracle {
         use crate::geometry::Geometry;
-        use crate::report::{Breakdown, CommandTiming, ExecutionReport};
+        use crate::report::{Breakdown, CommandTiming, ExecutionReport, ScheduleSummary};
         use crate::sched::{RefreshState, Tracking};
         use crate::timing::Timing;
         use pim_isa::command::{CommandKind, CommandStream};
@@ -872,13 +872,15 @@ mod tests {
 
                 ExecutionReport {
                     timings,
-                    cycles: makespan,
-                    breakdown,
-                    mac_count: n_m,
-                    wr_inp_count: n_w,
-                    rd_out_count: n_r,
-                    row_switches: switches,
-                    refresh_events: refresh.events,
+                    summary: ScheduleSummary {
+                        cycles: makespan,
+                        breakdown,
+                        mac_count: n_m,
+                        wr_inp_count: n_w,
+                        rd_out_count: n_r,
+                        row_switches: switches,
+                        refresh_events: refresh.events,
+                    },
                 }
             }
         }
@@ -976,13 +978,13 @@ mod tests {
         let stat = crate::sched::StaticScheduler::new(t).run(&s);
         let dyn_ = DynamicScheduler::new(t, g, Tracking::PerEntry).run(&s);
         assert!(
-            dyn_.cycles < stat.cycles,
+            dyn_.summary.cycles < stat.summary.cycles,
             "DCS {} should beat static {}",
-            dyn_.cycles,
-            stat.cycles
+            dyn_.summary.cycles,
+            stat.summary.cycles
         );
         // Paper's example reduces 34 -> 22 cycles (~35%); require >= 25%.
-        assert!((dyn_.cycles as f64) <= 0.75 * stat.cycles as f64);
+        assert!((dyn_.summary.cycles as f64) <= 0.75 * stat.summary.cycles as f64);
     }
 
     #[test]
@@ -1007,16 +1009,16 @@ mod tests {
         let pp = DynamicScheduler::new(t, g, Tracking::PerHalf).run(&s);
         let dcs = DynamicScheduler::new(t, g, Tracking::PerEntry).run(&s);
         assert!(
-            dcs.cycles <= pp.cycles,
+            dcs.summary.cycles <= pp.summary.cycles,
             "dcs {} vs pp {}",
-            dcs.cycles,
-            pp.cycles
+            dcs.summary.cycles,
+            pp.summary.cycles
         );
         assert!(
-            pp.cycles <= stat.cycles,
+            pp.summary.cycles <= stat.summary.cycles,
             "pp {} vs static {}",
-            pp.cycles,
-            stat.cycles
+            pp.summary.cycles,
+            stat.summary.cycles
         );
     }
 
@@ -1154,9 +1156,9 @@ mod tests {
                         let got = DynamicScheduler::new(timing, geom, tracking).run(&stream);
                         let want = oracle::Oracle::new(timing, geom, tracking).run(&stream);
                         assert_eq!(got, want, "case {case} {tracking:?} {timing:?} {geom:?}");
-                        let b = got.breakdown;
+                        let b = got.summary.breakdown;
                         for (n, hit) in covered.iter_mut().zip([
-                            got.refresh_events > 0,
+                            got.summary.refresh_events > 0,
                             b.dt_gbuf > 0,
                             b.dt_outreg > 0,
                             b.act_pre > 0,
@@ -1197,7 +1199,7 @@ mod tests {
                 let stream = random_stream(&mut rng, &geom);
                 for timing in [Timing::aimx(), Timing::aimx_no_refresh(), random] {
                     for kind in crate::SchedulerKind::ALL {
-                        let want = crate::schedule(&stream, kind, &timing, &geom).summary();
+                        let want = crate::schedule(&stream, kind, &timing, &geom).summary;
                         let got = crate::summarize(&stream, kind, &timing, &geom);
                         assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
                     }
@@ -1331,7 +1333,7 @@ mod tests {
                     for kind in crate::SchedulerKind::ALL {
                         let got = crate::summarize(&source, kind, &timing, &geom);
                         let work = crate::sched::WORK.get();
-                        let want = crate::schedule(&stream, kind, &timing, &geom).summary();
+                        let want = crate::schedule(&stream, kind, &timing, &geom).summary;
                         assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
                         let tracking = match kind {
                             crate::SchedulerKind::Static => continue,
@@ -1339,7 +1341,7 @@ mod tests {
                             crate::SchedulerKind::Dcs => Tracking::PerEntry,
                         };
                         let oracle = oracle::Oracle::new(timing, geom, tracking).run(&stream);
-                        assert_eq!(got, oracle.summary(), "oracle: case {case} {kind}");
+                        assert_eq!(got, oracle.summary, "oracle: case {case} {kind}");
                         in_runs += u32::from(work.run_macs > 0);
                         refreshed += u32::from(work.run_macs > 0 && got.refresh_events > 0);
                     }

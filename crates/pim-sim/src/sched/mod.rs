@@ -116,8 +116,8 @@ pub fn schedule(
 }
 
 /// Scalar results of scheduling the commands `source` emits: exactly
-/// [`schedule`]'s report without the per-command timings, from the same
-/// issue loop.
+/// the summary of [`schedule`]'s report, from the same issue loop,
+/// without the per-command timings.
 ///
 /// # Example
 ///
@@ -130,7 +130,7 @@ pub fn schedule(
 /// let timing = Timing::aimx();
 /// let totals = summarize(&kernel, SchedulerKind::Dcs, &timing, &geom);
 /// let report = schedule(&kernel.stream(), SchedulerKind::Dcs, &timing, &geom);
-/// assert_eq!(totals, report.summary());
+/// assert_eq!(totals, report.summary);
 /// ```
 pub fn summarize(
     source: &(impl CommandSource + ?Sized),
@@ -598,7 +598,7 @@ mod tests {
         for kind in SchedulerKind::ALL {
             let r = schedule(&s, kind, &Timing::aimx_no_refresh(), &Geometry::pimphony());
             assert_eq!(r.timings.len(), 3, "{kind}");
-            assert!(r.cycles > 0, "{kind}");
+            assert!(r.summary.cycles > 0, "{kind}");
         }
     }
 
@@ -614,7 +614,7 @@ mod tests {
                     "emit vs stream: {label}"
                 );
                 for kind in SchedulerKind::ALL {
-                    let want = schedule(&stream, kind, &timing, &geom).summary();
+                    let want = schedule(&stream, kind, &timing, &geom).summary;
                     let from_stream = summarize(&stream, kind, &timing, &geom);
                     assert_eq!(from_stream, want, "{kind} {label} {timing:?}");
                     let from_kernel = summarize(&kernel, kind, &timing, &geom);

@@ -46,7 +46,10 @@ impl StaticScheduler {
                 complete,
             });
         }
-        ExecutionReport::new(timings, pass.finish())
+        ExecutionReport {
+            timings,
+            summary: pass.finish(),
+        }
     }
 
     /// Schedules the commands `source` emits, keeping only the scalar
@@ -205,7 +208,7 @@ mod tests {
         let t = Timing::aimx_no_refresh();
         // MAC at 0 opens a row, so RD-OUT waits row-open + t_mac.
         assert_eq!(r.timings[1].issue, t.row_switch() + t.t_mac);
-        assert_eq!(r.row_switches, 1);
+        assert_eq!(r.summary.row_switches, 1);
     }
 
     #[test]
@@ -215,10 +218,10 @@ mod tests {
         s.push(PimCommand::mac(1, 0, 0, 1, 0));
         s.push(PimCommand::mac(2, 0, 1, 0, 0));
         let r = sched().run(&s);
-        assert_eq!(r.row_switches, 2);
+        assert_eq!(r.summary.row_switches, 2);
         // Back-to-back switches cannot hide behind MAC runs, so both cost
         // activation time.
-        assert!(r.breakdown.act_pre > Timing::aimx().row_switch());
+        assert!(r.summary.breakdown.act_pre > Timing::aimx().row_switch());
     }
 
     #[test]
@@ -234,8 +237,8 @@ mod tests {
             s.push(PimCommand::wr_inp(i, (i % 8) as u16, 0));
         }
         let r = sched.run(&s);
-        assert!(r.refresh_events > 0);
-        assert!(r.breakdown.refresh > 0);
+        assert!(r.summary.refresh_events > 0);
+        assert!(r.summary.breakdown.refresh > 0);
     }
 
     #[test]
@@ -245,6 +248,6 @@ mod tests {
         s.push(PimCommand::mac(1, 0, 0, 0, 0));
         s.push(PimCommand::rd_out(2, 0, 0));
         let r = sched().run(&s);
-        assert_eq!(r.breakdown.total(), r.cycles);
+        assert_eq!(r.summary.breakdown.total(), r.summary.cycles);
     }
 }

@@ -58,15 +58,6 @@ impl Timing {
     pub fn row_switch(&self) -> u64 {
         self.t_pre + self.t_act
     }
-
-    /// Execution time of a command of the given ISA kind.
-    pub fn exec_time(&self, kind: pim_isa::InstructionKind) -> u64 {
-        match kind {
-            pim_isa::InstructionKind::WrInp => self.t_wr_inp,
-            pim_isa::InstructionKind::Mac => self.t_mac,
-            pim_isa::InstructionKind::RdOut => self.t_rd_out,
-        }
-    }
 }
 
 impl Default for Timing {

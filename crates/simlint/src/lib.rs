@@ -29,6 +29,7 @@
 
 pub mod config;
 pub mod doccheck;
+pub mod loc;
 pub mod rules;
 pub mod scan;
 pub mod walk;

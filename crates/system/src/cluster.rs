@@ -1139,7 +1139,7 @@ mod tests {
                 if prefill {
                     let p = prefills.next().expect("a prefill record per emission");
                     let (done, chunk) = keys[p.price as usize];
-                    let pre = stage.prefill_chunk(0, done, chunk);
+                    let pre = stage.prefill_chunk(done, chunk);
                     OldRecord {
                         seconds: OldSeconds::Prefill {
                             secs: pre.seconds,

@@ -96,23 +96,18 @@ struct Affine {
     slope: KernelStats,
 }
 
-/// A resolved attention-kernel configuration, usable as a lock-free
-/// evaluator: [`Self::stats`] returns exactly what
-/// [`KernelModel::attention`] would for the same configuration and
-/// token count, without re-taking the memo lock per query. Hot loops
-/// price thousands of token slices per iteration against one fixed
-/// configuration — hoisting the memo lookup out of the slice loop
-/// removes the per-slice lock/hash cost without changing a single
-/// float operation.
+/// A resolved attention-kernel configuration: the affine fit of one
+/// (kernel, scheduler, GQA, row-reuse) key, looked up in the memo once
+/// by [`KernelModel::attention_eval`] and then evaluated without the
+/// memo lock. Hot loops price many token slices per iteration against
+/// one fixed configuration, so the lookup stays out of the slice loop.
 #[derive(Debug, Clone, Copy)]
 pub struct AttentionEval {
     affine: Affine,
 }
 
 impl AttentionEval {
-    /// Statistics over `tokens` tokens — bit-identical to
-    /// [`KernelModel::attention`] with the configuration this evaluator
-    /// was resolved for.
+    /// Statistics of the kernel over `tokens` tokens on one channel.
     pub fn stats(&self, tokens: u64) -> KernelStats {
         count_eval();
         if tokens == 0 {
@@ -121,9 +116,12 @@ impl AttentionEval {
         KernelStats::axpy(&self.affine.intercept, &self.affine.slope, tokens as f64)
     }
 
-    /// Statistics summed over a causal prefill chunk — bit-identical to
-    /// [`KernelModel::attention_prefill`] with the configuration this
-    /// evaluator was resolved for.
+    /// Total statistics summed over a causal prefill chunk on one
+    /// channel: query positions `done+1 ..= done+chunk`, where position
+    /// `i` attends to its `i`-token prefix. The affine per-position
+    /// model makes the prefix sum closed-form — `Σᵢ (a + b·i) =
+    /// chunk·a + b·(chunk·done + chunk·(chunk+1)/2)` — so a whole prompt
+    /// chunk prices in O(1) regardless of its length.
     pub fn prefill(&self, done: u64, chunk: u64) -> KernelStats {
         count_eval();
         if chunk == 0 {
@@ -249,35 +247,10 @@ impl KernelModel {
         a
     }
 
-    /// Statistics of one attention kernel over `tokens` tokens on one
-    /// channel (`group` query heads share the KV data; `row_reuse` selects
-    /// the GQA row-reuse mapping).
-    pub fn attention(
-        &self,
-        kind: AttentionKind,
-        scheduler: SchedulerKind,
-        pimphony_buffers: bool,
-        group: u32,
-        row_reuse: bool,
-        tokens: u64,
-    ) -> KernelStats {
-        if tokens == 0 {
-            return KernelStats::default();
-        }
-        let key = AttnKey {
-            kind,
-            scheduler,
-            group,
-            row_reuse,
-            pimphony_buffers,
-        };
-        let a = self.affine(key);
-        KernelStats::axpy(&a.intercept, &a.slope, tokens as f64)
-    }
-
-    /// Resolves one attention configuration into a lock-free
-    /// [`AttentionEval`] for repeated per-slice queries (one memo
-    /// lookup up front instead of one per slice).
+    /// The attention kernel `kind` as one channel runs it (`group` query
+    /// heads share the KV data; `row_reuse` selects the GQA row-reuse
+    /// mapping), resolved into an [`AttentionEval`]: the affine fit is
+    /// calibrated on first use and memoized.
     pub fn attention_eval(
         &self,
         kind: AttentionKind,
@@ -295,28 +268,6 @@ impl KernelModel {
                 pimphony_buffers,
             }),
         }
-    }
-
-    /// Total statistics of one attention kernel summed over a causal
-    /// prefill chunk on one channel: query positions
-    /// `done+1 ..= done+chunk`, where position `i` attends to its
-    /// `i`-token prefix. The affine per-position model makes the prefix
-    /// sum closed-form — `Σᵢ (a + b·i) = chunk·a + b·(chunk·done +
-    /// chunk·(chunk+1)/2)` — so a whole prompt chunk prices in O(1)
-    /// regardless of its length.
-    #[allow(clippy::too_many_arguments)]
-    pub fn attention_prefill(
-        &self,
-        kind: AttentionKind,
-        scheduler: SchedulerKind,
-        pimphony_buffers: bool,
-        group: u32,
-        row_reuse: bool,
-        done: u64,
-        chunk: u64,
-    ) -> KernelStats {
-        self.attention_eval(kind, scheduler, pimphony_buffers, group, row_reuse)
-            .prefill(done, chunk)
     }
 
     /// Statistics of one dense GEMV on one channel (exact, memoized).
@@ -356,6 +307,12 @@ mod tests {
         KernelModel::new(Timing::aimx(), 128)
     }
 
+    /// The `QKᵀ` evaluator under DCS on PIMphony buffers, one query per
+    /// KV head.
+    fn dcs_qkt(m: &KernelModel) -> AttentionEval {
+        m.attention_eval(AttentionKind::Qkt, SchedulerKind::Dcs, true, 1, false)
+    }
+
     #[test]
     fn affine_fit_tracks_exact_simulation() {
         let m = model();
@@ -367,7 +324,7 @@ mod tests {
             pimphony_buffers: true,
         };
         let exact = m.simulate_attn(key, 2048);
-        let fitted = m.attention(AttentionKind::Qkt, SchedulerKind::Dcs, true, 1, false, 2048);
+        let fitted = dcs_qkt(&m).stats(2048);
         let err = (exact.cycles - fitted.cycles).abs() / exact.cycles;
         // Refresh windows and row-boundary effects add mild curvature;
         // a 10% envelope is tight enough for throughput composition.
@@ -397,18 +354,11 @@ mod tests {
                         row_reuse,
                         pimphony_buffers,
                     };
+                    let eval =
+                        m.attention_eval(kind, scheduler, pimphony_buffers, group, row_reuse);
                     for tokens in [16, 64, 256, 512, 1024, 2048, 4096, 8192, 16384] {
                         let exact = m.simulate_attn(key, tokens).cycles;
-                        let fitted = m
-                            .attention(
-                                kind,
-                                scheduler,
-                                pimphony_buffers,
-                                group,
-                                row_reuse,
-                                u64::from(tokens),
-                            )
-                            .cycles;
+                        let fitted = eval.stats(u64::from(tokens)).cycles;
                         let residual = (fitted - exact) / exact * 100.0;
                         out += &format!(
                             "{kind:?} {scheduler} {group} {row_reuse} {tokens} {exact} {fitted} \
@@ -425,8 +375,12 @@ mod tests {
     fn dcs_is_never_slower_than_static() {
         let m = model();
         for kind in [AttentionKind::Qkt, AttentionKind::Sv] {
-            let s = m.attention(kind, SchedulerKind::Static, false, 1, false, 8192);
-            let d = m.attention(kind, SchedulerKind::Dcs, true, 1, false, 8192);
+            let s = m
+                .attention_eval(kind, SchedulerKind::Static, false, 1, false)
+                .stats(8192);
+            let d = m
+                .attention_eval(kind, SchedulerKind::Dcs, true, 1, false)
+                .stats(8192);
             assert!(
                 d.cycles <= s.cycles,
                 "{kind:?}: {} vs {}",
@@ -437,99 +391,19 @@ mod tests {
     }
 
     #[test]
-    fn attention_eval_is_bit_exact_with_attention() {
-        let m = model();
-        for (group, row_reuse) in [(1, false), (4, true)] {
-            let eval = m.attention_eval(
-                AttentionKind::Qkt,
-                SchedulerKind::Dcs,
-                true,
-                group,
-                row_reuse,
-            );
-            for tokens in [0u64, 1, 17, 512, 4096, 100_000] {
-                let direct = m.attention(
-                    AttentionKind::Qkt,
-                    SchedulerKind::Dcs,
-                    true,
-                    group,
-                    row_reuse,
-                    tokens,
-                );
-                assert_eq!(eval.stats(tokens), direct, "tokens {tokens}");
-            }
-        }
-    }
-
-    #[test]
-    fn attention_eval_prefill_is_bit_exact_with_attention_prefill() {
-        // Both must reproduce, bit for bit, the closed form priced
-        // straight from the memoized affine fit.
-        let m = model();
-        // `==` treats 0.0 and -0.0 alike; compare bits.
-        let bits = |s: KernelStats| {
-            [s.cycles, s.mac_busy, s.macs, s.ios, s.row_switches].map(f64::to_bits)
-        };
-        for kind in [AttentionKind::Qkt, AttentionKind::Sv] {
-            for (scheduler, pimphony_buffers, group, row_reuse) in [
-                (SchedulerKind::Static, false, 1, false),
-                (SchedulerKind::Dcs, true, 4, true),
-            ] {
-                let a = m.affine(AttnKey {
-                    kind,
-                    scheduler,
-                    group,
-                    row_reuse,
-                    pimphony_buffers,
-                });
-                let eval = m.attention_eval(kind, scheduler, pimphony_buffers, group, row_reuse);
-                for done in [0u64, 1, 17, 4095, 100_000] {
-                    for chunk in [0u64, 1, 2, 7, 512, 4096] {
-                        let closed = if chunk == 0 {
-                            KernelStats::default()
-                        } else {
-                            let c = chunk as f64;
-                            let token_sum = c * done as f64 + c * (c + 1.0) / 2.0;
-                            KernelStats::axpy(&a.intercept.scaled(c), &a.slope, token_sum)
-                        };
-                        let what = format!("{kind:?} done {done} chunk {chunk}");
-                        let got = eval.prefill(done, chunk);
-                        assert_eq!(bits(got), bits(closed), "{what}");
-                        let direct = m.attention_prefill(
-                            kind,
-                            scheduler,
-                            pimphony_buffers,
-                            group,
-                            row_reuse,
-                            done,
-                            chunk,
-                        );
-                        assert_eq!(bits(direct), bits(closed), "{what}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn zero_tokens_is_free() {
         let m = model();
-        let s = m.attention(AttentionKind::Sv, SchedulerKind::Dcs, true, 4, true, 0);
+        let s = m
+            .attention_eval(AttentionKind::Sv, SchedulerKind::Dcs, true, 4, true)
+            .stats(0);
         assert_eq!(s.cycles, 0.0);
     }
 
     #[test]
     fn stats_grow_with_tokens() {
         let m = model();
-        let a = m.attention(AttentionKind::Qkt, SchedulerKind::Dcs, true, 1, false, 1024);
-        let b = m.attention(
-            AttentionKind::Qkt,
-            SchedulerKind::Dcs,
-            true,
-            1,
-            false,
-            65536,
-        );
+        let eval = dcs_qkt(&m);
+        let (a, b) = (eval.stats(1024), eval.stats(65536));
         assert!(b.cycles > 10.0 * a.cycles);
         assert!(b.macs > a.macs);
     }
@@ -546,26 +420,12 @@ mod tests {
     #[test]
     fn prefill_closed_form_matches_per_position_sum() {
         let m = model();
+        let eval = dcs_qkt(&m);
         let (done, chunk) = (1000u64, 7u64);
-        let closed = m.attention_prefill(
-            AttentionKind::Qkt,
-            SchedulerKind::Dcs,
-            true,
-            1,
-            false,
-            done,
-            chunk,
-        );
+        let closed = eval.prefill(done, chunk);
         let mut summed = KernelStats::default();
         for i in 1..=chunk {
-            summed.accumulate(&m.attention(
-                AttentionKind::Qkt,
-                SchedulerKind::Dcs,
-                true,
-                1,
-                false,
-                done + i,
-            ));
+            summed.accumulate(&eval.stats(done + i));
         }
         assert!(
             (closed.cycles - summed.cycles).abs() < 1e-6 * summed.cycles,
@@ -579,57 +439,17 @@ mod tests {
     #[test]
     fn prefill_single_position_equals_decode_attention() {
         let m = model();
-        let one = m.attention_prefill(
-            AttentionKind::Sv,
-            SchedulerKind::Static,
-            false,
-            1,
-            false,
-            4095,
-            1,
-        );
-        let decode = m.attention(
-            AttentionKind::Sv,
-            SchedulerKind::Static,
-            false,
-            1,
-            false,
-            4096,
-        );
+        let eval = m.attention_eval(AttentionKind::Sv, SchedulerKind::Static, false, 1, false);
+        let (one, decode) = (eval.prefill(4095, 1), eval.stats(4096));
         assert!((one.cycles - decode.cycles).abs() < 1e-9 * decode.cycles);
     }
 
     #[test]
     fn prefill_zero_chunk_is_free_and_grows_with_chunk() {
         let m = model();
-        let z = m.attention_prefill(
-            AttentionKind::Qkt,
-            SchedulerKind::Dcs,
-            true,
-            1,
-            false,
-            512,
-            0,
-        );
-        assert_eq!(z.cycles, 0.0);
-        let small = m.attention_prefill(
-            AttentionKind::Qkt,
-            SchedulerKind::Dcs,
-            true,
-            1,
-            false,
-            0,
-            1024,
-        );
-        let big = m.attention_prefill(
-            AttentionKind::Qkt,
-            SchedulerKind::Dcs,
-            true,
-            1,
-            false,
-            0,
-            8192,
-        );
+        let eval = dcs_qkt(&m);
+        assert_eq!(eval.prefill(512, 0).cycles, 0.0);
+        let (small, big) = (eval.prefill(0, 1024), eval.prefill(0, 8192));
         // Causal prefill is superlinear in the prompt: 8x the tokens is
         // far more than 8x the work.
         assert!(big.cycles > 16.0 * small.cycles);

@@ -157,8 +157,7 @@ pub(crate) struct PrefillPrice {
 /// A replica's prefill prices, interned by `(done, chunk)`: the exact
 /// prefill-price memo, and the table [`PrefillRecord`]s point into.
 ///
-/// A chunk's price depends on those two numbers alone (the request id
-/// only names the single request being partitioned), and the requests
+/// A chunk's price depends on those two numbers alone, and the requests
 /// of one tenant prefill the same offsets again and again — at seed
 /// 2026 the memory-pressure perfbench workload executes ~57K prefill
 /// chunks per pass and prices ~3.9K of them. Each distinct chunk is
@@ -174,17 +173,10 @@ impl PrefillPrices {
     /// The index of the price of `chunk` prompt tokens after `done`,
     /// pricing it (`stage.prefill_chunk` plus its energy terms) the
     /// first time it is asked for.
-    fn intern(
-        &mut self,
-        eval: &Evaluator,
-        stage: &StageModel,
-        req_id: u64,
-        done: u64,
-        chunk: u64,
-    ) -> u32 {
+    fn intern(&mut self, eval: &Evaluator, stage: &StageModel, done: u64, chunk: u64) -> u32 {
         let prices = &mut self.prices;
         *self.index.entry((done, chunk)).or_insert_with(|| {
-            let pre = stage.prefill_chunk(req_id, done, chunk);
+            let pre = stage.prefill_chunk(done, chunk);
             let idx = u32::try_from(prices.len()).expect("fewer than 2^32 distinct prefill prices");
             prices.push(PrefillPrice {
                 secs: pre.seconds,
@@ -1260,10 +1252,10 @@ impl<'a> ReplicaSim<'a> {
                     let mut done = 0u64;
                     while done < r.context_len {
                         let c = self.prefill.chunk_tokens.min(r.context_len - done);
-                        let price =
-                            self.ledger
-                                .prefill_prices
-                                .intern(eval, &self.stage, r.id, done, c);
+                        let price = self
+                            .ledger
+                            .prefill_prices
+                            .intern(eval, &self.stage, done, c);
                         self.ledger.prefill(price, c, 0.0);
                         let secs = self.ledger.prefill_prices[price].secs;
                         self.t += secs;
@@ -1864,13 +1856,10 @@ impl<'a> ReplicaSim<'a> {
                     .prefill
                     .chunk_tokens
                     .min(a.prefill_target - a.prefilled);
-                let price = self.ledger.prefill_prices.intern(
-                    self.eval,
-                    &self.stage,
-                    a.req.id,
-                    a.prefilled,
-                    pchunk,
-                );
+                let price =
+                    self.ledger
+                        .prefill_prices
+                        .intern(self.eval, &self.stage, a.prefilled, pchunk);
                 let mut batch = std::mem::take(&mut self.batch_buf);
                 batch.clear();
                 batch.extend(
@@ -2256,8 +2245,7 @@ mod tests {
         let distinct: BTreeSet<(u64, u64)> = chunks.iter().copied().collect();
         let first: Vec<u32> = chunks
             .iter()
-            .enumerate()
-            .map(|(i, &(done, chunk))| prices.intern(&eval, &stage, i as u64, done, chunk))
+            .map(|&(done, chunk)| prices.intern(&eval, &stage, done, chunk))
             .collect();
         assert_eq!(
             prices.len(),
@@ -2265,10 +2253,10 @@ mod tests {
             "one pricing per distinct chunk"
         );
         for (i, &(done, chunk)) in chunks.iter().enumerate() {
-            let idx = prices.intern(&eval, &stage, i as u64 + 7, done, chunk);
+            let idx = prices.intern(&eval, &stage, done, chunk);
             assert_eq!(idx, first[i], "done {done} chunk {chunk}");
             assert_eq!(prices.keys()[idx as usize], (done, chunk));
-            let pre = stage.prefill_chunk(i as u64, done, chunk);
+            let pre = stage.prefill_chunk(done, chunk);
             let fresh = PrefillPrice {
                 secs: pre.seconds,
                 util_weight: pre.attn_utilization * pre.seconds,

@@ -212,18 +212,6 @@ impl TtftPredictor {
     pub fn predict_with_transfer(&self, waited: f64, tokens: u64, transfer_secs: f64) -> f64 {
         self.predict(waited, tokens) + transfer_secs.max(0.0)
     }
-
-    /// [`Self::slack`] against the transfer-inclusive bound of
-    /// [`Self::predict_with_transfer`].
-    pub fn slack_with_transfer(
-        &self,
-        slo_ttft: f64,
-        waited: f64,
-        tokens: u64,
-        transfer_secs: f64,
-    ) -> f64 {
-        slo_ttft - self.predict_with_transfer(waited, tokens, transfer_secs)
-    }
 }
 
 /// Prices cross-pool KV handoffs for one evaluator: the request's
@@ -430,7 +418,7 @@ impl Evaluator {
         }
         // `with_policies` rejects an enabled prefill with 0-token chunks.
         let chunk = prefill.chunk_tokens;
-        let secs = self.stage_model().prefill_chunk(0, 0, chunk).seconds;
+        let secs = self.stage_model().prefill_chunk(0, chunk).seconds;
         TtftPredictor::with_rate(secs / chunk as f64)
     }
 
@@ -491,7 +479,7 @@ impl Evaluator {
     /// already resident, processing its next `chunk` tokens. The
     /// breakdown holds the chunk's *totals* (not per-step values).
     pub fn prefill_chunk(&self, done: u64, chunk: u64) -> IterationBreakdown {
-        self.stage_model().prefill_chunk(0, done, chunk)
+        self.stage_model().prefill_chunk(done, chunk)
     }
 
     /// Seconds to process a whole `prompt` in isolation under the
@@ -508,7 +496,7 @@ impl Evaluator {
         let mut done = 0u64;
         while done < prompt {
             let c = prefill.chunk_tokens.min(prompt - done);
-            secs += stage.prefill_chunk(0, done, c).seconds;
+            secs += stage.prefill_chunk(done, c).seconds;
             done += c;
         }
         secs
@@ -725,11 +713,7 @@ pub(crate) fn token_kv_bytes(model: &ModelConfig, tp: u32) -> u64 {
 pub(crate) fn replica_kv_bytes(sys: &SystemConfig, model: &ModelConfig, factor: f64) -> u64 {
     let total = u64::from(sys.parallel.modules()) * sys.module.capacity_bytes;
     let cap = total.saturating_sub(model.weight_bytes());
-    if factor == 1.0 {
-        cap // bit-exact fast path for the unscaled default
-    } else {
-        (cap as f64 * factor) as u64
-    }
+    (cap as f64 * factor) as u64
 }
 
 #[cfg(test)]

@@ -345,13 +345,12 @@ impl<'a> StageModel<'a> {
     /// prompt tokens of a single request whose first `done` prompt
     /// tokens are already KV-resident. Causal attention makes the total
     /// work a prefix sum, priced in closed form by
-    /// [`KernelModel::attention_prefill`]; the per-channel share follows
-    /// the same KV partitioning as decode (HFP: channel-resident pairs,
-    /// TCP: token slices across all channels), distributing the causal
-    /// total proportionally to each channel's resident-key share.
-    /// `req_id` only names the request: the price depends on `done` and
-    /// `chunk` alone.
-    pub fn prefill_attention_layer(&self, req_id: u64, done: u64, chunk: u64) -> AttentionStage {
+    /// [`AttentionEval::prefill`]; the per-channel share follows the
+    /// same KV partitioning as decode (HFP: channel-resident pairs, TCP:
+    /// token slices across all channels), distributing the causal total
+    /// proportionally to each channel's resident-key share. The price
+    /// depends on `done` and `chunk` alone.
+    pub fn prefill_attention_layer(&self, done: u64, chunk: u64) -> AttentionStage {
         if chunk == 0 {
             return AttentionStage::default();
         }
@@ -375,7 +374,7 @@ impl<'a> StageModel<'a> {
             * epu.softmax_cycles(mid_keys) as f64
             * f64::from(self.kv_instances_per_module())
             / f64::from(channels);
-        self.price_partition(&[(req_id, total_keys)], softmax, |t| {
+        self.price_partition(&[(0, total_keys)], softmax, |t| {
             let share = t as f64 / total_keys as f64;
             SlicePrice {
                 qkt: qkt.scaled(share),
@@ -404,45 +403,57 @@ impl<'a> StageModel<'a> {
     /// genuinely drains — and a chunk smaller than the pipeline depth
     /// pays its own fill/drain bubbles; fine-grained chunked prefill is
     /// therefore *not* free under pipeline parallelism.
-    pub fn prefill_chunk(&self, req_id: u64, done: u64, chunk: u64) -> IterationBreakdown {
+    pub fn prefill_chunk(&self, done: u64, chunk: u64) -> IterationBreakdown {
         if chunk == 0 {
             return IterationBreakdown::default();
         }
-        let pp = self.system.parallel.pp as usize;
-        let layers_per_stage = (self.model.layers as usize).div_ceil(pp);
-        let m = chunk.min(pp as u64).max(1) as usize;
-        let clock = self.system.module.clock_hz;
-
-        let mut out = IterationBreakdown::default();
-        let mut stage_secs_sum = 0.0;
-        let mut util_weighted = 0.0;
+        let m = chunk.min(u64::from(self.system.parallel.pp)).max(1);
+        let (base, rem) = (chunk / m, chunk % m);
         let mut offset = done;
-        let base = chunk / m as u64;
-        let rem = (chunk % m as u64) as usize;
-        for j in 0..m {
+        self.pipeline((0..m).map(|j| {
             let c_j = base + u64::from(j < rem);
-            let attn = self.prefill_attention_layer(req_id, offset, c_j);
-            let (fc_secs, fc_flops, fc_stats) = self.fc_layer(c_j as usize);
-            let sync = self.sync_layer(c_j as usize);
-            let attn_secs = attn.cycles / clock;
-            let layer_secs = attn_secs + fc_secs + sync;
-            let stage = layers_per_stage as f64 * layer_secs;
-            stage_secs_sum += stage;
-            out.attn_seconds += layers_per_stage as f64 * attn_secs;
-            out.fc_seconds += layers_per_stage as f64 * fc_secs;
-            out.sync_seconds += layers_per_stage as f64 * sync;
-            out.attn_totals
-                .accumulate(&attn.totals.scaled(layers_per_stage as f64 * pp as f64));
-            out.fc_flops += fc_flops * layers_per_stage as f64 * pp as f64;
-            out.fc_totals
-                .accumulate(&fc_stats.scaled(layers_per_stage as f64 * pp as f64));
-            util_weighted += attn.utilization * stage;
+            let attn = self.prefill_attention_layer(offset, c_j);
             offset += c_j;
+            (attn, c_j as usize)
+        }))
+    }
+
+    /// Prices one pass of micro-batches through the PP stages. Each
+    /// micro comes as its attention stage and its batch size (decode:
+    /// requests; prefill: prompt tokens), in pipeline order, and adds
+    /// one operand to every accumulator in that order. `m` micros leave
+    /// `pp − m` stages idle: that bubble costs the mean stage time per
+    /// idle stage, added after the stages.
+    fn pipeline(
+        &self,
+        micros: impl Iterator<Item = (AttentionStage, usize)>,
+    ) -> IterationBreakdown {
+        let pp = self.system.parallel.pp as usize;
+        let layers = (self.model.layers as usize).div_ceil(pp) as f64;
+        let clock = self.system.module.clock_hz;
+        let mut out = IterationBreakdown::default();
+        let (mut m, mut stage_secs_sum, mut util_weighted) = (0usize, 0.0, 0.0);
+        for (attn, batch) in micros {
+            let (fc_secs, fc_flops, fc_stats) = self.fc_layer(batch);
+            let sync = self.sync_layer(batch);
+            let attn_secs = attn.cycles / clock;
+            let stage = layers * (attn_secs + fc_secs + sync);
+            stage_secs_sum += stage;
+            out.attn_seconds += layers * attn_secs;
+            out.fc_seconds += layers * fc_secs;
+            out.sync_seconds += layers * sync;
+            out.attn_totals
+                .accumulate(&attn.totals.scaled(layers * pp as f64));
+            out.fc_flops += fc_flops * layers * pp as f64;
+            out.fc_totals
+                .accumulate(&fc_stats.scaled(layers * pp as f64));
+            util_weighted += attn.utilization * stage;
+            m += 1;
         }
-        let mean_stage = stage_secs_sum / m as f64;
-        out.bubble_seconds = (pp.saturating_sub(m)) as f64 * mean_stage;
+        out.bubble_seconds = pp.saturating_sub(m) as f64 * (stage_secs_sum / m as f64);
         out.seconds = stage_secs_sum + out.bubble_seconds;
         out.attn_utilization = if stage_secs_sum > 0.0 {
+            // Bubbles idle the whole module, scaling utilization down.
             (util_weighted / stage_secs_sum) * (stage_secs_sum / out.seconds)
         } else {
             0.0
@@ -523,56 +534,22 @@ impl<'a> StageModel<'a> {
         if b == 0 {
             return IterationBreakdown::default();
         }
-        let pp = self.system.parallel.pp as usize;
-        let layers_per_stage = (self.model.layers as usize).div_ceil(pp);
-        let m = b.min(pp).max(1);
-
-        let clock = self.system.module.clock_hz;
-        let mut out = IterationBreakdown::default();
-        let mut stage_secs_sum = 0.0;
-        let mut util_weighted = 0.0;
-        let mut step = |micro: &[(u64, u64)]| {
-            let attn = self.attention_layer(micro);
-            let (fc_secs, fc_flops, fc_stats) = self.fc_layer(micro.len());
-            let sync = self.sync_layer(micro.len());
-            let attn_secs = attn.cycles / clock;
-            let layer_secs = attn_secs + fc_secs + sync;
-            let stage = layers_per_stage as f64 * layer_secs;
-            stage_secs_sum += stage;
-            out.attn_seconds += layers_per_stage as f64 * attn_secs;
-            out.fc_seconds += layers_per_stage as f64 * fc_secs;
-            out.sync_seconds += layers_per_stage as f64 * sync;
-            out.attn_totals
-                .accumulate(&attn.totals.scaled(layers_per_stage as f64 * pp as f64));
-            out.fc_flops += fc_flops * layers_per_stage as f64 * pp as f64;
-            out.fc_totals
-                .accumulate(&fc_stats.scaled(layers_per_stage as f64 * pp as f64));
-            util_weighted += attn.utilization * stage;
-        };
+        let m = b.min(self.system.parallel.pp as usize).max(1);
         if m == 1 {
             // The common no-pipeline case: the single micro-batch is
             // the whole batch in order — price it in place.
-            step(batch);
-        } else {
-            // Round-robin micro-batch split.
-            let mut micros: Vec<Vec<(u64, u64)>> = vec![Vec::new(); m];
-            for (i, &req) in batch.iter().enumerate() {
-                micros[i % m].push(req);
-            }
-            for micro in &micros {
-                step(micro);
-            }
+            return self.pipeline(std::iter::once((self.attention_layer(batch), b)));
         }
-        let mean_stage = stage_secs_sum / m as f64;
-        out.bubble_seconds = (pp.saturating_sub(m)) as f64 * mean_stage;
-        out.seconds = stage_secs_sum + out.bubble_seconds;
-        out.attn_utilization = if stage_secs_sum > 0.0 {
-            // Bubbles idle the whole module, scaling utilization down.
-            (util_weighted / stage_secs_sum) * (stage_secs_sum / out.seconds)
-        } else {
-            0.0
-        };
-        out
+        // Round-robin micro-batch split.
+        let mut micros: Vec<Vec<(u64, u64)>> = vec![Vec::new(); m];
+        for (i, &req) in batch.iter().enumerate() {
+            micros[i % m].push(req);
+        }
+        self.pipeline(
+            micros
+                .iter()
+                .map(|micro| (self.attention_layer(micro), micro.len())),
+        )
     }
 }
 
@@ -672,14 +649,14 @@ mod tests {
         let k = kernels();
         let sys = SystemConfig::cent_for(&LLM_7B_32K);
         let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
-        assert_eq!(m.prefill_chunk(0, 0, 0).seconds, 0.0);
-        let small = m.prefill_chunk(0, 0, 256);
-        let large = m.prefill_chunk(0, 0, 1024);
+        assert_eq!(m.prefill_chunk(0, 0).seconds, 0.0);
+        let small = m.prefill_chunk(0, 256);
+        let large = m.prefill_chunk(0, 1024);
         assert!(large.seconds > small.seconds);
         // Later chunks attend to longer prefixes, so the same chunk
         // size costs more deeper into the prompt.
-        let early = m.prefill_chunk(0, 0, 512);
-        let late = m.prefill_chunk(0, 8192, 512);
+        let early = m.prefill_chunk(0, 512);
+        let late = m.prefill_chunk(8192, 512);
         assert!(late.seconds > early.seconds);
         assert!(late.attn_seconds > early.attn_seconds);
     }
@@ -695,12 +672,12 @@ mod tests {
         assert_eq!(sys.parallel.pp, 1);
         let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
         let prompt = 4096u64;
-        let whole = m.prefill_chunk(0, 0, prompt);
+        let whole = m.prefill_chunk(0, prompt);
         let mut split = 0.0;
         let mut done = 0u64;
         while done < prompt {
             let c = 512.min(prompt - done);
-            split += m.prefill_chunk(0, done, c).seconds;
+            split += m.prefill_chunk(done, c).seconds;
             done += c;
         }
         let err = (whole.seconds - split).abs() / whole.seconds;
@@ -718,12 +695,12 @@ mod tests {
         let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(1, 4));
         let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
         let prompt = 2048u64;
-        let whole = m.prefill_chunk(0, 0, prompt);
+        let whole = m.prefill_chunk(0, prompt);
         assert_eq!(whole.bubble_seconds, 0.0, "chunk >= pp streams bubble-free");
         let mut split = 0.0;
         let mut done = 0u64;
         while done < prompt {
-            split += m.prefill_chunk(0, done, 1).seconds;
+            split += m.prefill_chunk(done, 1).seconds;
             done += 1;
         }
         assert!(split > whole.seconds, "{split} vs {}", whole.seconds);
@@ -743,8 +720,8 @@ mod tests {
         let neu = SystemConfig::neupims_for(&LLM_7B_32K);
         let mc = StageModel::new(cent, LLM_7B_32K, Techniques::pimphony(), &k);
         let mn = StageModel::new(neu, LLM_7B_32K, Techniques::pimphony(), &k);
-        let pc = mc.prefill_chunk(0, 0, 512);
-        let pn = mn.prefill_chunk(0, 0, 512);
+        let pc = mc.prefill_chunk(0, 512);
+        let pn = mn.prefill_chunk(0, 512);
         assert!(pc.fc_seconds > 4.0 * pn.fc_seconds, "{pc:?} vs {pn:?}");
     }
 
@@ -754,8 +731,8 @@ mod tests {
         let sys = SystemConfig::cent_for(&LLM_7B_32K);
         let base = StageModel::new(sys, LLM_7B_32K, Techniques::baseline(), &k);
         let tcp = StageModel::new(sys, LLM_7B_32K, Techniques::tcp_only(), &k);
-        let b = base.prefill_attention_layer(0, 0, 2048);
-        let t = tcp.prefill_attention_layer(0, 0, 2048);
+        let b = base.prefill_attention_layer(0, 2048);
+        let t = tcp.prefill_attention_layer(0, 2048);
         assert!(t.cycles < b.cycles);
         assert_eq!(t.active_channels, 32);
     }
@@ -763,12 +740,7 @@ mod tests {
     /// `prefill_attention_layer` priced by looping over the materialized
     /// [`ModulePartition::assign`]: the oracle the per-request pricing
     /// must match bit for bit.
-    fn prefill_attention_by_assign(
-        m: &StageModel,
-        req_id: u64,
-        done: u64,
-        chunk: u64,
-    ) -> AttentionStage {
+    fn prefill_attention_by_assign(m: &StageModel, done: u64, chunk: u64) -> AttentionStage {
         if chunk == 0 {
             return AttentionStage::default();
         }
@@ -778,11 +750,11 @@ mod tests {
             m.partitioning(),
             channels,
             m.kv_instances_per_module(),
-            &[(req_id, total_keys)],
+            &[(0, total_keys)],
         );
         let (sched, buffers) = (m.scheduler(), m.techniques.dcs);
         let (group, row_reuse) = (m.effective_group(), m.row_reuse());
-        let epu = pim_sim::epu::Epu::default();
+        let epu = EpuConfig::default();
         let reduction = if m.techniques.tcp {
             epu.reduce_cycles(channels, m.model.head_dim) as f64 * chunk as f64
         } else {
@@ -790,7 +762,8 @@ mod tests {
         };
         let price = |kind| {
             m.kernels
-                .attention_prefill(kind, sched, buffers, group, row_reuse, done, chunk)
+                .attention_eval(kind, sched, buffers, group, row_reuse)
+                .prefill(done, chunk)
         };
         let (qkt, sv) = (price(AttentionKind::Qkt), price(AttentionKind::Sv));
         let mut makespan: f64 = 0.0;
@@ -827,12 +800,7 @@ mod tests {
 
     /// `prefill_chunk`'s micro-batch composition over
     /// [`prefill_attention_by_assign`] and [`fc_layer_per_call`].
-    fn prefill_chunk_by_assign(
-        m: &StageModel,
-        req_id: u64,
-        done: u64,
-        chunk: u64,
-    ) -> IterationBreakdown {
+    fn prefill_chunk_by_assign(m: &StageModel, done: u64, chunk: u64) -> IterationBreakdown {
         let pp = m.system.parallel.pp as usize;
         let layers = (m.model.layers as usize).div_ceil(pp) as f64;
         let micros = chunk.min(pp as u64).max(1);
@@ -841,7 +809,7 @@ mod tests {
         let (mut stage_secs_sum, mut util_weighted, mut offset) = (0.0, 0.0, done);
         for j in 0..micros {
             let c_j = chunk / micros + u64::from(j < chunk % micros);
-            let attn = prefill_attention_by_assign(m, req_id, offset, c_j);
+            let attn = prefill_attention_by_assign(m, offset, c_j);
             let (fc_secs, fc_flops, fc_stats) = fc_layer_per_call(m, c_j as usize);
             let sync = m.sync_layer(c_j as usize);
             let attn_secs = attn.cycles / clock;
@@ -897,13 +865,13 @@ mod tests {
                         let what =
                             format!("{techniques:?} tp={tp} pp={pp} done={done} chunk={chunk}");
                         assert_eq!(
-                            m.prefill_attention_layer(7, done, chunk),
-                            prefill_attention_by_assign(&m, 7, done, chunk),
+                            m.prefill_attention_layer(done, chunk),
+                            prefill_attention_by_assign(&m, done, chunk),
                             "{what}"
                         );
                         assert_eq!(
-                            m.prefill_chunk(7, done, chunk),
-                            prefill_chunk_by_assign(&m, 7, done, chunk),
+                            m.prefill_chunk(done, chunk),
+                            prefill_chunk_by_assign(&m, done, chunk),
                             "{what}"
                         );
                     }
@@ -1110,8 +1078,8 @@ mod tests {
                         }
                         for &(done, chunk) in &chunks {
                             assert_eq!(
-                                m.prefill_chunk(7, done, chunk),
-                                prefill_chunk_by_assign(&m, 7, done, chunk),
+                                m.prefill_chunk(done, chunk),
+                                prefill_chunk_by_assign(&m, done, chunk),
                                 "{what} done={done} chunk={chunk}"
                             );
                         }
@@ -1213,7 +1181,6 @@ mod tests {
                     assert_eq!(m.attention_layer(&[(0, 33)]).active_channels, 17);
                 }
                 for _ in 0..24 {
-                    let req_id = rng.next();
                     let done = if rng.next() % 2 == 0 {
                         0
                     } else {
@@ -1221,8 +1188,8 @@ mod tests {
                     };
                     let chunk = rng.tokens(channels).min(4096);
                     assert_eq!(
-                        m.prefill_attention_layer(req_id, done, chunk),
-                        prefill_attention_by_assign(&m, req_id, done, chunk),
+                        m.prefill_attention_layer(done, chunk),
+                        prefill_attention_by_assign(&m, done, chunk),
                         "{what} done={done} chunk={chunk}"
                     );
                 }

@@ -28,8 +28,8 @@ fn main() {
         println!(
             "{:<10} {:>10} {:>8.1}% {:>10}",
             kind.name(),
-            report.cycles,
-            report.mac_utilization() * 100.0,
+            report.summary.cycles,
+            report.summary.mac_utilization() * 100.0,
             violations.len()
         );
         assert!(violations.is_empty(), "scheduler {kind} violated a hazard!");

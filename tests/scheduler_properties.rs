@@ -42,7 +42,7 @@ proptest! {
         for stream in [QktKernel::new(spec, geom).stream(), SvKernel::new(spec, geom).stream()] {
             let st = schedule(&stream, SchedulerKind::Static, &Timing::aimx(), &geom);
             let dc = schedule(&stream, SchedulerKind::Dcs, &Timing::aimx(), &geom);
-            prop_assert!(dc.cycles <= st.cycles, "dcs {} > static {}", dc.cycles, st.cycles);
+            prop_assert!(dc.summary.cycles <= st.summary.cycles, "dcs {} > static {}", dc.summary.cycles, st.summary.cycles);
         }
     }
 
