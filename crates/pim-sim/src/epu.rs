@@ -93,7 +93,6 @@ impl EpuConfig {
 /// The HUB's Extra Processing Unit.
 #[derive(Debug, Clone)]
 pub struct Epu {
-    config: EpuConfig,
     exp_lut: LutTable,
 }
 
@@ -103,12 +102,7 @@ impl Epu {
         // Softmax inputs are shifted to (-inf, 0], so tabulating exp on
         // [-16, 0] covers everything that matters numerically.
         let exp_lut = LutTable::tabulate(|x| x.exp(), -16.0, 0.0, config.exp_segments);
-        Epu { config, exp_lut }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &EpuConfig {
-        &self.config
+        Epu { exp_lut }
     }
 
     /// Numerically stabilized softmax using the LUT exp — the operation

@@ -68,15 +68,6 @@ impl ScheduleSummary {
         }
         (self.breakdown.mac as f64 / self.cycles as f64).min(1.0)
     }
-
-    /// Effective MAC throughput in multiply-accumulate lane-operations per
-    /// cycle, given the channel geometry's lane count.
-    pub fn mac_ops_per_cycle(&self, mac_lanes: u32) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.mac_count as f64 * f64::from(mac_lanes) / self.cycles as f64
-    }
 }
 
 /// Result of scheduling one command stream on one channel.
@@ -110,7 +101,6 @@ mod tests {
     fn empty_report_zero_utilization() {
         let r = ScheduleSummary::default();
         assert_eq!(r.mac_utilization(), 0.0);
-        assert_eq!(r.mac_ops_per_cycle(256), 0.0);
     }
 
     #[test]

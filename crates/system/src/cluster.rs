@@ -808,14 +808,11 @@ fn merge_pools(
     } else {
         0.0
     };
-    report.latency = LatencyReport::from_timings(&timings);
-    report.latency_by_priority =
-        LatencyReport::by_priority_with_aggregate(&timings, Some(&report.latency));
-    report.latency_by_tenant = LatencyReport::by_tenant_with_aggregate(
-        &timings,
-        eval0.tenant_slos(),
-        Some(&report.latency),
-    );
+    (
+        report.latency,
+        report.latency_by_priority,
+        report.latency_by_tenant,
+    ) = LatencyReport::summaries(&timings, eval0.tenant_slos());
     report.per_replica = per_replica;
     // The per-pool view exists only when the pool structure is
     // observable; a single mixed pool stays byte-identical with the

@@ -124,6 +124,7 @@ impl LatencySummary {
             return LatencySummary::default();
         }
         let mut sorted = samples.to_vec();
+        count_sort();
         // total_cmp, not partial_cmp: floats are not totally ordered, and
         // a NaN must not be able to panic (or reorder) the percentile
         // pipeline — under total_cmp a stray NaN sorts last,
@@ -131,27 +132,82 @@ impl LatencySummary {
         // under total_cmp are bit-identical, so an unstable sort yields
         // the same sequence as a stable one.
         sorted.sort_unstable_by(f64::total_cmp);
-        let pick = |q: f64| {
-            // Nearest-rank percentile (smallest rank k with k/n >= q):
-            // monotone in q by construction. The epsilon pins the exact
-            // integer boundaries (`0.95 * 20` must stay rank 19, not
-            // jump to 20): 0.95 is not representable in binary, so the
-            // product can only be trusted to land within rounding noise
-            // of the boundary, and a bare `ceil` would amplify any
-            // upward noise into a whole rank. Safe because the exact
-            // products of the fixed quantiles are multiples of 1/100,
-            // which is many orders above the epsilon.
-            let rank = (q * sorted.len() as f64 - 1e-9).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
+        Self::from_sorted(sorted.len(), sorted.iter().copied())
+    }
+
+    /// Summarizes the `n` samples `sorted` yields in ascending
+    /// `total_cmp` order (`n == 0` produces the zero summary).
+    fn from_sorted(n: usize, sorted: impl Iterator<Item = f64> + Clone) -> Self {
+        if n == 0 {
+            return LatencySummary::default();
+        }
+        // Nearest-rank percentile (smallest rank k with k/n >= q):
+        // monotone in q by construction. The epsilon pins the exact
+        // integer boundaries (`0.95 * 20` must stay rank 19, not jump to
+        // 20): 0.95 is not representable in binary, so the product can
+        // only be trusted to land within rounding noise of the boundary,
+        // and a bare `ceil` would amplify any upward noise into a whole
+        // rank. Safe because the exact products of the fixed quantiles
+        // are multiples of 1/100, which is many orders above the epsilon.
+        let rank = |q: f64| ((q * n as f64 - 1e-9).ceil() as usize).clamp(1, n);
+        // p50, p95, p99 and max, in ascending rank order.
+        let ranks = [rank(0.50), rank(0.95), rank(0.99), n];
+        let mut picks = [0.0; 4];
+        let mut next = 0;
+        for (k, x) in (1..).zip(sorted.clone()) {
+            while next < ranks.len() && ranks[next] == k {
+                picks[next] = x;
+                next += 1;
+            }
+            if next == ranks.len() {
+                break;
+            }
+        }
+        let [p50, p95, p99, max] = picks;
         LatencySummary {
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50: pick(0.50),
-            p95: pick(0.95),
-            p99: pick(0.99),
-            max: *sorted.last().expect("nonempty"),
+            mean: sorted.sum::<f64>() / n as f64,
+            p50,
+            p95,
+            p99,
+            max,
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Latency-metric sample sorts made on this thread (test builds
+    /// only).
+    static SORTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one latency-metric sort (test builds only).
+#[inline(always)]
+fn count_sort() {
+    #[cfg(test)]
+    SORTS.with(|n| n.set(n.get() + 1));
+}
+
+/// `x`'s bits, mapped so that unsigned order is [`f64::total_cmp`]
+/// order: a negative float's bits are all flipped, a non-negative
+/// float's sign bit is set.
+fn total_order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`total_order_key`].
+fn from_total_order_key(key: u64) -> f64 {
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    f64::from_bits(bits)
 }
 
 /// Per-replica serving totals, populated by the cluster layer so
@@ -263,20 +319,27 @@ pub struct LatencyReport {
     pub restart: LatencySummary,
 }
 
+/// The per-request metric each [`LatencyReport`] summary is drawn from,
+/// in [`LatencyReport::from_parts`] order.
+const METRICS: [fn(&RequestTiming) -> f64; 6] = [
+    RequestTiming::ttft,
+    RequestTiming::tpot,
+    RequestTiming::e2e,
+    RequestTiming::queueing_delay,
+    RequestTiming::prefill_delay,
+    RequestTiming::restart_delay,
+];
+
+/// A timing's class tag: its priority in the high byte, its tenant in
+/// the low one.
+fn class_tag(t: &RequestTiming) -> u16 {
+    u16::from(t.priority) << 8 | u16::from(t.tenant)
+}
+
 impl LatencyReport {
     /// Builds the report from per-request timings.
     pub fn from_timings(timings: &[RequestTiming]) -> Self {
-        let collect =
-            |f: fn(&RequestTiming) -> f64| -> Vec<f64> { timings.iter().map(f).collect() };
-        LatencyReport {
-            completed: timings.len() as u64,
-            ttft: LatencySummary::from_samples(&collect(RequestTiming::ttft)),
-            tpot: LatencySummary::from_samples(&collect(RequestTiming::tpot)),
-            e2e: LatencySummary::from_samples(&collect(RequestTiming::e2e)),
-            queueing: LatencySummary::from_samples(&collect(RequestTiming::queueing_delay)),
-            prefill: LatencySummary::from_samples(&collect(RequestTiming::prefill_delay)),
-            restart: LatencySummary::from_samples(&collect(RequestTiming::restart_delay)),
-        }
+        Self::split(timings, &[]).0
     }
 
     /// Splits the timings into one report per priority class present,
@@ -285,41 +348,7 @@ impl LatencyReport {
     /// single-class trace yields one entry identical to the aggregate
     /// report.
     pub fn by_priority(timings: &[RequestTiming]) -> Vec<PriorityLatency> {
-        Self::by_priority_with_aggregate(timings, None)
-    }
-
-    /// [`Self::by_priority`], given the aggregate report over `timings`
-    /// if the caller has it: a single class reuses it instead of
-    /// summarizing the same samples again.
-    pub(crate) fn by_priority_with_aggregate(
-        timings: &[RequestTiming],
-        aggregate: Option<&LatencyReport>,
-    ) -> Vec<PriorityLatency> {
-        let mut classes: Vec<u8> = timings.iter().map(|t| t.priority).collect();
-        classes.sort_unstable_by(|a, b| b.cmp(a));
-        classes.dedup();
-        let single = classes.len() == 1;
-        classes
-            .into_iter()
-            .map(|priority| PriorityLatency {
-                priority,
-                latency: if single {
-                    Self::whole(timings, aggregate)
-                } else {
-                    let class: Vec<RequestTiming> = timings
-                        .iter()
-                        .filter(|t| t.priority == priority)
-                        .copied()
-                        .collect();
-                    LatencyReport::from_timings(&class)
-                },
-            })
-            .collect()
-    }
-
-    /// The report over all of `timings`: `aggregate` when given.
-    fn whole(timings: &[RequestTiming], aggregate: Option<&LatencyReport>) -> LatencyReport {
-        aggregate.map_or_else(|| Self::from_timings(timings), Clone::clone)
+        Self::summaries(timings, &[]).1
     }
 
     /// Splits the timings into one [`TenantLatency`] per tenant id
@@ -329,63 +358,121 @@ impl LatencyReport {
     /// met its target. A single-tenant trace yields one entry whose
     /// latency mirrors the aggregate report.
     pub fn by_tenant(timings: &[RequestTiming], slos: &[(u8, f64)]) -> Vec<TenantLatency> {
-        Self::by_tenant_with_aggregate(timings, slos, None)
+        Self::summaries(timings, slos).2
     }
 
-    /// [`Self::by_tenant`], given the aggregate report over `timings`
-    /// if the caller has it: a single tenant reuses it instead of
-    /// summarizing the same samples again.
-    pub(crate) fn by_tenant_with_aggregate(
+    /// The aggregate report, [`Self::by_priority`] and
+    /// [`Self::by_tenant`] together, from one sort per metric.
+    pub(crate) fn summaries(
         timings: &[RequestTiming],
         slos: &[(u8, f64)],
-        aggregate: Option<&LatencyReport>,
-    ) -> Vec<TenantLatency> {
+    ) -> (LatencyReport, Vec<PriorityLatency>, Vec<TenantLatency>) {
+        let mut priorities: Vec<u8> = timings.iter().map(|t| t.priority).collect();
+        priorities.sort_unstable_by(|a, b| b.cmp(a));
+        priorities.dedup();
         let mut tenants: Vec<u8> = timings.iter().map(|t| t.tenant).collect();
         tenants.sort_unstable();
         tenants.dedup();
-        let single = tenants.len() == 1;
-        tenants
+        let classes: Vec<(u16, u16)> = priorities
+            .iter()
+            .map(|&p| (0xff00, u16::from(p) << 8))
+            .chain(tenants.iter().map(|&t| (0x00ff, u16::from(t))))
+            .collect();
+        let (aggregate, mut reports) = Self::split(timings, &classes);
+        let tenant_reports = reports.split_off(priorities.len());
+        let by_priority = priorities
             .into_iter()
-            .map(|tenant| {
-                let filtered: Vec<RequestTiming>;
-                let class = if single {
-                    timings
-                } else {
-                    filtered = timings
-                        .iter()
-                        .filter(|t| t.tenant == tenant)
-                        .copied()
-                        .collect();
-                    &filtered
-                };
+            .zip(reports)
+            .map(|(priority, latency)| PriorityLatency { priority, latency })
+            .collect();
+        let by_tenant = tenants
+            .into_iter()
+            .zip(tenant_reports)
+            .map(|(tenant, latency)| {
                 let slo_ttft = slos
                     .iter()
                     .find(|(t, _)| *t == tenant)
                     .map(|(_, s)| *s)
                     .unwrap_or(f64::INFINITY);
-                let met = class.iter().filter(|t| t.ttft() <= slo_ttft).count();
+                let class = timings.iter().filter(|t| t.tenant == tenant);
+                let met = class.clone().filter(|t| t.ttft() <= slo_ttft);
                 TenantLatency {
                     tenant,
-                    latency: if single {
-                        Self::whole(timings, aggregate)
-                    } else {
-                        LatencyReport::from_timings(class)
-                    },
-                    tokens: class.iter().map(|t| t.decode_len).sum(),
-                    goodput_tokens: class
-                        .iter()
-                        .filter(|t| t.ttft() <= slo_ttft)
-                        .map(|t| t.decode_len)
-                        .sum(),
+                    tokens: class.map(|t| t.decode_len).sum(),
+                    goodput_tokens: met.clone().map(|t| t.decode_len).sum(),
                     slo_ttft,
-                    slo_attainment: if class.is_empty() {
-                        1.0
-                    } else {
-                        met as f64 / class.len() as f64
-                    },
+                    // A listed tenant has at least one completion.
+                    slo_attainment: met.count() as f64 / latency.completed as f64,
+                    latency,
                 }
             })
-            .collect()
+            .collect();
+        (aggregate, by_priority, by_tenant)
+    }
+
+    /// The report over all of `timings`, and one per class: a class is
+    /// the timings whose [`class_tag`] masked by its first member equals
+    /// its second.
+    ///
+    /// Each metric is sorted once, as `u128`s holding its
+    /// [`total_order_key`] above the sample's class tag, and every
+    /// summary is read off that one order: a class's samples, taken in
+    /// aggregate order, are already sorted, and samples equal under
+    /// `total_cmp` are bit-identical, so each summary is bit-exact with
+    /// [`LatencySummary::from_samples`] over the class alone.
+    fn split(timings: &[RequestTiming], classes: &[(u16, u16)]) -> (Self, Vec<Self>) {
+        let in_class = |(mask, value): (u16, u16)| move |tag: u16| tag & mask == value;
+        let counts: Vec<usize> = classes
+            .iter()
+            .map(|&c| timings.iter().filter(|t| in_class(c)(class_tag(t))).count())
+            .collect();
+        let mut aggregate = [LatencySummary::default(); 6];
+        let mut summaries = vec![[LatencySummary::default(); 6]; classes.len()];
+        let mut keys: Vec<u128> = Vec::with_capacity(timings.len());
+        for (m, metric) in METRICS.iter().enumerate() {
+            keys.clear();
+            keys.extend(
+                timings.iter().map(|t| {
+                    u128::from(total_order_key(metric(t))) << 16 | u128::from(class_tag(t))
+                }),
+            );
+            count_sort();
+            keys.sort_unstable();
+            let value = |&k: &u128| from_total_order_key((k >> 16) as u64);
+            aggregate[m] = LatencySummary::from_sorted(keys.len(), keys.iter().map(value));
+            for ((&c, &n), s) in classes.iter().zip(&counts).zip(&mut summaries) {
+                s[m] = if n == keys.len() {
+                    aggregate[m]
+                } else {
+                    let class = in_class(c);
+                    let sorted = keys.iter().filter(|&&k| class(k as u16)).map(value);
+                    LatencySummary::from_sorted(n, sorted)
+                };
+            }
+        }
+        (
+            Self::from_parts(timings.len(), aggregate),
+            counts
+                .into_iter()
+                .zip(summaries)
+                .map(|(n, s)| Self::from_parts(n, s))
+                .collect(),
+        )
+    }
+
+    /// A report over `completed` timings from its summaries, in
+    /// [`METRICS`] order.
+    fn from_parts(completed: usize, summaries: [LatencySummary; 6]) -> Self {
+        let [ttft, tpot, e2e, queueing, prefill, restart] = summaries;
+        LatencyReport {
+            completed: completed as u64,
+            ttft,
+            tpot,
+            e2e,
+            queueing,
+            prefill,
+            restart,
+        }
     }
 }
 
@@ -686,34 +773,157 @@ mod tests {
         let slos = [(3, 11.0)];
         let single = [mk(1, 3, 10.0), mk(1, 3, 12.0), mk(1, 3, 10.0)];
         let aggregate = LatencyReport::from_timings(&single);
-        // Summarizing the class again and reusing the aggregate agree.
         let by_priority = LatencyReport::by_priority(&single);
         assert_eq!(by_priority.len(), 1);
         assert_eq!(by_priority[0].latency, aggregate);
-        assert_eq!(
-            LatencyReport::by_priority_with_aggregate(&single, Some(&aggregate)),
-            by_priority
-        );
         let by_tenant = LatencyReport::by_tenant(&single, &slos);
         assert_eq!(by_tenant.len(), 1);
         assert_eq!(by_tenant[0].latency, aggregate);
         assert_eq!(by_tenant[0].tokens, 12);
         assert_eq!(by_tenant[0].goodput_tokens, 8);
+        // The combined entry the merge calls agrees with all three.
         assert_eq!(
-            LatencyReport::by_tenant_with_aggregate(&single, &slos, Some(&aggregate)),
-            by_tenant
+            LatencyReport::summaries(&single, &slos),
+            (aggregate, by_priority, by_tenant)
         );
-        // Several classes never use the aggregate.
         let mixed = [mk(0, 3, 10.0), mk(1, 4, 12.0), mk(1, 3, 11.0)];
-        let whole = LatencyReport::from_timings(&mixed);
         assert_eq!(
-            LatencyReport::by_priority_with_aggregate(&mixed, Some(&whole)),
-            LatencyReport::by_priority(&mixed)
+            LatencyReport::summaries(&mixed, &slos),
+            (
+                LatencyReport::from_timings(&mixed),
+                LatencyReport::by_priority(&mixed),
+                LatencyReport::by_tenant(&mixed, &slos)
+            )
         );
-        assert_eq!(
-            LatencyReport::by_tenant_with_aggregate(&mixed, &slos, Some(&whole)),
-            LatencyReport::by_tenant(&mixed, &slos)
-        );
+    }
+
+    /// The report as it was built before the single-sort split: every
+    /// metric of every class summarized from a filtered copy of the
+    /// timings with its own sort.
+    fn oracle_report(timings: &[RequestTiming]) -> LatencyReport {
+        let collect =
+            |f: fn(&RequestTiming) -> f64| -> Vec<f64> { timings.iter().map(f).collect() };
+        LatencyReport {
+            completed: timings.len() as u64,
+            ttft: LatencySummary::from_samples(&collect(RequestTiming::ttft)),
+            tpot: LatencySummary::from_samples(&collect(RequestTiming::tpot)),
+            e2e: LatencySummary::from_samples(&collect(RequestTiming::e2e)),
+            queueing: LatencySummary::from_samples(&collect(RequestTiming::queueing_delay)),
+            prefill: LatencySummary::from_samples(&collect(RequestTiming::prefill_delay)),
+            restart: LatencySummary::from_samples(&collect(RequestTiming::restart_delay)),
+        }
+    }
+
+    /// Bit-for-bit equality of two reports (`==` on floats would let
+    /// `0.0` stand for `-0.0`).
+    fn bits(r: &LatencyReport) -> Vec<u64> {
+        let mut out = vec![r.completed];
+        for s in [r.ttft, r.tpot, r.e2e, r.queueing, r.prefill, r.restart] {
+            out.extend([s.mean, s.p50, s.p95, s.p99, s.max].map(f64::to_bits));
+        }
+        out
+    }
+
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`.
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A time drawn from a small grid, so samples tie often, or
+        /// `±0.0`, or a value off the grid.
+        fn time(&mut self) -> f64 {
+            match self.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => self.next() as f64 / u64::MAX as f64,
+                _ => self.below(6) as f64 * 0.25,
+            }
+        }
+    }
+
+    #[test]
+    fn single_sort_summaries_equal_per_class_sorts() {
+        let mut rng = SplitMix(2026);
+        for case in 0..400 {
+            let tenants = 1 + rng.below(4) as u8;
+            let priorities = 1 + rng.below(3) as u8;
+            let n = rng.below(40) as usize;
+            let timings: Vec<RequestTiming> = (0..n)
+                .map(|i| {
+                    let arrival = rng.time();
+                    let admitted = arrival + rng.time();
+                    let prefill_end = admitted + rng.time();
+                    let first_token = prefill_end + rng.time();
+                    RequestTiming {
+                        id: i as u64,
+                        arrival,
+                        admitted,
+                        prefill_end,
+                        first_token,
+                        finished: first_token + rng.time(),
+                        decode_len: rng.below(4),
+                        priority: rng.below(u64::from(priorities)) as u8,
+                        tenant: rng.below(u64::from(tenants)) as u8,
+                        evictions: 0,
+                        // Every fourth case keeps the all-zero restart
+                        // metric of an eviction-free run.
+                        restart_secs: if case % 4 == 0 { 0.0 } else { rng.time() },
+                    }
+                })
+                .collect();
+            let slos = [(0, 0.5), (2, 1.0)];
+            let filtered = |keep: &dyn Fn(&RequestTiming) -> bool| -> Vec<RequestTiming> {
+                timings.iter().copied().filter(|t| keep(t)).collect()
+            };
+            assert_eq!(
+                bits(&LatencyReport::from_timings(&timings)),
+                bits(&oracle_report(&timings)),
+                "case {case}: aggregate"
+            );
+            for p in LatencyReport::by_priority(&timings) {
+                let class = filtered(&|t| t.priority == p.priority);
+                assert_eq!(
+                    bits(&p.latency),
+                    bits(&oracle_report(&class)),
+                    "case {case}: priority {}",
+                    p.priority
+                );
+            }
+            for t in LatencyReport::by_tenant(&timings, &slos) {
+                let class = filtered(&|r| r.tenant == t.tenant);
+                assert_eq!(
+                    bits(&t.latency),
+                    bits(&oracle_report(&class)),
+                    "case {case}: tenant {}",
+                    t.tenant
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_report_sorts_each_metric_once() {
+        let mk = |priority: u8, tenant: u8, first: f64| RequestTiming {
+            priority,
+            tenant,
+            ..timing(0.0, 0.5, first, first + 1.0, 4)
+        };
+        let timings = [mk(0, 0, 3.0), mk(1, 1, 2.0), mk(1, 0, 5.0), mk(0, 1, 1.0)];
+        SORTS.set(0);
+        let (_, by_priority, by_tenant) = LatencyReport::summaries(&timings, &[]);
+        assert_eq!((by_priority.len(), by_tenant.len()), (2, 2));
+        assert_eq!(SORTS.get(), METRICS.len() as u64);
     }
 
     #[test]

@@ -80,6 +80,7 @@ use pim_mem::{PagePool, PrefixHit, RequestId};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use workload::Request;
 
 /// The priced-but-not-yet-executed step of a continuous replica, cached
@@ -165,8 +166,32 @@ pub(crate) struct PrefillPrice {
 #[derive(Debug, Default)]
 pub(crate) struct PrefillPrices {
     // simlint: allow(nondet-iter): get/insert only, never iterated, so map order cannot reach a simulated quantity
-    index: std::collections::HashMap<(u64, u64), u32>,
+    index: std::collections::HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>,
     prices: Vec<PrefillPrice>,
+}
+
+/// A multiply-rotate hasher for [`PrefillPrices`]' integer keys, looked
+/// up once per executed prefill chunk. std's SipHash guards against
+/// adversarial keys, which a simulated prompt offset is not, and costs
+/// more per lookup. Seedless, so it is deterministic too.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes buckets by the low bits, which a product
+        // fills only from its factors' low bits: rotate the well-mixed
+        // high bits down.
+        self.0.rotate_left(26)
+    }
 }
 
 impl PrefillPrices {
@@ -210,6 +235,13 @@ impl std::ops::Index<u32> for PrefillPrices {
     fn index(&self, idx: u32) -> &PrefillPrice {
         &self.prices[idx as usize]
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// `ReplicaSim::sweep_completions` calls made on this thread (test
+    /// builds only).
+    static SWEEPS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A replica's accounting, read by the cluster merge (see the module
@@ -1517,13 +1549,17 @@ impl<'a> ReplicaSim<'a> {
             if admitted_now > 0 {
                 self.ledger.waves += 1;
                 self.batch_version += 1;
-            }
-            // A prefill replica retires requests the instant their
-            // prompt is resident — including fully-prefix-cached
-            // admissions that were prompt-ready on arrival, which must
-            // never reach a decode step here.
-            if self.role == PoolRole::Prefill {
-                self.sweep_completions();
+                // A prefill replica retires requests the instant their
+                // prompt is resident — including fully-prefix-cached
+                // admissions that were prompt-ready on arrival, which
+                // must never reach a decode step here. Admission is the
+                // only way a request becomes prompt-ready without a
+                // step, and every step is followed by the sweep below,
+                // so an iteration that admitted nobody has nothing to
+                // retire.
+                if self.role == PoolRole::Prefill {
+                    self.sweep_completions();
+                }
             }
             if self.running.is_empty() {
                 continue; // only zero-work requests were admitted
@@ -1554,6 +1590,8 @@ impl<'a> ReplicaSim<'a> {
     /// replica prices the KV transfer, records the `Handoff` event, and
     /// queues the request for the cluster to route into a decode pool.
     fn sweep_completions(&mut self) {
+        #[cfg(test)]
+        SWEEPS.with(|n| n.set(n.get() + 1));
         let mut retired = false;
         let mut i = 0usize;
         while i < self.running.len() {
@@ -2323,6 +2361,87 @@ mod tests {
         );
         // The second request finds the first one's shared pages cached.
         assert_eq!(sim.ledger.prefix_cache_hits, 1);
+    }
+
+    /// On a `Prefill`-role replica the pre-step sweep runs only in a
+    /// loop iteration that admitted a request, and every executed step
+    /// is followed by one more, so the sweeps are the admitting
+    /// iterations plus the steps. A fully prefix-cached admission is
+    /// prompt-ready at admission and still retires there, without a
+    /// step.
+    #[test]
+    fn prefill_replica_sweeps_after_admissions_and_steps() {
+        use crate::config::{SystemConfig, Techniques};
+        use crate::{PagedKvConfig, PolicySpec};
+        use llm_model::LLM_7B_32K;
+
+        let eval = Evaluator::new(
+            SystemConfig::cent_for(&LLM_7B_32K),
+            LLM_7B_32K,
+            Techniques::pimphony(),
+        )
+        .with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            paged_kv: PagedKvConfig::paged(PagedKvConfig::DEFAULT_PAGE_BYTES),
+            ..Default::default()
+        })
+        .with_pool_role(PoolRole::Prefill);
+        // 1,024-token prompts: two 512-token chunks each.
+        let pages = 1024 / eval.page_tokens();
+        let prompt = |id: u64, arrival_us: u64, tenant: u8, shared_pages: u64| Request {
+            id,
+            context_len: pages * eval.page_tokens(),
+            decode_len: 8,
+            arrival_us,
+            priority: 0,
+            tenant,
+            shared_prefix: shared_pages * eval.page_tokens(),
+        };
+        let solo_end = {
+            let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, 1032);
+            sim.enqueue(prompt(0, 0, 0, pages));
+            sim.finish();
+            sim.end_time()
+        };
+        let at = |frac: f64| (solo_end * frac * 1e6) as u64;
+        let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, 1032);
+        // Two prompts admitted together, one admitted mid-prefill, and
+        // a repeat of the first prompt arriving long after its pages
+        // were cached.
+        sim.enqueue(prompt(0, 0, 0, pages));
+        sim.enqueue(prompt(1, 0, 1, 0));
+        sim.enqueue(prompt(2, at(0.5), 1, 0));
+        sim.enqueue(prompt(3, at(10.0), 0, pages));
+        SWEEPS.set(0);
+        // Advance in small increments so steps defer at the frontier.
+        let mut limit = 0.0;
+        while limit < 12.0 * solo_end {
+            sim.advance_to(limit);
+            limit += solo_end / 7.0;
+        }
+        sim.finish();
+
+        let l = &sim.ledger;
+        assert!(l.decodes.is_empty(), "a prefill replica never decodes");
+        assert_eq!(
+            l.prefills.len(),
+            6,
+            "three uncached prompts, two chunks each"
+        );
+        assert_eq!(l.waves, 3, "three admitting iterations");
+        assert_eq!(SWEEPS.get(), u64::from(l.waves) + l.prefills.len() as u64);
+        assert_eq!(sim.handoffs.len(), 4);
+        let cached = sim
+            .handoffs
+            .iter()
+            .find(|h| h.req.id == 3)
+            .expect("the cached prompt is handed off");
+        assert_eq!(cached.first_admitted, cached.origin_arrival);
+        assert_eq!(
+            cached.prefill_end, cached.first_admitted,
+            "retired at admission"
+        );
+        assert_eq!(l.prefix_hit_tokens, pages * eval.page_tokens());
     }
 
     #[test]
