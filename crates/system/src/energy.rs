@@ -6,7 +6,7 @@
 //! and Else (ACT/PRE, refresh, EPU, interconnect). FC and Attention are
 //! tracked separately for the top panel of Fig. 16.
 
-use crate::kernel::KernelStats;
+use crate::kernel::KernelCounts;
 use crate::stage::IterationBreakdown;
 use serde::Serialize;
 
@@ -94,7 +94,7 @@ impl EnergyBreakdown {
 }
 
 impl EnergyModel {
-    fn kernel_energy(&self, s: &KernelStats) -> (f64, f64, f64) {
+    fn kernel_energy(&self, s: &KernelCounts) -> (f64, f64, f64) {
         let mac = s.macs * self.mac_nj * 1e-9;
         let io = s.ios * self.io_nj * 1e-9;
         let row = s.row_switches * self.row_nj * 1e-9;
@@ -148,9 +148,7 @@ mod tests {
             seconds,
             attn_seconds: seconds * 0.8,
             fc_seconds: seconds * 0.2,
-            attn_totals: KernelStats {
-                cycles: 0.0,
-                mac_busy: 0.0,
+            attn_totals: KernelCounts {
                 macs: attn_macs,
                 ios: attn_ios,
                 row_switches: 10.0,

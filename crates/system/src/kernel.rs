@@ -51,20 +51,51 @@ impl KernelStats {
         }
     }
 
-    /// Adds another kernel's statistics.
-    pub fn accumulate(&mut self, other: &KernelStats) {
-        self.cycles += other.cycles;
-        self.mac_busy += other.mac_busy;
-        self.macs += other.macs;
-        self.ios += other.ios;
-        self.row_switches += other.row_switches;
-    }
-
     /// Scales all statistics (e.g. repeat a kernel `k` times).
     pub fn scaled(&self, k: f64) -> KernelStats {
         KernelStats {
             cycles: self.cycles * k,
             mac_busy: self.mac_busy * k,
+            macs: self.macs * k,
+            ios: self.ios * k,
+            row_switches: self.row_switches * k,
+        }
+    }
+
+    /// The event counts energy prices.
+    pub fn counts(&self) -> KernelCounts {
+        KernelCounts {
+            macs: self.macs,
+            ios: self.ios,
+            row_switches: self.row_switches,
+        }
+    }
+}
+
+/// The event counts of kernel executions: what a stage's run-wide
+/// totals carry, and all the energy model reads. A stage reads cycles
+/// per channel and sums MAC-busy time on its own, for utilization.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+pub struct KernelCounts {
+    /// `MAC` command count.
+    pub macs: f64,
+    /// I/O command count (`WR-INP` + `RD-OUT`).
+    pub ios: f64,
+    /// DRAM row switches.
+    pub row_switches: f64,
+}
+
+impl KernelCounts {
+    /// Adds another kernel's counts.
+    pub fn accumulate(&mut self, other: &KernelCounts) {
+        self.macs += other.macs;
+        self.ios += other.ios;
+        self.row_switches += other.row_switches;
+    }
+
+    /// Scales all counts (e.g. repeat a kernel `k` times).
+    pub fn scaled(&self, k: f64) -> KernelCounts {
+        KernelCounts {
             macs: self.macs * k,
             ios: self.ios * k,
             row_switches: self.row_switches * k,
@@ -423,17 +454,18 @@ mod tests {
         let eval = dcs_qkt(&m);
         let (done, chunk) = (1000u64, 7u64);
         let closed = eval.prefill(done, chunk);
-        let mut summed = KernelStats::default();
+        let (mut cycles, mut macs) = (0.0, 0.0);
         for i in 1..=chunk {
-            summed.accumulate(&eval.stats(done + i));
+            let s = eval.stats(done + i);
+            cycles += s.cycles;
+            macs += s.macs;
         }
         assert!(
-            (closed.cycles - summed.cycles).abs() < 1e-6 * summed.cycles,
-            "{} vs {}",
-            closed.cycles,
-            summed.cycles
+            (closed.cycles - cycles).abs() < 1e-6 * cycles,
+            "{} vs {cycles}",
+            closed.cycles
         );
-        assert!((closed.macs - summed.macs).abs() < 1e-6 * summed.macs);
+        assert!((closed.macs - macs).abs() < 1e-6 * macs);
     }
 
     #[test]
@@ -457,7 +489,7 @@ mod tests {
 
     #[test]
     fn accumulate_and_scale() {
-        let mut s = KernelStats::default();
+        let mut s = KernelCounts::default();
         let one = KernelStats {
             cycles: 10.0,
             mac_busy: 4.0,
@@ -465,9 +497,10 @@ mod tests {
             ios: 1.0,
             row_switches: 0.0,
         };
-        s.accumulate(&one);
-        s.accumulate(&one.scaled(2.0));
-        assert_eq!(s.cycles, 30.0);
+        assert_eq!(one.scaled(2.0).cycles, 20.0);
+        s.accumulate(&one.counts());
+        s.accumulate(&one.counts().scaled(2.0));
         assert_eq!(s.macs, 6.0);
+        assert_eq!(s.ios, 3.0);
     }
 }

@@ -94,6 +94,7 @@
 pub mod cluster;
 pub mod config;
 pub mod energy;
+mod fold;
 pub mod gpu;
 pub mod kernel;
 pub mod metrics;
@@ -110,7 +111,7 @@ pub use cluster::{
 pub use config::{ModuleConfig, SystemConfig, SystemKind, Techniques};
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use gpu::GpuSystem;
-pub use kernel::{AttentionKind, KernelModel, KernelStats};
+pub use kernel::{AttentionKind, KernelCounts, KernelModel, KernelStats};
 pub use metrics::{
     jain_fairness, tenant_goodput_fairness, LatencyReport, LatencySummary, PoolBreakdown,
     PriorityLatency, ReplicaBreakdown, RequestTiming, TenantLatency,

@@ -419,24 +419,39 @@ impl LatencyReport {
     /// summary is read off that one order: a class's samples, taken in
     /// aggregate order, are already sorted, and samples equal under
     /// `total_cmp` are bit-identical, so each summary is bit-exact with
-    /// [`LatencySummary::from_samples`] over the class alone.
+    /// [`LatencySummary::from_samples`] over the class alone. When every
+    /// class holds every sample, no summary reads a tag, so the plain
+    /// `u64` keys are sorted instead.
     fn split(timings: &[RequestTiming], classes: &[(u16, u16)]) -> (Self, Vec<Self>) {
         let in_class = |(mask, value): (u16, u16)| move |tag: u16| tag & mask == value;
         let counts: Vec<usize> = classes
             .iter()
             .map(|&c| timings.iter().filter(|t| in_class(c)(class_tag(t))).count())
             .collect();
+        let whole = counts.iter().all(|&n| n == timings.len());
         let mut aggregate = [LatencySummary::default(); 6];
         let mut summaries = vec![[LatencySummary::default(); 6]; classes.len()];
-        let mut keys: Vec<u128> = Vec::with_capacity(timings.len());
+        let mut plain: Vec<u64> = Vec::new();
+        let mut keys: Vec<u128> = Vec::new();
         for (m, metric) in METRICS.iter().enumerate() {
+            count_sort();
+            if whole {
+                plain.clear();
+                plain.extend(timings.iter().map(|t| total_order_key(metric(t))));
+                plain.sort_unstable();
+                let sorted = plain.iter().map(|&k| from_total_order_key(k));
+                aggregate[m] = LatencySummary::from_sorted(plain.len(), sorted);
+                for s in &mut summaries {
+                    s[m] = aggregate[m];
+                }
+                continue;
+            }
             keys.clear();
             keys.extend(
                 timings.iter().map(|t| {
                     u128::from(total_order_key(metric(t))) << 16 | u128::from(class_tag(t))
                 }),
             );
-            count_sort();
             keys.sort_unstable();
             let value = |&k: &u128| from_total_order_key((k >> 16) as u64);
             aggregate[m] = LatencySummary::from_sorted(keys.len(), keys.iter().map(value));
@@ -858,6 +873,13 @@ mod tests {
         for case in 0..400 {
             let tenants = 1 + rng.below(4) as u8;
             let priorities = 1 + rng.below(3) as u8;
+            // Every fifth case is one class (one tenant, one priority),
+            // which sorts untagged keys.
+            let (tenants, priorities) = if case % 5 == 1 {
+                (1, 1)
+            } else {
+                (tenants, priorities)
+            };
             let n = rng.below(40) as usize;
             let timings: Vec<RequestTiming> = (0..n)
                 .map(|i| {

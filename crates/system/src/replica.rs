@@ -113,7 +113,7 @@ enum PlannedStep {
 /// accumulators, recorded in execution order (see the module docs on
 /// replayable accounting). It holds the products the merge adds — not
 /// the [`IterationBreakdown`] they came from — so a record is 72 bytes
-/// where the breakdown alone is 136.
+/// where the breakdown alone is 104.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DecodeRecord {
     /// Attention seconds of the chunk (`chunk ×` the iteration's).
@@ -2247,9 +2247,9 @@ mod tests {
 
     /// The ledger holds one record per executed chunk, so the record
     /// sizes are the accounting's memory per simulated step. A decode
-    /// record must stay well below the 136-byte `IterationBreakdown` it
-    /// is derived from (embedding the breakdown would more than double
-    /// it); a prefill record is a reference to its interned price.
+    /// record must stay well below the 104-byte `IterationBreakdown` it
+    /// is derived from; a prefill record is a reference to its interned
+    /// price.
     #[test]
     fn step_record_stays_compact() {
         let decode = std::mem::size_of::<DecodeRecord>();

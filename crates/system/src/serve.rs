@@ -15,10 +15,11 @@ use crate::kernel::KernelModel;
 use crate::metrics::{self, LatencyReport, ReplicaBreakdown};
 use crate::policy::{self, KvTransferConfig, PoolRole, PrefillConfig, SchedulingPolicy};
 use crate::scenario::PolicySpec;
-use crate::stage::{IterationBreakdown, StageModel};
+use crate::stage::{IterationBreakdown, KernelCosts, StageModel};
 use llm_model::ModelConfig;
 use pim_mem::DEFAULT_CHUNK_BYTES;
 use serde::Serialize;
+use std::sync::OnceLock;
 use workload::Trace;
 
 /// Result of serving a trace.
@@ -288,6 +289,11 @@ pub struct Evaluator {
     /// `system::scenario`/`system::cluster`.
     pool_role: PoolRole,
     kernels: KernelModel,
+    /// The kernel costs of every stage model this evaluator builds,
+    /// resolved at the first priced call on any of them. Boxed: the
+    /// costs take 448 bytes, and materialization builds and moves
+    /// evaluators by value (288 of them per `paper_ladder` pass).
+    stage_costs: OnceLock<Box<KernelCosts>>,
     energy: EnergyModel,
 }
 
@@ -305,6 +311,7 @@ impl Evaluator {
             tenant_slos: Vec::new(),
             pool_role: PoolRole::Mixed,
             kernels: KernelModel::new(pim_sim::Timing::aimx(), model.head_dim),
+            stage_costs: OnceLock::new(),
             energy: EnergyModel::aimx(),
         }
     }
@@ -463,7 +470,13 @@ impl Evaluator {
     }
 
     pub(crate) fn stage_model(&self) -> StageModel<'_> {
-        StageModel::new(self.system, self.model, self.techniques, &self.kernels)
+        StageModel::sharing(
+            self.system,
+            self.model,
+            self.techniques,
+            &self.kernels,
+            &self.stage_costs,
+        )
     }
 
     pub(crate) fn energy_model(&self) -> &EnergyModel {
@@ -901,6 +914,27 @@ mod tests {
             scheduling,
             ..PolicySpec::default()
         })
+    }
+
+    #[test]
+    fn stage_models_share_the_evaluators_kernel_costs() {
+        // A fresh evaluator resolves (and calibrates) its kernel costs in
+        // its first priced call, whichever stage model makes it; every
+        // later stage model reads them from the evaluator and prices as
+        // a stand-alone stage model over the same kernel memo does.
+        let e = cent_pimphony(SchedulingPolicy::Wave);
+        let replica_stage = e.stage_model();
+        assert!(e.stage_costs.get().is_none(), "resolved before pricing");
+        let batch = [(0, 4096), (1, 333)];
+        let it = e.iteration(&batch);
+        assert!(e.stage_costs.get().is_some(), "first priced call resolves");
+        assert_eq!(replica_stage.iteration(&batch), it);
+        assert_eq!(
+            e.prefill_chunk(512, 512),
+            replica_stage.prefill_chunk(512, 512)
+        );
+        let alone = StageModel::new(e.system, e.model, e.techniques, &e.kernels);
+        assert_eq!(alone.iteration(&batch), it);
     }
 
     #[test]

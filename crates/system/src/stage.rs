@@ -8,13 +8,15 @@
 //! depth — the CENT collapse of paper Fig. 17(b)).
 
 use crate::config::{SystemConfig, SystemKind, Techniques};
-use crate::kernel::{AttentionEval, AttentionKind, KernelModel, KernelStats};
+use crate::fold;
+use crate::kernel::{AttentionEval, AttentionKind, KernelCounts, KernelModel, KernelStats};
 use llm_model::ModelConfig;
 use pim_compiler::Partitioning;
 use pim_sim::epu::EpuConfig;
 use pim_sim::SchedulerKind;
 use serde::Serialize;
-use std::cell::OnceCell;
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// Latency and activity of one attention stage execution on one module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
@@ -23,8 +25,8 @@ pub struct AttentionStage {
     pub cycles: f64,
     /// MAC utilization across the module's channels in `[0, 1]`.
     pub utilization: f64,
-    /// Aggregate kernel statistics across all channels.
-    pub totals: KernelStats,
+    /// Aggregate kernel event counts across all channels.
+    pub totals: KernelCounts,
     /// Channels with work.
     pub active_channels: u32,
 }
@@ -44,12 +46,12 @@ pub struct IterationBreakdown {
     pub bubble_seconds: f64,
     /// Attention MAC utilization (module average).
     pub attn_utilization: f64,
-    /// Aggregate attention kernel statistics (per replica, all layers).
-    pub attn_totals: KernelStats,
+    /// Aggregate attention kernel event counts (per replica, all layers).
+    pub attn_totals: KernelCounts,
     /// FC FLOPs executed (per replica).
     pub fc_flops: f64,
-    /// Aggregate FC kernel statistics (PIM-only systems).
-    pub fc_totals: KernelStats,
+    /// Aggregate FC kernel event counts (PIM-only systems).
+    pub fc_totals: KernelCounts,
 }
 
 /// Computes stage latencies for one (system, model, techniques) tuple.
@@ -62,30 +64,76 @@ pub struct StageModel<'a> {
     /// The kernel costs every pricing call uses, looked up in the
     /// shared memo once, at the first pricing call (so a fresh
     /// evaluator's calibration still happens inside its first priced
-    /// step).
-    costs: OnceCell<KernelCosts>,
+    /// step). The stage models an evaluator builds borrow its cell, so
+    /// they resolve the costs once between them.
+    costs: Cow<'a, OnceLock<Box<KernelCosts>>>,
 }
 
 /// One stage model's kernel costs: its configuration's attention
 /// kernels and, on PIM-only systems, the per-channel statistics of its
 /// FC GEMVs ([`StageModel::fc_ops`] order).
 #[derive(Debug, Clone, Copy)]
-struct KernelCosts {
+pub(crate) struct KernelCosts {
     qkt: AttentionEval,
     sv: AttentionEval,
     /// `None` on xPU+PIM systems, whose FC never runs on PIM.
     fc_gemvs: Option<[KernelStats; 7]>,
 }
 
-/// What one KV slice adds to its attention stage: both kernels'
-/// statistics (added to the totals in that order), their MAC-busy
-/// cycles, and the slice's cycles on its channel.
+/// What one KV slice adds to its attention stage: both kernels' event
+/// counts (added to the totals in that order), their MAC-busy cycles,
+/// and the slice's cycles on its channel.
 #[derive(Debug, Clone, Copy, Default)]
 struct SlicePrice {
-    qkt: KernelStats,
-    sv: KernelStats,
+    qkt: KernelCounts,
+    sv: KernelCounts,
     busy: f64,
     cycles: f64,
+}
+
+/// What a layer's channel loop sums: the run-wide event counts and
+/// MAC-busy cycles, the slowest channel's cycles, and the channels with
+/// work.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChannelSums {
+    totals: KernelCounts,
+    busy_sum: f64,
+    makespan: f64,
+    active: u32,
+}
+
+impl ChannelSums {
+    /// Adds one slice to the run-wide sums and to its channel's `cycles`.
+    fn add(&mut self, p: &SlicePrice, cycles: &mut f64) {
+        self.totals.accumulate(&p.qkt);
+        self.totals.accumulate(&p.sv);
+        self.busy_sum += p.busy;
+        *cycles += p.cycles;
+    }
+
+    /// Adds TCP channel `c`'s slices: request by request, each once per
+    /// KV head.
+    fn add_tcp_channel(&mut self, slices: &[TcpSlices], kv_heads: u32, c: u32) {
+        let mut cycles = 0.0;
+        let mut has_work = false;
+        for r in slices {
+            let Some(p) = r.at(c) else { continue };
+            has_work = true;
+            for _ in 0..kv_heads {
+                self.add(p, &mut cycles);
+            }
+        }
+        self.makespan = self.makespan.max(cycles);
+        self.active += u32::from(has_work);
+    }
+
+    /// Every field's bits, for exact comparison.
+    fn bits(&self) -> [u64; 6] {
+        let t = &self.totals;
+        let [macs, ios, rows, busy, makespan] =
+            [t.macs, t.ios, t.row_switches, self.busy_sum, self.makespan].map(f64::to_bits);
+        [macs, ios, rows, busy, makespan, u64::from(self.active)]
+    }
 }
 
 /// One request's slices under TCP, per KV head: a `per`-token slice on
@@ -130,6 +178,51 @@ impl TcpSlices {
     }
 }
 
+/// Sums a TCP layer's `channels` channels. Channels `0..lead`, where
+/// `lead` is the smallest [`TcpSlices::full`], each take every request's
+/// `per` slice once per KV head: the same operands in the same order.
+/// So they share one channel's cycles, and each run-wide sum takes the
+/// same fold `lead` times over, which [`fold::repeat`] fast-forwards
+/// exactly. The remaining channels are added one by one. Bit-exact with
+/// [`tcp_replay`].
+fn tcp_sums(slices: &[TcpSlices], kv_heads: u32, channels: u32) -> ChannelSums {
+    let lead = slices.iter().map(|r| r.full).min().unwrap_or(0);
+    let mut sums = ChannelSums::default();
+    if lead > 0 {
+        let cycles = fold::chain(0.0, slices, kv_heads, &|r| [r.per.cycles]);
+        sums.makespan = sums.makespan.max(cycles);
+        sums.totals = KernelCounts {
+            macs: fold::repeat(0.0, slices, kv_heads, lead, |r| {
+                [r.per.qkt.macs, r.per.sv.macs]
+            }),
+            ios: fold::repeat(0.0, slices, kv_heads, lead, |r| {
+                [r.per.qkt.ios, r.per.sv.ios]
+            }),
+            row_switches: fold::repeat(0.0, slices, kv_heads, lead, |r| {
+                [r.per.qkt.row_switches, r.per.sv.row_switches]
+            }),
+        };
+        sums.busy_sum = fold::repeat(0.0, slices, kv_heads, lead, |r| [r.per.busy]);
+        sums.active = lead;
+    }
+    for c in lead..channels {
+        fold::count_fold();
+        sums.add_tcp_channel(slices, kv_heads, c);
+    }
+    sums
+}
+
+/// A TCP layer's adds replayed one by one in
+/// [`pim_compiler::ModulePartition::assign`]'s channel-major order: the
+/// reference [`tcp_sums`] is checked against in debug builds.
+fn tcp_replay(slices: &[TcpSlices], kv_heads: u32, channels: u32) -> ChannelSums {
+    let mut sums = ChannelSums::default();
+    for c in 0..channels {
+        sums.add_tcp_channel(slices, kv_heads, c);
+    }
+    sums
+}
+
 impl<'a> StageModel<'a> {
     /// Creates a stage model.
     pub fn new(
@@ -143,14 +236,33 @@ impl<'a> StageModel<'a> {
             model,
             techniques,
             kernels,
-            costs: OnceCell::new(),
+            costs: Cow::Owned(OnceLock::new()),
+        }
+    }
+
+    /// A stage model whose kernel costs are resolved into, and read
+    /// from, `costs`: every stage model built over one cell (with the
+    /// same configuration and kernel model) resolves them once.
+    pub(crate) fn sharing(
+        system: SystemConfig,
+        model: ModelConfig,
+        techniques: Techniques,
+        kernels: &'a KernelModel,
+        costs: &'a OnceLock<Box<KernelCosts>>,
+    ) -> Self {
+        StageModel {
+            system,
+            model,
+            techniques,
+            kernels,
+            costs: Cow::Borrowed(costs),
         }
     }
 
     /// The kernel costs, resolved from the memo (and calibrated there
     /// if new) on first use.
     fn costs(&self) -> &KernelCosts {
-        self.costs.get_or_init(|| self.resolve_costs())
+        self.costs.get_or_init(|| Box::new(self.resolve_costs()))
     }
 
     /// Looks the kernel costs up in the memo. Kept out of line: this
@@ -231,12 +343,12 @@ impl<'a> StageModel<'a> {
     /// at most two sizes (HFP: one whole-context slice per KV head; TCP:
     /// `ceil(t / channels)` tokens on each of the leading channels and
     /// one remainder), so `price` is asked once per size per request.
-    /// The adds are then replayed in the order a loop over
+    /// Every float accumulator then ends where a loop over
     /// [`pim_compiler::ModulePartition::assign`]'s channels and their
-    /// slices performs (channel-major, then request, then KV head):
-    /// every float accumulator takes the same operands in the same
-    /// order, so the stage is bit-exact with pricing each slice where it
-    /// lies.
+    /// slices (channel-major, then request, then KV head) leaves it, so
+    /// the stage is bit-exact with pricing each slice where it lies: HFP
+    /// replays those adds, and TCP adds its identical leading channels
+    /// once ([`tcp_sums`]).
     fn price_partition(
         &self,
         requests: &[(u64, u64)],
@@ -244,64 +356,50 @@ impl<'a> StageModel<'a> {
         price: impl Fn(u64) -> SlicePrice,
     ) -> AttentionStage {
         let channels = self.system.module.channels;
-        let kv_heads = self.kv_instances_per_module() as usize;
-        let mut totals = KernelStats::default();
-        let mut busy_sum = 0.0;
-        let mut makespan: f64 = 0.0;
-        let mut add = |p: &SlicePrice, cycles: &mut f64| {
-            totals.accumulate(&p.qkt);
-            totals.accumulate(&p.sv);
-            busy_sum += p.busy;
-            *cycles += p.cycles;
-        };
-        let active_channels = match self.partitioning() {
+        let kv_heads = self.kv_instances_per_module();
+        let sums = match self.partitioning() {
             Partitioning::HeadFirst => {
                 // assign places flat (request, head) pair `i` wholly on
                 // channel `i % channels`, zero-token pairs included.
+                let kv_heads = kv_heads as usize;
                 let prices: Vec<SlicePrice> = requests.iter().map(|&(_, t)| price(t)).collect();
                 let pairs = prices.len() * kv_heads;
+                let mut sums = ChannelSums::default();
                 for c in 0..channels as usize {
                     let mut cycles = 0.0;
                     for pair in (c..pairs).step_by(channels as usize) {
-                        add(&prices[pair / kv_heads], &mut cycles);
+                        sums.add(&prices[pair / kv_heads], &mut cycles);
                     }
-                    makespan = makespan.max(cycles);
+                    sums.makespan = sums.makespan.max(cycles);
                 }
-                pairs.min(channels as usize) as u32
+                sums.active = pairs.min(channels as usize) as u32;
+                sums
             }
             Partitioning::TokenCentric => {
                 let slices: Vec<TcpSlices> = requests
                     .iter()
                     .map(|&(_, t)| TcpSlices::new(t, channels, &price))
                     .collect();
-                let mut active = 0;
-                for c in 0..channels {
-                    let mut cycles = 0.0;
-                    let mut has_work = false;
-                    for r in &slices {
-                        let Some(p) = r.at(c) else { continue };
-                        has_work = true;
-                        for _ in 0..kv_heads {
-                            add(p, &mut cycles);
-                        }
-                    }
-                    makespan = makespan.max(cycles);
-                    active += u32::from(has_work);
-                }
-                active
+                let sums = tcp_sums(&slices, kv_heads, channels);
+                debug_assert_eq!(
+                    sums.bits(),
+                    tcp_replay(&slices, kv_heads, channels).bits(),
+                    "TCP fast path against the channel-major replay, requests {requests:?}"
+                );
+                sums
             }
         };
-        makespan += softmax;
+        let makespan = sums.makespan + softmax;
         let utilization = if makespan > 0.0 {
-            (busy_sum / (f64::from(channels) * makespan)).min(1.0)
+            (sums.busy_sum / (f64::from(channels) * makespan)).min(1.0)
         } else {
             0.0
         };
         AttentionStage {
             cycles: makespan,
             utilization,
-            totals,
-            active_channels,
+            totals: sums.totals,
+            active_channels: sums.active,
         }
     }
 
@@ -333,8 +431,8 @@ impl<'a> StageModel<'a> {
         self.price_partition(batch_tokens, softmax, |t| {
             let (qkt, sv) = (qkt.stats(t), sv.stats(t));
             SlicePrice {
-                qkt,
-                sv,
+                qkt: qkt.counts(),
+                sv: sv.counts(),
                 busy: qkt.mac_busy + sv.mac_busy,
                 cycles: qkt.cycles + sv.cycles + reduction,
             }
@@ -377,8 +475,8 @@ impl<'a> StageModel<'a> {
         self.price_partition(&[(0, total_keys)], softmax, |t| {
             let share = t as f64 / total_keys as f64;
             SlicePrice {
-                qkt: qkt.scaled(share),
-                sv: sv.scaled(share),
+                qkt: qkt.counts().scaled(share),
+                sv: sv.counts().scaled(share),
                 busy: (qkt.mac_busy + sv.mac_busy) * share,
                 cycles: (qkt.cycles + sv.cycles) * share + reduction,
             }
@@ -472,9 +570,9 @@ impl<'a> StageModel<'a> {
 
     /// FC stage seconds for one layer at batch size `batch`, plus FLOPs
     /// and (PIM-only) kernel statistics.
-    pub fn fc_layer(&self, batch: usize) -> (f64, f64, KernelStats) {
+    pub fn fc_layer(&self, batch: usize) -> (f64, f64, KernelCounts) {
         if batch == 0 {
-            return (0.0, 0.0, KernelStats::default());
+            return (0.0, 0.0, KernelCounts::default());
         }
         let tp = self.system.parallel.tp;
         let ops = self.fc_ops();
@@ -496,10 +594,10 @@ impl<'a> StageModel<'a> {
                     .expect("PIM-only costs hold the GEMVs");
                 let channels = self.system.module.channels;
                 let mut cycles = 0.0;
-                let mut totals = KernelStats::default();
+                let mut totals = KernelCounts::default();
                 for g in gemvs {
                     cycles += batch as f64 * g.cycles;
-                    totals.accumulate(&g.scaled(batch as f64 * f64::from(channels)));
+                    totals.accumulate(&g.counts().scaled(batch as f64 * f64::from(channels)));
                 }
                 (cycles / self.system.module.clock_hz, flops, totals)
             }
@@ -512,7 +610,7 @@ impl<'a> StageModel<'a> {
                     / f64::from(tp);
                 let compute = flops / self.system.module.xpu_flops;
                 let memory = weight_bytes / self.system.module.xpu_mem_bw;
-                (compute.max(memory), flops, KernelStats::default())
+                (compute.max(memory), flops, KernelCounts::default())
             }
         }
     }
@@ -767,15 +865,15 @@ mod tests {
         };
         let (qkt, sv) = (price(AttentionKind::Qkt), price(AttentionKind::Sv));
         let mut makespan: f64 = 0.0;
-        let mut totals = KernelStats::default();
+        let mut totals = KernelCounts::default();
         let mut busy_sum = 0.0;
         for ch in partition.channels() {
             let mut cycles = 0.0;
             for slice in &ch.slices {
                 let share = slice.tokens() as f64 / total_keys as f64;
                 cycles += (qkt.cycles + sv.cycles) * share + reduction;
-                totals.accumulate(&qkt.scaled(share));
-                totals.accumulate(&sv.scaled(share));
+                totals.accumulate(&qkt.counts().scaled(share));
+                totals.accumulate(&sv.counts().scaled(share));
                 busy_sum += (qkt.mac_busy + sv.mac_busy) * share;
             }
             makespan = makespan.max(cycles);
@@ -907,7 +1005,7 @@ mod tests {
         };
         let (qkt_eval, sv_eval) = (eval(AttentionKind::Qkt), eval(AttentionKind::Sv));
         let mut makespan: f64 = 0.0;
-        let mut totals = KernelStats::default();
+        let mut totals = KernelCounts::default();
         let mut busy_sum = 0.0;
         for ch in partition.channels() {
             let mut cycles = 0.0;
@@ -916,8 +1014,8 @@ mod tests {
                     qkt_eval.stats(slice.tokens()),
                     sv_eval.stats(slice.tokens()),
                 );
-                totals.accumulate(&qkt);
-                totals.accumulate(&sv);
+                totals.accumulate(&qkt.counts());
+                totals.accumulate(&sv.counts());
                 busy_sum += qkt.mac_busy + sv.mac_busy;
                 cycles += qkt.cycles + sv.cycles + reduction;
             }
@@ -943,9 +1041,9 @@ mod tests {
     }
 
     /// `fc_layer` with every GEMV looked up in the memo on every call.
-    fn fc_layer_per_call(m: &StageModel, batch: usize) -> (f64, f64, KernelStats) {
+    fn fc_layer_per_call(m: &StageModel, batch: usize) -> (f64, f64, KernelCounts) {
         if batch == 0 {
-            return (0.0, 0.0, KernelStats::default());
+            return (0.0, 0.0, KernelCounts::default());
         }
         let tp = m.system.parallel.tp;
         let ops = m.fc_ops();
@@ -955,14 +1053,14 @@ mod tests {
             SystemKind::PimOnly => {
                 let channels = m.system.module.channels;
                 let mut cycles = 0.0;
-                let mut totals = KernelStats::default();
+                let mut totals = KernelCounts::default();
                 for &(dout, din) in &ops {
                     let dout_pc = dout.div_ceil(tp * channels).max(1);
                     let g = m
                         .kernels
                         .gemv(m.scheduler(), m.techniques.dcs, dout_pc, din);
                     cycles += batch as f64 * g.cycles;
-                    totals.accumulate(&g.scaled(batch as f64 * f64::from(channels)));
+                    totals.accumulate(&g.counts().scaled(batch as f64 * f64::from(channels)));
                 }
                 (cycles / m.system.module.clock_hz, flops, totals)
             }
@@ -970,7 +1068,7 @@ mod tests {
                 let weight_bytes = weights * f64::from(m.model.dtype_bytes) / f64::from(tp);
                 let compute = flops / m.system.module.xpu_flops;
                 let memory = weight_bytes / m.system.module.xpu_mem_bw;
-                (compute.max(memory), flops, KernelStats::default())
+                (compute.max(memory), flops, KernelCounts::default())
             }
         }
     }
@@ -1235,6 +1333,45 @@ mod tests {
         let hfp = StageModel::new(sys, LLM_7B_32K, Techniques::baseline(), &k);
         hfp.attention_layer(&batch);
         assert_eq!(evals_per_layer(&hfp, &batch), 2 * 16);
+    }
+
+    /// Channel folds one `attention_layer` call adds directly on `m`.
+    fn folds_per_layer(m: &StageModel, batch: &[(u64, u64)]) -> u64 {
+        crate::fold::FOLDS.set(0);
+        m.attention_layer(batch);
+        crate::fold::FOLDS.get()
+    }
+
+    #[test]
+    fn tcp_layer_adds_its_leading_channels_once() {
+        // On `fleet_jsq`'s shape (32 channels, 16 KV instances per
+        // module) every request of a ~4K-token batch holds a full slice
+        // on channels 0..31 (and on channel 31 too when 32 divides its
+        // tokens), so those leading channels share one direct fold for
+        // their cycles. The DCS fits' MACs, row switches and MAC-busy
+        // cycles are dyadic and take the closed form; the I/O count is
+        // not, and adds one fold from zero plus one per binade crossed
+        // (at most ⌈log2 32⌉ = 5) or tie. A trailing channel is added as
+        // it lies. The channel-major replay adds all 32 channels.
+        let k = kernels();
+        let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
+        let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
+        assert_eq!(m.kv_instances_per_module(), 16);
+        let batch: Vec<(u64, u64)> = (0..16).map(|i| (i, 4000 + 97 * i)).collect();
+        m.attention_layer(&batch);
+        let pinned: Vec<u64> = [1, 2, 16]
+            .map(|len| folds_per_layer(&m, &batch[..len]))
+            .to_vec();
+        // Batch 1 (4000 = 32 · 125) has 32 leading channels; batches 2
+        // and 16 have 31 and one trailing channel.
+        assert_eq!(pinned, [7, 8, 7]);
+        for folds in pinned {
+            assert!(folds <= 1 + (1 + 5) + 1, "{folds} folds");
+        }
+        assert_eq!(folds_per_layer(&m, &[(0, 4096)]), 7);
+        // A zero-token request holds no full slice: every channel is
+        // added as it lies.
+        assert_eq!(folds_per_layer(&m, &[(0, 4096), (1, 0)]), 32);
     }
 
     #[test]
