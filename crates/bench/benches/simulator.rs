@@ -125,7 +125,11 @@ fn bench_calibration(c: &mut Criterion) {
 /// of one 32K-token prompt in 512-token chunks, and one decode
 /// attention layer over ~4K-token requests at batch 2 (about
 /// `fleet_jsq`'s mean batch) and 16. Each TCP request adds one slice per
-/// (KV head, channel) pair.
+/// (KV head, channel) pair. These fixed shapes repeat one call, so the
+/// branches inside the exact TCP sums stay predicted; `stage/mixed`
+/// varies the shape on every call: 64 seeded decode iterations of 1–3
+/// requests at 2K–12K tokens and 64 prefill chunks of 64–512 tokens at
+/// offsets in 0–16K.
 fn bench_stage(c: &mut Criterion) {
     let kernels = KernelModel::new(Timing::aimx(), LLM_7B_32K.head_dim);
     let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
@@ -146,7 +150,45 @@ fn bench_stage(c: &mut Criterion) {
             |b, requests| b.iter(|| stage.attention_layer(black_box(requests)).cycles),
         );
     }
+    let mut rng = SplitMix(2026);
+    let decode: Vec<Vec<(u64, u64)>> = (0..64)
+        .map(|_| {
+            (0..1 + rng.below(3))
+                .map(|i| (i, 2048 + rng.below(10_241)))
+                .collect()
+        })
+        .collect();
+    let prefill: Vec<(u64, u64)> = (0..64)
+        .map(|_| (rng.below(16_385), 64 + rng.below(449)))
+        .collect();
+    g.bench_function("mixed", |b| {
+        b.iter(|| {
+            let decode: f64 = decode
+                .iter()
+                .map(|batch| stage.iteration(black_box(batch)).seconds)
+                .sum();
+            let prefill: f64 = prefill
+                .iter()
+                .map(|&(done, chunk)| stage.prefill_chunk(black_box(done), chunk).seconds)
+                .sum();
+            decode + prefill
+        })
+    });
     g.finish();
+}
+
+/// A seeded SplitMix64 stream, for bench inputs.
+struct SplitMix(u64);
+
+impl SplitMix {
+    /// A draw below `n`.
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
 }
 
 /// A page pool under pressure from shared-prefix traffic: 8 tenants

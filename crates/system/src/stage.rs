@@ -112,19 +112,20 @@ impl ChannelSums {
     }
 
     /// Adds TCP channel `c`'s slices: request by request, each once per
-    /// KV head.
-    fn add_tcp_channel(&mut self, slices: &[TcpSlices], kv_heads: u32, c: u32) {
+    /// KV head. Returns how many requests have a slice there.
+    fn add_tcp_channel(&mut self, slices: &[TcpSlices], kv_heads: u32, c: u32) -> u32 {
         let mut cycles = 0.0;
-        let mut has_work = false;
+        let mut held = 0;
         for r in slices {
             let Some(p) = r.at(c) else { continue };
-            has_work = true;
+            held += 1;
             for _ in 0..kv_heads {
                 self.add(p, &mut cycles);
             }
         }
         self.makespan = self.makespan.max(cycles);
-        self.active += u32::from(has_work);
+        self.active += u32::from(held > 0);
+        held
     }
 
     /// Every field's bits, for exact comparison.
@@ -206,8 +207,9 @@ fn tcp_sums(slices: &[TcpSlices], kv_heads: u32, channels: u32) -> ChannelSums {
         sums.active = lead;
     }
     for c in lead..channels {
-        fold::count_fold();
-        sums.add_tcp_channel(slices, kv_heads, c);
+        let held = sums.add_tcp_channel(slices, kv_heads, c);
+        // Per slice: three counts for each kernel, MAC-busy and cycles.
+        fold::count_adds(u64::from(held * kv_heads) * 8);
     }
     sums
 }
@@ -1335,11 +1337,11 @@ mod tests {
         assert_eq!(evals_per_layer(&hfp, &batch), 2 * 16);
     }
 
-    /// Channel folds one `attention_layer` call adds directly on `m`.
-    fn folds_per_layer(m: &StageModel, batch: &[(u64, u64)]) -> u64 {
-        crate::fold::FOLDS.set(0);
+    /// Float adds one `attention_layer` call makes directly on `m`.
+    fn adds_per_layer(m: &StageModel, batch: &[(u64, u64)]) -> u64 {
+        crate::fold::ADDS.set(0);
         m.attention_layer(batch);
-        crate::fold::FOLDS.get()
+        crate::fold::ADDS.get()
     }
 
     #[test]
@@ -1348,30 +1350,39 @@ mod tests {
         // module) every request of a ~4K-token batch holds a full slice
         // on channels 0..31 (and on channel 31 too when 32 divides its
         // tokens), so those leading channels share one direct fold for
-        // their cycles. The DCS fits' MACs, row switches and MAC-busy
-        // cycles are dyadic and take the closed form; the I/O count is
-        // not, and adds one fold from zero plus one per binade crossed
-        // (at most ⌈log2 32⌉ = 5) or tie. A trailing channel is added as
-        // it lies. The channel-major replay adds all 32 channels.
+        // their cycles: batch · 16 adds. The DCS fits' MACs, row switches
+        // and MAC-busy cycles are dyadic and take the closed form; the
+        // I/O count (2 operands) is not. It adds one fold from zero
+        // (batch · 16 · 2) and then, per binade crossed (at most
+        // ⌈log2 32⌉ = 5), only the rep that crosses (2), plus any rep that
+        // holds a tie. A trailing channel is added as it lies: 8 adds per
+        // slice. Re-adding the whole I/O fold per binade crossed, as
+        // before crossings were stepped, made 208, 672 and 4,864 adds at
+        // batch 1, 2 and 16; the channel-major replay makes
+        // 32 · batch · 16 · 8.
         let k = kernels();
         let sys = SystemConfig::cent_for(&LLM_7B_32K).with_parallel(ParallelConfig::new(2, 1));
         let m = StageModel::new(sys, LLM_7B_32K, Techniques::pimphony(), &k);
         assert_eq!(m.kv_instances_per_module(), 16);
         let batch: Vec<(u64, u64)> = (0..16).map(|i| (i, 4000 + 97 * i)).collect();
         m.attention_layer(&batch);
-        let pinned: Vec<u64> = [1, 2, 16]
-            .map(|len| folds_per_layer(&m, &batch[..len]))
-            .to_vec();
         // Batch 1 (4000 = 32 · 125) has 32 leading channels; batches 2
-        // and 16 have 31 and one trailing channel.
-        assert_eq!(pinned, [7, 8, 7]);
-        for folds in pinned {
-            assert!(folds <= 1 + (1 + 5) + 1, "{folds} folds");
+        // and 16 have 31 and one trailing channel that every request
+        // holds a slice on.
+        let pinned = [1, 2, 16].map(|len| adds_per_layer(&m, &batch[..len]));
+        assert_eq!(pinned, [58, 362, 2824]);
+        for (len, adds) in [1, 2, 16].into_iter().zip(pinned) {
+            let lead = len * 16 * (1 + 2);
+            let trailing = if len == 1 { 0 } else { len * 16 * 8 };
+            assert!(
+                adds <= lead + trailing + 5 * 2,
+                "{adds} adds at batch {len}"
+            );
         }
-        assert_eq!(folds_per_layer(&m, &[(0, 4096)]), 7);
+        assert_eq!(adds_per_layer(&m, &[(0, 4096)]), 58);
         // A zero-token request holds no full slice: every channel is
         // added as it lies.
-        assert_eq!(folds_per_layer(&m, &[(0, 4096), (1, 0)]), 32);
+        assert_eq!(adds_per_layer(&m, &[(0, 4096), (1, 0)]), 32 * 16 * 8);
     }
 
     #[test]
