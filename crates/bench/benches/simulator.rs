@@ -83,6 +83,20 @@ fn bench_schedulers(c: &mut Criterion) {
     // the accumulators of the queries sharing it.
     let sv_gqa8 = SvKernel::new(AttentionSpec::gqa(4096, 128, 8), geom);
     bench_summarize(c, "summarize_sv_4k_gqa8", &sv_gqa8, &[SchedulerKind::Dcs]);
+    // The two other heaviest `paper_ladder` calibrations under DCS: QKᵀ
+    // at 4K tokens for GQA group 8 (accumulate runs over the row-reuse
+    // mapping) and the largest FC GEMV slice, whose 1,536 input tiles
+    // stream through the Global Buffer in 24 chunks.
+    let qkt_gqa8 = QktKernel::new(AttentionSpec::gqa(4096, 128, 8), geom);
+    bench_summarize(c, "summarize_qkt_4k_gqa8", &qkt_gqa8, &[SchedulerKind::Dcs]);
+    let gemv = GemvKernel::new(
+        GemvSpec {
+            dout: 256,
+            din: 24576,
+        },
+        geom,
+    );
+    bench_summarize(c, "summarize_gemv_256x24576", &gemv, &[SchedulerKind::Dcs]);
 }
 
 /// One bench group timing `summarize` on `source` per scheduler in

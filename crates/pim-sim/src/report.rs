@@ -17,7 +17,8 @@ pub struct CommandTiming {
 /// Stall attribution categories (paper Fig. 8's stacked bars).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Breakdown {
-    /// Cycles the MAC pipeline was usefully busy (`n_mac * t_CCDS`).
+    /// Cycles the MAC pipeline was usefully busy: `n_mac` times the
+    /// shorter of `t_CCDS` and `t_MAC`.
     pub mac: u64,
     /// Input-transfer time and stalls waiting on GBuf writes (`DT-GBuf`).
     pub dt_gbuf: u64,
@@ -27,7 +28,8 @@ pub struct Breakdown {
     pub act_pre: u64,
     /// Refresh cycles.
     pub refresh: u64,
-    /// Residual pipeline stalls not attributable to the above.
+    /// Residual pipeline stalls not attributable to the above: the rest
+    /// of the makespan, so the fields sum to it.
     pub pipeline: u64,
 }
 

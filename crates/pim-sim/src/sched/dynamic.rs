@@ -44,6 +44,17 @@
 //! release at or before that cycle, so dropping the word changes no
 //! timing and no stall.
 //!
+//! Under [`Tracking::PerEntry`] an accumulate run (`out_step == 0`,
+//! consecutive GBuf entries) that stays inside the GBuf is walked once
+//! per run, not once per `MAC`. Its `MAC`s read distinct GBuf regions,
+//! so one pass over the run's contiguous regions reads and writes each
+//! region exactly as the per-`MAC` walk would. Every later `MAC` chains
+//! on the one accumulator, so its OBuf word is the previous `MAC`'s
+//! pipelined word, which the per-`MAC` walk drops; only the last `MAC`'s
+//! words survive in the region, so the region is written once, for it.
+//! Ping-pong tables, fan-out runs and runs that would pass the last GBuf
+//! entry take the per-`MAC` walk.
+//!
 //! The issue loop then plays the S-Table. Each command owns one row of a
 //! release table, `[complete, issue + t_CCDS]`, so a dependency word *is*
 //! the index of its release time; row 0 stays `[0, 0]` for "no
@@ -52,22 +63,42 @@
 //! `u64::MAX`. [`DynamicScheduler::run`] reads the per-command timings
 //! back out of the table; [`DynamicScheduler::summarize`] drops it.
 //!
-//! A run's first `MAC` issues through the general step, which weighs both
-//! queue heads. Each later `MAC` whose row and stored words are released
-//! by the time the bus frees is ready exactly then. It wins the pick
-//! without the I/O head being weighed, because ties go to compute and the
-//! I/O head is never ready before the bus frees. So the loop issues it at
-//! once, past refresh, with no stall to attribute, and moves on to the
-//! next. The first `MAC` that must wait becomes the compute queue's head,
-//! its entry rewritten in place to start there with its own words, and
-//! goes back to the general step.
+//! Each step weighs the two queue heads and issues the one ready first;
+//! ties go to compute. The loop evaluates the compute head once and then
+//! issues I/O heads for as long as each is ready strictly before it. An
+//! I/O issue moves the bus and fills its own release row, nothing else:
+//! the compute head's row is untouched, and its words change release
+//! only if the command just issued produced one of them, so the head is
+//! re-read exactly then. Each batched I/O issue is the pick the general
+//! step would make, and it still counts as a step.
+//!
+//! A run's first `MAC` issues through the general step. Each later `MAC`
+//! whose row and stored words are released by the time the bus frees is
+//! ready exactly then. It wins the pick without the I/O head being
+//! weighed, because ties go to compute and the I/O head is never ready
+//! before the bus frees. So the loop issues it at once, past refresh,
+//! with no stall to attribute, and moves on to the next. The bus only
+//! frees later as the run goes on, so every stored word released by the
+//! cycle the bus frees after the run's first `MAC` passes that check at
+//! its own `MAC`: the loop skips those words in one scan and bursts
+//! through to the first stored word that is not released, or through
+//! the whole run. The first `MAC` that must wait becomes the compute
+//! queue's head, its entry rewritten in place to start there with its
+//! own words, and goes back to the general step.
+//!
+//! Stall cycles are charged once. A row switch's stall runs from the
+//! `MAC`'s issue to the cycle the row is open, ahead of the bus, so a
+//! later wait that falls inside it (the next `MAC` waiting for the same
+//! row) charges only what lies past it, and a `MAC` issued inside it
+//! takes its busy slot back from it. The breakdown then sums to the
+//! makespan with no residual clamp.
 //!
 //! The queues and the table live in one per-thread scratch that every run
 //! on the thread reuses, never in the scheduler: kernel calibration
 //! makes thousands of runs, and per-run buffers would be allocated and
 //! faulted in afresh each time.
 
-use super::{CommandSource, Issuer, SourceItem};
+use super::{CommandSource, Issuer, MacRun, SourceItem};
 use crate::geometry::Geometry;
 use crate::report::{CommandTiming, ExecutionReport, ScheduleSummary};
 use crate::timing::Timing;
@@ -112,7 +143,7 @@ const IMPLIED: [u32; 2] = [NO_DEP; 2];
 
 /// An I/O queue entry: the command's one dependency word (GBuf for a
 /// `WR-INP`, OBuf for an `RD-OUT`) and `index << 1 | is_rd_out`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct IoEntry {
     dep: u32,
     tag: u32,
@@ -121,7 +152,7 @@ struct IoEntry {
 /// A compute queue entry for one [`MacRun`](super::MacRun): its first
 /// `MAC`'s `[GBuf, OBuf]` dependency words, its DRAM row, its first
 /// command index and its length.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct RunEntry {
     deps: [u32; 2],
     row: u32,
@@ -130,7 +161,7 @@ struct RunEntry {
 }
 
 /// The dependency words of a run's later `MAC` that are not implied.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MacDeps {
     index: u32,
     deps: [u32; 2],
@@ -145,6 +176,9 @@ struct Scratch {
     explicit: Vec<MacDeps>,
     /// Row `i + 1` is command `i`'s `[complete, issue + t_CCDS]`.
     release: Vec<u64>,
+    /// D-Table region writes of the last walk (test builds only).
+    #[cfg(test)]
+    dtable_writes: u64,
 }
 
 thread_local! {
@@ -214,8 +248,8 @@ impl DynamicScheduler {
     fn prepare(&self, source: &(impl CommandSource + ?Sized), scratch: &mut Scratch) {
         let g = &self.geometry;
         match self.tracking {
-            Tracking::PerEntry => walk(source, scratch, PerEntryTable::new(g)),
-            Tracking::PerHalf => walk(source, scratch, PerHalfTable::new(g)),
+            Tracking::PerEntry => walk_counted(source, scratch, PerEntryTable::new(g)),
+            Tracking::PerHalf => walk_counted(source, scratch, PerHalfTable::new(g)),
         }
     }
 
@@ -227,99 +261,37 @@ impl DynamicScheduler {
             compute,
             explicit,
             release,
+            ..
         } = scratch;
         // `ex_next` is the first stored word pair not yet read.
         let (mut io_next, mut cp_next, mut ex_next) = (0usize, 0usize, 0usize);
         let mut core = Issuer::new(&t);
+        #[cfg(test)]
+        core.count_dtable_writes(scratch.dtable_writes);
         let mut bus_free: u64 = 0;
 
-        while io_next < io.len() || cp_next < compute.len() {
-            core.count_step();
-            // Earliest issue of each queue head, with the compute head's
-            // gbuf, obuf and row releases. An empty queue or a head
-            // blocked on an unissued producer is ready at `NOT_ISSUED`.
-            let io_ready = io
-                .get(io_next)
-                .map_or(NOT_ISSUED, |e| bus_free.max(release[e.dep as usize]));
-            let (cp_ready, g_rel, o_rel, row_rel) = match compute.get(cp_next) {
-                None => (NOT_ISSUED, 0, 0, 0),
-                Some(e) => {
-                    let g = release[e.deps[0] as usize];
-                    let o = release[e.deps[1] as usize];
-                    let row = core.row_release(e.row);
-                    (bus_free.max(g).max(o).max(row), g, o, row)
-                }
-            };
+        loop {
+            // The compute head's gbuf, obuf and row releases. An empty
+            // queue or a head blocked on an unissued producer is ready at
+            // `NOT_ISSUED`.
+            let mut head = compute
+                .get(cp_next)
+                .map_or(Head::NONE, |e| Head::eval(&mut core, e, release));
 
-            // Pick the queue whose head is ready first; ties go to compute
-            // to keep the MAC pipeline fed. A stall beyond bus
-            // availability is attributed to its binding constraint.
-            if cp_ready <= io_ready {
-                assert!(
-                    cp_ready != NOT_ISSUED,
-                    "deadlock: both queue heads blocked on unissued producers"
-                );
-                let run = compute[cp_next];
-                let issue = core.issue_at(cp_ready);
-                let stall = cp_ready.saturating_sub(bus_free);
-                if stall > 0 {
-                    if g_rel >= o_rel && g_rel >= row_rel {
-                        core.breakdown.dt_gbuf += stall;
-                    } else if o_rel >= row_rel {
-                        core.breakdown.dt_outreg += stall;
-                    } else {
-                        core.breakdown.act_pre += stall;
-                    }
+            // Issue I/O heads while each is ready strictly before the
+            // compute head; ties go to compute to keep the MAC pipeline
+            // fed. An I/O issue moves only the bus and its own release
+            // row, so the compute head is re-read only if that row holds
+            // one of its words.
+            while let Some(&e) = io.get(io_next) {
+                let io_ready = bus_free.max(release[e.dep as usize]);
+                if io_ready >= head.ready.max(bus_free) {
+                    break;
                 }
-                let complete = core.mac(run.row, issue).1;
-                bus_free = issue + t.t_ccds;
-                retire(release, run.index, complete, bus_free);
-                if run.len == 1 {
-                    cp_next += 1;
-                    continue;
-                }
-
-                // The run's later MACs: each issues when the bus frees if
-                // its row and stored words are released by then (module
-                // docs); the first that is not becomes the queue head.
-                let end = run.index + run.len;
-                let mut index = run.index + 1;
-                let row_open = core.row_release(run.row) <= bus_free;
-                loop {
-                    // The MACs before the next stored pair wait for
-                    // nothing but the bus.
-                    let stored = explicit.get(ex_next).map_or(end, |e| e.index.min(end));
-                    if row_open && stored > index {
-                        bus_free = burst(&mut core, &t, release, bus_free, &mut index, stored);
-                    }
-                    if index == end {
-                        cp_next += 1;
-                        break;
-                    }
-                    let deps = if stored == index {
-                        ex_next += 1;
-                        explicit[ex_next - 1].deps
-                    } else {
-                        IMPLIED
-                    };
-                    let [g, o] = deps.map(|d| release[d as usize]);
-                    if !row_open || g.max(o) > bus_free {
-                        compute[cp_next] = RunEntry {
-                            deps,
-                            row: run.row,
-                            index,
-                            len: end - index,
-                        };
-                        break;
-                    }
-                    let stop = index + 1;
-                    bus_free = burst(&mut core, &t, release, bus_free, &mut index, stop);
-                }
-            } else {
-                let e = io[io_next];
+                core.count_step();
                 io_next += 1;
+                let stall = core.stall(bus_free, io_ready);
                 let issue = core.issue_at(io_ready);
-                let stall = io_ready.saturating_sub(bus_free);
                 let complete = if e.tag & 1 == 0 {
                     core.breakdown.dt_gbuf += stall;
                     core.wr_inp(issue)
@@ -328,10 +300,134 @@ impl DynamicScheduler {
                     core.rd_out(issue)
                 };
                 bus_free = issue + t.t_ccds;
-                retire(release, e.tag >> 1, complete, bus_free);
+                let index = e.tag >> 1;
+                retire(release, index, complete, bus_free);
+                if let Some(c) = compute.get(cp_next) {
+                    if c.deps.iter().any(|&d| d >> 1 == index + 1) {
+                        head = Head::eval(&mut core, c, release);
+                    }
+                }
+            }
+            let Some(&run) = compute.get(cp_next) else {
+                assert!(
+                    io_next == io.len(),
+                    "deadlock: the I/O head is blocked on an unissued producer"
+                );
+                break;
+            };
+
+            core.count_step();
+            let cp_ready = head.ready.max(bus_free);
+            assert!(
+                cp_ready != NOT_ISSUED,
+                "deadlock: both queue heads blocked on unissued producers"
+            );
+            // A stall beyond bus availability is attributed to its
+            // binding constraint.
+            let stall = core.stall(bus_free, cp_ready);
+            let issue = core.issue_at(cp_ready);
+            if stall > 0 {
+                if head.gbuf >= head.obuf && head.gbuf >= head.row {
+                    core.breakdown.dt_gbuf += stall;
+                } else if head.obuf >= head.row {
+                    core.breakdown.dt_outreg += stall;
+                } else {
+                    core.breakdown.act_pre += stall;
+                }
+            }
+            core.occupy(issue);
+            let complete = core.mac(run.row, issue).1;
+            bus_free = issue + t.t_ccds;
+            retire(release, run.index, complete, bus_free);
+            if run.len == 1 {
+                cp_next += 1;
+                continue;
+            }
+
+            // The run's later MACs: each issues when the bus frees if its
+            // row and stored words are released by then (module docs);
+            // the first that is not becomes the queue head. The bus only
+            // frees later from here on, so the stored pairs released by
+            // now need no check at their `MAC`: the first burst runs to
+            // the first stored pair that is not, or through the run.
+            let end = run.index + run.len;
+            let mut index = run.index + 1;
+            let row_open = core.row_release(run.row) <= bus_free;
+            if row_open {
+                ex_next += explicit[ex_next..]
+                    .iter()
+                    .take_while(|e| {
+                        e.index < end && e.deps.iter().all(|&d| release[d as usize] <= bus_free)
+                    })
+                    .count();
+            }
+            loop {
+                // The MACs before the next stored pair wait for nothing
+                // but the bus.
+                let stored = explicit.get(ex_next).map_or(end, |e| e.index.min(end));
+                if row_open && stored > index {
+                    bus_free = burst(&mut core, &t, release, bus_free, &mut index, stored);
+                }
+                if index == end {
+                    cp_next += 1;
+                    break;
+                }
+                let deps = if stored == index {
+                    ex_next += 1;
+                    explicit[ex_next - 1].deps
+                } else {
+                    IMPLIED
+                };
+                let [g, o] = deps.map(|d| release[d as usize]);
+                if !row_open || g.max(o) > bus_free {
+                    compute[cp_next] = RunEntry {
+                        deps,
+                        row: run.row,
+                        index,
+                        len: end - index,
+                    };
+                    break;
+                }
+                let stop = index + 1;
+                bus_free = burst(&mut core, &t, release, bus_free, &mut index, stop);
             }
         }
         core.finish()
+    }
+}
+
+/// The compute head's release times: its GBuf word's, its OBuf word's
+/// and its row's, and the latest of the three.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    ready: u64,
+    gbuf: u64,
+    obuf: u64,
+    row: u64,
+}
+
+impl Head {
+    /// An empty compute queue: never ready.
+    const NONE: Head = Head {
+        ready: NOT_ISSUED,
+        gbuf: 0,
+        obuf: 0,
+        row: 0,
+    };
+
+    /// Reads the releases of `e`'s words and of its row.
+    #[inline(always)]
+    fn eval(core: &mut Issuer, e: &RunEntry, release: &[u64]) -> Head {
+        core.count_head_eval();
+        let gbuf = release[e.deps[0] as usize];
+        let obuf = release[e.deps[1] as usize];
+        let row = core.row_release(e.row);
+        Head {
+            ready: gbuf.max(obuf).max(row),
+            gbuf,
+            obuf,
+            row,
+        }
     }
 }
 
@@ -399,6 +495,22 @@ trait DTable {
         *obuf = [dep_word(idx, ISSUE_PLUS_CCDS), dep_word(idx, COMPLETION)];
         dep
     }
+
+    /// Records the accumulate run `run`, whose `MAC`s are commands
+    /// `first..`, in one pass, pushing its later `MAC`s' stored words to
+    /// `explicit`; returns its first `MAC`'s `[GBuf, OBuf]` words. `None`
+    /// when the table cannot (the default): the run then takes the
+    /// per-`MAC` walk, which records the same.
+    #[inline(always)]
+    fn accumulate(
+        &mut self,
+        first: u32,
+        run: &MacRun,
+        explicit: &mut Vec<MacDeps>,
+    ) -> Option<[u32; 2]> {
+        let _ = (first, run, explicit);
+        None
+    }
 }
 
 /// [`Tracking::PerEntry`]: one region per buffer entry.
@@ -426,6 +538,44 @@ impl DTable for PerEntryTable {
     #[inline(always)]
     fn obuf(&mut self, entry: u16) -> &mut [u32; 2] {
         &mut self.obuf[usize::from(entry)]
+    }
+
+    /// An accumulate run that stays inside the GBuf reads one region per
+    /// `MAC`, each its own, and chains every later `MAC` on the one
+    /// accumulator: the per-`MAC` walk's GBuf words in one pass over the
+    /// run's regions, and one OBuf write, for its last `MAC`.
+    #[inline(always)]
+    fn accumulate(
+        &mut self,
+        first: u32,
+        run: &MacRun,
+        explicit: &mut Vec<MacDeps>,
+    ) -> Option<[u32; 2]> {
+        if run.out_step != 0 || run.gbuf_step != 1 {
+            return None;
+        }
+        let start = usize::from(run.gbuf_idx);
+        let (head, rest) = self
+            .gbuf
+            .get_mut(start..start + run.len as usize)?
+            .split_first_mut()?;
+        let read = |region: &mut [u32; 2], idx: u32| {
+            std::mem::replace(region, [dep_word(idx, COMPLETION), NO_DEP])[1]
+        };
+        let gbuf = read(head, first);
+        for (idx, region) in (first + 1..).zip(rest) {
+            let dep = read(region, idx);
+            if dep != NO_DEP {
+                explicit.push(MacDeps {
+                    index: idx,
+                    deps: [dep, NO_DEP],
+                });
+            }
+        }
+        let last = first + run.len - 1;
+        let words = [dep_word(last, ISSUE_PLUS_CCDS), dep_word(last, COMPLETION)];
+        let obuf = std::mem::replace(&mut self.obuf[usize::from(run.out_idx)], words)[0];
+        Some([gbuf, obuf])
     }
 }
 
@@ -461,8 +611,25 @@ impl DTable for PerHalfTable {
     }
 }
 
+/// [`walk`] over `table`, counting its region writes in test builds.
+#[inline(always)]
+fn walk_counted(
+    source: &(impl CommandSource + ?Sized),
+    scratch: &mut Scratch,
+    mut table: impl DTable,
+) {
+    #[cfg(not(test))]
+    walk(source, scratch, &mut table);
+    #[cfg(test)]
+    {
+        let mut counted = tests::Counted::new(&mut table);
+        walk(source, scratch, &mut counted);
+        scratch.dtable_writes = counted.writes;
+    }
+}
+
 /// [`DynamicScheduler::prepare`]'s walk over one D-Table type.
-fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table: impl DTable) {
+fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, table: &mut impl DTable) {
     let Scratch {
         io,
         compute,
@@ -504,13 +671,18 @@ fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table
                     return;
                 }
                 let first = take(run.len);
-                let (mut g, mut o) = (run.gbuf_idx, run.out_idx);
-                compute.push(RunEntry {
-                    deps: [table.mac_gbuf(first, g), table.mac_obuf(first, o)],
+                let entry = |deps| RunEntry {
+                    deps,
                     row: run.row,
                     index: first,
                     len: run.len,
-                });
+                };
+                if let Some(deps) = table.accumulate(first, &run, explicit) {
+                    compute.push(entry(deps));
+                    return;
+                }
+                let (mut g, mut o) = (run.gbuf_idx, run.out_idx);
+                compute.push(entry([table.mac_gbuf(first, g), table.mac_obuf(first, o)]));
                 // A later MAC's words are stored only if it may wait for
                 // more than the bus. An OBuf word pipelined on a MAC is
                 // released by then (module docs), so it counts as none.
@@ -552,9 +724,57 @@ fn walk(source: &(impl CommandSource + ?Sized), scratch: &mut Scratch, mut table
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::MacRun;
     use pim_isa::command::CommandKind;
     use pim_isa::PimCommand;
+
+    /// A D-Table that counts its region writes: one per region access,
+    /// and a run's regions plus one for a one-pass accumulate run.
+    pub(super) struct Counted<'a, T> {
+        table: &'a mut T,
+        pub(super) writes: u64,
+    }
+
+    impl<'a, T: DTable> Counted<'a, T> {
+        pub(super) fn new(table: &'a mut T) -> Self {
+            Counted { table, writes: 0 }
+        }
+    }
+
+    impl<T: DTable> DTable for Counted<'_, T> {
+        fn gbuf(&mut self, entry: u16) -> &mut [u32; 2] {
+            self.writes += 1;
+            self.table.gbuf(entry)
+        }
+
+        fn obuf(&mut self, entry: u16) -> &mut [u32; 2] {
+            self.writes += 1;
+            self.table.obuf(entry)
+        }
+
+        fn accumulate(
+            &mut self,
+            first: u32,
+            run: &MacRun,
+            explicit: &mut Vec<MacDeps>,
+        ) -> Option<[u32; 2]> {
+            let words = self.table.accumulate(first, run, explicit)?;
+            self.writes += u64::from(run.len) + 1;
+            Some(words)
+        }
+    }
+
+    /// A D-Table that takes every run through the per-`MAC` walk.
+    struct PerMac<T>(T);
+
+    impl<T: DTable> DTable for PerMac<T> {
+        fn gbuf(&mut self, entry: u16) -> &mut [u32; 2] {
+            self.0.gbuf(entry)
+        }
+
+        fn obuf(&mut self, entry: u16) -> &mut [u32; 2] {
+            self.0.obuf(entry)
+        }
+    }
 
     /// Differential oracle: the per-command scheduler loop exactly as it
     /// stood before it was rewritten around packed dependency words.
@@ -744,6 +964,16 @@ mod tests {
                 let mut row_ready: u64 = 0;
                 let mut last_mac_complete: u64 = 0;
                 let mut makespan: u64 = 0;
+                // Stalls are charged once: `charged` is the end of the
+                // latest stall, and a MAC's busy slot takes back what a
+                // row switch charged under it.
+                let mut charged: u64 = 0;
+                fn stall(charged: &mut u64, from: u64, to: u64) -> u64 {
+                    let cycles = to.saturating_sub(from.max(*charged));
+                    *charged = (*charged).max(to);
+                    cycles
+                }
+                let slot = t.t_ccds.min(t.t_mac);
                 let (mut n_w, mut n_m, mut n_r, mut switches) = (0u64, 0u64, 0u64, 0u64);
 
                 /// Release time of a dependency, or `None` if the producer has not
@@ -804,21 +1034,21 @@ mod tests {
                         io_head.expect("io head")
                     };
 
-                    let issue = refresh.adjust(ready);
-                    breakdown.refresh += issue - ready;
-
                     // Attribute stall beyond bus availability to its binding
                     // constraint.
-                    let stall = ready.saturating_sub(bus_free);
-                    if stall > 0 {
+                    let waited = stall(&mut charged, bus_free, ready);
+                    if waited > 0 {
                         if g_rel >= o_rel && g_rel >= row_rel {
-                            breakdown.dt_gbuf += stall;
+                            breakdown.dt_gbuf += waited;
                         } else if o_rel >= row_rel {
-                            breakdown.dt_outreg += stall;
+                            breakdown.dt_outreg += waited;
                         } else {
-                            breakdown.act_pre += stall;
+                            breakdown.act_pre += waited;
                         }
                     }
+
+                    let issue = refresh.adjust(ready);
+                    breakdown.refresh += stall(&mut charged, ready, issue);
 
                     let complete = match cmds[idx].kind {
                         CommandKind::WrInp { .. } => {
@@ -827,6 +1057,8 @@ mod tests {
                         }
                         CommandKind::Mac { row, .. } => {
                             n_m += 1;
+                            breakdown.act_pre -= (issue + slot).min(charged).saturating_sub(issue);
+                            charged = charged.max(issue + slot);
                             let complete = if open_row == Some(row) {
                                 issue.max(row_ready) + t.t_mac
                             } else {
@@ -838,7 +1070,7 @@ mod tests {
                                 // row cycle, but a switch after a long MAC run is
                                 // fully hidden.
                                 let new_ready = issue.max(row_ready + t.row_switch());
-                                breakdown.act_pre += new_ready - issue;
+                                breakdown.act_pre += stall(&mut charged, issue, new_ready);
                                 row_ready = new_ready;
                                 row_ready + t.t_mac
                             };
@@ -866,9 +1098,8 @@ mod tests {
                         complete: complete_at[i].expect("scheduled"),
                     })
                     .collect();
-                breakdown.mac = n_m * t.t_ccds;
-                let attributed = breakdown.total();
-                breakdown.pipeline += makespan.saturating_sub(attributed);
+                breakdown.mac = n_m * slot;
+                breakdown.pipeline = makespan - breakdown.total();
 
                 ExecutionReport {
                     timings,
@@ -1202,6 +1433,7 @@ mod tests {
                         let want = crate::schedule(&stream, kind, &timing, &geom).summary;
                         let got = crate::summarize(&stream, kind, &timing, &geom);
                         assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
+                        assert_eq!(got.breakdown.total(), got.cycles, "case {case} {kind}");
                     }
                 }
             }
@@ -1298,6 +1530,97 @@ mod tests {
         }
     }
 
+    /// Schedules `source` under every scheduler and checks that
+    /// `summarize` on its runs equals `schedule` on its commands, and
+    /// that each dynamic engine equals the oracle, per-command timings
+    /// included. Returns, in [`crate::SchedulerKind::ALL`]'s order, each
+    /// scheduler's report and the issue work of its `summarize`.
+    fn assert_exact(
+        source: &RandomRuns,
+        timing: Timing,
+        geom: Geometry,
+        case: &str,
+    ) -> Vec<(crate::SchedulerKind, ExecutionReport, crate::sched::Work)> {
+        let stream = source.stream();
+        let mut out = Vec::new();
+        for kind in crate::SchedulerKind::ALL {
+            let got = crate::summarize(source, kind, &timing, &geom);
+            let work = crate::sched::WORK.get();
+            let want = crate::schedule(&stream, kind, &timing, &geom);
+            assert_eq!(got, want.summary, "{case} {kind} {timing:?} {geom:?}");
+            assert_eq!(got.breakdown.total(), got.cycles, "{case} {kind}");
+            let tracking = match kind {
+                crate::SchedulerKind::Static => None,
+                crate::SchedulerKind::PingPong => Some(Tracking::PerHalf),
+                crate::SchedulerKind::Dcs => Some(Tracking::PerEntry),
+            };
+            if let Some(tracking) = tracking {
+                let oracle = oracle::Oracle::new(timing, geom, tracking).run(&stream);
+                assert_eq!(want, oracle, "oracle: {case} {kind}");
+            }
+            out.push((kind, want, work));
+        }
+        out
+    }
+
+    /// The I/O queue issues in batches while its head is ready strictly
+    /// before the compute head's; these two streams pin where a batch
+    /// must end and what it must carry.
+    #[test]
+    fn io_batches_end_where_the_general_step_would() {
+        let geom = Geometry::pimphony();
+        let wr = |gbuf_idx| SourceItem::WrInp {
+            gbuf_idx,
+            gpr_addr: 0,
+        };
+        // A WR-INP that completes as the bus frees releases the blocked
+        // compute head exactly when the next WR-INP is ready: the tie
+        // goes to compute, so the batch ends after its first command,
+        // and only re-reading the head once its producer issued sees it.
+        let tie = Timing {
+            t_wr_inp: 2,
+            t_act: 0,
+            t_pre: 0,
+            ..Timing::aimx_no_refresh()
+        };
+        let source = RandomRuns(vec![
+            wr(0),
+            wr(1),
+            SourceItem::Macs(MacRun::accumulate(0, 0, 0, 0, 2)),
+            wr(2),
+        ]);
+        let issues = |results: &[(_, ExecutionReport, _)]| -> Vec<u64> {
+            let (_, dcs, _) = results.last().expect("DCS comes last");
+            dcs.timings.iter().map(|c| c.issue).collect()
+        };
+        let issue = issues(&assert_exact(&source, tie, geom, "tie"));
+        assert_eq!(issue[2], tie.t_ccds, "the MAC takes the tie");
+        assert_eq!(issue[1], 2 * tie.t_ccds);
+        // Long writes keep the compute head waiting while a refresh
+        // window opens inside the batch.
+        let refresh = Timing {
+            t_wr_inp: 12,
+            t_refi: 7,
+            t_rfc: 3,
+            ..Timing::aimx()
+        };
+        let source = RandomRuns(
+            (0..6)
+                .map(wr)
+                .chain([SourceItem::Macs(MacRun::accumulate(0, 0, 0, 0, 6))])
+                .collect(),
+        );
+        let results = assert_exact(&source, refresh, geom, "refresh");
+        let issue = issues(&results);
+        // The window [7, 10) pushes the fifth WR-INP, ready at 8, to 10;
+        // the first MAC, released at 12 as the sixth is ready, takes the
+        // tie and ends the batch.
+        assert_eq!(issue[4], 10);
+        assert_eq!(issue[6], 12);
+        assert!(issue[5] > 12);
+        assert!(results.iter().all(|(_, r, _)| r.summary.refresh_events > 0));
+    }
+
     #[test]
     fn runs_schedule_exactly_as_their_commands() {
         let mut rng = SplitMix(0x5EED_0025);
@@ -1328,27 +1651,145 @@ mod tests {
             let random = random_timing(&mut rng);
             for geom in [Geometry::baseline(), Geometry::pimphony(), wide, odd] {
                 let source = RandomRuns::new(&mut rng, &geom);
-                let stream = source.stream();
                 for timing in [Timing::aimx(), random, tiny] {
-                    for kind in crate::SchedulerKind::ALL {
-                        let got = crate::summarize(&source, kind, &timing, &geom);
-                        let work = crate::sched::WORK.get();
-                        let want = crate::schedule(&stream, kind, &timing, &geom).summary;
-                        assert_eq!(got, want, "case {case} {kind} {timing:?} {geom:?}");
-                        let tracking = match kind {
-                            crate::SchedulerKind::Static => continue,
-                            crate::SchedulerKind::PingPong => Tracking::PerHalf,
-                            crate::SchedulerKind::Dcs => Tracking::PerEntry,
-                        };
-                        let oracle = oracle::Oracle::new(timing, geom, tracking).run(&stream);
-                        assert_eq!(got, oracle.summary, "oracle: case {case} {kind}");
+                    let results = assert_exact(&source, timing, geom, &format!("case {case}"));
+                    for (kind, got, work) in results {
+                        if kind == crate::SchedulerKind::Static {
+                            continue;
+                        }
                         in_runs += u32::from(work.run_macs > 0);
-                        refreshed += u32::from(work.run_macs > 0 && got.refresh_events > 0);
+                        refreshed += u32::from(work.run_macs > 0 && got.summary.refresh_events > 0);
                     }
                 }
             }
         }
         assert!(in_runs >= 500 && refreshed >= 300, "{in_runs} {refreshed}");
+    }
+
+    /// Random items for the walk: accumulate and fan-out runs from one
+    /// `MAC` to past a row, accumulate runs that end on the last GBuf
+    /// entry or (if `wrap`) run past it, OBuf entries reused across runs,
+    /// and `WR-INP`s and `RD-OUT`s between runs on the entries the last
+    /// run touched.
+    fn walk_items(rng: &mut SplitMix, g: &Geometry, wrap: bool) -> RandomRuns {
+        let (gbuf, out) = (u64::from(g.gbuf_entries), u64::from(g.out_entries));
+        let row_tiles = u64::from(g.row_tiles);
+        let mut items = Vec::new();
+        // The last run's first and last GBuf entries and its OBuf entry.
+        let mut touched = [0u16; 3];
+        for _ in 0..1 + rng.below(200) {
+            let near = |rng: &mut SplitMix, n: u64, recent: &[u16]| match rng.below(3) {
+                0 => rng.below(n) as u16,
+                _ => recent[rng.below(recent.len() as u64) as usize],
+            };
+            let row = rng.below(4) as u32;
+            let col = rng.below(row_tiles) as u16;
+            match rng.below(10) {
+                0 | 1 => items.push(SourceItem::WrInp {
+                    gbuf_idx: near(rng, gbuf, &touched[..2]),
+                    gpr_addr: 0,
+                }),
+                2 | 3 => items.push(SourceItem::RdOut {
+                    out_idx: near(rng, out, &touched[2..]),
+                    gpr_addr: 0,
+                }),
+                4..=6 => {
+                    let len = 1 + rng.below(gbuf.min(row_tiles + 4)) as u32;
+                    let g0 = match rng.below(3) {
+                        0 => gbuf - u64::from(len),
+                        1 if wrap => gbuf - 1 - rng.below(u64::from(len).min(gbuf)),
+                        _ => rng.below(gbuf - u64::from(len) + 1),
+                    } as u16;
+                    let o = near(rng, out, &touched[2..]);
+                    items.push(SourceItem::Macs(MacRun::accumulate(g0, row, col, o, len)));
+                    touched = [g0, g0 + len as u16 - 1, o];
+                }
+                _ => {
+                    let len = 1 + rng.below(out);
+                    let o0 = rng.below(out - len + 1) as u16;
+                    let stride = rng.below((gbuf - 1) / (len - 1).max(1) + 1);
+                    let g0 = rng.below(gbuf - stride * (len - 1)) as u16;
+                    let run = MacRun::fan_out(g0, stride as u16, row, col, o0, len as u32);
+                    items.push(SourceItem::Macs(run));
+                    touched = [g0, g0 + (stride * (len - 1)) as u16, o0 + len as u16 - 1];
+                }
+            }
+        }
+        RandomRuns(items)
+    }
+
+    /// Walks `source` with `table`, returning the filled scratch.
+    fn walked(source: &RandomRuns, mut table: impl DTable) -> Scratch {
+        let mut scratch = Scratch::default();
+        walk(source, &mut scratch, &mut table);
+        scratch
+    }
+
+    #[test]
+    fn per_run_walk_matches_the_per_mac_walk() {
+        let mut rng = SplitMix(0x5EED_0031);
+        let odd = Geometry {
+            banks: 4,
+            gbuf_entries: 10,
+            out_entries: 3,
+            row_tiles: 6,
+            elems_per_tile: 4,
+        };
+        // Accumulate runs the one-pass walk took, and runs that ended on
+        // the last GBuf entry.
+        let (mut one_pass, mut at_end) = (0u32, 0u32);
+        for case in 0..200 {
+            for geom in [Geometry::baseline(), Geometry::pimphony(), odd] {
+                for tracking in TRACKINGS {
+                    let wrap = tracking == Tracking::PerHalf;
+                    let source = walk_items(&mut rng, &geom, wrap);
+                    let (mut runs, mut per_mac) = match tracking {
+                        Tracking::PerEntry => (
+                            walked(&source, PerEntryTable::new(&geom)),
+                            walked(&source, PerMac(PerEntryTable::new(&geom))),
+                        ),
+                        Tracking::PerHalf => (
+                            walked(&source, PerHalfTable::new(&geom)),
+                            walked(&source, PerMac(PerHalfTable::new(&geom))),
+                        ),
+                    };
+                    let label = format!("case {case} {tracking:?} {geom:?}");
+                    assert_eq!(runs.io, per_mac.io, "io: {label}");
+                    assert_eq!(runs.compute, per_mac.compute, "compute: {label}");
+                    assert_eq!(runs.explicit, per_mac.explicit, "explicit: {label}");
+                    assert_eq!(runs.release, per_mac.release, "release: {label}");
+                    let timing = random_timing(&mut rng);
+                    let scheduler = DynamicScheduler::new(timing, geom, tracking);
+                    let summary = scheduler.issue(&mut runs);
+                    assert_eq!(summary, scheduler.issue(&mut per_mac), "summary: {label}");
+                    let oracle = oracle::Oracle::new(timing, geom, tracking);
+                    assert_eq!(summary, oracle.run(&source.stream()).summary, "{label}");
+                    for item in &source.0 {
+                        if let SourceItem::Macs(run) = item {
+                            let inside = u32::from(run.gbuf_idx) + run.len <= geom.gbuf_entries;
+                            let accumulate = run.out_step == 0 && inside;
+                            one_pass += u32::from(accumulate && !wrap);
+                            at_end += u32::from(
+                                accumulate
+                                    && u32::from(run.gbuf_idx) + run.len == geom.gbuf_entries,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(one_pass >= 10_000 && at_end >= 2_000, "{one_pass} {at_end}");
+        // A run past the last GBuf entry is left to the per-MAC walk,
+        // with the table untouched.
+        let geom = Geometry::pimphony();
+        let mut table = PerEntryTable::new(&geom);
+        let past = MacRun::accumulate(geom.gbuf_entries as u16 - 1, 0, 0, 0, 2);
+        assert_eq!(table.accumulate(0, &past, &mut Vec::new()), None);
+        assert!(table
+            .gbuf
+            .iter()
+            .chain(&table.obuf)
+            .all(|r| *r == [NO_DEP; 2]));
     }
 
     #[test]

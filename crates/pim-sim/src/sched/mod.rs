@@ -104,7 +104,7 @@ pub fn schedule(
     timing: &Timing,
     geometry: &Geometry,
 ) -> ExecutionReport {
-    match kind {
+    let report = match kind {
         SchedulerKind::Static => StaticScheduler::new(*timing).run(stream),
         SchedulerKind::PingPong => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerHalf).run(stream)
@@ -112,7 +112,9 @@ pub fn schedule(
         SchedulerKind::Dcs => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerEntry).run(stream)
         }
-    }
+    };
+    debug_assert_eq!(report.summary.breakdown.total(), report.summary.cycles);
+    report
 }
 
 /// Scalar results of scheduling the commands `source` emits: exactly
@@ -138,7 +140,7 @@ pub fn summarize(
     timing: &Timing,
     geometry: &Geometry,
 ) -> ScheduleSummary {
-    match kind {
+    let summary = match kind {
         SchedulerKind::Static => StaticScheduler::new(*timing).summarize(source),
         SchedulerKind::PingPong => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerHalf).summarize(source)
@@ -146,7 +148,9 @@ pub fn summarize(
         SchedulerKind::Dcs => {
             DynamicScheduler::new(*timing, *geometry, Tracking::PerEntry).summarize(source)
         }
-    }
+    };
+    debug_assert_eq!(summary.breakdown.total(), summary.cycles);
+    summary
 }
 
 /// A program-order source of one channel's commands: a built
@@ -328,6 +332,9 @@ pub(crate) struct Issuer {
     refresh: RefreshState,
     open_row: Option<u32>,
     row_ready: u64,
+    /// The end of the latest stall charged: no cycle before it is
+    /// charged again.
+    stall_end: u64,
     pub breakdown: Breakdown,
     makespan: u64,
     wr_inp_count: u64,
@@ -345,6 +352,7 @@ impl Issuer {
             refresh: RefreshState::new(timing),
             open_row: None,
             row_ready: 0,
+            stall_end: 0,
             breakdown: Breakdown::default(),
             makespan: 0,
             wr_inp_count: 0,
@@ -376,6 +384,23 @@ impl Issuer {
         let _ = n;
     }
 
+    /// Counts one evaluation of the compute queue's head (test builds
+    /// only).
+    #[inline(always)]
+    pub(crate) fn count_head_eval(&mut self) {
+        #[cfg(test)]
+        {
+            self.work.head_evals += 1;
+        }
+    }
+
+    /// Records the D-Table region writes of the walk that prepared this
+    /// schedule.
+    #[cfg(test)]
+    pub(crate) fn count_dtable_writes(&mut self, n: u64) {
+        self.work.dtable_writes = n;
+    }
+
     /// Earliest issue a `MAC` on `row` may take for the row's sake: when
     /// the row is already open, the cycle it finished opening; otherwise
     /// 0, since the switch is charged as the MAC issues.
@@ -388,12 +413,43 @@ impl Issuer {
         }
     }
 
+    /// The cycles of the stall `[from, to)` that no earlier stall
+    /// charged, to be charged to one category. Stalls arrive in order of
+    /// their start, so only a row switch's, which runs ahead of the bus,
+    /// can overlap a later one.
+    #[inline]
+    pub(crate) fn stall(&mut self, from: u64, to: u64) -> u64 {
+        if to <= from {
+            return 0;
+        }
+        let cycles = to.saturating_sub(from.max(self.stall_end));
+        self.stall_end = self.stall_end.max(to);
+        cycles
+    }
+
+    /// The busy cycles one `MAC` charges: its bus slot, `t_CCDS`, or
+    /// `t_MAC` if the accumulation is shorter.
+    #[inline]
+    fn mac_slot(&self) -> u64 {
+        self.timing.t_ccds.min(self.timing.t_mac)
+    }
+
+    /// Charges the bus slot of a `MAC` issued at `issue` as busy time. A
+    /// row switch's stall can run past the bus: the part of it under the
+    /// slot is given back, so no cycle is charged twice.
+    #[inline]
+    pub(crate) fn occupy(&mut self, issue: u64) {
+        let end = issue + self.mac_slot();
+        self.breakdown.act_pre -= end.min(self.stall_end).saturating_sub(issue);
+        self.stall_end = self.stall_end.max(end);
+    }
+
     /// Pushes a command ready at `ready` past any refresh window,
     /// accounting the stall, and returns its issue cycle.
     #[inline]
     pub(crate) fn issue_at(&mut self, ready: u64) -> u64 {
         let issue = self.refresh.adjust(ready);
-        self.breakdown.refresh += issue - ready;
+        self.breakdown.refresh += self.stall(ready, issue);
         issue
     }
 
@@ -416,7 +472,7 @@ impl Issuer {
     /// cycle the row is ready and the accumulation begins.
     #[inline]
     pub(crate) fn mac(&mut self, row: u32, issue: u64) -> (u64, u64) {
-        let t = &self.timing;
+        let t = self.timing;
         self.mac_count += 1;
         let start = if self.open_row == Some(row) {
             issue.max(self.row_ready)
@@ -428,7 +484,7 @@ impl Issuer {
             // back-to-back switches are spaced by the row cycle, but a
             // switch after a long MAC run is fully hidden.
             let new_ready = issue.max(self.row_ready + t.row_switch());
-            self.breakdown.act_pre += new_ready - issue;
+            self.breakdown.act_pre += self.stall(issue, new_ready);
             self.row_ready = new_ready;
             new_ready
         };
@@ -476,15 +532,22 @@ impl Issuer {
         complete
     }
 
-    /// The scalar results: busy MAC time is `n_mac * t_CCDS`, and the
+    /// The scalar results: busy MAC time is a slot per `MAC`, and the
     /// makespan not attributed to any stall is residual pipeline time.
+    /// Busy slots and stalls never share a cycle, so they fit in the
+    /// makespan and the breakdown sums to it.
     pub(crate) fn finish(self) -> ScheduleSummary {
         #[cfg(test)]
         WORK.with(|w| w.set(self.work));
         let mut breakdown = self.breakdown;
-        breakdown.mac = self.mac_count * self.timing.t_ccds;
+        breakdown.mac = self.mac_count * self.mac_slot();
         let attributed = breakdown.total();
-        breakdown.pipeline += self.makespan.saturating_sub(attributed);
+        debug_assert!(
+            attributed <= self.makespan,
+            "{attributed} cycles attributed in a makespan of {}: {breakdown:?}",
+            self.makespan
+        );
+        breakdown.pipeline += self.makespan - attributed;
         ScheduleSummary {
             cycles: self.makespan,
             breakdown,
@@ -565,12 +628,16 @@ impl RefreshState {
 }
 
 /// Issue work of one schedule, counted in test builds only: general
-/// issue steps, and `MAC`s advanced inside a run without one.
+/// issue steps, and `MAC`s advanced inside a run without one; for the
+/// dynamic engine also the D-Table region writes of its walk and the
+/// evaluations of its compute queue's head.
 #[cfg(test)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Work {
     pub steps: u64,
     pub run_macs: u64,
+    pub dtable_writes: u64,
+    pub head_evals: u64,
 }
 
 #[cfg(test)]
@@ -615,6 +682,9 @@ mod tests {
                 );
                 for kind in SchedulerKind::ALL {
                     let want = schedule(&stream, kind, &timing, &geom).summary;
+                    // Every stall cycle is charged once, so the breakdown
+                    // sums to the makespan.
+                    assert_eq!(want.breakdown.total(), want.cycles, "{kind} {label}");
                     let from_stream = summarize(&stream, kind, &timing, &geom);
                     assert_eq!(from_stream, want, "{kind} {label} {timing:?}");
                     let from_kernel = summarize(&kernel, kind, &timing, &geom);
@@ -624,16 +694,14 @@ mod tests {
         }
     }
 
-    /// The general issue steps each scheduler takes, against the `MAC`s
-    /// it advances inside runs, on every kernel shape the `paper_ladder`
-    /// benchmark calibrates: both attention kernels (d_h = 128) at 512
-    /// and 4,096 tokens for groups 1/2/4/8, static on baseline buffers
-    /// without row reuse and DCS on PIMphony buffers with it, and the FC
-    /// GEMVs of its PIM-only cells under both. The counts do not depend
-    /// on the machine, so the work removed from the issue loops is
-    /// pinned exactly.
-    #[test]
-    fn issue_work_is_pinned() {
+    /// Calls `f` with every kernel shape the `paper_ladder` benchmark
+    /// calibrates, labelled, as a summary under a design: both attention
+    /// kernels (d_h = 128) at 512 and 4,096 tokens for groups 1/2/4/8,
+    /// with row reuse under DCS for groups above 1, and the FC GEMVs of
+    /// its PIM-only cells.
+    fn for_each_ladder_kernel(
+        mut f: impl FnMut(String, &dyn Fn(SchedulerKind, Geometry) -> ScheduleSummary),
+    ) {
         use crate::kernels::{AttentionSpec, GemvKernel, GemvSpec, QktKernel, SvKernel};
         const GEMVS: [(u32, u32); 35] = [
             (1, 8192),
@@ -673,28 +741,6 @@ mod tests {
             (768, 8192),
         ];
         let timing = Timing::aimx();
-        let designs = [
-            (SchedulerKind::Static, Geometry::baseline()),
-            (SchedulerKind::Dcs, Geometry::pimphony()),
-        ];
-        let mut out = String::from("kernel scheduler commands steps run_macs\n");
-        let mut total = [0u64; 3];
-        let mut row =
-            |label: String, source: &dyn Fn(SchedulerKind, Geometry) -> ScheduleSummary| {
-                for (kind, geom) in designs {
-                    let summary = source(kind, geom);
-                    let work = WORK.get();
-                    let commands = summary.mac_count + summary.wr_inp_count + summary.rd_out_count;
-                    assert_eq!(work.steps + work.run_macs, commands, "{label} {kind}");
-                    for (sum, n) in total.iter_mut().zip([commands, work.steps, work.run_macs]) {
-                        *sum += n;
-                    }
-                    out += &format!(
-                        "{label} {kind} {commands} {} {}\n",
-                        work.steps, work.run_macs
-                    );
-                }
-            };
         for tokens in [512, 4096] {
             for group_size in [1, 2, 4, 8] {
                 let spec = |kind| AttentionSpec {
@@ -703,23 +749,90 @@ mod tests {
                     group_size,
                     row_reuse: kind == SchedulerKind::Dcs && group_size > 1,
                 };
-                row(format!("qkt/{tokens}/g{group_size}"), &|kind, geom| {
+                f(format!("qkt/{tokens}/g{group_size}"), &|kind, geom| {
                     summarize(&QktKernel::new(spec(kind), geom), kind, &timing, &geom)
                 });
-                row(format!("sv/{tokens}/g{group_size}"), &|kind, geom| {
+                f(format!("sv/{tokens}/g{group_size}"), &|kind, geom| {
                     summarize(&SvKernel::new(spec(kind), geom), kind, &timing, &geom)
                 });
             }
         }
         for (dout, din) in GEMVS {
-            row(format!("gemv/{dout}x{din}"), &|kind, geom| {
+            f(format!("gemv/{dout}x{din}"), &|kind, geom| {
                 let kernel = GemvKernel::new(GemvSpec { dout, din }, geom);
                 summarize(&kernel, kind, &timing, &geom)
             });
         }
+    }
+
+    /// The general issue steps each scheduler takes, against the `MAC`s
+    /// it advances inside runs, on every `paper_ladder` kernel shape:
+    /// static on baseline buffers and DCS on PIMphony buffers. The counts
+    /// do not depend on the machine, so the work removed from the issue
+    /// loops is pinned exactly.
+    #[test]
+    fn issue_work_is_pinned() {
+        let designs = [
+            (SchedulerKind::Static, Geometry::baseline()),
+            (SchedulerKind::Dcs, Geometry::pimphony()),
+        ];
+        let mut out = String::from("kernel scheduler commands steps run_macs\n");
+        let mut total = [0u64; 3];
+        for_each_ladder_kernel(|label, summary_of| {
+            for (kind, geom) in designs {
+                let summary = summary_of(kind, geom);
+                let work = WORK.get();
+                let commands = summary.mac_count + summary.wr_inp_count + summary.rd_out_count;
+                assert_eq!(work.steps + work.run_macs, commands, "{label} {kind}");
+                for (sum, n) in total.iter_mut().zip([commands, work.steps, work.run_macs]) {
+                    *sum += n;
+                }
+                out += &format!(
+                    "{label} {kind} {commands} {} {}\n",
+                    work.steps, work.run_macs
+                );
+            }
+        });
         let [commands, steps, run_macs] = total;
         out += &format!("total {commands} {steps} {run_macs}\n");
         assert_eq!(out, include_str!("../../tests/golden/issue_work.txt"));
+    }
+
+    /// The D-Table region writes of the DCS walk and the evaluations of
+    /// its compute queue's head, on every `paper_ladder` kernel shape
+    /// (PIMphony buffers). A per-`MAC` walk writes two regions per `MAC`
+    /// and one per I/O command, and a loop that weighs both heads at
+    /// every step evaluates the compute head once per step; the pins
+    /// gate what the one-pass accumulate walk and the I/O batches save.
+    #[test]
+    fn dcs_work_is_pinned() {
+        let geom = Geometry::pimphony();
+        let mut out = String::from("kernel commands macs dtable_writes steps head_evals\n");
+        let mut total = [0u64; 5];
+        for_each_ladder_kernel(|label, summary_of| {
+            let summary = summary_of(SchedulerKind::Dcs, geom);
+            let work = WORK.get();
+            let io = summary.wr_inp_count + summary.rd_out_count;
+            let macs = summary.mac_count;
+            assert!(work.dtable_writes <= 2 * macs + io, "{label}");
+            assert!(work.steps - io <= work.head_evals, "{label}");
+            assert!(work.head_evals <= work.steps + 1, "{label}");
+            let row = [
+                macs + io,
+                macs,
+                work.dtable_writes,
+                work.steps,
+                work.head_evals,
+            ];
+            for (sum, n) in total.iter_mut().zip(row) {
+                *sum += n;
+            }
+            let [commands, macs, writes, steps, evals] = row;
+            out += &format!("{label} {commands} {macs} {writes} {steps} {evals}\n");
+        });
+        let [commands, macs, writes, steps, evals] = total;
+        out += &format!("total {commands} {macs} {writes} {steps} {evals}\n");
+        assert_eq!(out, include_str!("../../tests/golden/dcs_work.txt"));
     }
 
     #[test]
