@@ -17,6 +17,17 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every kind, in spec-label order.
+    pub const ALL: [SystemKind; 2] = [SystemKind::PimOnly, SystemKind::XpuPim];
+
+    /// The label a scenario spec names this kind by.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SystemKind::PimOnly => "pim-only",
+            SystemKind::XpuPim => "xpu-pim",
+        }
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {

@@ -31,6 +31,9 @@ pub enum SchedulingPolicy {
 }
 
 impl SchedulingPolicy {
+    /// Every policy, in label order.
+    pub const ALL: [SchedulingPolicy; 2] = [SchedulingPolicy::Wave, SchedulingPolicy::Continuous];
+
     /// Short display label.
     pub fn label(&self) -> &'static str {
         match self {
@@ -451,79 +454,6 @@ pub(crate) fn wave_plan(eval: &Evaluator, queue_rest: &[Request], t_max: u64) ->
     remaining.div_ceil(waves_needed).min(greedy)
 }
 
-/// Incremental admission bookkeeping for the continuous policy: tracks
-/// the reservation bytes of the running batch against replica capacity
-/// and the HFP placement limit.
-#[derive(Debug)]
-pub(crate) struct ContinuousAdmitter {
-    capacity: u64,
-    limit: u64,
-    used: u64,
-}
-
-impl ContinuousAdmitter {
-    pub(crate) fn new(eval: &Evaluator, t_max: u64) -> Self {
-        ContinuousAdmitter {
-            capacity: eval.replica_kv_capacity(),
-            limit: eval.hfp_batch_limit(t_max),
-            used: 0,
-        }
-    }
-
-    /// The raw admission predicate against a *hypothetical* batch state
-    /// (`used` reserved bytes, `occupancy` running requests) — used by
-    /// eviction planning, which must know whether removing a victim set
-    /// would make a blocked candidate admissible before actually
-    /// evicting anyone.
-    pub(crate) fn fits_given(&self, need: u64, used: u64, occupancy: usize) -> bool {
-        // Mirror the wave loop's guarantee: an empty batch always accepts
-        // its first request, even one whose worst case exceeds capacity.
-        if occupancy == 0 {
-            return true;
-        }
-        if occupancy as u64 >= self.limit {
-            return false;
-        }
-        used.saturating_add(need) <= self.capacity
-    }
-
-    /// Reserves `r`'s memory. Call only after [`Self::fits`] approved it.
-    /// Production code reserves through [`Self::reserve_bytes`] with a
-    /// role-aware length; this convenience form pins the equivalence
-    /// for the mixed role in tests.
-    #[cfg(test)]
-    pub(crate) fn reserve(&mut self, eval: &Evaluator, r: &Request, t_max: u64) {
-        self.used = self
-            .used
-            .saturating_add(eval.kv_reservation(r.final_len(), t_max));
-    }
-
-    /// Releases a finished request's reservation (test counterpart of
-    /// [`Self::release_bytes`]).
-    #[cfg(test)]
-    pub(crate) fn release(&mut self, eval: &Evaluator, r: &Request, t_max: u64) {
-        self.used = self
-            .used
-            .saturating_sub(eval.kv_reservation(r.final_len(), t_max));
-    }
-
-    /// Reserves an explicit byte amount (the paged-KV path, where the
-    /// page pool prices admissions instead of `kv_reservation`).
-    pub(crate) fn reserve_bytes(&mut self, bytes: u64) {
-        self.used = self.used.saturating_add(bytes);
-    }
-
-    /// Releases an explicit byte amount (paged-KV path).
-    pub(crate) fn release_bytes(&mut self, bytes: u64) {
-        self.used = self.used.saturating_sub(bytes);
-    }
-
-    /// Reservation bytes currently held by the running batch.
-    pub(crate) fn used(&self) -> u64 {
-        self.used
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -634,56 +564,6 @@ mod tests {
             8 << 20
         );
         assert!(std::panic::catch_unwind(|| PagedKvConfig::paged(0)).is_err());
-    }
-
-    #[test]
-    fn continuous_admitter_mirrors_wave_greedy_count() {
-        let e = eval();
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(9)
-            .requests(64)
-            .decode_len(32)
-            .build();
-        let reqs = trace.requests();
-        let t_max = reqs.iter().map(|r| r.final_len()).max().unwrap();
-        let greedy = wave_greedy_admit(&e, reqs, t_max);
-
-        let mut adm = ContinuousAdmitter::new(&e, t_max);
-        let mut n = 0usize;
-        for r in reqs {
-            let need = e.kv_reservation(r.final_len(), t_max);
-            if !adm.fits_given(need, adm.used(), n) {
-                break;
-            }
-            adm.reserve(&e, r, t_max);
-            n += 1;
-        }
-        // The incremental admitter packs at least as tightly as the wave
-        // loop's greedy scan (which also stops at the `used >= capacity`
-        // boundary), and never less than one.
-        assert!(
-            n >= greedy.min(reqs.len()).saturating_sub(1).max(1),
-            "{n} vs greedy {greedy}"
-        );
-    }
-
-    #[test]
-    fn released_memory_is_reusable() {
-        let e = eval();
-        let trace = TraceBuilder::new(Dataset::QmSum)
-            .seed(3)
-            .requests(4)
-            .decode_len(8)
-            .build();
-        let r = trace.requests()[0];
-        let t_max = r.final_len();
-        let mut adm = ContinuousAdmitter::new(&e, t_max);
-        adm.reserve(&e, &r, t_max);
-        let used_before = adm.used;
-        adm.release(&e, &r, t_max);
-        assert_eq!(adm.used, 0);
-        adm.reserve(&e, &r, t_max);
-        assert_eq!(adm.used, used_before);
     }
 
     #[test]

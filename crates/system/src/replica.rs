@@ -2,7 +2,7 @@
 //!
 //! `ReplicaSim` is the per-replica core extracted from the original
 //! single-node serving loops: it owns one replica's pending queue, running
-//! batch, memory admitter and virtual clock, and advances them over
+//! batch, KV memory and virtual clock, and advances them over
 //! admission / chunked-decode / completion events. The cluster layer
 //! ([`crate::cluster`]) drives many `ReplicaSim`s — routing each arrival
 //! to one of them, advancing them up to the routing frontier, and
@@ -71,8 +71,7 @@
 use crate::energy::EnergyBreakdown;
 use crate::metrics::{ReplicaBreakdown, RequestTiming};
 use crate::policy::{
-    self, ContinuousAdmitter, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy,
-    SheddingPolicy, VictimOrder,
+    self, PoolRole, PreemptionPolicy, PrefillConfig, SchedulingPolicy, SheddingPolicy, VictimOrder,
 };
 use crate::serve::{Evaluator, KvTransferModel, TtftPredictor};
 use crate::stage::{IterationBreakdown, StageModel};
@@ -650,16 +649,15 @@ struct VictimEntry {
     seq: u64,
 }
 
-/// Per-replica paged-KV state: the page pool plus the token/byte
-/// geometry needed to translate requests into pages. Present only when
+/// Per-replica paged-KV state: the page pool plus the token geometry
+/// needed to translate requests into pages. Present only when
 /// [`crate::policy::PagedKvConfig::prefix_caching`] is on under the
-/// continuous policy; `None` keeps every historical code path bit-exact.
+/// continuous policy (see [`KvMemory`]).
 #[derive(Debug)]
 struct PagedKv {
     pool: PagePool,
     /// Tokens one page holds ([`Evaluator::page_tokens`], ≥ 1).
     page_tokens: u64,
-    page_bytes: u64,
     /// Re-prefill discounts granted at eviction, by request id: shared
     /// pages left resident in the pool let the victim's `reprefill`
     /// accounting shrink, but if the pool reclaims those pages before
@@ -736,10 +734,244 @@ impl PagedKv {
     }
 
     /// Page-rounded footprint of a `len`-token reservation
-    /// ([`ReplicaSim::reservation_len`] — the whole request on
+    /// ([`KvMemory::reservation_len`] — the whole request on
     /// mixed/decode replicas, the prompt alone on prefill replicas).
     fn footprint_pages(&self, len: u64) -> u64 {
         len.div_ceil(self.page_tokens).max(1)
+    }
+}
+
+/// How a replica's KV memory is accounted.
+#[derive(Debug)]
+enum KvStore {
+    /// Whole-request reservations (the default): the bytes the running
+    /// batch holds, each request reserving
+    /// [`Evaluator::kv_reservation`] of its reservation length.
+    Whole { used: u64 },
+    /// Paged KV: the page pool's referenced pages are the reservation.
+    Paged(Box<PagedKv>),
+}
+
+/// One replica's KV memory, the single owner of its admission
+/// arithmetic: the capacity and HFP batch limit, the fits rule, what a
+/// request reserves while queued and at admission, and what it returns
+/// on release. Under whole-request accounting it keeps the running
+/// batch's reserved bytes; under paged KV the page pool is the only
+/// record, and [`Self::used`] reads it.
+#[derive(Debug)]
+struct KvMemory<'a> {
+    eval: &'a Evaluator,
+    t_max: u64,
+    /// Whether a reservation covers the prompt alone (a `Prefill`-role
+    /// replica) rather than the whole request.
+    prompt_only: bool,
+    capacity: u64,
+    /// The HFP placement limit on the running batch size.
+    limit: u64,
+    store: KvStore,
+}
+
+impl<'a> KvMemory<'a> {
+    /// An empty KV memory for a replica running `policy` in `role`,
+    /// compiled for worst case `t_max`.
+    fn new(eval: &'a Evaluator, policy: SchedulingPolicy, role: PoolRole, t_max: u64) -> Self {
+        let paged_cfg = eval.policies().paged_kv;
+        // Paged KV is a continuous-policy feature: the closed-world wave
+        // loop admits and retires whole waves, so there is nothing for a
+        // page cache to share across admissions.
+        let store = if paged_cfg.prefix_caching && policy == SchedulingPolicy::Continuous {
+            KvStore::Paged(Box::new(PagedKv {
+                pool: PagePool::new(eval.replica_kv_capacity(), paged_cfg.page_bytes),
+                page_tokens: eval.page_tokens(),
+                discounted: BTreeMap::new(),
+                labels: TenantLabels::default(),
+                last_lookup: Cell::new(None),
+            }))
+        } else {
+            KvStore::Whole { used: 0 }
+        };
+        KvMemory {
+            eval,
+            t_max,
+            prompt_only: role == PoolRole::Prefill,
+            capacity: eval.replica_kv_capacity(),
+            limit: eval.hfp_batch_limit(t_max),
+            store,
+        }
+    }
+
+    /// The page-pool state, when paged KV is on.
+    fn paged(&self) -> Option<&PagedKv> {
+        match &self.store {
+            KvStore::Paged(p) => Some(p),
+            KvStore::Whole { .. } => None,
+        }
+    }
+
+    /// Reservation bytes currently held by the running batch.
+    fn used(&self) -> u64 {
+        match &self.store {
+            KvStore::Whole { used } => *used,
+            KvStore::Paged(p) => p.pool.referenced_pages() * p.pool.page_bytes(),
+        }
+    }
+
+    /// The raw admission predicate against a *hypothetical* batch state
+    /// (`used` reserved bytes, `occupancy` running requests) — used by
+    /// eviction planning, which must know whether removing a victim set
+    /// would make a blocked candidate admissible before actually
+    /// evicting anyone.
+    fn fits_given(&self, need: u64, used: u64, occupancy: usize) -> bool {
+        // Mirror the wave loop's guarantee: an empty batch always accepts
+        // its first request, even one whose worst case exceeds capacity.
+        if occupancy == 0 {
+            return true;
+        }
+        if occupancy as u64 >= self.limit {
+            return false;
+        }
+        used.saturating_add(need) <= self.capacity
+    }
+
+    /// Whether `need` more bytes fit beside the current batch of
+    /// `occupancy` requests.
+    fn fits(&self, need: u64, occupancy: usize) -> bool {
+        self.fits_given(need, self.used(), occupancy)
+    }
+
+    /// The token length a request's KV reservation covers on this
+    /// replica: the whole request (prompt + decode budget) on
+    /// mixed/decode replicas — the historical rule, bit-exact — but only
+    /// the prompt on a `Prefill`-role replica, which never decodes and
+    /// hands the request off at prompt residency. (Prefill replicas
+    /// never decode, so `resume_done` is always 0 there and the prompt
+    /// is exactly `context_len`.)
+    fn reservation_len(&self, r: &Request) -> u64 {
+        if self.prompt_only {
+            r.context_len
+        } else {
+            r.final_len()
+        }
+    }
+
+    /// Registers `r` on its way into the pending queue (paged: extends
+    /// its tenant's prefix labels to cover it) and returns its
+    /// [`Self::queue_reservation`].
+    fn queue(&mut self, r: &Request) -> u64 {
+        if let KvStore::Paged(p) = &mut self.store {
+            p.cover_labels(r);
+        }
+        self.queue_reservation(r)
+    }
+
+    /// The reservation a request holds while queued (and the full
+    /// amount it returns to the queue on eviction): the whole-request
+    /// reservation under the historical policy, the page-rounded
+    /// footprint under paged KV (admission itself may then reserve less
+    /// — resident shared pages are discounted by
+    /// [`Self::admission_need`]).
+    fn queue_reservation(&self, r: &Request) -> u64 {
+        let len = self.reservation_len(r);
+        match &self.store {
+            KvStore::Paged(p) => p.footprint_pages(len) * p.pool.page_bytes(),
+            KvStore::Whole { .. } => self.eval.kv_reservation(len, self.t_max),
+        }
+    }
+
+    /// Bytes admission must find for `r` right now: equal to
+    /// [`Self::queue_reservation`] under whole-request accounting; under
+    /// paged KV, resident shared-prefix pages are free (refcount++) but
+    /// re-referencing a *cached* page removes it from the reclaimable
+    /// set, so those count (`new + hit_cached` pages — exactly the page
+    /// pool's own feasibility rule).
+    fn admission_need(&self, r: &Request) -> u64 {
+        match &self.store {
+            KvStore::Paged(p) => {
+                let hit = p.lookup(r);
+                (p.footprint_pages(self.reservation_len(r)) - hit.hit_pages + hit.hit_cached_pages)
+                    * p.pool.page_bytes()
+            }
+            KvStore::Whole { .. } => self.queue_reservation(r),
+        }
+    }
+
+    /// Takes `r`'s memory at admission into a batch of `occupancy`
+    /// running requests. Whole-request: reserves its bytes. Paged:
+    /// admits `r` into the page pool — mapping any resident shared
+    /// prefix, allocating the rest, reclaiming cached pages LRU-first
+    /// under pressure — and bills the prefix-cache counters to
+    /// `ledger`. Returns the prompt tokens whose prefill the prefix
+    /// cache skips plus the bytes reserved.
+    fn admit(&mut self, r: &Request, occupancy: usize, ledger: &mut Ledger) -> (u64, u64) {
+        let r_len = self.reservation_len(r);
+        let p = match &mut self.store {
+            KvStore::Whole { used } => {
+                let need = self.eval.kv_reservation(r_len, self.t_max);
+                *used = used.saturating_add(need);
+                return (0, need);
+            }
+            KvStore::Paged(p) => p,
+        };
+        let labels = p.labels.get(r.tenant, p.shared_pages(r));
+        let private = p.footprint_pages(r_len) - labels.len() as u64;
+        let before = p.pool.referenced_pages();
+        p.last_lookup.set(None);
+        let adm = match p.pool.admit(RequestId(r.id), labels, private) {
+            Ok(a) => a,
+            Err(_) => {
+                // Mirror the empty-batch guarantee of `fits_given` (a
+                // first request always admits, truncated to capacity by
+                // construction of the workloads): clamp the footprint to
+                // the pool rather than deadlock.
+                debug_assert!(
+                    occupancy == 0,
+                    "pool admission can only fail for an oversized first request"
+                );
+                let keep = (labels.len() as u64).min(p.pool.total_pages()) as usize;
+                let private = private.min(p.pool.total_pages() - keep as u64);
+                p.pool
+                    .admit(RequestId(r.id), &labels[..keep], private)
+                    .expect("clamped admission fits an empty pool")
+            }
+        };
+        let reserved = (p.pool.referenced_pages() - before) * p.pool.page_bytes();
+        let hit_tokens = adm.hit_pages * p.page_tokens;
+        // Recompute attribution: tokens whose re-prefill was waived at
+        // this request's eviction (shared pages then resident) that the
+        // cache no longer covers — the pool reclaimed them in between,
+        // so the prefill really happens again and counts as waste.
+        let recompute_tokens = p
+            .discounted
+            .remove(&r.id)
+            .unwrap_or(0)
+            .saturating_sub(hit_tokens);
+        if hit_tokens > 0 {
+            ledger.prefix_cache_hits += 1;
+            ledger.prefix_hit_tokens += hit_tokens;
+        }
+        ledger.recompute_tokens += recompute_tokens;
+        ledger.pages_evicted += adm.reclaimed_pages;
+        (hit_tokens, reserved)
+    }
+
+    /// Returns `r`'s memory when it leaves the running batch (retire or
+    /// eviction). Paged: shared pages another live sequence still maps
+    /// stay referenced; newly zero-refcount shared pages stay *cached*
+    /// in the pool (the prefix cache), so only the referenced pages
+    /// only `r` held are freed.
+    fn release(&mut self, r: &Request) {
+        let r_len = self.reservation_len(r);
+        match &mut self.store {
+            KvStore::Paged(p) => {
+                p.last_lookup.set(None);
+                p.pool
+                    .release(RequestId(r.id))
+                    .expect("running request owns pool pages");
+            }
+            KvStore::Whole { used } => {
+                *used = used.saturating_sub(self.eval.kv_reservation(r_len, self.t_max));
+            }
+        }
     }
 }
 
@@ -820,10 +1052,9 @@ pub(crate) struct ReplicaSim<'a> {
     /// fast path bit-exactly (uniform priorities also make eviction
     /// impossible, so every preemption policy coincides with `None`).
     saw_priority: bool,
-    admitter: ContinuousAdmitter,
-    /// Paged-KV state (pool + page geometry); `None` — the default —
-    /// keeps whole-request reservations bit-exactly.
-    paged: Option<PagedKv>,
+    /// The replica's KV memory: every admission, reservation and
+    /// release goes through it.
+    kv: KvMemory<'a>,
     running: Vec<Active>,
     /// Eviction-order index over `running` (see [`VictimEntry`]); empty
     /// unless the preemption policy can evict.
@@ -857,19 +1088,6 @@ pub(crate) struct ReplicaSim<'a> {
 impl<'a> ReplicaSim<'a> {
     /// Creates an idle replica for a run compiled for worst case `t_max`.
     pub(crate) fn new(eval: &'a Evaluator, policy: SchedulingPolicy, t_max: u64) -> Self {
-        let paged_cfg = eval.policies().paged_kv;
-        // Paged KV is a continuous-policy feature: the closed-world wave
-        // loop admits and retires whole waves, so there is nothing for a
-        // page cache to share across admissions.
-        let paged =
-            (paged_cfg.prefix_caching && policy == SchedulingPolicy::Continuous).then(|| PagedKv {
-                pool: PagePool::new(eval.replica_kv_capacity(), paged_cfg.page_bytes),
-                page_tokens: eval.page_tokens(),
-                page_bytes: paged_cfg.page_bytes,
-                discounted: BTreeMap::new(),
-                labels: TenantLabels::default(),
-                last_lookup: Cell::new(None),
-            });
         let shedding = if policy == SchedulingPolicy::Continuous {
             eval.policies().shedding
         } else {
@@ -903,8 +1121,7 @@ impl<'a> ReplicaSim<'a> {
             pending_reserved: 0,
             prefill_backlog: 0,
             saw_priority: false,
-            admitter: ContinuousAdmitter::new(eval, t_max),
-            paged,
+            kv: KvMemory::new(eval, policy, role, t_max),
             running: Vec::new(),
             victim_index: Vec::new(),
             batch_buf: Vec::new(),
@@ -922,162 +1139,12 @@ impl<'a> ReplicaSim<'a> {
         }
     }
 
-    /// The token length a request's KV reservation covers on this
-    /// replica: the whole request (prompt + decode budget) on
-    /// mixed/decode replicas — the historical rule, bit-exact — but only
-    /// the prompt on a `Prefill`-role replica, which never decodes and
-    /// hands the request off at prompt residency. (Prefill replicas
-    /// never decode, so `resume_done` is always 0 there and the prompt
-    /// is exactly `context_len`.)
-    fn reservation_len(&self, r: &Request) -> u64 {
-        if self.role == PoolRole::Prefill {
-            r.context_len
-        } else {
-            r.final_len()
-        }
-    }
-
-    /// The reservation a request holds while queued (and the full
-    /// amount it returns to the queue on eviction) — the single point
-    /// of change for per-request KV accounting, deduplicating what used
-    /// to be five scattered `kv_reservation(final_len, t_max)` calls:
-    /// the whole-request reservation under the historical policy, the
-    /// page-rounded footprint under paged KV (admission itself may then
-    /// reserve less — resident shared pages are discounted by
-    /// [`Self::admission_need`]).
-    fn queue_reservation(&self, r: &Request) -> u64 {
-        match &self.paged {
-            Some(p) => p.footprint_pages(self.reservation_len(r)) * p.page_bytes,
-            None => self
-                .eval
-                .kv_reservation(self.reservation_len(r), self.t_max),
-        }
-    }
-
-    /// Bytes the admitter must find for `r` right now: equal to
-    /// [`Self::queue_reservation`] under whole-request accounting; under
-    /// paged KV, resident shared-prefix pages are free (refcount++) but
-    /// re-referencing a *cached* page removes it from the reclaimable
-    /// set, so those count (`new + hit_cached` pages — exactly the page
-    /// pool's own feasibility rule).
-    fn admission_need(&self, r: &Request) -> u64 {
-        match &self.paged {
-            Some(p) => {
-                let hit = p.lookup(r);
-                (p.footprint_pages(self.reservation_len(r)) - hit.hit_pages + hit.hit_cached_pages)
-                    * p.page_bytes
-            }
-            None => self
-                .eval
-                .kv_reservation(self.reservation_len(r), self.t_max),
-        }
-    }
-
-    /// Whether the FCFS queue front could join the running batch now —
-    /// the decode-chunk cut predicate.
-    fn front_fits(&self, r: &Request) -> bool {
-        self.admitter.fits_given(
-            self.admission_need(r),
-            self.admitter.used(),
-            self.running.len(),
-        )
-    }
-
-    /// Takes `r`'s memory at admission. Non-paged: reserves the
-    /// whole-request bytes. Paged: admits `r` into the page pool —
-    /// mapping any resident shared prefix, allocating the rest,
-    /// reclaiming cached pages LRU-first under pressure — and reserves
-    /// the actual referenced-page delta. Returns the prompt tokens whose
-    /// prefill the prefix cache skips plus the bytes reserved.
-    fn admit_memory(&mut self, r: &Request) -> (u64, u64) {
-        let r_len = self.reservation_len(r);
-        let Some(p) = &mut self.paged else {
-            // Same arithmetic as the historical `admitter.reserve` on
-            // mixed replicas (one saturating add of the same bytes);
-            // prefill replicas reserve the prompt alone.
-            let need = self.eval.kv_reservation(r_len, self.t_max);
-            self.admitter.reserve_bytes(need);
-            return (0, need);
-        };
-        let labels = p.labels.get(r.tenant, p.shared_pages(r));
-        let private = p.footprint_pages(r_len) - labels.len() as u64;
-        let before = p.pool.referenced_pages();
-        p.last_lookup.set(None);
-        let adm = match p.pool.admit(RequestId(r.id), labels, private) {
-            Ok(a) => a,
-            Err(_) => {
-                // Mirror the admitter's empty-batch guarantee (a first
-                // request always admits, truncated to capacity by
-                // construction of the workloads): clamp the footprint to
-                // the pool rather than deadlock.
-                debug_assert!(
-                    self.running.is_empty(),
-                    "pool admission can only fail for an oversized first request"
-                );
-                let keep = (labels.len() as u64).min(p.pool.total_pages()) as usize;
-                let private = private.min(p.pool.total_pages() - keep as u64);
-                p.pool
-                    .admit(RequestId(r.id), &labels[..keep], private)
-                    .expect("clamped admission fits an empty pool")
-            }
-        };
-        let reserved = (p.pool.referenced_pages() - before) * p.page_bytes;
-        self.admitter.reserve_bytes(reserved);
-        let hit_tokens = adm.hit_pages * p.page_tokens;
-        // Recompute attribution: tokens whose re-prefill was waived at
-        // this request's eviction (shared pages then resident) that the
-        // cache no longer covers — the pool reclaimed them in between,
-        // so the prefill really happens again and counts as waste.
-        let recompute_tokens = p
-            .discounted
-            .remove(&r.id)
-            .unwrap_or(0)
-            .saturating_sub(hit_tokens);
-        if hit_tokens > 0 {
-            self.ledger.prefix_cache_hits += 1;
-            self.ledger.prefix_hit_tokens += hit_tokens;
-        }
-        self.ledger.recompute_tokens += recompute_tokens;
-        self.ledger.pages_evicted += adm.reclaimed_pages;
-        (hit_tokens, reserved)
-    }
-
-    /// Returns `r`'s memory when it leaves the running batch (retire or
-    /// eviction). Paged: shared pages another live sequence still maps
-    /// stay referenced; newly zero-refcount shared pages stay *cached*
-    /// in the pool (the prefix cache), so only the actual
-    /// referenced-page drop is released.
-    fn release_memory(&mut self, r: &Request) {
-        let r_len = self.reservation_len(r);
-        match &mut self.paged {
-            Some(p) => {
-                p.last_lookup.set(None);
-                let rel = p
-                    .pool
-                    .release(RequestId(r.id))
-                    .expect("running request owns pool pages");
-                self.admitter
-                    .release_bytes(rel.released_pages * p.page_bytes);
-            }
-            // Same arithmetic as the historical `admitter.release` on
-            // mixed replicas.
-            None => self
-                .admitter
-                .release_bytes(self.eval.kv_reservation(r_len, self.t_max)),
-        }
-    }
-
     /// Hands a routed request to this replica. Requests must be enqueued
     /// in nondecreasing arrival order and never earlier than the
     /// replica's clock (the cluster routes arrivals in global order and
     /// only advances replicas up to the routing frontier).
     pub(crate) fn enqueue(&mut self, r: Request) {
-        if let Some(p) = &mut self.paged {
-            p.cover_labels(&r);
-        }
-        self.pending_reserved = self
-            .pending_reserved
-            .saturating_add(self.queue_reservation(&r));
+        self.pending_reserved = self.pending_reserved.saturating_add(self.kv.queue(&r));
         if self.prefill.enabled {
             self.prefill_backlog = self.prefill_backlog.saturating_add(r.context_len);
         }
@@ -1096,12 +1163,7 @@ impl<'a> ReplicaSim<'a> {
             self.role.accepts_handoff(),
             "handoffs may only target decode pools"
         );
-        if let Some(p) = &mut self.paged {
-            p.cover_labels(&h.req);
-        }
-        self.pending_reserved = self
-            .pending_reserved
-            .saturating_add(self.queue_reservation(&h.req));
+        self.pending_reserved = self.pending_reserved.saturating_add(self.kv.queue(&h.req));
         self.saw_priority |= h.req.priority != 0;
         self.pending.push_back(Queued {
             req: h.req,
@@ -1123,7 +1185,7 @@ impl<'a> ReplicaSim<'a> {
         ReplicaLoad {
             replica,
             in_flight: self.pending.len() + self.running.len(),
-            reserved_kv: self.admitter.used().saturating_add(self.pending_reserved),
+            reserved_kv: self.kv.used().saturating_add(self.pending_reserved),
             pending_prefill: self.prefill_backlog,
             evictions: self.ledger.evictions,
             prefix_cache_hits: self.ledger.prefix_cache_hits,
@@ -1169,7 +1231,7 @@ impl<'a> ReplicaSim<'a> {
                 })
                 .map(|a| a.prefill_target - a.prefilled)
                 .sum();
-            let cached = self.paged.as_ref().map_or(0, |p| p.shared_tokens(&q.req));
+            let cached = self.kv.paged().map_or(0, |p| p.shared_tokens(&q.req));
             ahead + q.prefill_target().saturating_sub(cached)
         } else {
             0
@@ -1218,6 +1280,10 @@ impl<'a> ReplicaSim<'a> {
             SchedulingPolicy::Wave => self.run_wave(),
             SchedulingPolicy::Continuous => {
                 self.advance_continuous(f64::INFINITY);
+                // KV conservation: a drained replica holds no KV — under
+                // paged KV, no referenced page and no registered sequence.
+                debug_assert_eq!(self.kv.used(), 0, "a drained replica holds no KV");
+                debug_assert!(self.kv.paged().map_or(true, |p| p.pool.registered() == 0));
             }
         }
     }
@@ -1270,7 +1336,7 @@ impl<'a> ReplicaSim<'a> {
             idx += admitted;
             self.ledger.waves += 1;
             self.ledger.wave_admits.push(admitted as f64);
-            let wave_reserved: u64 = wave.iter().map(|r| self.queue_reservation(r)).sum();
+            let wave_reserved: u64 = wave.iter().map(|r| self.kv.queue_reservation(r)).sum();
             self.peak_reserved = self.peak_reserved.max(wave_reserved);
 
             let wave_start = self.t;
@@ -1425,7 +1491,7 @@ impl<'a> ReplicaSim<'a> {
                     debug_assert_eq!(q.req.id, cand.id, "popped the planned candidate");
                     self.pending_reserved = self
                         .pending_reserved
-                        .saturating_sub(self.queue_reservation(&q.req));
+                        .saturating_sub(self.kv.queue_reservation(&q.req));
                     if self.prefill.enabled {
                         self.prefill_backlog =
                             self.prefill_backlog.saturating_sub(q.prefill_target());
@@ -1433,11 +1499,8 @@ impl<'a> ReplicaSim<'a> {
                     self.ledger.shed += 1;
                     continue;
                 }
-                let mut need = self.admission_need(&cand);
-                if !self
-                    .admitter
-                    .fits_given(need, self.admitter.used(), self.running.len())
-                {
+                let need = self.kv.admission_need(&cand);
+                if !self.kv.fits(need, self.running.len()) {
                     let Some(victims) = self.plan_eviction(need, cand.priority) else {
                         break;
                     };
@@ -1446,28 +1509,28 @@ impl<'a> ReplicaSim<'a> {
                     }
                     // Victims re-entered strictly-lower-priority lanes,
                     // so the candidate is still its own lane's front.
-                    if self.paged.is_some() {
-                        // Page sharing means eviction can free fewer
-                        // bytes than the victims' nominal reservations
-                        // (shared pages stay referenced by survivors or
-                        // cached), so re-derive the candidate's need and
-                        // re-check before admitting.
-                        need = self.admission_need(&cand);
-                        if !self
-                            .admitter
-                            .fits_given(need, self.admitter.used(), self.running.len())
-                        {
-                            break;
-                        }
+                    // Under paged KV, page sharing means eviction can
+                    // free fewer bytes than the victims' nominal
+                    // reservations (shared pages stay referenced by
+                    // survivors or cached), so re-derive the candidate's
+                    // need and re-check before admitting. Whole-request
+                    // eviction released exactly the reservations the
+                    // plan subtracted, so there the re-check passes.
+                    if !self
+                        .kv
+                        .fits(self.kv.admission_need(&cand), self.running.len())
+                    {
+                        break;
                     }
                 }
                 let q = self.pending.pop_candidate(cand.priority);
                 debug_assert_eq!(q.req.id, cand.id, "popped the planned candidate");
                 self.pending_reserved = self
                     .pending_reserved
-                    .saturating_sub(self.queue_reservation(&cand));
-                let (hit_tokens, reserved) = self.admit_memory(&q.req);
-                self.peak_reserved = self.peak_reserved.max(self.admitter.used());
+                    .saturating_sub(self.kv.queue_reservation(&cand));
+                let (hit_tokens, reserved) =
+                    self.kv.admit(&q.req, self.running.len(), &mut self.ledger);
+                self.peak_reserved = self.peak_reserved.max(self.kv.used());
                 let target = q.prefill_target();
                 // Prefix-cached prompt pages are already resident:
                 // prefill starts at the first non-cached token. A
@@ -1489,7 +1552,7 @@ impl<'a> ReplicaSim<'a> {
                     // Nothing to generate or prefill: completes at
                     // admission — with no emitted token, so no timing
                     // sample (see the metrics module docs).
-                    self.release_memory(&q.req);
+                    self.kv.release(&q.req);
                     self.ledger.retired.push(q.req.final_len());
                     self.served += 1;
                     continue;
@@ -1610,7 +1673,7 @@ impl<'a> ReplicaSim<'a> {
             let a = self.running.swap_remove(i);
             retired = true;
             self.victim_index_remove(a.req.id);
-            self.release_memory(&a.req);
+            self.kv.release(&a.req);
             if self.role == PoolRole::Prefill {
                 let (bytes, _pages, secs) = self
                     .transfer
@@ -1700,18 +1763,18 @@ impl<'a> ReplicaSim<'a> {
                 }),
             "victim index stays sorted by the active eviction order"
         );
-        let mut used = self.admitter.used();
+        let mut used = self.kv.used();
         let mut occupancy = self.running.len();
         let mut chosen = Vec::new();
         for e in &self.victim_index {
-            if e.priority >= priority || self.admitter.fits_given(need, used, occupancy) {
+            if e.priority >= priority || self.kv.fits_given(need, used, occupancy) {
                 break;
             }
             used = used.saturating_sub(e.reserved);
             occupancy -= 1;
             chosen.push(e.id);
         }
-        let ok = !chosen.is_empty() && self.admitter.fits_given(need, used, occupancy);
+        let ok = !chosen.is_empty() && self.kv.fits_given(need, used, occupancy);
         debug_assert_eq!(
             (ok, chosen.clone()),
             {
@@ -1733,18 +1796,19 @@ impl<'a> ReplicaSim<'a> {
                         )
                     }),
                 }
-                let mut used_r = self.admitter.used();
+                let mut used_r = self.kv.used();
                 let mut occ_r = self.running.len();
                 let mut chosen_r = Vec::new();
                 for v in victims {
-                    if self.admitter.fits_given(need, used_r, occ_r) {
+                    if self.kv.fits_given(need, used_r, occ_r) {
                         break;
                     }
                     // Under paged KV a victim's reservation is its
                     // admission-time referenced-page delta, not a pure
                     // function of its lengths — read it off the index
-                    // entry (what the walk above consumed, too).
-                    let reserved_r = match &self.paged {
+                    // entry (what the walk above consumed, too). A
+                    // whole request reserved its role-aware length.
+                    let reserved_r = match self.kv.paged() {
                         Some(_) => {
                             self.victim_index
                                 .iter()
@@ -1752,13 +1816,13 @@ impl<'a> ReplicaSim<'a> {
                                 .expect("every running request is indexed")
                                 .reserved
                         }
-                        None => self.eval.kv_reservation(v.req.final_len(), self.t_max),
+                        None => self.kv.queue_reservation(&v.req),
                     };
                     used_r = used_r.saturating_sub(reserved_r);
                     occ_r -= 1;
                     chosen_r.push(v.req.id);
                 }
-                let ok_r = !chosen_r.is_empty() && self.admitter.fits_given(need, used_r, occ_r);
+                let ok_r = !chosen_r.is_empty() && self.kv.fits_given(need, used_r, occ_r);
                 (ok_r, chosen_r)
             },
             "victim index must match the sort-based reference"
@@ -1793,7 +1857,7 @@ impl<'a> ReplicaSim<'a> {
             .expect("victim is running");
         let a = self.running.swap_remove(idx);
         self.victim_index_remove(a.req.id);
-        self.release_memory(&a.req);
+        self.kv.release(&a.req);
         self.ledger.evictions += 1;
         self.batch_version += 1;
 
@@ -1807,8 +1871,8 @@ impl<'a> ReplicaSim<'a> {
         // pool later reclaim those pages before re-use, the recompute
         // attribution at re-admission restores the waste.
         let preserved = self
-            .paged
-            .as_ref()
+            .kv
+            .paged()
             .map_or(0, |p| p.shared_tokens(&a.req).min(a.prefilled));
         let (keep, reprefill, redecode) = match self.preempt {
             PreemptionPolicy::EvictPause => (
@@ -1822,7 +1886,7 @@ impl<'a> ReplicaSim<'a> {
         self.ledger.reprefill_tokens += reprefill;
         self.ledger.redecode_tokens += redecode;
         if preserved > 0 {
-            if let Some(p) = &mut self.paged {
+            if let KvStore::Paged(p) = &mut self.kv.store {
                 // Remember the waived re-prefill: if the pool reclaims
                 // the shared pages before this request is readmitted,
                 // the shortfall is billed as wasted prefill then.
@@ -1848,7 +1912,7 @@ impl<'a> ReplicaSim<'a> {
         };
         self.pending_reserved = self
             .pending_reserved
-            .saturating_add(self.queue_reservation(&a.req));
+            .saturating_add(self.kv.queue_reservation(&a.req));
         if self.prefill.enabled {
             // The backlog still carried this request's unprocessed
             // remainder; after the eviction its whole new target must be
@@ -2018,7 +2082,10 @@ impl<'a> ReplicaSim<'a> {
             } else {
                 self.pending.earliest().and_then(|front| {
                     let arr = front.req.arrival_secs();
-                    (arr > self.t && self.front_fits(&front.req)).then_some(arr)
+                    let fits = self
+                        .kv
+                        .fits(self.kv.admission_need(&front.req), self.running.len());
+                    (arr > self.t && fits).then_some(arr)
                 })
             };
             if let Some(arr) = cut_arrival {
@@ -2238,7 +2305,7 @@ mod tests {
         // consumed, so the recompute total is that one readmission's;
         // it was also the only admission that hit the cache.
         assert!(
-            sim.paged.as_ref().is_some_and(|p| p.discounted.is_empty()),
+            sim.kv.paged().is_some_and(|p| p.discounted.is_empty()),
             "the eviction's discount was billed at readmission"
         );
         assert_eq!(l.recompute_tokens, 3 * pt);
@@ -2306,8 +2373,9 @@ mod tests {
     }
 
     /// A request whose KV footprint exceeds the whole page pool cannot
-    /// be admitted as is. The admitter's empty-batch guarantee still
-    /// admits it alone, and `admit_memory` clamps its footprint to the
+    /// be admitted as is. The empty-batch guarantee of
+    /// `KvMemory::fits_given` still admits it alone, and
+    /// `KvMemory::admit` clamps its footprint to the
     /// pool instead of deadlocking — the `Err` branch, whose
     /// `debug_assert` (checked in debug builds) is that the batch is
     /// empty. Two such requests queue behind each other and both run.
@@ -2345,12 +2413,7 @@ mod tests {
         sim.enqueue(oversize(0));
         sim.enqueue(oversize(1));
         sim.finish();
-        let pool_pages = sim
-            .paged
-            .as_ref()
-            .expect("paged KV is on")
-            .pool
-            .total_pages();
+        let pool_pages = sim.kv.paged().expect("paged KV is on").pool.total_pages();
         assert_eq!(pool_pages, 4);
         assert_eq!(sim.served, 2, "both oversize requests run");
         assert_eq!(sim.ledger.tokens, 8);
@@ -2479,20 +2542,133 @@ mod tests {
         sim.enqueue(b);
         let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
         let fresh = |sim: &ReplicaSim| {
-            let p = sim.paged.as_ref().expect("paged KV is on");
+            let p = sim.kv.paged().expect("paged KV is on");
             let hit = p.pool.lookup(p.labels.get(b.tenant, p.shared_pages(&b)));
             (7 - hit.hit_pages + hit.hit_cached_pages) * page_bytes
         };
-        let cold = sim.admission_need(&b);
+        let cold = sim.kv.admission_need(&b);
         assert_eq!(cold, 7 * page_bytes);
-        assert_eq!(sim.admission_need(&b), cold, "a repeat answers the same");
-        sim.admit_memory(&a);
-        let resident = sim.admission_need(&b);
+        assert_eq!(sim.kv.admission_need(&b), cold, "a repeat answers the same");
+        sim.kv.admit(&a, 0, &mut sim.ledger);
+        let resident = sim.kv.admission_need(&b);
         assert_eq!(resident, fresh(&sim));
         assert_eq!(resident, 3 * page_bytes, "the 4 shared pages are resident");
-        sim.release_memory(&a);
-        let cached = sim.admission_need(&b);
+        sim.kv.release(&a);
+        let cached = sim.kv.admission_need(&b);
         assert_eq!(cached, fresh(&sim));
         assert_eq!(cached, cold, "re-referencing cached pages costs them");
+    }
+
+    fn pimphony_eval() -> Evaluator {
+        use crate::config::{SystemConfig, Techniques};
+        use llm_model::LLM_7B_32K;
+        Evaluator::new(
+            SystemConfig::cent_for(&LLM_7B_32K),
+            LLM_7B_32K,
+            Techniques::pimphony(),
+        )
+    }
+
+    #[test]
+    fn kv_memory_mirrors_wave_greedy_count() {
+        use workload::{Dataset, TraceBuilder};
+        let e = pimphony_eval();
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(9)
+            .requests(64)
+            .decode_len(32)
+            .build();
+        let reqs = trace.requests();
+        let t_max = reqs.iter().map(|r| r.final_len()).max().unwrap();
+        let greedy = policy::wave_greedy_admit(&e, reqs, t_max);
+
+        let mut kv = KvMemory::new(&e, SchedulingPolicy::Continuous, PoolRole::Mixed, t_max);
+        let mut ledger = Ledger::default();
+        let mut n = 0usize;
+        for r in reqs {
+            let need = kv.admission_need(r);
+            assert_eq!(need, e.kv_reservation(r.final_len(), t_max));
+            if !kv.fits_given(need, kv.used(), n) {
+                break;
+            }
+            kv.admit(r, n, &mut ledger);
+            n += 1;
+        }
+        // Incremental admission packs at least as tightly as the wave
+        // loop's greedy scan (which also stops at the `used >= capacity`
+        // boundary), and never less than one.
+        assert!(
+            n >= greedy.min(reqs.len()).saturating_sub(1).max(1),
+            "{n} vs greedy {greedy}"
+        );
+    }
+
+    #[test]
+    fn released_memory_is_reusable() {
+        use workload::{Dataset, TraceBuilder};
+        let e = pimphony_eval();
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(3)
+            .requests(4)
+            .decode_len(8)
+            .build();
+        let r = trace.requests()[0];
+        let t_max = r.final_len();
+        let mut kv = KvMemory::new(&e, SchedulingPolicy::Continuous, PoolRole::Mixed, t_max);
+        let mut ledger = Ledger::default();
+        kv.admit(&r, 0, &mut ledger);
+        let used_before = kv.used();
+        kv.release(&r);
+        assert_eq!(kv.used(), 0);
+        kv.admit(&r, 0, &mut ledger);
+        assert_eq!(kv.used(), used_before);
+    }
+
+    /// On a `Prefill`-role replica a whole-request admission reserves
+    /// the prompt alone, and under DPA that differs from the
+    /// whole-request reservation. Two prompts of `n` tokens fill the
+    /// memory, and a higher-priority prompt of `n + 2` tokens needs
+    /// both evicted: after one, the survivor plus the candidate exceed
+    /// the capacity by half a 2-token difference. The debug-build
+    /// reference in `plan_eviction` must price the victims the same
+    /// way admission did.
+    #[test]
+    fn prefill_replica_evicts_by_prompt_reservations() {
+        use crate::PolicySpec;
+        let base = pimphony_eval().with_pool_role(PoolRole::Prefill);
+        let (n, decode) = (8_192, 20_000);
+        let t_max = n + decode;
+        let low = base.kv_reservation(n, t_max);
+        let high = base.kv_reservation(n + 2, t_max);
+        let capacity = 2 * low + (high - low) / 2;
+        let factor = capacity as f64 / base.replica_kv_capacity() as f64;
+        let eval = base.with_policies(PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            preemption: PreemptionPolicy::EvictRestart,
+            kv_capacity_factor: factor,
+            ..Default::default()
+        });
+        let prompt = |id: u64, context_len: u64, arrival_us: u64, priority: u8| Request {
+            id,
+            context_len,
+            decode_len: decode,
+            arrival_us,
+            priority,
+            tenant: 0,
+            shared_prefix: 0,
+        };
+        let solo_end = {
+            let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, t_max);
+            sim.enqueue(prompt(0, n, 0, 0));
+            sim.finish();
+            sim.end_time()
+        };
+        let mut sim = ReplicaSim::new(&eval, SchedulingPolicy::Continuous, t_max);
+        sim.enqueue(prompt(0, n, 0, 0));
+        sim.enqueue(prompt(1, n, 0, 0));
+        sim.enqueue(prompt(2, n + 2, (solo_end * 0.25 * 1e6) as u64, 1));
+        sim.finish();
+        assert_eq!(sim.ledger.evictions, 2, "both prompts make room");
+        assert_eq!(sim.served, 3);
     }
 }

@@ -750,13 +750,7 @@ impl Scenario {
         let p = &self.policies;
         Json::obj([
             ("model", Json::str(self.model.clone())),
-            (
-                "system",
-                Json::str(match self.system {
-                    SystemKind::PimOnly => "pim-only",
-                    SystemKind::XpuPim => "xpu-pim",
-                }),
-            ),
+            ("system", Json::str(self.system.label())),
             (
                 "techniques",
                 Json::obj([
@@ -864,15 +858,7 @@ impl Scenario {
             }
         }
         let model = req_str(doc, "model")?.to_string();
-        let system = match doc.get("system").and_then(Json::as_str) {
-            None | Some("pim-only") => SystemKind::PimOnly,
-            Some("xpu-pim") => SystemKind::XpuPim,
-            Some(other) => {
-                return Err(format!(
-                    "system: unknown kind {other:?} (expected \"pim-only\" or \"xpu-pim\")"
-                ))
-            }
-        };
+        let system = parse_system(doc)?.unwrap_or(SystemKind::PimOnly);
         let techniques = match doc.get("techniques") {
             None => Techniques::pimphony(),
             Some(t) => Techniques {
@@ -908,17 +894,23 @@ impl Scenario {
         let policies = match doc.get("policies") {
             None => pdefaults,
             Some(p) => PolicySpec {
-                scheduling: match get_str(p, "scheduling", SchedulingPolicy::Wave.label())? {
-                    "wave" => SchedulingPolicy::Wave,
-                    "continuous" => SchedulingPolicy::Continuous,
-                    other => return Err(format!("policies.scheduling: unknown policy {other:?}")),
+                scheduling: {
+                    let label = get_str(p, "scheduling", SchedulingPolicy::Wave.label())?;
+                    find_label(&SchedulingPolicy::ALL, SchedulingPolicy::label, label)
+                        .ok_or_else(|| format!("policies.scheduling: unknown policy {label:?}"))?
                 },
-                router: parse_router(get_str(p, "router", RouterKind::RoundRobin.label())?)?,
-                preemption: parse_preemption(get_str(
-                    p,
-                    "preemption",
-                    PreemptionPolicy::None.label(),
-                )?)?,
+                router: parse_label(
+                    &RouterKind::ALL,
+                    RouterKind::label,
+                    get_str(p, "router", RouterKind::RoundRobin.label())?,
+                    "policies.router: unknown router",
+                )?,
+                preemption: parse_label(
+                    &PreemptionPolicy::ALL,
+                    PreemptionPolicy::label,
+                    get_str(p, "preemption", PreemptionPolicy::None.label())?,
+                    "policies.preemption: unknown policy",
+                )?,
                 prefill: match get_u64(p, "prefill_chunk", 0)? {
                     0 => PrefillConfig::disabled(),
                     chunk => PrefillConfig::chunked(chunk),
@@ -929,12 +921,18 @@ impl Scenario {
                     prefix_caching: get_bool(p, "prefix_caching", false)?,
                     page_bytes: get_u64(p, "page_bytes", PagedKvConfig::DEFAULT_PAGE_BYTES)?,
                 },
-                shedding: parse_shedding(get_str(p, "shedding", SheddingPolicy::None.label())?)?,
-                victim_order: parse_victim_order(get_str(
-                    p,
-                    "victim_order",
-                    VictimOrder::RecentFirst.label(),
-                )?)?,
+                shedding: parse_label(
+                    &SheddingPolicy::ALL,
+                    SheddingPolicy::label,
+                    get_str(p, "shedding", SheddingPolicy::None.label())?,
+                    "policies.shedding: unknown policy",
+                )?,
+                victim_order: parse_label(
+                    &VictimOrder::ALL,
+                    VictimOrder::label,
+                    get_str(p, "victim_order", VictimOrder::RecentFirst.label())?,
+                    "policies.victim_order: unknown order",
+                )?,
                 kv_transfer: KvTransferConfig {
                     page_latency_us: get_f64(
                         p,
@@ -1061,13 +1059,7 @@ fn pool_to_json(p: &PoolSpec) -> Json {
         ("pp", Json::num(p.pp as f64)),
     ];
     if let Some(kind) = p.system {
-        fields.push((
-            "system",
-            Json::str(match kind {
-                SystemKind::PimOnly => "pim-only",
-                SystemKind::XpuPim => "xpu-pim",
-            }),
-        ));
+        fields.push(("system", Json::str(kind.label())));
     }
     if let Some(router) = p.router {
         fields.push(("router", Json::str(router.label())));
@@ -1081,20 +1073,21 @@ fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
         &["name", "role", "replicas", "tp", "pp", "system", "router"],
     )?;
     let name = req_str(p, "name")?.to_string();
-    let role = parse_pool_role(get_str(p, "role", PoolRole::Mixed.label())?)?;
-    let system = match p.get("system").and_then(Json::as_str) {
-        None => None,
-        Some("pim-only") => Some(SystemKind::PimOnly),
-        Some("xpu-pim") => Some(SystemKind::XpuPim),
-        Some(other) => {
-            return Err(format!(
-                "system: unknown kind {other:?} (expected \"pim-only\" or \"xpu-pim\")"
-            ))
-        }
-    };
+    let role = parse_label(
+        &PoolRole::ALL,
+        PoolRole::label,
+        get_str(p, "role", PoolRole::Mixed.label())?,
+        "role: unknown pool role",
+    )?;
+    let system = parse_system(p)?;
     let router = match p.get("router") {
         None => None,
-        Some(_) => Some(parse_router(get_str(p, "router", "")?)?),
+        Some(_) => Some(parse_label(
+            &RouterKind::ALL,
+            RouterKind::label,
+            get_str(p, "router", "")?,
+            "policies.router: unknown router",
+        )?),
     };
     Ok(PoolSpec {
         name,
@@ -1105,19 +1098,6 @@ fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
         system,
         router,
     })
-}
-
-fn parse_pool_role(label: &str) -> Result<PoolRole, String> {
-    PoolRole::ALL
-        .into_iter()
-        .find(|r| r.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = PoolRole::ALL.iter().map(|r| r.label()).collect();
-            format!(
-                "role: unknown pool role {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
 }
 
 fn tenant_to_json(t: &TenantSpec) -> Json {
@@ -1275,55 +1255,38 @@ const TENANT_KEYS: &[&str] = &[
     "context_scale",
 ];
 
-fn parse_router(label: &str) -> Result<RouterKind, String> {
-    RouterKind::ALL
-        .into_iter()
-        .find(|k| k.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = RouterKind::ALL.iter().map(|k| k.label()).collect();
-            format!(
-                "policies.router: unknown router {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
+/// The variant of `all` that `label_of` names `label`.
+fn find_label<T: Copy>(all: &[T], label_of: fn(&T) -> &'static str, label: &str) -> Option<T> {
+    all.iter().copied().find(|v| label_of(v) == label)
 }
 
-fn parse_preemption(label: &str) -> Result<PreemptionPolicy, String> {
-    PreemptionPolicy::ALL
-        .into_iter()
-        .find(|p| p.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = PreemptionPolicy::ALL.iter().map(|p| p.label()).collect();
-            format!(
-                "policies.preemption: unknown policy {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
+/// [`find_label`], or the error `"{unknown} {label:?} (expected one of:
+/// …)"` listing every label of `all`.
+fn parse_label<T: Copy>(
+    all: &[T],
+    label_of: fn(&T) -> &'static str,
+    label: &str,
+    unknown: &str,
+) -> Result<T, String> {
+    find_label(all, label_of, label).ok_or_else(|| {
+        let known: Vec<&str> = all.iter().map(label_of).collect();
+        format!(
+            "{unknown} {label:?} (expected one of: {})",
+            known.join(", ")
+        )
+    })
 }
 
-fn parse_shedding(label: &str) -> Result<SheddingPolicy, String> {
-    SheddingPolicy::ALL
-        .into_iter()
-        .find(|s| s.label() == label)
+/// The optional `"system"` kind of a spec or pool object.
+fn parse_system(obj: &Json) -> Result<Option<SystemKind>, String> {
+    let Some(label) = obj.get("system").and_then(Json::as_str) else {
+        return Ok(None);
+    };
+    find_label(&SystemKind::ALL, SystemKind::label, label)
+        .map(Some)
         .ok_or_else(|| {
-            let known: Vec<&str> = SheddingPolicy::ALL.iter().map(|s| s.label()).collect();
-            format!(
-                "policies.shedding: unknown policy {label:?} (expected one of: {})",
-                known.join(", ")
-            )
-        })
-}
-
-fn parse_victim_order(label: &str) -> Result<VictimOrder, String> {
-    VictimOrder::ALL
-        .into_iter()
-        .find(|v| v.label() == label)
-        .ok_or_else(|| {
-            let known: Vec<&str> = VictimOrder::ALL.iter().map(|v| v.label()).collect();
-            format!(
-                "policies.victim_order: unknown order {label:?} (expected one of: {})",
-                known.join(", ")
-            )
+            let [pim, xpu] = SystemKind::ALL.map(|k| k.label());
+            format!("system: unknown kind {label:?} (expected {pim:?} or {xpu:?})")
         })
 }
 
@@ -1462,6 +1425,90 @@ mod tests {
         assert!(bad_router.contains("unknown router"), "{bad_router}");
         let empty = Scenario::parse(r#"{"model": "LLM-7B-32K", "workload": []}"#).unwrap_err();
         assert!(empty.contains("at least one tenant"), "{empty}");
+    }
+
+    /// Every enum label a spec names is looked up the same way, and each
+    /// unknown label keeps its error text exactly.
+    #[test]
+    fn parse_pins_every_unknown_label_error() {
+        let parse = |top: &str, pool: &str, policies: &str| {
+            Scenario::parse(&format!(
+                r#"{{"model": "LLM-7B-32K", {top}
+                    "cluster": {{"pools": [{{"name": "p", {pool} "replicas": 1}}]}},
+                    "policies": {{{policies}}},
+                    "workload": [{{"name": "t", "dataset": "QMSum"}}]}}"#
+            ))
+            .unwrap_err()
+        };
+        let expected_policies = "(expected one of: none, evict-restart, evict-pause)";
+        for (top, pool, policies, err) in [
+            (
+                r#""system": "gpu","#,
+                "",
+                "",
+                r#"system: unknown kind "gpu" (expected "pim-only" or "xpu-pim")"#.to_string(),
+            ),
+            (
+                "",
+                r#""system": "gpu","#,
+                "",
+                r#"cluster.pools[0]: system: unknown kind "gpu" (expected "pim-only" or "xpu-pim")"#
+                    .to_string(),
+            ),
+            (
+                "",
+                r#""role": "cache","#,
+                "",
+                r#"cluster.pools[0]: role: unknown pool role "cache" (expected one of: mixed, prefill, decode)"#
+                    .to_string(),
+            ),
+            (
+                "",
+                r#""router": "dns","#,
+                "",
+                format!(
+                    r#"cluster.pools[0]: policies.router: unknown router "dns" (expected one of: {})"#,
+                    RouterKind::ALL.map(|k| k.label()).join(", ")
+                ),
+            ),
+            (
+                "",
+                "",
+                r#""router": "dns""#,
+                format!(
+                    r#"policies.router: unknown router "dns" (expected one of: {})"#,
+                    RouterKind::ALL.map(|k| k.label()).join(", ")
+                ),
+            ),
+            (
+                "",
+                "",
+                r#""scheduling": "batch""#,
+                r#"policies.scheduling: unknown policy "batch""#.to_string(),
+            ),
+            (
+                "",
+                "",
+                r#""preemption": "swap""#,
+                format!(r#"policies.preemption: unknown policy "swap" {expected_policies}"#),
+            ),
+            (
+                "",
+                "",
+                r#""shedding": "drop""#,
+                r#"policies.shedding: unknown policy "drop" (expected one of: none, reject)"#
+                    .to_string(),
+            ),
+            (
+                "",
+                "",
+                r#""victim_order": "oldest""#,
+                r#"policies.victim_order: unknown order "oldest" (expected one of: recent-first, slack-first)"#
+                    .to_string(),
+            ),
+        ] {
+            assert_eq!(parse(top, pool, policies), err);
+        }
     }
 
     /// A valid spec with a marker at every object level; `bogus_at`
