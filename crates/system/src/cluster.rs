@@ -37,7 +37,7 @@
 
 use crate::metrics::{LatencyReport, PoolBreakdown, ReplicaBreakdown, RequestTiming};
 use crate::policy::{PoolRole, SchedulingPolicy};
-use crate::replica::{HandoffOut, Ledger, ReplicaSim};
+use crate::replica::{effective_role, Ledger, Queued, ReplicaSim};
 use crate::serve::{Evaluator, ServingReport, TtftPredictor};
 use serde::Serialize;
 use std::borrow::Cow;
@@ -502,7 +502,7 @@ impl Routable for Request {
     }
 }
 
-impl Routable for HandoffOut {
+impl Routable for Queued {
     fn request(&self) -> &Request {
         &self.req
     }
@@ -668,15 +668,6 @@ fn run_pools_impl(
         SchedulingPolicy::Wave => Cow::Borrowed(trace.requests()),
         SchedulingPolicy::Continuous => trace.arrival_ordered(),
     };
-    let role_of = |eval: &Evaluator| -> PoolRole {
-        // Pool roles are a continuous-policy feature; wave replicas run
-        // the full lifecycle regardless (mirrors `ReplicaSim::new`).
-        if policy == SchedulingPolicy::Continuous {
-            eval.pool_role()
-        } else {
-            PoolRole::Mixed
-        }
-    };
     let mut pool_sims: Vec<Vec<ReplicaSim<'_>>> = pools
         .iter()
         .map(|(_, eval)| {
@@ -689,7 +680,7 @@ fn run_pools_impl(
 
     // Phase 1: fresh arrivals over the prefill-serving pools.
     let p1: Vec<usize> = (0..pools.len())
-        .filter(|&p| role_of(pools[p].1).serves_prefill())
+        .filter(|&p| effective_role(pools[p].1, policy).serves_prefill())
         .collect();
     assert!(
         !p1.is_empty(),
@@ -701,13 +692,16 @@ fn run_pools_impl(
     // Phase 2: handoffs (in transfer-completion order) over the decode
     // pools. Feed-forward: phase-1 state is final before any decode
     // pool moves, so the merge stays thread-count independent.
-    let mut handoffs: Vec<HandoffOut> = pool_sims
-        .iter_mut()
-        .flat_map(|sims| sims.iter_mut().flat_map(|s| s.handoffs.drain(..)))
-        .collect();
+    // Each replica's stream is freed as soon as it is merged, so only
+    // one copy of the records is held at a time.
+    let mut handoffs: Vec<Queued> =
+        Vec::with_capacity(pool_sims.iter().flatten().map(|s| s.handoffs.len()).sum());
+    for s in pool_sims.iter_mut().flatten() {
+        handoffs.extend(std::mem::take(&mut s.handoffs));
+    }
     handoffs.sort_by_key(|h| (h.req.arrival_us, h.req.id));
     let p2: Vec<usize> = (0..pools.len())
-        .filter(|&p| role_of(pools[p].1).accepts_handoff())
+        .filter(|&p| effective_role(pools[p].1, policy).accepts_handoff())
         .collect();
     if !handoffs.is_empty() {
         assert!(
@@ -743,7 +737,7 @@ fn merge_pools(
     for ((name, eval), sims) in pools.iter().zip(pool_sims) {
         let mut pb = PoolBreakdown {
             name: (*name).to_string(),
-            role: eval.pool_role(),
+            role: effective_role(eval, policy),
             replicas: sims.len() as u32,
             ..PoolBreakdown::default()
         };
@@ -817,7 +811,7 @@ fn merge_pools(
     // The per-pool view exists only when the pool structure is
     // observable; a single mixed pool stays byte-identical with the
     // historical pool-free report.
-    if pools.len() > 1 || pools.iter().any(|(_, e)| e.pool_role() != PoolRole::Mixed) {
+    if per_pool.len() > 1 || per_pool.iter().any(|pb| pb.role != PoolRole::Mixed) {
         report.per_pool = per_pool;
     }
     report
@@ -1100,6 +1094,28 @@ mod tests {
             let busy: f64 = r.per_replica.iter().map(|b| b.busy_seconds).sum();
             assert!((busy - r.busy_seconds).abs() < 1e-12, "{kind}");
         }
+    }
+
+    /// Wave replicas run the full lifecycle whatever role their pool
+    /// declares, so a lone wave pool declared `Prefill` decodes every
+    /// token and reports as the single mixed pool it ran as: no
+    /// per-pool view.
+    #[test]
+    fn wave_pool_reports_the_role_it_ran() {
+        let e = multi_replica_eval().with_pool_role(PoolRole::Prefill);
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(11)
+            .requests(4)
+            .decode_len(8)
+            .build();
+        let mut pool = [PoolRun {
+            name: "p".to_string(),
+            eval: &e,
+            router: RouterKind::RoundRobin.build_for(&e),
+        }];
+        let r = run_pools(&mut pool, SchedulingPolicy::Wave, 1, &trace);
+        assert_eq!(r.tokens, trace.total_decode_tokens());
+        assert!(r.per_pool.is_empty(), "{:?}", r.per_pool);
     }
 
     #[test]

@@ -353,31 +353,6 @@ pub(crate) fn energy_terms(
         .terms(it, steps, sys.parallel.modules(), sys.module.channels)
 }
 
-/// One prefill-complete request leaving a `Prefill`-role replica for a
-/// decode pool, carrying the cross-pool state the decode-side admission
-/// must credit. `req.arrival_us` has been rewritten to the transfer
-/// *completion* instant, so decode-pool routing and queue ordering treat
-/// the handoff as an ordinary arrival; the origin timestamps ride along
-/// so TTFT/E2E still span the whole path.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HandoffOut {
-    /// The request, with `arrival_us` rewritten to transfer completion.
-    pub(crate) req: Request,
-    /// The origin arrival instant (seconds) — what latency metrics
-    /// measure from.
-    pub(crate) origin_arrival: f64,
-    /// Admission instant on the prefill pool (queueing delay is measured
-    /// to *this*, and the decode pool must never re-shed a request that
-    /// already consumed prefill service).
-    pub(crate) first_admitted: f64,
-    /// Prompt-residency instant on the prefill pool.
-    pub(crate) prefill_end: f64,
-    /// Evictions the request suffered on the prefill pool.
-    pub(crate) evictions: u32,
-    /// Re-prefill seconds accumulated on the prefill pool.
-    pub(crate) restart_secs: f64,
-}
-
 /// Instantaneous load of one replica, as seen by a [`crate::cluster::Router`]
 /// at a routing decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,25 +388,35 @@ pub struct ReplicaLoad {
     pub pages_evicted: u64,
 }
 
-/// A routed request waiting for (re-)admission, with the state an
-/// eviction must carry across its trip back through the queue.
+/// The one record of a routed request: its lifecycle timestamps and the
+/// state an eviction or a handoff must carry. It waits in the pending
+/// queue, moves into [`Active`] at admission and back out at eviction,
+/// and a `Prefill`-role replica hands it off to a decode pool as is,
+/// with `req.arrival_us` rewritten to the transfer *completion* instant
+/// so that decode-pool routing and queue ordering treat the handoff as
+/// an ordinary arrival.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
-    req: Request,
+pub(crate) struct Queued {
+    pub(crate) req: Request,
     /// Generated tokens kept across an `EvictPause` (0 for fresh
     /// requests and after an `EvictRestart`); re-prefilled together
     /// with the prompt as an extended prompt on re-admission.
     resume_done: u64,
-    /// Already-computed tokens whose re-prefill is still owed — drives
-    /// the restart-time attribution (see [`Active::owed`]).
+    /// Already-computed tokens still to be re-prefilled: the leading
+    /// `owed` tokens of a prefill pass are re-work, and their pro-rata
+    /// share of each chunk's seconds is billed to the restart bucket
+    /// instead of first-pass prefill.
     owed: u64,
     evictions: u32,
     restart_secs: f64,
-    /// First admission instant (queueing delay is arrival → *first*
-    /// admission; later re-admissions are eviction re-work, not
-    /// scheduler queueing).
+    /// First admission instant, kept across evictions and handoffs
+    /// (queueing delay is arrival → *first* admission; later
+    /// re-admissions are eviction re-work, not scheduler queueing, and
+    /// a decode pool never re-sheds a request that already consumed
+    /// prefill service). Always `Some` while running.
     first_admitted: Option<f64>,
-    /// First prompt-residency instant, if reached before the eviction.
+    /// When the prompt *first* became resident (set once and kept
+    /// across evictions and handoffs).
     prefill_end: Option<f64>,
     first_token: Option<f64>,
     /// Whether this request arrived by cross-pool handoff with its
@@ -439,14 +424,18 @@ struct Queued {
     /// entirely). Cleared on eviction: the transferred KV is dropped
     /// with the reservation, so a re-admission genuinely re-prefills.
     handoff: bool,
-    /// The request's origin arrival (seconds) — equals
-    /// `req.arrival_secs()` except for handoffs, whose `arrival_us` was
-    /// rewritten to the transfer-completion instant.
+    /// The request's origin arrival (seconds) — what latency metrics
+    /// measure from. Equals `req.arrival_secs()` except for handoffs.
     origin_arrival: f64,
+    /// The queue reservation ([`KvMemory::queue_reservation`]) the
+    /// record was pushed with on its current replica, summed by the
+    /// [`PendingQueue`]. Set at enqueue; a pure function of the request
+    /// on one replica, so an eviction re-pushes it unchanged.
+    reserved: u64,
 }
 
 impl Queued {
-    fn fresh(req: Request) -> Self {
+    fn fresh(req: Request, reserved: u64) -> Self {
         Queued {
             req,
             resume_done: 0,
@@ -458,12 +447,19 @@ impl Queued {
             first_token: None,
             handoff: false,
             origin_arrival: req.arrival_secs(),
+            reserved,
         }
     }
 
     /// Prompt tokens a (re-)admission must prefill before decoding.
     fn prefill_target(&self) -> u64 {
         self.req.context_len + self.resume_done
+    }
+
+    /// The chunked-prefill stage's service order: highest priority
+    /// first, then earliest arrival.
+    fn prefill_order(&self) -> (Reverse<u8>, u64, u64) {
+        (Reverse(self.req.priority), self.req.arrival_us, self.req.id)
     }
 }
 
@@ -499,6 +495,8 @@ struct PendingQueue {
     /// allocated once and recycled for the rest of the run.
     lanes: Vec<(u8, VecDeque<Queued>)>,
     len: usize,
+    /// The sum of the queued records' [`Queued::reserved`].
+    reserved: u64,
     fifo: bool,
 }
 
@@ -507,12 +505,18 @@ impl PendingQueue {
         PendingQueue {
             lanes: Vec::new(),
             len: 0,
+            reserved: 0,
             fifo,
         }
     }
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    /// The reservations the queued requests will take on admission.
+    fn reserved(&self) -> u64 {
+        self.reserved
     }
 
     /// The lane for `priority`, created on first use.
@@ -538,6 +542,7 @@ impl PendingQueue {
         );
         lane.push_back(q);
         self.len += 1;
+        self.reserved = self.reserved.saturating_add(q.reserved);
     }
 
     /// Reinserts an evicted request at its `(arrival_us, id)` position
@@ -549,6 +554,7 @@ impl PendingQueue {
         let pos = lane.partition_point(|p| (p.req.arrival_us, p.req.id) <= key);
         lane.insert(pos, q);
         self.len += 1;
+        self.reserved = self.reserved.saturating_add(q.reserved);
     }
 
     /// The earliest-arriving pending request (`(arrival_us, id)` order)
@@ -601,6 +607,7 @@ impl PendingQueue {
             .pop_front()
             .expect("candidate lane nonempty");
         self.len -= 1;
+        self.reserved = self.reserved.saturating_sub(q.reserved);
         q
     }
 
@@ -620,6 +627,7 @@ impl PendingQueue {
     fn drain_fifo(&mut self) -> VecDeque<Queued> {
         debug_assert!(self.fifo);
         self.len = 0;
+        self.reserved = 0;
         self.lanes.pop().map(|(_, lane)| lane).unwrap_or_default()
     }
 }
@@ -975,10 +983,14 @@ impl<'a> KvMemory<'a> {
     }
 }
 
-/// One request resident in a replica's running batch.
+/// One request resident in a replica's running batch: its record,
+/// moved in at admission, plus the running-state fields.
 #[derive(Debug, Clone, Copy)]
 struct Active {
-    req: Request,
+    /// The request's record. Its `resume_done` is the resume point of
+    /// this residency, which tells tokens generated *this* residency
+    /// from kept ones at eviction.
+    rec: Queued,
     /// Tokens generated so far (starts at the kept-token count when
     /// resuming from an `EvictPause`).
     done: u64,
@@ -989,35 +1001,29 @@ struct Active {
     /// `context_len`, plus the kept tokens re-prefilled as an extended
     /// prompt after an `EvictPause`.
     prefill_target: u64,
-    /// `done` at (re-)admission — the resume point, needed to tell
-    /// tokens generated *this* residency from kept ones at eviction.
-    resume_done: u64,
-    /// First admission instant (survives evictions).
-    admitted: f64,
-    /// When the prompt *first* finished processing (None while
-    /// prefilling; set once and kept across evictions).
-    prefill_end: Option<f64>,
-    first_token: Option<f64>,
-    /// Already-computed tokens still to be re-prefilled: the leading
-    /// `owed` tokens of the current prefill pass are re-work, and their
-    /// pro-rata share of each chunk's seconds is billed to the restart
-    /// bucket instead of first-pass prefill.
-    owed: u64,
-    evictions: u32,
-    restart_secs: f64,
     /// Admission sequence number within the replica — victim selection
     /// evicts the most recently admitted (least progress lost) among
     /// the lowest-priority candidates, deterministically.
     seq: u64,
-    /// Origin arrival (seconds) for latency metrics — see
-    /// [`Queued::origin_arrival`].
-    origin_arrival: f64,
 }
 
 impl Active {
     /// Whether the prompt is resident and decoding may proceed.
     fn prompt_ready(&self) -> bool {
         self.prefilled >= self.prefill_target
+    }
+}
+
+/// The serving phase a replica of `eval` runs under `policy`: the pool
+/// role under the continuous policy, and always `Mixed` under waves.
+/// Pool roles are a continuous-policy feature: the closed-world wave
+/// loop has no cross-pool lifecycle, so a wave replica runs the full
+/// lifecycle whatever role its pool declares.
+pub(crate) fn effective_role(eval: &Evaluator, policy: SchedulingPolicy) -> PoolRole {
+    if policy == SchedulingPolicy::Continuous {
+        eval.pool_role()
+    } else {
+        PoolRole::Mixed
     }
 }
 
@@ -1043,8 +1049,6 @@ pub(crate) struct ReplicaSim<'a> {
     /// Routed, not-yet-admitted requests, in per-priority FCFS lanes
     /// (evicted requests re-enter at their arrival-order position).
     pending: PendingQueue,
-    /// Sum of the pending requests' would-be reservations.
-    pending_reserved: u64,
     /// Prompt tokens routed but not yet prefilled (0 with prefill off).
     prefill_backlog: u64,
     /// Whether any routed request carried a nonzero priority. While
@@ -1082,7 +1086,7 @@ pub(crate) struct ReplicaSim<'a> {
     /// replica, in retirement order (the cluster merge-sorts the pools'
     /// streams by transfer-completion time before decode-pool routing).
     /// Always empty on mixed/decode replicas.
-    pub(crate) handoffs: Vec<HandoffOut>,
+    pub(crate) handoffs: Vec<Queued>,
 }
 
 impl<'a> ReplicaSim<'a> {
@@ -1093,14 +1097,7 @@ impl<'a> ReplicaSim<'a> {
         } else {
             SheddingPolicy::None // closed-world waves have no deadlines
         };
-        // Pool roles are a continuous-policy feature (the closed-world
-        // wave loop has no cross-pool lifecycle); a wave replica always
-        // runs the full lifecycle.
-        let role = if policy == SchedulingPolicy::Continuous {
-            eval.pool_role()
-        } else {
-            PoolRole::Mixed
-        };
+        let role = effective_role(eval, policy);
         ReplicaSim {
             eval,
             stage: eval.stage_model(),
@@ -1118,7 +1115,6 @@ impl<'a> ReplicaSim<'a> {
             transfer: (role == PoolRole::Prefill).then(|| eval.kv_transfer_model()),
             t_max,
             pending: PendingQueue::new(policy == SchedulingPolicy::Wave),
-            pending_reserved: 0,
             prefill_backlog: 0,
             saw_priority: false,
             kv: KvMemory::new(eval, policy, role, t_max),
@@ -1144,12 +1140,12 @@ impl<'a> ReplicaSim<'a> {
     /// replica's clock (the cluster routes arrivals in global order and
     /// only advances replicas up to the routing frontier).
     pub(crate) fn enqueue(&mut self, r: Request) {
-        self.pending_reserved = self.pending_reserved.saturating_add(self.kv.queue(&r));
         if self.prefill.enabled {
             self.prefill_backlog = self.prefill_backlog.saturating_add(r.context_len);
         }
         self.saw_priority |= r.priority != 0;
-        self.pending.push_back(Queued::fresh(r));
+        let reserved = self.kv.queue(&r);
+        self.pending.push_back(Queued::fresh(r, reserved));
         self.routed += 1;
     }
 
@@ -1157,26 +1153,17 @@ impl<'a> ReplicaSim<'a> {
     /// transfer) to this decode replica. Same ordering contract as
     /// [`Self::enqueue`], keyed on the rewritten (transfer-completion)
     /// arrival. The prompt KV is resident on arrival, so nothing joins
-    /// the prefill backlog and admission skips prefill entirely.
-    pub(crate) fn enqueue_handoff(&mut self, h: HandoffOut) {
+    /// the prefill backlog and admission skips prefill entirely. The
+    /// record arrives as the prefill replica handed it off; only its
+    /// queue reservation is this replica's own.
+    pub(crate) fn enqueue_handoff(&mut self, mut h: Queued) {
         debug_assert!(
             self.role.accepts_handoff(),
             "handoffs may only target decode pools"
         );
-        self.pending_reserved = self.pending_reserved.saturating_add(self.kv.queue(&h.req));
         self.saw_priority |= h.req.priority != 0;
-        self.pending.push_back(Queued {
-            req: h.req,
-            resume_done: 0,
-            owed: 0,
-            evictions: h.evictions,
-            restart_secs: h.restart_secs,
-            first_admitted: Some(h.first_admitted),
-            prefill_end: Some(h.prefill_end),
-            first_token: None,
-            handoff: true,
-            origin_arrival: h.origin_arrival,
-        });
+        h.reserved = self.kv.queue(&h.req);
+        self.pending.push_back(h);
         self.routed += 1;
     }
 
@@ -1185,7 +1172,7 @@ impl<'a> ReplicaSim<'a> {
         ReplicaLoad {
             replica,
             in_flight: self.pending.len() + self.running.len(),
-            reserved_kv: self.kv.used().saturating_add(self.pending_reserved),
+            reserved_kv: self.kv.used().saturating_add(self.pending.reserved()),
             pending_prefill: self.prefill_backlog,
             evictions: self.ledger.evictions,
             prefix_cache_hits: self.ledger.prefix_cache_hits,
@@ -1224,11 +1211,7 @@ impl<'a> ReplicaSim<'a> {
             let ahead: u64 = self
                 .running
                 .iter()
-                .filter(|a| {
-                    !a.prompt_ready()
-                        && (Reverse(a.req.priority), a.req.arrival_us, a.req.id)
-                            < (Reverse(q.req.priority), q.req.arrival_us, q.req.id)
-                })
+                .filter(|a| !a.prompt_ready() && a.rec.prefill_order() < q.prefill_order())
                 .map(|a| a.prefill_target - a.prefilled)
                 .sum();
             let cached = self.kv.paged().map_or(0, |p| p.shared_tokens(&q.req));
@@ -1328,7 +1311,6 @@ impl<'a> ReplicaSim<'a> {
             .into_iter()
             .map(|q| q.req)
             .collect();
-        self.pending_reserved = 0;
         let mut idx = 0usize;
         while idx < queue.len() {
             let admitted = policy::wave_plan(eval, &queue[idx..], self.t_max);
@@ -1489,9 +1471,6 @@ impl<'a> ReplicaSim<'a> {
                 if self.should_shed(&cand_q) {
                     let q = self.pending.pop_candidate(cand.priority);
                     debug_assert_eq!(q.req.id, cand.id, "popped the planned candidate");
-                    self.pending_reserved = self
-                        .pending_reserved
-                        .saturating_sub(self.kv.queue_reservation(&q.req));
                     if self.prefill.enabled {
                         self.prefill_backlog =
                             self.prefill_backlog.saturating_sub(q.prefill_target());
@@ -1523,11 +1502,8 @@ impl<'a> ReplicaSim<'a> {
                         break;
                     }
                 }
-                let q = self.pending.pop_candidate(cand.priority);
+                let mut q = self.pending.pop_candidate(cand.priority);
                 debug_assert_eq!(q.req.id, cand.id, "popped the planned candidate");
-                self.pending_reserved = self
-                    .pending_reserved
-                    .saturating_sub(self.kv.queue_reservation(&cand));
                 let (hit_tokens, reserved) =
                     self.kv.admit(&q.req, self.running.len(), &mut self.ledger);
                 self.peak_reserved = self.peak_reserved.max(self.kv.used());
@@ -1557,25 +1533,18 @@ impl<'a> ReplicaSim<'a> {
                     self.served += 1;
                     continue;
                 }
+                q.first_admitted.get_or_insert(self.t);
+                if !must_prefill {
+                    q.prefill_end.get_or_insert(self.t);
+                }
+                q.owed = q.owed.min(target - skip);
                 self.admit_seq += 1;
                 self.running.push(Active {
-                    req: q.req,
+                    rec: q,
                     done: q.resume_done,
                     prefilled: if must_prefill { skip } else { target },
                     prefill_target: target,
-                    resume_done: q.resume_done,
-                    admitted: q.first_admitted.unwrap_or(self.t),
-                    prefill_end: if must_prefill {
-                        q.prefill_end
-                    } else {
-                        Some(q.prefill_end.unwrap_or(self.t))
-                    },
-                    first_token: q.first_token,
-                    owed: q.owed.min(target - skip),
-                    evictions: q.evictions,
-                    restart_secs: q.restart_secs,
                     seq: self.admit_seq,
-                    origin_arrival: q.origin_arrival,
                 });
                 if self.preempt.evicts() {
                     let p = q.req.priority;
@@ -1663,62 +1632,66 @@ impl<'a> ReplicaSim<'a> {
                 if self.role == PoolRole::Prefill {
                     a.prompt_ready()
                 } else {
-                    a.prompt_ready() && a.done >= a.req.decode_len
+                    a.prompt_ready() && a.done >= a.rec.req.decode_len
                 }
             };
             if !done {
                 i += 1;
                 continue;
             }
-            let a = self.running.swap_remove(i);
+            let mut q = self.running.swap_remove(i).rec;
             retired = true;
-            self.victim_index_remove(a.req.id);
-            self.kv.release(&a.req);
+            self.victim_index_remove(q.req.id);
+            self.kv.release(&q.req);
             if self.role == PoolRole::Prefill {
                 let (bytes, _pages, secs) = self
                     .transfer
                     .as_ref()
                     .expect("prefill replicas price transfers")
-                    .transfer(a.req.context_len);
+                    .transfer(q.req.context_len);
                 self.ledger.kv_transferred_bytes += bytes;
                 self.ledger.handoff_secs.push(secs);
                 // This replica's resident KV at retirement is the
                 // prompt alone — what utilization accounting should see.
-                self.ledger.retired.push(a.req.context_len);
+                self.ledger.retired.push(q.req.context_len);
                 self.served += 1;
-                let mut req = a.req;
+                // A prefill replica never decodes, so nothing generated
+                // or owed rides along with the resident prompt.
+                debug_assert!(
+                    q.resume_done == 0
+                        && q.owed == 0
+                        && q.first_token.is_none()
+                        && q.prefill_end.is_some(),
+                    "a handoff carries a resident prompt and nothing else"
+                );
                 // The decode pool sees the request arrive when its KV
                 // finishes landing: rewriting the arrival makes transfer
                 // completion an ordinary arrival event there (ceil — the
                 // request must not be admittable before the wire drains).
-                req.arrival_us = ((self.t + secs) * 1e6).ceil() as u64;
-                self.handoffs.push(HandoffOut {
-                    req,
-                    origin_arrival: a.origin_arrival,
-                    first_admitted: a.admitted,
-                    prefill_end: a.prefill_end.unwrap_or(self.t),
-                    evictions: a.evictions,
-                    restart_secs: a.restart_secs,
-                });
+                q.req.arrival_us = ((self.t + secs) * 1e6).ceil() as u64;
+                q.handoff = true;
+                self.handoffs.push(q);
                 continue;
             }
-            self.ledger.retired.push(a.req.final_len());
+            self.ledger.retired.push(q.req.final_len());
             self.served += 1;
             // Zero-emission requests (decode budget 0, prefill only)
             // contribute no timing sample.
-            if let Some(first) = a.first_token {
+            if let Some(first) = q.first_token {
                 self.timings.push(RequestTiming {
-                    id: a.req.id,
-                    arrival: a.origin_arrival,
-                    admitted: a.admitted,
-                    prefill_end: a.prefill_end.unwrap_or(a.admitted),
+                    id: q.req.id,
+                    arrival: q.origin_arrival,
+                    admitted: q.first_admitted.expect("a running request was admitted"),
+                    prefill_end: q
+                        .prefill_end
+                        .expect("a retired request's prompt is resident"),
                     first_token: first,
                     finished: self.t,
-                    decode_len: a.req.decode_len,
-                    priority: a.req.priority,
-                    tenant: a.req.tenant,
-                    evictions: a.evictions,
-                    restart_secs: a.restart_secs,
+                    decode_len: q.req.decode_len,
+                    priority: q.req.priority,
+                    tenant: q.req.tenant,
+                    evictions: q.evictions,
+                    restart_secs: q.restart_secs,
                 });
             }
         }
@@ -1782,16 +1755,16 @@ impl<'a> ReplicaSim<'a> {
                 let mut victims: Vec<&Active> = self
                     .running
                     .iter()
-                    .filter(|a| a.req.priority < priority)
+                    .filter(|a| a.rec.req.priority < priority)
                     .collect();
                 match self.victim_order {
                     VictimOrder::RecentFirst => {
-                        victims.sort_by_key(|a| (a.req.priority, Reverse(a.seq)));
+                        victims.sort_by_key(|a| (a.rec.req.priority, Reverse(a.seq)));
                     }
                     VictimOrder::SlackFirst => victims.sort_by_key(|a| {
                         (
-                            a.req.priority,
-                            Reverse(self.deadline_bits(&a.req)),
+                            a.rec.req.priority,
+                            Reverse(self.deadline_bits(&a.rec.req)),
                             Reverse(a.seq),
                         )
                     }),
@@ -1812,15 +1785,15 @@ impl<'a> ReplicaSim<'a> {
                         Some(_) => {
                             self.victim_index
                                 .iter()
-                                .find(|e| e.id == v.req.id)
+                                .find(|e| e.id == v.rec.req.id)
                                 .expect("every running request is indexed")
                                 .reserved
                         }
-                        None => self.kv.queue_reservation(&v.req),
+                        None => self.kv.queue_reservation(&v.rec.req),
                     };
                     used_r = used_r.saturating_sub(reserved_r);
                     occ_r -= 1;
-                    chosen_r.push(v.req.id);
+                    chosen_r.push(v.rec.req.id);
                 }
                 let ok_r = !chosen_r.is_empty() && self.kv.fits_given(need, used_r, occ_r);
                 (ok_r, chosen_r)
@@ -1853,18 +1826,24 @@ impl<'a> ReplicaSim<'a> {
         let idx = self
             .running
             .iter()
-            .position(|a| a.req.id == id)
+            .position(|a| a.rec.req.id == id)
             .expect("victim is running");
-        let a = self.running.swap_remove(idx);
-        self.victim_index_remove(a.req.id);
-        self.kv.release(&a.req);
+        let Active {
+            rec: mut q,
+            done,
+            prefilled,
+            prefill_target,
+            ..
+        } = self.running.swap_remove(idx);
+        self.victim_index_remove(id);
+        self.kv.release(&q.req);
         self.ledger.evictions += 1;
         self.batch_version += 1;
 
         // Generated tokens kept across the eviction (pause) vs dropped
         // (restart); fresh-this-residency generation separates kept
         // tokens from ones already re-prefilled once.
-        let fresh_decode = a.done - a.resume_done;
+        let fresh_decode = done - q.resume_done;
         // Page-granular reclamation: the victim's shared-prefix pages
         // stay resident (referenced by other sequences or newly cached),
         // so that part of its prompt is not re-prefill work. Should the
@@ -1873,14 +1852,14 @@ impl<'a> ReplicaSim<'a> {
         let preserved = self
             .kv
             .paged()
-            .map_or(0, |p| p.shared_tokens(&a.req).min(a.prefilled));
+            .map_or(0, |p| p.shared_tokens(&q.req).min(prefilled));
         let (keep, reprefill, redecode) = match self.preempt {
             PreemptionPolicy::EvictPause => (
-                a.done,
-                (a.prefilled + fresh_decode).saturating_sub(preserved),
+                done,
+                (prefilled + fresh_decode).saturating_sub(preserved),
                 0,
             ),
-            PreemptionPolicy::EvictRestart => (0, a.prefilled.saturating_sub(preserved), a.done),
+            PreemptionPolicy::EvictRestart => (0, prefilled.saturating_sub(preserved), done),
             PreemptionPolicy::None => unreachable!("plan_eviction never evicts under None"),
         };
         self.ledger.reprefill_tokens += reprefill;
@@ -1890,34 +1869,23 @@ impl<'a> ReplicaSim<'a> {
                 // Remember the waived re-prefill: if the pool reclaims
                 // the shared pages before this request is readmitted,
                 // the shortfall is billed as wasted prefill then.
-                p.discounted.insert(a.req.id, preserved);
+                p.discounted.insert(id, preserved);
             }
         }
 
-        let q = Queued {
-            req: a.req,
-            resume_done: keep,
-            // Unfinished re-work carries over; the new target's worth of
-            // already-computed tokens joins it (clamped at admission).
-            owed: a.owed.saturating_add(reprefill),
-            evictions: a.evictions + 1,
-            restart_secs: a.restart_secs,
-            first_admitted: Some(a.admitted),
-            prefill_end: a.prefill_end,
-            first_token: a.first_token,
-            // Eviction dropped the KV — transferred or not — so a
-            // re-admission genuinely re-prefills the prompt.
-            handoff: false,
-            origin_arrival: a.origin_arrival,
-        };
-        self.pending_reserved = self
-            .pending_reserved
-            .saturating_add(self.kv.queue_reservation(&a.req));
+        q.resume_done = keep;
+        // Unfinished re-work carries over; the new target's worth of
+        // already-computed tokens joins it (clamped at admission).
+        q.owed = q.owed.saturating_add(reprefill);
+        q.evictions += 1;
+        // Eviction dropped the KV — transferred or not — so a
+        // re-admission genuinely re-prefills the prompt.
+        q.handoff = false;
         if self.prefill.enabled {
             // The backlog still carried this request's unprocessed
             // remainder; after the eviction its whole new target must be
             // prefilled from scratch.
-            let remainder = a.prefill_target - a.prefilled;
+            let remainder = prefill_target - prefilled;
             self.prefill_backlog = self
                 .prefill_backlog
                 .saturating_add(q.prefill_target())
@@ -1939,7 +1907,7 @@ impl<'a> ReplicaSim<'a> {
             .iter()
             .enumerate()
             .filter(|(_, a)| !a.prompt_ready())
-            .min_by_key(|(_, a)| (Reverse(a.req.priority), a.req.arrival_us, a.req.id))
+            .min_by_key(|(_, a)| a.rec.prefill_order())
             .map(|(i, _)| i)
             .expect("a prefilling request exists");
         let (price, pchunk, it, batch_len) = match self.cached_step {
@@ -1967,8 +1935,8 @@ impl<'a> ReplicaSim<'a> {
                 batch.extend(
                     self.running
                         .iter()
-                        .filter(|a| a.prompt_ready() && a.done < a.req.decode_len)
-                        .map(|a| (a.req.id, a.req.context_len + a.done)),
+                        .filter(|a| a.prompt_ready() && a.done < a.rec.req.decode_len)
+                        .map(|a| (a.rec.req.id, a.rec.req.context_len + a.done)),
                 );
                 let it = if batch.is_empty() {
                     None
@@ -1998,7 +1966,7 @@ impl<'a> ReplicaSim<'a> {
         // The leading `owed` tokens of a post-eviction prefill pass are
         // re-work: bill their pro-rata share of the chunk to the restart
         // bucket so the first-pass prefill story stays honest.
-        let owed_used = pchunk.min(self.running[pi].owed);
+        let owed_used = pchunk.min(self.running[pi].rec.owed);
         let restart = if owed_used > 0 {
             pre_secs * owed_used as f64 / pchunk as f64
         } else {
@@ -2009,9 +1977,9 @@ impl<'a> ReplicaSim<'a> {
         if let Some(it) = it {
             self.ledger.decode(self.eval, &it, batch_len, 1, it.seconds);
             for a in &mut self.running {
-                if a.prompt_ready() && a.done < a.req.decode_len {
-                    if a.first_token.is_none() {
-                        a.first_token = Some(step_start + secs);
+                if a.prompt_ready() && a.done < a.rec.req.decode_len {
+                    if a.rec.first_token.is_none() {
+                        a.rec.first_token = Some(step_start + secs);
                     }
                     a.done += 1;
                 }
@@ -2019,10 +1987,10 @@ impl<'a> ReplicaSim<'a> {
         }
         let a = &mut self.running[pi];
         a.prefilled += pchunk;
-        a.owed -= owed_used;
-        a.restart_secs += restart;
-        if a.prompt_ready() && a.prefill_end.is_none() {
-            a.prefill_end = Some(step_start + pre_secs);
+        a.rec.owed -= owed_used;
+        a.rec.restart_secs += restart;
+        if a.prompt_ready() && a.rec.prefill_end.is_none() {
+            a.rec.prefill_end = Some(step_start + pre_secs);
         }
         self.t += secs;
         self.busy += secs;
@@ -2043,7 +2011,7 @@ impl<'a> ReplicaSim<'a> {
         let min_remaining = self
             .running
             .iter()
-            .map(|a| a.req.decode_len - a.done)
+            .map(|a| a.rec.req.decode_len - a.done)
             .min()
             .expect("nonempty running batch");
         let c0 = stride.min(min_remaining);
@@ -2057,7 +2025,7 @@ impl<'a> ReplicaSim<'a> {
                 batch.extend(
                     self.running
                         .iter()
-                        .map(|a| (a.req.id, a.req.context_len + a.done + (c0 - 1) / 2)),
+                        .map(|a| (a.rec.req.id, a.rec.req.context_len + a.done + (c0 - 1) / 2)),
                 );
                 let it = self.stage.iteration(&batch);
                 self.batch_buf = batch;
@@ -2102,11 +2070,12 @@ impl<'a> ReplicaSim<'a> {
             // shorter chunk's own midpoint.
             let mut batch = std::mem::take(&mut self.batch_buf);
             batch.clear();
-            batch.extend(
-                self.running
-                    .iter()
-                    .map(|a| (a.req.id, a.req.context_len + a.done + (chunk - 1) / 2)),
-            );
+            batch.extend(self.running.iter().map(|a| {
+                (
+                    a.rec.req.id,
+                    a.rec.req.context_len + a.done + (chunk - 1) / 2,
+                )
+            }));
             let it = self.stage.iteration(&batch);
             self.batch_buf = batch;
             it
@@ -2120,8 +2089,8 @@ impl<'a> ReplicaSim<'a> {
         let batch_len = self.running.len();
         self.ledger.decode(eval, &it, batch_len, chunk, secs);
         for a in &mut self.running {
-            if a.first_token.is_none() {
-                a.first_token = Some(self.t + it.seconds);
+            if a.rec.first_token.is_none() {
+                a.rec.first_token = Some(self.t + it.seconds);
             }
             a.done += chunk;
         }
@@ -2148,16 +2117,22 @@ mod tests {
         }
     }
 
+    /// A fresh record whose queue reservation is `id + 1` bytes.
+    fn queued(id: u64, arrival_us: u64, priority: u8) -> Queued {
+        Queued::fresh(req(id, arrival_us, priority), id + 1)
+    }
+
     #[test]
     fn lanes_admit_in_priority_then_fcfs_order() {
         let mut q = PendingQueue::new(false);
         // Arrival order (the only legal push order): interleaves classes.
-        q.push_back(Queued::fresh(req(0, 100, 0)));
-        q.push_back(Queued::fresh(req(1, 200, 2)));
-        q.push_back(Queued::fresh(req(2, 300, 0)));
-        q.push_back(Queued::fresh(req(3, 400, 2)));
-        q.push_back(Queued::fresh(req(4, 500, 1)));
+        q.push_back(queued(0, 100, 0));
+        q.push_back(queued(1, 200, 2));
+        q.push_back(queued(2, 300, 0));
+        q.push_back(queued(3, 400, 2));
+        q.push_back(queued(4, 500, 1));
         assert_eq!(q.len(), 5);
+        assert_eq!(q.reserved(), 1 + 2 + 3 + 4 + 5);
         assert_eq!(q.earliest().unwrap().req.id, 0);
         // Nothing arrived yet.
         assert!(q.peek_candidate(50e-6).is_none());
@@ -2168,15 +2143,15 @@ mod tests {
             order.push(c.req.id);
         }
         assert_eq!(order, vec![1, 3, 4, 0, 2]);
-        assert_eq!(q.len(), 0);
+        assert_eq!((q.len(), q.reserved()), (0, 0));
     }
 
     #[test]
     fn candidate_respects_arrival_cutoff_across_lanes() {
         let mut q = PendingQueue::new(false);
-        q.push_back(Queued::fresh(req(0, 1_000_000, 0))); // t = 1.0s
-        q.push_back(Queued::fresh(req(1, 2_000_000, 5))); // t = 2.0s
-                                                          // Only the low-priority request has arrived at t=1.5s.
+        q.push_back(queued(0, 1_000_000, 0)); // t = 1.0s
+        q.push_back(queued(1, 2_000_000, 5)); // t = 2.0s
+                                              // Only the low-priority request has arrived at t=1.5s.
         assert_eq!(q.peek_candidate(1.5).unwrap().req.id, 0);
         // Both arrived: the high-priority one wins.
         assert_eq!(q.peek_candidate(2.5).unwrap().req.id, 1);
@@ -2188,10 +2163,11 @@ mod tests {
     #[test]
     fn reinsert_restores_arrival_order_within_class() {
         let mut q = PendingQueue::new(false);
-        q.push_back(Queued::fresh(req(0, 100, 1)));
-        q.push_back(Queued::fresh(req(2, 300, 1)));
+        q.push_back(queued(0, 100, 1));
+        q.push_back(queued(2, 300, 1));
         // An eviction re-enqueues an older arrival mid-class.
-        q.reinsert(Queued::fresh(req(1, 200, 1)));
+        q.reinsert(queued(1, 200, 1));
+        assert_eq!(q.reserved(), 1 + 2 + 3);
         let mut order = Vec::new();
         while let Some(c) = q.peek_candidate(1.0).copied() {
             order.push(q.pop_candidate(c.req.priority).req.id);
@@ -2204,12 +2180,12 @@ mod tests {
         let mut q = PendingQueue::new(true);
         // Wave routing is trace order: arrivals may be out of order and
         // priorities are ignored.
-        q.push_back(Queued::fresh(req(0, 900, 0)));
-        q.push_back(Queued::fresh(req(1, 100, 7)));
-        q.push_back(Queued::fresh(req(2, 500, 3)));
+        q.push_back(queued(0, 900, 0));
+        q.push_back(queued(1, 100, 7));
+        q.push_back(queued(2, 500, 3));
         let ids: Vec<u64> = q.drain_fifo().into_iter().map(|p| p.req.id).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(q.len(), 0);
+        assert_eq!((q.len(), q.reserved()), (0, 0));
     }
 
     /// The admission-order invariant the lane queue relies on (see the
@@ -2222,8 +2198,8 @@ mod tests {
     #[should_panic(expected = "nondecreasing (arrival_us, id) order")]
     fn out_of_order_push_trips_the_invariant_assert() {
         let mut q = PendingQueue::new(false);
-        q.push_back(Queued::fresh(req(0, 500, 0)));
-        q.push_back(Queued::fresh(req(1, 100, 0)));
+        q.push_back(queued(0, 500, 0));
+        q.push_back(queued(1, 100, 0));
     }
 
     /// The recompute-attribution contract of satellite waste accounting:
@@ -2499,7 +2475,7 @@ mod tests {
             .iter()
             .find(|h| h.req.id == 3)
             .expect("the cached prompt is handed off");
-        assert_eq!(cached.first_admitted, cached.origin_arrival);
+        assert_eq!(cached.first_admitted, Some(cached.origin_arrival));
         assert_eq!(
             cached.prefill_end, cached.first_admitted,
             "retired at admission"
@@ -2670,5 +2646,102 @@ mod tests {
         sim.finish();
         assert_eq!(sim.ledger.evictions, 2, "both prompts make room");
         assert_eq!(sim.served, 3);
+    }
+
+    /// The history a request carries across an eviction and a handoff.
+    /// On a `Prefill`-role replica under `EvictRestart`, a low-priority
+    /// prompt is evicted mid-prefill by a high-priority one, re-admitted
+    /// and handed off: its record keeps the eviction, the re-prefill
+    /// seconds, the *first* admission instant and the origin arrival.
+    /// On a decode replica a later high-priority handoff evicts it
+    /// again, which drops the transferred KV: the requeued record is no
+    /// longer a handoff, and re-admission prefills the prompt again.
+    #[test]
+    fn evicted_request_carries_its_history_through_a_handoff() {
+        use crate::PolicySpec;
+        let base = pimphony_eval();
+        let (n, decode) = (8_192, 20_000);
+        let t_max = n + decode;
+        let low = base.kv_reservation(n, t_max);
+        // One prompt reservation fits, two do not.
+        let factor = (low + low / 2) as f64 / base.replica_kv_capacity() as f64;
+        let policies = PolicySpec {
+            prefill: PrefillConfig::chunked(512),
+            preemption: PreemptionPolicy::EvictRestart,
+            kv_capacity_factor: factor,
+            ..Default::default()
+        };
+        let prefill_eval = base
+            .with_policies(policies)
+            .with_pool_role(PoolRole::Prefill);
+        let prompt = |id: u64, arrival_us: u64, priority: u8| Request {
+            id,
+            context_len: n,
+            decode_len: decode,
+            arrival_us,
+            priority,
+            tenant: 0,
+            shared_prefix: 0,
+        };
+        let solo_end = {
+            let mut sim = ReplicaSim::new(&prefill_eval, SchedulingPolicy::Continuous, t_max);
+            sim.enqueue(prompt(0, 0, 0));
+            sim.finish();
+            sim.end_time()
+        };
+        let urgent_at = (solo_end * 0.25 * 1e6) as u64;
+        let mut pre = ReplicaSim::new(&prefill_eval, SchedulingPolicy::Continuous, t_max);
+        pre.enqueue(prompt(0, 0, 0));
+        pre.enqueue(prompt(1, urgent_at, 1));
+        pre.finish();
+        assert_eq!(
+            pre.ledger.evictions, 1,
+            "the urgent prompt evicts the first"
+        );
+        let [urgent, evicted] = [1, 0].map(|id| {
+            *pre.handoffs
+                .iter()
+                .find(|h| h.req.id == id)
+                .expect("both prompts are handed off")
+        });
+        assert!(evicted.handoff && urgent.handoff);
+        assert_eq!(evicted.evictions, 1);
+        assert!(evicted.restart_secs > 0.0, "the re-prefill is billed");
+        assert_eq!(evicted.first_admitted, Some(0.0), "the first admission");
+        assert_eq!(evicted.origin_arrival, 0.0);
+        assert!(evicted.req.arrival_secs() > urgent.req.arrival_secs());
+        assert_eq!(urgent.evictions, 0);
+        assert_eq!(urgent.restart_secs, 0.0);
+        assert_eq!(urgent.origin_arrival, urgent_at as f64 * 1e-6);
+
+        // The decode side: the evicted record arrives first and starts
+        // decoding; the urgent one arrives a millisecond later.
+        let decode_eval = pimphony_eval()
+            .with_policies(policies)
+            .with_pool_role(PoolRole::Decode);
+        let mut later = urgent;
+        later.req.arrival_us = evicted.req.arrival_us + 1_000;
+        let mut dec = ReplicaSim::new(&decode_eval, SchedulingPolicy::Continuous, t_max);
+        dec.enqueue_handoff(evicted);
+        dec.enqueue_handoff(later);
+        // Shortly after the urgent arrival: it has evicted the victim,
+        // whose re-admission waits for the urgent request to finish.
+        dec.advance_to(later.req.arrival_secs() + 0.1);
+        assert_eq!(dec.ledger.evictions, 1);
+        let requeued = *dec.pending.earliest().expect("the victim is queued");
+        assert_eq!(requeued.req.id, 0);
+        assert!(!requeued.handoff, "eviction dropped the transferred KV");
+        assert_eq!(requeued.evictions, 2);
+        assert_eq!(requeued.first_admitted, Some(0.0));
+        dec.finish();
+        assert_eq!(dec.ledger.prefill_tokens, n, "only the victim re-prefills");
+        let timing = dec
+            .timings
+            .iter()
+            .find(|t| t.id == 0)
+            .expect("the victim finishes");
+        assert_eq!((timing.arrival, timing.admitted), (0.0, 0.0));
+        assert_eq!(timing.evictions, 2);
+        assert!(timing.restart_secs > evicted.restart_secs);
     }
 }

@@ -1080,15 +1080,16 @@ fn pool_from_json(p: &Json) -> Result<PoolSpec, String> {
         "role: unknown pool role",
     )?;
     let system = parse_system(p)?;
-    let router = match p.get("router") {
-        None => None,
-        Some(_) => Some(parse_label(
-            &RouterKind::ALL,
-            RouterKind::label,
-            get_str(p, "router", "")?,
-            "policies.router: unknown router",
-        )?),
-    };
+    let router = opt_str(p, "router")?
+        .map(|label| {
+            parse_label(
+                &RouterKind::ALL,
+                RouterKind::label,
+                label,
+                "router: unknown router",
+            )
+        })
+        .transpose()?;
     Ok(PoolSpec {
         name,
         role,
@@ -1279,7 +1280,7 @@ fn parse_label<T: Copy>(
 
 /// The optional `"system"` kind of a spec or pool object.
 fn parse_system(obj: &Json) -> Result<Option<SystemKind>, String> {
-    let Some(label) = obj.get("system").and_then(Json::as_str) else {
+    let Some(label) = opt_str(obj, "system")? else {
         return Ok(None);
     };
     find_label(&SystemKind::ALL, SystemKind::label, label)
@@ -1296,13 +1297,18 @@ fn req_str<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("{key}: required string"))
 }
 
+/// The string at `key`, or `None` when the key is absent.
+fn opt_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    obj.get(key)
+        .map(|v| {
+            v.as_str()
+                .ok_or_else(|| format!("{key}: expected a string"))
+        })
+        .transpose()
+}
+
 fn get_str<'a>(obj: &'a Json, key: &str, default: &'static str) -> Result<&'a str, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| format!("{key}: expected a string")),
-    }
+    Ok(opt_str(obj, key)?.unwrap_or(default))
 }
 
 fn get_bool(obj: &Json, key: &str, default: bool) -> Result<bool, String> {
@@ -1467,7 +1473,7 @@ mod tests {
                 r#""router": "dns","#,
                 "",
                 format!(
-                    r#"cluster.pools[0]: policies.router: unknown router "dns" (expected one of: {})"#,
+                    r#"cluster.pools[0]: router: unknown router "dns" (expected one of: {})"#,
                     RouterKind::ALL.map(|k| k.label()).join(", ")
                 ),
             ),
@@ -1509,6 +1515,27 @@ mod tests {
         ] {
             assert_eq!(parse(top, pool, policies), err);
         }
+    }
+
+    /// A `system` that is not a string is an error, at the top level
+    /// and in a pool, never a silent default.
+    #[test]
+    fn parse_rejects_a_non_string_system() {
+        let parse = |top: &str, pool: &str| {
+            Scenario::parse(&format!(
+                r#"{{"model": "LLM-7B-32K", {top}
+                    "cluster": {{"pools": [{{"name": "p", {pool} "replicas": 1}}]}},
+                    "workload": [{{"name": "t", "dataset": "QMSum"}}]}}"#
+            ))
+            .unwrap_err()
+        };
+        for top in [r#""system": 3,"#, r#""system": true,"#] {
+            assert_eq!(parse(top, ""), "system: expected a string", "{top}");
+        }
+        assert_eq!(
+            parse("", r#""system": 7,"#),
+            "cluster.pools[0]: system: expected a string"
+        );
     }
 
     /// A valid spec with a marker at every object level; `bogus_at`

@@ -207,7 +207,7 @@ impl TtftPredictor {
     /// [`Self::predict`] plus a mandatory cross-pool KV-transfer term:
     /// on a prefill-role replica the first token can only be generated
     /// *after* the handoff transfer completes, so `transfer_secs` (from
-    /// [`Evaluator::handoff_transfer`]) is part of every sound TTFT
+    /// [`Evaluator::kv_transfer_model`]) is part of every sound TTFT
     /// lower bound. Still optimistic — decode-pool queueing after the
     /// transfer only adds time. Monotone in all three arguments.
     pub fn predict_with_transfer(&self, waited: f64, tokens: u64, transfer_secs: f64) -> f64 {
@@ -404,12 +404,6 @@ impl Evaluator {
             self.policies.paged_kv.page_bytes,
             self.policies.kv_transfer,
         )
-    }
-
-    /// Prices shipping one request's prompt KV across pools: `(bytes,
-    /// pages, seconds)` for a `context_len`-token resident prompt.
-    pub fn handoff_transfer(&self, context_len: u64) -> (u64, u64, f64) {
-        self.kv_transfer_model().transfer(context_len)
     }
 
     /// Calibrates the optimistic [`TtftPredictor`] for this
