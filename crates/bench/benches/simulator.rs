@@ -205,24 +205,21 @@ impl SplitMix {
     }
 }
 
-/// A page pool under pressure from shared-prefix traffic: 8 tenants
+/// A page pool under pressure from shared-prefix traffic: 8 prefixes
 /// with 384-page prompt chains plus private pages, two sequences live at
 /// a time, in a 1,536-page pool — so admissions both hit resident
-/// prefixes and reclaim other tenants' cold chains tail-first.
+/// prefixes and reclaim other prefixes' cold chains tail-first.
 fn bench_page_pool(c: &mut Criterion) {
-    let chains: Vec<Vec<u64>> = (0..8u64)
-        .map(|t| (0..384).map(|i| t << 32 | i).collect())
-        .collect();
     let mut g = c.benchmark_group("serving");
     g.bench_function("page_pool_admit_release", |b| {
         b.iter(|| {
             let mut pool = PagePool::new(1536 * 4096, 4096);
             let (mut hit, mut reclaimed) = (0, 0);
             for id in 0..256u64 {
-                let chain = &chains[((id * 7 + id / 5) % 8) as usize];
-                let shared = 128 + (id * 37 % 257) as usize;
+                let prefix = (id * 7 + id / 5) % 8;
+                let shared = 128 + id * 37 % 257;
                 let a = pool
-                    .admit(RequestId(id), &chain[..shared], 16 + id % 64)
+                    .admit(RequestId(id), prefix, shared, 16 + id % 64)
                     .expect("two sequences fit the pool");
                 hit += a.hit_pages;
                 reclaimed += a.reclaimed_pages;

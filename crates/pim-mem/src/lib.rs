@@ -11,8 +11,8 @@
 //!
 //! * [`static_alloc`] — the baseline `T_max` reservation scheme.
 //! * [`chunk`] — the chunked physical allocator with a free list.
-//! * [`page`] — refcounted fixed-size KV pages with a prefix tree over
-//!   shared prompt pages and page-granular LRU reclamation.
+//! * [`page`] — refcounted fixed-size KV pages with one cached page
+//!   chain per shared prompt prefix and page-granular LRU reclamation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -58,8 +58,9 @@ pub trait Router: Send {
     /// Short display label (for report tables).
     fn label(&self) -> &'static str;
 
-    /// Picks the replica `req` is dispatched to. Out-of-range indices
-    /// are clamped to the last replica.
+    /// Picks the replica `req` is dispatched to: an index into `loads`.
+    ///
+    /// The cluster panics on an out-of-range pick, naming the router.
     fn route(&mut self, req: &Request, loads: &[ReplicaLoad]) -> usize;
 
     /// Whether routing decisions read the load snapshots. Stateless
@@ -621,7 +622,12 @@ fn route_phase<T: Routable>(
         let pool = members[mp];
         let reps = pool_sims[pool].len();
         // Level 2: the pool's own router places the item on a replica.
-        let target = routers[pool].route(r, &loads[mp]).min(reps - 1);
+        let target = routers[pool].route(r, &loads[mp]);
+        assert!(
+            target < reps,
+            "router {:?} picked replica {target} of {reps}",
+            routers[pool].label()
+        );
         item.dispatch(&mut pool_sims[pool][target]);
         routed_per[mp] += 1;
         if inspects {
@@ -711,6 +717,15 @@ fn run_pools_impl(
         route_phase(&handoffs, &p2, &mut pool_sims, routers, policy);
         finish_all(claim_members(&mut pool_sims, &p2), threads);
     }
+    // Handoff conservation: the decode pools received every handoff.
+    debug_assert_eq!(
+        p2.iter()
+            .flat_map(|&p| &pool_sims[p])
+            .map(|s| s.breakdown().routed)
+            .sum::<u64>(),
+        handoffs.len() as u64,
+        "the decode pools were routed every handoff"
+    );
 
     merge_pools(pools, pool_sims, policy, t_max, arrivals.len())
 }
@@ -884,10 +899,6 @@ mod tests {
                 in_flight: 10 * i,
                 reserved_kv: 0,
                 pending_prefill: 0,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             })
             .collect();
         let req = Request {
@@ -912,30 +923,18 @@ mod tests {
                 in_flight: 3,
                 reserved_kv: 100,
                 pending_prefill: 40_000,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             },
             ReplicaLoad {
                 replica: 1,
                 in_flight: 1,
                 reserved_kv: 900,
                 pending_prefill: 2_000,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             },
             ReplicaLoad {
                 replica: 2,
                 in_flight: 1,
                 reserved_kv: 50,
                 pending_prefill: 9_000,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             },
         ];
         let req = Request {
@@ -973,20 +972,12 @@ mod tests {
                 in_flight: 1,
                 reserved_kv: 100,
                 pending_prefill: 9_000,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             },
             ReplicaLoad {
                 replica: 1,
                 in_flight: 5,
                 reserved_kv: 900,
                 pending_prefill: 2_000,
-                evictions: 0,
-                prefix_cache_hits: 0,
-                prefix_hit_tokens: 0,
-                pages_evicted: 0,
             },
         ];
         let req = |tenant: u8| Request {
@@ -1027,10 +1018,6 @@ mod tests {
             in_flight: 0,
             reserved_kv: 0,
             pending_prefill,
-            evictions: 0,
-            prefix_cache_hits: 0,
-            prefix_hit_tokens: 0,
-            pages_evicted: 0,
         };
         let loads = [mk(0, 9_000), mk(1, 2_000), mk(2, 8_000)];
         let req = Request {
@@ -1094,6 +1081,37 @@ mod tests {
             let busy: f64 = r.per_replica.iter().map(|b| b.busy_seconds).sum();
             assert!((busy - r.busy_seconds).abs() < 1e-12, "{kind}");
         }
+    }
+
+    /// Picks past the last replica, whatever the loads.
+    struct OutOfRange;
+
+    impl Router for OutOfRange {
+        fn label(&self) -> &'static str {
+            "out-of-range"
+        }
+
+        fn route(&mut self, _req: &Request, _loads: &[ReplicaLoad]) -> usize {
+            usize::MAX
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "router \"out-of-range\" picked replica 18446744073709551615 of 4")]
+    fn an_out_of_range_pick_panics_naming_the_router() {
+        let e = multi_replica_eval();
+        assert_eq!(e.system().replicas(), 4);
+        let trace = TraceBuilder::new(Dataset::QmSum)
+            .seed(11)
+            .requests(2)
+            .decode_range(4, 8)
+            .build();
+        let mut pool = [PoolRun {
+            name: String::new(),
+            eval: &e,
+            router: Box::new(OutOfRange),
+        }];
+        run_pools(&mut pool, SchedulingPolicy::Continuous, 1, &trace);
     }
 
     /// Wave replicas run the full lifecycle whatever role their pool

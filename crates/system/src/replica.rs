@@ -372,20 +372,6 @@ pub struct ReplicaLoad {
     /// weigh prompt-processing backlog, which in-flight counts and KV
     /// reservations miss.
     pub pending_prefill: u64,
-    /// Requests this replica has evicted so far — the memory-pressure
-    /// signal: a replica that keeps evicting is thrashing its KV pool,
-    /// and routing more work to it multiplies the wasted re-prefill.
-    pub evictions: u64,
-    /// Admissions that mapped at least one resident shared-prefix page
-    /// (0 unless prefix caching is on) — a replica with a warm prefix
-    /// cache serves shared-prompt traffic cheaper than a cold one.
-    pub prefix_cache_hits: u64,
-    /// Prompt tokens whose prefill this replica skipped via the prefix
-    /// cache (0 unless prefix caching is on).
-    pub prefix_hit_tokens: u64,
-    /// Cached KV pages this replica reclaimed page-by-page under
-    /// memory pressure (0 unless prefix caching is on).
-    pub pages_evicted: u64,
 }
 
 /// The one record of a routed request: its lifecycle timestamps and the
@@ -672,50 +658,23 @@ struct PagedKv {
     /// the request is re-admitted, the shortfall must be recomputed —
     /// and is billed back to `wasted_prefill_tokens` at re-admission.
     discounted: BTreeMap<u64, u64>,
-    /// Shared-prefix page labels, extended as requests are enqueued.
-    labels: TenantLabels,
     /// The last prefix lookup, `(tenant, shared pages, hit)`, cleared
     /// whenever the pool changes. The admission sweep and the chunk
     /// cut ask about the same queue front many times between pool
-    /// changes; this answers the repeats without walking the tree.
+    /// changes; this answers the repeats without walking the chain.
     last_lookup: Cell<Option<(u8, u64, PrefixHit)>>,
-}
-
-/// Content labels of shared-prefix pages. Requests of one tenant share
-/// one system prompt, so `(tenant, page index)` identifies a page's
-/// content, labelled `tenant << 32 | index`. Each tenant's run is built
-/// once, as far as its longest shared prefix seen so far, and every
-/// lookup or admission borrows a slice of it.
-#[derive(Debug, Default)]
-struct TenantLabels(Vec<Vec<u64>>);
-
-impl TenantLabels {
-    /// Extends `tenant`'s run to at least `pages` labels.
-    fn cover(&mut self, tenant: u8, pages: u64) {
-        let t = usize::from(tenant);
-        if self.0.len() <= t {
-            self.0.resize_with(t + 1, Vec::new);
-        }
-        let run = &mut self.0[t];
-        let high = u64::from(tenant) << 32;
-        run.extend((run.len() as u64..pages).map(|i| high | i));
-    }
-
-    /// The first `pages` labels of `tenant` (covered at enqueue).
-    fn get(&self, tenant: u8, pages: u64) -> &[u64] {
-        &self.0[usize::from(tenant)][..pages as usize]
-    }
 }
 
 impl PagedKv {
     /// Whole pages of `r`'s prompt covered by its tenant-shared prefix
     /// (partial trailing pages are private — sharing them would alias
-    /// unrelated tokens into one page).
+    /// unrelated tokens into one page). Requests of one tenant share one
+    /// system prompt, so the tenant is the pool's prefix id.
     fn shared_pages(&self, r: &Request) -> u64 {
         r.shared_prefix.min(r.context_len) / self.page_tokens
     }
 
-    /// Prompt tokens of `r` living on shared (prefix-tree) pages.
+    /// Prompt tokens of `r` living on shared (prefix-chain) pages.
     fn shared_tokens(&self, r: &Request) -> u64 {
         self.shared_pages(r) * self.page_tokens
     }
@@ -725,20 +684,13 @@ impl PagedKv {
         let pages = self.shared_pages(r);
         if let Some((tenant, n, hit)) = self.last_lookup.get() {
             if tenant == r.tenant && n == pages {
-                debug_assert_eq!(hit, self.pool.lookup(self.labels.get(r.tenant, pages)));
+                debug_assert_eq!(hit, self.pool.lookup(u64::from(r.tenant), pages));
                 return hit;
             }
         }
-        let hit = self.pool.lookup(self.labels.get(r.tenant, pages));
+        let hit = self.pool.lookup(u64::from(r.tenant), pages);
         self.last_lookup.set(Some((r.tenant, pages, hit)));
         hit
-    }
-
-    /// Makes [`TenantLabels::get`] cover `r`: every request passes here
-    /// on its way into the pending queue.
-    fn cover_labels(&mut self, r: &Request) {
-        let pages = self.shared_pages(r);
-        self.labels.cover(r.tenant, pages);
     }
 
     /// Page-rounded footprint of a `len`-token reservation
@@ -792,7 +744,6 @@ impl<'a> KvMemory<'a> {
                 pool: PagePool::new(eval.replica_kv_capacity(), paged_cfg.page_bytes),
                 page_tokens: eval.page_tokens(),
                 discounted: BTreeMap::new(),
-                labels: TenantLabels::default(),
                 last_lookup: Cell::new(None),
             }))
         } else {
@@ -862,16 +813,6 @@ impl<'a> KvMemory<'a> {
         }
     }
 
-    /// Registers `r` on its way into the pending queue (paged: extends
-    /// its tenant's prefix labels to cover it) and returns its
-    /// [`Self::queue_reservation`].
-    fn queue(&mut self, r: &Request) -> u64 {
-        if let KvStore::Paged(p) = &mut self.store {
-            p.cover_labels(r);
-        }
-        self.queue_reservation(r)
-    }
-
     /// The reservation a request holds while queued (and the full
     /// amount it returns to the queue on eviction): the whole-request
     /// reservation under the historical policy, the page-rounded
@@ -920,11 +861,11 @@ impl<'a> KvMemory<'a> {
             }
             KvStore::Paged(p) => p,
         };
-        let labels = p.labels.get(r.tenant, p.shared_pages(r));
-        let private = p.footprint_pages(r_len) - labels.len() as u64;
+        let (prefix, shared) = (u64::from(r.tenant), p.shared_pages(r));
+        let private = p.footprint_pages(r_len) - shared;
         let before = p.pool.referenced_pages();
         p.last_lookup.set(None);
-        let adm = match p.pool.admit(RequestId(r.id), labels, private) {
+        let adm = match p.pool.admit(RequestId(r.id), prefix, shared, private) {
             Ok(a) => a,
             Err(_) => {
                 // Mirror the empty-batch guarantee of `fits_given` (a
@@ -935,10 +876,10 @@ impl<'a> KvMemory<'a> {
                     occupancy == 0,
                     "pool admission can only fail for an oversized first request"
                 );
-                let keep = (labels.len() as u64).min(p.pool.total_pages()) as usize;
-                let private = private.min(p.pool.total_pages() - keep as u64);
+                let shared = shared.min(p.pool.total_pages());
+                let private = private.min(p.pool.total_pages() - shared);
                 p.pool
-                    .admit(RequestId(r.id), &labels[..keep], private)
+                    .admit(RequestId(r.id), prefix, shared, private)
                     .expect("clamped admission fits an empty pool")
             }
         };
@@ -1144,7 +1085,7 @@ impl<'a> ReplicaSim<'a> {
             self.prefill_backlog = self.prefill_backlog.saturating_add(r.context_len);
         }
         self.saw_priority |= r.priority != 0;
-        let reserved = self.kv.queue(&r);
+        let reserved = self.kv.queue_reservation(&r);
         self.pending.push_back(Queued::fresh(r, reserved));
         self.routed += 1;
     }
@@ -1162,7 +1103,7 @@ impl<'a> ReplicaSim<'a> {
             "handoffs may only target decode pools"
         );
         self.saw_priority |= h.req.priority != 0;
-        h.reserved = self.kv.queue(&h.req);
+        h.reserved = self.kv.queue_reservation(&h.req);
         self.pending.push_back(h);
         self.routed += 1;
     }
@@ -1174,10 +1115,6 @@ impl<'a> ReplicaSim<'a> {
             in_flight: self.pending.len() + self.running.len(),
             reserved_kv: self.kv.used().saturating_add(self.pending.reserved()),
             pending_prefill: self.prefill_backlog,
-            evictions: self.ledger.evictions,
-            prefix_cache_hits: self.ledger.prefix_cache_hits,
-            prefix_hit_tokens: self.ledger.prefix_hit_tokens,
-            pages_evicted: self.ledger.pages_evicted,
         }
     }
 
@@ -1269,6 +1206,13 @@ impl<'a> ReplicaSim<'a> {
                 debug_assert!(self.kv.paged().map_or(true, |p| p.pool.registered() == 0));
             }
         }
+        // Request conservation: every routed request was served (on a
+        // prefill replica: handed off) or shed.
+        debug_assert_eq!(
+            self.routed,
+            self.served + self.ledger.shed,
+            "a drained replica serves or sheds every routed request"
+        );
     }
 
     /// This replica's virtual end time.
@@ -2519,7 +2463,7 @@ mod tests {
         let page_bytes = PagedKvConfig::DEFAULT_PAGE_BYTES;
         let fresh = |sim: &ReplicaSim| {
             let p = sim.kv.paged().expect("paged KV is on");
-            let hit = p.pool.lookup(p.labels.get(b.tenant, p.shared_pages(&b)));
+            let hit = p.pool.lookup(u64::from(b.tenant), p.shared_pages(&b));
             (7 - hit.hit_pages + hit.hit_cached_pages) * page_bytes
         };
         let cold = sim.kv.admission_need(&b);

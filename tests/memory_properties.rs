@@ -92,12 +92,6 @@ proptest! {
     }
 }
 
-/// Labels of tenant `g`'s shared prompt pages `0..n` — the serving
-/// layer's label scheme (`crates/system/src/replica.rs`).
-fn chain_labels(g: u64, n: u64) -> Vec<u64> {
-    (0..n).map(|i| (g << 32) | i).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -113,9 +107,8 @@ proptest! {
         let page = 1024u64;
         let mut p = PagePool::new(total_pages * page, page);
         let mut live: Vec<u64> = vec![];
-        for (i, &(tenant, chain, private)) in ops.iter().enumerate() {
-            let labels = chain_labels(tenant, chain);
-            match p.admit(RequestId(i as u64), &labels, private) {
+        for (i, &(prefix, chain, private)) in ops.iter().enumerate() {
+            match p.admit(RequestId(i as u64), prefix, chain, private) {
                 Ok(a) => {
                     // hit + missing = chain, new = missing + private.
                     prop_assert_eq!(a.hit_pages + a.new_pages, chain + private);
@@ -154,7 +147,7 @@ proptest! {
         let page = 1024u64;
         let mut p = PagePool::new(128 * page, page);
         for s in 0..sharers {
-            p.admit(RequestId(s), &chain_labels(0, chain), 1).expect("fits");
+            p.admit(RequestId(s), 0, chain, 1).expect("fits");
         }
         for s in 0..sharers {
             let r = p.release(RequestId(s)).expect("live sharer");
@@ -167,11 +160,11 @@ proptest! {
         prop_assert_eq!(p.cached_pages(), chain);
     }
 
-    /// Prefix-tree lookup agrees with a brute-force longest-common-
-    /// prefix reference over the admitted chains: in an ample pool (no
-    /// reclamation) a query's hit depth is the longest LCP with any
-    /// admitted chain, and a hit page is cached iff no *live* chain
-    /// still covers it.
+    /// Prefix lookup agrees with a brute-force reference over the
+    /// admitted chains: in an ample pool (no reclamation) a query's hit
+    /// depth is the longest common prefix with any admitted chain of
+    /// its prefix id, and a hit page is cached iff no *live* chain still
+    /// covers it.
     #[test]
     fn prefix_lookup_matches_brute_force_lcp(
         chains in prop::collection::vec((0u64..4, 1u64..12), 1..10),
@@ -181,7 +174,7 @@ proptest! {
         let page = 1024u64;
         let mut p = PagePool::new(4096 * page, page);
         for (i, &(g, n)) in chains.iter().enumerate() {
-            p.admit(RequestId(i as u64), &chain_labels(g, n), 0).expect("ample pool");
+            p.admit(RequestId(i as u64), g, n, 0).expect("ample pool");
         }
         let mut resident: Vec<(u64, u64, bool)> = Vec::new();
         for (i, &(g, n)) in chains.iter().enumerate() {
@@ -192,9 +185,9 @@ proptest! {
             resident.push((g, n, live));
         }
         let (qg, qn) = query;
-        let got = p.lookup(&chain_labels(qg, qn));
+        let got = p.lookup(qg, qn);
         // Chains are contiguous from the root, so residency at depth d
-        // means some admitted chain of the query's tenant is longer
+        // means some admitted chain of the query's prefix is longer
         // than d; the page is still referenced iff a live one is.
         let mut hit = 0u64;
         for d in 0..qn {
